@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from math import factorial
 
@@ -48,18 +49,32 @@ from .qchev import (
     matrix_relation,
     mihalcea_equivariant,
     poincare_self_adjoint,
-    quantum_chevalley_minuscule,
+    quantum_chevalley_minuscule,  # noqa: F401  (re-exported alias)
 )
 from .rootsys import (
     CartanType,
     build_root_datum,
     datum_to_json,
     levi_data,
+    minuscule_dimension,
     minuscule_nodes,
 )
-from .weyl import minuscule_coset_reps, pd, special_elements, w_gamma_set
+from .weyl import (
+    minuscule_coset_reps,
+    multiply,
+    pd,
+    pi_P,
+    reflection,
+    special_elements,
+    w_gamma_set,
+)
 
 WRONSKIAN_TOL = 1e-8
+
+# Largest coset orbit (number of Schubert classes) a case may have.  The
+# connection matrices are dense, so this is already ~2.6e5 entries each;
+# larger orbits are refused before anything is enumerated.
+MAX_ORBIT_SIZE = 512
 
 # cases whose quantum-column count is pinned exactly
 _WGAMMA_PINNED = {("E6", 6): 6, ("E7", 7): 12, ("D4", 1): 2}
@@ -89,6 +104,23 @@ def _default_params(family: str, rank: int, node: int) -> dict:
     return params
 
 
+def _refuse_large_orbit(ct: CartanType, node: int) -> None:
+    """Raise ValueError when the coset orbit of a minuscule node or of the
+    B_n node-1 quadric exceeds MAX_ORBIT_SIZE, using its closed-form size,
+    so that nothing is enumerated."""
+    if node in minuscule_nodes(ct):
+        size = minuscule_dimension(ct, node)
+    elif ct.family == "B" and node == 1:
+        size = 2 * ct.rank
+    else:
+        return
+    if size > MAX_ORBIT_SIZE:
+        raise ValueError(
+            f"{ct} node {node} has {size} Schubert classes, more than the "
+            f"limit of {MAX_ORBIT_SIZE}"
+        )
+
+
 class Case:
     """One (cartan, node) context with the shared objects the checks
     need, built lazily and at most once."""
@@ -107,6 +139,7 @@ class Case:
                 f"unsupported case {self.cartan} node {self.node}: "
                 "need a minuscule node or an odd quadric B_n node 1"
             )
+        _refuse_large_orbit(self.ct, self.node)
         merged = _default_params(self.ct.family, self.ct.rank, self.node)
         merged.update(params or {})
         if self.quadric:
@@ -125,12 +158,7 @@ class Case:
     @property
     def matrix(self):
         if self._matrix is None:
-            if self.quadric:
-                self._matrix = fw_matrix(self.d, self.reps, self.node)
-            else:
-                self._matrix = quantum_chevalley_minuscule(
-                    self.d, self.reps, self.node
-                )
+            self._matrix = fw_matrix(self.d, self.reps, self.node)
         return self._matrix
 
     def is_projective_space(self) -> bool:
@@ -163,11 +191,45 @@ class Case:
 # verification checks: each returns a detail string or raises CheckFailure
 # --------------------------------------------------------------------------
 
+def _first_difference(A, B) -> str:
+    """Where two matrices over the same basis first differ, as text."""
+    for r, (row_a, row_b) in enumerate(zip(A.entries, B.entries)):
+        for c, (a, b) in enumerate(zip(row_a, row_b)):
+            if a != b:
+                return f" at ({r}, {c}): {a.render()} vs {b.render()}"
+    return ""
+
+
+def _check_wgamma_positions(case) -> None:
+    """The q-part of the Chevalley matrix is exactly q at the positions
+    (pi_P(w s_gamma), w) for w in W(gamma), and zero elsewhere."""
+    d, reps, M = case.d, case.reps, case.matrix
+    p = reps.parabolic
+    sgamma = reflection(d, p.gamma)
+    want = {
+        (reps.index_of(pi_P(d, p.I_P, multiply(d, w, sgamma))),
+         reps.index_of(w))
+        for w in w_gamma_set(d, reps)
+    }
+    q = LaurentPoly.var(M.variables, "q")
+    zero = LaurentPoly(M.variables)
+    for r, row in enumerate(M.entries):
+        for c, entry in enumerate(row):
+            qpart = entry - entry.constant_term()
+            expect = q if (r, c) in want else zero
+            if qpart != expect:
+                raise CheckFailure(
+                    f"q-part at ({r}, {c}) is {qpart.render()} but W(gamma) "
+                    f"gives {expect.render()} (column w = {reps.reps[c]!r})"
+                )
+
+
 def _check_mirror(case, D, budget):
     F = fg_connection(build_rep(case.d, case.node))
     if case.matrix != F:
         raise CheckFailure("quantum Chevalley matrix != canonical-basis "
-                           "connection")
+                           "connection" + _first_difference(case.matrix, F))
+    _check_wgamma_positions(case)
     return f"{case.matrix.size}x{case.matrix.size} matrices equal"
 
 
@@ -175,7 +237,8 @@ def _check_equivariant(case, D, budget):
     M = mihalcea_equivariant(case.d, case.reps, case.node)
     F = equivariant_fg(build_rep(case.d, case.node))
     if M != F:
-        raise CheckFailure("equivariant matrices differ")
+        raise CheckFailure("equivariant matrices differ"
+                           + _first_difference(M, F))
     return f"equal over {len(M.variables)} variables"
 
 
@@ -425,6 +488,8 @@ def _emit_json(payload, output) -> None:
 
 def cmd_roots(args) -> int:
     ct = CartanType.parse(args.case)
+    if args.node:
+        _refuse_large_orbit(ct, args.node)
     d = build_root_datum(ct)
     parabolic = levi_data(d, node=args.node) if args.node else None
     payload = datum_to_json(d, parabolic)
@@ -467,14 +532,17 @@ def cmd_verify(args) -> int:
     else:
         raise ValueError("verify needs a case or --all")
 
-    if args.jobs and args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(
-                lambda e: _run_case(e, args.max_degree, args.budget), entries
-            ))
+    run = partial(_run_case, max_degree=args.max_degree, budget=args.budget)
+    jobs = min(args.jobs or 1, len(entries), os.cpu_count() or 1)
+    if jobs > 1:
+        # the checks are pure-Python arithmetic, so cases run in processes;
+        # imported here because multiprocessing adds ~2 MB to every run
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            reports = list(pool.map(run, entries))
     else:
-        reports = [_run_case(e, args.max_degree, args.budget)
-                   for e in entries]
+        reports = [run(e) for e in entries]
 
     total = sum(len(r["checks"]) for r in reports)
     failed = sum(1 for r in reports for c in r["checks"] if not c["pass"])
@@ -610,7 +678,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=10_000_000,
                    help="constant-term enumeration node budget")
     p.add_argument("--jobs", type=int, default=1,
-                   help="run cases concurrently (output order is fixed)")
+                   help="run cases in up to N processes (output order "
+                        "is fixed)")
     add_output(p)
     p.set_defaults(func=cmd_verify)
 

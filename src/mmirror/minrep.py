@@ -1,18 +1,14 @@
 """The minuscule representation in its canonical weight basis.
 
 A minuscule representation has all weights in one Weyl orbit, so its weight
-spaces are lines indexed by the coset representatives W^P.  On the basis
-{v_w} the Chevalley generators act by 0/1 matrices determined entirely by
-weight pairings:
-
-    x_j(v_w) = v_{s_j w}  when <w varpi, alpha_j-vee> = -1, else 0,
-    y_j(v_w) = v_{s_j w}  when <w varpi, alpha_j-vee> = +1, else 0,
-
-with h = [e, f] acting diagonally.  The raising operator for the highest
-root, x_theta, sends v_w to v_{pi_P(w s_gamma)} exactly on the set
-{w : w(gamma) = -theta}, with the sign normalized to +1.  Out of these the
-rigid connection matrix f + q x_theta is assembled; the mirror statement is
-that it coincides, index for index, with the quantum Chevalley matrix.
+spaces are lines indexed by the coset representatives W^P, and every
+operator is read off the weights alone: the root vector for beta sends
+v_mu to v_{mu + beta} exactly when <mu, beta-vee> = -1, with coefficient 1.
+That gives x_j (beta = alpha_j), y_j (beta = -alpha_j) and x_theta (beta =
+theta), with h = [e, f] acting diagonally.  Out of these the connection
+f + q x_theta is assembled; its equivariant version adds the diagonal
+-<mu-vee, h>, mu-vee the coweight dual to mu.  The mirror statement is that
+these coincide, index for index, with the quantum Chevalley matrices.
 """
 
 from __future__ import annotations
@@ -21,20 +17,13 @@ from dataclasses import dataclass
 
 from .rootsys import (
     RootDatum,
-    fundamental_coweight,
+    _inverse_cartan,
+    _symmetrizers,
     minuscule_nodes,
     pairing,
     simple_root,
 )
-from .weyl import (
-    CosetReps,
-    act_coweight,
-    minuscule_coset_reps,
-    multiply,
-    pi_P,
-    reflection,
-    w_gamma_set,
-)
+from .weyl import CosetReps, minuscule_coset_reps
 from .qchev import ConnMatrix, LaurentPoly
 
 __all__ = [
@@ -95,19 +84,17 @@ def build_rep(d: RootDatum, node: int) -> MinusculeRep:
     return MinusculeRep(datum=d, node=node, reps=reps)
 
 
-def _raise_lower(rep: MinusculeRep, j: int, sign: int) -> RepOperator:
-    """The matrix moving weights by +alpha_j (sign=-1, raising) or
-    -alpha_j (sign=+1, lowering); sign is the pairing value selecting w."""
-    d = rep.datum
+def _root_operator(rep: MinusculeRep, label: str, root,
+                   sign: int) -> RepOperator:
+    """The matrix sending v_mu to v_{mu + beta}, beta = sign * root,
+    exactly when <mu, beta-vee> = -1."""
+    reps = rep.reps
     n = rep.dim
-    alpha_fw = simple_root(d, j).fw
     m = [[0] * n for _ in range(n)]
-    for c, mu in enumerate(rep.reps.weights):
-        if mu[j - 1] == sign:
-            target = tuple(x - sign * a for x, a in zip(mu, alpha_fw))
-            r = rep.reps.index_of(rep.reps.rep_by_weight(target))
-            m[r][c] = 1
-    label = f"x{j}" if sign == -1 else f"y{j}"
+    for c, mu in enumerate(reps.weights):
+        if sign * pairing(mu, root.coroot) == -1:
+            target = tuple(x + sign * a for x, a in zip(mu, root.fw))
+            m[reps.index_of(reps.rep_by_weight(target))][c] = 1
     return RepOperator(label=label, matrix=tuple(tuple(row) for row in m))
 
 
@@ -117,8 +104,9 @@ def generator_matrices(rep: MinusculeRep) -> dict:
     d = rep.datum
     out = {}
     for j in range(1, d.rank + 1):
-        out[f"x{j}"] = _raise_lower(rep, j, -1)
-        out[f"y{j}"] = _raise_lower(rep, j, +1)
+        alpha = simple_root(d, j)
+        out[f"x{j}"] = _root_operator(rep, f"x{j}", alpha, 1)
+        out[f"y{j}"] = _root_operator(rep, f"y{j}", alpha, -1)
 
     n = rep.dim
     c = d.two_rho_covec.coeffs
@@ -141,18 +129,23 @@ def generator_matrices(rep: MinusculeRep) -> dict:
 
 
 def xtheta_matrix(rep: MinusculeRep) -> RepOperator:
-    """Highest-root raising operator, sign fixed to +1: v_w maps to
-    v_{pi_P(w s_gamma)} precisely when w(gamma) = -theta."""
-    d = rep.datum
-    p = rep.reps.parabolic
-    n = rep.dim
-    m = [[0] * n for _ in range(n)]
-    sgamma = reflection(d, p.gamma)
-    for w in w_gamma_set(d, rep.reps):
-        c = rep.reps.index_of(w)
-        target = pi_P(d, p.I_P, multiply(d, w, sgamma))
-        m[rep.reps.index_of(target)][c] = 1
-    return RepOperator("xtheta", tuple(tuple(row) for row in m))
+    """Highest-root raising operator: v_mu maps to v_{mu + theta} precisely
+    when <mu, theta-vee> = -1, with coefficient +1."""
+    return _root_operator(rep, "xtheta", rep.datum.highest_root, 1)
+
+
+def _coweight_diagonal(rep: MinusculeRep):
+    """Per basis vector v_mu, the coweight mu-vee dual to mu in
+    simple-coroot coordinates: with mu = sum_k m_k alpha_k (m = mu A^-1)
+    and alpha_k = d_k alpha_k-vee, mu-vee = sum_k d_k m_k alpha_k-vee /
+    d_node, normalised so that varpi_node maps to varpi_node-vee."""
+    inv = _inverse_cartan(rep.datum)
+    dsym = _symmetrizers(rep.datum.cartan_type)
+    scale = [x / dsym[rep.node - 1] for x in dsym]
+    return [
+        tuple(s * pairing(mu, col) for s, col in zip(scale, zip(*inv)))
+        for mu in rep.reps.weights
+    ]
 
 
 def fg_connection(rep: MinusculeRep) -> ConnMatrix:
@@ -172,13 +165,13 @@ def fg_connection(rep: MinusculeRep) -> ConnMatrix:
 
 
 def equivariant_fg(rep: MinusculeRep) -> ConnMatrix:
-    """f + q x_theta shifted by the equivariant diagonal -<w varpi-vee, h>,
+    """f + q x_theta shifted by the equivariant diagonal -<mu-vee, h>,
     in the same variables (q, h1..hr) as the equivariant Chevalley matrix."""
     d = rep.datum
     variables = ("q",) + tuple(f"h{j}" for j in range(1, d.rank + 1))
     f = generator_matrices(rep)["f"].matrix
     xt = xtheta_matrix(rep).matrix
-    covec = fundamental_coweight(d, rep.node)
+    diagonal = _coweight_diagonal(rep)
     npad = d.rank
 
     def fill(r, c):
@@ -188,8 +181,7 @@ def equivariant_fg(rep: MinusculeRep) -> ConnMatrix:
         if xt[r][c]:
             terms[(1,) + (0,) * npad] = xt[r][c]
         if r == c:
-            moved = act_coweight(rep.reps.reps[c], covec)
-            for j, coeff in enumerate(moved):
+            for j, coeff in enumerate(diagonal[c]):
                 if coeff != 0:
                     exps = [0] * (1 + npad)
                     exps[1 + j] = 1

@@ -26,13 +26,14 @@ from typing import Callable, Optional, Tuple
 from .qchev import (
     ConnMatrix,
     LaurentPoly,
+    fw_matrix,
     matrix_relation,
     mihalcea_equivariant,
-    quantum_chevalley_minuscule,
 )
-from .rootsys import CartanType, RootDatum, build_root_datum, levi_data
+from .rootsys import CartanType, RootDatum, build_root_datum
 from .weyl import (
     CosetReps,
+    _matvec,
     bruhat_covers_up,
     minuscule_coset_reps,
     multiply,
@@ -71,10 +72,6 @@ def _linear_split(M: ConnMatrix):
                 else:
                     raise ValueError("matrix entry is not linear in q")
     return tuple(map(tuple, d1)), tuple(map(tuple, d2))
-
-
-def _matvec(m, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
 
 def _nilpotent_solve(d1, d: int, b):
@@ -160,13 +157,13 @@ def quantum_period_case(ct: str, node: int, D: int) -> PeriodSeries:
     """Convenience wrapper: the period of the named minuscule space."""
     d = build_root_datum(CartanType.parse(ct))
     reps = minuscule_coset_reps(d, node)
-    return quantum_period(quantum_chevalley_minuscule(d, reps, node), D)
+    return quantum_period(fw_matrix(d, reps, node), D)
 
 
 def bruhat_path_count(d: RootDatum, reps: CosetReps, node: int) -> int:
     """Number of saturated Bruhat chains in W^P from pi_P(w_top s_gamma)
     up to w_top: an independent route to the first period coefficient."""
-    lev = levi_data(d, node)
+    lev = reps.parabolic
     top = reps.reps[-1]
     start = pi_P(d, lev.I_P, multiply(d, top, reflection(d, lev.gamma)))
     counts = {reps.index_of(start): 1}
@@ -363,13 +360,6 @@ class RatFunc:
         diff = _padd(_pmul(_pderiv(self.num), self.den),
                      _pneg(_pmul(self.num, _pderiv(self.den))))
         return RatFunc.make(_pmul(q, diff), _pmul(self.den, self.den))
-
-    def as_laurent(self, variables=("q",)) -> LaurentPoly:
-        if self.den != (Fraction(1),):
-            raise ValueError("rational function is not a polynomial")
-        return LaurentPoly(variables, {
-            (i,): c for i, c in enumerate(self.num) if c != 0
-        })
 
 
 def _entry_to_ratfunc(p: LaurentPoly) -> RatFunc:
@@ -770,7 +760,7 @@ def jacobian_pn_check(n: int) -> bool:
                 return False
 
     # (iii) non-equivariant matrix relation X^{n+1} = q
-    Mq = quantum_chevalley_minuscule(d, reps, 1)
+    Mq = fw_matrix(d, reps, 1)
     Vq = ("X", "q")
     rel = (LaurentPoly(Vq, {(n + 1, 0): Fraction(1)})
            - LaurentPoly.var(Vq, "q"))

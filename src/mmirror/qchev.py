@@ -1,12 +1,12 @@
 """Quantum Chevalley connection matrices, exact over Laurent polynomials.
 
 The operator "multiply by the degree-one Schubert class" acting on the
-cohomology of a minuscule flag variety is assembled here in three flavours:
-classical (the Hasse-diagram incidence matrix), quantum (one extra q-term
-per column indexed by W(gamma)), and torus-equivariant (a linear form in
-h_1..h_r on the diagonal).  A general-parabolic rule is exposed per column
-for the cases, such as odd quadrics, where the minuscule shortcut does not
-apply.
+cohomology of G/P is assembled by one rule, the quantum Chevalley formula
+of Fulton-Woodward, column by column over the minimal coset
+representatives (fw_matrix).  It serves minuscule nodes and odd quadrics
+alike; the classical (q^0) part and the torus-equivariant matrix, with a
+linear form in h_1..h_r on the diagonal as in Mihalcea's formula, are
+derived from it.
 
 Matrices use the column convention: column w holds the expansion of the
 operator applied to the basis class sigma_w.
@@ -14,7 +14,7 @@ operator applied to the basis class sigma_w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,17 +35,12 @@ from .weyl import (
     _reflection_matrix,
     _root_sign,
     act_coweight,
-    bruhat_covers_up,
-    multiply,
     pi_P,
-    reflection,
-    w_gamma_set,
 )
 
 __all__ = [
     "LaurentPoly",
     "ConnMatrix",
-    "classical_chevalley",
     "quantum_chevalley_minuscule",
     "quantum_chevalley_fw",
     "fw_matrix",
@@ -305,59 +300,10 @@ class ConnMatrix:
 # Chevalley rules
 # --------------------------------------------------------------------------
 
-def classical_chevalley(d: RootDatum, reps: CosetReps, node: int,
-                        variables=("q",)) -> ConnMatrix:
-    """Cup product by the degree-one class: column w lists the Bruhat covers
-    w s_beta of w inside W^P, each with coefficient <varpi_node, beta-vee>
-    (equal to 1 throughout the minuscule case)."""
-    n = len(reps)
-    zero = LaurentPoly(variables)
-    cols = [[zero] * n for _ in range(n)]
-    for c, w in enumerate(reps.reps):
-        for beta, target in bruhat_covers_up(d, reps.parabolic, w):
-            coeff = beta.coroot.coeffs[node - 1]
-            r = reps.index_of(target)
-            cols[r][c] = cols[r][c] + LaurentPoly.const(variables, coeff)
-    return ConnMatrix(basis=reps, variables=tuple(variables),
-                      entries=tuple(tuple(row) for row in cols))
-
-
-def quantum_chevalley_minuscule(d: RootDatum, reps: CosetReps,
-                                node: int) -> ConnMatrix:
-    """D1 + q D2: the classical part plus, for each w with w(gamma) =
-    -theta, a single quantum term q * sigma at the projected target of
-    w s_gamma."""
-    m = classical_chevalley(d, reps, node)
-    p = reps.parabolic
-    entries = [list(row) for row in m.entries]
-    sgamma = reflection(d, p.gamma)
-    for w in w_gamma_set(d, reps):
-        c = reps.index_of(w)
-        target = pi_P(d, p.I_P, multiply(d, w, sgamma))
-        r = reps.index_of(target)
-        entries[r][c] = entries[r][c] + LaurentPoly.var(m.variables, "q")
-    return ConnMatrix(basis=reps, variables=m.variables,
-                      entries=tuple(tuple(row) for row in entries))
-
-
 @lru_cache(maxsize=None)
 def _reflection_data(d: RootDatum, coeffs):
     beta = d.root_from_coeffs(coeffs)
     return _reflection_matrix(d, beta), reflection_length(d, beta)
-
-
-def _fast_pi_p(d: RootDatum, I_P, action, inv_action):
-    """pi_P on raw matrices; returns the reduced WeylElt."""
-    ip = sorted(I_P)
-    while True:
-        for j in ip:
-            if _root_sign(d, action, simple_root(d, j)) < 0:
-                m, _ = _reflection_data(d, simple_root(d, j).coeffs)
-                action = _matmul(action, m)
-                inv_action = _matmul(m, inv_action)
-                break
-        else:
-            return _make_elt(d, action, inv_action)
 
 
 def quantum_chevalley_fw(d: RootDatum, I_P, i: int, w: WeylElt):
@@ -405,7 +351,8 @@ def quantum_chevalley_fw(d: RootDatum, I_P, i: int, w: WeylElt):
                 key = (zero_exp, elt)
                 acc[key] = acc.get(key, Fraction(0)) + coeff
         if lnew == w.length - slen:
-            target = _fast_pi_p(d, ip, act, inv)
+            # the candidate's word is never needed: pi_P reads matrices
+            target = pi_P(d, ip, WeylElt(act, inv, lnew, ()))
             drop = sum(
                 t * cv for t, cv in zip(two_rho_diff, beta.coroot.coeffs)
             )
@@ -441,6 +388,11 @@ def fw_matrix(d: RootDatum, reps: CosetReps, node: int) -> ConnMatrix:
                       entries=tuple(tuple(row) for row in cols))
 
 
+# The paper's W(gamma) description of the q-part is checked by the
+# verifier, not built a second time.
+quantum_chevalley_minuscule = fw_matrix
+
+
 def mihalcea_equivariant(d: RootDatum, reps: CosetReps,
                          node: int) -> ConnMatrix:
     """Equivariant first-Chern-class action: the non-equivariant matrix
@@ -450,7 +402,7 @@ def mihalcea_equivariant(d: RootDatum, reps: CosetReps,
     equivariant parameter on alpha_j-vee.
     """
     variables = ("q",) + tuple(f"h{j}" for j in range(1, d.rank + 1))
-    base = quantum_chevalley_minuscule(d, reps, node)
+    base = fw_matrix(d, reps, node)
     covec = fundamental_coweight(d, node)
     entries = [
         [

@@ -37,6 +37,7 @@ __all__ = [
     "quantum_roots",
     "gamma_root",
     "levi_data",
+    "weight_orbit",
     "minuscule_nodes",
     "minuscule_dimension",
     "is_cominuscule",
@@ -492,9 +493,9 @@ class ParabolicData:
     coset_size: int
 
 
-def _orbit_size(d: RootDatum, lam) -> int:
-    """Size of the Weyl orbit of a dominant weight, by plain BFS with
-    simple reflections acting in fundamental-weight coordinates."""
+def weight_orbit(d: RootDatum, lam) -> set:
+    """The Weyl orbit of a dominant weight, by plain BFS with simple
+    reflections acting in fundamental-weight coordinates."""
     start = tuple(lam)
     seen = {start}
     frontier = [start]
@@ -511,7 +512,7 @@ def _orbit_size(d: RootDatum, lam) -> int:
                     seen.add(img)
                     nxt.append(img)
         frontier = nxt
-    return len(seen)
+    return seen
 
 
 def levi_data(d: RootDatum, node: int = None, subset=None) -> ParabolicData:
@@ -564,7 +565,7 @@ def levi_data(d: RootDatum, node: int = None, subset=None) -> ParabolicData:
             )
 
     lam = tuple(0 if (j + 1) in ip_set else 1 for j in range(n))
-    size = _orbit_size(d, lam)
+    size = len(weight_orbit(d, lam))
 
     return ParabolicData(
         node=node,

@@ -18,8 +18,8 @@ from .rootsys import (
     Weight,
     is_cominuscule,
     levi_data,
-    pairing,
     simple_root,
+    weight_orbit,
 )
 
 __all__ = [
@@ -71,8 +71,7 @@ def _matmul(a, b):
 
 
 def _matvec(m, v):
-    n = len(m)
-    return tuple(sum(m[i][j] * v[j] for j in range(n)) for i in range(n))
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
 
 
 def _identity_matrix(n):
@@ -236,27 +235,14 @@ class CosetReps:
 
 
 def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
-    """BFS over the weight orbit W . varpi_node; each rep is recovered from
+    """Walk the weight orbit W . varpi_node; each rep is recovered from
     its weight by greedy descent (smallest j with mu_j < 0 first)."""
     p = levi_data(d, node=node)
     n = d.rank
     start = tuple(1 if j == node - 1 else 0 for j in range(n))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            for i in range(n):
-                if mu[i] == 0:
-                    continue
-                img = tuple(mu[k] - mu[i] * d.cartan[i][k] for k in range(n))
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
 
     elts = []
-    for mu in seen:
+    for mu in weight_orbit(d, start):
         word = []
         cur = list(mu)
         while tuple(cur) != start:
@@ -274,34 +260,32 @@ def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
     elts.sort(key=lambda pair: (pair[0].length, pair[0].word))
     reps = tuple(e for e, _ in elts)
     weights = tuple(m for _, m in elts)
-    if len(reps) != p.coset_size:
-        raise AssertionError("orbit size mismatch")
+    index = {w.action: i for i, w in enumerate(reps)}
+    if len(index) != len(reps) or len(reps) != p.coset_size:
+        raise AssertionError("recovered reps are not the coset orbit")
     return CosetReps(
         parabolic=p,
         reps=reps,
         weights=weights,
-        _index={w.action: i for i, w in enumerate(reps)},
+        _index=index,
         _by_weight={m: i for i, m in enumerate(weights)},
     )
 
 
 def pi_P(d: RootDatum, I_P, w: WeylElt) -> WeylElt:
-    """Minimal-length representative of the coset w W_P."""
+    """Minimal-length representative of the coset w W_P.  Only
+    w.action and w.inv_action are read; the result is built once."""
     ip = sorted(set(I_P))
-    cur = w
+    act, inv = w.action, w.inv_action
     while True:
         for j in ip:
-            if _root_sign(d, cur.action, simple_root(d, j)) < 0:
-                cur = multiply(d, cur, simple_reflection(d, j))
+            if _root_sign(d, act, simple_root(d, j)) < 0:
+                m = _simple_matrix(d, j)
+                act = _matmul(act, m)
+                inv = _matmul(m, inv)
                 break
         else:
-            return cur
-
-
-def is_min_rep(d: RootDatum, I_P, w: WeylElt) -> bool:
-    return all(
-        _root_sign(d, w.action, simple_root(d, j)) > 0 for j in sorted(set(I_P))
-    )
+            return _make_elt(d, act, inv)
 
 
 def bruhat_covers_up(d: RootDatum, p: ParabolicData, w: WeylElt):

@@ -1,10 +1,16 @@
+import concurrent.futures
+import inspect
 import json
 import subprocess
 import sys
+from concurrent.futures.process import ProcessPoolExecutor
+from math import comb
 
 import pytest
 
+import mmirror.cli as cli
 from mmirror.cli import _load_case_list, main
+from mmirror.qchev import ConnMatrix
 
 
 def run(capsys, *argv):
@@ -216,7 +222,115 @@ def test_verify_jobs_output_matches_serial(capsys):
     assert out1 == out2
 
 
+def test_verify_jobs_runs_cases_in_processes(capsys, monkeypatch):
+    cases = [{"cartan": "A1", "node": 1}, {"cartan": "A2", "node": 2},
+             {"cartan": "B2", "node": 2}]
+    monkeypatch.setattr(cli, "_load_case_list", lambda: cases)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    pools = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    code1, out1, _ = run(capsys, "verify", "--all")
+    assert pools == []
+    code2, out2, _ = run(capsys, "verify", "--all", "--jobs", "4")
+    assert pools == [2]
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
+# ------------------------------------------------------- failure details
+
+def _mirror_check(report):
+    return next(c for c in report["checks"] if c["name"] == "mirror")
+
+
+def test_mirror_failure_names_first_difference(monkeypatch):
+    original = cli.fg_connection
+
+    def corrupted(rep):
+        F = original(rep)
+        rows = [list(row) for row in F.entries]
+        rows[2][0] = rows[2][0] + 5
+        return ConnMatrix(basis=F.basis, variables=F.variables,
+                          entries=tuple(tuple(row) for row in rows))
+
+    monkeypatch.setattr(cli, "fg_connection", corrupted)
+    check = _mirror_check(cli._run_case({"cartan": "A2", "node": 1},
+                                        None, 10_000))
+    assert not check["pass"]
+    assert "(2, 0)" in check["detail"]
+    assert "0 vs 5" in check["detail"]
+
+
+def test_wgamma_position_failure_names_column(monkeypatch):
+    # with W(gamma) emptied, the q entry of P^2 at (0, 2) is unexplained
+    monkeypatch.setattr(cli, "w_gamma_set", lambda d, reps: [])
+    case = cli.Case("A2", 1)
+    check = _mirror_check(cli._run_case({"cartan": "A2", "node": 1},
+                                        None, 10_000))
+    assert not check["pass"]
+    assert "(0, 2)" in check["detail"]
+    assert repr(case.reps.reps[2]) in check["detail"]
+
+
+def test_equivariant_failure_names_first_difference(monkeypatch):
+    original = cli.mihalcea_equivariant
+
+    def corrupted(d, reps, node):
+        M = original(d, reps, node)
+        rows = [list(row) for row in M.entries]
+        rows[1][1] = rows[1][1] + 1
+        return ConnMatrix(basis=M.basis, variables=M.variables,
+                          entries=tuple(tuple(row) for row in rows))
+
+    monkeypatch.setattr(cli, "mihalcea_equivariant", corrupted)
+    report = cli._run_case({"cartan": "A2", "node": 1}, None, 10_000)
+    check = next(c for c in report["checks"] if c["name"] == "equivariant")
+    assert not check["pass"]
+    assert "(1, 1)" in check["detail"]
+
+
+# ------------------------------------------------------------ size guards
+
+@pytest.mark.parametrize("argv,size", [
+    (("chevalley", "A50", "--node", "25"), comb(51, 25)),
+    (("roots", "A50", "--node", "25"), comb(51, 25)),
+    (("chevalley", "B300", "--node", "1"), 600),
+])
+def test_oversized_orbit_refused(capsys, monkeypatch, argv, size):
+    def never(*args, **kwargs):
+        raise AssertionError("enumeration started before the size guard")
+
+    for name in ("build_root_datum", "levi_data", "minuscule_coset_reps"):
+        monkeypatch.setattr(cli, name, never)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert str(size) in err
+    assert str(cli.MAX_ORBIT_SIZE) in err
+
+
 # ----------------------------------------------------------- infrastructure
+
+def test_benchmark_names_exported_by_cli():
+    # the benchmark drives the library only through these cli names
+    names = [
+        "main", "quantum_chevalley_minuscule", "fw_matrix",
+        "bruhat_path_count", "minuscule_coset_reps", "minuscule_nodes",
+        "build_root_datum", "CartanType", "levi_data", "d4_split",
+        "quantum_period", "cyclic_scalar_operator", "operator_annihilates",
+        "RatFunc", "potential_typeA", "gw_from_constant_term",
+    ]
+    for name in names:
+        obj = getattr(cli, name)
+        assert inspect.isfunction(obj) or inspect.isclass(obj), name
+
 
 def test_pinned_case_list():
     cases = _load_case_list()

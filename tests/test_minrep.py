@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from mmirror.rootsys import CartanType, build_root_datum
+from mmirror.rootsys import CartanType, build_root_datum, fundamental_coweight
 from mmirror.qchev import (
     LaurentPoly,
+    fw_matrix,
     mihalcea_equivariant,
     quantum_chevalley_minuscule,
 )
@@ -16,7 +17,15 @@ from mmirror.minrep import (
     xtheta_matrix,
     zeta_rescaling_consistent,
 )
-from mmirror.weyl import from_word, multiply, simple_reflection
+from mmirror.weyl import (
+    act_coweight,
+    from_word,
+    multiply,
+    pi_P,
+    reflection,
+    simple_reflection,
+    w_gamma_set,
+)
 
 
 def R(ct, node):
@@ -95,12 +104,10 @@ def test_sl2_relations(ct, node):
 
 
 def test_f_equals_hasse_diagram():
-    from mmirror.qchev import classical_chevalley
-
     for ct, node in [("A3", 2), ("B3", 3), ("D4", 1)]:
         rep = R(ct, node)
         g = generator_matrices(rep)
-        m = classical_chevalley(rep.datum, rep.reps, node)
+        m = fw_matrix(rep.datum, rep.reps, node)
         for r in range(rep.dim):
             for c in range(rep.dim):
                 assert g["f"].matrix[r][c] == m.entry(r, c).constant_term()
@@ -126,6 +133,37 @@ def test_xtheta_squares_to_zero():
         n = len(xt)
         sq = mat_mul(xt, xt)
         assert sq == tuple(tuple(0 for _ in range(n)) for _ in range(n))
+
+
+def test_xtheta_support_is_w_gamma_route():
+    # the weight rule mu -> mu + theta agrees with the Weyl-group route
+    # v_w -> v_{pi_P(w s_gamma)} on W(gamma)
+    for ct, node in [("A4", 2), ("B4", 4), ("C3", 1), ("D5", 5), ("E6", 1)]:
+        rep = R(ct, node)
+        d, reps = rep.datum, rep.reps
+        p = reps.parabolic
+        sgamma = reflection(d, p.gamma)
+        want = sorted(
+            (reps.index_of(pi_P(d, p.I_P, multiply(d, w, sgamma))),
+             reps.index_of(w), 1)
+            for w in w_gamma_set(d, reps)
+        )
+        assert sorted(xtheta_matrix(rep).nonzeros()) == want, (ct, node)
+
+
+def test_equivariant_diagonal_is_moved_coweight():
+    # the weight-only diagonal equals -<w . varpi-vee, h> from the Weyl
+    # action on coweights, in every family including B and C
+    for ct, node in [("A3", 2), ("B3", 3), ("C4", 1), ("D4", 1), ("E6", 6)]:
+        rep = R(ct, node)
+        d = rep.datum
+        F = equivariant_fg(rep)
+        covec = fundamental_coweight(d, node)
+        for c, w in enumerate(rep.reps.reps):
+            moved = act_coweight(w, covec)
+            for j in range(d.rank):
+                assert F.entry(c, c).coefficient(**{f"h{j + 1}": 1}) \
+                    == -moved[j], (ct, node, c, j)
 
 
 def test_xtheta_entries_binary():
