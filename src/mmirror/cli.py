@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cached_property
 from importlib import resources
 from math import factorial
 
@@ -76,6 +75,10 @@ WRONSKIAN_TOL = 1e-8
 # larger orbits are refused before anything is enumerated.
 MAX_ORBIT_SIZE = 512
 
+# Largest root datum (number of positive roots) a case may build; refused
+# from the closed-form count before build_root_datum runs.
+MAX_POSITIVE_ROOTS = 1000
+
 # cases whose quantum-column count is pinned exactly
 _WGAMMA_PINNED = {("E6", 6): 6, ("E7", 7): 12, ("D4", 1): 2}
 
@@ -121,6 +124,19 @@ def _refuse_large_orbit(ct: CartanType, node: int) -> None:
         )
 
 
+def _refuse_large_datum(ct: CartanType) -> None:
+    """Raise ValueError when the root datum of ct would have more than
+    MAX_POSITIVE_ROOTS positive roots, counted in closed form."""
+    n = ct.rank
+    count = {"A": n * (n + 1) // 2, "B": n * n, "C": n * n,
+             "D": n * (n - 1), "E": 36 if n == 6 else 63}[ct.family]
+    if count > MAX_POSITIVE_ROOTS:
+        raise ValueError(
+            f"{ct} has {count} positive roots, more than the limit of "
+            f"{MAX_POSITIVE_ROOTS}"
+        )
+
+
 class Case:
     """One (cartan, node) context with the shared objects the checks
     need, built lazily and at most once."""
@@ -140,26 +156,25 @@ class Case:
                 "need a minuscule node or an odd quadric B_n node 1"
             )
         _refuse_large_orbit(self.ct, self.node)
+        _refuse_large_datum(self.ct)
         merged = _default_params(self.ct.family, self.ct.rank, self.node)
         merged.update(params or {})
         if self.quadric:
             merged.pop("ct_degree", None)
         self.params = merged
         self.d = build_root_datum(self.ct)
-        self._reps = None
-        self._matrix = None
 
-    @property
+    @cached_property
     def reps(self):
-        if self._reps is None:
-            self._reps = minuscule_coset_reps(self.d, self.node)
-        return self._reps
+        return minuscule_coset_reps(self.d, self.node)
 
-    @property
+    @cached_property
     def matrix(self):
-        if self._matrix is None:
-            self._matrix = fw_matrix(self.d, self.reps, self.node)
-        return self._matrix
+        return fw_matrix(self.d, self.reps, self.node)
+
+    @cached_property
+    def rep(self):
+        return build_rep(self.d, self.reps)
 
     def is_projective_space(self) -> bool:
         fam, n = self.ct.family, self.ct.rank
@@ -225,7 +240,7 @@ def _check_wgamma_positions(case) -> None:
 
 
 def _check_mirror(case, D, budget):
-    F = fg_connection(build_rep(case.d, case.node))
+    F = fg_connection(case.rep)
     if case.matrix != F:
         raise CheckFailure("quantum Chevalley matrix != canonical-basis "
                            "connection" + _first_difference(case.matrix, F))
@@ -234,8 +249,8 @@ def _check_mirror(case, D, budget):
 
 
 def _check_equivariant(case, D, budget):
-    M = mihalcea_equivariant(case.d, case.reps, case.node)
-    F = equivariant_fg(build_rep(case.d, case.node))
+    M = mihalcea_equivariant(case.d, case.matrix, case.node)
+    F = equivariant_fg(case.rep)
     if M != F:
         raise CheckFailure("equivariant matrices differ"
                            + _first_difference(M, F))
@@ -490,6 +505,7 @@ def cmd_roots(args) -> int:
     ct = CartanType.parse(args.case)
     if args.node:
         _refuse_large_orbit(ct, args.node)
+    _refuse_large_datum(ct)
     d = build_root_datum(ct)
     parabolic = levi_data(d, node=args.node) if args.node else None
     payload = datum_to_json(d, parabolic)
@@ -506,7 +522,7 @@ def cmd_chevalley(args) -> int:
         if args.format == "csv":
             raise ValueError("csv output is limited to the single-variable "
                              "matrix; use json for the equivariant one")
-        M = mihalcea_equivariant(case.d, case.reps, case.node)
+        M = mihalcea_equivariant(case.d, case.matrix, case.node)
     else:
         M = case.matrix
     if args.format == "csv":
@@ -532,17 +548,7 @@ def cmd_verify(args) -> int:
     else:
         raise ValueError("verify needs a case or --all")
 
-    run = partial(_run_case, max_degree=args.max_degree, budget=args.budget)
-    jobs = min(args.jobs or 1, len(entries), os.cpu_count() or 1)
-    if jobs > 1:
-        # the checks are pure-Python arithmetic, so cases run in processes;
-        # imported here because multiprocessing adds ~2 MB to every run
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(run, entries))
-    else:
-        reports = [run(e) for e in entries]
+    reports = [_run_case(e, args.max_degree, args.budget) for e in entries]
 
     total = sum(len(r["checks"]) for r in reports)
     failed = sum(1 for r in reports for c in r["checks"] if not c["pass"])
@@ -677,9 +683,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="override the per-case series depth")
     p.add_argument("--budget", type=int, default=10_000_000,
                    help="constant-term enumeration node budget")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="run cases in up to N processes (output order "
-                        "is fixed)")
     add_output(p)
     p.set_defaults(func=cmd_verify)
 

@@ -23,8 +23,8 @@ from .rootsys import (
     pairing,
     simple_root,
 )
-from .weyl import CosetReps, minuscule_coset_reps
-from .qchev import ConnMatrix, LaurentPoly
+from .weyl import CosetReps
+from .qchev import ConnMatrix, LaurentPoly, lift_equivariant
 
 __all__ = [
     "MinusculeRep",
@@ -71,10 +71,11 @@ class RepOperator:
         ]
 
 
-def build_rep(d: RootDatum, node: int) -> MinusculeRep:
+def build_rep(d: RootDatum, reps: CosetReps) -> MinusculeRep:
+    """The representation on the coset basis `reps` of a minuscule node."""
+    node = reps.parabolic.node
     if node not in minuscule_nodes(d.cartan_type):
         raise ValueError(f"node {node} is not minuscule for {d.cartan_type}")
-    reps = minuscule_coset_reps(d, node)
     for mu in reps.weights:
         for j in range(d.rank):
             if mu[j] not in (-1, 0, 1):
@@ -167,29 +168,7 @@ def fg_connection(rep: MinusculeRep) -> ConnMatrix:
 def equivariant_fg(rep: MinusculeRep) -> ConnMatrix:
     """f + q x_theta shifted by the equivariant diagonal -<mu-vee, h>,
     in the same variables (q, h1..hr) as the equivariant Chevalley matrix."""
-    d = rep.datum
-    variables = ("q",) + tuple(f"h{j}" for j in range(1, d.rank + 1))
-    f = generator_matrices(rep)["f"].matrix
-    xt = xtheta_matrix(rep).matrix
-    diagonal = _coweight_diagonal(rep)
-    npad = d.rank
-
-    def fill(r, c):
-        terms = {}
-        if f[r][c]:
-            terms[(0,) + (0,) * npad] = f[r][c]
-        if xt[r][c]:
-            terms[(1,) + (0,) * npad] = xt[r][c]
-        if r == c:
-            for j, coeff in enumerate(diagonal[c]):
-                if coeff != 0:
-                    exps = [0] * (1 + npad)
-                    exps[1 + j] = 1
-                    key = tuple(exps)
-                    terms[key] = terms.get(key, 0) - coeff
-        return LaurentPoly(variables, terms)
-
-    return ConnMatrix.build(rep.reps, variables, fill)
+    return lift_equivariant(fg_connection(rep), _coweight_diagonal(rep))
 
 
 def zeta_rescaling_consistent(rep: MinusculeRep, M: ConnMatrix) -> bool:

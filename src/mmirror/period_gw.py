@@ -33,7 +33,6 @@ from .qchev import (
 from .rootsys import CartanType, RootDatum, build_root_datum
 from .weyl import (
     CosetReps,
-    _matvec,
     bruhat_covers_up,
     minuscule_coset_reps,
     multiply,
@@ -56,22 +55,28 @@ class PeriodSeries:
 
 
 def _linear_split(M: ConnMatrix):
-    """Write M = D1 + q*D2 with rational matrices D1, D2."""
+    """Write M = D1 + q*D2 with rational matrices D1, D2, each given as
+    rows of nonzero (column, value) pairs."""
     if M.variables != ("q",):
         raise ValueError("expected a matrix over the single variable q")
-    n = M.size
-    d1 = [[Fraction(0)] * n for _ in range(n)]
-    d2 = [[Fraction(0)] * n for _ in range(n)]
-    for r in range(n):
-        for c in range(n):
-            for exps, coeff in M.entry(r, c).terms.items():
+    d1, d2 = [], []
+    for row in M.entries:
+        r1, r2 = [], []
+        for c, entry in enumerate(row):
+            for exps, coeff in entry.terms.items():
                 if exps == (0,):
-                    d1[r][c] = coeff
+                    r1.append((c, coeff))
                 elif exps == (1,):
-                    d2[r][c] = coeff
+                    r2.append((c, coeff))
                 else:
                     raise ValueError("matrix entry is not linear in q")
-    return tuple(map(tuple, d1)), tuple(map(tuple, d2))
+        d1.append(tuple(r1))
+        d2.append(tuple(r2))
+    return tuple(d1), tuple(d2)
+
+
+def _sparse_matvec(rows, v):
+    return tuple(sum(a * v[c] for c, a in row) for row in rows)
 
 
 def _nilpotent_solve(d1, d: int, b):
@@ -81,7 +86,7 @@ def _nilpotent_solve(d1, d: int, b):
     acc = tuple(x * scale for x in b)
     power = b
     for _ in range(len(b) + 1):
-        power = _matvec(d1, power)
+        power = _sparse_matvec(d1, power)
         if all(x == 0 for x in power):
             return acc
         scale /= d
@@ -93,39 +98,27 @@ def _check_nilpotent(d1) -> None:
     """Reject a classical part that is not nilpotent.
 
     All geometric inputs have nonnegative classical entries, for which
-    nilpotency is exactly acyclicity of the support digraph; a negative
-    entry already signals a wrong input.
+    nilpotency is exactly acyclicity of the support digraph (checked by
+    peeling vertices without incoming edges); a negative entry already
+    signals a wrong input.
     """
-    n = len(d1)
+    incoming = [0] * len(d1)
     for row in d1:
-        for x in row:
+        for c, x in row:
             if x < 0:
                 raise ValueError("classical part has a negative entry")
-    color = [0] * n  # 0 unvisited, 1 on stack, 2 finished
-    for root in range(n):
-        if color[root]:
-            continue
-        stack = [(root, 0)]
-        color[root] = 1
-        while stack:
-            node, nxt = stack[-1]
-            advanced = False
-            for r in range(nxt, n):
-                stack[-1] = (node, r + 1)
-                if d1[r][node] == 0:
-                    continue
-                if color[r] == 1:
-                    raise ValueError(
-                        "classical part of the connection is not nilpotent"
-                    )
-                if color[r] == 0:
-                    color[r] = 1
-                    stack.append((r, 0))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
+            incoming[c] += 1
+    ready = [r for r, k in enumerate(incoming) if k == 0]
+    peeled = 0
+    while ready:
+        r = ready.pop()
+        peeled += 1
+        for c, _ in d1[r]:
+            incoming[c] -= 1
+            if incoming[c] == 0:
+                ready.append(c)
+    if peeled != len(d1):
+        raise ValueError("classical part of the connection is not nilpotent")
 
 
 def quantum_period(M: ConnMatrix, D: int) -> PeriodSeries:
@@ -144,7 +137,7 @@ def quantum_period(M: ConnMatrix, D: int) -> PeriodSeries:
     coeffs = [Fraction(1)]
     trace = [s]
     for d in range(1, D + 1):
-        s = _nilpotent_solve(d1, d, _matvec(d2, s))
+        s = _nilpotent_solve(d1, d, _sparse_matvec(d2, s))
         trace.append(s)
         coeffs.append(s[top])
     for c in coeffs:
@@ -202,9 +195,9 @@ def hbar_rescale_consistent(M: ConnMatrix, c: int, D: int) -> bool:
         out = []
         for row in m:
             acc = zero
-            for a, e in zip(row, vec):
-                if a and not e.is_zero():
-                    acc = acc + e * a
+            for c, a in row:
+                if not vec[c].is_zero():
+                    acc = acc + vec[c] * a
             out.append(acc)
         return tuple(out)
 
@@ -503,8 +496,8 @@ def d4_split(M: ConnMatrix) -> D4Split:
 
     # constant vectors killed identically in q: the joint kernel of the
     # classical and quantum parts, which must be exactly this one line
-    d1, d2 = _linear_split(M)
-    stacked = [list(row) for row in d1] + [list(row) for row in d2]
+    stacked = [[dict(row).get(c, Fraction(0)) for c in range(8)]
+               for part in _linear_split(M) for row in part]
     rank = 0
     for col in range(8):
         piv = next((r for r in range(rank, 16) if stacked[r][col] != 0),
@@ -602,8 +595,8 @@ def bessel_operator_from_matrix(h) -> ScalarOperator:
     rational value of the equivariant parameter: theta^2 - (q + h^2)."""
     h = Fraction(h)
     d = build_root_datum(CartanType("A", 1))
-    reps = minuscule_coset_reps(d, 1)
-    M = mihalcea_equivariant(d, reps, 1)
+    M = mihalcea_equivariant(d, fw_matrix(d, minuscule_coset_reps(d, 1), 1),
+                             1)
     entries = tuple(
         tuple(_substitute_h(M.entry(r, c), 2 * h) for c in range(2))
         for r in range(2)
@@ -732,8 +725,8 @@ def jacobian_pn_check(n: int) -> bool:
 
     # (ii) equivariant matrix: product of (M - diag Id) equals q Id
     d = build_root_datum(CartanType("A", n))
-    reps = minuscule_coset_reps(d, 1)
-    M = mihalcea_equivariant(d, reps, 1)
+    Mq = fw_matrix(d, minuscule_coset_reps(d, 1), 1)
+    M = mihalcea_equivariant(d, Mq, 1)
     Vm = M.variables
     size = M.size
     diag_sum = LaurentPoly(Vm)
@@ -760,7 +753,6 @@ def jacobian_pn_check(n: int) -> bool:
                 return False
 
     # (iii) non-equivariant matrix relation X^{n+1} = q
-    Mq = fw_matrix(d, reps, 1)
     Vq = ("X", "q")
     rel = (LaurentPoly(Vq, {(n + 1, 0): Fraction(1)})
            - LaurentPoly.var(Vq, "q"))

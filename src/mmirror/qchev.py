@@ -16,26 +16,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .rootsys import (
     RootDatum,
     Weight,
     fundamental_coweight,
     pairing,
-    reflection_length,
-    simple_root,
 )
 from .weyl import (
     CosetReps,
     WeylElt,
-    _length_of,
-    _make_elt,
-    _matmul,
-    _reflection_matrix,
-    _root_sign,
+    _is_minimal,
     act_coweight,
+    multiply,
     pi_P,
+    reflection,
 )
 
 __all__ = [
@@ -44,6 +39,7 @@ __all__ = [
     "quantum_chevalley_minuscule",
     "quantum_chevalley_fw",
     "fw_matrix",
+    "lift_equivariant",
     "mihalcea_equivariant",
     "matrix_relation",
     "check_homogeneous",
@@ -300,12 +296,6 @@ class ConnMatrix:
 # Chevalley rules
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _reflection_data(d: RootDatum, coeffs):
-    beta = d.root_from_coeffs(coeffs)
-    return _reflection_matrix(d, beta), reflection_length(d, beta)
-
-
 def quantum_chevalley_fw(d: RootDatum, I_P, i: int, w: WeylElt):
     """General quantum Chevalley rule for sigma_i *_q sigma_w on G/P.
 
@@ -319,7 +309,7 @@ def quantum_chevalley_fw(d: RootDatum, I_P, i: int, w: WeylElt):
     if i in ip:
         raise ValueError(f"node {i} lies in the Levi subset")
     outside = [j for j in range(1, d.rank + 1) if j not in ip]
-    if any(_root_sign(d, w.action, simple_root(d, j)) < 0 for j in ip):
+    if not _is_minimal(w, ip):
         raise ValueError("w is not a minimal coset representative")
 
     levi = {
@@ -340,19 +330,14 @@ def quantum_chevalley_fw(d: RootDatum, I_P, i: int, w: WeylElt):
         coeff = beta.coroot.coeffs[i - 1]
         if coeff == 0:
             continue
-        refl, slen = _reflection_data(d, beta.coeffs)
-        act = _matmul(w.action, refl)
-        lnew = _length_of(d, act)
-        inv = _matmul(refl, w.inv_action)
-        if lnew == w.length + 1:
-            # classical candidate; needs ws_beta itself minimal
-            if all(_root_sign(d, act, simple_root(d, j)) > 0 for j in ip):
-                elt = _make_elt(d, act, inv)
-                key = (zero_exp, elt)
-                acc[key] = acc.get(key, Fraction(0)) + coeff
-        if lnew == w.length - slen:
-            # the candidate's word is never needed: pi_P reads matrices
-            target = pi_P(d, ip, WeylElt(act, inv, lnew, ()))
+        s_beta = reflection(d, beta)
+        cand = multiply(d, w, s_beta)
+        if cand.length == w.length + 1 and _is_minimal(cand, ip):
+            # classical term; ws_beta must itself be minimal
+            key = (zero_exp, cand)
+            acc[key] = acc.get(key, Fraction(0)) + coeff
+        if cand.length == w.length - s_beta.length:
+            target = pi_P(d, ip, cand)
             drop = sum(
                 t * cv for t, cv in zip(two_rho_diff, beta.coroot.coeffs)
             )
@@ -393,37 +378,36 @@ def fw_matrix(d: RootDatum, reps: CosetReps, node: int) -> ConnMatrix:
 quantum_chevalley_minuscule = fw_matrix
 
 
-def mihalcea_equivariant(d: RootDatum, reps: CosetReps,
-                         node: int) -> ConnMatrix:
-    """Equivariant first-Chern-class action: the non-equivariant matrix
-    plus the diagonal linear form -<w . varpi_node-vee, h> in column w.
+def lift_equivariant(M: ConnMatrix, diagonal) -> ConnMatrix:
+    """M over ("q",) lifted to ("q", "h1", .., "hr") with -<diagonal[c], h>
+    added in column c, where diagonal[c] is a coweight in simple-coroot
+    coordinates and h_j is the equivariant parameter on alpha_j-vee."""
+    rank = len(diagonal[0])
+    variables = ("q",) + tuple(f"h{j}" for j in range(1, rank + 1))
+    pad = (0,) * rank
+    entries = []
+    for r, row in enumerate(M.entries):
+        lifted = []
+        for c, e in enumerate(row):
+            terms = {k + pad: v for k, v in e.terms.items()}
+            if r == c:
+                for j, coeff in enumerate(diagonal[c]):
+                    if coeff != 0:
+                        terms[(0,) + pad[:j] + (1,) + pad[j + 1:]] = -coeff
+            lifted.append(LaurentPoly(variables, terms))
+        entries.append(tuple(lifted))
+    return ConnMatrix(basis=M.basis, variables=variables,
+                      entries=tuple(entries))
 
-    Variables are ("q", "h1", .., "hr") with h_j the value of the
-    equivariant parameter on alpha_j-vee.
-    """
-    variables = ("q",) + tuple(f"h{j}" for j in range(1, d.rank + 1))
-    base = fw_matrix(d, reps, node)
+
+def mihalcea_equivariant(d: RootDatum, M: ConnMatrix,
+                         node: int) -> ConnMatrix:
+    """Equivariant first-Chern-class action: the Chevalley matrix M (from
+    fw_matrix) plus the diagonal linear form -<w . varpi_node-vee, h> in
+    column w, over the variables ("q", "h1", .., "hr")."""
     covec = fundamental_coweight(d, node)
-    entries = [
-        [
-            LaurentPoly(variables, {
-                tuple(k) + (0,) * d.rank: v for k, v in e.terms.items()
-            })
-            for e in row
-        ]
-        for row in base.entries
-    ]
-    for c, w in enumerate(reps.reps):
-        moved = act_coweight(w, covec)
-        terms = {}
-        for j, coeff in enumerate(moved):
-            if coeff != 0:
-                exps = [0] * len(variables)
-                exps[1 + j] = 1
-                terms[tuple(exps)] = -coeff
-        entries[c][c] = entries[c][c] + LaurentPoly(variables, terms)
-    return ConnMatrix(basis=reps, variables=variables,
-                      entries=tuple(tuple(row) for row in entries))
+    return lift_equivariant(
+        M, [act_coweight(w, covec) for w in M.basis.reps])
 
 
 def matrix_relation(M: ConnMatrix, relation: LaurentPoly) -> bool:

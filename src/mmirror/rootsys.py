@@ -522,6 +522,10 @@ def levi_data(d: RootDatum, node: int = None, subset=None) -> ParabolicData:
     In the maximal minuscule case this also computes gamma and
     I_Q = {j in I_P : <alpha_j, gamma-vee> = 0} and asserts the
     Coxeter-number identity <2(rho - rho_P), alpha_node-vee> = c.
+
+    coset_size = |W^P| is the height product over R+ \\ R+_P of
+    (ht alpha + 1) / ht alpha (Macdonald, "The Poincare series of a
+    Coxeter group", 1972), so no orbit is enumerated.
     """
     n = d.rank
     if (node is None) == (subset is None):
@@ -533,12 +537,12 @@ def levi_data(d: RootDatum, node: int = None, subset=None) -> ParabolicData:
         if any(j < 1 or j > n for j in I_P):
             raise ValueError("subset indices out of range")
     outside = [j for j in range(1, n + 1) if j not in I_P]
-    ip_set = set(I_P)
 
     levi = tuple(
         r for r in d.positive_roots
         if all(r.coeffs[j - 1] == 0 for j in outside)
     )
+    levi_coeffs = {r.coeffs for r in levi}
     rho_p = [Fraction(0)] * n
     for r in levi:
         for k in range(n):
@@ -564,8 +568,12 @@ def levi_data(d: RootDatum, node: int = None, subset=None) -> ParabolicData:
                 f"Coxeter-number identity failed for {d.cartan_type} node {node}"
             )
 
-    lam = tuple(0 if (j + 1) in ip_set else 1 for j in range(n))
-    size = len(weight_orbit(d, lam))
+    size = Fraction(1)
+    for r in d.positive_roots:
+        if r.coeffs not in levi_coeffs:
+            size *= Fraction(r.height + 1, r.height)
+    if size.denominator != 1:
+        raise AssertionError("height product for |W^P| is not an integer")
 
     return ParabolicData(
         node=node,
@@ -574,7 +582,7 @@ def levi_data(d: RootDatum, node: int = None, subset=None) -> ParabolicData:
         rho_P=rho_P,
         gamma=gamma,
         I_Q=I_Q,
-        coset_size=size,
+        coset_size=int(size),
     )
 
 

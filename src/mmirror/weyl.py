@@ -3,6 +3,14 @@
 Elements act on weights in fundamental-weight coordinates; the action matrix
 of s_i is the identity with column i replaced by e_i minus the i-th row of
 the Cartan matrix.  Equality and hashing use the action matrix only.
+
+Words, lengths and coset representatives are read off weights by one
+descent rule: s_j w < w exactly when <w.rho, alpha_j-vee> < 0, so
+repeatedly applying the smallest such s_j to w.rho (the row sums of the
+action matrix) spells the canonical reduced word of w, and the length is
+the number of letters.  Applied to w.lam, with lam dominant and stabiliser
+W_P, the same descent spells the minimal representative of w W_P; right
+descents are read the same way off w^{-1}.rho.
 """
 
 from __future__ import annotations
@@ -10,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 from .rootsys import (
     ParabolicData,
@@ -63,11 +73,8 @@ class WeylElt:
 
 
 def _matmul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def _matvec(m, v):
@@ -78,51 +85,45 @@ def _identity_matrix(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def _simple_matrix(d: RootDatum, i: int):
-    # (s_i lam)_j = lam_j - lam_i * a_ij, so column i of the identity gets
-    # the i-th Cartan row subtracted.
-    n = d.rank
+def _reflect_rows(d: RootDatum, i: int, m):
+    """s_i . m: since (s_i lam)_j = lam_j - lam_i * a_ij, row j of m loses
+    a_ij times row i, and only row i and its neighbours change."""
+    a = d.cartan[i - 1]
+    pivot = m[i - 1]
     return tuple(
-        tuple(int(j == k) - (d.cartan[i - 1][j] if k == i - 1 else 0)
-              for k in range(n))
-        for j in range(n)
+        row if a[j] == 0 else tuple(x - a[j] * y for x, y in zip(row, pivot))
+        for j, row in enumerate(m)
     )
 
 
-def _root_sign(d: RootDatum, action, root: Root) -> int:
-    """Sign of action(root): +1 positive, -1 negative."""
-    return d.signed_root_from_fw(_matvec(action, root.fw))[0]
-
-
-def _length_of(d: RootDatum, action) -> int:
-    return sum(1 for a in d.positive_roots if _root_sign(d, action, a) < 0)
-
-
-def _canonical_word(d: RootDatum, action, inv_action):
-    """Greedy left-descent word: repeatedly strip the smallest s_j with
-    ell(s_j w) < ell(w), i.e. with w^{-1}(alpha_j) negative."""
+def _descent_word(d: RootDatum, mu):
+    """Letters of the descent of mu to the dominant chamber: repeatedly
+    apply the smallest s_j with mu_j < 0 and record j."""
     n = d.rank
+    cur = list(mu)
     word = []
-    act, inv = action, inv_action
     while True:
-        for j in range(1, n + 1):
-            if _root_sign(d, inv, simple_root(d, j)) < 0:
-                m = _simple_matrix(d, j)
-                act = _matmul(m, act)
-                inv = _matmul(inv, m)
-                word.append(j)
+        for j in range(n):
+            if cur[j] < 0:
+                c = cur[j]
+                for k, a in enumerate(d.cartan[j]):
+                    cur[k] -= c * a
+                word.append(j + 1)
                 break
         else:
             return tuple(word)
 
 
+def _canonical_word(d: RootDatum, action):
+    """Greedy left-descent word of w: the descent word of w.rho, which in
+    fw coordinates is the vector of row sums of the action matrix."""
+    return _descent_word(d, [sum(row) for row in action])
+
+
 def _make_elt(d: RootDatum, action, inv_action) -> WeylElt:
-    return WeylElt(
-        action=action,
-        inv_action=inv_action,
-        length=_length_of(d, action),
-        word=_canonical_word(d, action, inv_action),
-    )
+    word = _canonical_word(d, action)
+    return WeylElt(action=action, inv_action=inv_action, length=len(word),
+                   word=word)
 
 
 def identity_elt(d: RootDatum) -> WeylElt:
@@ -131,33 +132,35 @@ def identity_elt(d: RootDatum) -> WeylElt:
 
 
 def simple_reflection(d: RootDatum, i: int) -> WeylElt:
-    m = _simple_matrix(d, i)
-    return WeylElt(action=m, inv_action=m, length=1, word=(i,))
+    return from_word(d, (i,))
 
 
-def _reflection_matrix(d: RootDatum, beta: Root):
+@lru_cache(maxsize=None)
+def reflection(d: RootDatum, beta: Root) -> WeylElt:
+    """s_beta, built directly as 1 - beta tensor beta-vee on fw coords."""
     n = d.rank
     cv = beta.coroot.coeffs
-    return tuple(
+    m = tuple(
         tuple(int(j == k) - beta.fw[j] * cv[k] for k in range(n))
         for j in range(n)
     )
-
-
-def reflection(d: RootDatum, beta: Root) -> WeylElt:
-    """s_beta, built directly as 1 - beta tensor beta-vee on fw coords."""
-    m = _reflection_matrix(d, beta)
     return _make_elt(d, m, m)
 
 
 def from_word(d: RootDatum, word) -> WeylElt:
-    act = _identity_matrix(d.rank)
-    inv = act
+    act = inv = _identity_matrix(d.rank)
+    for i in reversed(word):
+        act = _reflect_rows(d, i, act)
     for i in word:
-        m = _simple_matrix(d, i)
-        act = _matmul(act, m)
-        inv = _matmul(m, inv)
+        inv = _reflect_rows(d, i, inv)
     return _make_elt(d, act, inv)
+
+
+def _is_minimal(w: WeylElt, I_P) -> bool:
+    """w is the minimal representative of w W_P: no s_j, j in I_P, is a
+    right descent, i.e. w^{-1}.rho (row sums of inv_action) is positive on
+    I_P."""
+    return all(sum(w.inv_action[j - 1]) > 0 for j in I_P)
 
 
 def multiply(d: RootDatum, u: WeylElt, v: WeylElt) -> WeylElt:
@@ -165,12 +168,7 @@ def multiply(d: RootDatum, u: WeylElt, v: WeylElt) -> WeylElt:
 
 
 def inverse(d: RootDatum, w: WeylElt) -> WeylElt:
-    return WeylElt(
-        action=w.inv_action,
-        inv_action=w.action,
-        length=w.length,
-        word=_canonical_word(d, w.inv_action, w.action),
-    )
+    return _make_elt(d, w.inv_action, w.action)
 
 
 def act_weight(w: WeylElt, lam) -> tuple:
@@ -192,25 +190,10 @@ def act_coweight(w: WeylElt, covec) -> tuple:
 
 def longest_element(d: RootDatum, J=None) -> WeylElt:
     """Longest element of the standard parabolic W_J (J = all nodes when
-    omitted), by greedy ascent from the J-regular dominant weight that is 1
-    on J and 0 elsewhere."""
-    n = d.rank
-    if J is None:
-        J = range(1, n + 1)
-    J = sorted(set(J))
-    mu = [1 if (j + 1) in set(J) else 0 for j in range(n)]
-    collected = []
-    while True:
-        for j in J:
-            if mu[j - 1] > 0:
-                c = mu[j - 1]
-                for k in range(n):
-                    mu[k] -= c * d.cartan[j - 1][k]
-                collected.append(j)
-                break
-        else:
-            break
-    return from_word(d, list(reversed(collected)))
+    omitted): the descent word of w0_J.rho = rho - 2 rho_J."""
+    J = range(1, d.rank + 1) if J is None else J
+    rho_J = levi_data(d, subset=J).rho_P.coeffs
+    return from_word(d, _descent_word(d, [int(1 - 2 * x) for x in rho_J]))
 
 
 @dataclass(frozen=True)
@@ -236,26 +219,18 @@ class CosetReps:
 
 def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
     """Walk the weight orbit W . varpi_node; each rep is recovered from
-    its weight by greedy descent (smallest j with mu_j < 0 first)."""
+    its weight by the descent rule, which must end at varpi_node.  The
+    orbit size is checked against the closed-form |W^P| of levi_data."""
     p = levi_data(d, node=node)
     n = d.rank
     start = tuple(1 if j == node - 1 else 0 for j in range(n))
 
     elts = []
     for mu in weight_orbit(d, start):
-        word = []
-        cur = list(mu)
-        while tuple(cur) != start:
-            for j in range(n):
-                if cur[j] < 0:
-                    c = cur[j]
-                    for k in range(n):
-                        cur[k] -= c * d.cartan[j][k]
-                    word.append(j + 1)
-                    break
-            else:
-                raise AssertionError("descent recovery stalled")
-        elts.append((from_word(d, word), mu))
+        w = from_word(d, _descent_word(d, mu))
+        if act_weight(w, start) != mu:
+            raise AssertionError("descent recovery stalled")
+        elts.append((w, mu))
 
     elts.sort(key=lambda pair: (pair[0].length, pair[0].word))
     reps = tuple(e for e, _ in elts)
@@ -273,19 +248,11 @@ def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
 
 
 def pi_P(d: RootDatum, I_P, w: WeylElt) -> WeylElt:
-    """Minimal-length representative of the coset w W_P.  Only
-    w.action and w.inv_action are read; the result is built once."""
-    ip = sorted(set(I_P))
-    act, inv = w.action, w.inv_action
-    while True:
-        for j in ip:
-            if _root_sign(d, act, simple_root(d, j)) < 0:
-                m = _simple_matrix(d, j)
-                act = _matmul(act, m)
-                inv = _matmul(m, inv)
-                break
-        else:
-            return _make_elt(d, act, inv)
+    """Minimal-length representative of the coset w W_P: the element
+    spelled by the descent word of w . lam, where lam = sum of varpi_j over
+    j outside I_P has stabiliser W_P."""
+    lam = [0 if j + 1 in I_P else 1 for j in range(d.rank)]
+    return from_word(d, _descent_word(d, act_weight(w, lam)))
 
 
 def bruhat_covers_up(d: RootDatum, p: ParabolicData, w: WeylElt):
@@ -297,14 +264,9 @@ def bruhat_covers_up(d: RootDatum, p: ParabolicData, w: WeylElt):
     for beta in d.positive_roots:
         if beta.coeffs in levi:
             continue
-        refl = _reflection_matrix(d, beta)
-        act = _matmul(w.action, refl)
-        if _length_of(d, act) != w.length + 1:
-            continue
-        if any(_root_sign(d, act, simple_root(d, j)) < 0 for j in p.I_P):
-            continue
-        inv = _matmul(refl, w.inv_action)
-        out.append((beta, _make_elt(d, act, inv)))
+        elt = multiply(d, w, reflection(d, beta))
+        if elt.length == w.length + 1 and _is_minimal(elt, p.I_P):
+            out.append((beta, elt))
     return out
 
 
@@ -343,11 +305,7 @@ def special_elements(d: RootDatum, p: ParabolicData) -> SpecialElements:
     ):
         raise AssertionError("w_P(rho) != -rho + 2 rho_P")
     if p.node is not None and is_cominuscule(d, p.node):
-        sign, img = act_root(
-            d,
-            WeylElt(wP.inv_action, wP.action, wP.length, ()),
-            simple_root(d, p.node),
-        )
+        sign, img = act_root(d, inverse(d, wP), simple_root(d, p.node))
         if sign != -1 or img.coeffs != d.highest_root.coeffs:
             raise AssertionError("w_P^{-1}(alpha_node) != -theta")
 

@@ -114,7 +114,7 @@ def qc_matrix(ct, node):
 
 @functools.lru_cache(maxsize=None)
 def rep(ct, node):
-    return build_rep(datum(ct), node)
+    return build_rep(datum(ct), coset(ct, node))
 
 
 @functools.lru_cache(maxsize=None)
@@ -160,7 +160,7 @@ def test_criterion_01_mirror_identity():
 @criterion(2, "equivariant mirror identity over Q[q, h_1..h_r]")
 def test_criterion_02_equivariant_identity():
     for ct, node in EQUIVARIANT_CASES:
-        M = mihalcea_equivariant(datum(ct), coset(ct, node), node)
+        M = mihalcea_equivariant(datum(ct), qc_matrix(ct, node), node)
         F = equivariant_fg(rep(ct, node))
         assert M == F, (ct, node)
         assert len(M.variables) == datum(ct).rank + 1  # q plus all h_j
@@ -453,7 +453,7 @@ def test_criterion_10_sl2_and_grading():
         assert zeta_rescaling_consistent(rep(ct, node), fg_matrix(ct, node))
     for ct, node in EQUIVARIANT_CASES:
         d = datum(ct)
-        M = mihalcea_equivariant(d, coset(ct, node), node)
+        M = mihalcea_equivariant(d, qc_matrix(ct, node), node)
         assert check_homogeneous(d, M, node), (ct, node)
     for n in (2, 3, 4):
         d = datum(f"B{n}")

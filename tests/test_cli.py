@@ -1,14 +1,14 @@
-import concurrent.futures
 import inspect
 import json
 import subprocess
 import sys
-from concurrent.futures.process import ProcessPoolExecutor
+from collections import Counter
 from math import comb
 
 import pytest
 
 import mmirror.cli as cli
+from mmirror import minrep, period_gw, qchev, rootsys, weyl
 from mmirror.cli import _load_case_list, main
 from mmirror.qchev import ConnMatrix
 
@@ -214,36 +214,6 @@ def test_verify_needs_case_or_all(capsys):
     assert "case or --all" in err
 
 
-def test_verify_jobs_output_matches_serial(capsys):
-    code1, out1, _ = run(capsys, "verify", "B2", "--node", "2")
-    code2, out2, _ = run(capsys, "verify", "B2", "--node", "2",
-                         "--jobs", "3")
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
-def test_verify_jobs_runs_cases_in_processes(capsys, monkeypatch):
-    cases = [{"cartan": "A1", "node": 1}, {"cartan": "A2", "node": 2},
-             {"cartan": "B2", "node": 2}]
-    monkeypatch.setattr(cli, "_load_case_list", lambda: cases)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    pools = []
-
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
-    code1, out1, _ = run(capsys, "verify", "--all")
-    assert pools == []
-    code2, out2, _ = run(capsys, "verify", "--all", "--jobs", "4")
-    assert pools == [2]
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
 # ------------------------------------------------------- failure details
 
 def _mirror_check(report):
@@ -282,8 +252,8 @@ def test_wgamma_position_failure_names_column(monkeypatch):
 def test_equivariant_failure_names_first_difference(monkeypatch):
     original = cli.mihalcea_equivariant
 
-    def corrupted(d, reps, node):
-        M = original(d, reps, node)
+    def corrupted(d, matrix, node):
+        M = original(d, matrix, node)
         rows = [list(row) for row in M.entries]
         rows[1][1] = rows[1][1] + 1
         return ConnMatrix(basis=M.basis, variables=M.variables,
@@ -314,6 +284,54 @@ def test_oversized_orbit_refused(capsys, monkeypatch, argv, size):
     assert out == ""
     assert str(size) in err
     assert str(cli.MAX_ORBIT_SIZE) in err
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("this enumeration must not run")
+
+
+@pytest.mark.parametrize("argv", [
+    ("roots", "A400"),
+    ("chevalley", "A400", "--node", "1"),
+])
+def test_oversized_datum_refused(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "build_root_datum", _never)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "80200 positive roots" in err
+    assert str(cli.MAX_POSITIVE_ROOTS) in err
+
+
+def test_roots_coset_size_without_orbit_walk(capsys, monkeypatch):
+    # a non-minuscule node has no orbit guard; its |W^P| is closed-form
+    monkeypatch.setattr(rootsys, "weight_orbit", _never)
+    code, doc = run_json(capsys, "roots", "B20", "--node", "10")
+    assert code == 0
+    assert doc["parabolic"]["coset_size"] == 2 ** 10 * comb(20, 10)
+    assert doc["parabolic"]["coset_size"] == 189190144
+
+
+@pytest.mark.parametrize("cartan,node", [("A3", 2), ("D4", 1)])
+def test_verify_builds_case_objects_once(capsys, monkeypatch, cartan, node):
+    calls = Counter()
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    # wrap every module-level binding, so that no route escapes the count
+    for module in (cli, rootsys, weyl, qchev, minrep, period_gw):
+        for name in ("weight_orbit", "minuscule_coset_reps", "fw_matrix"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counting(name, getattr(module, name)))
+    code, doc = run_json(capsys, "verify", cartan, "--node", str(node))
+    assert code == 0 and doc["pass"]
+    assert calls == {"weight_orbit": 1, "minuscule_coset_reps": 1,
+                     "fw_matrix": 1}
 
 
 # ----------------------------------------------------------- infrastructure

@@ -20,6 +20,7 @@ from mmirror.minrep import (
 from mmirror.weyl import (
     act_coweight,
     from_word,
+    minuscule_coset_reps,
     multiply,
     pi_P,
     reflection,
@@ -30,7 +31,7 @@ from mmirror.weyl import (
 
 def R(ct, node):
     d = build_root_datum(CartanType.parse(ct))
-    return build_rep(d, node)
+    return build_rep(d, minuscule_coset_reps(d, node))
 
 
 def mat_mul(a, b):
@@ -56,7 +57,7 @@ def mat_scale(a, s):
 def test_rejects_non_minuscule_node():
     d = build_root_datum(CartanType("B", 3))
     with pytest.raises(ValueError):
-        build_rep(d, 1)
+        build_rep(d, minuscule_coset_reps(d, 1))
 
 
 def test_a1_fundamental():
@@ -223,7 +224,7 @@ def test_equivariant_fg_p1():
 def test_equivariant_mirror_identity(ct, node):
     rep = R(ct, node)
     assert equivariant_fg(rep) == mihalcea_equivariant(
-        rep.datum, rep.reps, node
+        rep.datum, fw_matrix(rep.datum, rep.reps, node), node
     )
 
 

@@ -334,7 +334,7 @@ def test_relation_zero_matrix():
 
 def test_mihalcea_p1():
     d, reps = case("A1", 1)
-    m = mihalcea_equivariant(d, reps, 1)
+    m = mihalcea_equivariant(d, fw_matrix(d, reps, 1), 1)
     V = ("q", "h1")
     h = LaurentPoly.var(V, "h1")
     q = LaurentPoly.var(V, "q")
@@ -358,8 +358,8 @@ def test_mihalcea_p1():
 def test_mihalcea_specializes_to_quantum():
     for ct, node in [("A2", 1), ("A3", 2), ("B3", 3), ("D4", 1)]:
         d, reps = case(ct, node)
-        me = mihalcea_equivariant(d, reps, node)
         mq = quantum_chevalley_minuscule(d, reps, node)
+        me = mihalcea_equivariant(d, mq, node)
         hzero = {v: Fraction(0) for v in me.variables if v != "q"}
         for r in range(me.size):
             for c in range(me.size):
@@ -377,7 +377,7 @@ def test_mihalcea_specializes_to_quantum():
 def test_mihalcea_trace_zero():
     for ct, node in [("A3", 2), ("B3", 3), ("C3", 1), ("D4", 1)]:
         d, reps = case(ct, node)
-        m = mihalcea_equivariant(d, reps, node)
+        m = mihalcea_equivariant(d, fw_matrix(d, reps, node), node)
         tr = LaurentPoly(m.variables)
         for i in range(m.size):
             tr = tr + m.entry(i, i)
@@ -391,8 +391,9 @@ def test_mihalcea_trace_zero():
 ])
 def test_homogeneity(ct, node):
     d, reps = case(ct, node)
-    assert check_homogeneous(d, quantum_chevalley_minuscule(d, reps, node), node)
-    assert check_homogeneous(d, mihalcea_equivariant(d, reps, node), node)
+    m = quantum_chevalley_minuscule(d, reps, node)
+    assert check_homogeneous(d, m, node)
+    assert check_homogeneous(d, mihalcea_equivariant(d, m, node), node)
 
 
 def test_homogeneity_odd_quadric():

@@ -17,6 +17,7 @@ from mmirror.rootsys import (
     quantum_roots,
     reflection_length,
     simple_root,
+    weight_orbit,
 )
 
 
@@ -267,6 +268,25 @@ def test_levi_coxeter_chern_all_minuscule():
         for node in minuscule_nodes(ct):
             p = levi_data(d, node=node)
             assert p.coset_size == minuscule_dimension(ct, node)
+
+
+# Every supported type up to rank 6, plus E7.
+SMALL_TYPES = (
+    [CartanType("A", n) for n in range(1, 7)]
+    + [CartanType(f, n) for f in "BC" for n in range(2, 7)]
+    + [CartanType("D", n) for n in range(4, 7)]
+    + [CartanType("E", 6), CartanType("E", 7)]
+)
+
+
+@pytest.mark.parametrize("ct", SMALL_TYPES, ids=str)
+def test_coset_size_equals_orbit_walk(ct):
+    # the height product |W^P| against an enumeration of W . varpi_node
+    d = build_root_datum(ct)
+    for node in range(1, ct.rank + 1):
+        varpi = tuple(int(j == node - 1) for j in range(ct.rank))
+        assert levi_data(d, node=node).coset_size == len(
+            weight_orbit(d, varpi)), node
 
 
 def test_levi_argument_validation():

@@ -155,6 +155,61 @@ def test_index_lookup():
         assert reps.rep_by_weight(reps.weights[i]) == w
 
 
+# ------------------------------------------- words against a reference
+
+def _reference_word_and_length(d, w):
+    """The greedy left-descent word found on matrices (strip the smallest
+    s_j with w^{-1}(alpha_j) < 0, updating w and w^{-1}), and the length as
+    the number of positive roots that w sends to negative roots."""
+    n = d.rank
+
+    def matmul(a, b):
+        return tuple(
+            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+            for i in range(n)
+        )
+
+    def sign(m, root):
+        image = tuple(sum(x * y for x, y in zip(row, root.fw)) for row in m)
+        return d.signed_root_from_fw(image)[0]
+
+    simple = {
+        i: tuple(
+            tuple(int(j == k) - (d.cartan[i - 1][j] if k == i - 1 else 0)
+                  for k in range(n))
+            for j in range(n)
+        )
+        for i in range(1, n + 1)
+    }
+    act, inv, word = w.action, w.inv_action, []
+    while True:
+        for j in range(1, n + 1):
+            if sign(inv, simple_root(d, j)) < 0:
+                act, inv = matmul(simple[j], act), matmul(inv, simple[j])
+                word.append(j)
+                break
+        else:
+            break
+    length = sum(1 for a in d.positive_roots if sign(w.action, a) < 0)
+    return tuple(word), length
+
+
+@pytest.mark.parametrize("ct,node", [
+    ("A4", 2), ("B4", 4), ("C4", 1), ("D5", 5), ("B4", 1), ("E6", 1),
+    ("E7", 7),
+])
+def test_words_and_lengths_match_reference(ct, node):
+    d = D(ct)
+    reps = minuscule_coset_reps(d, node).reps
+    elements = list(reps) + [inverse(d, w) for w in reps]
+    elements += [multiply(d, u, v) for u, v in zip(reps, reps[::-1])]
+    elements.append(longest_element(d))
+    for w in elements:
+        want = _reference_word_and_length(d, w)
+        assert (w.word, w.length) == want, w
+        assert len(want[0]) == want[1]  # the reference word is reduced
+
+
 # -------------------------------------------------------------------- pi_P
 
 def test_pi_p_projects():
