@@ -163,6 +163,7 @@ class Case:
             merged.pop("ct_degree", None)
         self.params = merged
         self.d = build_root_datum(self.ct)
+        self._periods = {}
 
     @cached_property
     def reps(self):
@@ -175,6 +176,12 @@ class Case:
     @cached_property
     def rep(self):
         return build_rep(self.d, self.reps)
+
+    def period(self, depth: int):
+        """The quantum period of ``matrix`` to ``depth``, computed once."""
+        if depth not in self._periods:
+            self._periods[depth] = quantum_period(self.matrix, depth)
+        return self._periods[depth]
 
     def is_projective_space(self) -> bool:
         fam, n = self.ct.family, self.ct.rank
@@ -274,7 +281,7 @@ def _check_poincare(case, D, budget):
 
 
 def _check_period(case, D, budget):
-    series = quantum_period(case.matrix, D)
+    series = case.period(D)
     paths = bruhat_path_count(case.d, case.reps, case.node)
     c1 = series.coefficients[1]
     if c1 != paths:
@@ -285,7 +292,7 @@ def _check_period(case, D, budget):
 
 
 def _check_period_positive(case, D, budget):
-    series = quantum_period(case.matrix, D)
+    series = case.period(D)
     c1 = series.coefficients[1]
     if c1 != 2:
         raise CheckFailure(f"quadric c1 = {c1}, expected 2")
@@ -293,7 +300,7 @@ def _check_period_positive(case, D, budget):
 
 
 def _check_projective_period(case, D, budget):
-    series = quantum_period(case.matrix, D)
+    series = case.period(D)
     size = len(case.reps)
     for d, c in enumerate(series.coefficients):
         want = Fraction(1, factorial(d) ** size)
@@ -306,7 +313,7 @@ def _check_constant_term(case, D, budget):
     k, n = case.node, case.ct.rank + 1
     depth = case.params["ct_degree"] if D is None else D
     pot = potential_typeA(k, n)
-    series = quantum_period(case.matrix, depth)
+    series = case.period(depth)
     values = []
     for d in range(1, depth + 1):
         got = gw_from_constant_term(pot, d, budget)
@@ -350,7 +357,7 @@ def _check_gr24_products(case, D, budget):
 
 def _check_d4_kernel(case, D, budget):
     split = d4_split(case.matrix)
-    full = quantum_period(case.matrix, 3)
+    full = case.period(3)
     restricted = quantum_period(split.restricted, 3)
     if full.coefficients != restricted.coefficients:
         raise CheckFailure("period changes under restriction to the "
@@ -576,7 +583,7 @@ def cmd_potential(args) -> int:
 def cmd_period(args) -> int:
     case = Case(args.case, args.node)
     D = args.max_degree or 6
-    series = quantum_period(case.matrix, D)
+    series = case.period(D)
     payload = {
         "schema": "mm/1",
         "case": case.cartan,
@@ -682,7 +689,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int,
                    help="override the per-case series depth")
     p.add_argument("--budget", type=int, default=10_000_000,
-                   help="constant-term enumeration node budget")
+                   help="constant-term walk budget: the most candidates "
+                        "(state, count) the quantum-term walk may try")
     add_output(p)
     p.set_defaults(func=cmd_verify)
 
@@ -704,7 +712,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
     p.add_argument("d", type=int)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=10_000_000,
+                   help="the most candidates (state, count) the "
+                        "quantum-term walk may try")
     add_output(p)
     p.set_defaults(func=cmd_gw)
 

@@ -10,7 +10,10 @@ quantum part of the potential as a ratio
 
 Constant terms of powers of the potential then compute genus-zero
 Gromov-Witten invariants, which is the bridge tested against the
-connection-matrix recursion in :mod:`mmirror.period_gw`.
+connection-matrix recursion in :mod:`mmirror.period_gw`.  A constant term
+is found by a memoized walk over the quantum terms only (the linear part
+is then forced); one unit of its ``budget`` is one candidate
+(state, count) of that walk.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .qchev import LaurentPoly
 from .rootsys import CartanType, build_root_datum
@@ -26,7 +29,8 @@ from .weyl import from_word, minuscule_coset_reps
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when a constant-term enumeration grows too large."""
+    """Raised when a constant-term walk tries more candidates than its
+    budget allows."""
 
 
 # --------------------------------------------------------------------------
@@ -56,27 +60,6 @@ class PolyMatrix:
             tuple(one if i == j else zero for j in range(n))
             for i in range(n)
         ))
-
-    def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.variables != other.variables or self.size != other.size:
-            raise ValueError("matrix shape/variable mismatch")
-        n = self.size
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = LaurentPoly(self.variables)
-                for k in range(n):
-                    a = self.entries[i][k]
-                    if a.is_zero():
-                        continue
-                    b = other.entries[k][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            rows.append(tuple(row))
-        return PolyMatrix(self.variables, tuple(rows))
 
 
 def _leading(p: LaurentPoly) -> Tuple[Tuple[int, ...], Fraction]:
@@ -192,16 +175,16 @@ def lusztig_matrix(n: int, word: Sequence[int],
     if len(symbols) != len(word):
         raise ValueError("one symbol per word letter required")
     variables = symbols
-    out = PolyMatrix.identity(n, variables)
+    rows = [list(row) for row in PolyMatrix.identity(n, variables).entries]
     for m, i in enumerate(word):
         if not 1 <= i <= n - 1:
             raise ValueError(f"word letter {i} out of range for SL({n})")
-        step = [[LaurentPoly.const(variables, 1) if r == c
-                 else LaurentPoly(variables)
-                 for c in range(n)] for r in range(n)]
-        step[i - 1][i] = LaurentPoly.var(variables, symbols[m])
-        out = out * PolyMatrix(variables, tuple(tuple(r) for r in step))
-    return out
+        # right factor I + a E_{i,i+1}: column i+1 += a * column i
+        a = LaurentPoly.var(variables, symbols[m])
+        for row in rows:
+            if not row[i - 1].is_zero():
+                row[i] = row[i] + a * row[i - 1]
+    return PolyMatrix(variables, tuple(tuple(row) for row in rows))
 
 
 # --------------------------------------------------------------------------
@@ -327,69 +310,72 @@ def validate_word(k: int, n: int) -> bool:
 
 def constant_term_power(pot: Potential, m: int,
                         budget: int = 10_000_000) -> Fraction:
-    """Constant term of ``f_1^m`` by enumeration of balanced multinomial
-    exponent assignments.
+    """Constant term of ``f_1^m`` by a memoized walk over the quantum terms.
 
-    Walks weak compositions of ``m`` over the potential's terms,
-    pruning with per-coordinate bounds on what the remaining terms can
-    still contribute; every search node spends one unit of ``budget``.
+    The walk chooses how often each quantum term is used, one term at a
+    time, and merges the paths that reach the same state (remaining
+    power r, accumulated exponent).  The linear part sum b_i x_i then has
+    forced counts v = -exponent, and a state adds
+    ``r! / prod v_i! * prod b_i^{v_i}`` when v >= 0 and |v| = r.  Each
+    candidate (state, count) spends one unit of ``budget`` before it is
+    pruned: by per-coordinate bounds on what the remaining quantum and
+    linear terms can still contribute, and by the degree sum(exponent) + r,
+    which must reach 0 and which only a quantum term t moves, by
+    deg(t) - 1.  Raises ValueError if the linear part is not one unit
+    monomial per variable.
     """
     if m < 0:
         raise ValueError("power must be nonnegative")
-    f1 = pot.f_one()
-    items = sorted(f1.terms.items())
-    exps = [item[0] for item in items]
-    coeffs = [item[1] for item in items]
-    tcount = len(items)
     nvar = len(pot.variables)
+    units = [tuple(int(j == i) for j in range(nvar)) for i in range(nvar)]
+    if set(pot.linear.terms) != set(units):
+        raise ValueError("the linear part must be one unit monomial per "
+                         "variable")
+    quantum = sorted(pot.quantum.terms.items())
+    # Exponents extended by the degree coordinate: a state's last entry
+    # is sum(exponent) + r, so quantum term t shifts it by deg(t) - 1.
+    steps = [e + (sum(e) - 1,) for e, _ in quantum]
+    linear = [u + (0,) for u in units]
+    bounds = []
+    for t in range(len(steps)):
+        rest = steps[t + 1:] + linear
+        bounds.append((tuple(map(min, zip(*rest))),
+                       tuple(map(max, zip(*rest)))))
 
-    suff_min = [[0] * nvar for _ in range(tcount + 1)]
-    suff_max = [[0] * nvar for _ in range(tcount + 1)]
-    for t in range(tcount - 1, -1, -1):
-        for c in range(nvar):
-            if t == tcount - 1:
-                suff_min[t][c] = exps[t][c]
-                suff_max[t][c] = exps[t][c]
-            else:
-                suff_min[t][c] = min(exps[t][c], suff_min[t + 1][c])
-                suff_max[t][c] = max(exps[t][c], suff_max[t + 1][c])
+    candidates = 0
+    states = {(m, (0,) * nvar + (m,)): Fraction(1)}
+    for (_, coeff), step, (lo, hi) in zip(quantum, steps, bounds):
+        following: dict = {}
+        for (r, acc), weight in states.items():
+            piece = weight
+            shifted = acc
+            for count in range(r + 1):
+                candidates += 1
+                if candidates > budget:
+                    raise BudgetExceeded(
+                        f"constant-term walk needs more than its budget "
+                        f"of {budget} candidates"
+                    )
+                if count:
+                    piece = piece * coeff * (r - count + 1) / count
+                    shifted = tuple(a + s for a, s in zip(shifted, step))
+                rest = r - count
+                if any(a + rest * l > 0 or a + rest * h < 0
+                       for a, l, h in zip(shifted, lo, hi)):
+                    continue
+                key = (rest, shifted)
+                following[key] = following.get(key, 0) + piece
+        states = following
 
-    nodes = 0
     total = Fraction(0)
-
-    def walk(t: int, remaining: int, acc: Tuple[int, ...],
-             weight: Fraction) -> None:
-        nonlocal nodes, total
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded(
-                f"constant-term enumeration too large (budget {budget})"
-            )
-        if remaining == 0:
-            if all(a == 0 for a in acc):
-                total += weight
-            return
-        if t == tcount:
-            return
-        lo = suff_min[t]
-        hi = suff_max[t]
-        for c in range(nvar):
-            if acc[c] + remaining * lo[c] > 0:
-                return
-            if acc[c] + remaining * hi[c] < 0:
-                return
-        e = exps[t]
-        coeff = coeffs[t]
-        piece = Fraction(1)
-        shifted = acc
-        for count in range(remaining + 1):
-            if count:
-                piece *= coeff
-                shifted = tuple(a + b for a, b in zip(shifted, e))
-            walk(t + 1, remaining - count,
-                 shifted, weight * math.comb(remaining, count) * piece)
-
-    walk(0, m, tuple(0 for _ in range(nvar)), Fraction(1))
+    for (r, acc), weight in states.items():
+        v = [-a for a in acc[:nvar]]
+        if min(v, default=0) < 0 or sum(v) != r:
+            continue
+        term = weight * math.factorial(r)
+        for vi, u in zip(v, units):
+            term = term * pot.linear.terms[u] ** vi / math.factorial(vi)
+        total += term
     return total
 
 

@@ -109,6 +109,21 @@ def test_gw_golden(capsys):
     assert doc["value"] == "2"
 
 
+def test_gw_golden_gr37_degree_two(capsys):
+    code, doc = run_json(capsys, "gw", "3", "7", "2")
+    assert code == 0
+    assert doc["power"] == 14
+    assert doc["constant_term"] == "382767184800"
+    assert doc["value"] == "281/64"
+
+
+def test_gw_budget_exceeded(capsys):
+    code, out, err = run(capsys, "gw", "2", "5", "1", "--budget", "10")
+    assert code == 1
+    assert out == ""
+    assert "budget" in err
+
+
 def test_gw_too_many_variables(capsys):
     code, out, err = run(capsys, "gw", "3", "8", "1")
     assert code == 1
@@ -332,6 +347,28 @@ def test_verify_builds_case_objects_once(capsys, monkeypatch, cartan, node):
     assert code == 0 and doc["pass"]
     assert calls == {"weight_orbit": 1, "minuscule_coset_reps": 1,
                      "fw_matrix": 1}
+
+
+@pytest.mark.parametrize("cartan,node", [("A3", 2), ("D4", 1)])
+def test_verify_computes_period_once(capsys, monkeypatch, cartan, node):
+    # period, constant_term and d4_kernel all read one series of the matrix
+    built, expanded = [], []
+    fw_matrix, quantum_period = cli.fw_matrix, cli.quantum_period
+
+    def building(*args):
+        built.append(fw_matrix(*args))
+        return built[-1]
+
+    def expanding(M, depth):
+        expanded.append(M)
+        return quantum_period(M, depth)
+
+    monkeypatch.setattr(cli, "fw_matrix", building)
+    monkeypatch.setattr(cli, "quantum_period", expanding)
+    code, doc = run_json(capsys, "verify", cartan, "--node", str(node))
+    assert code == 0 and doc["pass"]
+    assert len(built) == 1
+    assert sum(M is built[0] for M in expanded) == 1
 
 
 # ----------------------------------------------------------- infrastructure

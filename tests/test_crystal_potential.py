@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmirror.qchev import LaurentPoly
 from mmirror.crystal_potential import (
@@ -253,6 +255,48 @@ def test_gr1n_reduces_to_projective():
         for m in range(0, 2 * n + 1):
             assert constant_term_power(grass, m) == \
                 constant_term_power(proj, m)
+
+
+positive = st.builds(Fraction, st.integers(1, 5), st.integers(1, 4))
+
+
+@st.composite
+def random_potentials(draw):
+    """sum b_i x_i plus up to three terms with exponents in [-2, 1]."""
+    nvar = draw(st.integers(1, 3))
+    variables = tuple(f"x{i + 1}" for i in range(nvar))
+    linear = {tuple(int(j == i) for j in range(nvar)): draw(positive)
+              for i in range(nvar)}
+    extra = draw(st.dictionaries(
+        st.tuples(*[st.integers(-2, 1)] * nvar), positive, max_size=3))
+    return Potential(variables, LaurentPoly(variables, linear),
+                     LaurentPoly(variables, extra), 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_potentials(), st.integers(0, 6))
+def test_ct_walk_matches_bruteforce_on_random_potentials(pot, m):
+    assert constant_term_power(pot, m) == ct_bruteforce(pot, m)
+
+
+def test_ct_vanishes_off_multiples_of_coxeter():
+    # f is homogeneous of degree one with deg q = 7: CT(f^m) = 0 unless 7 | m
+    pot = potential_typeA(3, 7)
+    for m in (1, 6, 8, 13):
+        assert constant_term_power(pot, m) == 0
+    assert constant_term_power(pot, 7) == math.factorial(7) * 10
+
+
+@pytest.mark.parametrize("linear", [
+    {(1, 0): 1},                         # x2 has no linear term
+    {(1, 0): 1, (0, 1): 1, (1, 1): 1},   # a non-unit monomial
+    {(2, 0): 1, (0, 1): 1},              # x1 appears squared
+])
+def test_ct_refuses_nonlinear_linear_part(linear):
+    V = ("x1", "x2")
+    pot = Potential(V, poly(V, linear), poly(V, {(-1, -1): 1}), 3)
+    with pytest.raises(ValueError):
+        constant_term_power(pot, 3)
 
 
 def test_budget_signal():

@@ -109,11 +109,15 @@ def test_cross_oracle_constant_terms():
         pot = potential_projective(n)
         for d in range(4):
             assert series.coefficients[d] == gw_from_constant_term(pot, d)
-    for (ct, node, k, n) in [("A3", 2, 2, 4), ("A4", 2, 2, 5)]:
-        series = quantum_period_case(ct, node, 2)
+    for (ct, node, k, n, D) in [("A3", 2, 2, 4, 2), ("A4", 2, 2, 5, 2),
+                                ("A5", 2, 2, 6, 3), ("A5", 3, 3, 6, 2),
+                                ("A6", 3, 3, 7, 2)]:
+        series = quantum_period_case(ct, node, D)
         pot = potential_typeA(k, n)
-        for d in range(3):
+        for d in range(D + 1):
             assert series.coefficients[d] == gw_from_constant_term(pot, d)
+    assert gw_from_constant_term(potential_typeA(3, 7), 2) == \
+        Fraction(281, 64)
 
 
 # ----------------------------------------------------------------- hbar
