@@ -79,6 +79,11 @@ MAX_ORBIT_SIZE = 512
 # from the closed-form count before build_root_datum runs.
 MAX_POSITIVE_ROOTS = 1000
 
+# Deepest period `period` and `verify` may compute; at this depth every
+# coefficient of the pinned cases still prints within Python's default
+# 4300-digit limit on integer-to-string conversion.
+MAX_PERIOD_DEGREE = 100
+
 # cases whose quantum-column count is pinned exactly
 _WGAMMA_PINNED = {("E6", 6): 6, ("E7", 7): 12, ("D4", 1): 2}
 
@@ -137,6 +142,14 @@ def _refuse_large_datum(ct: CartanType) -> None:
         )
 
 
+def _refuse_deep_period(depth) -> None:
+    """Raise ValueError for a period depth above MAX_PERIOD_DEGREE."""
+    if depth is not None and depth > MAX_PERIOD_DEGREE:
+        raise ValueError(
+            f"period depth {depth} is above the limit of {MAX_PERIOD_DEGREE}"
+        )
+
+
 class Case:
     """One (cartan, node) context with the shared objects the checks
     need, built lazily and at most once."""
@@ -176,6 +189,10 @@ class Case:
     @cached_property
     def rep(self):
         return build_rep(self.d, self.reps)
+
+    @cached_property
+    def fg(self):
+        return fg_connection(self.rep)
 
     def period(self, depth: int):
         """The quantum period of ``matrix`` to ``depth``, computed once."""
@@ -247,7 +264,7 @@ def _check_wgamma_positions(case) -> None:
 
 
 def _check_mirror(case, D, budget):
-    F = fg_connection(case.rep)
+    F = case.fg
     if case.matrix != F:
         raise CheckFailure("quantum Chevalley matrix != canonical-basis "
                            "connection" + _first_difference(case.matrix, F))
@@ -257,7 +274,7 @@ def _check_mirror(case, D, budget):
 
 def _check_equivariant(case, D, budget):
     M = mihalcea_equivariant(case.d, case.matrix, case.node)
-    F = equivariant_fg(case.rep)
+    F = equivariant_fg(case.rep, case.fg)
     if M != F:
         raise CheckFailure("equivariant matrices differ"
                            + _first_difference(M, F))
@@ -542,6 +559,7 @@ def cmd_chevalley(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _refuse_deep_period(args.max_degree)
     if args.all:
         entries = _load_case_list()
     elif args.case:
@@ -581,8 +599,9 @@ def cmd_potential(args) -> int:
 
 
 def cmd_period(args) -> int:
-    case = Case(args.case, args.node)
     D = args.max_degree or 6
+    _refuse_deep_period(D)
+    case = Case(args.case, args.node)
     series = case.period(D)
     payload = {
         "schema": "mm/1",
@@ -615,14 +634,11 @@ def cmd_gw(args) -> int:
 def cmd_scalar_ode(args) -> int:
     case = Case(args.case, args.node)
     M = case.matrix
+    block = "full matrix"
     if (case.cartan, case.node) == ("D4", 1):
         M = d4_split(M).restricted
-        start = M.size - 1
         block = "rank-7 invariant complement"
-    else:
-        start = M.size - 1
-        block = "full matrix"
-    op = cyclic_scalar_operator(M, start)
+    op = cyclic_scalar_operator(M, M.size - 1)
     payload = {
         "schema": "mm/1",
         "case": case.cartan,
@@ -687,7 +703,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true",
                    help="run every pinned case")
     p.add_argument("--max-degree", type=int,
-                   help="override the per-case series depth")
+                   help="override the per-case series depth (at most "
+                        f"{MAX_PERIOD_DEGREE})")
     p.add_argument("--budget", type=int, default=10_000_000,
                    help="constant-term walk budget: the most candidates "
                         "(state, count) the quantum-term walk may try")
@@ -703,7 +720,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("period", help="quantum period coefficients")
     p.add_argument("case")
     p.add_argument("--node", type=int, required=True)
-    p.add_argument("--max-degree", type=int)
+    p.add_argument("--max-degree", type=int,
+                   help="series depth, default 6, at most "
+                        f"{MAX_PERIOD_DEGREE}")
     add_output(p)
     p.set_defaults(func=cmd_period)
 

@@ -152,23 +152,29 @@ def _coweight_diagonal(rep: MinusculeRep):
 def fg_connection(rep: MinusculeRep) -> ConnMatrix:
     """Connection-form matrix f + q x_theta on the canonical basis; under
     the index identification v_w = sigma_w this is the mirror counterpart
-    of the quantum Chevalley matrix."""
+    of the quantum Chevalley matrix.  f = sum_j y_j is summed from the
+    lowering operators alone."""
     variables = ("q",)
-    f = generator_matrices(rep)["f"].matrix
+    d = rep.datum
+    ys = [_root_operator(rep, f"y{j}", simple_root(d, j), -1).matrix
+          for j in range(1, d.rank + 1)]
     xt = xtheta_matrix(rep).matrix
     return ConnMatrix.build(
         rep.reps,
         variables,
         lambda r, c: LaurentPoly(
-            variables, {(0,): f[r][c], (1,): xt[r][c]}
+            variables, {(0,): sum(y[r][c] for y in ys), (1,): xt[r][c]}
         ),
     )
 
 
-def equivariant_fg(rep: MinusculeRep) -> ConnMatrix:
+def equivariant_fg(rep: MinusculeRep, fg: ConnMatrix = None) -> ConnMatrix:
     """f + q x_theta shifted by the equivariant diagonal -<mu-vee, h>,
-    in the same variables (q, h1..hr) as the equivariant Chevalley matrix."""
-    return lift_equivariant(fg_connection(rep), _coweight_diagonal(rep))
+    in the same variables (q, h1..hr) as the equivariant Chevalley matrix;
+    ``fg``, when given, is the already built fg_connection(rep)."""
+    if fg is None:
+        fg = fg_connection(rep)
+    return lift_equivariant(fg, _coweight_diagonal(rep))
 
 
 def zeta_rescaling_consistent(rep: MinusculeRep, M: ConnMatrix) -> bool:

@@ -4,10 +4,12 @@ This module turns connection matrices into numbers and differential
 operators:
 
 * the quantum-period recursion for the flat section attached to the
-  point class, solved degree by degree over the rationals;
+  point class, solved over the rationals by one triangular sweep per
+  degree, in the order that peels the nilpotent classical part;
 * the hbar-rescaling bookkeeping for the period series;
 * reduction of a connection matrix to a scalar operator in theta =
-  q d/dq via a cyclic covector, with exact rational-function entries;
+  q d/dq via a cyclic covector, by sparse Gaussian elimination over
+  Q(q) that writes the first dependency in the original rows once;
 * the kernel/complement splitting of the six-dimensional quadric's
   8x8 connection;
 * the rank-one equivariant (Bessel) series, its second-order operator,
@@ -79,28 +81,14 @@ def _sparse_matvec(rows, v):
     return tuple(sum(a * v[c] for c, a in row) for row in rows)
 
 
-def _nilpotent_solve(d1, d: int, b):
-    """Solve (d*Id - D1) x = b by the terminating Neumann series
-    x = sum_k D1^k b / d^{k+1}; raises if D1 fails to be nilpotent."""
-    scale = Fraction(1, d)
-    acc = tuple(x * scale for x in b)
-    power = b
-    for _ in range(len(b) + 1):
-        power = _sparse_matvec(d1, power)
-        if all(x == 0 for x in power):
-            return acc
-        scale /= d
-        acc = tuple(a + x * scale for a, x in zip(acc, power))
-    raise ValueError("classical part of the connection is not nilpotent")
-
-
-def _check_nilpotent(d1) -> None:
-    """Reject a classical part that is not nilpotent.
+def _check_nilpotent(d1) -> list:
+    """Reject a classical part that is not nilpotent; return the peel order.
 
     All geometric inputs have nonnegative classical entries, for which
     nilpotency is exactly acyclicity of the support digraph (checked by
     peeling vertices without incoming edges); a negative entry already
-    signals a wrong input.
+    signals a wrong input.  Every row r is peeled before each column c
+    with D1[r, c] != 0, so D1 is strictly triangular in this order.
     """
     incoming = [0] * len(d1)
     for row in d1:
@@ -109,41 +97,51 @@ def _check_nilpotent(d1) -> None:
                 raise ValueError("classical part has a negative entry")
             incoming[c] += 1
     ready = [r for r, k in enumerate(incoming) if k == 0]
-    peeled = 0
+    order = []
     while ready:
         r = ready.pop()
-        peeled += 1
+        order.append(r)
         for c, _ in d1[r]:
             incoming[c] -= 1
             if incoming[c] == 0:
                 ready.append(c)
-    if peeled != len(d1):
+    if len(order) != len(d1):
         raise ValueError("classical part of the connection is not nilpotent")
+    return order
+
+
+def _peel_solve(d1, order, d: int, b):
+    """Solve (d*Id - D1) x = b by one sweep in reverse peel order:
+    x_r = (b_r + sum_c D1[r, c] x_c) / d, where every x_c on the right
+    is already known."""
+    x = list(b)
+    inv_d = Fraction(1, d)
+    for r in reversed(order):
+        if d1[r]:
+            x[r] = x[r] + sum(x[c] * a for c, a in d1[r])
+        x[r] = x[r] * inv_d
+    return tuple(x)
 
 
 def quantum_period(M: ConnMatrix, D: int) -> PeriodSeries:
     """Quantum period of a minuscule connection matrix to order q^D.
 
     Solves (d*Id - D1) S_d = D2 S_{d-1} starting from the point class
-    (the top basis vector); c_d is the top coefficient of S_d.
+    (the top basis vector), one triangular sweep per degree in the peel
+    order of D1; c_d is the top coefficient of S_d.
     """
     if D < 0:
         raise ValueError("degree bound must be nonnegative")
     d1, d2 = _linear_split(M)
-    _check_nilpotent(d1)
-    n = M.size
-    top = n - 1
-    s = tuple(Fraction(int(i == top)) for i in range(n))
-    coeffs = [Fraction(1)]
-    trace = [s]
+    order = _check_nilpotent(d1)
+    top = M.size - 1
+    trace = [tuple(Fraction(int(i == top)) for i in range(M.size))]
     for d in range(1, D + 1):
-        s = _nilpotent_solve(d1, d, _sparse_matvec(d2, s))
-        trace.append(s)
-        coeffs.append(s[top])
-    for c in coeffs:
-        if c < 0:
-            raise AssertionError("period coefficients must be nonnegative")
-    return PeriodSeries(tuple(coeffs), tuple(trace))
+        trace.append(_peel_solve(d1, order, d, _sparse_matvec(d2, trace[-1])))
+    coeffs = tuple(s[top] for s in trace)
+    if any(c < 0 for c in coeffs):
+        raise AssertionError("period coefficients must be nonnegative")
+    return PeriodSeries(coeffs, tuple(trace))
 
 
 def quantum_period_case(ct: str, node: int, D: int) -> PeriodSeries:
@@ -183,39 +181,18 @@ def hbar_rescale(series: PeriodSeries, c: int):
 def hbar_rescale_consistent(M: ConnMatrix, c: int, D: int) -> bool:
     """Re-run the recursion with M replaced by M/hbar symbolically and
     compare against the closed-form rescaling of the plain period."""
-    plain = quantum_period(M, D)
-    want = hbar_rescale(plain, c)
+    want = hbar_rescale(quantum_period(M, D), c)
     d1, d2 = _linear_split(M)
-    n = M.size
+    order = _check_nilpotent(d1)
     V = ("hbar",)
     inv_h = LaurentPoly(V, {(-1,): Fraction(1)})
-    zero = LaurentPoly(V)
-
-    def matvec_poly(m, vec):
-        out = []
-        for row in m:
-            acc = zero
-            for c, a in row:
-                if not vec[c].is_zero():
-                    acc = acc + vec[c] * a
-            out.append(acc)
-        return tuple(out)
-
-    top = n - 1
-    s = tuple(LaurentPoly.const(V, int(i == top)) for i in range(n))
+    # the same sweep with D1, D2 scaled by 1/hbar
+    d1, d2 = ([[(j, a * inv_h) for j, a in row] for row in part]
+              for part in (d1, d2))
+    top = M.size - 1
+    s = tuple(LaurentPoly.const(V, int(i == top)) for i in range(M.size))
     for d in range(1, D + 1):
-        term = tuple(e * inv_h for e in matvec_poly(d2, s))
-        scale = Fraction(1, d)
-        acc = tuple(e * scale for e in term)
-        for _ in range(n + 1):
-            term = tuple(e * inv_h for e in matvec_poly(d1, term))
-            if all(e.is_zero() for e in term):
-                break
-            scale /= d
-            acc = tuple(a + e * scale for a, e in zip(acc, term))
-        else:
-            raise ValueError("classical part is not nilpotent")
-        s = acc
+        s = _peel_solve(d1, order, d, _sparse_matvec(d2, s))
         coeff, hexp = want[d]
         if s[top] != LaurentPoly(V, {(hexp,): coeff}):
             return False
@@ -305,10 +282,11 @@ class RatFunc:
             raise ZeroDivisionError("zero denominator")
         if not num:
             return RatFunc((), (Fraction(1),))
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            num, _ = _pdivmod(num, g)
-            den, _ = _pdivmod(den, g)
+        if len(den) > 1:
+            g = _pgcd(num, den)
+            if len(g) > 1:
+                num, _ = _pdivmod(num, g)
+                den, _ = _pdivmod(den, g)
         lead = den[-1]
         num = tuple(x / lead for x in num)
         den = tuple(x / lead for x in den)
@@ -322,17 +300,19 @@ class RatFunc:
         return not self.num
 
     def __add__(self, other):
+        if not self.num:
+            return other
+        if not other.num:
+            return self
+        if self.den == other.den:
+            return RatFunc.make(_padd(self.num, other.num), self.den)
         return RatFunc.make(
             _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
             _pmul(self.den, other.den),
         )
 
     def __sub__(self, other):
-        return RatFunc.make(
-            _padd(_pmul(self.num, other.den),
-                  _pneg(_pmul(other.num, self.den))),
-            _pmul(self.den, other.den),
-        )
+        return self + (-other)
 
     def __mul__(self, other):
         return RatFunc.make(_pmul(self.num, other.num),
@@ -356,16 +336,9 @@ class RatFunc:
 
 
 def _entry_to_ratfunc(p: LaurentPoly) -> RatFunc:
-    if p.is_zero():
-        return RatFunc.make(())
-    exps = [e[0] for e in p.terms]
-    shift = min(min(exps), 0)
-    num = [Fraction(0)] * (max(exps) - shift + 1)
-    for (e,), coeff in p.terms.items():
-        num[e - shift] = coeff
-    den = [Fraction(0)] * (-shift + 1)
-    den[-1] = Fraction(1)
-    return RatFunc.make(tuple(num), tuple(den))
+    exps = [0] + [e for (e,) in p.terms]
+    num = [p.terms.get((e,), 0) for e in range(min(exps), max(exps) + 1)]
+    return RatFunc.make(num, (0,) * -min(exps) + (1,))
 
 
 @dataclass(frozen=True)
@@ -384,9 +357,12 @@ def cyclic_scalar_operator(M: ConnMatrix, start) -> ScalarOperator:
     """Minimal monic operator in theta annihilating the pairing of the
     flat sections with the covector ``start`` (an index or a vector).
 
-    Rows r_0 = start, r_{k+1} = theta(r_k) + r_k M are accumulated until
-    the first linear dependency over Q(q); its coefficients are the
-    operator's.
+    Rows r_0 = start, r_{k+1} = theta(r_k) + r_k M are reduced against
+    the earlier ones by Gaussian elimination over Q(q) until the first
+    linear dependency; its coefficients are the operator's.  Each basis
+    row keeps only its nonzero entries, the factors it was reduced by and
+    its pivot value, so the dependency is written in the r_k once, at
+    the end, by back substitution.
     """
     n = M.size
     if isinstance(start, int):
@@ -395,47 +371,47 @@ def cyclic_scalar_operator(M: ConnMatrix, start) -> ScalarOperator:
         if len(start) != n:
             raise ValueError("covector length mismatch")
         row = [RatFunc.const(x) for x in start]
-    mrf = [[_entry_to_ratfunc(M.entry(r, c)) for c in range(n)]
-           for r in range(n)]
+    cols = [[(i, _entry_to_ratfunc(M.entry(i, j))) for i in range(n)
+             if not M.entry(i, j).is_zero()] for j in range(n)]
+    zero = RatFunc.const(0)
 
-    # Gaussian elimination state: (pivot column, reduced row, combo) where
-    # combo expresses the reduced row in terms of the original r_k's.
+    # basis row k: (pivot column, nonzero (column, value) pairs of the
+    # reduced row scaled to 1 at the pivot, the factors f_i with which
+    # b_k = (r_k - sum_i f_i b_i) / value, the pivot value)
     basis = []
-    rows_made = 0
     while True:
-        combo = {rows_made: RatFunc.const(1)}
-        work = list(row)
-        for pivot, brow, bcombo in basis:
-            f = work[pivot]
-            if f.is_zero():
-                continue
-            for j in range(n):
-                work[j] = work[j] - f * brow[j]
-            for k, cval in bcombo.items():
-                combo[k] = combo.get(k, RatFunc.const(0)) - f * cval
-        pivot = next((j for j in range(n) if not work[j].is_zero()), None)
-        if pivot is None:
-            order = rows_made
-            return ScalarOperator(tuple(
-                RatFunc.const(1) if k == order
-                else combo.get(k, RatFunc.const(0))
-                for k in range(order + 1)
-            ))
-        if rows_made > n:
+        work = {j: x for j, x in enumerate(row) if not x.is_zero()}
+        factors = []
+        for i, (pivot, brow, _, _) in enumerate(basis):
+            f = work.get(pivot)
+            if f is not None:
+                factors.append((i, f))
+                for j, x in brow:
+                    y = work.pop(j, zero) - f * x
+                    if not y.is_zero():
+                        work[j] = y
+        if not work:
+            # r_k = sum_i g_i b_i; unwinding each b_i into the r_l, from
+            # the top down, leaves r_k = sum_i a_i r_i
+            g = dict(factors)
+            coeffs = [zero] * len(basis) + [RatFunc.const(1)]
+            for i in reversed(range(len(basis))):
+                if not g.get(i, zero).is_zero():
+                    _, _, bfactors, value = basis[i]
+                    a = g[i] / value
+                    coeffs[i] = -a
+                    for k, f in bfactors:
+                        g[k] = g.get(k, zero) - a * f
+            return ScalarOperator(tuple(coeffs))
+        if len(basis) > n:
             raise RuntimeError("no dependency found; input inconsistent")
-        inv = work[pivot]
-        work = [x / inv for x in work]
-        combo = {k: v / inv for k, v in combo.items()}
-        basis.append((pivot, work, combo))
-        nxt = []
-        for j in range(n):
-            acc = row[j].theta()
-            for i in range(n):
-                if not row[i].is_zero() and not mrf[i][j].is_zero():
-                    acc = acc + row[i] * mrf[i][j]
-            nxt.append(acc)
-        row = nxt
-        rows_made += 1
+        pivot = min(work)
+        value = work[pivot]
+        basis.append((pivot, tuple((j, x / value)
+                                   for j, x in sorted(work.items())),
+                      factors, value))
+        row = [sum((row[i] * x for i, x in cols[j] if not row[i].is_zero()),
+                   row[j].theta()) for j in range(n)]
 
 
 def operator_annihilates(op: ScalarOperator, series: PeriodSeries,
@@ -448,22 +424,24 @@ def operator_annihilates(op: ScalarOperator, series: PeriodSeries,
     """
     common = (Fraction(1),)
     for c in op.coefficients:
-        _, r = _pdivmod(common, c.den)
-        if r:
+        if _pdivmod(common, c.den)[1]:
             common = _pmul(common, c.den)
-    cleared = []
-    for c in op.coefficients:
-        q, r = _pdivmod(common, c.den)
-        assert not r
-        cleared.append(_pmul(c.num, q))
+    cleared = [_pmul(c.num, _pdivmod(common, c.den)[0])
+               for c in op.coefficients]
+    # by_power[j][k] is the q^j coefficient of the cleared p_k
+    width = max(len(poly) for poly in cleared)
+    by_power = [[poly[j] if j < len(poly) else 0 for poly in cleared]
+                for j in range(width)]
     coeffs = series.coefficients
     for m in range(len(coeffs)):
         total = Fraction(0)
-        for k, poly in enumerate(cleared):
-            for j, pj in enumerate(poly):
-                if pj == 0 or j > m:
-                    continue
-                total += pj * ((shift + m - j) ** k) * coeffs[m - j]
+        for j in range(min(m + 1, width)):
+            # sum_k p_{k,j} t^k by Horner's rule, t = shift + m - j
+            t = shift + m - j
+            value = 0
+            for pkj in reversed(by_power[j]):
+                value = value * t + pkj
+            total += value * coeffs[m - j]
         if total != 0:
             return False
     return True
@@ -529,13 +507,8 @@ def d4_split(M: ConnMatrix) -> D4Split:
     )
     cols = []
     for b in basis:
-        image = []
-        for r in range(8):
-            acc = zero
-            for c in range(8):
-                if b[c]:
-                    acc = acc + M.entry(r, c) * Fraction(b[c])
-            image.append(acc)
+        image = [sum((M.entry(r, c) * b[c] for c in range(8) if b[c]), zero)
+                 for r in range(8)]
         # rows 3 and 4 both express the coefficient of the summed middle
         # class; invariance demands they agree
         if image[3] != image[4]:

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import subprocess
@@ -166,6 +167,17 @@ def test_scalar_ode_projective(capsys):
     assert doc["coefficients"][4] == {"num": ["1"], "den": ["1"]}
 
 
+def test_scalar_ode_b5_spinor_golden(capsys):
+    # the one case here whose operator has non-constant denominators
+    code, out, err = run(capsys, "scalar-ode", "B5", "--node", "5")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["order"] == 32
+    assert [len(c["den"]) for c in doc["coefficients"]] == [4] * 32 + [1]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0776ea7bc9a686bdf35e28bd443bfea6f7dd1291c2aec00633a364e6785c20f8")
+
+
 def test_bessel_report(capsys):
     code, doc = run_json(capsys, "bessel", "2.0", "0.0")
     assert code == 0
@@ -318,6 +330,21 @@ def test_oversized_datum_refused(capsys, monkeypatch, argv):
     assert str(cli.MAX_POSITIVE_ROOTS) in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("period", "A3", "--node", "2"),
+    ("verify", "A3", "--node", "2"),
+    ("verify", "--all"),
+])
+def test_deep_period_refused(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "quantum_period", _never)
+    depth = str(cli.MAX_PERIOD_DEGREE + 1)
+    code, out, err = run(capsys, *argv, "--max-degree", depth)
+    assert code == 1
+    assert out == ""
+    assert f"period depth {depth}" in err
+    assert str(cli.MAX_PERIOD_DEGREE) in err
+
+
 def test_roots_coset_size_without_orbit_walk(capsys, monkeypatch):
     # a non-minuscule node has no orbit guard; its |W^P| is closed-form
     monkeypatch.setattr(rootsys, "weight_orbit", _never)
@@ -347,6 +374,23 @@ def test_verify_builds_case_objects_once(capsys, monkeypatch, cartan, node):
     assert code == 0 and doc["pass"]
     assert calls == {"weight_orbit": 1, "minuscule_coset_reps": 1,
                      "fw_matrix": 1}
+
+
+@pytest.mark.parametrize("cartan,node", [("A3", 2), ("D4", 1)])
+def test_verify_builds_fg_connection_once(capsys, monkeypatch, cartan, node):
+    # mirror and equivariant both read the case's one f + q x_theta
+    calls = []
+    original = minrep.fg_connection
+
+    def counted(rep):
+        calls.append(rep)
+        return original(rep)
+
+    for module in (cli, minrep):
+        monkeypatch.setattr(module, "fg_connection", counted)
+    code, doc = run_json(capsys, "verify", cartan, "--node", str(node))
+    assert code == 0 and doc["pass"]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("cartan,node", [("A3", 2), ("D4", 1)])

@@ -15,6 +15,8 @@ from mmirror.period_gw import (
     PeriodSeries,
     RatFunc,
     ScalarOperator,
+    _pdivmod,
+    _pmul,
     bessel_numeric_checks,
     bessel_operator_from_matrix,
     bruhat_path_count,
@@ -120,6 +122,48 @@ def test_cross_oracle_constant_terms():
         Fraction(281, 64)
 
 
+def neumann_period(M, D):
+    """Reference: (d*Id - D1) x = b solved by the terminating Neumann
+    series x = sum_k D1^k b / d^{k+1}, with D1, D2 read densely."""
+    n = M.size
+    d1 = [[M.entry(r, c).coefficient(q=0) for c in range(n)]
+          for r in range(n)]
+    d2 = [[M.entry(r, c).coefficient(q=1) for c in range(n)]
+          for r in range(n)]
+
+    def matvec(m, v):
+        return tuple(sum(a * x for a, x in zip(row, v) if a) for row in m)
+
+    s = tuple(Fraction(int(i == n - 1)) for i in range(n))
+    trace = [s]
+    for d in range(1, D + 1):
+        power = matvec(d2, s)
+        scale = Fraction(1, d)
+        acc = tuple(x * scale for x in power)
+        while True:
+            power = matvec(d1, power)
+            if not any(power):
+                break
+            scale /= d
+            acc = tuple(a + x * scale for a, x in zip(acc, power))
+        s = acc
+        trace.append(s)
+    return PeriodSeries(tuple(v[n - 1] for v in trace), tuple(trace))
+
+
+def series_matrix(ct, node):
+    _, _, m = setup_case(ct, node)
+    return d4_split(m).restricted if (ct, node) == ("D4", 1) else m
+
+
+@pytest.mark.parametrize("ct,node", [
+    ("A4", 2), ("D5", 5), ("E6", 1), ("B4", 1), ("D4", 1),
+])
+def test_period_matches_neumann_reference(ct, node):
+    m = series_matrix(ct, node)
+    assert quantum_period(m, 2 * m.size) == neumann_period(m, 2 * m.size)
+
+
 # ----------------------------------------------------------------- hbar
 
 def test_hbar_rescale_pairs():
@@ -167,6 +211,90 @@ def test_scalar_operator_annihilates_series():
     op = cyclic_scalar_operator(m, 2)
     series = quantum_period(m, 8)
     assert operator_annihilates(op, series)
+
+
+def combo_scalar_operator(M, start):
+    """Reference: Gaussian elimination that carries, for every reduced
+    row, its combination of the original rows r_k."""
+    n = M.size
+    if isinstance(start, int):
+        row = [RatFunc.const(int(i == start)) for i in range(n)]
+    else:
+        row = [RatFunc.const(x) for x in start]
+    mrf = [[RatFunc.make(tuple(M.entry(r, c).coefficient(q=e)
+                               for e in range(2)))
+            for c in range(n)] for r in range(n)]
+    basis = []
+    while True:
+        k = len(basis)
+        combo = {k: RatFunc.const(1)}
+        work = list(row)
+        for pivot, brow, bcombo in basis:
+            f = work[pivot]
+            if f.is_zero():
+                continue
+            work = [w - f * b for w, b in zip(work, brow)]
+            for i, c in bcombo.items():
+                combo[i] = combo.get(i, RatFunc.const(0)) - f * c
+        pivot = next((j for j in range(n) if not work[j].is_zero()), None)
+        if pivot is None:
+            return ScalarOperator(tuple(combo.get(i, RatFunc.const(0))
+                                        for i in range(k + 1)))
+        inv = work[pivot]
+        basis.append((pivot, [w / inv for w in work],
+                      {i: c / inv for i, c in combo.items()}))
+        row = [row[j].theta() + sum((row[i] * mrf[i][j] for i in range(n)),
+                                    RatFunc.const(0))
+               for j in range(n)]
+
+
+@pytest.mark.parametrize("ct,node", [
+    ("A3", 2), ("A4", 2), ("D4", 1), ("B4", 1),
+])
+def test_scalar_operator_matches_combination_reference(ct, node):
+    m = series_matrix(ct, node)
+    n = m.size
+    starts = [0, n - 1,
+              tuple(Fraction(int(i in (1, n - 2)), 3) for i in range(n)),
+              tuple(Fraction(-1) if i == 2 else Fraction(int(i == n - 1), 5)
+                    for i in range(n))]
+    for start in starts:
+        want = combo_scalar_operator(m, start)
+        assert cyclic_scalar_operator(m, start) == want
+
+
+def power_loop_annihilates(op, series, shift):
+    """Reference: sum_k p_k theta^k on the series with theta^k evaluated
+    as explicit powers (shift + m - j) ** k."""
+    common = (Fraction(1),)
+    for c in op.coefficients:
+        if _pdivmod(common, c.den)[1]:
+            common = _pmul(common, c.den)
+    cleared = [_pmul(c.num, _pdivmod(common, c.den)[0])
+               for c in op.coefficients]
+    coeffs = series.coefficients
+    for m in range(len(coeffs)):
+        total = sum(pj * (shift + m - j) ** k * coeffs[m - j]
+                    for k, poly in enumerate(cleared)
+                    for j, pj in enumerate(poly) if j <= m)
+        if total != 0:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("h", [Fraction(1, 2), Fraction(2, 3), Fraction(3)])
+def test_operator_annihilates_matches_power_loop(h):
+    op = bessel_operator_from_matrix(h)
+    series = equivariant_bessel(h, 10)
+    perturbed = ScalarOperator(
+        (op.coefficients[0] + RatFunc.make((0, 0, Fraction(1, 5))),)
+        + op.coefficients[1:])
+    for shift in (h, h + 1, Fraction(0)):
+        for candidate in (op, perturbed):
+            assert operator_annihilates(candidate, series, shift) == \
+                power_loop_annihilates(candidate, series, shift)
+    assert operator_annihilates(op, series, shift=h)
+    assert not operator_annihilates(perturbed, series, shift=h)
 
 
 def test_operator_annihilates_detects_failure():

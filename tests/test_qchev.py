@@ -73,6 +73,29 @@ def test_poly_power_matches_repeated_product(a, n):
     assert a ** n == expected
 
 
+def test_poly_power_laurent_two_variables(monkeypatch):
+    p = LaurentPoly(VARS, {(1, -1): Fraction(2), (-2, 0): Fraction(-1, 3),
+                           (0, 1): Fraction(1)})
+    expected = LaurentPoly.const(VARS, 1)
+    for n in range(10):
+        assert p ** n == expected
+        expected = expected * p
+    # square-and-multiply: one square per bit after the leading one, one
+    # product per set bit, and no square after the last bit
+    products = []
+    original = LaurentPoly.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    for n in range(1, 10):
+        products.clear()
+        p ** n
+        assert len(products) == n.bit_length() - 1 + bin(n).count("1")
+
+
 def test_poly_no_zero_terms_stored():
     p = LaurentPoly(VARS, {(1, 0): Fraction(1), (0, 1): Fraction(0)})
     assert (0, 1) not in p.terms
