@@ -24,6 +24,7 @@ from importlib import resources
 from math import factorial
 
 from .crystal_potential import (
+    MAX_POTENTIAL_VARS,
     BudgetExceeded,
     constant_term_power,
     gw_from_constant_term,
@@ -99,7 +100,8 @@ class CheckFailure(Exception):
 def _default_params(family: str, rank: int, node: int) -> dict:
     """Depth defaults used both by the pinned case list and by ad-hoc
     single-case runs: period depth 3 everywhere; constant-term depth for
-    the type-A potentials graded by the number of Lusztig variables."""
+    the type-A potentials graded by their number of variables k(n-k), up
+    to MAX_POTENTIAL_VARS."""
     params = {"max_degree": 3}
     if family == "A":
         v = node * (rank + 1 - node)
@@ -107,7 +109,7 @@ def _default_params(family: str, rank: int, node: int) -> dict:
             params["ct_degree"] = 3
         elif v <= 6:
             params["ct_degree"] = 2
-        elif v <= 12:
+        elif v <= MAX_POTENTIAL_VARS:
             params["ct_degree"] = 1
     return params
 
@@ -603,12 +605,20 @@ def cmd_period(args) -> int:
     _refuse_deep_period(D)
     case = Case(args.case, args.node)
     series = case.period(D)
+    try:
+        coefficients = series_to_json(series)
+    except ValueError:
+        raise ValueError(
+            f"period of {case.cartan} node {case.node} to depth {D} has a "
+            f"coefficient of more than {sys.get_int_max_str_digits()} "
+            "digits, the most Python prints; lower --max-degree"
+        ) from None
     payload = {
         "schema": "mm/1",
         "case": case.cartan,
         "node": case.node,
         "max_degree": D,
-        "coefficients": series_to_json(series),
+        "coefficients": coefficients,
     }
     _emit_json(payload, args.output)
     return 0

@@ -1,12 +1,19 @@
 """Mirror superpotentials and the constant-term Gromov-Witten oracle.
 
 Two constructions are provided.  For projective space the potential is
-written in closed form.  For type-A Grassmannians it is assembled from
-the Lusztig parametrization of a unipotent cell: a product of elementary
-unipotent matrices indexed by a reduced word, whose minors give the
-quantum part of the potential as a ratio
+written in closed form.  For a minuscule node of a simply-laced group it
+is the Berenstein-Kazhdan geometric-crystal potential
 
-    (positive-coefficient minor) / (monomial minor).
+    W = a_1 + ... + a_l + q <v_top, x_theta u v_low> / <v_top, u v_low>,
+
+where u = x_{i_1}(a_1) ... x_{i_l}(a_l) runs over a reduced word of the
+longest minimal coset representative w^P, and the matrix coefficients are
+taken in the minuscule representation at the dual node.  There every
+raising operator E_j squares to zero, so x_j(a) = I + a E_j, and u v_low is
+l updates of a vector kept as a map weight -> coordinate, each moved by the
+weight rule of :func:`mmirror.minrep.root_step`; no coset or basis is
+enumerated.  The denominator must come out a monomial.  The type-A
+Grassmannian potentials are the case A_{n-1}.
 
 Constant terms of powers of the potential then compute genus-zero
 Gromov-Witten invariants, which is the bridge tested against the
@@ -21,170 +28,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
+from .minrep import root_step
 from .qchev import LaurentPoly
-from .rootsys import CartanType, build_root_datum
-from .weyl import from_word, minuscule_coset_reps
+from .rootsys import (
+    CartanType,
+    RootDatum,
+    build_root_datum,
+    fundamental_weight,
+    minuscule_nodes,
+    simple_root,
+)
+from .weyl import _descent_word, act_weight, longest_element
+
+# Most variables (letters of the word of w^P) a Grassmannian potential
+# may have.
+MAX_POTENTIAL_VARS = 12
 
 
 class BudgetExceeded(RuntimeError):
     """Raised when a constant-term walk tries more candidates than its
     budget allows."""
-
-
-# --------------------------------------------------------------------------
-# polynomial matrices
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PolyMatrix:
-    """Square matrix with exact polynomial entries, all over one variable
-    tuple."""
-
-    variables: Tuple[str, ...]
-    entries: Tuple[Tuple[LaurentPoly, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def entry(self, r: int, c: int) -> LaurentPoly:
-        return self.entries[r][c]
-
-    @staticmethod
-    def identity(n: int, variables: Tuple[str, ...]) -> "PolyMatrix":
-        one = LaurentPoly.const(variables, 1)
-        zero = LaurentPoly(variables)
-        return PolyMatrix(variables, tuple(
-            tuple(one if i == j else zero for j in range(n))
-            for i in range(n)
-        ))
-
-
-def _leading(p: LaurentPoly) -> Tuple[Tuple[int, ...], Fraction]:
-    key = max(p.terms)
-    return key, p.terms[key]
-
-
-def _exact_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Divide ``num`` by ``den`` assuming the division is exact.
-
-    Greedy cancellation of lex-leading terms; since the quotient exists,
-    the remainder shrinks strictly in lex order and the loop terminates.
-    """
-    if den.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    variables = num.variables
-    lead_exp, lead_coeff = _leading(den)
-    quotient: dict = {}
-    rem = num
-    while not rem.is_zero():
-        rexp, rcoeff = _leading(rem)
-        qexp = tuple(a - b for a, b in zip(rexp, lead_exp))
-        qcoeff = rcoeff / lead_coeff
-        quotient[qexp] = quotient.get(qexp, Fraction(0)) + qcoeff
-        rem = rem - den * LaurentPoly(variables, {qexp: qcoeff})
-        if not rem.is_zero() and _leading(rem)[0] >= rexp:
-            raise ArithmeticError("division is not exact")
-    return LaurentPoly(variables, quotient)
-
-
-def determinant(m: PolyMatrix) -> LaurentPoly:
-    """Fraction-free (Bareiss) determinant over the polynomial ring."""
-    n = m.size
-    variables = m.variables
-    if n == 0:
-        return LaurentPoly.const(variables, 1)
-    work = [list(row) for row in m.entries]
-    sign = 1
-    prev = LaurentPoly.const(variables, 1)
-    for k in range(n - 1):
-        if work[k][k].is_zero():
-            pivot_row = next(
-                (i for i in range(k + 1, n) if not work[i][k].is_zero()),
-                None,
-            )
-            if pivot_row is None:
-                return LaurentPoly(variables)
-            work[k], work[pivot_row] = work[pivot_row], work[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = work[i][j] * work[k][k] - work[i][k] * work[k][j]
-                work[i][j] = _exact_divide(num, prev)
-            work[i][k] = LaurentPoly(variables)
-        prev = work[k][k]
-    det = work[n - 1][n - 1]
-    if sign < 0:
-        det = -det
-    return det
-
-
-def generalized_minor(g: PolyMatrix, rows: Sequence[int],
-                      cols: Sequence[int]) -> LaurentPoly:
-    """Minor of ``g`` using 1-based row set ``rows`` and column set
-    ``cols`` (the matrix coefficient on extreme weight vectors of a
-    fundamental representation, in its index-set incarnation)."""
-    if len(rows) != len(cols):
-        raise ValueError("row and column sets must have equal size")
-    rr = sorted(rows)
-    cc = sorted(cols)
-    n = g.size
-    if rr and (rr[0] < 1 or rr[-1] > n):
-        raise ValueError("row index out of range")
-    if cc and (cc[0] < 1 or cc[-1] > n):
-        raise ValueError("column index out of range")
-    sub = PolyMatrix(g.variables, tuple(
-        tuple(g.entries[r - 1][c - 1] for c in cc) for r in rr
-    ))
-    return determinant(sub)
-
-
-# --------------------------------------------------------------------------
-# Lusztig parametrization
-# --------------------------------------------------------------------------
-
-def standard_word_grassmannian(k: int, n: int) -> Tuple[int, ...]:
-    """Canonical reduced word (length ``k(n-k)``) parametrizing the
-    unipotent cell for Gr(k, n).
-
-    The forward word ``(k, k+1, ..., n-1)(k-1, ..., n-2)...(1, ..., n-k)``
-    is reduced for the longest-coset-representative's inverse; its
-    reversal is returned, matching the orientation the elementary-matrix
-    product expects.
-    """
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    forward: list = []
-    for j in range(k, 0, -1):
-        forward.extend(range(j, j + n - k))
-    word = tuple(reversed(forward))
-    assert len(word) == k * (n - k)
-    return word
-
-
-def lusztig_matrix(n: int, word: Sequence[int],
-                   symbols: Optional[Sequence[str]] = None) -> PolyMatrix:
-    """Product ``(I + a_1 E_{i_1, i_1+1}) (I + a_2 E_{i_2, i_2+1}) ...``
-    of elementary unipotent matrices in SL(n)."""
-    if symbols is None:
-        symbols = tuple(f"a{m + 1}" for m in range(len(word)))
-    else:
-        symbols = tuple(symbols)
-    if len(symbols) != len(word):
-        raise ValueError("one symbol per word letter required")
-    variables = symbols
-    rows = [list(row) for row in PolyMatrix.identity(n, variables).entries]
-    for m, i in enumerate(word):
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"word letter {i} out of range for SL({n})")
-        # right factor I + a E_{i,i+1}: column i+1 += a * column i
-        a = LaurentPoly.var(variables, symbols[m])
-        for row in rows:
-            if not row[i - 1].is_zero():
-                row[i] = row[i] + a * row[i - 1]
-    return PolyMatrix(variables, tuple(tuple(row) for row in rows))
 
 
 # --------------------------------------------------------------------------
@@ -243,41 +108,61 @@ def potential_projective(n: int) -> Potential:
     return Potential(variables, linear, quantum, n + 1)
 
 
-def potential_typeA(k: int, n: int, max_vars: int = 12) -> Potential:
-    """Potential for Gr(k, n) from minors of the Lusztig matrix.
+def top_coset_word(d: RootDatum, node: int) -> Tuple[tuple, tuple]:
+    """(word, lowest): the lowest weight of W . varpi_node, which is
+    -varpi_{node*}, and its descent word, which spells w^P, the longest
+    minimal coset representative."""
+    lowest = act_weight(longest_element(d), fundamental_weight(d, node))
+    return _descent_word(d, lowest), lowest
 
-    The quantum part is the minor ratio with numerator rows
-    ``{2..n-k} + {n}``, denominator rows ``{1..n-k}``, and columns
-    ``{k+1..n}``; the denominator minor must come out a monomial.
+
+def unipotent_vector(d: RootDatum, word, variables, low) -> dict:
+    """u v_low for u = x_{i_1}(a_1) ... x_{i_l}(a_l), as a map weight ->
+    coordinate, in the minuscule representation with lowest weight
+    ``low``.  Since E_j^2 = 0 there, x_j(a) = I + a E_j, and each letter,
+    rightmost first, moves the coordinates at the weights E_j does not
+    kill (no target of E_j is also a source)."""
+    zero = LaurentPoly(variables)
+    vec = {tuple(low): LaurentPoly.const(variables, 1)}
+    for name, j in reversed(tuple(zip(variables, word))):
+        a = LaurentPoly.var(variables, name)
+        alpha = simple_root(d, j)
+        for mu, coord in list(vec.items()):
+            target = root_step(mu, alpha)
+            if target is not None:
+                vec[target] = vec.get(target, zero) + a * coord
+    return vec
+
+
+def minuscule_potential(d: RootDatum, node: int) -> Potential:
+    """Geometric-crystal potential of G/P for a minuscule node of a
+    simply-laced datum, with variables a1..al in word order.
+
+    The quantum part is <v_top, x_theta u v_low> / <v_top, u v_low> in the
+    representation at the dual node node*, whose lowest weight is
+    -varpi_node and highest varpi_{node*}; the denominator must be a
+    monomial and every quantum coefficient positive.
     """
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    ell = k * (n - k)
-    if ell > max_vars:
-        raise ValueError(
-            f"Gr({k},{n}) needs {ell} variables, above the bound {max_vars}"
-        )
-    word = standard_word_grassmannian(k, n)
-    u = lusztig_matrix(n, word)
-    variables = u.variables
+    ct = d.cartan_type
+    if ct.family not in "ADE":
+        raise ValueError(f"{ct} is not simply laced: its potential needs "
+                         "the highest short root")
+    if node not in minuscule_nodes(ct):
+        raise ValueError(f"node {node} is not minuscule for {ct}")
+    word, lowest = top_coset_word(d, node)
+    variables = tuple(f"a{m + 1}" for m in range(len(word)))
+    low = tuple(-int(j == node - 1) for j in range(d.rank))
+    vec = unipotent_vector(d, word, variables, low)
 
-    linear = LaurentPoly(variables, {
-        tuple(int(j == m) for j in range(ell)): Fraction(1)
-        for m in range(ell)
-    })
-    superdiag = LaurentPoly(variables)
-    for r in range(n - 1):
-        superdiag = superdiag + u.entry(r, r + 1)
-    if superdiag != linear:
-        raise AssertionError("superdiagonal of the cell matrix is not "
-                             "the sum of the parameters")
-
-    i = n - k
-    cols = tuple(range(k + 1, n + 1))
-    num = generalized_minor(u, tuple(range(2, i + 1)) + (n,), cols)
-    den = generalized_minor(u, tuple(range(1, i + 1)), cols)
+    # x_theta sends v_{top - theta} to v_top: <top, theta-vee> = 1
+    top = tuple(-x for x in lowest)
+    source = tuple(x - a for x, a in zip(top, d.highest_root.fw))
+    zero = LaurentPoly(variables)
+    num = vec.get(source, zero)
+    den = vec.get(top, zero)
     if len(den.terms) != 1:
-        raise ArithmeticError("denominator minor is not a monomial")
+        raise ArithmeticError("denominator <v_top, u v_low> is not a "
+                              "monomial")
     (den_exp, den_coeff), = den.terms.items()
     quantum_terms = {}
     for exps, coeff in num.terms.items():
@@ -286,22 +171,29 @@ def potential_typeA(k: int, n: int, max_vars: int = 12) -> Potential:
             raise ArithmeticError("quantum part has a non-positive "
                                   "coefficient")
         quantum_terms[tuple(a - b for a, b in zip(exps, den_exp))] = value
-    quantum = LaurentPoly(variables, quantum_terms)
 
-    pot = Potential(variables, linear, quantum, n)
+    ell = len(word)
+    linear = LaurentPoly(variables, {
+        tuple(int(j == m) for j in range(ell)): Fraction(1)
+        for m in range(ell)
+    })
+    pot = Potential(variables, linear, LaurentPoly(variables, quantum_terms),
+                    d.coxeter_number)
     if not homogeneous_degree_one(pot):
         raise AssertionError("potential is not homogeneous of degree one")
     return pot
 
 
-def validate_word(k: int, n: int) -> bool:
-    """Cross-check the standard word against the Weyl group: it must
-    multiply out, reduced, to the longest minimal coset representative."""
-    word = standard_word_grassmannian(k, n)
-    d = build_root_datum(CartanType("A", n - 1))
-    w = from_word(d, word)
-    reps = minuscule_coset_reps(d, k)
-    return w.length == len(word) and w == reps.reps[-1]
+def potential_typeA(k: int, n: int) -> Potential:
+    """Potential for Gr(k, n): the minuscule potential of A_{n-1} at node
+    k, refused when its k(n-k) variables exceed MAX_POTENTIAL_VARS."""
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
+    ell = k * (n - k)
+    if ell > MAX_POTENTIAL_VARS:
+        raise ValueError(f"Gr({k},{n}) needs {ell} variables, above the "
+                         f"bound {MAX_POTENTIAL_VARS}")
+    return minuscule_potential(build_root_datum(CartanType("A", n - 1)), k)
 
 
 # --------------------------------------------------------------------------

@@ -30,6 +30,7 @@ __all__ = [
     "MinusculeRep",
     "RepOperator",
     "build_rep",
+    "root_step",
     "generator_matrices",
     "xtheta_matrix",
     "fg_connection",
@@ -85,16 +86,24 @@ def build_rep(d: RootDatum, reps: CosetReps) -> MinusculeRep:
     return MinusculeRep(datum=d, node=node, reps=reps)
 
 
+def root_step(mu, root, sign: int = 1):
+    """The weight mu + beta, beta = sign * root, when the root vector for
+    beta sends v_mu to v_{mu + beta} (exactly when <mu, beta-vee> = -1,
+    with coefficient 1); None when it kills v_mu."""
+    if sign * pairing(mu, root.coroot) != -1:
+        return None
+    return tuple(x + sign * a for x, a in zip(mu, root.fw))
+
+
 def _root_operator(rep: MinusculeRep, label: str, root,
                    sign: int) -> RepOperator:
-    """The matrix sending v_mu to v_{mu + beta}, beta = sign * root,
-    exactly when <mu, beta-vee> = -1."""
+    """The matrix of the root vector for beta = sign * root (root_step)."""
     reps = rep.reps
     n = rep.dim
     m = [[0] * n for _ in range(n)]
     for c, mu in enumerate(reps.weights):
-        if sign * pairing(mu, root.coroot) == -1:
-            target = tuple(x + sign * a for x, a in zip(mu, root.fw))
+        target = root_step(mu, root, sign)
+        if target is not None:
             m[reps.index_of(reps.rep_by_weight(target))][c] = 1
     return RepOperator(label=label, matrix=tuple(tuple(row) for row in m))
 

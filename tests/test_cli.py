@@ -345,6 +345,25 @@ def test_deep_period_refused(capsys, monkeypatch, argv):
     assert str(cli.MAX_PERIOD_DEGREE) in err
 
 
+def test_unprintable_period_names_case(capsys):
+    # c_100 of P^4 is 1/(100!)^5, 790 digits: above a lowered print limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "period", "A4", "--node", "1",
+                             "--max-degree", "100")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 1
+    assert out == ""
+    assert "A4 node 1 to depth 100" in err
+    assert "640 digits" in err
+    code, out, _ = run(capsys, "period", "A4", "--node", "1",
+                       "--max-degree", "100")
+    assert code == 0
+    assert len(json.loads(out)["coefficients"]) == 101
+
+
 def test_roots_coset_size_without_orbit_walk(capsys, monkeypatch):
     # a non-minuscule node has no orbit guard; its |W^P| is closed-form
     monkeypatch.setattr(rootsys, "weight_orbit", _never)

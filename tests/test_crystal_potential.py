@@ -1,26 +1,30 @@
+import hashlib
+import json
 import math
+import sys
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmirror.qchev import LaurentPoly
+from mmirror.period_gw import quantum_period
+from mmirror.qchev import LaurentPoly, fw_matrix
+from mmirror.rootsys import CartanType, build_root_datum
+from mmirror.weyl import minuscule_coset_reps
 from mmirror.crystal_potential import (
     BudgetExceeded,
-    PolyMatrix,
     Potential,
     constant_term_power,
-    determinant,
-    generalized_minor,
     gw_from_constant_term,
     homogeneous_degree_one,
-    lusztig_matrix,
+    minuscule_potential,
     potential_projective,
     potential_to_json,
     potential_typeA,
-    standard_word_grassmannian,
-    validate_word,
+    top_coset_word,
+    unipotent_vector,
 )
 
 
@@ -35,18 +39,26 @@ def poly(variables, termdict):
                        {tuple(k): Fraction(v) for k, v in termdict.items()})
 
 
+def datum(family, rank):
+    return build_root_datum(CartanType(family, rank))
+
+
+def word_of(k, n):
+    return top_coset_word(datum("A", n - 1), k)[0]
+
+
 # ------------------------------------------------------------------ words
 
 def test_standard_word_gr25():
-    assert standard_word_grassmannian(2, 5) == (3, 2, 1, 4, 3, 2)
+    assert word_of(2, 5) == (3, 2, 1, 4, 3, 2)
 
 
 def test_standard_word_p1():
-    assert standard_word_grassmannian(1, 2) == (1,)
+    assert word_of(1, 2) == (1,)
 
 
 def test_standard_word_gr24_length():
-    assert len(standard_word_grassmannian(2, 4)) == 4
+    assert len(word_of(2, 4)) == 4
 
 
 @pytest.mark.parametrize("k,n", [
@@ -54,21 +66,58 @@ def test_standard_word_gr24_length():
     (2, 5), (3, 5), (2, 6), (3, 6), (2, 7),
 ])
 def test_word_is_reduced_for_top_coset_rep(k, n):
-    assert validate_word(k, n)
+    d = datum("A", n - 1)
+    word = word_of(k, n)
+    assert word == minuscule_coset_reps(d, k).reps[-1].word
+    assert len(potential_typeA(k, n).variables) == len(word) == k * (n - k)
 
 
 def test_word_rejects_bad_k():
     with pytest.raises(ValueError):
-        standard_word_grassmannian(0, 4)
+        potential_typeA(0, 4)
     with pytest.raises(ValueError):
-        standard_word_grassmannian(4, 4)
+        potential_typeA(4, 4)
 
 
-# ----------------------------------------------------------------- matrix
+# ----------------------------------------------------------------- vector
+
+def gr25_vector():
+    """u v_low for Gr(2,5) in the rep at the dual node 3 (wedge^3 C^5),
+    keyed by the 3-subset S of the basis vector e_S carrying each weight:
+    mu_j = [j in S] - [j+1 in S]."""
+    d = datum("A", 4)
+    word, lowest = top_coset_word(d, 2)
+    V = tuple(f"a{m + 1}" for m in range(len(word)))
+    vec = unipotent_vector(d, word, V, (0, -1, 0, 0))
+    subsets = {}
+    for S in combinations(range(1, 6), 3):
+        mu = tuple(int(j in S) - int(j + 1 in S) for j in range(1, 5))
+        subsets[mu] = S
+    assert lowest == (0, 0, -1, 0)
+    return V, {subsets[mu]: coord for mu, coord in vec.items()}
+
+
+def leibniz_det(rows):
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = sign
+        for i, j in enumerate(perm):
+            term = rows[i][j] * term
+        total = term + total
+    return total
+
 
 def test_lusztig_matrix_golden_sl5():
-    u = lusztig_matrix(5, (3, 2, 1, 4, 3, 2))
-    V = u.variables
+    # the SL(5) Lusztig matrix (I + a1 E_34)(I + a2 E_23) ... (I + a6 E_23)
+    # of the Gr(2,5) word; u v_low in wedge^3 C^5 has the 3x3 minors on
+    # rows S and columns {3, 4, 5} as coordinates
+    V, vec = gr25_vector()
     assert V == ("a1", "a2", "a3", "a4", "a5", "a6")
 
     def m(**kw):
@@ -82,65 +131,35 @@ def test_lusztig_matrix_golden_sl5():
 
     one = LaurentPoly.const(V, 1)
     zero = LaurentPoly(V)
-    expected = (
+    u = (
         (one, m(**{"3": 1}), m(**{"3_6": 1}), zero, zero),
         (zero, one, m(**{"2": 1, "6": 1}), m(**{"2_5": 1}), zero),
         (zero, zero, one, m(**{"1": 1, "5": 1}), m(**{"1_4": 1})),
         (zero, zero, zero, one, m(**{"4": 1})),
         (zero, zero, zero, zero, one),
     )
-    assert u.entries == expected
+    for S in combinations(range(1, 6), 3):
+        minor = leibniz_det([[u[r - 1][c - 1] for c in (3, 4, 5)]
+                             for r in S])
+        assert vec.get(S, LaurentPoly(V)) == minor, S
 
 
 def test_lusztig_empty_word_is_identity():
-    u = lusztig_matrix(3, ())
-    assert u.entries == PolyMatrix.identity(3, ()).entries
-
-
-def test_superdiagonal_is_sum_of_parameters():
-    u = lusztig_matrix(5, standard_word_grassmannian(2, 5))
-    total = LaurentPoly(u.variables)
-    for r in range(4):
-        total = total + u.entry(r, r + 1)
-    linear = poly(u.variables, {
-        tuple(int(j == i) for j in range(6)): 1 for i in range(6)
-    })
-    assert total == linear
-
-
-# ----------------------------------------------------------------- minors
-
-def test_minor_of_identity():
-    g = PolyMatrix.identity(4, ("a1",))
-    assert generalized_minor(g, (1, 2, 3), (1, 2, 3)) == \
-        LaurentPoly.const(("a1",), 1)
-
-
-def test_minor_size_mismatch():
-    g = PolyMatrix.identity(3, ())
-    with pytest.raises(ValueError):
-        generalized_minor(g, (1, 2), (1,))
-
-
-def test_determinant_sign_on_swap():
-    V = ("t",)
-    zero = LaurentPoly(V)
-    one = LaurentPoly.const(V, 1)
-    m = PolyMatrix(V, ((zero, one), (one, zero)))
-    assert determinant(m) == LaurentPoly.const(V, -1)
+    vec = unipotent_vector(datum("A", 3), (), (), (0, -1, 0))
+    assert vec == {(0, -1, 0): LaurentPoly.const((), 1)}
 
 
 def test_minor_ratio_golden_gr25():
-    u = lusztig_matrix(5, standard_word_grassmannian(2, 5))
-    num = generalized_minor(u, (2, 3, 5), (3, 4, 5))
-    den = generalized_minor(u, (1, 2, 3), (3, 4, 5))
+    V, vec = gr25_vector()
+    num = vec[(2, 3, 5)]
+    den = vec[(1, 2, 3)]
     # cross-multiplied form of num/den == (a1a2 + a1a6 + a5a6)/(a1...a6)
-    golden_num = poly(u.variables, {
+    golden_num = poly(V, {
         (1, 1, 0, 0, 0, 0): 1,
         (1, 0, 0, 0, 0, 1): 1,
         (0, 0, 0, 0, 1, 1): 1,
     })
-    all_vars = poly(u.variables, {(1, 1, 1, 1, 1, 1): 1})
+    all_vars = poly(V, {(1, 1, 1, 1, 1, 1): 1})
     assert len(den.terms) == 1
     assert num * all_vars == golden_num * den
 
@@ -190,8 +209,62 @@ def test_homogeneity(make):
 def test_typeA_bound():
     with pytest.raises(ValueError):
         potential_typeA(3, 8)
+
+
+GRASSMANNIANS = [(k, n) for n in range(2, 14) for k in range(1, n)
+                 if k * (n - k) <= 12]
+
+
+def test_typeA_json_golden():
+    # SHA-256 of the potential_to_json output of the GL_n-minor builder
+    # this one replaced, for all 35 Gr(k, n) with k(n-k) <= 12
+    assert len(GRASSMANNIANS) == 35
+    blob = "\n".join(
+        json.dumps(potential_to_json(potential_typeA(k, n)), sort_keys=True)
+        for k, n in GRASSMANNIANS
+    )
+    assert hashlib.sha256(blob.encode()).hexdigest() == \
+        "47d32cfaea151bdcd2bdc1c10dfda3831170b1503098e7dc572e3f7295e77e62"
+
+
+@pytest.mark.parametrize("family,rank,node,depth", [
+    ("D", 4, 1, 3), ("D", 5, 1, 2), ("D", 5, 5, 2), ("E", 6, 1, 2),
+])
+def test_minuscule_potential_matches_period(family, rank, node, depth):
+    # CT(W^{cd}) / (cd)! against the Chevalley-side quantum period
+    d = datum(family, rank)
+    pot = minuscule_potential(d, node)
+    assert pot.coxeter == d.coxeter_number
+    reps = minuscule_coset_reps(d, node)
+    assert len(pot.variables) == reps.reps[-1].length
+    series = quantum_period(fw_matrix(d, reps, node), depth)
+    for deg in range(depth + 1):
+        assert gw_from_constant_term(pot, deg) == series.coefficients[deg]
+
+
+@pytest.mark.parametrize("family,rank,node", [
+    ("B", 3, 3), ("C", 3, 1), ("D", 4, 2), ("E", 6, 2),
+])
+def test_minuscule_potential_refusals(family, rank, node):
+    # B/C need the highest short root; D4 n2 and E6 n2 are not minuscule
     with pytest.raises(ValueError):
-        potential_typeA(2, 5, max_vars=5)
+        minuscule_potential(datum(family, rank), node)
+
+
+def test_potential_independent_of_chevalley_side(monkeypatch):
+    # the crystal route must never reach the side it is compared with
+    def boom(*args, **kwargs):
+        raise AssertionError("crystal route touched the Chevalley side")
+
+    for name, module in list(sys.modules.items()):
+        if name == "mmirror" or name.startswith("mmirror."):
+            for attr in ("fw_matrix", "quantum_chevalley_minuscule",
+                         "quantum_period"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, boom)
+    pot = potential_typeA(3, 7)
+    assert len(pot.variables) == 12
+    assert constant_term_power(pot, 7) == math.factorial(7) * 10
 
 
 # ----------------------------------------------------------- constant terms
