@@ -104,7 +104,7 @@ def _root_operator(rep: MinusculeRep, label: str, root,
     for c, mu in enumerate(reps.weights):
         target = root_step(mu, root, sign)
         if target is not None:
-            m[reps.index_of(reps.rep_by_weight(target))][c] = 1
+            m[reps.index_of_weight(target)][c] = 1
     return RepOperator(label=label, matrix=tuple(tuple(row) for row in m))
 
 

@@ -37,9 +37,7 @@ from .weyl import (
     CosetReps,
     bruhat_covers_up,
     minuscule_coset_reps,
-    multiply,
-    pi_P,
-    reflection,
+    reflect_coset,
 )
 
 
@@ -152,20 +150,19 @@ def quantum_period_case(ct: str, node: int, D: int) -> PeriodSeries:
 
 
 def bruhat_path_count(d: RootDatum, reps: CosetReps, node: int) -> int:
-    """Number of saturated Bruhat chains in W^P from pi_P(w_top s_gamma)
+    """Number of saturated Bruhat chains in W^P from the coset of
+    w_top s_gamma, the weight mu_top - <varpi_node, gamma-vee> w_top.gamma,
     up to w_top: an independent route to the first period coefficient."""
-    lev = reps.parabolic
-    top = reps.reps[-1]
-    start = pi_P(d, lev.I_P, multiply(d, top, reflection(d, lev.gamma)))
-    counts = {reps.index_of(start): 1}
-    for i, w in enumerate(reps.reps):
+    top = len(reps) - 1
+    start, _ = reflect_coset(d, reps, top, reps.parabolic.gamma)
+    counts = {start: 1}
+    for i in range(len(reps)):
         amount = counts.get(i, 0)
         if amount == 0:
             continue
-        for _beta, above in bruhat_covers_up(d, lev, w):
-            j = reps.index_of(above)
+        for _beta, j in bruhat_covers_up(d, reps, i):
             counts[j] = counts.get(j, 0) + amount
-    return counts.get(len(reps.reps) - 1, 0)
+    return counts.get(top, 0)
 
 
 # --------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 The operator "multiply by the degree-one Schubert class" acting on the
 cohomology of G/P is assembled by one rule, the quantum Chevalley formula
 of Fulton-Woodward, column by column over the minimal coset
-representatives (fw_matrix).  It serves minuscule nodes and odd quadrics
+representatives (fw_matrix).  Each candidate w s_beta is read off the
+coset weights by weyl.reflect_coset, as a coset index and a length, so no
+Weyl product is formed.  The rule serves minuscule nodes and odd quadrics
 alike; the classical (q^0) part and the torus-equivariant matrix, with a
 linear form in h_1..h_r on the diagonal as in Mihalcea's formula, are
 derived from it.
@@ -23,21 +25,12 @@ from .rootsys import (
     fundamental_coweight,
     pairing,
 )
-from .weyl import (
-    CosetReps,
-    WeylElt,
-    _is_minimal,
-    act_coweight,
-    multiply,
-    pi_P,
-    reflection,
-)
+from .weyl import CosetReps, act_coweight, reflect_coset
 
 __all__ = [
     "LaurentPoly",
     "ConnMatrix",
     "quantum_chevalley_minuscule",
-    "quantum_chevalley_fw",
     "fw_matrix",
     "lift_equivariant",
     "mihalcea_equivariant",
@@ -294,84 +287,49 @@ class ConnMatrix:
 
 
 # --------------------------------------------------------------------------
-# Chevalley rules
+# Chevalley rule
 # --------------------------------------------------------------------------
 
-def quantum_chevalley_fw(d: RootDatum, I_P, i: int, w: WeylElt):
-    """General quantum Chevalley rule for sigma_i *_q sigma_w on G/P.
-
-    Returns a list of (coefficient, q_exponents, WeylElt) triples; the
-    exponent tuple runs over the nodes outside I_P in increasing order.
-    Classical terms have the zero exponent vector; quantum terms come from
-    positive roots delta outside the Levi satisfying the two length
-    conditions, with exponents the outside coordinates of delta-vee.
-    """
-    ip = sorted(set(I_P))
-    if i in ip:
-        raise ValueError(f"node {i} lies in the Levi subset")
-    outside = [j for j in range(1, d.rank + 1) if j not in ip]
-    if not _is_minimal(w, ip):
-        raise ValueError("w is not a minimal coset representative")
-
-    levi = {
-        r.coeffs for r in d.positive_roots
-        if all(r.coeffs[j - 1] == 0 for j in outside)
-    }
-    two_rho_diff = [2] * d.rank
-    for r in d.positive_roots:
-        if r.coeffs in levi:
-            for k in range(d.rank):
-                two_rho_diff[k] -= r.fw[k]
-    zero_exp = tuple([0] * len(outside))
-
-    acc = {}
-    for beta in d.positive_roots:
-        if beta.coeffs in levi:
-            continue
-        coeff = beta.coroot.coeffs[i - 1]
-        if coeff == 0:
-            continue
-        s_beta = reflection(d, beta)
-        cand = multiply(d, w, s_beta)
-        if cand.length == w.length + 1 and _is_minimal(cand, ip):
-            # classical term; ws_beta must itself be minimal
-            key = (zero_exp, cand)
-            acc[key] = acc.get(key, Fraction(0)) + coeff
-        if cand.length == w.length - s_beta.length:
-            target = pi_P(d, ip, cand)
-            drop = sum(
-                t * cv for t, cv in zip(two_rho_diff, beta.coroot.coeffs)
-            )
-            if target.length == w.length + 1 - drop:
-                exps = tuple(beta.coroot.coeffs[j - 1] for j in outside)
-                key = (exps, target)
-                acc[key] = acc.get(key, Fraction(0)) + coeff
-    out = [
-        (coeff, exps, elt)
-        for (exps, elt), coeff in acc.items()
-        if coeff != 0
-    ]
-    out.sort(key=lambda t: (sum(t[1]), t[1], t[2].length, t[2].word))
-    return out
-
-
 def fw_matrix(d: RootDatum, reps: CosetReps, node: int) -> ConnMatrix:
-    """Full multiplication matrix assembled column-by-column from the
-    general rule; works at any maximal parabolic (e.g. odd quadrics),
-    single q variable since only one node lies outside the Levi."""
-    I_P = reps.parabolic.I_P
-    variables = ("q",)
+    """Full multiplication matrix by the Fulton-Woodward rule; works at any
+    maximal parabolic (e.g. odd quadrics), single q variable since only
+    one node lies outside the Levi.
+
+    Each positive root beta outside the Levi, with k the node coordinate
+    of beta-vee, adds k to column w at the coset of w s_beta when
+    ell(w s_beta) = ell(w) + 1 = the length of that coset (classical), and
+    k q^k there when ell(w s_beta) = ell(w) - ell(s_beta) and the coset has
+    length ell(w) + 1 - <2(rho - rho_P), beta-vee> (quantum).
+    """
+    p = reps.parabolic
+    if node != p.node:
+        raise ValueError(f"node {node} is not the node {p.node} of the "
+                         "coset representatives")
+    levi = {r.coeffs for r in p.levi_positive_roots}
+    two_rho_diff = [2 - 2 * x for x in p.rho_P.coeffs]
+    roots = []   # (beta, k, ell(s_beta), <2(rho - rho_P), beta-vee>)
+    for beta in d.positive_roots:
+        if beta.coeffs not in levi:
+            cv = beta.coroot.coeffs
+            # column 0 is the identity: its reflected length is ell(s_beta)
+            roots.append((beta, cv[node - 1],
+                          reflect_coset(d, reps, 0, beta)[1],
+                          sum(t * x for t, x in zip(two_rho_diff, cv))))
+
+    lengths = [w.length for w in reps.reps]
     n = len(reps)
-    zero = LaurentPoly(variables)
-    cols = [[zero] * n for _ in range(n)]
-    for c, w in enumerate(reps.reps):
-        for coeff, exps, elt in quantum_chevalley_fw(d, I_P, node, w):
-            r = reps.index_of(elt)
-            cols[r][c] = cols[r][c] + LaurentPoly(
-                variables, {(exps[0],): coeff}
-            )
-    return ConnMatrix(basis=reps, variables=variables,
-                      entries=tuple(tuple(row) for row in cols))
+    terms = [[{} for _ in range(n)] for _ in range(n)]  # {(q exp,): coeff}
+    for c, ell in enumerate(lengths):
+        for beta, k, ell_s, drop in roots:
+            r, ell_ws = reflect_coset(d, reps, c, beta)
+            entry = terms[r][c]
+            if ell_ws == ell + 1 == lengths[r]:
+                entry[(0,)] = entry.get((0,), 0) + k
+            if ell_ws == ell - ell_s and lengths[r] == ell + 1 - drop:
+                entry[(k,)] = entry.get((k,), 0) + k
+    variables = ("q",)
+    return ConnMatrix(basis=reps, variables=variables, entries=tuple(
+        tuple(LaurentPoly(variables, t) for t in row) for row in terms))
 
 
 # The paper's W(gamma) description of the q-part is checked by the
@@ -476,11 +434,10 @@ def check_homogeneous(d: RootDatum, M: ConnMatrix, node: int) -> bool:
     return True
 
 
-def poincare_self_adjoint(d: RootDatum, M: ConnMatrix, pd_fn) -> bool:
+def poincare_self_adjoint(M: ConnMatrix, dual) -> bool:
     """Self-adjointness for the Poincare pairing <sigma_u, sigma_v> =
-    delta_{v, PD(u)}: M[PD(v), c] == M[PD(c), v] for all c, v."""
-    reps = M.basis
-    dual = [reps.index_of(pd_fn(w)) for w in reps.reps]
+    delta_{v, PD(u)}, with dual[i] the index of PD of basis class i (see
+    weyl.pd): M[PD(v), c] == M[PD(c), v] for all c, v."""
     n = M.size
     for c in range(n):
         for v in range(n):

@@ -11,6 +11,15 @@ action matrix) spells the canonical reduced word of w, and the length is
 the number of letters.  Applied to w.lam, with lam dominant and stabiliser
 W_P, the same descent spells the minimal representative of w W_P; right
 descents are read the same way off w^{-1}.rho.
+
+A coset w W_P of a minuscule node (or of the B_n quadric node) is its
+weight mu = w.varpi_node, and the library moves between cosets on weights
+only: w s_beta lies in the coset of mu - <varpi_node, beta-vee> w.beta and
+has the length of the descent of w.rho - <rho, beta-vee> w.beta
+(reflect_coset), which gives Bruhat covers and the Chevalley rule; the
+Poincare dual of mu is w0.mu, since w0P fixes varpi_node.  Products,
+inverses, pi_P and the special elements stay as the element-level
+reference that the tests compare against.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ __all__ = [
     "longest_element",
     "minuscule_coset_reps",
     "pi_P",
+    "reflect_coset",
     "bruhat_covers_up",
     "w_gamma_set",
     "special_elements",
@@ -156,13 +166,6 @@ def from_word(d: RootDatum, word) -> WeylElt:
     return _make_elt(d, act, inv)
 
 
-def _is_minimal(w: WeylElt, I_P) -> bool:
-    """w is the minimal representative of w W_P: no s_j, j in I_P, is a
-    right descent, i.e. w^{-1}.rho (row sums of inv_action) is positive on
-    I_P."""
-    return all(sum(w.inv_action[j - 1]) > 0 for j in I_P)
-
-
 def multiply(d: RootDatum, u: WeylElt, v: WeylElt) -> WeylElt:
     return _make_elt(d, _matmul(u.action, v.action), _matmul(v.inv_action, u.inv_action))
 
@@ -213,8 +216,8 @@ class CosetReps:
     def index_of(self, w: WeylElt) -> int:
         return self._index[w.action]
 
-    def rep_by_weight(self, mu) -> WeylElt:
-        return self.reps[self._by_weight[tuple(mu)]]
+    def index_of_weight(self, mu) -> int:
+        return self._by_weight[tuple(mu)]
 
 
 def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
@@ -255,18 +258,34 @@ def pi_P(d: RootDatum, I_P, w: WeylElt) -> WeylElt:
     return from_word(d, _descent_word(d, act_weight(w, lam)))
 
 
-def bruhat_covers_up(d: RootDatum, p: ParabolicData, w: WeylElt):
-    """Elements of W^P covering w: w s_beta with beta in R+ \\ R+_P,
-    ell(w s_beta) = ell(w) + 1 and w s_beta still a minimal rep.  Returned
-    as (beta, element) pairs in positive-root order."""
-    levi = {r.coeffs for r in p.levi_positive_roots}
+def reflect_coset(d: RootDatum, reps: CosetReps, c: int, beta: Root):
+    """(index, length) of w s_beta for w = reps.reps[c], read off vectors:
+    w s_beta . varpi = mu - <varpi, beta-vee> w.beta names its coset, and
+    its length is the descent length of w.rho - <rho, beta-vee> w.beta."""
+    w = reps.reps[c]
+    w_beta = _matvec(w.action, beta.fw)
+    cv = beta.coroot.coeffs
+    k = cv[reps.parabolic.node - 1]
+    h = sum(cv)
+    mu = tuple(m - k * b for m, b in zip(reps.weights[c], w_beta))
+    w_rho = [sum(row) - h * b for row, b in zip(w.action, w_beta)]
+    return reps.index_of_weight(mu), len(_descent_word(d, w_rho))
+
+
+def bruhat_covers_up(d: RootDatum, reps: CosetReps, c: int):
+    """Covers of w = reps.reps[c] in W^P: w s_beta with beta in R+ \\ R+_P,
+    ell(w s_beta) = ell(w) + 1 and w s_beta the minimal rep of its coset,
+    i.e. its coset has length ell(w) + 1.  Returned as (beta, index) pairs
+    in positive-root order."""
+    levi = {r.coeffs for r in reps.parabolic.levi_positive_roots}
+    up = reps.reps[c].length + 1
     out = []
     for beta in d.positive_roots:
         if beta.coeffs in levi:
             continue
-        elt = multiply(d, w, reflection(d, beta))
-        if elt.length == w.length + 1 and _is_minimal(elt, p.I_P):
-            out.append((beta, elt))
+        r, length = reflect_coset(d, reps, c, beta)
+        if length == up == reps.reps[r].length:
+            out.append((beta, r))
     return out
 
 
@@ -330,6 +349,8 @@ def special_elements(d: RootDatum, p: ParabolicData) -> SpecialElements:
     return SpecialElements(w0=w0, w0P=w0P, wP=wP, wPQ=wPQ, sgamma=sgamma)
 
 
-def pd(d: RootDatum, p: ParabolicData, spec: SpecialElements, w: WeylElt) -> WeylElt:
-    """Poincare duality on W^P: pi_P(w0 w w0P)."""
-    return pi_P(d, p.I_P, multiply(d, multiply(d, spec.w0, w), spec.w0P))
+def pd(d: RootDatum, reps: CosetReps) -> tuple:
+    """Poincare duality on W^P as indices: PD(w) = pi_P(w0 w w0P), whose
+    weight is w0 . mu because w0P fixes varpi_node."""
+    w0 = longest_element(d).action
+    return tuple(reps.index_of_weight(_matvec(w0, mu)) for mu in reps.weights)

@@ -434,6 +434,26 @@ def test_verify_computes_period_once(capsys, monkeypatch, cartan, node):
     assert sum(M is built[0] for M in expanded) == 1
 
 
+@pytest.mark.parametrize("cartan,node", [
+    ("A3", 2), ("D4", 1), ("E6", 1), ("B3", 1),
+])
+def test_verify_makes_no_weyl_products(capsys, monkeypatch, cartan, node):
+    # every coset move on a check path is read off coset weights; the
+    # element-level products stay a reference for the tests only
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Weyl product on a verify path")
+
+    modules = [m for name, m in sys.modules.items()
+               if name == "mmirror" or name.startswith("mmirror.")]
+    for module in modules:
+        for name in ("multiply", "inverse", "pi_P", "special_elements",
+                     "reflection"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    code, doc = run_json(capsys, "verify", cartan, "--node", str(node))
+    assert code == 0 and doc["pass"]
+
+
 # ----------------------------------------------------------- infrastructure
 
 def test_benchmark_names_exported_by_cli():
@@ -473,6 +493,15 @@ def test_output_flag_writes_same_bytes(capsys, tmp_path):
     capsys.readouterr()
     assert code == 0
     assert target.read_text() == out
+
+
+def test_verify_all_golden(tmp_path):
+    # the whole verdict, byte for byte
+    target = tmp_path / "verify.json"
+    assert main(["verify", "--all", "--output", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+        "a3f814c0cc9481e43fa98b65b7147d6f5ddd6b635422d713fdd7f3446b71925b"
+    )
 
 
 def test_repeat_runs_byte_identical(capsys):

@@ -13,9 +13,9 @@ from mmirror.qchev import (
     matrix_relation,
     mihalcea_equivariant,
     poincare_self_adjoint,
-    quantum_chevalley_fw,
     quantum_chevalley_minuscule,
 )
+from mmirror.cli import _wgamma_positions
 from mmirror.weyl import (
     bruhat_covers_up,
     minuscule_coset_reps,
@@ -244,6 +244,15 @@ def test_d4_quadric_printed_matrix():
 
 # ------------------------------------------------------ general FW rule
 
+def _column(m, c):
+    """Column c of a Chevalley matrix as {(q exponent, row): coefficient}."""
+    return {
+        (exps[0], r): coeff
+        for r, e in enumerate(m.column(c))
+        for exps, coeff in e.terms.items()
+    }
+
+
 def test_fw_matches_minuscule_columnwise():
     # the general rule, column by column, against two independent
     # descriptions: the Bruhat covers of w (classical terms) and, for w in
@@ -253,13 +262,12 @@ def test_fw_matches_minuscule_columnwise():
         p = reps.parabolic
         sgamma = reflection(d, p.gamma)
         wg = set(w_gamma_set(d, reps))
+        m = fw_matrix(d, reps, node)
         for c, w in enumerate(reps.reps):
-            got = {}
-            for coeff, exps, elt in quantum_chevalley_fw(d, p.I_P, node, w):
-                got[(exps[0], reps.index_of(elt))] = coeff
+            got = _column(m, c)
             want = {}
-            for beta, elt in bruhat_covers_up(d, p, w):
-                key = (0, reps.index_of(elt))
+            for beta, r in bruhat_covers_up(d, reps, c):
+                key = (0, r)
                 want[key] = want.get(key, 0) + beta.coroot.coeffs[node - 1]
             if w in wg:
                 target = pi_P(d, p.I_P, multiply(d, w, sgamma))
@@ -271,11 +279,73 @@ def test_fw_rejects_bad_input():
     d = D("A3")
     reps = minuscule_coset_reps(d, 2)
     with pytest.raises(ValueError):
-        quantum_chevalley_fw(d, (1, 3), 3, reps.reps[0])  # node in Levi
-    from mmirror.weyl import from_word
+        fw_matrix(d, reps, 3)  # node 3 lies in the Levi of node 2
 
-    with pytest.raises(ValueError):
-        quantum_chevalley_fw(d, (1, 3), 2, from_word(d, [1]))  # not minimal
+
+# ------------------------------------- weights against Weyl products
+
+def _product_route_column(d, reps, node, w):
+    """The Fulton-Woodward rule on Weyl products: w s_beta is multiplied
+    out, projected by pi_P, and measured by its canonical word."""
+    p = reps.parabolic
+    levi = {r.coeffs for r in p.levi_positive_roots}
+    two_rho_diff = [2] * d.rank
+    for r in p.levi_positive_roots:
+        for k in range(d.rank):
+            two_rho_diff[k] -= r.fw[k]
+    col = {}
+    for beta in d.positive_roots:
+        if beta.coeffs in levi:
+            continue
+        coeff = beta.coroot.coeffs[node - 1]
+        s_beta = reflection(d, beta)
+        cand = multiply(d, w, s_beta)
+        target = pi_P(d, p.I_P, cand)
+        if cand.length == w.length + 1 and target == cand:
+            key = (0, reps.index_of(cand))
+            col[key] = col.get(key, 0) + coeff
+        drop = sum(t * cv for t, cv in zip(two_rho_diff, beta.coroot.coeffs))
+        if (cand.length == w.length - s_beta.length
+                and target.length == w.length + 1 - drop):
+            key = (coeff, reps.index_of(target))
+            col[key] = col.get(key, 0) + coeff
+    return {k: v for k, v in col.items() if v}
+
+
+@pytest.mark.parametrize("ct,node", [
+    ("A4", 2), ("B4", 4), ("C4", 1), ("D5", 5), ("B4", 1), ("E6", 6),
+    ("E7", 7),
+])
+def test_weight_route_matches_product_route(ct, node):
+    # fw_matrix, the Bruhat covers, Poincare duality and the W(gamma)
+    # targets, all read off coset weights, against multiply / pi_P /
+    # special_elements
+    d, reps = case(ct, node)
+    p = reps.parabolic
+    m = fw_matrix(d, reps, node)
+    levi = {r.coeffs for r in p.levi_positive_roots}
+    se = special_elements(d, p)
+    for c, w in enumerate(reps.reps):
+        assert _column(m, c) == _product_route_column(d, reps, node, w), c
+        covers = []
+        for beta in d.positive_roots:
+            elt = multiply(d, w, reflection(d, beta))
+            if (beta.coeffs not in levi and elt.length == w.length + 1
+                    and pi_P(d, p.I_P, elt) == elt):
+                covers.append((beta, reps.index_of(elt)))
+        assert bruhat_covers_up(d, reps, c) == covers, c
+    assert pd(d, reps) == tuple(
+        reps.index_of(pi_P(d, p.I_P, multiply(d, multiply(d, se.w0, w),
+                                              se.w0P)))
+        for w in reps.reps
+    )
+    if p.gamma is not None:
+        sgamma = reflection(d, p.gamma)
+        assert _wgamma_positions(d, reps) == {
+            (reps.index_of(pi_P(d, p.I_P, multiply(d, w, sgamma))),
+             reps.index_of(w))
+            for w in w_gamma_set(d, reps)
+        }
 
 
 def test_odd_quadric_b3_products():
@@ -428,7 +498,5 @@ def test_homogeneity_odd_quadric():
 @pytest.mark.parametrize("ct,node", [("A3", 2), ("B3", 3), ("D4", 1)])
 def test_poincare_self_adjoint(ct, node):
     d, reps = case(ct, node)
-    p = reps.parabolic
-    se = special_elements(d, p)
     m = quantum_chevalley_minuscule(d, reps, node)
-    assert poincare_self_adjoint(d, m, lambda w: pd(d, p, se, w))
+    assert poincare_self_adjoint(m, pd(d, reps))

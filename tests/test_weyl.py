@@ -152,7 +152,7 @@ def test_index_lookup():
     reps = minuscule_coset_reps(d, 2)
     for i, w in enumerate(reps.reps):
         assert reps.index_of(w) == i
-        assert reps.rep_by_weight(reps.weights[i]) == w
+        assert reps.reps[reps.index_of_weight(reps.weights[i])] == w
 
 
 # ------------------------------------------- words against a reference
@@ -229,19 +229,16 @@ def test_pi_p_projects():
 def test_covers_p2_chain():
     d = D("A2")
     reps = minuscule_coset_reps(d, 1)
-    p = reps.parabolic
-    chain = reps.reps
     for i in range(2):
-        cov = bruhat_covers_up(d, p, chain[i])
-        assert [c for _, c in cov] == [chain[i + 1]]
-    assert bruhat_covers_up(d, p, chain[2]) == []
+        cov = bruhat_covers_up(d, reps, i)
+        assert [c for _, c in cov] == [i + 1]
+    assert bruhat_covers_up(d, reps, 2) == []
 
 
 def test_covers_gr24_diamond():
     d = D("A3")
     reps = minuscule_coset_reps(d, 2)
-    p = reps.parabolic
-    counts = [len(bruhat_covers_up(d, p, w)) for w in reps.reps]
+    counts = [len(bruhat_covers_up(d, reps, i)) for i in range(len(reps))]
     # 2x2 box poset: bottom 1, rank1 2, two middles 1 each, rank3 1, top 0
     assert counts == [1, 2, 1, 1, 1, 0]
     assert sum(counts) == 6
@@ -250,11 +247,10 @@ def test_covers_gr24_diamond():
 def test_covers_land_in_reps():
     d = D("B3")
     reps = minuscule_coset_reps(d, 3)
-    p = reps.parabolic
-    for w in reps.reps:
-        for beta, c in bruhat_covers_up(d, p, w):
-            assert c.length == w.length + 1
-            assert reps.index_of(c) >= 0
+    for i, w in enumerate(reps.reps):
+        for beta, c in bruhat_covers_up(d, reps, i):
+            assert reps.reps[c].length == w.length + 1
+            assert 0 <= c < len(reps)
             assert beta.coeffs[2] != 0  # outside the Levi
 
 
@@ -341,13 +337,11 @@ def test_pd_involution():
     for ct, node in [("A3", 2), ("B3", 3), ("D4", 1)]:
         d = D(ct)
         reps = minuscule_coset_reps(d, node)
-        p = reps.parabolic
-        se = special_elements(d, p)
+        dual = pd(d, reps)
         top_len = reps.reps[-1].length
-        for w in reps.reps:
-            dual = pd(d, p, se, w)
-            assert reps.index_of(dual) >= 0
-            assert dual.length == top_len - w.length
-            assert pd(d, p, se, dual) == w
+        for i, w in enumerate(reps.reps):
+            assert 0 <= dual[i] < len(reps)
+            assert reps.reps[dual[i]].length == top_len - w.length
+            assert dual[dual[i]] == i
     # bottom maps to top
-    assert pd(d, p, se, reps.reps[0]) == reps.reps[-1]
+    assert dual[0] == len(reps) - 1
