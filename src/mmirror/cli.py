@@ -28,8 +28,10 @@ from .crystal_potential import (
     BudgetExceeded,
     constant_term_power,
     gw_from_constant_term,
+    minuscule_potential,
     potential_to_json,
     potential_typeA,
+    refuse_large_grassmannian,
 )
 from .minrep import build_rep, equivariant_fg, fg_connection
 from .period_gw import (
@@ -64,8 +66,10 @@ from .weyl import minuscule_coset_reps, pd, w_gamma_set
 WRONSKIAN_TOL = 1e-8
 
 # Largest coset orbit (number of Schubert classes) a case may have.  The
-# connection matrices are dense, so this is already ~2.6e5 entries each;
-# larger orbits are refused before anything is enumerated.
+# connection matrices are built from their nonzero cells, about
+# (rank + 1) per column, but they are stored, compared and checked as
+# n x n tables whose empty cells share one zero: ~2.6e5 cells each at
+# this size.  Larger orbits are refused before anything is enumerated.
 MAX_ORBIT_SIZE = 512
 
 # Largest root datum (number of positive roots) a case may build; refused
@@ -330,7 +334,8 @@ def _check_projective_period(case, D, budget):
 def _check_constant_term(case, D, budget):
     k, n = case.node, case.ct.rank + 1
     depth = case.params["ct_degree"] if D is None else D
-    pot = potential_typeA(k, n)
+    refuse_large_grassmannian(k, n)
+    pot = minuscule_potential(case.d, case.node)
     series = case.period(depth)
     values = []
     for d in range(1, depth + 1):

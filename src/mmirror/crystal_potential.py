@@ -184,15 +184,21 @@ def minuscule_potential(d: RootDatum, node: int) -> Potential:
     return pot
 
 
-def potential_typeA(k: int, n: int) -> Potential:
-    """Potential for Gr(k, n): the minuscule potential of A_{n-1} at node
-    k, refused when its k(n-k) variables exceed MAX_POTENTIAL_VARS."""
+def refuse_large_grassmannian(k: int, n: int) -> None:
+    """Raise ValueError unless 1 <= k <= n-1 and the k(n-k) variables of
+    the Gr(k, n) potential are at most MAX_POTENTIAL_VARS."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     ell = k * (n - k)
     if ell > MAX_POTENTIAL_VARS:
         raise ValueError(f"Gr({k},{n}) needs {ell} variables, above the "
                          f"bound {MAX_POTENTIAL_VARS}")
+
+
+def potential_typeA(k: int, n: int) -> Potential:
+    """Potential for Gr(k, n): the minuscule potential of A_{n-1} at node
+    k, refused when its k(n-k) variables exceed MAX_POTENTIAL_VARS."""
+    refuse_large_grassmannian(k, n)
     return minuscule_potential(build_root_datum(CartanType("A", n - 1)), k)
 
 

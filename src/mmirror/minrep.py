@@ -14,11 +14,11 @@ these coincide, index for index, with the quantum Chevalley matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 
 from .rootsys import (
     RootDatum,
-    _inverse_cartan,
-    _symmetrizers,
     minuscule_nodes,
     pairing,
     simple_root,
@@ -148,12 +148,16 @@ def _coweight_diagonal(rep: MinusculeRep):
     """Per basis vector v_mu, the coweight mu-vee dual to mu in
     simple-coroot coordinates: with mu = sum_k m_k alpha_k (m = mu A^-1)
     and alpha_k = d_k alpha_k-vee, mu-vee = sum_k d_k m_k alpha_k-vee /
-    d_node, normalised so that varpi_node maps to varpi_node-vee."""
-    inv = _inverse_cartan(rep.datum)
-    dsym = _symmetrizers(rep.datum.cartan_type)
-    scale = [x / dsym[rep.node - 1] for x in dsym]
+    d_node, normalised so that varpi_node maps to varpi_node-vee.  The
+    pairings run in integers: A^-1 is integer over its denominator, and
+    d_k / d_node = (alpha_k, alpha_k) / (alpha_node, alpha_node)."""
+    d = rep.datum
+    den, inv = d.inverse_cartan
+    norms = [simple_root(d, k).norm2 for k in range(1, d.rank + 1)]
+    scale = den * norms[rep.node - 1]
+    cols = [[e * x for x in col] for e, col in zip(norms, zip(*inv))]
     return [
-        tuple(s * pairing(mu, col) for s, col in zip(scale, zip(*inv)))
+        tuple(Fraction(sum(map(mul, mu, col)), scale) for col in cols)
         for mu in rep.reps.weights
     ]
 
@@ -161,20 +165,23 @@ def _coweight_diagonal(rep: MinusculeRep):
 def fg_connection(rep: MinusculeRep) -> ConnMatrix:
     """Connection-form matrix f + q x_theta on the canonical basis; under
     the index identification v_w = sigma_w this is the mirror counterpart
-    of the quantum Chevalley matrix.  f = sum_j y_j is summed from the
-    lowering operators alone."""
-    variables = ("q",)
+    of the quantum Chevalley matrix.  f = sum_j y_j and x_theta are walked
+    from each column's weight with root_step, rank + 1 steps per column,
+    and only the cells they reach are built; every other cell is one
+    shared zero."""
     d = rep.datum
-    ys = [_root_operator(rep, f"y{j}", simple_root(d, j), -1).matrix
-          for j in range(1, d.rank + 1)]
-    xt = xtheta_matrix(rep).matrix
-    return ConnMatrix.build(
-        rep.reps,
-        variables,
-        lambda r, c: LaurentPoly(
-            variables, {(0,): sum(y[r][c] for y in ys), (1,): xt[r][c]}
-        ),
-    )
+    reps = rep.reps
+    steps = [(simple_root(d, j), -1, (0,)) for j in range(1, d.rank + 1)]
+    steps.append((d.highest_root, 1, (1,)))
+    cells = {}   # (row, col) -> {(q exp,): 1}
+    one = Fraction(1)
+    for c, mu in enumerate(reps.weights):
+        for root, sign, exp in steps:
+            target = root_step(mu, root, sign)
+            if target is not None:
+                r = reps.index_of_weight(target)
+                cells.setdefault((r, c), {})[exp] = one
+    return ConnMatrix.from_cells(reps, ("q",), cells)
 
 
 def equivariant_fg(rep: MinusculeRep, fg: ConnMatrix = None) -> ConnMatrix:

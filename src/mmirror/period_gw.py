@@ -154,7 +154,7 @@ def bruhat_path_count(d: RootDatum, reps: CosetReps, node: int) -> int:
     w_top s_gamma, the weight mu_top - <varpi_node, gamma-vee> w_top.gamma,
     up to w_top: an independent route to the first period coefficient."""
     top = len(reps) - 1
-    start, _ = reflect_coset(d, reps, top, reps.parabolic.gamma)
+    start = reflect_coset(reps, top, reps.parabolic.gamma)
     counts = {start: 1}
     for i in range(len(reps)):
         amount = counts.get(i, 0)

@@ -4,11 +4,12 @@ The operator "multiply by the degree-one Schubert class" acting on the
 cohomology of G/P is assembled by one rule, the quantum Chevalley formula
 of Fulton-Woodward, column by column over the minimal coset
 representatives (fw_matrix).  Each candidate w s_beta is read off the
-coset weights by weyl.reflect_coset, as a coset index and a length, so no
-Weyl product is formed.  The rule serves minuscule nodes and odd quadrics
-alike; the classical (q^0) part and the torus-equivariant matrix, with a
-linear form in h_1..h_r on the diagonal as in Mihalcea's formula, are
-derived from it.
+coset weights, as a coset index (weyl.reflect_coset) and, only when that
+coset's length admits a term, a length (weyl.reflect_length), so no Weyl
+product is formed and only the nonzero cells are built.  The rule serves
+minuscule nodes and odd quadrics alike; the classical (q^0) part and the
+torus-equivariant matrix, with a linear form in h_1..h_r on the diagonal
+as in Mihalcea's formula, are derived from it.
 
 Matrices use the column convention: column w holds the expansion of the
 operator applied to the basis class sigma_w.
@@ -25,7 +26,7 @@ from .rootsys import (
     fundamental_coweight,
     pairing,
 )
-from .weyl import CosetReps, act_coweight, reflect_coset
+from .weyl import CosetReps, act_coweight, reflect_coset, reflect_length
 
 __all__ = [
     "LaurentPoly",
@@ -62,6 +63,16 @@ class LaurentPoly:
         self.terms = {k: v for k, v in clean.items() if v != 0}
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _clean(cls, variables: tuple, terms: dict) -> "LaurentPoly":
+        """Wrap ``terms`` as they are: the caller guarantees int-tuple
+        exponents of the arity of ``variables`` (a tuple) and nonzero
+        Fraction coefficients, so nothing is normalised or copied."""
+        poly = cls.__new__(cls)
+        poly.variables = variables
+        poly.terms = terms
+        return poly
 
     @classmethod
     def const(cls, variables, value):
@@ -274,6 +285,19 @@ class ConnMatrix:
         return all(e.is_zero() for row in self.entries for e in row)
 
     @staticmethod
+    def from_cells(basis, variables: tuple, cells: dict) -> "ConnMatrix":
+        """The matrix whose entry (r, c) wraps cells[(r, c)], a terms dict
+        that is already clean (see LaurentPoly._clean); every other entry
+        is one shared zero."""
+        n = len(basis)
+        zero = LaurentPoly(variables)
+        rows = [[zero] * n for _ in range(n)]
+        for (r, c), terms in cells.items():
+            rows[r][c] = LaurentPoly._clean(variables, terms)
+        return ConnMatrix(basis=basis, variables=variables,
+                          entries=tuple(map(tuple, rows)))
+
+    @staticmethod
     def build(basis, variables, fill):
         """fill(r, c) -> LaurentPoly."""
         n = len(basis)
@@ -313,23 +337,30 @@ def fw_matrix(d: RootDatum, reps: CosetReps, node: int) -> ConnMatrix:
             cv = beta.coroot.coeffs
             # column 0 is the identity: its reflected length is ell(s_beta)
             roots.append((beta, cv[node - 1],
-                          reflect_coset(d, reps, 0, beta)[1],
+                          reflect_length(d, reps, 0, beta),
                           sum(t * x for t, x in zip(two_rho_diff, cv))))
 
+    # The coset of w s_beta has length at most ell(w s_beta), so a term is
+    # possible only where that length is ell(w) + 1 (classical) or
+    # ell(w) + 1 - drop (quantum, drop >= 2); only then is ell(w s_beta)
+    # computed.
     lengths = [w.length for w in reps.reps]
-    n = len(reps)
-    terms = [[{} for _ in range(n)] for _ in range(n)]  # {(q exp,): coeff}
+    cells = {}   # (row, col) -> {(q exp,): coeff}
     for c, ell in enumerate(lengths):
         for beta, k, ell_s, drop in roots:
-            r, ell_ws = reflect_coset(d, reps, c, beta)
-            entry = terms[r][c]
-            if ell_ws == ell + 1 == lengths[r]:
-                entry[(0,)] = entry.get((0,), 0) + k
-            if ell_ws == ell - ell_s and lengths[r] == ell + 1 - drop:
-                entry[(k,)] = entry.get((k,), 0) + k
-    variables = ("q",)
-    return ConnMatrix(basis=reps, variables=variables, entries=tuple(
-        tuple(LaurentPoly(variables, t) for t in row) for row in terms))
+            r = reflect_coset(reps, c, beta)
+            if lengths[r] == ell + 1:
+                key, want = (0,), ell + 1
+            elif lengths[r] == ell + 1 - drop:
+                key, want = (k,), ell - ell_s
+            else:
+                continue
+            if reflect_length(d, reps, c, beta) == want:
+                entry = cells.setdefault((r, c), {})
+                entry[key] = entry.get(key, 0) + k
+    return ConnMatrix.from_cells(reps, ("q",), {
+        rc: {e: Fraction(v) for e, v in terms.items()}
+        for rc, terms in cells.items()})
 
 
 # The paper's W(gamma) description of the q-part is checked by the
@@ -340,23 +371,24 @@ quantum_chevalley_minuscule = fw_matrix
 def lift_equivariant(M: ConnMatrix, diagonal) -> ConnMatrix:
     """M over ("q",) lifted to ("q", "h1", .., "hr") with -<diagonal[c], h>
     added in column c, where diagonal[c] is a coweight in simple-coroot
-    coordinates and h_j is the equivariant parameter on alpha_j-vee."""
+    coordinates and h_j is the equivariant parameter on alpha_j-vee.
+    Only the diagonal gains terms: every other nonzero entry is M's,
+    re-keyed, and every empty cell is one shared zero."""
     rank = len(diagonal[0])
     variables = ("q",) + tuple(f"h{j}" for j in range(1, rank + 1))
     pad = (0,) * rank
-    entries = []
+    units = [(0,) + pad[:j] + (1,) + pad[j + 1:] for j in range(rank)]
+    cells = {}
     for r, row in enumerate(M.entries):
-        lifted = []
         for c, e in enumerate(row):
-            terms = {k + pad: v for k, v in e.terms.items()}
-            if r == c:
-                for j, coeff in enumerate(diagonal[c]):
-                    if coeff != 0:
-                        terms[(0,) + pad[:j] + (1,) + pad[j + 1:]] = -coeff
-            lifted.append(LaurentPoly(variables, terms))
-        entries.append(tuple(lifted))
-    return ConnMatrix(basis=M.basis, variables=variables,
-                      entries=tuple(entries))
+            if e.terms:
+                cells[r, c] = {k + pad: v for k, v in e.terms.items()}
+    for c, coweight in enumerate(diagonal):
+        shift = {unit: -Fraction(x)
+                 for unit, x in zip(units, coweight) if x != 0}
+        if shift:
+            cells.setdefault((c, c), {}).update(shift)
+    return ConnMatrix.from_cells(M.basis, variables, cells)
 
 
 def mihalcea_equivariant(d: RootDatum, M: ConnMatrix,

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 import json
+from math import gcd, lcm
 import re
 
 __all__ = [
@@ -180,14 +182,15 @@ def _cartan_matrix(ct: CartanType):
     return tuple(tuple(row) for row in a)
 
 
-def _symmetrizers(ct: CartanType):
-    """d_i = (alpha_i, alpha_i)/2 in the long-roots-squared-2 normalisation."""
+def _simple_norms(ct: CartanType):
+    """(alpha_i, alpha_i) in the long-roots-squared-2 normalisation: 2 for
+    a long simple root, 1 for a short one."""
     n = ct.rank
     if ct.family == "B":
-        return tuple([Fraction(1)] * (n - 1) + [Fraction(1, 2)])
+        return (2,) * (n - 1) + (1,)
     if ct.family == "C":
-        return tuple([Fraction(1, 2)] * (n - 1) + [Fraction(1)])
-    return tuple([Fraction(1)] * n)
+        return (1,) * (n - 1) + (2,)
+    return (2,) * n
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,6 +232,29 @@ class RootDatum:
         coordinates; raises KeyError if the vector is not a root."""
         return self._fw_index[tuple(fw)]
 
+    @cached_property
+    def inverse_cartan(self):
+        """(den, rows): the inverse of the Cartan matrix as integer rows
+        over one common denominator, solved once per datum by
+        fraction-free Gauss-Jordan elimination on [A | I]."""
+        n = self.rank
+        a = [list(row) + [int(i == j) for j in range(n)]
+             for i, row in enumerate(self.cartan)]
+        for col in range(n):
+            piv = next(r for r in range(col, n) if a[r][col] != 0)
+            a[col], a[piv] = a[piv], a[col]
+            p = a[col]
+            for r in range(n):
+                f = a[r][col]
+                if r != col and f != 0:
+                    row = [p[col] * x - f * y for x, y in zip(a[r], p)]
+                    g = gcd(*row)
+                    a[r] = [x // g for x in row]
+        # row r now reads a[r][r] * e_r | a[r][r] * (row r of A^-1)
+        den = lcm(*(abs(a[r][r]) for r in range(n)))
+        return den, tuple(
+            tuple(x * (den // a[r][r]) for x in a[r][n:]) for r in range(n))
+
 
 def _root_fw(coeffs, cartan):
     n = len(coeffs)
@@ -246,7 +272,7 @@ def build_root_datum(ct: CartanType) -> RootDatum:
         ct = CartanType.parse(ct)
     n = ct.rank
     cartan = _cartan_matrix(ct)
-    dsym = _symmetrizers(ct)
+    norms = _simple_norms(ct)
 
     # closure by height
     levels = [set(), {tuple(1 if j == i else 0 for j in range(n)) for i in range(n)}]
@@ -274,24 +300,25 @@ def build_root_datum(ct: CartanType) -> RootDatum:
     ordered = sorted(allpos, key=lambda c: (sum(c), c))
 
     def make_root(coeffs):
+        # (beta, beta) = sum_i c_i (alpha_i, alpha_i) fw_i / 2, and the
+        # coroot coordinates are c_i (alpha_i, alpha_i) / (beta, beta)
         fw = _root_fw(coeffs, cartan)
-        norm2 = sum(
-            Fraction(c) * d * f for c, d, f in zip(coeffs, dsym, fw)
-        )
-        if norm2 not in (1, 2):
-            raise AssertionError(f"unexpected root length {norm2} for {coeffs}")
+        twice = sum(c * e * f for c, e, f in zip(coeffs, norms, fw))
+        if twice not in (2, 4):
+            raise AssertionError(
+                f"unexpected root length {Fraction(twice, 2)} for {coeffs}")
         cvec = []
-        for c, d in zip(coeffs, dsym):
-            val = Fraction(2) * c * d / norm2
-            if val.denominator != 1:
+        for c, e in zip(coeffs, norms):
+            val, rem = divmod(2 * c * e, twice)
+            if rem:
                 raise AssertionError(f"non-integral coroot for {coeffs}")
-            cvec.append(int(val))
+            cvec.append(val)
         return Root(
             coeffs=tuple(coeffs),
             height=sum(coeffs),
             fw=fw,
             coroot=Coroot(tuple(cvec)),
-            norm2=int(norm2),
+            norm2=twice // 2,
         )
 
     roots = tuple(make_root(c) for c in ordered)
@@ -351,28 +378,11 @@ def fundamental_weight(d: RootDatum, i: int) -> Weight:
     return Weight(tuple(1 if j == i - 1 else 0 for j in range(d.rank)))
 
 
-def _inverse_cartan(d: RootDatum):
-    """Exact inverse of the Cartan matrix (list of Fraction rows)."""
-    n = d.rank
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(d.cartan)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
 def fundamental_coweight(d: RootDatum, i: int) -> Coroot:
     """varpi_i-vee in simple-coroot coordinates: column i of the inverse
     Cartan matrix (rational in general)."""
-    inv = _inverse_cartan(d)
-    return Coroot(tuple(inv[k][i - 1] for k in range(d.rank)))
+    den, inv = d.inverse_cartan
+    return Coroot(tuple(Fraction(row[i - 1], den) for row in inv))
 
 
 def reflection_length(d: RootDatum, beta: Root) -> int:

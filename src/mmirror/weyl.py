@@ -14,12 +14,13 @@ descents are read the same way off w^{-1}.rho.
 
 A coset w W_P of a minuscule node (or of the B_n quadric node) is its
 weight mu = w.varpi_node, and the library moves between cosets on weights
-only: w s_beta lies in the coset of mu - <varpi_node, beta-vee> w.beta and
-has the length of the descent of w.rho - <rho, beta-vee> w.beta
-(reflect_coset), which gives Bruhat covers and the Chevalley rule; the
-Poincare dual of mu is w0.mu, since w0P fixes varpi_node.  Products,
-inverses, pi_P and the special elements stay as the element-level
-reference that the tests compare against.
+only: w s_beta lies in the coset of mu - <varpi_node, beta-vee> w.beta
+(reflect_coset, a dict lookup) and has the length of the descent of
+w.rho - <rho, beta-vee> w.beta (reflect_length, asked only when the
+coset's length can match), which gives Bruhat covers and the Chevalley
+rule; the Poincare dual of mu is w0.mu, since w0P fixes varpi_node.
+Products, inverses, pi_P and the special elements stay as the
+element-level reference that the tests compare against.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import mul
 
 from .rootsys import (
@@ -58,6 +60,7 @@ __all__ = [
     "minuscule_coset_reps",
     "pi_P",
     "reflect_coset",
+    "reflect_length",
     "bruhat_covers_up",
     "w_gamma_set",
     "special_elements",
@@ -88,7 +91,7 @@ def _matmul(a, b):
 
 
 def _matvec(m, v):
-    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def _identity_matrix(n):
@@ -185,10 +188,14 @@ def act_root(d: RootDatum, w: WeylElt, root: Root):
 
 
 def act_coweight(w: WeylElt, covec) -> tuple:
-    """Coweights transform by the transpose of the inverse action."""
+    """Coweights transform by the transpose of the inverse action; the
+    sums run in integers over the common denominator of covec, and each
+    coordinate comes back as a Fraction."""
     cc = covec.coeffs if hasattr(covec, "coeffs") else tuple(covec)
-    n = len(cc)
-    return tuple(sum(w.inv_action[j][k] * cc[j] for j in range(n)) for k in range(n))
+    den = lcm(*(x.denominator for x in cc))
+    nums = [x.numerator * (den // x.denominator) for x in cc]
+    return tuple(Fraction(sum(map(mul, col, nums)), den)
+                 for col in zip(*w.inv_action))
 
 
 def longest_element(d: RootDatum, J=None) -> WeylElt:
@@ -258,18 +265,26 @@ def pi_P(d: RootDatum, I_P, w: WeylElt) -> WeylElt:
     return from_word(d, _descent_word(d, act_weight(w, lam)))
 
 
-def reflect_coset(d: RootDatum, reps: CosetReps, c: int, beta: Root):
-    """(index, length) of w s_beta for w = reps.reps[c], read off vectors:
-    w s_beta . varpi = mu - <varpi, beta-vee> w.beta names its coset, and
-    its length is the descent length of w.rho - <rho, beta-vee> w.beta."""
+def reflect_coset(reps: CosetReps, c: int, beta: Root) -> int:
+    """Index of the coset of w s_beta for w = reps.reps[c]: its weight
+    w s_beta . varpi = mu - <varpi, beta-vee> w.beta, found by a dict
+    lookup.  Since ell(w s_beta) is at least the length of that coset, a
+    caller that needs w s_beta to have a given length compares the
+    coset's length first and asks reflect_length only when it can match."""
+    w_beta = _matvec(reps.reps[c].action, beta.fw)
+    k = beta.coroot.coeffs[reps.parabolic.node - 1]
+    return reps.index_of_weight(
+        [m - k * b for m, b in zip(reps.weights[c], w_beta)])
+
+
+def reflect_length(d: RootDatum, reps: CosetReps, c: int, beta: Root) -> int:
+    """ell(w s_beta) for w = reps.reps[c]: the descent length of
+    w s_beta . rho = w.rho - <rho, beta-vee> w.beta."""
     w = reps.reps[c]
     w_beta = _matvec(w.action, beta.fw)
-    cv = beta.coroot.coeffs
-    k = cv[reps.parabolic.node - 1]
-    h = sum(cv)
-    mu = tuple(m - k * b for m, b in zip(reps.weights[c], w_beta))
-    w_rho = [sum(row) - h * b for row, b in zip(w.action, w_beta)]
-    return reps.index_of_weight(mu), len(_descent_word(d, w_rho))
+    h = sum(beta.coroot.coeffs)
+    return len(_descent_word(
+        d, [sum(row) - h * b for row, b in zip(w.action, w_beta)]))
 
 
 def bruhat_covers_up(d: RootDatum, reps: CosetReps, c: int):
@@ -283,8 +298,9 @@ def bruhat_covers_up(d: RootDatum, reps: CosetReps, c: int):
     for beta in d.positive_roots:
         if beta.coeffs in levi:
             continue
-        r, length = reflect_coset(d, reps, c, beta)
-        if length == up == reps.reps[r].length:
+        r = reflect_coset(reps, c, beta)
+        if (reps.reps[r].length == up
+                and reflect_length(d, reps, c, beta) == up):
             out.append((beta, r))
     return out
 

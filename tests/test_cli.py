@@ -9,7 +9,7 @@ from math import comb
 import pytest
 
 import mmirror.cli as cli
-from mmirror import minrep, period_gw, qchev, rootsys, weyl
+from mmirror import crystal_potential, minrep, period_gw, qchev, rootsys, weyl
 from mmirror.cli import _load_case_list, main
 from mmirror.qchev import ConnMatrix
 
@@ -384,15 +384,17 @@ def test_verify_builds_case_objects_once(capsys, monkeypatch, cartan, node):
         return counted
 
     # wrap every module-level binding, so that no route escapes the count
-    for module in (cli, rootsys, weyl, qchev, minrep, period_gw):
-        for name in ("weight_orbit", "minuscule_coset_reps", "fw_matrix"):
+    for module in (cli, rootsys, weyl, qchev, minrep, period_gw,
+                   crystal_potential):
+        for name in ("build_root_datum", "weight_orbit",
+                     "minuscule_coset_reps", "fw_matrix"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
                                     counting(name, getattr(module, name)))
     code, doc = run_json(capsys, "verify", cartan, "--node", str(node))
     assert code == 0 and doc["pass"]
-    assert calls == {"weight_orbit": 1, "minuscule_coset_reps": 1,
-                     "fw_matrix": 1}
+    assert calls == {"build_root_datum": 1, "weight_orbit": 1,
+                     "minuscule_coset_reps": 1, "fw_matrix": 1}
 
 
 @pytest.mark.parametrize("cartan,node", [("A3", 2), ("D4", 1)])

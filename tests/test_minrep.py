@@ -2,14 +2,21 @@ from fractions import Fraction
 
 import pytest
 
-from mmirror.rootsys import CartanType, build_root_datum, fundamental_coweight
+from mmirror.rootsys import (
+    CartanType,
+    build_root_datum,
+    fundamental_coweight,
+    minuscule_nodes,
+)
 from mmirror.qchev import (
+    ConnMatrix,
     LaurentPoly,
     fw_matrix,
     mihalcea_equivariant,
     quantum_chevalley_minuscule,
 )
 from mmirror.minrep import (
+    _coweight_diagonal,
     build_rep,
     equivariant_fg,
     fg_connection,
@@ -167,6 +174,61 @@ def test_equivariant_diagonal_is_moved_coweight():
                     == -moved[j], (ct, node, c, j)
 
 
+def minuscule_cases(max_rank=7):
+    """Every minuscule (type, node) up to max_rank, plus E6 and E7."""
+    out = []
+    for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 4)):
+        for n in range(low, max_rank + 1):
+            ct = CartanType(family, n)
+            out.extend((str(ct), node) for node in minuscule_nodes(ct))
+    return out + [("E6", 1), ("E6", 6), ("E7", 7)]
+
+
+def fraction_inverse_cartan(d):
+    """A^-1 by Gauss-Jordan over Fractions."""
+    n = d.rank
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(d.cartan)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def test_integer_coweights_equal_fraction_formulas():
+    # act_coweight (Chevalley side) and _coweight_diagonal (rep side) sum
+    # in integers over one denominator; both equal the Fraction formulas
+    # on every rep of every minuscule case up to rank 7 and E7
+    for ct, node in minuscule_cases():
+        rep = R(ct, node)
+        d = rep.datum
+        n = d.rank
+        inv = fraction_inverse_cartan(d)
+        cov = tuple(inv[k][node - 1] for k in range(n))
+        assert fundamental_coweight(d, node).coeffs == cov, (ct, node)
+        one, half = Fraction(1), Fraction(1, 2)
+        dsym = {"B": [one] * (n - 1) + [half],
+                "C": [half] * (n - 1) + [one]}.get(d.cartan_type.family,
+                                                  [one] * n)
+        diagonal = _coweight_diagonal(rep)
+        for w, mu, got in zip(rep.reps.reps, rep.reps.weights, diagonal):
+            want = tuple(
+                dsym[k] / dsym[node - 1]
+                * sum(mu[j] * inv[j][k] for j in range(n))
+                for k in range(n))
+            assert got == want, (ct, node, mu)
+            moved = act_coweight(w, cov)
+            assert moved == tuple(
+                sum(w.inv_action[j][k] * cov[j] for j in range(n))
+                for k in range(n)), (ct, node, w)
+            assert all(isinstance(x, Fraction) for x in got + moved)
+
+
 def test_xtheta_entries_binary():
     for ct, node in [("A4", 2), ("B3", 3), ("D4", 3)]:
         for _, _, v in xtheta_matrix(R(ct, node)).nonzeros():
@@ -193,6 +255,37 @@ def test_mirror_identity_small(ct, node):
     assert fg_connection(rep) == quantum_chevalley_minuscule(
         rep.datum, rep.reps, node
     )
+
+
+def dense_fg(rep):
+    """f + q x_theta summed cell by cell from the dense operator matrices."""
+    ys = [m.matrix for name, m in generator_matrices(rep).items()
+          if name.startswith("y")]
+    xt = xtheta_matrix(rep).matrix
+    return ConnMatrix.build(
+        rep.reps, ("q",),
+        lambda r, c: LaurentPoly(
+            ("q",), {(0,): sum(y[r][c] for y in ys), (1,): xt[r][c]}))
+
+
+@pytest.mark.parametrize("ct,node", [
+    ("A1", 1), ("A4", 2), ("B4", 4), ("C4", 1), ("D5", 1), ("D5", 4),
+    ("D5", 5), ("E6", 1), ("E6", 6), ("E7", 7),
+])
+def test_fg_connection_equals_dense_reference(ct, node):
+    # the root_step walk builds only the reached cells; every cell equals
+    # the dense sum, every coefficient is a nonzero Fraction, and the
+    # empty cells are one shared zero
+    rep = R(ct, node)
+    m = fg_connection(rep)
+    assert m == dense_fg(rep)
+    cells = [e for row in m.entries for e in row]
+    for e in cells:
+        assert all(isinstance(v, Fraction) and v != 0
+                   for v in e.terms.values())
+    assert len({id(e) for e in cells if e.is_zero()}) == 1
+    # at most one f step per simple root and one x_theta step per column
+    assert sum(len(e.terms) for e in cells) <= rep.dim * (rep.datum.rank + 1)
 
 
 def test_spinor_coincidence_b3_d4():

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmirror import weyl
 from mmirror.rootsys import CartanType, build_root_datum
 from mmirror.qchev import (
     ConnMatrix,
     LaurentPoly,
     check_homogeneous,
     fw_matrix,
+    lift_equivariant,
     matrix_relation,
     mihalcea_equivariant,
     poincare_self_adjoint,
@@ -348,6 +350,51 @@ def test_weight_route_matches_product_route(ct, node):
         }
 
 
+def test_lengths_asked_only_where_a_term_is_possible(monkeypatch):
+    # fw_matrix and the covers compare the reflected coset's length first;
+    # on E7 n7 they run a descent for at most a tenth of the (column, root)
+    # pairs they try
+    d, reps = case("E7", 7)
+    levi = {r.coeffs for r in reps.parabolic.levi_positive_roots}
+    pairs = len(reps) * sum(1 for b in d.positive_roots
+                            if b.coeffs not in levi)
+    assert pairs == 1512
+    calls = []
+    original = weyl._descent_word
+
+    def counted(d, mu):
+        calls.append(mu)
+        return original(d, mu)
+
+    monkeypatch.setattr(weyl, "_descent_word", counted)
+    fw_matrix(d, reps, 7)
+    assert 0 < 10 * len(calls) <= pairs
+    calls.clear()
+    for c in range(len(reps)):
+        bruhat_covers_up(d, reps, c)
+    assert 0 < 10 * len(calls) <= pairs
+
+
+def _assert_clean(m):
+    """Every term of every entry has an int exponent tuple of the right
+    arity and a nonzero Fraction coefficient, and the empty cells are one
+    shared zero."""
+    cells = [e for row in m.entries for e in row]
+    for e in cells:
+        assert e.variables == m.variables
+        for exps, v in e.terms.items():
+            assert len(exps) == len(m.variables)
+            assert all(type(x) is int for x in exps)
+            assert isinstance(v, Fraction) and v != 0
+    assert len({id(e) for e in cells if e.is_zero()}) == 1
+
+
+@pytest.mark.parametrize("ct,node", [("A4", 2), ("B4", 1), ("E6", 6)])
+def test_fw_matrix_entries_are_clean(ct, node):
+    d, reps = case(ct, node)
+    _assert_clean(fw_matrix(d, reps, node))
+
+
 def test_odd_quadric_b3_products():
     d = D("B3")
     reps = minuscule_coset_reps(d, 1)
@@ -465,6 +512,36 @@ def test_mihalcea_specializes_to_quantum():
                         assert r == c  # h only on the diagonal
                 assert LaurentPoly(("q",), qpart) == mq.entry(r, c)
         del hzero
+
+
+@pytest.mark.parametrize("ct,node", [("A3", 2), ("B3", 3), ("C4", 1),
+                                     ("D5", 5), ("E6", 1)])
+def test_lift_equivariant_adds_only_diagonal_terms(ct, node):
+    # every off-diagonal entry is the original re-keyed with zero h
+    # exponents; the diagonal adds -diagonal[c] on h_j
+    d, reps = case(ct, node)
+    m = fw_matrix(d, reps, node)
+    rank = d.rank
+    diagonal = [tuple(Fraction(c + 1, j + 2) * (-1) ** j for j in range(rank))
+                for c in range(len(reps))]
+    lifted = lift_equivariant(m, diagonal)
+    V = lifted.variables
+    assert V == ("q",) + tuple(f"h{j}" for j in range(1, rank + 1))
+    pad = (0,) * rank
+    for r in range(m.size):
+        for c in range(m.size):
+            rekeyed = LaurentPoly(V, {k + pad: v for k, v in
+                                      m.entry(r, c).terms.items()})
+            if r != c:
+                assert lifted.entry(r, c) == rekeyed, (r, c)
+            else:
+                want = rekeyed
+                for j, coeff in enumerate(diagonal[c]):
+                    want = want - LaurentPoly.var(V, f"h{j + 1}",
+                                                  coeff=coeff)
+                assert lifted.entry(r, c) == want, c
+    _assert_clean(lifted)
+    _assert_clean(mihalcea_equivariant(d, m, node))
 
 
 def test_mihalcea_trace_zero():

@@ -313,6 +313,47 @@ def test_fundamental_coweight_a2():
         assert val == (1 if j == 1 else 0)
 
 
+def all_types(max_rank=8):
+    out = [CartanType("E", 6), CartanType("E", 7)]
+    for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 4)):
+        out.extend(CartanType(family, n) for n in range(low, max_rank + 1))
+    return out
+
+
+def test_inverse_cartan_is_exact():
+    # integer rows over one denominator: A . rows = den . I, and the
+    # fundamental coweights are its columns over den
+    for ct in all_types():
+        d = build_root_datum(ct)
+        den, rows = d.inverse_cartan
+        n = d.rank
+        assert den > 0 and all(type(x) is int for row in rows for x in row)
+        for i in range(n):
+            for j in range(n):
+                got = sum(d.cartan[i][k] * rows[k][j] for k in range(n))
+                assert got == den * (i == j), (ct, i, j)
+        for node in range(1, n + 1):
+            assert fundamental_coweight(d, node).coeffs == tuple(
+                Fraction(rows[k][node - 1], den) for k in range(n))
+        assert d.inverse_cartan is d.inverse_cartan   # solved once
+
+
+def test_root_lengths_and_coroots_match_fraction_formula():
+    # make_root works in integers; against (beta, beta) = sum c_i d_i fw_i
+    # and beta-vee = 2 beta / (beta, beta) with Fraction symmetrizers
+    for ct in all_types(7):
+        d = build_root_datum(ct)
+        n = d.rank
+        one, half = Fraction(1), Fraction(1, 2)
+        dsym = {"B": [one] * (n - 1) + [half],
+                "C": [half] * (n - 1) + [one]}.get(ct.family, [one] * n)
+        for r in d.positive_roots:
+            norm2 = sum(c * s * f for c, s, f in zip(r.coeffs, dsym, r.fw))
+            assert r.norm2 == norm2 and type(r.norm2) is int, (ct, r)
+            assert r.coroot.coeffs == tuple(
+                2 * c * s / norm2 for c, s in zip(r.coeffs, dsym)), (ct, r)
+
+
 def test_fundamental_weight_pairing():
     d = build_root_datum(CartanType("B", 3))
     w = fundamental_weight(d, 3)

@@ -16,6 +16,8 @@ from mmirror.weyl import (
     multiply,
     pd,
     pi_P,
+    reflect_coset,
+    reflect_length,
     reflection,
     simple_reflection,
     special_elements,
@@ -72,6 +74,7 @@ def test_act_coweight_preserves_pairing():
     lhs = sum(a * b for a, b in zip(act_weight(w, lam), act_coweight(w, cov)))
     rhs = sum(a * b for a, b in zip(lam.coeffs, cov))
     assert lhs == rhs
+
 
 
 # ----------------------------------------------------------- longest elements
@@ -332,6 +335,36 @@ def test_wPQ_sgamma_length_identity():
 
 
 # ------------------------------------------------------------ Poincare duality
+
+@pytest.mark.parametrize("ct,node", [
+    ("A4", 2), ("B4", 4), ("C4", 1), ("D5", 5), ("B4", 1), ("E6", 6),
+    ("E7", 7),
+])
+def test_reflect_coset_matches_product_route(ct, node):
+    # the coset index of w s_beta, for every (column, root) pair, and its
+    # length wherever the coset's length admits a term (ell(w) + 1, or
+    # ell(w) + 1 - <2(rho - rho_P), beta-vee>), against multiply / pi_P
+    d = D(ct)
+    reps = minuscule_coset_reps(d, node)
+    p = reps.parabolic
+    levi = {r.coeffs for r in p.levi_positive_roots}
+    two_rho_diff = [2 - 2 * x for x in p.rho_P.coeffs]
+    admitted = 0
+    for c, w in enumerate(reps.reps):
+        for beta in d.positive_roots:
+            if beta.coeffs in levi:
+                continue
+            elt = multiply(d, w, reflection(d, beta))
+            r = reflect_coset(reps, c, beta)
+            assert r == reps.index_of(pi_P(d, p.I_P, elt)), (c, beta)
+            drop = sum(t * x for t, x in zip(two_rho_diff,
+                                             beta.coroot.coeffs))
+            if reps.reps[r].length in (w.length + 1, w.length + 1 - drop):
+                assert reflect_length(d, reps, c, beta) == elt.length, \
+                    (c, beta)
+                admitted += 1
+    assert admitted >= len(reps) - 1   # at least every classical cover
+
 
 def test_pd_involution():
     for ct, node in [("A3", 2), ("B3", 3), ("D4", 1)]:
