@@ -66,10 +66,10 @@ from .weyl import minuscule_coset_reps, pd, w_gamma_set
 WRONSKIAN_TOL = 1e-8
 
 # Largest coset orbit (number of Schubert classes) a case may have.  The
-# connection matrices are built from their nonzero cells, about
-# (rank + 1) per column, but they are stored, compared and checked as
-# n x n tables whose empty cells share one zero: ~2.6e5 cells each at
-# this size.  Larger orbits are refused before anything is enumerated.
+# connection matrices are built, stored, compared and checked as their
+# nonzero cells, about (rank + 1) per column; only the dense `chevalley`
+# output is n x n (~2.6e5 cells at this size).  Larger orbits are refused
+# before anything is enumerated.
 MAX_ORBIT_SIZE = 512
 
 # Largest root datum (number of positive roots) a case may build; refused
@@ -230,10 +230,10 @@ class Case:
 
 def _first_difference(A, B) -> str:
     """Where two matrices over the same basis first differ, as text."""
-    for r, (row_a, row_b) in enumerate(zip(A.entries, B.entries)):
-        for c, (a, b) in enumerate(zip(row_a, row_b)):
-            if a != b:
-                return f" at ({r}, {c}): {a.render()} vs {b.render()}"
+    for r, c in sorted(A.cells.keys() | B.cells.keys()):
+        a, b = A.entry(r, c), B.entry(r, c)
+        if a != b:
+            return f" at ({r}, {c}): {a.render()} vs {b.render()}"
     return ""
 
 
@@ -259,16 +259,15 @@ def _check_wgamma_positions(case) -> None:
     want = _wgamma_positions(case.d, reps)
     q = LaurentPoly.var(M.variables, "q")
     zero = LaurentPoly(M.variables)
-    for r, row in enumerate(M.entries):
-        for c, entry in enumerate(row):
-            qterms = {e: v for e, v in entry.terms.items() if any(e)}
-            expect = q if (r, c) in want else zero
-            if qterms != expect.terms:
-                qpart = LaurentPoly(M.variables, qterms)
-                raise CheckFailure(
-                    f"q-part at ({r}, {c}) is {qpart.render()} but W(gamma) "
-                    f"gives {expect.render()} (column w = {reps.reps[c]!r})"
-                )
+    for r, c in sorted(M.cells.keys() | want):
+        qterms = {e: v for e, v in M.entry(r, c).terms.items() if any(e)}
+        expect = q if (r, c) in want else zero
+        if qterms != expect.terms:
+            qpart = LaurentPoly(M.variables, qterms)
+            raise CheckFailure(
+                f"q-part at ({r}, {c}) is {qpart.render()} but W(gamma) "
+                f"gives {expect.render()} (column w = {reps.reps[c]!r})"
+            )
 
 
 def _check_mirror(case, D, budget):
@@ -361,10 +360,6 @@ def _check_gr24_products(case, D, budget):
     m = case.matrix
     q = LaurentPoly.var(m.variables, "q")
     one = LaurentPoly.const(m.variables, 1)
-
-    def col(c):
-        return {r: e for r, e in enumerate(m.column(c)) if not e.is_zero()}
-
     golden = {
         1: {2: one, 3: one},   # s1*s1 = s11 + s2
         2: {4: one},           # s1*s11 = s21
@@ -373,7 +368,7 @@ def _check_gr24_products(case, D, budget):
         5: {1: q},             # s1*s22 = q s1
     }
     for c, want in golden.items():
-        if col(c) != want:
+        if m.column(c) != want:
             raise CheckFailure(f"column {c} differs from the golden product")
     return "five golden columns match"
 
@@ -408,13 +403,9 @@ def _check_fw_products(case, D, budget):
     q = LaurentPoly.var(m.variables, "q")
     if m.entry(n, n - 1) != two:
         raise CheckFailure("middle product is not doubled")
-
-    def col(c):
-        return {r: e for r, e in enumerate(m.column(c)) if not e.is_zero()}
-
-    if col(2 * n - 2) != {2 * n - 1: one, 0: q}:
+    if m.column(2 * n - 2) != {2 * n - 1: one, 0: q}:
         raise CheckFailure("penultimate column misses sigma_top + q")
-    if col(2 * n - 1) != {1: q}:
+    if m.column(2 * n - 1) != {1: q}:
         raise CheckFailure("top column is not q sigma_1")
     return "doubling, +q, and wrap products match"
 

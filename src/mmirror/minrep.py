@@ -167,8 +167,7 @@ def fg_connection(rep: MinusculeRep) -> ConnMatrix:
     the index identification v_w = sigma_w this is the mirror counterpart
     of the quantum Chevalley matrix.  f = sum_j y_j and x_theta are walked
     from each column's weight with root_step, rank + 1 steps per column,
-    and only the cells they reach are built; every other cell is one
-    shared zero."""
+    and only the cells they reach are built."""
     d = rep.datum
     reps = rep.reps
     steps = [(simple_root(d, j), -1, (0,)) for j in range(1, d.rank + 1)]
@@ -201,19 +200,17 @@ def zeta_rescaling_consistent(rep: MinusculeRep, M: ConnMatrix) -> bool:
     lengths = [w.length for w in rep.reps.reps]
     variables = ("q", "z")
     z = LaurentPoly.var(variables, "z")
-    for r in range(M.size):
-        for col in range(M.size):
-            entry = M.entry(r, col)
-            lifted = LaurentPoly(
-                variables,
-                {
-                    (k[0], lengths[r] - lengths[col] + c * k[0]): v
-                    for k, v in entry.terms.items()
-                },
-            )
-            want = z * LaurentPoly(
-                variables, {(k[0], 0): v for k, v in entry.terms.items()}
-            )
-            if lifted != want:
-                return False
+    for (r, col), entry in M.cells.items():
+        lifted = LaurentPoly(
+            variables,
+            {
+                (k[0], lengths[r] - lengths[col] + c * k[0]): v
+                for k, v in entry.terms.items()
+            },
+        )
+        want = z * LaurentPoly(
+            variables, {(k[0], 0): v for k, v in entry.terms.items()}
+        )
+        if lifted != want:
+            return False
     return True

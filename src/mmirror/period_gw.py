@@ -59,20 +59,17 @@ def _linear_split(M: ConnMatrix):
     rows of nonzero (column, value) pairs."""
     if M.variables != ("q",):
         raise ValueError("expected a matrix over the single variable q")
-    d1, d2 = [], []
-    for row in M.entries:
-        r1, r2 = [], []
-        for c, entry in enumerate(row):
-            for exps, coeff in entry.terms.items():
-                if exps == (0,):
-                    r1.append((c, coeff))
-                elif exps == (1,):
-                    r2.append((c, coeff))
-                else:
-                    raise ValueError("matrix entry is not linear in q")
-        d1.append(tuple(r1))
-        d2.append(tuple(r2))
-    return tuple(d1), tuple(d2)
+    d1 = [[] for _ in range(M.size)]
+    d2 = [[] for _ in range(M.size)]
+    for (r, c), entry in sorted(M.cells.items()):
+        for exps, coeff in entry.terms.items():
+            if exps == (0,):
+                d1[r].append((c, coeff))
+            elif exps == (1,):
+                d2[r].append((c, coeff))
+            else:
+                raise ValueError("matrix entry is not linear in q")
+    return tuple(map(tuple, d1)), tuple(map(tuple, d2))
 
 
 def _sparse_matvec(rows, v):
@@ -368,8 +365,9 @@ def cyclic_scalar_operator(M: ConnMatrix, start) -> ScalarOperator:
         if len(start) != n:
             raise ValueError("covector length mismatch")
         row = [RatFunc.const(x) for x in start]
-    cols = [[(i, _entry_to_ratfunc(M.entry(i, j))) for i in range(n)
-             if not M.entry(i, j).is_zero()] for j in range(n)]
+    cols = [[] for _ in range(n)]
+    for (i, j), e in sorted(M.cells.items()):
+        cols[j].append((i, _entry_to_ratfunc(e)))
     zero = RatFunc.const(0)
 
     # basis row k: (pivot column, nonzero (column, value) pairs of the
@@ -464,9 +462,8 @@ def d4_split(M: ConnMatrix) -> D4Split:
         raise ValueError("expected the 8-dimensional quadric matrix")
     V = M.variables
     zero = LaurentPoly(V)
-    for r in range(8):
-        if M.entry(r, 3) != M.entry(r, 4):
-            raise ArithmeticError("middle columns disagree; no kernel line")
+    if M.column(3) != M.column(4):
+        raise ArithmeticError("middle columns disagree; no kernel line")
     kernel = (0, 0, 0, 1, -1, 0, 0, 0)
 
     # constant vectors killed identically in q: the joint kernel of the
@@ -502,20 +499,19 @@ def d4_split(M: ConnMatrix) -> D4Split:
         (0, 0, 0, 0, 0, 0, 1, 0),
         (0, 0, 0, 0, 0, 0, 0, 1),
     )
-    cols = []
-    for b in basis:
-        image = [sum((M.entry(r, c) * b[c] for c in range(8) if b[c]), zero)
-                 for r in range(8)]
+    cells = {}
+    for k, b in enumerate(basis):
+        image = [zero] * 8
+        for (r, c), e in M.cells.items():
+            if b[c]:
+                image[r] = image[r] + e * b[c]
         # rows 3 and 4 both express the coefficient of the summed middle
         # class; invariance demands they agree
         if image[3] != image[4]:
             raise ArithmeticError("complement is not invariant")
-        cols.append([image[0], image[1], image[2], image[3],
-                     image[5], image[6], image[7]])
-    entries = tuple(
-        tuple(cols[c][r] for c in range(7)) for r in range(7)
-    )
-    restricted = ConnMatrix(basis=None, variables=V, entries=entries)
+        for r, e in enumerate(image[:4] + image[5:]):
+            cells[r, k] = e
+    restricted = ConnMatrix.nonzero(None, V, 7, cells)
     return D4Split(kernel, basis, restricted)
 
 
@@ -567,11 +563,8 @@ def bessel_operator_from_matrix(h) -> ScalarOperator:
     d = build_root_datum(CartanType("A", 1))
     M = mihalcea_equivariant(d, fw_matrix(d, minuscule_coset_reps(d, 1), 1),
                              1)
-    entries = tuple(
-        tuple(_substitute_h(M.entry(r, c), 2 * h) for c in range(2))
-        for r in range(2)
-    )
-    m2 = ConnMatrix(basis=None, variables=("q",), entries=entries)
+    m2 = ConnMatrix.nonzero(None, ("q",), 2, {
+        rc: _substitute_h(e, 2 * h) for rc, e in M.cells.items()})
     return cyclic_scalar_operator(m2, 1)
 
 
@@ -704,23 +697,16 @@ def jacobian_pn_check(n: int) -> bool:
     for i in range(size):
         diag = M.entry(i, i)
         diag_sum = diag_sum + diag
-        shifted = ConnMatrix(
-            basis=None, variables=Vm,
-            entries=tuple(
-                tuple(M.entry(r, c) - diag if r == c else M.entry(r, c)
-                      for c in range(size))
-                for r in range(size)
-            ),
-        )
+        cells = dict(M.cells)
+        for r in range(size):
+            cells[r, r] = M.entry(r, r) - diag
+        shifted = ConnMatrix.nonzero(None, Vm, size, cells)
         prod = shifted if prod is None else prod.mat_mul(shifted)
     if not diag_sum.is_zero():
         return False
     qv = LaurentPoly.var(Vm, "q")
-    for r in range(size):
-        for c in range(size):
-            want = qv if r == c else LaurentPoly(Vm)
-            if prod.entry(r, c) != want:
-                return False
+    if prod.cells != {(r, r): qv for r in range(size)}:
+        return False
 
     # (iii) non-equivariant matrix relation X^{n+1} = q
     Vq = ("X", "q")

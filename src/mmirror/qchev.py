@@ -12,7 +12,10 @@ torus-equivariant matrix, with a linear form in h_1..h_r on the diagonal
 as in Mihalcea's formula, are derived from it.
 
 Matrices use the column convention: column w holds the expansion of the
-operator applied to the basis class sigma_w.
+operator applied to the basis class sigma_w.  A ConnMatrix is held as its
+nonzero cells only, about (rank + 1) per column, and every consumer
+(equality, the invariants, products) walks those cells; the dense table
+is a view for output.
 """
 
 from __future__ import annotations
@@ -222,92 +225,66 @@ class LaurentPoly:
 
 @dataclass(frozen=True, eq=False)
 class ConnMatrix:
-    """Square matrix over LaurentPoly indexed by a CosetReps basis; column w
-    is the operator applied to sigma_w."""
+    """Square matrix over LaurentPoly indexed by a CosetReps basis (None
+    for a matrix on another basis); column w is the operator applied to
+    sigma_w.  cells maps (row, col) to a nonzero LaurentPoly and is the
+    only store: every other entry is zero."""
 
     basis: CosetReps
     variables: tuple
-    entries: tuple
-
-    @property
-    def size(self):
-        return len(self.entries)
+    size: int
+    cells: dict
 
     def entry(self, r, c):
-        return self.entries[r][c]
+        e = self.cells.get((r, c))
+        return LaurentPoly(self.variables) if e is None else e
+
+    @property
+    def entries(self):
+        """The dense n x n table, for output only."""
+        zero = LaurentPoly(self.variables)
+        n = self.size
+        return tuple(tuple(self.cells.get((r, c), zero) for c in range(n))
+                     for r in range(n))
 
     def __eq__(self, other):
         return (
             isinstance(other, ConnMatrix)
             and self.variables == other.variables
-            and self.entries == other.entries
+            and self.size == other.size
+            and self.cells == other.cells
         )
 
     def column(self, c):
-        return tuple(self.entries[r][c] for r in range(self.size))
-
-    def mat_add(self, other):
-        return ConnMatrix(
-            basis=self.basis,
-            variables=self.variables,
-            entries=tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
-
-    def mat_scale(self, s):
-        return ConnMatrix(
-            basis=self.basis,
-            variables=self.variables,
-            entries=tuple(tuple(e * s for e in row) for row in self.entries),
-        )
+        """The nonzero entries of column c as {row: entry}, by row."""
+        return {r: self.cells[r, c] for r in range(self.size)
+                if (r, c) in self.cells}
 
     def mat_mul(self, other):
-        n = self.size
-        zero = LaurentPoly(self.variables)
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.terms and b.terms:
-                        acc = acc + a * b
-                row.append(acc)
-            rows.append(tuple(row))
-        return ConnMatrix(basis=self.basis, variables=self.variables,
-                          entries=tuple(rows))
+        """The product, summed over pairs of nonzero cells."""
+        by_row = {}
+        for (k, c), b in other.cells.items():
+            by_row.setdefault(k, []).append((c, b))
+        acc = {}
+        for (r, k), a in self.cells.items():
+            for c, b in by_row.get(k, ()):
+                acc[r, c] = acc[r, c] + a * b if (r, c) in acc else a * b
+        return ConnMatrix.nonzero(self.basis, self.variables, self.size, acc)
 
-    def is_zero(self):
-        return all(e.is_zero() for row in self.entries for e in row)
+    @staticmethod
+    def nonzero(basis, variables, size, cells: dict) -> "ConnMatrix":
+        """The matrix of the nonzero LaurentPoly values of cells."""
+        return ConnMatrix(basis, variables, size,
+                          {rc: e for rc, e in cells.items() if e.terms})
 
     @staticmethod
     def from_cells(basis, variables: tuple, cells: dict) -> "ConnMatrix":
-        """The matrix whose entry (r, c) wraps cells[(r, c)], a terms dict
-        that is already clean (see LaurentPoly._clean); every other entry
-        is one shared zero."""
-        n = len(basis)
-        zero = LaurentPoly(variables)
-        rows = [[zero] * n for _ in range(n)]
-        for (r, c), terms in cells.items():
-            rows[r][c] = LaurentPoly._clean(variables, terms)
-        return ConnMatrix(basis=basis, variables=variables,
-                          entries=tuple(map(tuple, rows)))
-
-    @staticmethod
-    def build(basis, variables, fill):
-        """fill(r, c) -> LaurentPoly."""
-        n = len(basis)
-        return ConnMatrix(
-            basis=basis,
-            variables=tuple(variables),
-            entries=tuple(
-                tuple(fill(r, c) for c in range(n)) for r in range(n)
-            ),
-        )
+        """The matrix over ``basis`` whose cell (r, c) wraps cells[(r, c)],
+        a nonempty terms dict that is already clean (see
+        LaurentPoly._clean)."""
+        return ConnMatrix(basis, variables, len(basis), {
+            rc: LaurentPoly._clean(variables, terms)
+            for rc, terms in cells.items()})
 
 
 # --------------------------------------------------------------------------
@@ -372,17 +349,13 @@ def lift_equivariant(M: ConnMatrix, diagonal) -> ConnMatrix:
     """M over ("q",) lifted to ("q", "h1", .., "hr") with -<diagonal[c], h>
     added in column c, where diagonal[c] is a coweight in simple-coroot
     coordinates and h_j is the equivariant parameter on alpha_j-vee.
-    Only the diagonal gains terms: every other nonzero entry is M's,
-    re-keyed, and every empty cell is one shared zero."""
+    Only the diagonal gains terms: every other cell is M's, re-keyed."""
     rank = len(diagonal[0])
     variables = ("q",) + tuple(f"h{j}" for j in range(1, rank + 1))
     pad = (0,) * rank
     units = [(0,) + pad[:j] + (1,) + pad[j + 1:] for j in range(rank)]
-    cells = {}
-    for r, row in enumerate(M.entries):
-        for c, e in enumerate(row):
-            if e.terms:
-                cells[r, c] = {k + pad: v for k, v in e.terms.items()}
+    cells = {rc: {k + pad: v for k, v in e.terms.items()}
+             for rc, e in M.cells.items()}
     for c, coweight in enumerate(diagonal):
         shift = {unit: -Fraction(x)
                  for unit, x in zip(units, coweight) if x != 0}
@@ -408,29 +381,26 @@ def matrix_relation(M: ConnMatrix, relation: LaurentPoly) -> bool:
         raise ValueError("relation must involve only X and q")
     xi = relation.variables.index("X") if "X" in relation.variables else None
     qi = relation.variables.index("q") if "q" in relation.variables else None
-    n = M.size
     qvar = LaurentPoly.var(M.variables, "q")
-    ident = ConnMatrix.build(
-        M.basis, M.variables,
-        lambda r, c: LaurentPoly.const(M.variables, int(r == c)),
-    )
-
-    powers = {0: ident}
+    one = LaurentPoly.const(M.variables, 1)
+    powers = {0: ConnMatrix(M.basis, M.variables, M.size,
+                            {(i, i): one for i in range(M.size)})}
 
     def mat_power(k):
         if k not in powers:
             powers[k] = mat_power(k - 1).mat_mul(M)
         return powers[k]
 
-    acc = ident.mat_scale(LaurentPoly(M.variables))  # zero matrix
+    acc = {}
     for exps, coeff in relation.terms.items():
         a = exps[xi] if xi is not None else 0
         b = exps[qi] if qi is not None else 0
         if a < 0 or b < 0:
             raise ValueError("relation must be polynomial")
         scalar = LaurentPoly.const(M.variables, coeff) * (qvar ** b)
-        acc = acc.mat_add(mat_power(a).mat_scale(scalar))
-    return acc.is_zero()
+        for rc, e in mat_power(a).cells.items():
+            acc[rc] = acc[rc] + scalar * e if rc in acc else scalar * e
+    return all(e.is_zero() for e in acc.values())
 
 
 # --------------------------------------------------------------------------
@@ -455,24 +425,18 @@ def check_homogeneous(d: RootDatum, M: ConnMatrix, node: int) -> bool:
         else:
             raise ValueError(f"no degree rule for variable {v}")
     lengths = [w.length for w in M.basis.reps]
-    for r in range(M.size):
-        for c in range(M.size):
-            e = M.entries[r][c]
-            if e.is_zero():
-                continue
-            deg = e.weighted_degree(weights)
-            if deg is None or 2 * lengths[r] + deg != 2 * lengths[c] + 2:
-                return False
+    for (r, c), e in M.cells.items():
+        deg = e.weighted_degree(weights)
+        if deg is None or 2 * lengths[r] + deg != 2 * lengths[c] + 2:
+            return False
     return True
 
 
 def poincare_self_adjoint(M: ConnMatrix, dual) -> bool:
     """Self-adjointness for the Poincare pairing <sigma_u, sigma_v> =
     delta_{v, PD(u)}, with dual[i] the index of PD of basis class i (see
-    weyl.pd): M[PD(v), c] == M[PD(c), v] for all c, v."""
-    n = M.size
-    for c in range(n):
-        for v in range(n):
-            if M.entries[dual[v]][c] != M.entries[dual[c]][v]:
-                return False
-    return True
+    weyl.pd): M[PD(v), c] == M[PD(c), v] for all c, v.  As PD is an
+    involution, that is M[r, c] == M[PD(c), PD(r)] for every cell; a
+    cell whose mirror is absent fails, so absent cells need no walk."""
+    return all(M.entry(dual[c], dual[r]) == e
+               for (r, c), e in M.cells.items())

@@ -200,8 +200,10 @@ def act_coweight(w: WeylElt, covec) -> tuple:
 
 def longest_element(d: RootDatum, J=None) -> WeylElt:
     """Longest element of the standard parabolic W_J (J = all nodes when
-    omitted): the descent word of w0_J.rho = rho - 2 rho_J."""
-    J = range(1, d.rank + 1) if J is None else J
+    omitted): the descent word of w0_J.rho = rho - 2 rho_J, which for the
+    whole group is -rho, so no Levi data is built."""
+    if J is None:
+        return from_word(d, _descent_word(d, [-1] * d.rank))
     rho_J = levi_data(d, subset=J).rho_P.coeffs
     return from_word(d, _descent_word(d, [int(1 - 2 * x) for x in rho_J]))
 

@@ -252,10 +252,9 @@ def test_mirror_failure_names_first_difference(monkeypatch):
 
     def corrupted(rep):
         F = original(rep)
-        rows = [list(row) for row in F.entries]
-        rows[2][0] = rows[2][0] + 5
-        return ConnMatrix(basis=F.basis, variables=F.variables,
-                          entries=tuple(tuple(row) for row in rows))
+        cells = dict(F.cells)
+        cells[2, 0] = F.entry(2, 0) + 5
+        return ConnMatrix(F.basis, F.variables, F.size, cells)
 
     monkeypatch.setattr(cli, "fg_connection", corrupted)
     check = _mirror_check(cli._run_case({"cartan": "A2", "node": 1},
@@ -263,6 +262,23 @@ def test_mirror_failure_names_first_difference(monkeypatch):
     assert not check["pass"]
     assert "(2, 0)" in check["detail"]
     assert "0 vs 5" in check["detail"]
+
+
+def test_mirror_failure_names_missing_cell(monkeypatch):
+    # a cell the Chevalley side has and f + q x_theta lacks is named too
+    original = cli.fg_connection
+
+    def dropped(rep):
+        F = original(rep)
+        cells = dict(F.cells)
+        del cells[1, 0]
+        return ConnMatrix(F.basis, F.variables, F.size, cells)
+
+    monkeypatch.setattr(cli, "fg_connection", dropped)
+    check = _mirror_check(cli._run_case({"cartan": "A2", "node": 1},
+                                        None, 10_000))
+    assert not check["pass"]
+    assert check["detail"].endswith(" at (1, 0): 1 vs 0")
 
 
 def test_wgamma_position_failure_names_column(monkeypatch):
@@ -281,10 +297,9 @@ def test_equivariant_failure_names_first_difference(monkeypatch):
 
     def corrupted(d, matrix, node):
         M = original(d, matrix, node)
-        rows = [list(row) for row in M.entries]
-        rows[1][1] = rows[1][1] + 1
-        return ConnMatrix(basis=M.basis, variables=M.variables,
-                          entries=tuple(tuple(row) for row in rows))
+        cells = dict(M.cells)
+        cells[1, 1] = M.entry(1, 1) + 1
+        return ConnMatrix(M.basis, M.variables, M.size, cells)
 
     monkeypatch.setattr(cli, "mihalcea_equivariant", corrupted)
     report = cli._run_case({"cartan": "A2", "node": 1}, None, 10_000)
@@ -386,7 +401,7 @@ def test_verify_builds_case_objects_once(capsys, monkeypatch, cartan, node):
     # wrap every module-level binding, so that no route escapes the count
     for module in (cli, rootsys, weyl, qchev, minrep, period_gw,
                    crystal_potential):
-        for name in ("build_root_datum", "weight_orbit",
+        for name in ("build_root_datum", "weight_orbit", "levi_data",
                      "minuscule_coset_reps", "fw_matrix"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
@@ -394,7 +409,8 @@ def test_verify_builds_case_objects_once(capsys, monkeypatch, cartan, node):
     code, doc = run_json(capsys, "verify", cartan, "--node", str(node))
     assert code == 0 and doc["pass"]
     assert calls == {"build_root_datum": 1, "weight_orbit": 1,
-                     "minuscule_coset_reps": 1, "fw_matrix": 1}
+                     "levi_data": 1, "minuscule_coset_reps": 1,
+                     "fw_matrix": 1}
 
 
 @pytest.mark.parametrize("cartan,node", [("A3", 2), ("D4", 1)])

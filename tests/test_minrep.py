@@ -262,10 +262,11 @@ def dense_fg(rep):
     ys = [m.matrix for name, m in generator_matrices(rep).items()
           if name.startswith("y")]
     xt = xtheta_matrix(rep).matrix
-    return ConnMatrix.build(
-        rep.reps, ("q",),
-        lambda r, c: LaurentPoly(
-            ("q",), {(0,): sum(y[r][c] for y in ys), (1,): xt[r][c]}))
+    n = rep.dim
+    return ConnMatrix.nonzero(rep.reps, ("q",), n, {
+        (r, c): LaurentPoly(
+            ("q",), {(0,): sum(y[r][c] for y in ys), (1,): xt[r][c]})
+        for r in range(n) for c in range(n)})
 
 
 @pytest.mark.parametrize("ct,node", [
@@ -273,19 +274,18 @@ def dense_fg(rep):
     ("D5", 5), ("E6", 1), ("E6", 6), ("E7", 7),
 ])
 def test_fg_connection_equals_dense_reference(ct, node):
-    # the root_step walk builds only the reached cells; every cell equals
-    # the dense sum, every coefficient is a nonzero Fraction, and the
-    # empty cells are one shared zero
+    # the root_step walk builds only the reached cells: they are the
+    # nonzero cells of the dense sum, and every coefficient is a nonzero
+    # Fraction
     rep = R(ct, node)
     m = fg_connection(rep)
     assert m == dense_fg(rep)
-    cells = [e for row in m.entries for e in row]
-    for e in cells:
-        assert all(isinstance(v, Fraction) and v != 0
-                   for v in e.terms.values())
-    assert len({id(e) for e in cells if e.is_zero()}) == 1
+    for e in m.cells.values():
+        assert e.terms and all(isinstance(v, Fraction) and v != 0
+                               for v in e.terms.values())
     # at most one f step per simple root and one x_theta step per column
-    assert sum(len(e.terms) for e in cells) <= rep.dim * (rep.datum.rank + 1)
+    assert (sum(len(e.terms) for e in m.cells.values())
+            <= rep.dim * (rep.datum.rank + 1))
 
 
 def test_spinor_coincidence_b3_d4():

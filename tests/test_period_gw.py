@@ -41,8 +41,8 @@ def setup_case(ct, node):
 
 def one_by_one(value):
     return ConnMatrix(
-        basis=None, variables=("q",),
-        entries=((LaurentPoly.const(("q",), value),),),
+        basis=None, variables=("q",), size=1,
+        cells={(0, 0): LaurentPoly.const(("q",), value)},
     )
 
 
@@ -97,8 +97,8 @@ def test_period_rejects_nonnilpotent():
 
 def test_period_rejects_nonlinear_matrix():
     m = ConnMatrix(
-        basis=None, variables=("q",),
-        entries=((LaurentPoly(("q",), {(2,): Fraction(1)}),),),
+        basis=None, variables=("q",), size=1,
+        cells={(0, 0): LaurentPoly(("q",), {(2,): Fraction(1)})},
     )
     with pytest.raises(ValueError):
         quantum_period(m, 1)

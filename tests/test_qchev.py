@@ -18,6 +18,8 @@ from mmirror.qchev import (
     quantum_chevalley_minuscule,
 )
 from mmirror.cli import _wgamma_positions
+from mmirror.minrep import build_rep, equivariant_fg, fg_connection
+from mmirror.period_gw import d4_split
 from mmirror.weyl import (
     bruhat_covers_up,
     minuscule_coset_reps,
@@ -142,7 +144,7 @@ def test_projective_space_jordan_block():
 def test_gr24_first_column():
     d, reps = case("A3", 2)
     m = fw_matrix(d, reps, 2)
-    col = [e.constant_term() for e in m.column(1)]
+    col = [m.entry(r, 1).constant_term() for r in range(m.size)]
     # sigma_1 . sigma_1 = sigma_11 + sigma_2 (indices 2 and 3)
     assert col == [0, 0, 1, 1, 0, 0]
 
@@ -184,9 +186,7 @@ def test_projective_top_column_is_q():
     for n in (2, 3, 4, 5):
         d, reps = case(f"A{n - 1}", 1)
         m = quantum_chevalley_minuscule(d, reps, 1)
-        col = m.column(n - 1)
-        assert col[0] == LaurentPoly.var(("q",), "q")
-        assert all(e.is_zero() for e in col[1:])
+        assert m.column(n - 1) == {0: LaurentPoly.var(("q",), "q")}
 
 
 def test_gr24_golden_products():
@@ -194,10 +194,7 @@ def test_gr24_golden_products():
     m = quantum_chevalley_minuscule(d, reps, 2)
     q = LaurentPoly.var(("q",), "q")
     one = LaurentPoly.const(("q",), 1)
-
-    def col(c):
-        return {r: e for r, e in enumerate(m.column(c)) if not e.is_zero()}
-
+    col = m.column
     # basis order: 0 empty, 1 box, 2 (1,1), 3 (2), 4 (2,1), 5 (2,2)
     assert col(1) == {2: one, 3: one}          # s1*s1 = s11 + s2
     assert col(2) == {4: one}                  # s1*s11 = s21
@@ -215,7 +212,7 @@ def test_quantum_column_iff_w_gamma():
         wg = {reps.index_of(w) for w in w_gamma_set(d, reps)}
         for c in range(m.size):
             has_q = any(
-                any(k[0] > 0 for k in e.terms) for e in m.column(c)
+                any(k[0] > 0 for k in e.terms) for e in m.column(c).values()
             )
             assert has_q == (c in wg)
 
@@ -236,8 +233,7 @@ def test_d4_quadric_printed_matrix():
         7: {1: q},
     }
     for c in range(8):
-        got = {r: e for r, e in enumerate(m.column(c)) if not e.is_zero()}
-        assert got == expected_cols[c], f"column {c}"
+        assert m.column(c) == expected_cols[c], f"column {c}"
     # sigma3+ - sigma3- spans the kernel: columns 3 and 4 coincide,
     # and rows 3 and 4 coincide
     assert m.column(3) == m.column(4)
@@ -250,7 +246,7 @@ def _column(m, c):
     """Column c of a Chevalley matrix as {(q exponent, row): coefficient}."""
     return {
         (exps[0], r): coeff
-        for r, e in enumerate(m.column(c))
+        for r, e in m.column(c).items()
         for exps, coeff in e.terms.items()
     }
 
@@ -375,24 +371,59 @@ def test_lengths_asked_only_where_a_term_is_possible(monkeypatch):
     assert 0 < 10 * len(calls) <= pairs
 
 
-def _assert_clean(m):
-    """Every term of every entry has an int exponent tuple of the right
-    arity and a nonzero Fraction coefficient, and the empty cells are one
-    shared zero."""
-    cells = [e for row in m.entries for e in row]
-    for e in cells:
-        assert e.variables == m.variables
+def _assert_cells(m):
+    """The cell invariant: every stored cell lies in the matrix and is a
+    nonzero LaurentPoly over m.variables whose terms have int exponent
+    tuples of the right arity and nonzero Fraction coefficients, and the
+    dense view is the cells with zero everywhere else."""
+    for (r, c), e in m.cells.items():
+        assert 0 <= r < m.size and 0 <= c < m.size
+        assert e.variables == m.variables and not e.is_zero()
         for exps, v in e.terms.items():
             assert len(exps) == len(m.variables)
             assert all(type(x) is int for x in exps)
             assert isinstance(v, Fraction) and v != 0
-    assert len({id(e) for e in cells if e.is_zero()}) == 1
+    dense = m.entries
+    assert len(dense) == m.size
+    for r, row in enumerate(dense):
+        assert len(row) == m.size
+        for c, e in enumerate(row):
+            if (r, c) in m.cells:
+                assert e == m.cells[r, c]
+            else:
+                assert e.is_zero() and e.variables == m.variables
 
 
 @pytest.mark.parametrize("ct,node", [("A4", 2), ("B4", 1), ("E6", 6)])
 def test_fw_matrix_entries_are_clean(ct, node):
     d, reps = case(ct, node)
-    _assert_clean(fw_matrix(d, reps, node))
+    _assert_cells(fw_matrix(d, reps, node))
+
+
+@pytest.mark.parametrize("ct,node", [("A4", 2), ("C4", 1), ("D5", 5),
+                                     ("E6", 6)])
+def test_cell_invariant_of_every_builder(ct, node):
+    d, reps = case(ct, node)
+    m = fw_matrix(d, reps, node)
+    rep = build_rep(d, reps)
+    fg = fg_connection(rep)
+    for built in (m, mihalcea_equivariant(d, m, node), fg,
+                  equivariant_fg(rep, fg)):
+        _assert_cells(built)
+
+
+def test_cell_invariant_of_restriction_and_product():
+    d, reps = case("D4", 1)
+    _assert_cells(d4_split(fw_matrix(d, reps, 1)).restricted)
+    # [[1, 1], [0, 0]] times [[1, q], [-1, 0]]: the (0, 0) terms cancel,
+    # so the product keeps only the cell (0, 1) = q
+    V = ("q",)
+    one, q = LaurentPoly.const(V, 1), LaurentPoly.var(V, "q")
+    a = ConnMatrix(None, V, 2, {(0, 0): one, (0, 1): one})
+    b = ConnMatrix(None, V, 2, {(0, 0): one, (0, 1): q, (1, 0): -one})
+    prod = a.mat_mul(b)
+    _assert_cells(prod)
+    assert prod.cells == {(0, 1): q}
 
 
 def test_odd_quadric_b3_products():
@@ -415,8 +446,7 @@ def test_odd_quadric_b3_products():
     cols[1] = {2: one}
     cols[2] = {3: two}
     for c in range(6):
-        got = {r: e for r, e in enumerate(m.column(c)) if not e.is_zero()}
-        assert got == cols[c], f"column {c}"
+        assert m.column(c) == cols[c], f"column {c}"
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -431,11 +461,9 @@ def test_odd_quadric_family(n):
     # middle step doubles
     assert m.entry(n, n - 1) == two
     # penultimate column gains +q at the bottom class
-    col = {r: e for r, e in enumerate(m.column(2 * n - 2)) if not e.is_zero()}
-    assert col == {2 * n - 1: one, 0: q}
+    assert m.column(2 * n - 2) == {2 * n - 1: one, 0: q}
     # top column wraps to q sigma_1
-    col = {r: e for r, e in enumerate(m.column(2 * n - 1)) if not e.is_zero()}
-    assert col == {1: q}
+    assert m.column(2 * n - 1) == {1: q}
 
 
 # ------------------------------------------------------- matrix relations
@@ -466,7 +494,7 @@ def test_relation_odd_quadric_b3():
 
 def test_relation_zero_matrix():
     d, reps = case("A1", 1)
-    zero = ConnMatrix.build(reps, ("q",), lambda r, c: LaurentPoly(("q",)))
+    zero = ConnMatrix(reps, ("q",), len(reps), {})
     assert matrix_relation(zero, LaurentPoly.var(("X", "q"), "X"))
 
 
@@ -540,8 +568,8 @@ def test_lift_equivariant_adds_only_diagonal_terms(ct, node):
                     want = want - LaurentPoly.var(V, f"h{j + 1}",
                                                   coeff=coeff)
                 assert lifted.entry(r, c) == want, c
-    _assert_clean(lifted)
-    _assert_clean(mihalcea_equivariant(d, m, node))
+    _assert_cells(lifted)
+    _assert_cells(mihalcea_equivariant(d, m, node))
 
 
 def test_mihalcea_trace_zero():
@@ -577,3 +605,27 @@ def test_poincare_self_adjoint(ct, node):
     d, reps = case(ct, node)
     m = quantum_chevalley_minuscule(d, reps, node)
     assert poincare_self_adjoint(m, pd(d, reps))
+
+
+def test_poincare_self_adjoint_fails_on_one_cell():
+    # one cell added or one removed, each away from its own Poincare
+    # mirror, breaks self-adjointness: the check must see a cell whose
+    # mirror is absent, whichever side holds it
+    d, reps = case("A3", 2)
+    m = quantum_chevalley_minuscule(d, reps, 2)
+    dual = pd(d, reps)
+    assert poincare_self_adjoint(m, dual)
+
+    def unpaired(r, c):
+        return (dual[c], dual[r]) != (r, c)
+
+    gone = next(rc for rc in sorted(m.cells) if unpaired(*rc))
+    removed = {rc: e for rc, e in m.cells.items() if rc != gone}
+    assert not poincare_self_adjoint(
+        ConnMatrix(m.basis, m.variables, m.size, removed), dual)
+    new = next((r, c) for r in range(m.size) for c in range(m.size)
+               if (r, c) not in m.cells and unpaired(r, c))
+    added = dict(m.cells)
+    added[new] = LaurentPoly.const(m.variables, 1)
+    assert not poincare_self_adjoint(
+        ConnMatrix(m.basis, m.variables, m.size, added), dual)
