@@ -8,8 +8,8 @@ operators:
   degree, in the order that peels the nilpotent classical part;
 * the hbar-rescaling bookkeeping for the period series;
 * reduction of a connection matrix to a scalar operator in theta =
-  q d/dq via a cyclic covector, by sparse Gaussian elimination over
-  Q(q) that writes the first dependency in the original rows once;
+  q d/dq via a cyclic covector, by fraction-free elimination over Z[q]
+  (one exact division per step, rational functions only at the end);
 * the kernel/complement splitting of the six-dimensional quadric's
   8x8 connection;
 * the rank-one equivariant (Bessel) series, its second-order operator,
@@ -23,6 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import zip_longest
+from operator import truediv
 from typing import Callable, Optional, Tuple
 
 from .qchev import (
@@ -205,11 +208,7 @@ def _ptrim(t):
 
 
 def _padd(a, b):
-    n = max(len(a), len(b))
-    return _ptrim(tuple(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-        for i in range(n)
-    ))
+    return _ptrim(tuple(x + y for x, y in zip_longest(a, b, fillvalue=0)))
 
 
 def _pneg(a):
@@ -219,7 +218,7 @@ def _pneg(a):
 def _pmul(a, b):
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == 0:
             continue
@@ -232,15 +231,15 @@ def _pderiv(a):
     return _ptrim(tuple(a[i] * i for i in range(1, len(a))))
 
 
-def _pdivmod(a, b):
+def _pdivmod(a, b, div=truediv):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
     rem = list(_ptrim(a))
     lead = b[-1]
     while len(rem) >= len(b):
         k = len(rem) - len(b)
-        f = rem[-1] / lead
+        f = div(rem[-1], lead)
         quot[k] = f
         for i, y in enumerate(b):
             rem[k + i] -= f * y
@@ -250,14 +249,50 @@ def _pdivmod(a, b):
     return _ptrim(quot), _ptrim(rem)
 
 
+def _exact_div(x: int, y: int) -> int:
+    """x / y for ints that must divide exactly; divmod keeps it an int."""
+    f, r = divmod(x, y)
+    if r:
+        raise ArithmeticError("inexact polynomial division")
+    return f
+
+
+def _pexact_div(a, b):
+    """Quotient of integer polynomials that must divide exactly."""
+    quot, rem = _pdivmod(a, b, _exact_div)
+    if rem:
+        raise ArithmeticError("inexact polynomial division")
+    return quot
+
+
+def _primitive(p):
+    """The primitive integer polynomial that is a rational multiple of p."""
+    scale = math.lcm(*(Fraction(x).denominator for x in p))
+    p = [int(x * scale) for x in p]
+    g = math.gcd(*p)
+    return tuple(x // g for x in p)
+
+
 def _pgcd(a, b):
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        _, r = _pdivmod(a, b)
-        a, b = b, r
-    if not a:
-        return ()
-    return tuple(x / a[-1] for x in a)
+    """Monic gcd of two nonzero rational polynomials, by the heuristic gcd
+    of their primitive integer parts (Char, Geddes and Gonnet, "GCDHEU"):
+    the integer gcd of their values at a large xi, read back in balanced
+    base-xi digits, is the gcd once its primitive part divides both."""
+    a, b = _primitive(a), _primitive(b)
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    while True:
+        h = math.gcd(*(reduce(lambda v, c: v * xi + c, reversed(p), 0)
+                       for p in (a, b)))
+        g = []
+        while h:
+            g.append((h + xi // 2) % xi - xi // 2)
+            h = (h - g[-1]) // xi
+        g = _primitive(g)
+        try:
+            _pexact_div(a, g), _pexact_div(b, g)
+            return tuple(Fraction(x, g[-1]) for x in g)
+        except ArithmeticError:
+            xi = xi * 73794 // 27011
 
 
 @dataclass(frozen=True)
@@ -278,9 +313,7 @@ class RatFunc:
             return RatFunc((), (Fraction(1),))
         if len(den) > 1:
             g = _pgcd(num, den)
-            if len(g) > 1:
-                num, _ = _pdivmod(num, g)
-                den, _ = _pdivmod(den, g)
+            num, den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
         lead = den[-1]
         num = tuple(x / lead for x in num)
         den = tuple(x / lead for x in den)
@@ -323,16 +356,9 @@ class RatFunc:
 
     def theta(self) -> "RatFunc":
         """q d/dq of the rational function."""
-        q = (Fraction(0), Fraction(1))
         diff = _padd(_pmul(_pderiv(self.num), self.den),
                      _pneg(_pmul(self.num, _pderiv(self.den))))
-        return RatFunc.make(_pmul(q, diff), _pmul(self.den, self.den))
-
-
-def _entry_to_ratfunc(p: LaurentPoly) -> RatFunc:
-    exps = [0] + [e for (e,) in p.terms]
-    num = [p.terms.get((e,), 0) for e in range(min(exps), max(exps) + 1)]
-    return RatFunc.make(num, (0,) * -min(exps) + (1,))
+        return RatFunc.make((0,) + diff, _pmul(self.den, self.den))
 
 
 @dataclass(frozen=True)
@@ -352,61 +378,82 @@ def cyclic_scalar_operator(M: ConnMatrix, start) -> ScalarOperator:
     flat sections with the covector ``start`` (an index or a vector).
 
     Rows r_0 = start, r_{k+1} = theta(r_k) + r_k M are reduced against
-    the earlier ones by Gaussian elimination over Q(q) until the first
-    linear dependency; its coefficients are the operator's.  Each basis
-    row keeps only its nonzero entries, the factors it was reduced by and
-    its pivot value, so the dependency is written in the r_k once, at
-    the end, by back substitution.
+    the earlier ones until the first linear dependency, whose
+    coefficients are the operator's.  The elimination is fraction-free
+    (Bareiss) over Z[q]: with M' = s q^m M integral, the rows
+    r'_k = s^k q^{mk} r_k obey r'_{k+1} = s q^m (theta - mk) r'_k + r'_k M'.
+    Every reduced entry is a minor of the r'_k, so each step ends in one
+    exact division; the dependency is unwound by one fraction-free back
+    substitution, and each coefficient is reduced once, at the end.
     """
     n = M.size
     if isinstance(start, int):
-        row = [RatFunc.const(int(i == start)) for i in range(n)]
-    else:
-        if len(start) != n:
-            raise ValueError("covector length mismatch")
-        row = [RatFunc.const(x) for x in start]
-    cols = [[] for _ in range(n)]
-    for (i, j), e in sorted(M.cells.items()):
-        cols[j].append((i, _entry_to_ratfunc(e)))
-    zero = RatFunc.const(0)
+        if not 0 <= start < n:
+            raise ValueError(f"covector index {start} out of range for a "
+                             f"matrix of size {n}")
+        start = [int(i == start) for i in range(n)]
+    if len(start) != n:
+        raise ValueError("covector length mismatch")
+    start = [Fraction(x) for x in start]
+    if not any(start):
+        raise ValueError(f"zero covector for a matrix of size {n}")
+    t = math.lcm(*(x.denominator for x in start))
+    row = {j: (int(x * t),) for j, x in enumerate(start) if x}
+    terms = [(e, c) for p in M.cells.values() for (e,), c in p.terms.items()]
+    m = max([0] + [-e for e, _ in terms])
+    s = math.lcm(*(c.denominator for _, c in terms))
+    cells = [(i, j, tuple(int(p.terms.get((e - m,), 0) * s)
+                          for e in range(m + max(p.terms)[0] + 1)))
+             for (i, j), p in sorted(M.cells.items())]
 
-    # basis row k: (pivot column, nonzero (column, value) pairs of the
-    # reduced row scaled to 1 at the pivot, the factors f_i with which
-    # b_k = (r_k - sum_i f_i b_i) / value, the pivot value)
-    basis = []
-    while True:
-        work = {j: x for j, x in enumerate(row) if not x.is_zero()}
-        factors = []
-        for i, (pivot, brow, _, _) in enumerate(basis):
-            f = work.get(pivot)
+    # basis[k] = (pivot column, b_k as {column: polynomial}, the nonzero
+    # multipliers h_{k,i}: the entry at pivot i when b_i was reduced out);
+    # values[k + 1] = p_k = b_k[pivot], and r'_k = p_k e_k +
+    # sum_i h_{k,i} e_i with e_i = b_i / (p_{i-1} p_i)
+    basis, values = [], [(1,)]
+    for k in range(n + 1):
+        # Bareiss steps w <- (p_i w - w[pivot_i] b_i) / p_{i-1}; a step with
+        # w[pivot_i] = 0 only rescales w, so it waits for the next real one
+        w, mults, last = dict(row), [], 0
+        for i, (pivot, b, _) in enumerate(basis):
+            f = w.get(pivot)
             if f is not None:
-                factors.append((i, f))
-                for j, x in brow:
-                    y = work.pop(j, zero) - f * x
-                    if not y.is_zero():
-                        work[j] = y
-        if not work:
-            # r_k = sum_i g_i b_i; unwinding each b_i into the r_l, from
-            # the top down, leaves r_k = sum_i a_i r_i
-            g = dict(factors)
-            coeffs = [zero] * len(basis) + [RatFunc.const(1)]
-            for i in reversed(range(len(basis))):
-                if not g.get(i, zero).is_zero():
-                    _, _, bfactors, value = basis[i]
-                    a = g[i] / value
-                    coeffs[i] = -a
-                    for k, f in bfactors:
-                        g[k] = g.get(k, zero) - a * f
-            return ScalarOperator(tuple(coeffs))
-        if len(basis) > n:
-            raise RuntimeError("no dependency found; input inconsistent")
-        pivot = min(work)
-        value = work[pivot]
-        basis.append((pivot, tuple((j, x / value)
-                                   for j, x in sorted(work.items())),
-                      factors, value))
-        row = [sum((row[i] * x for i, x in cols[j] if not row[i].is_zero()),
-                   row[j].theta()) for j in range(n)]
+                p, d = values[i + 1], values[last]
+                mults.append((i, f if last == i else
+                              _pexact_div(_pmul(f, values[i]), d)))
+                w = {j: _pexact_div(x, d) for j in w.keys() | b.keys()
+                     if (x := _padd(_pmul(p, w.get(j, ())),
+                                    _pneg(_pmul(f, b.get(j, ())))))}
+                last = i + 1
+        if not w:
+            break
+        if last != k:
+            w = {j: _pexact_div(_pmul(values[-1], x), values[last])
+                 for j, x in w.items()}
+        basis.append((min(w), w, mults))
+        values.append(w[min(w)])
+        shifted = {j: _ptrim((0,) * m + tuple(s * (e - m * k) * c
+                                              for e, c in enumerate(x)))
+                   for j, x in row.items()}
+        for i, j, a in cells:
+            if i in row:
+                shifted[j] = _padd(shifted.get(j, ()), _pmul(row[i], a))
+        row = {j: x for j, x in shifted.items() if x}
+
+    # r'_K = sum_i h_{K,i} e_i; x_i = p_{K-1} a_i in r'_K = sum_i a_i r'_i
+    # is a minor and solves x_i p_i = p_{K-1} h_{K,i} - sum_{k>i} x_k h_{k,i}
+    K, top = len(basis), values[-1]
+    acc = {i: _pmul(top, h) for i, h in mults}
+    coeffs = [RatFunc.const(1)]
+    for i in reversed(range(K)):
+        x = _pexact_div(acc.pop(i, ()), values[i + 1])
+        for k, h in basis[i][2]:
+            acc[k] = _padd(acc.get(k, ()), _pneg(_pmul(x, h)))
+        # theta^i pairs with r_i = r'_i / (s^i q^{mi}); q^low cancels first
+        den = (0,) * (m * (K - i)) + tuple(c * s ** (K - i) for c in top)
+        low = min(j for p in (x, den) for j, c in enumerate(p) if c)
+        coeffs.append(RatFunc.make(_pneg(x[low:]), den[low:]))
+    return ScalarOperator(tuple(reversed(coeffs)))
 
 
 def operator_annihilates(op: ScalarOperator, series: PeriodSeries,
@@ -468,23 +515,16 @@ def d4_split(M: ConnMatrix) -> D4Split:
 
     # constant vectors killed identically in q: the joint kernel of the
     # classical and quantum parts, which must be exactly this one line
-    stacked = [[dict(row).get(c, Fraction(0)) for c in range(8)]
-               for part in _linear_split(M) for row in part]
+    rows = [[dict(row).get(c, Fraction(0)) for c in range(8)]
+            for part in _linear_split(M) for row in part]
     rank = 0
     for col in range(8):
-        piv = next((r for r in range(rank, 16) if stacked[r][col] != 0),
-                   None)
-        if piv is None:
-            continue
-        stacked[rank], stacked[piv] = stacked[piv], stacked[rank]
-        lead = stacked[rank][col]
-        stacked[rank] = [x / lead for x in stacked[rank]]
-        for r in range(16):
-            if r != rank and stacked[r][col] != 0:
-                f = stacked[r][col]
-                stacked[r] = [a - f * b
-                              for a, b in zip(stacked[r], stacked[rank])]
-        rank += 1
+        i = next((i for i, r in enumerate(rows) if r[col]), None)
+        if i is not None:
+            piv = rows.pop(i)
+            rows = [[a - r[col] / piv[col] * b for a, b in zip(r, piv)]
+                    if r[col] else r for r in rows]
+            rank += 1
     if rank != 7:
         raise ArithmeticError(
             f"expected a one-line constant kernel, found nullity {8 - rank}"

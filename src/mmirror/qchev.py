@@ -79,10 +79,7 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, variables, value):
-        value = Fraction(value)
-        if value == 0:
-            return cls(variables)
-        return cls(variables, {tuple([0] * len(tuple(variables))): value})
+        return cls(variables, {(0,) * len(tuple(variables)): value})
 
     @classmethod
     def var(cls, variables, name, power=1, coeff=1):
@@ -191,33 +188,15 @@ class LaurentPoly:
 
     def render(self):
         """Canonical human/CSV form, terms in lexicographic exponent order."""
-        if not self.terms:
-            return "0"
-        parts = []
+        out = ""
         for exps in sorted(self.terms):
             coeff = self.terms[exps]
-            factors = []
-            for name, e in zip(self.variables, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e != 0:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors)
-            c = str(coeff)
-            if body:
-                if coeff == 1:
-                    piece = body
-                elif coeff == -1:
-                    piece = f"-{body}"
-                else:
-                    piece = f"{c}*{body}"
-            else:
-                piece = c
-            parts.append(piece)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f"+{p}" if not p.startswith("-") else p
-        return out
+            body = "*".join(name if e == 1 else f"{name}^{e}"
+                            for name, e in zip(self.variables, exps) if e)
+            piece = (f"{coeff}" if not body else body if coeff == 1
+                     else f"-{body}" if coeff == -1 else f"{coeff}*{body}")
+            out += piece if not out or piece[0] == "-" else f"+{piece}"
+        return out or "0"
 
     def __repr__(self):
         return f"LaurentPoly({self.render()})"

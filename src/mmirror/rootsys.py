@@ -169,10 +169,7 @@ def _cartan_matrix(ct: CartanType):
     elif ct.family == "D":
         for i in range(1, n - 1):
             bond(i, i + 1)
-        # undo the chain bond into node n, fork instead: n-2 -- n
-        a[n - 2][n - 1] = 0
-        a[n - 1][n - 2] = 0
-        bond(n - 2, n)
+        bond(n - 2, n)  # the fork: node n hangs off n-2
     elif ct.family == "E":
         edges = [(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)]
         if n == 7:
@@ -399,12 +396,8 @@ def reflection_length(d: RootDatum, beta: Root) -> int:
 
 def quantum_roots(d: RootDatum):
     """Positive roots beta with ell(s_beta) = <2*rho, beta-vee> - 1."""
-    out = []
-    for beta in d.positive_roots:
-        target = 2 * sum(beta.coroot.coeffs) - 1
-        if reflection_length(d, beta) == target:
-            out.append(beta)
-    return out
+    return [beta for beta in d.positive_roots
+            if reflection_length(d, beta) == 2 * sum(beta.coroot.coeffs) - 1]
 
 
 def minuscule_nodes(ct: CartanType):
@@ -412,19 +405,8 @@ def minuscule_nodes(ct: CartanType):
     weights, per type: A_n all, B_n {n}, C_n {1}, D_n {1, n-1, n},
     E6 {1, 6}, E7 {7}."""
     n = ct.rank
-    if ct.family == "A":
-        return tuple(range(1, n + 1))
-    if ct.family == "B":
-        return (n,)
-    if ct.family == "C":
-        return (1,)
-    if ct.family == "D":
-        return (1, n - 1, n)
-    if ct.family == "E" and n == 6:
-        return (1, 6)
-    if ct.family == "E" and n == 7:
-        return (7,)
-    return ()
+    return {"A": tuple(range(1, n + 1)), "B": (n,), "C": (1,),
+            "D": (1, n - 1, n), "E": (1, 6) if n == 6 else (7,)}[ct.family]
 
 
 def is_cominuscule(d: RootDatum, node: int) -> bool:
@@ -596,12 +578,6 @@ def levi_data(d: RootDatum, node: int = None, subset=None) -> ParabolicData:
     )
 
 
-def _rat_str(x):
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-    return str(x)
-
-
 def datum_to_json(d: RootDatum, parabolic: ParabolicData = None) -> dict:
     """JSON-ready summary of the datum (and optionally one parabolic)."""
     out = {
@@ -620,7 +596,7 @@ def datum_to_json(d: RootDatum, parabolic: ParabolicData = None) -> dict:
             "node": parabolic.node,
             "I_P": list(parabolic.I_P),
             "levi_positive_roots": [list(r.coeffs) for r in parabolic.levi_positive_roots],
-            "rho_P": [_rat_str(x) for x in parabolic.rho_P.coeffs],
+            "rho_P": [str(x) for x in parabolic.rho_P.coeffs],
             "gamma": list(parabolic.gamma.coeffs) if parabolic.gamma else None,
             "I_Q": list(parabolic.I_Q) if parabolic.I_Q is not None else None,
             "coset_size": parabolic.coset_size,

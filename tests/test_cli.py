@@ -178,6 +178,21 @@ def test_scalar_ode_b5_spinor_golden(capsys):
         "0776ea7bc9a686bdf35e28bd443bfea6f7dd1291c2aec00633a364e6785c20f8")
 
 
+@pytest.mark.parametrize("ct,node,order,digest", [
+    ("E6", "1", 26,
+     "2136b1f6f108e45c1c70404732b6d731ce65f5241ff93b9cc9afb11ab296997b"),
+    ("D5", "5", 16,
+     "28b5ba28d81fb3a039908221020c2666ec3dd1c438a1079b55e22444cc00b2f1"),
+    ("A5", "3", 14,
+     "58242a95d21a04d15a73bebac6534e47617c9f40aa39e701143307c6e3d74b89"),
+])
+def test_scalar_ode_golden(capsys, ct, node, order, digest):
+    code, out, err = run(capsys, "scalar-ode", ct, "--node", node)
+    assert code == 0 and err == ""
+    assert json.loads(out)["order"] == order
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_bessel_report(capsys):
     code, doc = run_json(capsys, "bessel", "2.0", "0.0")
     assert code == 0

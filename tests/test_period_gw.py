@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmirror.rootsys import CartanType, build_root_datum
 from mmirror.weyl import minuscule_coset_reps
@@ -263,6 +265,68 @@ def test_scalar_operator_matches_combination_reference(ct, node):
         assert cyclic_scalar_operator(m, start) == want
 
 
+def test_scalar_operator_laurent_entries():
+    # M[0][1] = 1/(2q), M[1][0] = 1 from e_0: r_1 = (0, 1/(2q)) and
+    # r_2 = theta(r_1) + r_1 M = (1/(2q), -1/(2q)) = -r_1 + r_0/(2q), so
+    # the operator is theta^2 + theta - 1/(2q)
+    V = ("q",)
+    m = ConnMatrix(basis=None, variables=V, size=2, cells={
+        (0, 1): LaurentPoly(V, {(-1,): Fraction(1, 2)}),
+        (1, 0): LaurentPoly.const(V, 1)})
+    op = cyclic_scalar_operator(m, 0)
+    assert op.coefficients == (RatFunc.make((Fraction(-1, 2),), (0, 1)),
+                               RatFunc.make((1,)), RatFunc.make((1,)))
+
+
+@pytest.mark.parametrize("start,message", [
+    (6, "covector index 6 out of range for a matrix of size 6"),
+    (99, "covector index 99 out of range for a matrix of size 6"),
+    (-1, "covector index -1 out of range for a matrix of size 6"),
+    ((0,) * 6, "zero covector for a matrix of size 6"),
+    ((Fraction(0),) * 6, "zero covector for a matrix of size 6"),
+])
+def test_scalar_operator_refuses_bad_covector(start, message):
+    _, _, m = setup_case("A3", 2)
+    with pytest.raises(ValueError, match=message):
+        cyclic_scalar_operator(m, start)
+
+
+@pytest.mark.parametrize("cov", [
+    lambda i: Fraction(i + 1, 2),
+    lambda i: Fraction((-1) ** i, i + 1),
+], ids=["(i+1)/2", "(-1)^i/(i+1)"])
+def test_scalar_operator_dense_covector_annihilates_paired_series(cov):
+    # theta S = M S for the flat section S = sum_d S_d q^d, so the
+    # operator from v kills sum_d <v, S_d> q^d; checked on the series,
+    # not on another elimination
+    _, _, m = setup_case("A4", 2)
+    v = [cov(i) for i in range(m.size)]
+    op = cyclic_scalar_operator(m, tuple(v))
+    assert op.order == m.size
+    assert max(len(c.den) - 1 for c in op.coefficients) == 12
+    trace = quantum_period(m, 3 * op.order).basis_trace
+    paired = PeriodSeries(tuple(sum(a * b for a, b in zip(v, s))
+                                for s in trace))
+    assert operator_annihilates(op, paired)
+    wrong = PeriodSeries(paired.coefficients[:1] + tuple(
+        c + 1 for c in paired.coefficients[1:]))
+    assert not operator_annihilates(op, wrong)
+
+
+REFERENCE_MATRICES = {spec: setup_case(*spec)[2]
+                      for spec in (("A3", 2), ("B3", 1), ("D4", 1))}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(REFERENCE_MATRICES)), st.data())
+def test_scalar_operator_integer_covectors_match_reference(spec, data):
+    m = REFERENCE_MATRICES[spec]
+    start = data.draw(st.lists(st.integers(-3, 3), min_size=m.size,
+                               max_size=m.size).filter(any))
+    assert cyclic_scalar_operator(m, start) == \
+        combo_scalar_operator(m, start)
+
+
 def power_loop_annihilates(op, series, shift):
     """Reference: sum_k p_k theta^k on the series with theta^k evaluated
     as explicit powers (shift + m - j) ** k."""
@@ -392,6 +456,16 @@ def test_d4_split_rejects_wrong_size():
     _, _, m = setup_case("A3", 2)
     with pytest.raises(ValueError):
         d4_split(m)
+
+
+@pytest.mark.parametrize("dropped,nullity", [((0,), 2), ((0, 7), 3)])
+def test_d4_split_rejects_a_larger_constant_kernel(dropped, nullity):
+    # emptying a column puts its basis vector in the joint kernel of the
+    # classical and quantum parts
+    m = d4_matrix()
+    cells = {rc: e for rc, e in m.cells.items() if rc[1] not in dropped}
+    with pytest.raises(ArithmeticError, match=f"nullity {nullity}$"):
+        d4_split(ConnMatrix(m.basis, m.variables, m.size, cells))
 
 
 # ------------------------------------------------------------- Bessel line
