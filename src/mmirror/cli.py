@@ -76,6 +76,10 @@ MAX_ORBIT_SIZE = 512
 # from the closed-form count before build_root_datum runs.
 MAX_POSITIVE_ROOTS = 1000
 
+# Largest orbit `scalar-ode` reduces; its cost grows far faster than the
+# orbit (A11 n2, 66 classes: 6 s; A12 n2, 78: 30 s; see the README).
+MAX_SCALAR_ODE_SIZE = 72
+
 # Deepest period `period` and `verify` may compute; at this depth every
 # coefficient of the pinned cases still prints within Python's default
 # 4300-digit limit on integer-to-string conversion.
@@ -110,17 +114,20 @@ def _default_params(family: str, rank: int, node: int) -> dict:
     return params
 
 
+def _orbit_size(ct: CartanType, node: int):
+    """Closed-form orbit size of a minuscule node or of the B_n node-1
+    quadric; None for any other node."""
+    if node in minuscule_nodes(ct):
+        return minuscule_dimension(ct, node)
+    return 2 * ct.rank if ct.family == "B" and node == 1 else None
+
+
 def _refuse_large_orbit(ct: CartanType, node: int) -> None:
     """Raise ValueError when the coset orbit of a minuscule node or of the
     B_n node-1 quadric exceeds MAX_ORBIT_SIZE, using its closed-form size,
     so that nothing is enumerated."""
-    if node in minuscule_nodes(ct):
-        size = minuscule_dimension(ct, node)
-    elif ct.family == "B" and node == 1:
-        size = 2 * ct.rank
-    else:
-        return
-    if size > MAX_ORBIT_SIZE:
+    size = _orbit_size(ct, node)
+    if size is not None and size > MAX_ORBIT_SIZE:
         raise ValueError(
             f"{ct} node {node} has {size} Schubert classes, more than the "
             f"limit of {MAX_ORBIT_SIZE}"
@@ -638,6 +645,10 @@ def cmd_gw(args) -> int:
 
 def cmd_scalar_ode(args) -> int:
     case = Case(args.case, args.node)
+    if (size := _orbit_size(case.ct, case.node)) > MAX_SCALAR_ODE_SIZE:
+        raise ValueError(f"{case.cartan} node {case.node} has {size} Schubert "
+                         f"classes, more than the scalar-ode limit of "
+                         f"{MAX_SCALAR_ODE_SIZE}")
     M = case.matrix
     block = "full matrix"
     if (case.cartan, case.node) == ("D4", 1):

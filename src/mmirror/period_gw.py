@@ -4,8 +4,10 @@ This module turns connection matrices into numbers and differential
 operators:
 
 * the quantum-period recursion for the flat section attached to the
-  point class, solved over the rationals by one triangular sweep per
-  degree, in the order that peels the nilpotent classical part;
+  point class, solved in integers over one common denominator by one
+  triangular sweep per degree, in the order that peels the nilpotent
+  classical part, and the exact integer check that an operator kills
+  the period;
 * the hbar-rescaling bookkeeping for the period series;
 * reduction of a connection matrix to a scalar operator in theta =
   q d/dq via a cyclic covector, by fraction-free elimination over Z[q]
@@ -126,16 +128,36 @@ def quantum_period(M: ConnMatrix, D: int) -> PeriodSeries:
 
     Solves (d*Id - D1) S_d = D2 S_{d-1} starting from the point class
     (the top basis vector), one triangular sweep per degree in the peel
-    order of D1; c_d is the top coefficient of S_d.
+    order of D1; c_d is the top coefficient of S_d.  The sweep runs in
+    integers, with S_{d-1} = X/Q, D1 = A1/s1 and D2 = A2/s2: for T = s1*d
+    and N = 1 + the longest D1 chain, Y = s2*Q*T^N*S_d solves
+    Y_r = (s1*T^N*(A2 X)_r + sum_c A1[r, c] Y_c) / T exactly, as S_d at
+    chain depth l has a denominator dividing s2*Q*T^(l+1).
     """
     if D < 0:
         raise ValueError("degree bound must be nonnegative")
     d1, d2 = _linear_split(M)
     order = _check_nilpotent(d1)
+    s1, s2 = (math.lcm(*(a.denominator for row in part for _, a in row))
+              for part in (d1, d2))
+    a1, a2 = ([[(c, int(a * s)) for c, a in row] for row in part]
+              for part, s in ((d1, s1), (d2, s2)))
+    depth = [0] * M.size
+    for r in reversed(order):
+        depth[r] = max((depth[c] + 1 for c, _ in a1[r]), default=0)
+    N = 1 + max(depth)
     top = M.size - 1
-    trace = [tuple(Fraction(int(i == top)) for i in range(M.size))]
+    X, Q = [int(i == top) for i in range(M.size)], 1
+    trace = [tuple(map(Fraction, X))]
     for d in range(1, D + 1):
-        trace.append(_peel_solve(d1, order, d, _sparse_matvec(d2, trace[-1])))
+        T = s1 * d
+        Y = [s1 * T ** N * b for b in _sparse_matvec(a2, X)]
+        for r in reversed(order):
+            Y[r] = _exact_div(Y[r] + sum(a * Y[c] for c, a in a1[r]), T)
+        Q *= s2 * T ** N
+        g = math.gcd(Q, *Y)
+        X, Q = [y // g for y in Y], Q // g
+        trace.append(tuple(Fraction(x, Q) for x in X))
     coeffs = tuple(s[top] for s in trace)
     if any(c < 0 for c in coeffs):
         raise AssertionError("period coefficients must be nonnegative")
@@ -177,7 +199,9 @@ def hbar_rescale(series: PeriodSeries, c: int):
 
 def hbar_rescale_consistent(M: ConnMatrix, c: int, D: int) -> bool:
     """Re-run the recursion with M replaced by M/hbar symbolically and
-    compare against the closed-form rescaling of the plain period."""
+    compare against the closed-form rescaling of the plain period.  The
+    re-run is the generic sweep over Laurent polynomials, not the integer
+    one of quantum_period, so the two routes share only the peel order."""
     want = hbar_rescale(quantum_period(M, D), c)
     d1, d2 = _linear_split(M)
     order = _check_nilpotent(d1)
@@ -253,7 +277,7 @@ def _exact_div(x: int, y: int) -> int:
     """x / y for ints that must divide exactly; divmod keeps it an int."""
     f, r = divmod(x, y)
     if r:
-        raise ArithmeticError("inexact polynomial division")
+        raise ArithmeticError("inexact integer division")
     return f
 
 
@@ -461,30 +485,43 @@ def operator_annihilates(op: ScalarOperator, series: PeriodSeries,
     """Exact check that sum p_k theta^k kills the truncated series,
     with theta acting on q^{shift+m} by (shift+m).
 
-    Denominators are cleared first; each q-power of the result that is
-    determined by the known coefficients must vanish.
+    It runs in integers: the p_k are cleared to integer polynomials, the
+    series is put over one denominator, and t = shift + m - j = u/b
+    enters as sum_k p_{k,j} u^k b^(K-k), K the order.  Each q-power the
+    known coefficients determine must vanish.  A float shift would round,
+    so only an int or a Fraction is taken.
     """
+    if not isinstance(shift, (int, Fraction)):
+        raise TypeError(f"shift must be an int or a Fraction, not "
+                        f"{type(shift).__name__}")
     common = (Fraction(1),)
     for c in op.coefficients:
         if _pdivmod(common, c.den)[1]:
             common = _pmul(common, c.den)
     cleared = [_pmul(c.num, _pdivmod(common, c.den)[0])
                for c in op.coefficients]
-    # by_power[j][k] is the q^j coefficient of the cleared p_k
-    width = max(len(poly) for poly in cleared)
-    by_power = [[poly[j] if j < len(poly) else 0 for poly in cleared]
+    scale = math.lcm(*(x.denominator for poly in cleared for x in poly))
+    cleared = [[x.numerator * (scale // x.denominator) for x in poly]
+               for poly in cleared]
+    # by_power[j][K - k] = p_{k,j} b^(K-k), p_{k,j} the q^j coefficient
+    a, b = shift.numerator, shift.denominator
+    K, width = len(cleared) - 1, max(len(poly) for poly in cleared)
+    by_power = [[cleared[k][j] * b ** (K - k) if j < len(cleared[k]) else 0
+                 for k in range(K, -1, -1)]
                 for j in range(width)]
-    coeffs = series.coefficients
+    den = math.lcm(*(c.denominator for c in series.coefficients))
+    coeffs = [c.numerator * (den // c.denominator)
+              for c in series.coefficients]
     for m in range(len(coeffs)):
-        total = Fraction(0)
+        total = 0
         for j in range(min(m + 1, width)):
-            # sum_k p_{k,j} t^k by Horner's rule, t = shift + m - j
-            t = shift + m - j
+            # homogeneous Horner's rule at u = a + (m - j) b
+            u = a + (m - j) * b
             value = 0
-            for pkj in reversed(by_power[j]):
-                value = value * t + pkj
+            for pkj in by_power[j]:
+                value = value * u + pkj
             total += value * coeffs[m - j]
-        if total != 0:
+        if total:
             return False
     return True
 

@@ -375,6 +375,31 @@ def test_deep_period_refused(capsys, monkeypatch, argv):
     assert str(cli.MAX_PERIOD_DEGREE) in err
 
 
+@pytest.mark.parametrize("argv,size", [
+    (("scalar-ode", "B7", "--node", "7"), 128),
+    (("scalar-ode", "A8", "--node", "3"), 84),
+    (("scalar-ode", "A12", "--node", "2"), 78),
+])
+def test_large_scalar_ode_refused(capsys, monkeypatch, argv, size):
+    for name in ("cyclic_scalar_operator", "fw_matrix"):
+        monkeypatch.setattr(cli, name, _never)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"{size} Schubert classes" in err
+    assert str(cli.MAX_SCALAR_ODE_SIZE) in err
+
+
+def test_scalar_ode_limit_is_inclusive(capsys, monkeypatch):
+    # A5 n3 has 20 classes; A6 n3 has 35
+    monkeypatch.setattr(cli, "MAX_SCALAR_ODE_SIZE", 20)
+    code, doc = run_json(capsys, "scalar-ode", "A5", "--node", "3")
+    assert code == 0 and doc["size"] == 20
+    monkeypatch.setattr(cli, "cyclic_scalar_operator", _never)
+    code, out, err = run(capsys, "scalar-ode", "A6", "--node", "3")
+    assert code == 1 and "35 Schubert classes" in err
+
+
 def test_unprintable_period_names_case(capsys):
     # c_100 of P^4 is 1/(100!)^5, 790 digits: above a lowered print limit
     limit = sys.get_int_max_str_digits()

@@ -159,11 +159,40 @@ def series_matrix(ct, node):
 
 
 @pytest.mark.parametrize("ct,node", [
-    ("A4", 2), ("D5", 5), ("E6", 1), ("B4", 1), ("D4", 1),
+    ("A4", 2), ("A5", 3), ("D5", 5), ("E6", 1), ("B5", 5), ("B4", 1),
+    ("D4", 1),
 ])
 def test_period_matches_neumann_reference(ct, node):
     m = series_matrix(ct, node)
     assert quantum_period(m, 2 * m.size) == neumann_period(m, 2 * m.size)
+
+
+def rescaled(m, classical, quantum):
+    """m with its classical part times ``classical`` and the q-coefficient
+    of its first quantum cell replaced by ``quantum``."""
+    cell = min(rc for rc, e in m.cells.items() if (1,) in e.terms)
+    cells = {}
+    for rc, e in m.cells.items():
+        terms = {k: v * classical if k == (0,) else v
+                 for k, v in e.terms.items()}
+        if rc == cell:
+            terms[(1,)] = quantum
+        cells[rc] = LaurentPoly(m.variables, terms)
+    return ConnMatrix(m.basis, m.variables, m.size, cells)
+
+
+@pytest.mark.parametrize("ct,node", [("A4", 2), ("B5", 5), ("D4", 1)])
+@pytest.mark.parametrize("classical,quantum", [
+    (Fraction(1, 2), Fraction(1)),
+    (Fraction(1), Fraction(2, 3)),
+    (Fraction(1, 2), Fraction(2, 3)),
+], ids=["halved-D1", "two-thirds-in-D2", "both"])
+def test_period_with_rational_entries_matches_neumann(ct, node, classical,
+                                                      quantum):
+    # a classical part over 2 and a quantum entry over 3 take the integer
+    # sweep through its scale factors s1 = 2 and s2 = 3
+    m = rescaled(series_matrix(ct, node), classical, quantum)
+    assert quantum_period(m, m.size) == neumann_period(m, m.size)
 
 
 # ----------------------------------------------------------------- hbar
@@ -183,6 +212,7 @@ def test_hbar_rescale_pairs():
     ("A1", 1, 2, 4),
     ("A3", 2, 4, 3),
     ("D4", 1, 6, 2),
+    ("B5", 5, 10, 3),
 ])
 def test_hbar_rescale_symbolic_rerun(ct, node, c, D):
     _, _, m = setup_case(ct, node)
@@ -359,6 +389,35 @@ def test_operator_annihilates_matches_power_loop(h):
                 power_loop_annihilates(candidate, series, shift)
     assert operator_annihilates(op, series, shift=h)
     assert not operator_annihilates(perturbed, series, shift=h)
+
+
+@pytest.mark.parametrize("ct,node", [("B5", 5), ("D4", 1)])
+def test_operator_annihilates_matches_power_loop_on_periods(ct, node):
+    # B5 n5 has cubic denominators; D4 n1 is theta^7 - 4q theta - 2q
+    m = series_matrix(ct, node)
+    op = cyclic_scalar_operator(m, m.size - 1)
+    series = quantum_period(m, 2 * m.size)
+    verdicts = []
+    for degree in (None, 1, m.size, 2 * m.size):
+        coeffs = list(series.coefficients)
+        if degree is not None:
+            coeffs[degree] += Fraction(1, 7)
+        candidate = PeriodSeries(tuple(coeffs))
+        for shift in (0, Fraction(1, 2), -3, Fraction(2, 3)):
+            got = operator_annihilates(op, candidate, shift)
+            assert got == power_loop_annihilates(op, candidate, shift)
+            verdicts.append(got)
+    assert verdicts == [True] + [False] * 15
+
+
+def test_operator_annihilates_refuses_float_shift():
+    # 1/3 as a float is not 1/3: it must not give a verdict
+    h = Fraction(1, 3)
+    op = bessel_operator_from_matrix(h)
+    series = equivariant_bessel(h, 10)
+    assert operator_annihilates(op, series, h)
+    with pytest.raises(TypeError, match="float"):
+        operator_annihilates(op, series, 1 / 3)
 
 
 def test_operator_annihilates_detects_failure():
