@@ -19,8 +19,11 @@ Constant terms of powers of the potential then compute genus-zero
 Gromov-Witten invariants, which is the bridge tested against the
 connection-matrix recursion in :mod:`mmirror.period_gw`.  A constant term
 is found by a memoized walk over the quantum terms only (the linear part
-is then forced); one unit of its ``budget`` is one candidate
-(state, count) of that walk.
+is then forced), in integers: a state at remaining power r holds its
+weight times B^(m-r), B the lcm of the quantum denominators.  Each state
+solves its prune bounds once for an interval of counts; one unit of the
+walk's ``budget`` is one candidate (state, count), all r + 1 of a state
+charged before it is walked.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Tuple
 
 from .minrep import root_step
@@ -214,13 +218,25 @@ def constant_term_power(pot: Potential, m: int,
     time, and merges the paths that reach the same state (remaining
     power r, accumulated exponent).  The linear part sum b_i x_i then has
     forced counts v = -exponent, and a state adds
-    ``r! / prod v_i! * prod b_i^{v_i}`` when v >= 0 and |v| = r.  Each
-    candidate (state, count) spends one unit of ``budget`` before it is
-    pruned: by per-coordinate bounds on what the remaining quantum and
-    linear terms can still contribute, and by the degree sum(exponent) + r,
-    which must reach 0 and which only a quantum term t moves, by
-    deg(t) - 1.  Raises ValueError if the linear part is not one unit
-    monomial per variable.
+    ``r! / prod v_i! * prod b_i^{v_i}`` when v >= 0 and |v| = r.
+
+    The arithmetic is in integers.  With B the lcm of the denominators of
+    the quantum coefficients and c_t = B * coeff_t, every path into a
+    state has used m - r quantum factors, so the state holds its weight
+    times B^(m-r); using term t ``count`` times multiplies that by
+    C(r, count) * c_t^count, an exact integer.  The surviving states are
+    summed per r over integer linear coefficients, with one ``Fraction``
+    per distinct r.
+
+    A count is pruned by per-coordinate bounds on what the remaining
+    quantum and linear terms can still contribute, and by the degree
+    sum(exponent) + r, which must reach 0 and which only a quantum term t
+    moves, by deg(t) - 1.  Both bounds are linear in the count, so each
+    state solves them once for an interval [cmin, cmax] and builds keys
+    only for the counts inside it.  Each state spends r + 1 units of
+    ``budget``, one per candidate (state, count), before it is walked.
+    Raises ValueError if the linear part is not one unit monomial per
+    variable.
     """
     if m < 0:
         raise ValueError("power must be nonnegative")
@@ -230,51 +246,72 @@ def constant_term_power(pot: Potential, m: int,
         raise ValueError("the linear part must be one unit monomial per "
                          "variable")
     quantum = sorted(pot.quantum.terms.items())
+    scale = math.lcm(*(c.denominator for _, c in quantum))
     # Exponents extended by the degree coordinate: a state's last entry
     # is sum(exponent) + r, so quantum term t shifts it by deg(t) - 1.
     steps = [e + (sum(e) - 1,) for e, _ in quantum]
     linear = [u + (0,) for u in units]
-    bounds = []
-    for t in range(len(steps)):
+    walk = []
+    for t, ((_, coeff), step) in enumerate(zip(quantum, steps)):
         rest = steps[t + 1:] + linear
-        bounds.append((tuple(map(min, zip(*rest))),
-                       tuple(map(max, zip(*rest)))))
+        # per coordinate (l, h, s - l, s - h): keep a count c iff
+        # a + c s + (r - c) l <= 0 and a + c s + (r - c) h >= 0
+        bounds = tuple((l, h, s - l, s - h) for s, l, h in
+                       zip(step, map(min, zip(*rest)), map(max, zip(*rest))))
+        walk.append((int(coeff * scale), step, bounds))
 
     candidates = 0
-    states = {(m, (0,) * nvar + (m,)): Fraction(1)}
-    for (_, coeff), step, (lo, hi) in zip(quantum, steps, bounds):
+    states = {(m, (0,) * nvar + (m,)): 1}
+    for c_t, step, bounds in walk:
         following: dict = {}
         for (r, acc), weight in states.items():
-            piece = weight
-            shifted = acc
-            for count in range(r + 1):
-                candidates += 1
-                if candidates > budget:
-                    raise BudgetExceeded(
-                        f"constant-term walk needs more than its budget "
-                        f"of {budget} candidates"
-                    )
-                if count:
-                    piece = piece * coeff * (r - count + 1) / count
-                    shifted = tuple(a + s for a, s in zip(shifted, step))
-                rest = r - count
-                if any(a + rest * l > 0 or a + rest * h < 0
-                       for a, l, h in zip(shifted, lo, hi)):
-                    continue
-                key = (rest, shifted)
+            candidates += r + 1
+            if candidates > budget:
+                raise BudgetExceeded(
+                    f"constant-term walk needs more than its budget "
+                    f"of {budget} candidates"
+                )
+            cmin, cmax = 0, r
+            for a, (l, h, dl, dh) in zip(acc, bounds):
+                low = a + r * l       # keep c with low + c * dl <= 0
+                if dl > 0:
+                    cmax = min(cmax, -low // dl)
+                elif dl < 0:
+                    cmin = max(cmin, -(low // dl))
+                elif low > 0:
+                    cmax = -1
+                high = a + r * h      # and with high + c * dh >= 0
+                if dh > 0:
+                    cmin = max(cmin, -(high // dh))
+                elif dh < 0:
+                    cmax = min(cmax, high // -dh)
+                elif high < 0:
+                    cmax = -1
+            if cmin > cmax:
+                continue
+            piece = weight * math.comb(r, cmin) * c_t ** cmin
+            shifted = tuple(a + cmin * s for a, s in zip(acc, step))
+            for count in range(cmin, cmax + 1):
+                key = (r - count, shifted)
                 following[key] = following.get(key, 0) + piece
+                piece = piece * c_t * (r - count) // (count + 1)
+                shifted = tuple(map(add, shifted, step))
         states = following
 
-    total = Fraction(0)
+    lin_scale = math.lcm(*(b.denominator for b in pot.linear.terms.values()))
+    b_scaled = [int(pot.linear.terms[u] * lin_scale) for u in units]
+    sums: dict = {}
     for (r, acc), weight in states.items():
         v = [-a for a in acc[:nvar]]
         if min(v, default=0) < 0 or sum(v) != r:
             continue
         term = weight * math.factorial(r)
-        for vi, u in zip(v, units):
-            term = term * pot.linear.terms[u] ** vi / math.factorial(vi)
-        total += term
-    return total
+        for vi, b in zip(v, b_scaled):
+            term = term * b ** vi // math.factorial(vi)
+        sums[r] = sums.get(r, 0) + term
+    # a state at r carries B^(m - r), and its linear factors lin_scale^r
+    return sum((Fraction(s, scale ** (m - r) * lin_scale ** r)
+                for r, s in sums.items()), Fraction(0))
 
 
 def gw_from_constant_term(pot: Potential, d: int,

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -229,6 +230,7 @@ def test_typeA_json_golden():
 
 @pytest.mark.parametrize("family,rank,node,depth", [
     ("D", 4, 1, 3), ("D", 5, 1, 2), ("D", 5, 5, 2), ("E", 6, 1, 2),
+    ("D", 6, 6, 3), ("E", 6, 1, 3), ("D", 7, 7, 2), ("E", 7, 7, 1),
 ])
 def test_minuscule_potential_matches_period(family, rank, node, depth):
     # CT(W^{cd}) / (cd)! against the Chevalley-side quantum period
@@ -352,6 +354,53 @@ def test_ct_walk_matches_bruteforce_on_random_potentials(pot, m):
     assert constant_term_power(pot, m) == ct_bruteforce(pot, m)
 
 
+def units(nvar):
+    return [tuple(int(j == i) for j in range(nvar)) for i in range(nvar)]
+
+
+def candidates_reference(pot: Potential, m: int) -> int:
+    """Candidates (state, count) of the walk, found by testing every
+    count of every state against the prune bounds one by one."""
+    nvar = len(pot.variables)
+    steps = [e + (sum(e) - 1,) for e in sorted(pot.quantum.terms)]
+    linear = [u + (0,) for u in units(nvar)]
+    total = 0
+    states = {(m, (0,) * nvar + (m,))}
+    for t, step in enumerate(steps):
+        rest = steps[t + 1:] + linear
+        lo, hi = list(map(min, zip(*rest))), list(map(max, zip(*rest)))
+        following = set()
+        for r, acc in states:
+            total += r + 1
+            for count in range(r + 1):
+                shifted = tuple(a + count * s for a, s in zip(acc, step))
+                left = r - count
+                if all(a + left * l <= 0 <= a + left * h
+                       for a, l, h in zip(shifted, lo, hi)):
+                    following.add((left, shifted))
+        states = following
+    return total
+
+
+def test_ct_budget_matches_per_candidate_reference():
+    # the count interval keeps exactly the counts the bounds keep one by
+    # one, so the least budget that succeeds is the reference's count;
+    # 300 seeded potentials with 1-4 terms, exponents in [-3, 2], m <= 8
+    rng = random.Random(12)
+    for _ in range(300):
+        nvar = rng.randint(1, 3)
+        V = tuple(f"x{i + 1}" for i in range(nvar))
+        quantum = {tuple(rng.randint(-3, 2) for _ in V): 1
+                   for _ in range(rng.randint(1, 4))}
+        pot = Potential(V, poly(V, {u: 1 for u in units(nvar)}),
+                        poly(V, quantum), 1)
+        m = rng.randint(1, 8)
+        need = candidates_reference(pot, m)
+        constant_term_power(pot, m, budget=need)
+        with pytest.raises(BudgetExceeded):
+            constant_term_power(pot, m, budget=need - 1)
+
+
 def test_ct_vanishes_off_multiples_of_coxeter():
     # f is homogeneous of degree one with deg q = 7: CT(f^m) = 0 unless 7 | m
     pot = potential_typeA(3, 7)
@@ -375,6 +424,52 @@ def test_ct_refuses_nonlinear_linear_part(linear):
 def test_budget_signal():
     with pytest.raises(BudgetExceeded):
         constant_term_power(potential_typeA(2, 5), 5, budget=10)
+
+
+@pytest.mark.parametrize("k,n,m,need,value", [
+    (2, 5, 5, 33, 360),
+    (3, 7, 14, 2782, 382767184800),
+])
+def test_budget_minimum_pinned(k, n, m, need, value):
+    # one unit per candidate (state, count): the least budget that
+    # succeeds, and the message one below it
+    pot = potential_typeA(k, n)
+    assert constant_term_power(pot, m, budget=need) == value
+    with pytest.raises(BudgetExceeded) as err:
+        constant_term_power(pot, m, budget=need - 1)
+    assert str(err.value) == ("constant-term walk needs more than its "
+                              f"budget of {need - 1} candidates")
+
+
+def two_variable_potential(quantum):
+    """x1 + 2 x2 plus quantum terms with coefficients 3/2 and 1/3, so
+    that the walk scales its weights by B = 6 and its linear part is not
+    all ones."""
+    V = ("x1", "x2")
+    return Potential(V, poly(V, {(1, 0): 1, (0, 1): 2}), poly(V, quantum), 1)
+
+
+def test_ct_scaled_integer_walk_matches_bruteforce():
+    pot = two_variable_potential({(-1, -1): Fraction(3, 2),
+                                  (-1, 0): Fraction(1, 3)})
+    values = [constant_term_power(pot, m) for m in range(7)]
+    assert values == [ct_bruteforce(pot, m) for m in range(7)]
+    assert values[2] == Fraction(2, 3) and values[6] == Fraction(21890, 27)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_ct_empty_count_interval_adds_nothing(m):
+    # The first quantum term 3/2 x1^-1 x2^2 has degree 1 and every other
+    # term degree >= 1, so the degree coordinate m of the start state has
+    # a count coefficient of 0 and can never drop to 0: the start state's
+    # interval is empty, it adds no state, and its m + 1 candidates are
+    # the whole walk.
+    pot = two_variable_potential({(-1, 2): Fraction(3, 2),
+                                  (2, 0): Fraction(1, 3)})
+    assert constant_term_power(pot, m, budget=m + 1) == 0
+    assert ct_bruteforce(pot, m) == 0
+    with pytest.raises(BudgetExceeded):
+        constant_term_power(pot, m, budget=m)
 
 
 def test_json_form():
