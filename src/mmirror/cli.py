@@ -199,6 +199,10 @@ class Case:
     def fg(self):
         return fg_connection(self.rep)
 
+    @cached_property
+    def d4(self):
+        return d4_split(self.matrix)
+
     def period(self, depth: int):
         """The quantum period of ``matrix`` to ``depth``, computed once."""
         if depth not in self._periods:
@@ -381,7 +385,7 @@ def _check_gr24_products(case, D, budget):
 
 
 def _check_d4_kernel(case, D, budget):
-    split = d4_split(case.matrix)
+    split = case.d4
     full = case.period(3)
     restricted = quantum_period(split.restricted, 3)
     if full.coefficients != restricted.coefficients:
@@ -391,7 +395,7 @@ def _check_d4_kernel(case, D, budget):
 
 
 def _check_d4_scalar(case, D, budget):
-    split = d4_split(case.matrix)
+    split = case.d4
     op = cyclic_scalar_operator(split.restricted, 6)
     want = (RatFunc.make((0, -2)), RatFunc.make((0, -4)))
     want += (RatFunc.make(()),) * 5 + (RatFunc.make((1,)),)
@@ -453,7 +457,7 @@ def _run_case(entry, max_degree, budget):
             "cartan": cartan, "node": node, "pass": False,
             "checks": [{"name": "setup", "pass": False, "detail": str(exc)}],
         }
-    period_D = max_degree or case.params.get("max_degree", 3)
+    period_D = case.params["max_degree"] if max_degree is None else max_degree
     ct_D = max_degree  # None -> per-case default depth
     checks = []
     for name in case.check_names():
@@ -485,10 +489,6 @@ def _load_case_list():
 # serialization helpers
 # --------------------------------------------------------------------------
 
-def _termlist(poly: LaurentPoly) -> list:
-    return [[list(exps), str(poly.terms[exps])] for exps in sorted(poly.terms)]
-
-
 def _matrix_payload(case: Case, M) -> dict:
     return {
         "schema": "mm/1",
@@ -500,7 +500,7 @@ def _matrix_payload(case: Case, M) -> dict:
             {"word": list(w.word), "length": w.length}
             for w in case.reps.reps
         ],
-        "entries": [[_termlist(e) for e in row] for row in M.entries],
+        "entries": [[e.termlist() for e in row] for row in M.entries],
     }
 
 
@@ -531,11 +531,11 @@ def _emit_json(payload, output) -> None:
 
 def cmd_roots(args) -> int:
     ct = CartanType.parse(args.case)
-    if args.node:
+    if args.node is not None:
         _refuse_large_orbit(ct, args.node)
     _refuse_large_datum(ct)
     d = build_root_datum(ct)
-    parabolic = levi_data(d, node=args.node) if args.node else None
+    parabolic = None if args.node is None else levi_data(d, node=args.node)
     payload = datum_to_json(d, parabolic)
     payload["case"] = str(ct)
     _emit_json(payload, args.output)
@@ -564,10 +564,13 @@ def cmd_chevalley(args) -> int:
 
 def cmd_verify(args) -> int:
     _refuse_deep_period(args.max_degree)
+    if args.max_degree is not None and args.max_degree < 1:
+        raise ValueError(f"verify depth {args.max_degree} is below 1: the "
+                         "period checks read c_1")
     if args.all:
         entries = _load_case_list()
     elif args.case:
-        if not args.node:
+        if args.node is None:
             raise ValueError("single-case verify needs --node")
         wanted = (str(CartanType.parse(args.case)), args.node)
         entries = [e for e in _load_case_list()
@@ -603,7 +606,7 @@ def cmd_potential(args) -> int:
 
 
 def cmd_period(args) -> int:
-    D = args.max_degree or 6
+    D = 6 if args.max_degree is None else args.max_degree
     _refuse_deep_period(D)
     case = Case(args.case, args.node)
     series = case.period(D)
@@ -652,7 +655,7 @@ def cmd_scalar_ode(args) -> int:
     M = case.matrix
     block = "full matrix"
     if (case.cartan, case.node) == ("D4", 1):
-        M = d4_split(M).restricted
+        M = case.d4.restricted
         block = "rank-7 invariant complement"
     op = cyclic_scalar_operator(M, M.size - 1)
     payload = {

@@ -325,13 +325,9 @@ def gw_from_constant_term(pot: Potential, d: int,
 
 def potential_to_json(pot: Potential) -> dict:
     """JSON-friendly Laurent term-list form of a potential."""
-    def termlist(p: LaurentPoly) -> list:
-        return [[list(exps), str(coeff)]
-                for exps, coeff in sorted(p.terms.items())]
-
     return {
         "variables": list(pot.variables),
         "coxeter": pot.coxeter,
-        "linear": termlist(pot.linear),
-        "quantum": termlist(pot.quantum),
+        "linear": pot.linear.termlist(),
+        "quantum": pot.quantum.termlist(),
     }

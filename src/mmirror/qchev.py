@@ -198,6 +198,11 @@ class LaurentPoly:
             out += piece if not out or piece[0] == "-" else f"+{piece}"
         return out or "0"
 
+    def termlist(self):
+        """JSON form: [exponents, coefficient string] pairs, in
+        lexicographic exponent order."""
+        return [[list(e), str(c)] for e, c in sorted(self.terms.items())]
+
     def __repr__(self):
         return f"LaurentPoly({self.render()})"
 

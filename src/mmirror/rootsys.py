@@ -39,7 +39,6 @@ __all__ = [
     "quantum_roots",
     "gamma_root",
     "levi_data",
-    "weight_orbit",
     "minuscule_nodes",
     "minuscule_dimension",
     "is_cominuscule",
@@ -485,28 +484,6 @@ class ParabolicData:
     coset_size: int
 
 
-def weight_orbit(d: RootDatum, lam) -> set:
-    """The Weyl orbit of a dominant weight, by plain BFS with simple
-    reflections acting in fundamental-weight coordinates."""
-    start = tuple(lam)
-    seen = {start}
-    frontier = [start]
-    cartan = d.cartan
-    n = d.rank
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            for i in range(n):
-                if mu[i] == 0:
-                    continue
-                img = tuple(mu[k] - mu[i] * cartan[i][k] for k in range(n))
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return seen
-
-
 def levi_data(d: RootDatum, node: int = None, subset=None) -> ParabolicData:
     """ParabolicData for the maximal parabolic at `node`, or for a general
     I_P given as `subset` (1-based indices).
@@ -523,6 +500,8 @@ def levi_data(d: RootDatum, node: int = None, subset=None) -> ParabolicData:
     if (node is None) == (subset is None):
         raise ValueError("pass exactly one of node / subset")
     if node is not None:
+        if not 1 <= node <= n:
+            raise ValueError(f"node {node} out of range for {d.cartan_type}")
         I_P = tuple(j for j in range(1, n + 1) if j != node)
     else:
         I_P = tuple(sorted(subset))
@@ -535,11 +514,8 @@ def levi_data(d: RootDatum, node: int = None, subset=None) -> ParabolicData:
         if all(r.coeffs[j - 1] == 0 for j in outside)
     )
     levi_coeffs = {r.coeffs for r in levi}
-    rho_p = [Fraction(0)] * n
-    for r in levi:
-        for k in range(n):
-            rho_p[k] += Fraction(r.fw[k], 2)
-    rho_P = Weight(tuple(rho_p))
+    rho_P = Weight(tuple(Fraction(sum(r.fw[k] for r in levi), 2)
+                         for k in range(n)))
 
     gamma = None
     I_Q = None
@@ -560,11 +536,13 @@ def levi_data(d: RootDatum, node: int = None, subset=None) -> ParabolicData:
                 f"Coxeter-number identity failed for {d.cartan_type} node {node}"
             )
 
-    size = Fraction(1)
+    num = den = 1
     for r in d.positive_roots:
         if r.coeffs not in levi_coeffs:
-            size *= Fraction(r.height + 1, r.height)
-    if size.denominator != 1:
+            num *= r.height + 1
+            den *= r.height
+    size, rem = divmod(num, den)
+    if rem:
         raise AssertionError("height product for |W^P| is not an integer")
 
     return ParabolicData(
@@ -574,7 +552,7 @@ def levi_data(d: RootDatum, node: int = None, subset=None) -> ParabolicData:
         rho_P=rho_P,
         gamma=gamma,
         I_Q=I_Q,
-        coset_size=int(size),
+        coset_size=size,
     )
 
 

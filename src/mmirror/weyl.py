@@ -12,15 +12,17 @@ the number of letters.  Applied to w.lam, with lam dominant and stabiliser
 W_P, the same descent spells the minimal representative of w W_P; right
 descents are read the same way off w^{-1}.rho.
 
-A coset w W_P of a minuscule node (or of the B_n quadric node) is its
-weight mu = w.varpi_node, and the library moves between cosets on weights
-only: w s_beta lies in the coset of mu - <varpi_node, beta-vee> w.beta
-(reflect_coset, a dict lookup) and has the length of the descent of
-w.rho - <rho, beta-vee> w.beta (reflect_length, asked only when the
-coset's length can match), which gives Bruhat covers and the Chevalley
-rule; the Poincare dual of mu is w0.mu, since w0P fixes varpi_node.
-Products, inverses, pi_P and the special elements stay as the
-element-level reference that the tests compare against.
+A coset w W_P of a maximal parabolic is its weight mu = w.varpi_node;
+W^P is grown once, up the left weak order from the identity
+(minuscule_coset_reps).  At a minuscule node (or the B_n quadric node)
+the library moves between cosets on weights only: w s_beta lies in the
+coset of mu - <varpi_node, beta-vee> w.beta (reflect_coset, a dict
+lookup) and has the length of the descent of w.rho - <rho, beta-vee>
+w.beta (reflect_length, asked only when the coset's length can match),
+which gives Bruhat covers and the Chevalley rule; the Poincare dual of
+mu is w0.mu, since w0P fixes varpi_node.  Products, inverses, pi_P and
+the special elements stay as the element-level reference that the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .rootsys import (
     is_cominuscule,
     levi_data,
     simple_root,
-    weight_orbit,
 )
 
 __all__ = [
@@ -109,6 +110,14 @@ def _reflect_rows(d: RootDatum, i: int, m):
     )
 
 
+def _reflect_cols(d: RootDatum, i: int, m):
+    """m . s_i: column i of s_i is e_i minus row i of the Cartan matrix,
+    so only entry i of each row of m changes."""
+    a = d.cartan[i - 1]
+    return tuple(row[:i - 1] + (row[i - 1] - sum(map(mul, a, row)),) + row[i:]
+                 for row in m)
+
+
 def _descent_word(d: RootDatum, mu):
     """Letters of the descent of mu to the dominant chamber: repeatedly
     apply the smallest s_j with mu_j < 0 and record j."""
@@ -127,14 +136,10 @@ def _descent_word(d: RootDatum, mu):
             return tuple(word)
 
 
-def _canonical_word(d: RootDatum, action):
-    """Greedy left-descent word of w: the descent word of w.rho, which in
-    fw coordinates is the vector of row sums of the action matrix."""
-    return _descent_word(d, [sum(row) for row in action])
-
-
 def _make_elt(d: RootDatum, action, inv_action) -> WeylElt:
-    word = _canonical_word(d, action)
+    """The canonical (greedy left-descent) word of w is the descent word
+    of w.rho, which in fw coordinates is the row sums of the action."""
+    word = _descent_word(d, [sum(row) for row in action])
     return WeylElt(action=action, inv_action=inv_action, length=len(word),
                    word=word)
 
@@ -230,32 +235,42 @@ class CosetReps:
 
 
 def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
-    """Walk the weight orbit W . varpi_node; each rep is recovered from
-    its weight by the descent rule, which must end at varpi_node.  The
-    orbit size is checked against the closed-form |W^P| of levi_data."""
+    """W^P by one walk up the left weak order from the identity.  For a
+    rep w of weight mu = w.varpi_node and each j with mu_j > 0, s_j w is a
+    rep one step longer (Deodhar's lemma) of weight s_j.mu: its action is
+    one row update of w's, its inverse one column update of w's, and its
+    word the descent word of s_j.mu.  The count must be the closed-form
+    |W^P| of levi_data."""
     p = levi_data(d, node=node)
-    n = d.rank
-    start = tuple(1 if j == node - 1 else 0 for j in range(n))
+    start = tuple(int(j == node - 1) for j in range(d.rank))
+    elts = {start: identity_elt(d)}
+    order = [start]
+    for mu in order:                  # the walk appends to order
+        w = elts[mu]
+        for j, a in enumerate(d.cartan, 1):
+            if mu[j - 1] <= 0:
+                continue
+            nu = tuple(x - mu[j - 1] * y for x, y in zip(mu, a))
+            if nu in elts:
+                continue
+            action = _reflect_rows(d, j, w.action)
+            if tuple(row[node - 1] for row in action) != nu:
+                raise AssertionError("walk action misses its weight")
+            word = _descent_word(d, nu)
+            elts[nu] = WeylElt(action, _reflect_cols(d, j, w.inv_action),
+                               len(word), word)
+            order.append(nu)
+    if len(order) != p.coset_size:
+        raise AssertionError("walk does not reach |W^P| cosets")
 
-    elts = []
-    for mu in weight_orbit(d, start):
-        w = from_word(d, _descent_word(d, mu))
-        if act_weight(w, start) != mu:
-            raise AssertionError("descent recovery stalled")
-        elts.append((w, mu))
-
-    elts.sort(key=lambda pair: (pair[0].length, pair[0].word))
-    reps = tuple(e for e, _ in elts)
-    weights = tuple(m for _, m in elts)
-    index = {w.action: i for i, w in enumerate(reps)}
-    if len(index) != len(reps) or len(reps) != p.coset_size:
-        raise AssertionError("recovered reps are not the coset orbit")
+    order.sort(key=lambda mu: (elts[mu].length, elts[mu].word))
+    reps = tuple(elts[mu] for mu in order)
     return CosetReps(
         parabolic=p,
         reps=reps,
-        weights=weights,
-        _index=index,
-        _by_weight={m: i for i, m in enumerate(weights)},
+        weights=tuple(order),
+        _index={w.action: i for i, w in enumerate(reps)},
+        _by_weight={mu: i for i, mu in enumerate(order)},
     )
 
 

@@ -45,6 +45,14 @@ def test_roots_without_node(capsys):
     assert "parabolic" not in doc
 
 
+@pytest.mark.parametrize("node", ["9", "-2", "0"])
+def test_roots_node_out_of_range(capsys, node):
+    code, out, err = run(capsys, "roots", "A3", "--node", node)
+    assert code == 1
+    assert out == ""
+    assert "out of range" in err
+
+
 def test_chevalley_p1(capsys):
     code, doc = run_json(capsys, "chevalley", "A1", "--node", "1")
     assert code == 0
@@ -375,6 +383,36 @@ def test_deep_period_refused(capsys, monkeypatch, argv):
     assert str(cli.MAX_PERIOD_DEGREE) in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "A3", "--node", "2"),
+    ("verify", "--all"),
+])
+def test_verify_depth_zero_refused(capsys, monkeypatch, argv):
+    # the period checks read c_1, so depth 0 cannot be verified
+    monkeypatch.setattr(cli, "quantum_period", _never)
+    code, out, err = run(capsys, *argv, "--max-degree", "0")
+    assert code == 1
+    assert out == ""
+    assert "verify depth 0 is below 1" in err
+
+
+def test_verify_node_zero_reported_out_of_range(capsys):
+    # node 0 is a node, not a missing --node
+    code, doc = run_json(capsys, "verify", "A3", "--node", "0")
+    assert code == 1
+    check, = doc["cases"][0]["checks"]
+    assert check["name"] == "setup"
+    assert check["detail"] == "node 0 out of range for A3"
+
+
+def test_period_depth_zero_is_a_depth(capsys):
+    code, doc = run_json(capsys, "period", "A3", "--node", "2",
+                         "--max-degree", "0")
+    assert code == 0
+    assert doc["max_degree"] == 0
+    assert doc["coefficients"] == ["1"]
+
+
 @pytest.mark.parametrize("argv,size", [
     (("scalar-ode", "B7", "--node", "7"), 128),
     (("scalar-ode", "A8", "--node", "3"), 84),
@@ -421,7 +459,8 @@ def test_unprintable_period_names_case(capsys):
 
 def test_roots_coset_size_without_orbit_walk(capsys, monkeypatch):
     # a non-minuscule node has no orbit guard; its |W^P| is closed-form
-    monkeypatch.setattr(rootsys, "weight_orbit", _never)
+    for module in (cli, weyl):
+        monkeypatch.setattr(module, "minuscule_coset_reps", _never)
     code, doc = run_json(capsys, "roots", "B20", "--node", "10")
     assert code == 0
     assert doc["parabolic"]["coset_size"] == 2 ** 10 * comb(20, 10)
@@ -441,16 +480,18 @@ def test_verify_builds_case_objects_once(capsys, monkeypatch, cartan, node):
     # wrap every module-level binding, so that no route escapes the count
     for module in (cli, rootsys, weyl, qchev, minrep, period_gw,
                    crystal_potential):
-        for name in ("build_root_datum", "weight_orbit", "levi_data",
-                     "minuscule_coset_reps", "fw_matrix"):
+        for name in ("build_root_datum", "levi_data",
+                     "minuscule_coset_reps", "fw_matrix", "d4_split"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
                                     counting(name, getattr(module, name)))
     code, doc = run_json(capsys, "verify", cartan, "--node", str(node))
     assert code == 0 and doc["pass"]
-    assert calls == {"build_root_datum": 1, "weight_orbit": 1,
-                     "levi_data": 1, "minuscule_coset_reps": 1,
-                     "fw_matrix": 1}
+    want = {"build_root_datum": 1, "levi_data": 1,
+            "minuscule_coset_reps": 1, "fw_matrix": 1}
+    if (cartan, node) == ("D4", 1):
+        want["d4_split"] = 1          # d4_kernel and d4_scalar share it
+    assert calls == want
 
 
 @pytest.mark.parametrize("cartan,node", [("A3", 2), ("D4", 1)])

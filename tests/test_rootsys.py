@@ -17,8 +17,8 @@ from mmirror.rootsys import (
     quantum_roots,
     reflection_length,
     simple_root,
-    weight_orbit,
 )
+from mmirror.weyl import minuscule_coset_reps
 
 
 # ---------------------------------------------------------------- parsing
@@ -281,12 +281,11 @@ SMALL_TYPES = (
 
 @pytest.mark.parametrize("ct", SMALL_TYPES, ids=str)
 def test_coset_size_equals_orbit_walk(ct):
-    # the height product |W^P| against an enumeration of W . varpi_node
+    # the height product |W^P| against the weak-order walk over W^P
     d = build_root_datum(ct)
     for node in range(1, ct.rank + 1):
-        varpi = tuple(int(j == node - 1) for j in range(ct.rank))
         assert levi_data(d, node=node).coset_size == len(
-            weight_orbit(d, varpi)), node
+            minuscule_coset_reps(d, node)), node
 
 
 def test_levi_argument_validation():
@@ -297,6 +296,9 @@ def test_levi_argument_validation():
         levi_data(d, node=2, subset=[1])
     with pytest.raises(ValueError):
         levi_data(d, subset=[0, 5])
+    for node in (0, 4, -2):
+        with pytest.raises(ValueError, match="out of range"):
+            levi_data(d, node=node)
 
 
 # ------------------------------------------------------------ coweights

@@ -200,10 +200,21 @@ def _reference_word_and_length(d, w):
 @pytest.mark.parametrize("ct,node", [
     ("A4", 2), ("B4", 4), ("C4", 1), ("D5", 5), ("B4", 1), ("E6", 1),
     ("E7", 7),
+    # not minuscule: the walk serves every maximal parabolic
+    ("B4", 2), ("C4", 3), ("D5", 3), ("E6", 4),
 ])
 def test_words_and_lengths_match_reference(ct, node):
     d = D(ct)
     reps = minuscule_coset_reps(d, node).reps
+    eye = identity_elt(d).action
+    for w in reps:
+        product = tuple(
+            tuple(sum(x * y for x, y in zip(row, col))
+                  for col in zip(*w.inv_action))
+            for row in w.action)
+        assert product == eye, w
+        ref = from_word(d, w.word)
+        assert (ref.action, ref.inv_action) == (w.action, w.inv_action), w
     elements = list(reps) + [inverse(d, w) for w in reps]
     elements += [multiply(d, u, v) for u, v in zip(reps, reps[::-1])]
     elements.append(longest_element(d))
