@@ -1,8 +1,7 @@
 """Mirror superpotentials and the constant-term Gromov-Witten oracle.
 
-Two constructions are provided.  For projective space the potential is
-written in closed form.  For a minuscule node of a simply-laced group it
-is the Berenstein-Kazhdan geometric-crystal potential
+For a minuscule node of a simply-laced group the potential is the
+Berenstein-Kazhdan geometric-crystal potential
 
     W = a_1 + ... + a_l + q <v_top, x_theta u v_low> / <v_top, u v_low>,
 
@@ -10,10 +9,14 @@ where u = x_{i_1}(a_1) ... x_{i_l}(a_l) runs over a reduced word of the
 longest minimal coset representative w^P, and the matrix coefficients are
 taken in the minuscule representation at the dual node.  There every
 raising operator E_j squares to zero, so x_j(a) = I + a E_j, and u v_low is
-l updates of a vector kept as a map weight -> coordinate, each moved by the
-weight rule of :func:`mmirror.minrep.root_step`; no coset or basis is
-enumerated.  The denominator must come out a monomial.  The type-A
-Grassmannian potentials are the case A_{n-1}.
+l updates of a vector kept as a map weight -> coordinate: E_j sends v_mu
+to v_{mu + alpha_j} exactly when <mu, alpha_j-vee> = mu_j is -1 (the rule
+of :func:`mmirror.minrep.root_step`); no coset or basis is
+enumerated.  Each letter is applied once, so every monomial of u v_low
+is square-free: a coordinate is a map bitmask -> integer, bit m standing
+for a_{m+1}, and ``LaurentPoly`` is built only for the result.  The
+denominator must come out a monomial.  The type-A Grassmannian
+potentials are the case A_{n-1}.
 
 Constant terms of powers of the potential then compute genus-zero
 Gromov-Witten invariants, which is the bridge tested against the
@@ -34,7 +37,6 @@ from fractions import Fraction
 from operator import add
 from typing import Tuple
 
-from .minrep import root_step
 from .qchev import LaurentPoly
 from .rootsys import (
     CartanType,
@@ -42,9 +44,8 @@ from .rootsys import (
     build_root_datum,
     fundamental_weight,
     minuscule_nodes,
-    simple_root,
 )
-from .weyl import _descent_word, act_weight, longest_element
+from .weyl import _descent_word
 
 # Most variables (letters of the word of w^P) a Grassmannian potential
 # may have.
@@ -73,68 +74,44 @@ class Potential:
         """The potential with q specialized to 1."""
         return self.linear + self.quantum
 
-    def full(self) -> LaurentPoly:
-        """f_q as a Laurent polynomial over ("q",) + variables."""
-        ext = ("q",) + self.variables
-        terms = {}
-        for exps, coeff in self.linear.terms.items():
-            terms[(0,) + exps] = coeff
-        for exps, coeff in self.quantum.terms.items():
-            key = (1,) + exps
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        return LaurentPoly(ext, terms)
-
-
-def homogeneous_degree_one(pot: Potential) -> bool:
-    """Check that a_m -> z*a_m, q -> z^c * q rescales f_q by exactly z."""
-    f = pot.full()
-    c = pot.coxeter
-    ext = ("z",) + f.variables
-    lifted = {}
-    want = {}
-    for exps, coeff in f.terms.items():
-        zdeg = c * exps[0] + sum(exps[1:])
-        lifted[(zdeg,) + exps] = coeff
-        want[(1,) + exps] = coeff
-    return LaurentPoly(ext, lifted) == LaurentPoly(ext, want)
-
-
-def potential_projective(n: int) -> Potential:
-    """x_1 + ... + x_n + q / (x_1 ... x_n), the potential for P^n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    variables = tuple(f"x{m + 1}" for m in range(n))
-    linear = LaurentPoly(variables, {
-        tuple(int(j == m) for j in range(n)): Fraction(1) for m in range(n)
-    })
-    quantum = LaurentPoly(variables, {tuple(-1 for _ in range(n)):
-                                      Fraction(1)})
-    return Potential(variables, linear, quantum, n + 1)
-
 
 def top_coset_word(d: RootDatum, node: int) -> Tuple[tuple, tuple]:
     """(word, lowest): the lowest weight of W . varpi_node, which is
     -varpi_{node*}, and its descent word, which spells w^P, the longest
-    minimal coset representative."""
-    lowest = act_weight(longest_element(d), fundamental_weight(d, node))
+    minimal coset representative.  The lowest weight is reached from
+    varpi_node by applying s_j while some mu_j > 0."""
+    mu = list(fundamental_weight(d, node).coeffs)
+    while True:
+        for j, c in enumerate(mu):
+            if c > 0:
+                for k, a in enumerate(d.cartan[j]):
+                    mu[k] -= c * a
+                break
+        else:
+            break
+    lowest = tuple(mu)
     return _descent_word(d, lowest), lowest
 
 
-def unipotent_vector(d: RootDatum, word, variables, low) -> dict:
+def unipotent_vector(d: RootDatum, word, low) -> dict:
     """u v_low for u = x_{i_1}(a_1) ... x_{i_l}(a_l), as a map weight ->
     coordinate, in the minuscule representation with lowest weight
     ``low``.  Since E_j^2 = 0 there, x_j(a) = I + a E_j, and each letter,
     rightmost first, moves the coordinates at the weights E_j does not
-    kill (no target of E_j is also a source)."""
-    zero = LaurentPoly(variables)
-    vec = {tuple(low): LaurentPoly.const(variables, 1)}
-    for name, j in reversed(tuple(zip(variables, word))):
-        a = LaurentPoly.var(variables, name)
-        alpha = simple_root(d, j)
+    kill (no target of E_j is also a source); alpha_j is row j of the
+    Cartan matrix in fw coordinates.  Each a_m enters once, so a
+    coordinate is a map bitmask -> int over square-free monomials, bit m
+    standing for a_{m+1}.  The terms letter m adds all have bit m, which
+    no term already at the target has, so no two terms ever merge."""
+    vec = {tuple(low): {0: 1}}
+    for m in reversed(range(len(word))):
+        j = word[m] - 1
+        alpha = d.cartan[j]
+        bit = 1 << m
         for mu, coord in list(vec.items()):
-            target = root_step(mu, alpha)
-            if target is not None:
-                vec[target] = vec.get(target, zero) + a * coord
+            if mu[j] == -1:
+                vec.setdefault(tuple(map(add, mu, alpha)), {}).update(
+                    {mask | bit: c for mask, c in coord.items()})
     return vec
 
 
@@ -145,7 +122,10 @@ def minuscule_potential(d: RootDatum, node: int) -> Potential:
     The quantum part is <v_top, x_theta u v_low> / <v_top, u v_low> in the
     representation at the dual node node*, whose lowest weight is
     -varpi_node and highest varpi_{node*}; the denominator must be a
-    monomial and every quantum coefficient positive.
+    monomial and every quantum coefficient positive.  The result must be
+    homogeneous of degree one under a_m -> z a_m, q -> z^c q (c the
+    Coxeter number): each a_m has degree one, so every quantum exponent
+    e needs sum(e) + c = 1.
     """
     ct = d.cartan_type
     if ct.family not in "ADE":
@@ -154,38 +134,37 @@ def minuscule_potential(d: RootDatum, node: int) -> Potential:
     if node not in minuscule_nodes(ct):
         raise ValueError(f"node {node} is not minuscule for {ct}")
     word, lowest = top_coset_word(d, node)
-    variables = tuple(f"a{m + 1}" for m in range(len(word)))
+    ell = len(word)
     low = tuple(-int(j == node - 1) for j in range(d.rank))
-    vec = unipotent_vector(d, word, variables, low)
+    vec = unipotent_vector(d, word, low)
 
     # x_theta sends v_{top - theta} to v_top: <top, theta-vee> = 1
     top = tuple(-x for x in lowest)
     source = tuple(x - a for x, a in zip(top, d.highest_root.fw))
-    zero = LaurentPoly(variables)
-    num = vec.get(source, zero)
-    den = vec.get(top, zero)
-    if len(den.terms) != 1:
+    den = vec.get(top, {})
+    if len(den) != 1:
         raise ArithmeticError("denominator <v_top, u v_low> is not a "
                               "monomial")
-    (den_exp, den_coeff), = den.terms.items()
-    quantum_terms = {}
-    for exps, coeff in num.terms.items():
-        value = coeff / den_coeff
+    (den_mask, den_coeff), = den.items()
+    quantum = {}
+    for mask, coeff in vec.get(source, {}).items():
+        value = Fraction(coeff, den_coeff)
         if value <= 0:
             raise ArithmeticError("quantum part has a non-positive "
                                   "coefficient")
-        quantum_terms[tuple(a - b for a, b in zip(exps, den_exp))] = value
+        exps = tuple((mask >> m & 1) - (den_mask >> m & 1)
+                     for m in range(ell))
+        if sum(exps) + d.coxeter_number != 1:
+            raise AssertionError("potential is not homogeneous of degree "
+                                 "one")
+        quantum[exps] = value
 
-    ell = len(word)
-    linear = LaurentPoly(variables, {
-        tuple(int(j == m) for j in range(ell)): Fraction(1)
-        for m in range(ell)
-    })
-    pot = Potential(variables, linear, LaurentPoly(variables, quantum_terms),
-                    d.coxeter_number)
-    if not homogeneous_degree_one(pot):
-        raise AssertionError("potential is not homogeneous of degree one")
-    return pot
+    variables = tuple(f"a{m + 1}" for m in range(ell))
+    linear = {tuple(int(j == m) for j in range(ell)): Fraction(1)
+              for m in range(ell)}
+    return Potential(variables, LaurentPoly._clean(variables, linear),
+                     LaurentPoly._clean(variables, quantum),
+                     d.coxeter_number)
 
 
 def refuse_large_grassmannian(k: int, n: int) -> None:

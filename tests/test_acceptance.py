@@ -16,8 +16,6 @@ from mmirror.crystal_potential import (
     Potential,
     constant_term_power,
     gw_from_constant_term,
-    homogeneous_degree_one,
-    potential_projective,
     potential_typeA,
 )
 from mmirror.minrep import (
@@ -68,6 +66,7 @@ from mmirror.weyl import (
     special_elements,
     w_gamma_set,
 )
+from reference import homogeneous_degree_one, potential_projective
 
 # --------------------------------------------------------------- case lists
 

@@ -12,20 +12,30 @@ from hypothesis import strategies as st
 
 from mmirror.period_gw import quantum_period
 from mmirror.qchev import LaurentPoly, fw_matrix
-from mmirror.rootsys import CartanType, build_root_datum
-from mmirror.weyl import minuscule_coset_reps
+from mmirror import crystal_potential
+from mmirror.rootsys import (
+    CartanType,
+    build_root_datum,
+    fundamental_weight,
+    minuscule_nodes,
+)
+from mmirror.weyl import act_weight, longest_element, minuscule_coset_reps
 from mmirror.crystal_potential import (
     BudgetExceeded,
     Potential,
     constant_term_power,
     gw_from_constant_term,
-    homogeneous_degree_one,
     minuscule_potential,
-    potential_projective,
     potential_to_json,
     potential_typeA,
     top_coset_word,
     unipotent_vector,
+)
+from reference import (
+    homogeneous_degree_one,
+    mask_poly,
+    potential_projective,
+    reference_unipotent_vector,
 )
 
 
@@ -89,13 +99,13 @@ def gr25_vector():
     d = datum("A", 4)
     word, lowest = top_coset_word(d, 2)
     V = tuple(f"a{m + 1}" for m in range(len(word)))
-    vec = unipotent_vector(d, word, V, (0, -1, 0, 0))
+    vec = unipotent_vector(d, word, (0, -1, 0, 0))
     subsets = {}
     for S in combinations(range(1, 6), 3):
         mu = tuple(int(j in S) - int(j + 1 in S) for j in range(1, 5))
         subsets[mu] = S
     assert lowest == (0, 0, -1, 0)
-    return V, {subsets[mu]: coord for mu, coord in vec.items()}
+    return V, {subsets[mu]: mask_poly(V, coord) for mu, coord in vec.items()}
 
 
 def leibniz_det(rows):
@@ -146,8 +156,9 @@ def test_lusztig_matrix_golden_sl5():
 
 
 def test_lusztig_empty_word_is_identity():
-    vec = unipotent_vector(datum("A", 3), (), (), (0, -1, 0))
-    assert vec == {(0, -1, 0): LaurentPoly.const((), 1)}
+    vec = unipotent_vector(datum("A", 3), (), (0, -1, 0))
+    assert {mu: mask_poly((), coord) for mu, coord in vec.items()} == \
+        {(0, -1, 0): LaurentPoly.const((), 1)}
 
 
 def test_minor_ratio_golden_gr25():
@@ -251,6 +262,53 @@ def test_minuscule_potential_refusals(family, rank, node):
     # B/C need the highest short root; D4 n2 and E6 n2 are not minuscule
     with pytest.raises(ValueError):
         minuscule_potential(datum(family, rank), node)
+
+
+MINUSCULE = [(family, rank, node)
+             for family, ranks in (("A", range(1, 8)), ("D", range(4, 8)),
+                                   ("E", (6, 7)))
+             for rank in ranks
+             for node in minuscule_nodes(CartanType(family, rank))]
+
+
+@pytest.mark.parametrize("family,rank,node", MINUSCULE)
+def test_integer_walk_matches_laurent_reference(family, rank, node):
+    # every coordinate of the bitmask walk equals the generic LaurentPoly
+    # walk, and the potential built from it is homogeneous of degree one
+    d = datum(family, rank)
+    word, lowest = top_coset_word(d, node)
+    assert lowest == act_weight(longest_element(d),
+                                fundamental_weight(d, node))
+    V = tuple(f"a{m + 1}" for m in range(len(word)))
+    low = tuple(-int(j == node - 1) for j in range(rank))
+    vec = unipotent_vector(d, word, low)
+    want = reference_unipotent_vector(d, word, V, low)
+    assert {mu: mask_poly(V, coord) for mu, coord in vec.items()} == want
+    assert homogeneous_degree_one(minuscule_potential(d, node))
+
+
+@pytest.mark.parametrize("edit,error", [
+    (lambda top, source: top.update({0: 1}), ArithmeticError),
+    (lambda top, source: source.update({m: -c for m, c in source.items()}),
+     ArithmeticError),
+    (lambda top, source: source.update({0: 1}), AssertionError),
+], ids=["two-term-denominator", "negative-coefficient", "wrong-degree"])
+def test_minuscule_potential_refuses_bad_vector(monkeypatch, edit, error):
+    # Gr(2,4): a second denominator monomial, negated quantum
+    # coefficients, and a quantum term 1/(a1 a2 a3 a4) of degree -4 = 1 - 5
+    # instead of 1 - 4
+    d = datum("A", 3)
+    word, lowest = top_coset_word(d, 2)
+    top = tuple(-x for x in lowest)
+    source = tuple(x - a for x, a in zip(top, d.highest_root.fw))
+    vec = unipotent_vector(d, word, (0, -1, 0))
+    assert 0 not in vec[top] and 0 not in vec[source]
+    minuscule_potential(d, 2)
+    edit(vec[top], vec[source])
+    monkeypatch.setattr(crystal_potential, "unipotent_vector",
+                        lambda *args: vec)
+    with pytest.raises(error):
+        minuscule_potential(d, 2)
 
 
 def test_potential_independent_of_chevalley_side(monkeypatch):

@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 from mmirror.rootsys import CartanType, build_root_datum
 from mmirror.weyl import minuscule_coset_reps
 from mmirror.qchev import ConnMatrix, LaurentPoly, quantum_chevalley_minuscule
-from mmirror.crystal_potential import (
-    gw_from_constant_term,
-    potential_projective,
-    potential_typeA,
-)
+from mmirror.crystal_potential import gw_from_constant_term, potential_typeA
 from mmirror.period_gw import (
     PeriodSeries,
     RatFunc,
@@ -33,6 +29,7 @@ from mmirror.period_gw import (
     quantum_period_case,
     series_to_json,
 )
+from reference import potential_projective
 
 
 def setup_case(ct, node):

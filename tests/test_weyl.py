@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -162,33 +163,29 @@ def test_index_lookup():
 
 def _reference_word_and_length(d, w):
     """The greedy left-descent word found on matrices (strip the smallest
-    s_j with w^{-1}(alpha_j) < 0, updating w and w^{-1}), and the length as
-    the number of positive roots that w sends to negative roots."""
-    n = d.rank
+    s_j with w^{-1}(alpha_j) < 0, updating w^{-1} to w^{-1} s_j), and the
+    length as the number of positive roots that w sends to negative roots.
 
-    def matmul(a, b):
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
+    s_j is the identity with column j replaced by e_j minus row j of the
+    Cartan matrix, so w^{-1} s_j differs from w^{-1} in column j only."""
+    n = d.rank
+    simple = [None] + [simple_root(d, j) for j in range(1, n + 1)]
 
     def sign(m, root):
-        image = tuple(sum(x * y for x, y in zip(row, root.fw)) for row in m)
+        image = tuple(sum(map(mul, row, root.fw)) for row in m)
         return d.signed_root_from_fw(image)[0]
 
-    simple = {
-        i: tuple(
-            tuple(int(j == k) - (d.cartan[i - 1][j] if k == i - 1 else 0)
-                  for k in range(n))
-            for j in range(n)
-        )
-        for i in range(1, n + 1)
-    }
-    act, inv, word = w.action, w.inv_action, []
+    inv, word = w.inv_action, []
     while True:
         for j in range(1, n + 1):
-            if sign(inv, simple_root(d, j)) < 0:
-                act, inv = matmul(simple[j], act), matmul(inv, simple[j])
+            if sign(inv, simple[j]) < 0:
+                a = d.cartan[j - 1]
+                inv = tuple(
+                    row[:j - 1]
+                    + (row[j - 1] - sum(map(mul, a, row)),)
+                    + row[j:]
+                    for row in inv
+                )
                 word.append(j)
                 break
         else:
