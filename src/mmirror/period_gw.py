@@ -8,16 +8,19 @@ operators:
   triangular sweep per degree, in the order that peels the nilpotent
   classical part, and the exact integer check that an operator kills
   the period;
-* the hbar-rescaling bookkeeping for the period series;
 * reduction of a connection matrix to a scalar operator in theta =
   q d/dq via a cyclic covector, by fraction-free elimination over Z[q]
-  (one exact division per step, rational functions only at the end);
+  on sparse integer polynomials (exponent -> nonzero int, so a large
+  power of q or a graded polynomial costs only its nonzero terms; one
+  exact division per step, rational functions only at the end);
 * the kernel/complement splitting of the six-dimensional quadric's
   8x8 connection;
-* the rank-one equivariant (Bessel) series, its second-order operator,
-  and floating-point Wronskian diagnostics -- the only non-exact
-  computation in the package;
-* the symbolic Jacobian-ring check for projective space.
+* floating-point Bessel Wronskian diagnostics -- the only non-exact
+  computation in the package.
+
+The test-only routes (the hbar re-run, the rank-one Bessel series and
+operator, the Jacobian-ring check, the dense elimination) live in the
+test suite's ``reference`` module.
 """
 
 from __future__ import annotations
@@ -30,20 +33,9 @@ from itertools import zip_longest
 from operator import truediv
 from typing import Callable, Optional, Tuple
 
-from .qchev import (
-    ConnMatrix,
-    LaurentPoly,
-    fw_matrix,
-    matrix_relation,
-    mihalcea_equivariant,
-)
-from .rootsys import CartanType, RootDatum, build_root_datum
-from .weyl import (
-    CosetReps,
-    bruhat_covers_up,
-    minuscule_coset_reps,
-    reflect_coset,
-)
+from .qchev import ConnMatrix, LaurentPoly
+from .rootsys import RootDatum
+from .weyl import CosetReps, bruhat_covers_up, reflect_coset
 
 
 # --------------------------------------------------------------------------
@@ -53,10 +45,18 @@ from .weyl import (
 @dataclass(frozen=True)
 class PeriodSeries:
     """Coefficients c_0..c_D of the quantum period, plus (optionally) the
-    full flat-section vectors degree by degree."""
+    full flat-section vectors degree by degree, each kept as the integers
+    (X, Q) of S_d = X / Q."""
 
     coefficients: Tuple[Fraction, ...]
-    basis_trace: Optional[Tuple[Tuple[Fraction, ...], ...]] = None
+    trace: Optional[Tuple[Tuple[Tuple[int, ...], int], ...]] = None
+
+    @property
+    def basis_trace(self) -> Optional[Tuple[Tuple[Fraction, ...], ...]]:
+        """The flat-section vectors S_0..S_D as rationals."""
+        if self.trace is None:
+            return None
+        return tuple(tuple(Fraction(x, Q) for x in X) for X, Q in self.trace)
 
 
 def _linear_split(M: ConnMatrix):
@@ -110,19 +110,6 @@ def _check_nilpotent(d1) -> list:
     return order
 
 
-def _peel_solve(d1, order, d: int, b):
-    """Solve (d*Id - D1) x = b by one sweep in reverse peel order:
-    x_r = (b_r + sum_c D1[r, c] x_c) / d, where every x_c on the right
-    is already known."""
-    x = list(b)
-    inv_d = Fraction(1, d)
-    for r in reversed(order):
-        if d1[r]:
-            x[r] = x[r] + sum(x[c] * a for c, a in d1[r])
-        x[r] = x[r] * inv_d
-    return tuple(x)
-
-
 def quantum_period(M: ConnMatrix, D: int) -> PeriodSeries:
     """Quantum period of a minuscule connection matrix to order q^D.
 
@@ -140,7 +127,8 @@ def quantum_period(M: ConnMatrix, D: int) -> PeriodSeries:
     order = _check_nilpotent(d1)
     s1, s2 = (math.lcm(*(a.denominator for row in part for _, a in row))
               for part in (d1, d2))
-    a1, a2 = ([[(c, int(a * s)) for c, a in row] for row in part]
+    a1, a2 = ([[(c, a.numerator * (s // a.denominator)) for c, a in row]
+               for row in part]
               for part, s in ((d1, s1), (d2, s2)))
     depth = [0] * M.size
     for r in reversed(order):
@@ -148,7 +136,7 @@ def quantum_period(M: ConnMatrix, D: int) -> PeriodSeries:
     N = 1 + max(depth)
     top = M.size - 1
     X, Q = [int(i == top) for i in range(M.size)], 1
-    trace = [tuple(map(Fraction, X))]
+    trace = [(tuple(X), Q)]
     for d in range(1, D + 1):
         T = s1 * d
         Y = [s1 * T ** N * b for b in _sparse_matvec(a2, X)]
@@ -157,18 +145,11 @@ def quantum_period(M: ConnMatrix, D: int) -> PeriodSeries:
         Q *= s2 * T ** N
         g = math.gcd(Q, *Y)
         X, Q = [y // g for y in Y], Q // g
-        trace.append(tuple(Fraction(x, Q) for x in X))
-    coeffs = tuple(s[top] for s in trace)
+        trace.append((tuple(X), Q))
+    coeffs = tuple(Fraction(X[top], Q) for X, Q in trace)
     if any(c < 0 for c in coeffs):
         raise AssertionError("period coefficients must be nonnegative")
     return PeriodSeries(coeffs, tuple(trace))
-
-
-def quantum_period_case(ct: str, node: int, D: int) -> PeriodSeries:
-    """Convenience wrapper: the period of the named minuscule space."""
-    d = build_root_datum(CartanType.parse(ct))
-    reps = minuscule_coset_reps(d, node)
-    return quantum_period(fw_matrix(d, reps, node), D)
 
 
 def bruhat_path_count(d: RootDatum, reps: CosetReps, node: int) -> int:
@@ -185,39 +166,6 @@ def bruhat_path_count(d: RootDatum, reps: CosetReps, node: int) -> int:
         for _beta, j in bruhat_covers_up(d, reps, i):
             counts[j] = counts.get(j, 0) + amount
     return counts.get(top, 0)
-
-
-# --------------------------------------------------------------------------
-# hbar rescaling
-# --------------------------------------------------------------------------
-
-def hbar_rescale(series: PeriodSeries, c: int):
-    """Period in the variable q/hbar^c: pairs (c_d, hbar exponent -c*d)."""
-    return tuple((coeff, -c * d)
-                 for d, coeff in enumerate(series.coefficients))
-
-
-def hbar_rescale_consistent(M: ConnMatrix, c: int, D: int) -> bool:
-    """Re-run the recursion with M replaced by M/hbar symbolically and
-    compare against the closed-form rescaling of the plain period.  The
-    re-run is the generic sweep over Laurent polynomials, not the integer
-    one of quantum_period, so the two routes share only the peel order."""
-    want = hbar_rescale(quantum_period(M, D), c)
-    d1, d2 = _linear_split(M)
-    order = _check_nilpotent(d1)
-    V = ("hbar",)
-    inv_h = LaurentPoly(V, {(-1,): Fraction(1)})
-    # the same sweep with D1, D2 scaled by 1/hbar
-    d1, d2 = ([[(j, a * inv_h) for j, a in row] for row in part]
-              for part in (d1, d2))
-    top = M.size - 1
-    s = tuple(LaurentPoly.const(V, int(i == top)) for i in range(M.size))
-    for d in range(1, D + 1):
-        s = _peel_solve(d1, order, d, _sparse_matvec(d2, s))
-        coeff, hexp = want[d]
-        if s[top] != LaurentPoly(V, {(hexp,): coeff}):
-            return False
-    return True
 
 
 # --------------------------------------------------------------------------
@@ -281,27 +229,96 @@ def _exact_div(x: int, y: int) -> int:
     return f
 
 
-def _pexact_div(a, b):
-    """Quotient of integer polynomials that must divide exactly."""
-    quot, rem = _pdivmod(a, b, _exact_div)
-    if rem:
+# Sparse integer polynomials in q: dicts exponent -> nonzero int.  Only
+# the nonzero terms are stored and walked, so a pivot with a large power
+# of q as a factor, or a polynomial in q^h, costs its terms alone.
+
+def _sparse(p) -> dict:
+    """A coefficient tuple (low degree first) as a sparse polynomial."""
+    return {e: c for e, c in enumerate(p) if c}
+
+
+def _dense(p: dict, low: int) -> tuple:
+    """Coefficients of q^low, q^(low+1), ..., up to the degree of p."""
+    return tuple(p.get(e, 0) for e in range(low, max(p, default=low - 1) + 1))
+
+
+def _smul(a: dict, b: dict, plus: Optional[dict] = None) -> dict:
+    """a * b, plus the polynomial ``plus`` if one is given."""
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return plus or {}
+    if plus is None and len(a) == 1:
+        (i, x), = a.items()
+        return {i + j: x * y for j, y in b.items()}
+    out = dict(plus or ())
+    get = out.get
+    for i, x in a.items():
+        for j, y in b.items():
+            k = i + j
+            out[k] = get(k, 0) + x * y
+    return {e: c for e, c in out.items() if c}
+
+
+def _sneg(a: dict) -> dict:
+    return {e: -c for e, c in a.items()}
+
+
+def _sdiv(a: dict, b: dict) -> dict:
+    """Quotient of sparse integer polynomials that must divide exactly;
+    long division from the top, visiting each quotient exponent once."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not a:
+        return {}
+    low = min(b)
+    if min(a) < low:
+        raise ArithmeticError("inexact polynomial division")
+    if len(b) == 1:
+        c = b[low]
+        if c == 1:
+            return {k - low: x for k, x in a.items()} if low else a
+        quot = {}
+        for k, x in a.items():
+            quot[k - low], r = divmod(x, c)
+            if r:
+                raise ArithmeticError("inexact polynomial division")
+        return quot
+    top = max(b)
+    lead, rest = b[top], [(e - top, c) for e, c in b.items() if e != top]
+    rem, quot = dict(a), {}
+    for k in range(max(a), min(a) - low + top - 1, -1):
+        x = rem.pop(k, 0)
+        if x:
+            f = quot[k - top] = _exact_div(x, lead)
+            for e, c in rest:
+                rem[k + e] = rem.get(k + e, 0) - f * c
+    if any(rem.values()):
         raise ArithmeticError("inexact polynomial division")
     return quot
 
 
+def _cleared(p):
+    """Integer coefficients c and a scale s > 0 with p = c / s, trimmed;
+    p holds ints or Fractions."""
+    s = math.lcm(*(x.denominator for x in p))
+    return _ptrim(tuple(x.numerator * (s // x.denominator) for x in p)), s
+
+
 def _primitive(p):
     """The primitive integer polynomial that is a rational multiple of p."""
-    scale = math.lcm(*(Fraction(x).denominator for x in p))
-    p = [int(x * scale) for x in p]
+    p = _cleared(p)[0]
     g = math.gcd(*p)
     return tuple(x // g for x in p)
 
 
 def _pgcd(a, b):
-    """Monic gcd of two nonzero rational polynomials, by the heuristic gcd
-    of their primitive integer parts (Char, Geddes and Gonnet, "GCDHEU"):
-    the integer gcd of their values at a large xi, read back in balanced
-    base-xi digits, is the gcd once its primitive part divides both."""
+    """Primitive integer gcd of two nonzero rational polynomials, by the
+    heuristic gcd of their primitive integer parts (Char, Geddes and
+    Gonnet, "GCDHEU"): the integer gcd of their values at a large xi,
+    read back in balanced base-xi digits, is the gcd once its primitive
+    part divides both."""
     a, b = _primitive(a), _primitive(b)
     xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
     while True:
@@ -313,8 +330,8 @@ def _pgcd(a, b):
             h = (h - g[-1]) // xi
         g = _primitive(g)
         try:
-            _pexact_div(a, g), _pexact_div(b, g)
-            return tuple(Fraction(x, g[-1]) for x in g)
+            _sdiv(_sparse(a), _sparse(g)), _sdiv(_sparse(b), _sparse(g))
+            return g
         except ArithmeticError:
             xi = xi * 73794 // 27011
 
@@ -329,19 +346,19 @@ class RatFunc:
 
     @staticmethod
     def make(num, den=(1,)) -> "RatFunc":
-        num = _ptrim(tuple(Fraction(x) for x in num))
-        den = _ptrim(tuple(Fraction(x) for x in den))
-        if not den:
+        """num / den for tuples of ints or Fractions, reduced in integers:
+        num / den = (a / s) / (b / t) = (a t) / (b s)."""
+        (a, s), (b, t) = _cleared(num), _cleared(den)
+        if not b:
             raise ZeroDivisionError("zero denominator")
-        if not num:
+        if not a:
             return RatFunc((), (Fraction(1),))
-        if len(den) > 1:
-            g = _pgcd(num, den)
-            num, den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
-        lead = den[-1]
-        num = tuple(x / lead for x in num)
-        den = tuple(x / lead for x in den)
-        return RatFunc(num, den)
+        if len(b) > 1:
+            g = _sparse(_pgcd(a, b))
+            a, b = (_dense(_sdiv(_sparse(p), g), 0) for p in (a, b))
+        lead = b[-1]
+        return RatFunc(tuple(Fraction(x * t, lead * s) for x in a),
+                       tuple(Fraction(x, lead) for x in b))
 
     @staticmethod
     def const(v) -> "RatFunc":
@@ -422,19 +439,20 @@ def cyclic_scalar_operator(M: ConnMatrix, start) -> ScalarOperator:
     if not any(start):
         raise ValueError(f"zero covector for a matrix of size {n}")
     t = math.lcm(*(x.denominator for x in start))
-    row = {j: (int(x * t),) for j, x in enumerate(start) if x}
+    row = {j: {0: x.numerator * (t // x.denominator)}
+           for j, x in enumerate(start) if x}
     terms = [(e, c) for p in M.cells.values() for (e,), c in p.terms.items()]
     m = max([0] + [-e for e, _ in terms])
     s = math.lcm(*(c.denominator for _, c in terms))
-    cells = [(i, j, tuple(int(p.terms.get((e - m,), 0) * s)
-                          for e in range(m + max(p.terms)[0] + 1)))
+    cells = [(i, j, {e + m: c.numerator * (s // c.denominator)
+                     for (e,), c in p.terms.items()})
              for (i, j), p in sorted(M.cells.items())]
 
     # basis[k] = (pivot column, b_k as {column: polynomial}, the nonzero
     # multipliers h_{k,i}: the entry at pivot i when b_i was reduced out);
     # values[k + 1] = p_k = b_k[pivot], and r'_k = p_k e_k +
     # sum_i h_{k,i} e_i with e_i = b_i / (p_{i-1} p_i)
-    basis, values = [], [(1,)]
+    basis, values = [], [{0: 1}]
     for k in range(n + 1):
         # Bareiss steps w <- (p_i w - w[pivot_i] b_i) / p_{i-1}; a step with
         # w[pivot_i] = 0 only rescales w, so it waits for the next real one
@@ -444,39 +462,40 @@ def cyclic_scalar_operator(M: ConnMatrix, start) -> ScalarOperator:
             if f is not None:
                 p, d = values[i + 1], values[last]
                 mults.append((i, f if last == i else
-                              _pexact_div(_pmul(f, values[i]), d)))
-                w = {j: _pexact_div(x, d) for j in w.keys() | b.keys()
-                     if (x := _padd(_pmul(p, w.get(j, ())),
-                                    _pneg(_pmul(f, b.get(j, ())))))}
+                              _sdiv(_smul(f, values[i]), d)))
+                f = _sneg(f)
+                w = {j: _sdiv(x, d) for j in w.keys() | b.keys()
+                     if (x := _smul(f, b.get(j, {}), _smul(p, w.get(j, {}))))}
                 last = i + 1
         if not w:
             break
         if last != k:
-            w = {j: _pexact_div(_pmul(values[-1], x), values[last])
+            w = {j: _sdiv(_smul(values[-1], x), values[last])
                  for j, x in w.items()}
         basis.append((min(w), w, mults))
         values.append(w[min(w)])
-        shifted = {j: _ptrim((0,) * m + tuple(s * (e - m * k) * c
-                                              for e, c in enumerate(x)))
-                   for j, x in row.items()}
+        # theta - mk sends q^e to (e - mk) q^e, and the factor q^m shifts
+        shifted = {j: y for j, x in row.items()
+                   if (y := {e + m: s * (e - m * k) * c
+                             for e, c in x.items() if e != m * k})}
         for i, j, a in cells:
             if i in row:
-                shifted[j] = _padd(shifted.get(j, ()), _pmul(row[i], a))
+                shifted[j] = _smul(row[i], a, shifted.get(j))
         row = {j: x for j, x in shifted.items() if x}
 
     # r'_K = sum_i h_{K,i} e_i; x_i = p_{K-1} a_i in r'_K = sum_i a_i r'_i
     # is a minor and solves x_i p_i = p_{K-1} h_{K,i} - sum_{k>i} x_k h_{k,i}
     K, top = len(basis), values[-1]
-    acc = {i: _pmul(top, h) for i, h in mults}
+    acc = {i: _smul(top, h) for i, h in mults}
     coeffs = [RatFunc.const(1)]
     for i in reversed(range(K)):
-        x = _pexact_div(acc.pop(i, ()), values[i + 1])
+        x = _sneg(_sdiv(acc.pop(i, {}), values[i + 1]))
         for k, h in basis[i][2]:
-            acc[k] = _padd(acc.get(k, ()), _pneg(_pmul(x, h)))
+            acc[k] = _smul(x, h, acc.get(k))
         # theta^i pairs with r_i = r'_i / (s^i q^{mi}); q^low cancels first
-        den = (0,) * (m * (K - i)) + tuple(c * s ** (K - i) for c in top)
-        low = min(j for p in (x, den) for j, c in enumerate(p) if c)
-        coeffs.append(RatFunc.make(_pneg(x[low:]), den[low:]))
+        den = {e + m * (K - i): c * s ** (K - i) for e, c in top.items()}
+        low = min(x.keys() | den.keys())
+        coeffs.append(RatFunc.make(_dense(x, low), _dense(den, low)))
     return ScalarOperator(tuple(reversed(coeffs)))
 
 
@@ -593,59 +612,6 @@ def d4_split(M: ConnMatrix) -> D4Split:
 
 
 # --------------------------------------------------------------------------
-# equivariant rank one: Bessel series
-# --------------------------------------------------------------------------
-
-def equivariant_bessel(h, D: int) -> PeriodSeries:
-    """Coefficients prod_{j<=k} 1/(j(j+2h)) of the rank-one equivariant
-    period, cross-checked against the 2x2 connection [[-h, q], [1, h]]
-    order by order (with the q^h prefactor folded into the eigenvalue
-    shift)."""
-    h = Fraction(h)
-    if D < 0:
-        raise ValueError("degree bound must be nonnegative")
-    two_h = 2 * h
-    if two_h.denominator == 1 and two_h <= -1:
-        raise ValueError("2h must not be a negative integer")
-    coeffs = [Fraction(1)]
-    for k in range(1, D + 1):
-        coeffs.append(coeffs[-1] / (k * (k + two_h)))
-
-    v = (Fraction(0), Fraction(1))
-    for k in range(1, D + 1):
-        rhs0 = v[1]  # D2 v = (v[1], 0)
-        # ((h+k)I - D1) = [[2h+k, 0], [-1, k]] with D1 = [[-h,0],[1,h]]
-        x0 = rhs0 / (two_h + k)
-        x1 = x0 / k
-        v = (x0, x1)
-        if v[1] != coeffs[k]:
-            raise AssertionError("matrix recursion disagrees with the "
-                                 "product formula")
-    return PeriodSeries(tuple(coeffs))
-
-
-def _substitute_h(entry: LaurentPoly, value: Fraction) -> LaurentPoly:
-    """Specialize the h1 variable of a (q, h1) polynomial to a rational."""
-    out = {}
-    for (eq, eh), coeff in entry.terms.items():
-        term = coeff * (Fraction(value) ** eh)
-        out[(eq,)] = out.get((eq,), Fraction(0)) + term
-    return LaurentPoly(("q",), {k: v for k, v in out.items() if v != 0})
-
-
-def bessel_operator_from_matrix(h) -> ScalarOperator:
-    """Scalar operator of the rank-one equivariant connection at a
-    rational value of the equivariant parameter: theta^2 - (q + h^2)."""
-    h = Fraction(h)
-    d = build_root_datum(CartanType("A", 1))
-    M = mihalcea_equivariant(d, fw_matrix(d, minuscule_coset_reps(d, 1), 1),
-                             1)
-    m2 = ConnMatrix.nonzero(None, ("q",), 2, {
-        rc: _substitute_h(e, 2 * h) for rc, e in M.cells.items()})
-    return cyclic_scalar_operator(m2, 1)
-
-
-# --------------------------------------------------------------------------
 # Bessel numerics (the only floating-point corner)
 # --------------------------------------------------------------------------
 
@@ -722,74 +688,6 @@ def bessel_numeric_checks(y: float, nu: float) -> dict:
         "wronskian": wronskian,
         "wronskian_error": abs(wronskian - 1.0 / y),
     }
-
-
-# --------------------------------------------------------------------------
-# Jacobian-ring check for projective space
-# --------------------------------------------------------------------------
-
-def jacobian_pn_check(n: int) -> bool:
-    """Verify the projective-space Jacobian-ring statements.
-
-    Three exact computations: (i) the critical-locus substitution turns
-    each relation x_i + h_i - h_{n+1} - q/(x_1..x_n) into zero once
-    x_j = x - h_j and q = prod_j (x - h_j); (ii) the equivariant
-    connection satisfies prod_w (M - diag_w Id) = q Id; (iii) at h = 0
-    the matrix relation X^{n+1} = q holds.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    # (i) symbolic critical locus, variables x, h_1..h_{n+1}
-    V = ("x",) + tuple(f"h{i}" for i in range(1, n + 2))
-    nv = len(V)
-
-    def factor(i):
-        ex = [0] * nv
-        ex[0] = 1
-        eh = [0] * nv
-        eh[i] = 1
-        return LaurentPoly(V, {tuple(ex): Fraction(1),
-                               tuple(eh): Fraction(-1)})
-
-    q_poly = LaurentPoly.const(V, 1)
-    for i in range(1, n + 2):
-        q_poly = q_poly * factor(i)
-    prod_first_n = LaurentPoly.const(V, 1)
-    for i in range(1, n + 1):
-        prod_first_n = prod_first_n * factor(i)
-    # cleared relation, same for every i because x_i + h_i = x:
-    # (x - h_{n+1}) * (x_1..x_n) - q
-    lhs = factor(n + 1) * prod_first_n - q_poly
-    if not lhs.is_zero():
-        return False
-
-    # (ii) equivariant matrix: product of (M - diag Id) equals q Id
-    d = build_root_datum(CartanType("A", n))
-    Mq = fw_matrix(d, minuscule_coset_reps(d, 1), 1)
-    M = mihalcea_equivariant(d, Mq, 1)
-    Vm = M.variables
-    size = M.size
-    diag_sum = LaurentPoly(Vm)
-    prod = None
-    for i in range(size):
-        diag = M.entry(i, i)
-        diag_sum = diag_sum + diag
-        cells = dict(M.cells)
-        for r in range(size):
-            cells[r, r] = M.entry(r, r) - diag
-        shifted = ConnMatrix.nonzero(None, Vm, size, cells)
-        prod = shifted if prod is None else prod.mat_mul(shifted)
-    if not diag_sum.is_zero():
-        return False
-    qv = LaurentPoly.var(Vm, "q")
-    if prod.cells != {(r, r): qv for r in range(size)}:
-        return False
-
-    # (iii) non-equivariant matrix relation X^{n+1} = q
-    Vq = ("X", "q")
-    rel = (LaurentPoly(Vq, {(n + 1, 0): Fraction(1)})
-           - LaurentPoly.var(Vq, "q"))
-    return matrix_relation(Mq, rel)
 
 
 def series_to_json(series: PeriodSeries) -> list:

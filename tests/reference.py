@@ -1,17 +1,48 @@
-"""Test-only references for the crystal-potential builder.
+"""Test-only references.
 
-``reference_unipotent_vector`` is the generic ``LaurentPoly`` walk that
-the integer builder is checked against; ``homogeneous_degree_one`` checks
-homogeneity by rescaling the whole f_q; ``potential_projective`` is the
-closed-form potential of P^n.
+For the crystal-potential builder: ``reference_unipotent_vector`` is the
+generic ``LaurentPoly`` walk that the integer builder is checked against;
+``homogeneous_degree_one`` checks homogeneity by rescaling the whole f_q;
+``potential_projective`` is the closed-form potential of P^n.
+
+For the period layer: ``reference_cyclic_scalar_operator`` is the dense
+fraction-free elimination that the sparse one is checked against;
+``hbar_rescale_consistent`` re-runs the period sweep over Laurent
+polynomials in hbar; ``equivariant_bessel`` and
+``bessel_operator_from_matrix`` give the rank-one equivariant series and
+its operator; ``jacobian_pn_check`` is the Jacobian-ring check for P^n.
 """
 
+import math
 from fractions import Fraction
 
 from mmirror.crystal_potential import Potential
 from mmirror.minrep import root_step
-from mmirror.qchev import LaurentPoly
-from mmirror.rootsys import simple_root
+from mmirror.period_gw import (
+    PeriodSeries,
+    RatFunc,
+    ScalarOperator,
+    _check_nilpotent,
+    _exact_div,
+    _linear_split,
+    _padd,
+    _pdivmod,
+    _pmul,
+    _pneg,
+    _ptrim,
+    _sparse_matvec,
+    cyclic_scalar_operator,
+    quantum_period,
+)
+from mmirror.qchev import (
+    ConnMatrix,
+    LaurentPoly,
+    fw_matrix,
+    matrix_relation,
+    mihalcea_equivariant,
+)
+from mmirror.rootsys import CartanType, build_root_datum, simple_root
+from mmirror.weyl import minuscule_coset_reps
 
 
 def mask_poly(variables, coord) -> LaurentPoly:
@@ -75,3 +106,259 @@ def potential_projective(n: int) -> Potential:
     quantum = LaurentPoly(variables, {tuple(-1 for _ in range(n)):
                                       Fraction(1)})
     return Potential(variables, linear, quantum, n + 1)
+
+
+# ------------------------------------------------------ period layer
+
+def quantum_period_case(ct: str, node: int, D: int) -> PeriodSeries:
+    """Convenience wrapper: the period of the named minuscule space."""
+    d = build_root_datum(CartanType.parse(ct))
+    reps = minuscule_coset_reps(d, node)
+    return quantum_period(fw_matrix(d, reps, node), D)
+
+
+def _peel_solve(d1, order, d: int, b):
+    """Solve (d*Id - D1) x = b by one sweep in reverse peel order:
+    x_r = (b_r + sum_c D1[r, c] x_c) / d, where every x_c on the right
+    is already known."""
+    x = list(b)
+    inv_d = Fraction(1, d)
+    for r in reversed(order):
+        if d1[r]:
+            x[r] = x[r] + sum(x[c] * a for c, a in d1[r])
+        x[r] = x[r] * inv_d
+    return tuple(x)
+
+
+def hbar_rescale(series: PeriodSeries, c: int):
+    """Period in the variable q/hbar^c: pairs (c_d, hbar exponent -c*d)."""
+    return tuple((coeff, -c * d)
+                 for d, coeff in enumerate(series.coefficients))
+
+
+def hbar_rescale_consistent(M: ConnMatrix, c: int, D: int) -> bool:
+    """Re-run the recursion with M replaced by M/hbar symbolically and
+    compare against the closed-form rescaling of the plain period.  The
+    re-run is the generic sweep over Laurent polynomials, not the integer
+    one of quantum_period, so the two routes share only the peel order."""
+    want = hbar_rescale(quantum_period(M, D), c)
+    d1, d2 = _linear_split(M)
+    order = _check_nilpotent(d1)
+    V = ("hbar",)
+    inv_h = LaurentPoly(V, {(-1,): Fraction(1)})
+    # the same sweep with D1, D2 scaled by 1/hbar
+    d1, d2 = ([[(j, a * inv_h) for j, a in row] for row in part]
+              for part in (d1, d2))
+    top = M.size - 1
+    s = tuple(LaurentPoly.const(V, int(i == top)) for i in range(M.size))
+    for d in range(1, D + 1):
+        s = _peel_solve(d1, order, d, _sparse_matvec(d2, s))
+        coeff, hexp = want[d]
+        if s[top] != LaurentPoly(V, {(hexp,): coeff}):
+            return False
+    return True
+
+
+def equivariant_bessel(h, D: int) -> PeriodSeries:
+    """Coefficients prod_{j<=k} 1/(j(j+2h)) of the rank-one equivariant
+    period, cross-checked against the 2x2 connection [[-h, q], [1, h]]
+    order by order (with the q^h prefactor folded into the eigenvalue
+    shift)."""
+    h = Fraction(h)
+    if D < 0:
+        raise ValueError("degree bound must be nonnegative")
+    two_h = 2 * h
+    if two_h.denominator == 1 and two_h <= -1:
+        raise ValueError("2h must not be a negative integer")
+    coeffs = [Fraction(1)]
+    for k in range(1, D + 1):
+        coeffs.append(coeffs[-1] / (k * (k + two_h)))
+
+    v = (Fraction(0), Fraction(1))
+    for k in range(1, D + 1):
+        rhs0 = v[1]  # D2 v = (v[1], 0)
+        # ((h+k)I - D1) = [[2h+k, 0], [-1, k]] with D1 = [[-h,0],[1,h]]
+        x0 = rhs0 / (two_h + k)
+        x1 = x0 / k
+        v = (x0, x1)
+        if v[1] != coeffs[k]:
+            raise AssertionError("matrix recursion disagrees with the "
+                                 "product formula")
+    return PeriodSeries(tuple(coeffs))
+
+
+def _substitute_h(entry: LaurentPoly, value: Fraction) -> LaurentPoly:
+    """Specialize the h1 variable of a (q, h1) polynomial to a rational."""
+    out = {}
+    for (eq, eh), coeff in entry.terms.items():
+        term = coeff * (Fraction(value) ** eh)
+        out[(eq,)] = out.get((eq,), Fraction(0)) + term
+    return LaurentPoly(("q",), {k: v for k, v in out.items() if v != 0})
+
+
+def bessel_operator_from_matrix(h) -> ScalarOperator:
+    """Scalar operator of the rank-one equivariant connection at a
+    rational value of the equivariant parameter: theta^2 - (q + h^2)."""
+    h = Fraction(h)
+    d = build_root_datum(CartanType("A", 1))
+    M = mihalcea_equivariant(d, fw_matrix(d, minuscule_coset_reps(d, 1), 1),
+                             1)
+    m2 = ConnMatrix.nonzero(None, ("q",), 2, {
+        rc: _substitute_h(e, 2 * h) for rc, e in M.cells.items()})
+    return cyclic_scalar_operator(m2, 1)
+
+
+def jacobian_pn_check(n: int) -> bool:
+    """Verify the projective-space Jacobian-ring statements.
+
+    Three exact computations: (i) the critical-locus substitution turns
+    each relation x_i + h_i - h_{n+1} - q/(x_1..x_n) into zero once
+    x_j = x - h_j and q = prod_j (x - h_j); (ii) the equivariant
+    connection satisfies prod_w (M - diag_w Id) = q Id; (iii) at h = 0
+    the matrix relation X^{n+1} = q holds.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    # (i) symbolic critical locus, variables x, h_1..h_{n+1}
+    V = ("x",) + tuple(f"h{i}" for i in range(1, n + 2))
+    nv = len(V)
+
+    def factor(i):
+        ex = [0] * nv
+        ex[0] = 1
+        eh = [0] * nv
+        eh[i] = 1
+        return LaurentPoly(V, {tuple(ex): Fraction(1),
+                               tuple(eh): Fraction(-1)})
+
+    q_poly = LaurentPoly.const(V, 1)
+    for i in range(1, n + 2):
+        q_poly = q_poly * factor(i)
+    prod_first_n = LaurentPoly.const(V, 1)
+    for i in range(1, n + 1):
+        prod_first_n = prod_first_n * factor(i)
+    # cleared relation, same for every i because x_i + h_i = x:
+    # (x - h_{n+1}) * (x_1..x_n) - q
+    lhs = factor(n + 1) * prod_first_n - q_poly
+    if not lhs.is_zero():
+        return False
+
+    # (ii) equivariant matrix: product of (M - diag Id) equals q Id
+    d = build_root_datum(CartanType("A", n))
+    Mq = fw_matrix(d, minuscule_coset_reps(d, 1), 1)
+    M = mihalcea_equivariant(d, Mq, 1)
+    Vm = M.variables
+    size = M.size
+    diag_sum = LaurentPoly(Vm)
+    prod = None
+    for i in range(size):
+        diag = M.entry(i, i)
+        diag_sum = diag_sum + diag
+        cells = dict(M.cells)
+        for r in range(size):
+            cells[r, r] = M.entry(r, r) - diag
+        shifted = ConnMatrix.nonzero(None, Vm, size, cells)
+        prod = shifted if prod is None else prod.mat_mul(shifted)
+    if not diag_sum.is_zero():
+        return False
+    qv = LaurentPoly.var(Vm, "q")
+    if prod.cells != {(r, r): qv for r in range(size)}:
+        return False
+
+    # (iii) non-equivariant matrix relation X^{n+1} = q
+    Vq = ("X", "q")
+    rel = (LaurentPoly(Vq, {(n + 1, 0): Fraction(1)})
+           - LaurentPoly.var(Vq, "q"))
+    return matrix_relation(Mq, rel)
+
+
+def _pexact_div(a, b):
+    """Quotient of integer polynomials that must divide exactly."""
+    quot, rem = _pdivmod(a, b, _exact_div)
+    if rem:
+        raise ArithmeticError("inexact polynomial division")
+    return quot
+
+
+def reference_cyclic_scalar_operator(M: ConnMatrix, start) -> ScalarOperator:
+    """The dense route to ``cyclic_scalar_operator``: the same
+    fraction-free elimination on coefficient tuples, low degree first,
+    walking every coefficient, zero or not.
+
+    Rows r_0 = start, r_{k+1} = theta(r_k) + r_k M are reduced against
+    the earlier ones until the first linear dependency, whose
+    coefficients are the operator's.  The elimination is fraction-free
+    (Bareiss) over Z[q]: with M' = s q^m M integral, the rows
+    r'_k = s^k q^{mk} r_k obey r'_{k+1} = s q^m (theta - mk) r'_k + r'_k M'.
+    Every reduced entry is a minor of the r'_k, so each step ends in one
+    exact division; the dependency is unwound by one fraction-free back
+    substitution, and each coefficient is reduced once, at the end.
+    """
+    n = M.size
+    if isinstance(start, int):
+        if not 0 <= start < n:
+            raise ValueError(f"covector index {start} out of range for a "
+                             f"matrix of size {n}")
+        start = [int(i == start) for i in range(n)]
+    if len(start) != n:
+        raise ValueError("covector length mismatch")
+    start = [Fraction(x) for x in start]
+    if not any(start):
+        raise ValueError(f"zero covector for a matrix of size {n}")
+    t = math.lcm(*(x.denominator for x in start))
+    row = {j: (int(x * t),) for j, x in enumerate(start) if x}
+    terms = [(e, c) for p in M.cells.values() for (e,), c in p.terms.items()]
+    m = max([0] + [-e for e, _ in terms])
+    s = math.lcm(*(c.denominator for _, c in terms))
+    cells = [(i, j, tuple(int(p.terms.get((e - m,), 0) * s)
+                          for e in range(m + max(p.terms)[0] + 1)))
+             for (i, j), p in sorted(M.cells.items())]
+
+    # basis[k] = (pivot column, b_k as {column: polynomial}, the nonzero
+    # multipliers h_{k,i}: the entry at pivot i when b_i was reduced out);
+    # values[k + 1] = p_k = b_k[pivot], and r'_k = p_k e_k +
+    # sum_i h_{k,i} e_i with e_i = b_i / (p_{i-1} p_i)
+    basis, values = [], [(1,)]
+    for k in range(n + 1):
+        # Bareiss steps w <- (p_i w - w[pivot_i] b_i) / p_{i-1}; a step with
+        # w[pivot_i] = 0 only rescales w, so it waits for the next real one
+        w, mults, last = dict(row), [], 0
+        for i, (pivot, b, _) in enumerate(basis):
+            f = w.get(pivot)
+            if f is not None:
+                p, d = values[i + 1], values[last]
+                mults.append((i, f if last == i else
+                              _pexact_div(_pmul(f, values[i]), d)))
+                w = {j: _pexact_div(x, d) for j in w.keys() | b.keys()
+                     if (x := _padd(_pmul(p, w.get(j, ())),
+                                    _pneg(_pmul(f, b.get(j, ())))))}
+                last = i + 1
+        if not w:
+            break
+        if last != k:
+            w = {j: _pexact_div(_pmul(values[-1], x), values[last])
+                 for j, x in w.items()}
+        basis.append((min(w), w, mults))
+        values.append(w[min(w)])
+        shifted = {j: _ptrim((0,) * m + tuple(s * (e - m * k) * c
+                                              for e, c in enumerate(x)))
+                   for j, x in row.items()}
+        for i, j, a in cells:
+            if i in row:
+                shifted[j] = _padd(shifted.get(j, ()), _pmul(row[i], a))
+        row = {j: x for j, x in shifted.items() if x}
+
+    # r'_K = sum_i h_{K,i} e_i; x_i = p_{K-1} a_i in r'_K = sum_i a_i r'_i
+    # is a minor and solves x_i p_i = p_{K-1} h_{K,i} - sum_{k>i} x_k h_{k,i}
+    K, top = len(basis), values[-1]
+    acc = {i: _pmul(top, h) for i, h in mults}
+    coeffs = [RatFunc.const(1)]
+    for i in reversed(range(K)):
+        x = _pexact_div(acc.pop(i, ()), values[i + 1])
+        for k, h in basis[i][2]:
+            acc[k] = _padd(acc.get(k, ()), _pneg(_pmul(x, h)))
+        # theta^i pairs with r_i = r'_i / (s^i q^{mi}); q^low cancels first
+        den = (0,) * (m * (K - i)) + tuple(c * s ** (K - i) for c in top)
+        low = min(j for p in (x, den) for j, c in enumerate(p) if c)
+        coeffs.append(RatFunc.make(_pneg(x[low:]), den[low:]))
+    return ScalarOperator(tuple(reversed(coeffs)))

@@ -28,12 +28,9 @@ from mmirror.minrep import (
 from mmirror.period_gw import (
     RatFunc,
     bessel_numeric_checks,
-    bessel_operator_from_matrix,
     bruhat_path_count,
     cyclic_scalar_operator,
     d4_split,
-    equivariant_bessel,
-    hbar_rescale_consistent,
     operator_annihilates,
     quantum_period,
 )
@@ -66,7 +63,13 @@ from mmirror.weyl import (
     special_elements,
     w_gamma_set,
 )
-from reference import homogeneous_degree_one, potential_projective
+from reference import (
+    bessel_operator_from_matrix,
+    equivariant_bessel,
+    hbar_rescale_consistent,
+    homogeneous_degree_one,
+    potential_projective,
+)
 
 # --------------------------------------------------------------- case lists
 

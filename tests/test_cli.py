@@ -187,6 +187,10 @@ def test_scalar_ode_b5_spinor_golden(capsys):
 
 
 @pytest.mark.parametrize("ct,node,order,digest", [
+    ("E7", "7", 56,
+     "4c136b01437f53a21f6aab1252ce23dd24c34198f49357d848c792c641ba0d97"),
+    ("A7", "4", 42,
+     "05a553136564e7c7377f7be3a36be3e8fa14bb81230fea2ca250784ccd4c8842"),
     ("E6", "1", 26,
      "2136b1f6f108e45c1c70404732b6d731ce65f5241ff93b9cc9afb11ab296997b"),
     ("D5", "5", 16,

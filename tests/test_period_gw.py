@@ -15,21 +15,26 @@ from mmirror.period_gw import (
     ScalarOperator,
     _pdivmod,
     _pmul,
+    _sdiv,
+    _smul,
     bessel_numeric_checks,
-    bessel_operator_from_matrix,
     bruhat_path_count,
     cyclic_scalar_operator,
     d4_split,
+    operator_annihilates,
+    quantum_period,
+    series_to_json,
+)
+from reference import (
+    bessel_operator_from_matrix,
     equivariant_bessel,
     hbar_rescale,
     hbar_rescale_consistent,
     jacobian_pn_check,
-    operator_annihilates,
-    quantum_period,
+    potential_projective,
     quantum_period_case,
-    series_to_json,
+    reference_cyclic_scalar_operator,
 )
-from reference import potential_projective
 
 
 def setup_case(ct, node):
@@ -89,6 +94,37 @@ def test_period_c0_is_one_and_trace_kept():
     assert len(series.basis_trace) == 3
 
 
+def test_period_rejects_negative_coefficients():
+    m = ConnMatrix(
+        basis=None, variables=("q",), size=1,
+        cells={(0, 0): LaurentPoly(("q",), {(1,): Fraction(-1)})},
+    )
+    with pytest.raises(AssertionError, match="nonnegative"):
+        quantum_period(m, 1)
+
+
+def test_period_builds_only_the_coefficient_fractions(monkeypatch):
+    # the trace stays integers (X, Q) until basis_trace is read
+    m = series_matrix("E6", 1)
+    D = 2 * m.size
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counting)
+        series = quantum_period(m, D)
+        assert len(made) <= D + 1
+        trace = series.basis_trace
+        assert len(made) > D + 1
+    assert len(trace) == D + 1
+    assert all(isinstance(x, Fraction) for s in trace for x in s)
+    assert series.coefficients == tuple(s[-1] for s in trace)
+
+
 def test_period_rejects_nonnilpotent():
     with pytest.raises(ValueError):
         quantum_period(one_by_one(1), 2)
@@ -121,9 +157,10 @@ def test_cross_oracle_constant_terms():
         Fraction(281, 64)
 
 
-def neumann_period(M, D):
-    """Reference: (d*Id - D1) x = b solved by the terminating Neumann
-    series x = sum_k D1^k b / d^{k+1}, with D1, D2 read densely."""
+def neumann_trace(M, D):
+    """Reference: the flat-section vectors S_0..S_D, (d*Id - D1) x = b
+    solved by the terminating Neumann series x = sum_k D1^k b / d^{k+1},
+    with D1, D2 read densely."""
     n = M.size
     d1 = [[M.entry(r, c).coefficient(q=0) for c in range(n)]
           for r in range(n)]
@@ -147,7 +184,21 @@ def neumann_period(M, D):
             acc = tuple(a + x * scale for a, x in zip(acc, power))
         s = acc
         trace.append(s)
-    return PeriodSeries(tuple(v[n - 1] for v in trace), tuple(trace))
+    return tuple(trace)
+
+
+def assert_matches_neumann(M, D):
+    """The period and every entry of its basis trace equal the Neumann
+    reference's."""
+    series = quantum_period(M, D)
+    want = neumann_trace(M, D)
+    assert series.coefficients == tuple(v[-1] for v in want)
+    got = series.basis_trace
+    assert len(got) == len(want) == D + 1
+    for d, (s, w) in enumerate(zip(got, want)):
+        assert len(s) == len(w) == M.size
+        for i, (x, y) in enumerate(zip(s, w)):
+            assert x == y, (d, i)
 
 
 def series_matrix(ct, node):
@@ -155,13 +206,15 @@ def series_matrix(ct, node):
     return d4_split(m).restricted if (ct, node) == ("D4", 1) else m
 
 
-@pytest.mark.parametrize("ct,node", [
-    ("A4", 2), ("A5", 3), ("D5", 5), ("E6", 1), ("B5", 5), ("B4", 1),
-    ("D4", 1),
-])
+# the matrices of the benchmark's series_ode workload
+SERIES_ODE_CASES = [("A4", 2), ("A5", 3), ("D5", 5), ("E6", 1), ("B5", 5),
+                    ("B4", 1), ("D4", 1)]
+
+
+@pytest.mark.parametrize("ct,node", SERIES_ODE_CASES)
 def test_period_matches_neumann_reference(ct, node):
     m = series_matrix(ct, node)
-    assert quantum_period(m, 2 * m.size) == neumann_period(m, 2 * m.size)
+    assert_matches_neumann(m, 2 * m.size)
 
 
 def rescaled(m, classical, quantum):
@@ -189,7 +242,7 @@ def test_period_with_rational_entries_matches_neumann(ct, node, classical,
     # a classical part over 2 and a quantum entry over 3 take the integer
     # sweep through its scale factors s1 = 2 and s2 = 3
     m = rescaled(series_matrix(ct, node), classical, quantum)
-    assert quantum_period(m, m.size) == neumann_period(m, m.size)
+    assert_matches_neumann(m, m.size)
 
 
 # ----------------------------------------------------------------- hbar
@@ -217,6 +270,22 @@ def test_hbar_rescale_symbolic_rerun(ct, node, c, D):
 
 
 # -------------------------------------------------------- scalar operators
+
+def test_ratfunc_make_reduces_to_monic_coprime_form():
+    R = RatFunc.make
+    # 2(1 + q) / (4(q^2 - 1)) = (1/2) / (q - 1)
+    assert R((2, 2), (-4, 0, 4)) == RatFunc((Fraction(1, 2),),
+                                            (Fraction(-1), Fraction(1)))
+    # (1 - q^2) / 2 over 3(1 + q), with a trailing zero on top
+    assert R((Fraction(1, 2), 0, Fraction(-1, 2), 0), (3, 3)) == \
+        RatFunc((Fraction(1, 6), Fraction(-1, 6)), (Fraction(1),))
+    # a negative leading denominator coefficient moves its sign up
+    assert R((1,), (0, -2)) == RatFunc((Fraction(-1, 2),),
+                                       (Fraction(0), Fraction(1)))
+    assert R((0, 0), (5, 7)) == RatFunc((), (Fraction(1),))
+    with pytest.raises(ZeroDivisionError):
+        R((1,), (0, 0))
+
 
 def test_scalar_operator_trivial():
     op = cyclic_scalar_operator(one_by_one(3), 0)
@@ -290,6 +359,7 @@ def test_scalar_operator_matches_combination_reference(ct, node):
     for start in starts:
         want = combo_scalar_operator(m, start)
         assert cyclic_scalar_operator(m, start) == want
+        assert reference_cyclic_scalar_operator(m, start) == want
 
 
 def test_scalar_operator_laurent_entries():
@@ -329,6 +399,7 @@ def test_scalar_operator_dense_covector_annihilates_paired_series(cov):
     _, _, m = setup_case("A4", 2)
     v = [cov(i) for i in range(m.size)]
     op = cyclic_scalar_operator(m, tuple(v))
+    assert op == reference_cyclic_scalar_operator(m, tuple(v))
     assert op.order == m.size
     assert max(len(c.den) - 1 for c in op.coefficients) == 12
     trace = quantum_period(m, 3 * op.order).basis_trace
@@ -350,8 +421,101 @@ def test_scalar_operator_integer_covectors_match_reference(spec, data):
     m = REFERENCE_MATRICES[spec]
     start = data.draw(st.lists(st.integers(-3, 3), min_size=m.size,
                                max_size=m.size).filter(any))
+    want = combo_scalar_operator(m, start)
+    assert cyclic_scalar_operator(m, start) == want
+    assert reference_cyclic_scalar_operator(m, start) == want
+
+
+# ------------------------------------------------- sparse Z[q] polynomials
+
+# exponents up to 60, so that valuations of 20 and more (B5 n5's p_31 has
+# a factor q^22) are drawn, and coefficients far past a machine word
+sparse_polys = st.dictionaries(
+    st.integers(0, 60),
+    st.integers(-10**40, 10**40).filter(bool),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_polys, sparse_polys, st.integers(0, 30))
+def test_sparse_multiply_then_divide_round_trips(a, b, shift):
+    b = {e + shift: c for e, c in b.items()}
+    product = _smul(a, b)
+    assert _sdiv(product, b) == a
+    assert _sdiv(product, a) == b
+    assert _sdiv({}, b) == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_polys, sparse_polys)
+def test_sparse_product_matches_dense(a, b):
+    def dense(p):
+        return tuple(p.get(e, 0) for e in range(max(p) + 1))
+    got = _smul(a, b)
+    assert all(got.values())
+    want = _pmul(dense(a), dense(b))
+    assert tuple(got.get(e, 0) for e in range(len(want))) == want
+    assert max(got, default=-1) < len(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_polys, sparse_polys, sparse_polys)
+def test_sparse_inexact_division_raises(a, b, r):
+    # b has degree >= 1 and r degree below it, so a b + r leaves the
+    # remainder r in Q[q] and b cannot divide it in Z[q]
+    b = {e + 1: c for e, c in b.items()}
+    r = {e % max(b): c for e, c in r.items()}
+    with pytest.raises(ArithmeticError, match="inexact"):
+        _sdiv(_smul(a, b, r), b)
+
+
+@pytest.mark.parametrize("a,b", [
+    ({0: 1}, {0: 2}),                  # coefficient, one-term divisor
+    ({0: 3, 1: 3}, {0: 2, 1: 2}),      # coefficient, longer divisor
+    ({21: 5}, {22: 1}),                # valuation, one-term divisor
+    ({21: 1, 40: 1}, {22: 1, 23: 1}),  # valuation, longer divisor
+    ({0: 1}, {0: 1, 1: 1}),            # degree
+    ({0: 1, 2: 1}, {0: 1, 1: 1}),      # remainder 2
+])
+def test_sparse_inexact_division_examples(a, b):
+    with pytest.raises(ArithmeticError, match="inexact"):
+        _sdiv(a, b)
+
+
+def test_sparse_division_by_zero():
+    with pytest.raises(ZeroDivisionError):
+        _sdiv({0: 1}, {})
+    with pytest.raises(ZeroDivisionError):
+        _sdiv({}, {})
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_scalar_operator_random_matrices_match_dense_reference(n, data):
+    # Laurent entries with exponents -1..2 and rational coefficients take
+    # the elimination through both scale factors s and q^m
+    V = ("q",)
+    entry = st.dictionaries(
+        st.integers(-1, 2).map(lambda e: (e,)),
+        st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                  st.integers(1, 3)),
+        max_size=2)
+    entries = data.draw(st.lists(entry, min_size=n * n, max_size=n * n)
+                        .filter(any))
+    m = ConnMatrix(basis=None, variables=V, size=n,
+                   cells={divmod(k, n): LaurentPoly(V, t)
+                          for k, t in enumerate(entries) if t})
+    start = data.draw(st.lists(st.integers(-3, 3), min_size=n,
+                               max_size=n).filter(any))
     assert cyclic_scalar_operator(m, start) == \
-        combo_scalar_operator(m, start)
+        reference_cyclic_scalar_operator(m, start)
+
+
+@pytest.mark.parametrize("ct,node", SERIES_ODE_CASES)
+def test_scalar_operator_matches_dense_reference(ct, node):
+    m = series_matrix(ct, node)
+    assert cyclic_scalar_operator(m, m.size - 1) == \
+        reference_cyclic_scalar_operator(m, m.size - 1)
 
 
 def power_loop_annihilates(op, series, shift):
