@@ -19,9 +19,10 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from math import factorial
+from types import MappingProxyType
 
 from .crystal_potential import (
     MAX_POTENTIAL_VARS,
@@ -479,10 +480,10 @@ def _run_case(entry, max_degree, budget):
     }
 
 
+@cache
 def _load_case_list():
-    text = resources.files("mmirror.data").joinpath(
-        "verify_cases.json").read_text()
-    return json.loads(text)["cases"]
+    text = (resources.files("mmirror.data") / "verify_cases.json").read_text()
+    return tuple(MappingProxyType(e) for e in json.loads(text)["cases"])
 
 
 # --------------------------------------------------------------------------
@@ -690,6 +691,7 @@ def cmd_bessel(args) -> int:
 # argument parsing
 # --------------------------------------------------------------------------
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmirror",
@@ -773,8 +775,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command, return its exit code.  Repeated calls in one
+    process build the parser and pinned list once, each case afresh."""
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, BudgetExceeded) as exc:

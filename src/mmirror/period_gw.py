@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import zip_longest
-from operator import truediv
 from typing import Callable, Optional, Tuple
 
 from .qchev import ConnMatrix, LaurentPoly
@@ -203,7 +202,7 @@ def _pderiv(a):
     return _ptrim(tuple(a[i] * i for i in range(1, len(a))))
 
 
-def _pdivmod(a, b, div=truediv):
+def _pdivmod(a, b):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     quot = [0] * max(len(a) - len(b) + 1, 0)
@@ -211,8 +210,7 @@ def _pdivmod(a, b, div=truediv):
     lead = b[-1]
     while len(rem) >= len(b):
         k = len(rem) - len(b)
-        f = div(rem[-1], lead)
-        quot[k] = f
+        f = quot[k] = rem[-1] / lead
         for i, y in enumerate(b):
             rem[k + i] -= f * y
         rem.pop()

@@ -252,11 +252,6 @@ class RootDatum:
             tuple(x * (den // a[r][r]) for x in a[r][n:]) for r in range(n))
 
 
-def _root_fw(coeffs, cartan):
-    n = len(coeffs)
-    return tuple(sum(coeffs[j] * cartan[j][k] for j in range(n)) for k in range(n))
-
-
 def build_root_datum(ct: CartanType) -> RootDatum:
     """Enumerate the root system by closure from the simple roots.
 
@@ -270,35 +265,33 @@ def build_root_datum(ct: CartanType) -> RootDatum:
     cartan = _cartan_matrix(ct)
     norms = _simple_norms(ct)
 
-    # closure by height
-    levels = [set(), {tuple(1 if j == i else 0 for j in range(n)) for i in range(n)}]
-    allpos = set(levels[1])
-    while levels[-1]:
-        nxt = set()
-        for beta in levels[-1]:
-            fw = _root_fw(beta, cartan)
+    # closure by height; fw(beta + alpha_i) = fw(beta) + row i of cartan
+    level = {tuple(int(j == i) for j in range(n)): cartan[i] for i in range(n)}
+    allpos = dict(level)
+    while level:
+        nxt = {}
+        for beta, fw in level.items():
             for i in range(n):
                 # p = longest tail beta - k*alpha_i inside the system
                 p = 0
                 cur = list(beta)
                 while True:
                     cur[i] -= 1
-                    if min(cur) < 0 or tuple(cur) not in allpos:
+                    if tuple(cur) not in allpos:
                         break
                     p += 1
                 if p - fw[i] >= 1:
                     up = list(beta)
                     up[i] += 1
-                    nxt.add(tuple(up))
-        levels.append(nxt)
+                    nxt[tuple(up)] = tuple(x + y for x, y in zip(fw, cartan[i]))
+        level = nxt
         allpos |= nxt
 
     ordered = sorted(allpos, key=lambda c: (sum(c), c))
 
-    def make_root(coeffs):
+    def make_root(coeffs, fw):
         # (beta, beta) = sum_i c_i (alpha_i, alpha_i) fw_i / 2, and the
         # coroot coordinates are c_i (alpha_i, alpha_i) / (beta, beta)
-        fw = _root_fw(coeffs, cartan)
         twice = sum(c * e * f for c, e, f in zip(coeffs, norms, fw))
         if twice not in (2, 4):
             raise AssertionError(
@@ -310,14 +303,14 @@ def build_root_datum(ct: CartanType) -> RootDatum:
                 raise AssertionError(f"non-integral coroot for {coeffs}")
             cvec.append(val)
         return Root(
-            coeffs=tuple(coeffs),
+            coeffs=coeffs,
             height=sum(coeffs),
             fw=fw,
             coroot=Coroot(tuple(cvec)),
             norm2=twice // 2,
         )
 
-    roots = tuple(make_root(c) for c in ordered)
+    roots = tuple(make_root(c, allpos[c]) for c in ordered)
     by_coeffs = {r.coeffs: r for r in roots}
     fw_index = {}
     for r in roots:

@@ -1,5 +1,9 @@
 """Test-only references.
 
+For the root datum: ``root_fw`` is the rank-squared product of a root's
+simple-root coordinates with the Cartan matrix, the oracle for the
+fundamental-weight coordinates that the closure carries up.
+
 For the crystal-potential builder: ``reference_unipotent_vector`` is the
 generic ``LaurentPoly`` walk that the integer builder is checked against;
 ``homogeneous_degree_one`` checks homogeneity by rescaling the whole f_q;
@@ -26,7 +30,6 @@ from mmirror.period_gw import (
     _exact_div,
     _linear_split,
     _padd,
-    _pdivmod,
     _pmul,
     _pneg,
     _ptrim,
@@ -43,6 +46,13 @@ from mmirror.qchev import (
 )
 from mmirror.rootsys import CartanType, build_root_datum, simple_root
 from mmirror.weyl import minuscule_coset_reps
+
+
+def root_fw(coeffs, cartan) -> tuple:
+    """<beta, alpha_k-vee> for every k: sum_j c_j a_jk."""
+    n = len(coeffs)
+    return tuple(sum(coeffs[j] * cartan[j][k] for j in range(n))
+                 for k in range(n))
 
 
 def mask_poly(variables, coord) -> LaurentPoly:
@@ -273,11 +283,23 @@ def jacobian_pn_check(n: int) -> bool:
 
 
 def _pexact_div(a, b):
-    """Quotient of integer polynomials that must divide exactly."""
-    quot, rem = _pdivmod(a, b, _exact_div)
+    """Quotient of integer polynomials that must divide exactly: dense
+    long division from the top, every step an exact integer division."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(_ptrim(a))
+    quot = [0] * max(len(rem) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        k = len(rem) - len(b)
+        f = quot[k] = _exact_div(rem[-1], b[-1])
+        for i, y in enumerate(b):
+            rem[k + i] -= f * y
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
     if rem:
         raise ArithmeticError("inexact polynomial division")
-    return quot
+    return _ptrim(quot)
 
 
 def reference_cyclic_scalar_operator(M: ConnMatrix, start) -> ScalarOperator:

@@ -420,28 +420,34 @@ def test_criterion_09_combinatorics():
 @criterion(10, "sl2 relations in every minuscule representation; grading "
                "and rescaling invariants")
 def test_criterion_10_sl2_and_grading():
+    def nonzero(A):
+        return {(r, c): x for r, row in enumerate(A)
+                for c, x in enumerate(row) if x}
+
     def matmul(A, B):
-        Bt = list(zip(*B))
-        return [
-            [sum(a * b for a, b in zip(row, col)) for col in Bt]
-            for row in A
-        ]
+        # over nonzero entries only: A[r, k] B[k, c] summed into (r, c)
+        rows = {}
+        for (k, c), b in B.items():
+            rows.setdefault(k, []).append((c, b))
+        out = {}
+        for (r, k), a in A.items():
+            for c, b in rows.get(k, ()):
+                out[r, c] = out.get((r, c), 0) + a * b
+        return out
 
     def commutator_is(A, B, scale, C):
-        lhs = matmul(A, B)
-        rhs = matmul(B, A)
-        return all(
-            lhs[r][c] - rhs[r][c] == scale * C[r][c]
-            for r in range(len(A))
-            for c in range(len(A))
-        )
+        diff = matmul(A, B)
+        for rc, x in matmul(B, A).items():
+            diff[rc] = diff.get(rc, 0) - x
+        return ({rc: x for rc, x in diff.items() if x}
+                == {rc: scale * x for rc, x in C.items()})
 
     for ct, node in ALL_MINUSCULE:
         g = generator_matrices(rep(ct, node))
-        e, f, h = g["e"].matrix, g["f"].matrix, g["h"].matrix
+        e, f, h = (nonzero(g[k].matrix) for k in "efh")
         assert commutator_is(e, f, 1, h), (ct, node)
         assert commutator_is(h, e, 2, e), (ct, node)
-        assert commutator_is(h, f, 2, [[-x for x in r] for r in f]), \
+        assert commutator_is(h, f, 2, {rc: -x for rc, x in f.items()}), \
             (ct, node)
 
     # degree homogeneity of every connection matrix the suite builds

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import inspect
 import json
@@ -621,3 +622,82 @@ def test_module_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["value"] == "1"
+
+
+# ------------------------------------------------- one parser per process
+
+def test_parser_built_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    counts = []
+    for _ in range(5):
+        assert run(capsys, "roots", "A2")[0] == 0
+        counts.append(len(built))
+    assert counts[0] > 0
+    assert counts == [counts[0]] * 5
+
+
+def test_equivariant_flag_does_not_carry_over(capsys):
+    cli._build_parser.cache_clear()
+    argv = ("chevalley", "A3", "--node", "2")
+    _, first, _ = run(capsys, *argv)
+    code, doc = run_json(capsys, *argv, "--equivariant")
+    assert code == 0 and doc["equivariant"] is True
+    code, again, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert json.loads(again)["equivariant"] is False
+    assert again == first
+
+
+def test_verify_depth_does_not_carry_over(capsys):
+    cli._build_parser.cache_clear()
+    argv = ("verify", "A3", "--node", "2")
+    _, first, _ = run(capsys, *argv)
+    code, deep = run_json(capsys, *argv, "--max-degree", "4")
+    assert code == 0
+    details = {c["name"]: c["detail"] for c in deep["cases"][0]["checks"]}
+    assert details["period"].endswith("c_0..c_4 nonnegative")
+    code, again, _ = run(capsys, *argv)
+    assert code == 0 and again == first
+    details = {c["name"]: c["detail"]
+               for c in json.loads(again)["cases"][0]["checks"]}
+    assert details["period"].endswith("c_0..c_3 nonnegative")
+    assert details["constant_term"].startswith("Gr(2,4) degrees 1..3: ")
+
+
+def test_parse_error_then_good_call(capsys):
+    cli._build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "A3", "--node", "x"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+    code, doc = run_json(capsys, "verify", "A3", "--node", "2")
+    assert code == 0 and doc["pass"] is True
+
+
+def test_patch_after_first_call_is_honoured(capsys, monkeypatch):
+    argv = ("period", "A2", "--node", "1", "--max-degree", "2")
+    assert run(capsys, *argv)[0] == 0
+
+    def refused(*args, **kwargs):
+        raise ValueError("patched period")
+
+    monkeypatch.setattr(cli, "quantum_period", refused)
+    assert run(capsys, *argv) == (1, "", "error: patched period\n")
+
+
+def test_case_list_is_read_only():
+    cases = _load_case_list()
+    assert cases is _load_case_list()
+    with pytest.raises(TypeError):
+        cases[0]["node"] = 2
+    with pytest.raises(TypeError):
+        cases[0] = {"cartan": "A1", "node": 1}
+    assert (cases[0]["cartan"], cases[0]["node"]) == ("A1", 1)

@@ -19,6 +19,7 @@ from mmirror.rootsys import (
     simple_root,
 )
 from mmirror.weyl import minuscule_coset_reps
+from reference import root_fw
 
 
 # ---------------------------------------------------------------- parsing
@@ -354,6 +355,15 @@ def test_root_lengths_and_coroots_match_fraction_formula():
             assert r.norm2 == norm2 and type(r.norm2) is int, (ct, r)
             assert r.coroot.coeffs == tuple(
                 2 * c * s / norm2 for c, s in zip(r.coeffs, dsym)), (ct, r)
+
+
+def test_closure_fw_matches_cartan_product():
+    # the closure adds a Cartan row per step; against the full product
+    for ct in all_types(12):
+        d = build_root_datum(ct)
+        for r in d.positive_roots:
+            assert r.fw == root_fw(r.coeffs, d.cartan), (ct, r.coeffs)
+            assert type(r.fw) is tuple, (ct, r.coeffs)
 
 
 def test_fundamental_weight_pairing():
