@@ -708,7 +708,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("case")
     p.add_argument("--node", type=int)
     add_output(p)
-    p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("chevalley", help="dump a connection matrix")
     p.add_argument("case")
@@ -716,7 +715,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--equivariant", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     add_output(p)
-    p.set_defaults(func=cmd_chevalley)
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("case", nargs="?")
@@ -730,13 +728,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="constant-term walk budget: the most candidates "
                         "(state, count) the quantum-term walk may try")
     add_output(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("potential", help="dump a Grassmannian potential")
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
     add_output(p)
-    p.set_defaults(func=cmd_potential)
 
     p = sub.add_parser("period", help="quantum period coefficients")
     p.add_argument("case")
@@ -745,7 +741,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="series depth, default 6, at most "
                         f"{MAX_PERIOD_DEGREE}")
     add_output(p)
-    p.set_defaults(func=cmd_period)
 
     p = sub.add_parser("gw", help="Gromov-Witten number from the "
                                   "constant-term formula")
@@ -756,30 +751,29 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="the most candidates (state, count) the "
                         "quantum-term walk may try")
     add_output(p)
-    p.set_defaults(func=cmd_gw)
 
     p = sub.add_parser("scalar-ode", help="cyclic-vector scalar operator")
     p.add_argument("case")
     p.add_argument("--node", type=int, required=True)
     add_output(p)
-    p.set_defaults(func=cmd_scalar_ode)
 
     p = sub.add_parser("bessel", help="Wronskian check for the rank-one "
                                       "equivariant periods")
     p.add_argument("y", type=float)
     p.add_argument("nu", type=float)
     add_output(p)
-    p.set_defaults(func=cmd_bessel)
 
     return parser
 
 
 def main(argv=None) -> int:
     """Run one command, return its exit code.  Repeated calls in one
-    process build the parser and pinned list once, each case afresh."""
+    process build the parser and pinned list once, each case afresh; the
+    command's cmd_* function is looked up by name at call time."""
     args = _build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, ArithmeticError, BudgetExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

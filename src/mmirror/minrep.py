@@ -24,18 +24,14 @@ from .rootsys import (
     simple_root,
 )
 from .weyl import CosetReps
-from .qchev import ConnMatrix, LaurentPoly, lift_equivariant
+from .qchev import ConnMatrix, lift_equivariant
 
 __all__ = [
     "MinusculeRep",
-    "RepOperator",
     "build_rep",
     "root_step",
-    "generator_matrices",
-    "xtheta_matrix",
     "fg_connection",
     "equivariant_fg",
-    "zeta_rescaling_consistent",
 ]
 
 
@@ -56,20 +52,6 @@ class MinusculeRep:
     def space_dim(self):
         """Complex dimension of G/P, the top coset length."""
         return self.reps.reps[-1].length
-
-
-@dataclass(frozen=True)
-class RepOperator:
-    label: str
-    matrix: tuple  # dim x dim integer matrix, row = target index
-
-    def nonzeros(self):
-        return [
-            (r, c, v)
-            for r, row in enumerate(self.matrix)
-            for c, v in enumerate(row)
-            if v
-        ]
 
 
 def build_rep(d: RootDatum, reps: CosetReps) -> MinusculeRep:
@@ -93,55 +75,6 @@ def root_step(mu, root, sign: int = 1):
     if sign * pairing(mu, root.coroot) != -1:
         return None
     return tuple(x + sign * a for x, a in zip(mu, root.fw))
-
-
-def _root_operator(rep: MinusculeRep, label: str, root,
-                   sign: int) -> RepOperator:
-    """The matrix of the root vector for beta = sign * root (root_step)."""
-    reps = rep.reps
-    n = rep.dim
-    m = [[0] * n for _ in range(n)]
-    for c, mu in enumerate(reps.weights):
-        target = root_step(mu, root, sign)
-        if target is not None:
-            m[reps.index_of_weight(target)][c] = 1
-    return RepOperator(label=label, matrix=tuple(tuple(row) for row in m))
-
-
-def generator_matrices(rep: MinusculeRep) -> dict:
-    """All Chevalley generator matrices plus the principal triple:
-    keys 'x1'..'xr', 'y1'..'yr', 'e', 'f', 'h'."""
-    d = rep.datum
-    out = {}
-    for j in range(1, d.rank + 1):
-        alpha = simple_root(d, j)
-        out[f"x{j}"] = _root_operator(rep, f"x{j}", alpha, 1)
-        out[f"y{j}"] = _root_operator(rep, f"y{j}", alpha, -1)
-
-    n = rep.dim
-    c = d.two_rho_covec.coeffs
-    e = [[0] * n for _ in range(n)]
-    f = [[0] * n for _ in range(n)]
-    for j in range(1, d.rank + 1):
-        for r, row in enumerate(out[f"x{j}"].matrix):
-            for col, v in enumerate(row):
-                e[r][col] += c[j - 1] * v
-        for r, row in enumerate(out[f"y{j}"].matrix):
-            for col, v in enumerate(row):
-                f[r][col] += v
-    h = [[0] * n for _ in range(n)]
-    for i, mu in enumerate(rep.reps.weights):
-        h[i][i] = pairing(tuple(mu), d.two_rho_covec)
-    out["e"] = RepOperator("e", tuple(tuple(r) for r in e))
-    out["f"] = RepOperator("f", tuple(tuple(r) for r in f))
-    out["h"] = RepOperator("h", tuple(tuple(r) for r in h))
-    return out
-
-
-def xtheta_matrix(rep: MinusculeRep) -> RepOperator:
-    """Highest-root raising operator: v_mu maps to v_{mu + theta} precisely
-    when <mu, theta-vee> = -1, with coefficient +1."""
-    return _root_operator(rep, "xtheta", rep.datum.highest_root, 1)
 
 
 def _coweight_diagonal(rep: MinusculeRep):
@@ -190,27 +123,3 @@ def equivariant_fg(rep: MinusculeRep, fg: ConnMatrix = None) -> ConnMatrix:
     if fg is None:
         fg = fg_connection(rep)
     return lift_equivariant(fg, _coweight_diagonal(rep))
-
-
-def zeta_rescaling_consistent(rep: MinusculeRep, M: ConnMatrix) -> bool:
-    """Homogeneity of the connection form: conjugating by diag(z^{l(w)})
-    and substituting q -> z^c q multiplies every entry by z."""
-    d = rep.datum
-    c = d.coxeter_number
-    lengths = [w.length for w in rep.reps.reps]
-    variables = ("q", "z")
-    z = LaurentPoly.var(variables, "z")
-    for (r, col), entry in M.cells.items():
-        lifted = LaurentPoly(
-            variables,
-            {
-                (k[0], lengths[r] - lengths[col] + c * k[0]): v
-                for k, v in entry.terms.items()
-            },
-        )
-        want = z * LaurentPoly(
-            variables, {(k[0], 0): v for k, v in entry.terms.items()}
-        )
-        if lifted != want:
-            return False
-    return True

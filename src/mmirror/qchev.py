@@ -4,12 +4,16 @@ The operator "multiply by the degree-one Schubert class" acting on the
 cohomology of G/P is assembled by one rule, the quantum Chevalley formula
 of Fulton-Woodward, column by column over the minimal coset
 representatives (fw_matrix).  Each candidate w s_beta is read off the
-coset weights, as a coset index (weyl.reflect_coset) and, only when that
-coset's length admits a term, a length (weyl.reflect_length), so no Weyl
-product is formed and only the nonzero cells are built.  The rule serves
-minuscule nodes and odd quadrics alike; the classical (q^0) part and the
-torus-equivariant matrix, with a linear form in h_1..h_r on the diagonal
-as in Mihalcea's formula, are derived from it.
+table of images that the coset walk carries (w.rho and w.beta for every
+beta outside the Levi): as a coset index (weyl.reflect_coset, a lookup)
+and, only when that coset's length admits a term, as a length
+(weyl.reflect_length, the step count of a descent that builds no word).
+No Weyl product or matrix is formed, each root's drop <2(rho - rho_P),
+beta-vee> is an integer found once, and only the nonzero cells are
+built.  The rule serves minuscule nodes and odd quadrics alike; the
+classical (q^0) part and the torus-equivariant matrix, with a linear
+form in h_1..h_r on the diagonal as in Mihalcea's formula, are derived
+from it.
 
 Matrices use the column convention: column w holds the expansion of the
 operator applied to the basis class sigma_w.  A ConnMatrix is held as its
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .rootsys import (
     RootDatum,
@@ -290,16 +295,13 @@ def fw_matrix(d: RootDatum, reps: CosetReps, node: int) -> ConnMatrix:
     if node != p.node:
         raise ValueError(f"node {node} is not the node {p.node} of the "
                          "coset representatives")
-    levi = {r.coeffs for r in p.levi_positive_roots}
-    two_rho_diff = [2 - 2 * x for x in p.rho_P.coeffs]
+    two_rho_diff = [int(2 - 2 * x) for x in p.rho_P.coeffs]
     roots = []   # (beta, k, ell(s_beta), <2(rho - rho_P), beta-vee>)
-    for beta in d.positive_roots:
-        if beta.coeffs not in levi:
-            cv = beta.coroot.coeffs
-            # column 0 is the identity: its reflected length is ell(s_beta)
-            roots.append((beta, cv[node - 1],
-                          reflect_length(d, reps, 0, beta),
-                          sum(t * x for t, x in zip(two_rho_diff, cv))))
+    for beta in reps.roots(d):
+        cv = beta.coroot.coeffs
+        # column 0 is the identity: its reflected length is ell(s_beta)
+        roots.append((beta, cv[node - 1], reflect_length(d, reps, 0, beta),
+                      sum(map(mul, two_rho_diff, cv))))
 
     # The coset of w s_beta has length at most ell(w s_beta), so a term is
     # possible only where that length is ell(w) + 1 (classical) or

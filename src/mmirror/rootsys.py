@@ -229,6 +229,13 @@ class RootDatum:
         return self._fw_index[tuple(fw)]
 
     @cached_property
+    def cartan_rows(self):
+        """Row i of the Cartan matrix as its nonzero (k, a_ik) pairs: the
+        coordinates a simple reflection s_i changes on fw coordinates."""
+        return tuple(tuple((k, a) for k, a in enumerate(row) if a)
+                     for row in self.cartan)
+
+    @cached_property
     def inverse_cartan(self):
         """(den, rows): the inverse of the Cartan matrix as integer rows
         over one common denominator, solved once per datum by

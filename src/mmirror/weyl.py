@@ -9,20 +9,24 @@ descent rule: s_j w < w exactly when <w.rho, alpha_j-vee> < 0, so
 repeatedly applying the smallest such s_j to w.rho (the row sums of the
 action matrix) spells the canonical reduced word of w, and the length is
 the number of letters.  Applied to w.lam, with lam dominant and stabiliser
-W_P, the same descent spells the minimal representative of w W_P; right
-descents are read the same way off w^{-1}.rho.
+W_P, the same descent spells the minimal representative of w W_P.  When
+only the length is wanted no word is built (_descent_length): every
+descent of a weight mu takes #{beta > 0 : <mu, beta-vee> < 0} steps,
+whatever the order of the reflections.
 
 A coset w W_P of a maximal parabolic is its weight mu = w.varpi_node;
 W^P is grown once, up the left weak order from the identity
-(minuscule_coset_reps).  At a minuscule node (or the B_n quadric node)
-the library moves between cosets on weights only: w s_beta lies in the
-coset of mu - <varpi_node, beta-vee> w.beta (reflect_coset, a dict
-lookup) and has the length of the descent of w.rho - <rho, beta-vee>
-w.beta (reflect_length, asked only when the coset's length can match),
-which gives Bruhat covers and the Chevalley rule; the Poincare dual of
-mu is w0.mu, since w0P fixes varpi_node.  Products, inverses, pi_P and
-the special elements stay as the element-level reference that the tests
-compare against.
+(minuscule_coset_reps).  The walk carries, for each rep w, one tuple of
+fw coordinates: w.rho and w.beta for every beta in R+ \\ R+_P, in
+positive-root order.  The child s_j w gets each image v as s_j.v = v -
+v_j (row j of the Cartan matrix), and keeps the parent's v where v_j = 0.
+At a minuscule node (or the B_n quadric node) the library moves between
+cosets on that table only: w s_beta lies in the coset of mu -
+<varpi_node, beta-vee> w.beta (reflect_coset, a dict lookup) and has the
+length of the descent of w.rho - <rho, beta-vee> w.beta (reflect_length,
+asked only when the coset's length can match), which gives Bruhat covers
+and the Chevalley rule; w lies in W(gamma) when its gamma image is -theta;
+the Poincare dual of mu is w0.mu, since w0P fixes varpi_node.
 """
 
 from __future__ import annotations
@@ -30,41 +34,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
-from operator import mul
+from operator import mul, sub
 
-from .rootsys import (
-    ParabolicData,
-    Root,
-    RootDatum,
-    Weight,
-    is_cominuscule,
-    levi_data,
-    simple_root,
-)
+from .rootsys import ParabolicData, Root, RootDatum, levi_data
 
 __all__ = [
     "WeylElt",
     "CosetReps",
-    "SpecialElements",
     "identity_elt",
-    "simple_reflection",
-    "reflection",
     "from_word",
-    "multiply",
-    "inverse",
-    "act_weight",
-    "act_root",
     "act_coweight",
     "longest_element",
     "minuscule_coset_reps",
-    "pi_P",
     "reflect_coset",
     "reflect_length",
     "bruhat_covers_up",
     "w_gamma_set",
-    "special_elements",
     "pd",
 ]
 
@@ -84,11 +70,6 @@ class WeylElt:
 
     def __repr__(self):
         return f"W[{'.'.join(map(str, self.word)) or 'e'}]"
-
-
-def _matmul(a, b):
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def _matvec(m, v):
@@ -118,22 +99,68 @@ def _reflect_cols(d: RootDatum, i: int, m):
                  for row in m)
 
 
+def _reflect_images(d: RootDatum, i: int, images, pool: dict) -> tuple:
+    """s_i.v for each v of images: v - v_i (row i of the Cartan matrix),
+    changed only along that row's nonzero entries; v itself when
+    v_i = 0.  A new image is stored once in pool: the images of roots
+    are roots, so the reps share them."""
+    row = d.cartan_rows[i - 1]
+    out = []
+    for v in images:
+        c = v[i - 1]
+        if c:
+            v = list(v)
+            for k, a in row:
+                v[k] -= c * a
+            v = tuple(v)
+            v = pool.setdefault(v, v)
+        out.append(v)
+    return tuple(out)
+
+
 def _descent_word(d: RootDatum, mu):
     """Letters of the descent of mu to the dominant chamber: repeatedly
-    apply the smallest s_j with mu_j < 0 and record j."""
+    apply the smallest s_j with mu_j < 0 and record j.  A step changes
+    only the nonzero entries of row j of the Cartan matrix, so the scan
+    for the next letter resumes at the first of them."""
+    rows = d.cartan_rows
     n = d.rank
     cur = list(mu)
     word = []
-    while True:
-        for j in range(n):
-            if cur[j] < 0:
-                c = cur[j]
-                for k, a in enumerate(d.cartan[j]):
-                    cur[k] -= c * a
-                word.append(j + 1)
-                break
+    j = 0
+    while j < n:
+        c = cur[j]
+        if c < 0:
+            for k, a in rows[j]:
+                cur[k] -= c * a
+            word.append(j + 1)
+            j = rows[j][0][0]
         else:
-            return tuple(word)
+            j += 1
+    return tuple(word)
+
+
+def _descent_length(d: RootDatum, mu) -> int:
+    """len(_descent_word(d, mu)), with no word built.  s_j with mu_j < 0
+    permutes the positive roots other than alpha_j, so it lowers
+    #{beta > 0 : <mu, beta-vee> < 0} by exactly one: every descent has
+    that many steps, in any order.  The negative coordinates wait on a
+    stack, and a step touches only the nonzero entries of its Cartan row;
+    a coordinate is pushed when a step makes it negative."""
+    rows = d.cartan_rows
+    cur = list(mu)
+    stack = [j for j, x in enumerate(cur) if x < 0]
+    steps = 0
+    while stack:
+        j = stack.pop()
+        c = cur[j]
+        steps += 1
+        for k, a in rows[j]:
+            x = cur[k]
+            cur[k] = y = x - c * a
+            if y < 0 <= x:
+                stack.append(k)
+    return steps
 
 
 def _make_elt(d: RootDatum, action, inv_action) -> WeylElt:
@@ -149,22 +176,6 @@ def identity_elt(d: RootDatum) -> WeylElt:
     return WeylElt(action=eye, inv_action=eye, length=0, word=())
 
 
-def simple_reflection(d: RootDatum, i: int) -> WeylElt:
-    return from_word(d, (i,))
-
-
-@lru_cache(maxsize=None)
-def reflection(d: RootDatum, beta: Root) -> WeylElt:
-    """s_beta, built directly as 1 - beta tensor beta-vee on fw coords."""
-    n = d.rank
-    cv = beta.coroot.coeffs
-    m = tuple(
-        tuple(int(j == k) - beta.fw[j] * cv[k] for k in range(n))
-        for j in range(n)
-    )
-    return _make_elt(d, m, m)
-
-
 def from_word(d: RootDatum, word) -> WeylElt:
     act = inv = _identity_matrix(d.rank)
     for i in reversed(word):
@@ -172,24 +183,6 @@ def from_word(d: RootDatum, word) -> WeylElt:
     for i in word:
         inv = _reflect_rows(d, i, inv)
     return _make_elt(d, act, inv)
-
-
-def multiply(d: RootDatum, u: WeylElt, v: WeylElt) -> WeylElt:
-    return _make_elt(d, _matmul(u.action, v.action), _matmul(v.inv_action, u.inv_action))
-
-
-def inverse(d: RootDatum, w: WeylElt) -> WeylElt:
-    return _make_elt(d, w.inv_action, w.action)
-
-
-def act_weight(w: WeylElt, lam) -> tuple:
-    vec = lam.coeffs if isinstance(lam, Weight) else tuple(lam)
-    return _matvec(w.action, vec)
-
-
-def act_root(d: RootDatum, w: WeylElt, root: Root):
-    """(sign, Root): the image w(root) as a signed positive root."""
-    return d.signed_root_from_fw(_matvec(w.action, root.fw))
 
 
 def act_coweight(w: WeylElt, covec) -> tuple:
@@ -203,26 +196,27 @@ def act_coweight(w: WeylElt, covec) -> tuple:
                  for col in zip(*w.inv_action))
 
 
-def longest_element(d: RootDatum, J=None) -> WeylElt:
-    """Longest element of the standard parabolic W_J (J = all nodes when
-    omitted): the descent word of w0_J.rho = rho - 2 rho_J, which for the
-    whole group is -rho, so no Levi data is built."""
-    if J is None:
-        return from_word(d, _descent_word(d, [-1] * d.rank))
-    rho_J = levi_data(d, subset=J).rho_P.coeffs
-    return from_word(d, _descent_word(d, [int(1 - 2 * x) for x in rho_J]))
+def longest_element(d: RootDatum) -> WeylElt:
+    """Longest element w0 of W: the descent word of w0.rho = -rho."""
+    return from_word(d, _descent_word(d, [-1] * d.rank))
 
 
 @dataclass(frozen=True)
 class CosetReps:
     """Minimal-length representatives of W/W_P for a minuscule node,
-    ordered by (length, canonical word); weights[i] = reps[i] . varpi_node."""
+    ordered by (length, canonical word); weights[i] = reps[i] . varpi_node.
+
+    images[i][0] is reps[i] . rho and images[i][slot(beta)] is
+    reps[i] . beta for beta in R+ \\ R+_P, all in fw coordinates.  Only
+    coordinates are kept; roots(d) reads the Root objects off the datum."""
 
     parabolic: ParabolicData
     reps: tuple
     weights: tuple
+    images: tuple
     _index: dict = field(repr=False)
     _by_weight: dict = field(repr=False)
+    _slot: dict = field(repr=False)
 
     def __len__(self):
         return len(self.reps)
@@ -233,17 +227,34 @@ class CosetReps:
     def index_of_weight(self, mu) -> int:
         return self._by_weight[tuple(mu)]
 
+    def roots(self, d: RootDatum) -> list:
+        """R+ \\ R+_P in positive-root order, the order of the slots."""
+        return [d.root_from_coeffs(c) for c in self._slot]
+
+    def slot(self, beta: Root) -> int:
+        """Position of w.beta in each images tuple; a Levi root has none."""
+        try:
+            return self._slot[beta.coeffs]
+        except KeyError:
+            raise ValueError(f"{beta} lies in the Levi of node "
+                             f"{self.parabolic.node}: no coset move") from None
+
 
 def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
     """W^P by one walk up the left weak order from the identity.  For a
     rep w of weight mu = w.varpi_node and each j with mu_j > 0, s_j w is a
     rep one step longer (Deodhar's lemma) of weight s_j.mu: its action is
-    one row update of w's, its inverse one column update of w's, and its
-    word the descent word of s_j.mu.  The count must be the closed-form
+    one row update of w's, its inverse one column update of w's, its word
+    the descent word of s_j.mu, and each of its images s_j.v for an image
+    v of w (v itself when v_j = 0).  The count must be the closed-form
     |W^P| of levi_data."""
     p = levi_data(d, node=node)
+    levi = {r.coeffs for r in p.levi_positive_roots}
+    roots = tuple(r for r in d.positive_roots if r.coeffs not in levi)
     start = tuple(int(j == node - 1) for j in range(d.rank))
     elts = {start: identity_elt(d)}
+    images = {start: ((1,) * d.rank,) + tuple(r.fw for r in roots)}
+    pool = {}
     order = [start]
     for mu in order:                  # the walk appends to order
         w = elts[mu]
@@ -259,6 +270,7 @@ def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
             word = _descent_word(d, nu)
             elts[nu] = WeylElt(action, _reflect_cols(d, j, w.inv_action),
                                len(word), word)
+            images[nu] = _reflect_images(d, j, images[mu], pool)
             order.append(nu)
     if len(order) != p.coset_size:
         raise AssertionError("walk does not reach |W^P| cosets")
@@ -269,39 +281,34 @@ def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
         parabolic=p,
         reps=reps,
         weights=tuple(order),
+        images=tuple(images[mu] for mu in order),
         _index={w.action: i for i, w in enumerate(reps)},
         _by_weight={mu: i for i, mu in enumerate(order)},
+        _slot={r.coeffs: s for s, r in enumerate(roots, 1)},
     )
 
 
-def pi_P(d: RootDatum, I_P, w: WeylElt) -> WeylElt:
-    """Minimal-length representative of the coset w W_P: the element
-    spelled by the descent word of w . lam, where lam = sum of varpi_j over
-    j outside I_P has stabiliser W_P."""
-    lam = [0 if j + 1 in I_P else 1 for j in range(d.rank)]
-    return from_word(d, _descent_word(d, act_weight(w, lam)))
-
-
 def reflect_coset(reps: CosetReps, c: int, beta: Root) -> int:
-    """Index of the coset of w s_beta for w = reps.reps[c]: its weight
-    w s_beta . varpi = mu - <varpi, beta-vee> w.beta, found by a dict
-    lookup.  Since ell(w s_beta) is at least the length of that coset, a
-    caller that needs w s_beta to have a given length compares the
-    coset's length first and asks reflect_length only when it can match."""
-    w_beta = _matvec(reps.reps[c].action, beta.fw)
+    """Index of the coset of w s_beta for w = reps.reps[c] and beta in
+    R+ \\ R+_P: its weight w s_beta . varpi = mu - <varpi, beta-vee>
+    w.beta, found by a dict lookup.  Since ell(w s_beta) is at least the
+    length of that coset, a caller that needs w s_beta to have a given
+    length compares the coset's length first and asks reflect_length only
+    when it can match."""
+    w_beta = reps.images[c][reps.slot(beta)]
     k = beta.coroot.coeffs[reps.parabolic.node - 1]
-    return reps.index_of_weight(
-        [m - k * b for m, b in zip(reps.weights[c], w_beta)])
+    if k != 1:                        # only at the B_n quadric node
+        w_beta = [k * b for b in w_beta]
+    return reps._by_weight[tuple(map(sub, reps.weights[c], w_beta))]
 
 
 def reflect_length(d: RootDatum, reps: CosetReps, c: int, beta: Root) -> int:
-    """ell(w s_beta) for w = reps.reps[c]: the descent length of
-    w s_beta . rho = w.rho - <rho, beta-vee> w.beta."""
-    w = reps.reps[c]
-    w_beta = _matvec(w.action, beta.fw)
+    """ell(w s_beta) for w = reps.reps[c] and beta in R+ \\ R+_P: the
+    descent length of w s_beta . rho = w.rho - <rho, beta-vee> w.beta."""
+    img = reps.images[c]
     h = sum(beta.coroot.coeffs)
-    return len(_descent_word(
-        d, [sum(row) - h * b for row, b in zip(w.action, w_beta)]))
+    return _descent_length(
+        d, [r - h * b for r, b in zip(img[0], img[reps.slot(beta)])])
 
 
 def bruhat_covers_up(d: RootDatum, reps: CosetReps, c: int):
@@ -309,12 +316,9 @@ def bruhat_covers_up(d: RootDatum, reps: CosetReps, c: int):
     ell(w s_beta) = ell(w) + 1 and w s_beta the minimal rep of its coset,
     i.e. its coset has length ell(w) + 1.  Returned as (beta, index) pairs
     in positive-root order."""
-    levi = {r.coeffs for r in reps.parabolic.levi_positive_roots}
     up = reps.reps[c].length + 1
     out = []
-    for beta in d.positive_roots:
-        if beta.coeffs in levi:
-            continue
+    for beta in reps.roots(d):
         r = reflect_coset(reps, c, beta)
         if (reps.reps[r].length == up
                 and reflect_length(d, reps, c, beta) == up):
@@ -324,62 +328,10 @@ def bruhat_covers_up(d: RootDatum, reps: CosetReps, c: int):
 
 def w_gamma_set(d: RootDatum, reps: CosetReps):
     """{w in W^P : w(gamma) = -theta}, in rep order."""
-    gamma = reps.parabolic.gamma
-    out = []
-    for w in reps.reps:
-        sign, img = act_root(d, w, gamma)
-        if sign < 0 and img.coeffs == d.highest_root.coeffs:
-            out.append(w)
-    return out
-
-
-@dataclass(frozen=True)
-class SpecialElements:
-    w0: WeylElt           # longest element of W
-    w0P: WeylElt          # longest element of W_P
-    wP: WeylElt           # w0P * w0
-    wPQ: WeylElt          # w0P * w0Q  (longest minimal rep of W_P / W_Q)
-    sgamma: WeylElt       # reflection at gamma
-
-
-def special_elements(d: RootDatum, p: ParabolicData) -> SpecialElements:
-    """Builds the distinguished elements and self-checks their defining
-    identities: w_P(rho) = -rho + 2 rho_P always; Inv(w_{P/Q}) =
-    R+_P \\ R+_Q when gamma exists; at a cominuscule node additionally
-    w_P^{-1}(alpha_node) = -theta."""
-    w0 = longest_element(d)
-    w0P = longest_element(d, p.I_P)
-    wP = multiply(d, w0P, w0)
-
-    got = act_weight(wP, d.rho)
-    if tuple(Fraction(x) for x in got) != tuple(
-        -1 + 2 * x for x in p.rho_P.coeffs
-    ):
-        raise AssertionError("w_P(rho) != -rho + 2 rho_P")
-    if p.node is not None and is_cominuscule(d, p.node):
-        sign, img = act_root(d, inverse(d, wP), simple_root(d, p.node))
-        if sign != -1 or img.coeffs != d.highest_root.coeffs:
-            raise AssertionError("w_P^{-1}(alpha_node) != -theta")
-
-    wPQ = None
-    sgamma = None
-    if p.gamma is not None:
-        w0Q = longest_element(d, p.I_Q)
-        wPQ = multiply(d, w0P, w0Q)
-        sgamma = reflection(d, p.gamma)
-        levi_minus_q = {
-            r.coeffs for r in p.levi_positive_roots
-        } - {
-            r.coeffs
-            for r in levi_data(d, subset=p.I_Q).levi_positive_roots
-        }
-        inv = {
-            a.coeffs for a in d.positive_roots
-            if act_root(d, wPQ, a)[0] < 0
-        }
-        if inv != levi_minus_q:
-            raise AssertionError("Inv(w_{P/Q}) != R+_P \\ R+_Q")
-    return SpecialElements(w0=w0, w0P=w0P, wP=wP, wPQ=wPQ, sgamma=sgamma)
+    slot = reps.slot(reps.parabolic.gamma)
+    minus_theta = tuple(-x for x in d.highest_root.fw)
+    return [w for w, img in zip(reps.reps, reps.images)
+            if img[slot] == minus_theta]
 
 
 def pd(d: RootDatum, reps: CosetReps) -> tuple:

@@ -4,6 +4,18 @@ For the root datum: ``root_fw`` is the rank-squared product of a root's
 simple-root coordinates with the Cartan matrix, the oracle for the
 fundamental-weight coordinates that the closure carries up.
 
+For the Weyl layer: the element-level route that the coset table is
+checked against.  ``multiply``, ``inverse``, ``reflection``, ``pi_P``,
+``longest_element`` (of any standard parabolic) and ``special_elements``
+work on rank x rank action matrices; ``root_image`` is w.beta as the
+product of w's action with beta's fw coordinates.
+
+For the minuscule representation: ``generator_matrices`` and
+``xtheta_matrix`` build the Chevalley generators, the principal triple
+and x_theta as dense matrices, from the weights alone;
+``zeta_rescaling_consistent`` checks the homogeneity of a connection
+form.
+
 For the crystal-potential builder: ``reference_unipotent_vector`` is the
 generic ``LaurentPoly`` walk that the integer builder is checked against;
 ``homogeneous_degree_one`` checks homogeneity by rescaling the whole f_q;
@@ -18,7 +30,10 @@ its operator; ``jacobian_pn_check`` is the Jacobian-ring check for P^n.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 from mmirror.crystal_potential import Potential
 from mmirror.minrep import root_step
@@ -44,8 +59,24 @@ from mmirror.qchev import (
     matrix_relation,
     mihalcea_equivariant,
 )
-from mmirror.rootsys import CartanType, build_root_datum, simple_root
-from mmirror.weyl import minuscule_coset_reps
+from mmirror.rootsys import (
+    CartanType,
+    ParabolicData,
+    Weight,
+    build_root_datum,
+    is_cominuscule,
+    levi_data,
+    pairing,
+    simple_root,
+)
+from mmirror.weyl import (
+    WeylElt,
+    _descent_word,
+    _make_elt,
+    from_word,
+    minuscule_coset_reps,
+)
+from mmirror import weyl
 
 
 def root_fw(coeffs, cartan) -> tuple:
@@ -54,6 +85,213 @@ def root_fw(coeffs, cartan) -> tuple:
     return tuple(sum(coeffs[j] * cartan[j][k] for j in range(n))
                  for k in range(n))
 
+
+# ------------------------------------------------------ Weyl layer
+
+def _matmul(a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def _matvec(m, v):
+    return tuple(sum(map(mul, row, v)) for row in m)
+
+
+def simple_reflection(d, i: int) -> WeylElt:
+    return from_word(d, (i,))
+
+
+@lru_cache(maxsize=None)
+def reflection(d, beta) -> WeylElt:
+    """s_beta, built directly as 1 - beta tensor beta-vee on fw coords."""
+    n = d.rank
+    cv = beta.coroot.coeffs
+    m = tuple(
+        tuple(int(j == k) - beta.fw[j] * cv[k] for k in range(n))
+        for j in range(n)
+    )
+    return _make_elt(d, m, m)
+
+
+def multiply(d, u: WeylElt, v: WeylElt) -> WeylElt:
+    return _make_elt(d, _matmul(u.action, v.action),
+                     _matmul(v.inv_action, u.inv_action))
+
+
+def inverse(d, w: WeylElt) -> WeylElt:
+    return _make_elt(d, w.inv_action, w.action)
+
+
+def act_weight(w: WeylElt, lam) -> tuple:
+    vec = lam.coeffs if isinstance(lam, Weight) else tuple(lam)
+    return _matvec(w.action, vec)
+
+
+def act_root(d, w: WeylElt, root):
+    """(sign, Root): the image w(root) as a signed positive root."""
+    return d.signed_root_from_fw(_matvec(w.action, root.fw))
+
+
+def root_image(w: WeylElt, beta) -> tuple:
+    """w.beta in fw coordinates, by the action matrix."""
+    return _matvec(w.action, beta.fw)
+
+
+def longest_element(d, J=None) -> WeylElt:
+    """Longest element of the standard parabolic W_J (J = all nodes when
+    omitted): the descent word of w0_J.rho = rho - 2 rho_J."""
+    if J is None:
+        return weyl.longest_element(d)
+    rho_J = levi_data(d, subset=J).rho_P.coeffs
+    return from_word(d, _descent_word(d, [int(1 - 2 * x) for x in rho_J]))
+
+
+def pi_P(d, I_P, w: WeylElt) -> WeylElt:
+    """Minimal-length representative of the coset w W_P: the element
+    spelled by the descent word of w . lam, where lam = sum of varpi_j over
+    j outside I_P has stabiliser W_P."""
+    lam = [0 if j + 1 in I_P else 1 for j in range(d.rank)]
+    return from_word(d, _descent_word(d, act_weight(w, lam)))
+
+
+@dataclass(frozen=True)
+class SpecialElements:
+    w0: WeylElt           # longest element of W
+    w0P: WeylElt          # longest element of W_P
+    wP: WeylElt           # w0P * w0
+    wPQ: WeylElt          # w0P * w0Q  (longest minimal rep of W_P / W_Q)
+    sgamma: WeylElt       # reflection at gamma
+
+
+def special_elements(d, p: ParabolicData) -> SpecialElements:
+    """Builds the distinguished elements and self-checks their defining
+    identities: w_P(rho) = -rho + 2 rho_P always; Inv(w_{P/Q}) =
+    R+_P \\ R+_Q when gamma exists; at a cominuscule node additionally
+    w_P^{-1}(alpha_node) = -theta."""
+    w0 = longest_element(d)
+    w0P = longest_element(d, p.I_P)
+    wP = multiply(d, w0P, w0)
+
+    got = act_weight(wP, d.rho)
+    if tuple(Fraction(x) for x in got) != tuple(
+        -1 + 2 * x for x in p.rho_P.coeffs
+    ):
+        raise AssertionError("w_P(rho) != -rho + 2 rho_P")
+    if p.node is not None and is_cominuscule(d, p.node):
+        sign, img = act_root(d, inverse(d, wP), simple_root(d, p.node))
+        if sign != -1 or img.coeffs != d.highest_root.coeffs:
+            raise AssertionError("w_P^{-1}(alpha_node) != -theta")
+
+    wPQ = None
+    sgamma = None
+    if p.gamma is not None:
+        w0Q = longest_element(d, p.I_Q)
+        wPQ = multiply(d, w0P, w0Q)
+        sgamma = reflection(d, p.gamma)
+        levi_minus_q = {
+            r.coeffs for r in p.levi_positive_roots
+        } - {
+            r.coeffs
+            for r in levi_data(d, subset=p.I_Q).levi_positive_roots
+        }
+        inv = {
+            a.coeffs for a in d.positive_roots
+            if act_root(d, wPQ, a)[0] < 0
+        }
+        if inv != levi_minus_q:
+            raise AssertionError("Inv(w_{P/Q}) != R+_P \\ R+_Q")
+    return SpecialElements(w0=w0, w0P=w0P, wP=wP, wPQ=wPQ, sgamma=sgamma)
+
+
+# ------------------------------------------- minuscule representation
+
+@dataclass(frozen=True)
+class RepOperator:
+    label: str
+    matrix: tuple  # dim x dim integer matrix, row = target index
+
+    def nonzeros(self):
+        return [
+            (r, c, v)
+            for r, row in enumerate(self.matrix)
+            for c, v in enumerate(row)
+            if v
+        ]
+
+
+def _root_operator(rep, label: str, root, sign: int) -> RepOperator:
+    """The matrix of the root vector for beta = sign * root (root_step)."""
+    reps = rep.reps
+    n = rep.dim
+    m = [[0] * n for _ in range(n)]
+    for c, mu in enumerate(reps.weights):
+        target = root_step(mu, root, sign)
+        if target is not None:
+            m[reps.index_of_weight(target)][c] = 1
+    return RepOperator(label=label, matrix=tuple(tuple(row) for row in m))
+
+
+def generator_matrices(rep) -> dict:
+    """All Chevalley generator matrices plus the principal triple:
+    keys 'x1'..'xr', 'y1'..'yr', 'e', 'f', 'h'."""
+    d = rep.datum
+    out = {}
+    for j in range(1, d.rank + 1):
+        alpha = simple_root(d, j)
+        out[f"x{j}"] = _root_operator(rep, f"x{j}", alpha, 1)
+        out[f"y{j}"] = _root_operator(rep, f"y{j}", alpha, -1)
+
+    n = rep.dim
+    c = d.two_rho_covec.coeffs
+    e = [[0] * n for _ in range(n)]
+    f = [[0] * n for _ in range(n)]
+    for j in range(1, d.rank + 1):
+        for r, row in enumerate(out[f"x{j}"].matrix):
+            for col, v in enumerate(row):
+                e[r][col] += c[j - 1] * v
+        for r, row in enumerate(out[f"y{j}"].matrix):
+            for col, v in enumerate(row):
+                f[r][col] += v
+    h = [[0] * n for _ in range(n)]
+    for i, mu in enumerate(rep.reps.weights):
+        h[i][i] = pairing(tuple(mu), d.two_rho_covec)
+    out["e"] = RepOperator("e", tuple(tuple(r) for r in e))
+    out["f"] = RepOperator("f", tuple(tuple(r) for r in f))
+    out["h"] = RepOperator("h", tuple(tuple(r) for r in h))
+    return out
+
+
+def xtheta_matrix(rep) -> RepOperator:
+    """Highest-root raising operator: v_mu maps to v_{mu + theta} precisely
+    when <mu, theta-vee> = -1, with coefficient +1."""
+    return _root_operator(rep, "xtheta", rep.datum.highest_root, 1)
+
+
+def zeta_rescaling_consistent(rep, M: ConnMatrix) -> bool:
+    """Homogeneity of the connection form: conjugating by diag(z^{l(w)})
+    and substituting q -> z^c q multiplies every entry by z."""
+    d = rep.datum
+    c = d.coxeter_number
+    lengths = [w.length for w in rep.reps.reps]
+    variables = ("q", "z")
+    z = LaurentPoly.var(variables, "z")
+    for (r, col), entry in M.cells.items():
+        lifted = LaurentPoly(
+            variables,
+            {
+                (k[0], lengths[r] - lengths[col] + c * k[0]): v
+                for k, v in entry.terms.items()
+            },
+        )
+        want = z * LaurentPoly(
+            variables, {(k[0], 0): v for k, v in entry.terms.items()}
+        )
+        if lifted != want:
+            return False
+    return True
+
+
+# ------------------------------------------------------ crystal potential
 
 def mask_poly(variables, coord) -> LaurentPoly:
     """A coordinate of the integer walk (bitmask -> int, bit m for

@@ -18,13 +18,7 @@ from mmirror.crystal_potential import (
     gw_from_constant_term,
     potential_typeA,
 )
-from mmirror.minrep import (
-    build_rep,
-    equivariant_fg,
-    fg_connection,
-    generator_matrices,
-    zeta_rescaling_consistent,
-)
+from mmirror.minrep import build_rep, equivariant_fg, fg_connection
 from mmirror.period_gw import (
     RatFunc,
     bessel_numeric_checks,
@@ -53,22 +47,21 @@ from mmirror.rootsys import (
     quantum_roots,
     simple_root,
 )
-from mmirror.weyl import (
+from mmirror.weyl import minuscule_coset_reps, w_gamma_set
+from reference import (
     act_root,
     act_weight,
-    inverse,
-    minuscule_coset_reps,
-    multiply,
-    pi_P,
-    special_elements,
-    w_gamma_set,
-)
-from reference import (
     bessel_operator_from_matrix,
     equivariant_bessel,
+    generator_matrices,
     hbar_rescale_consistent,
     homogeneous_degree_one,
+    inverse,
+    multiply,
+    pi_P,
     potential_projective,
+    special_elements,
+    zeta_rescaling_consistent,
 )
 
 # --------------------------------------------------------------- case lists

@@ -693,6 +693,24 @@ def test_patch_after_first_call_is_honoured(capsys, monkeypatch):
     assert run(capsys, *argv) == (1, "", "error: patched period\n")
 
 
+def test_command_patched_after_first_call_runs(capsys, monkeypatch):
+    # the parser is built once, but the command is looked up at call time
+    argv = ("roots", "A1", "--node", "1")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and json.loads(out) and err == ""
+    seen = []
+
+    def patched(args):
+        seen.append(args.case)
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_roots", patched)
+    assert run(capsys, *argv) == (7, "", "")
+    assert seen == ["A1"]
+    monkeypatch.undo()
+    assert run(capsys, *argv) == (code, out, err)
+
+
 def test_case_list_is_read_only():
     cases = _load_case_list()
     assert cases is _load_case_list()

@@ -19,7 +19,7 @@ from mmirror.rootsys import (
     fundamental_weight,
     minuscule_nodes,
 )
-from mmirror.weyl import act_weight, longest_element, minuscule_coset_reps
+from mmirror.weyl import minuscule_coset_reps
 from mmirror.crystal_potential import (
     BudgetExceeded,
     Potential,
@@ -32,7 +32,9 @@ from mmirror.crystal_potential import (
     unipotent_vector,
 )
 from reference import (
+    act_weight,
     homogeneous_degree_one,
+    longest_element,
     mask_poly,
     potential_projective,
     reference_unipotent_vector,

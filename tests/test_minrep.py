@@ -20,19 +20,21 @@ from mmirror.minrep import (
     build_rep,
     equivariant_fg,
     fg_connection,
-    generator_matrices,
-    xtheta_matrix,
-    zeta_rescaling_consistent,
 )
 from mmirror.weyl import (
     act_coweight,
     from_word,
     minuscule_coset_reps,
+    w_gamma_set,
+)
+from reference import (
+    generator_matrices,
     multiply,
     pi_P,
     reflection,
     simple_reflection,
-    w_gamma_set,
+    xtheta_matrix,
+    zeta_rescaling_consistent,
 )
 
 

@@ -23,13 +23,10 @@ from mmirror.period_gw import d4_split
 from mmirror.weyl import (
     bruhat_covers_up,
     minuscule_coset_reps,
-    multiply,
     pd,
-    pi_P,
-    reflection,
-    special_elements,
     w_gamma_set,
 )
+from reference import multiply, pi_P, reflection, special_elements
 
 
 def D(s):
@@ -356,13 +353,13 @@ def test_lengths_asked_only_where_a_term_is_possible(monkeypatch):
                             if b.coeffs not in levi)
     assert pairs == 1512
     calls = []
-    original = weyl._descent_word
+    original = weyl._descent_length
 
     def counted(d, mu):
         calls.append(mu)
         return original(d, mu)
 
-    monkeypatch.setattr(weyl, "_descent_word", counted)
+    monkeypatch.setattr(weyl, "_descent_length", counted)
     fw_matrix(d, reps, 7)
     assert 0 < 10 * len(calls) <= pairs
     calls.clear()

@@ -3,26 +3,42 @@ from operator import mul
 
 import pytest
 
-from mmirror.rootsys import CartanType, Weight, build_root_datum, levi_data, simple_root
+from mmirror import minrep
+from mmirror.minrep import build_rep, fg_connection
+from mmirror.period_gw import bruhat_path_count
+from mmirror.qchev import fw_matrix
+from mmirror.rootsys import (
+    CartanType,
+    Weight,
+    build_root_datum,
+    levi_data,
+    minuscule_nodes,
+    simple_root,
+)
 from mmirror.weyl import (
+    _descent_length,
+    _descent_word,
     act_coweight,
-    act_root,
-    act_weight,
     bruhat_covers_up,
     from_word,
     identity_elt,
-    inverse,
-    longest_element,
     minuscule_coset_reps,
-    multiply,
     pd,
-    pi_P,
     reflect_coset,
     reflect_length,
+    w_gamma_set,
+)
+from reference import (
+    act_root,
+    act_weight,
+    inverse,
+    longest_element,
+    multiply,
+    pi_P,
     reflection,
+    root_image,
     simple_reflection,
     special_elements,
-    w_gamma_set,
 )
 
 
@@ -157,6 +173,89 @@ def test_index_lookup():
     for i, w in enumerate(reps.reps):
         assert reps.index_of(w) == i
         assert reps.reps[reps.index_of_weight(reps.weights[i])] == w
+
+
+# ---------------------------------------------------- the coset table
+
+TABLE_TYPES = ([f"A{n}" for n in range(1, 11)]
+               + [f"B{n}" for n in range(2, 9)]
+               + [f"C{n}" for n in range(2, 9)]
+               + [f"D{n}" for n in range(4, 9)] + ["E6", "E7"])
+
+
+def _table_cases(ct):
+    """Every minuscule node of ct, and for B_n the odd quadric node 1."""
+    d = D(ct)
+    nodes = minuscule_nodes(d.cartan_type)
+    if ct[0] == "B":
+        nodes = (1,) + nodes
+    return d, [minuscule_coset_reps(d, node) for node in nodes]
+
+
+@pytest.mark.parametrize("ct", TABLE_TYPES)
+def test_table_images_match_action(ct):
+    # w.rho is the row sums of the action, and w.beta its product with
+    # beta's fw coordinates, for every rep and every root outside the Levi
+    d, cases = _table_cases(ct)
+    for reps in cases:
+        levi = {r.coeffs for r in reps.parabolic.levi_positive_roots}
+        assert [r.coeffs for r in reps.roots(d)] == [
+            r.coeffs for r in d.positive_roots if r.coeffs not in levi]
+        for w, img in zip(reps.reps, reps.images):
+            assert img[0] == tuple(sum(row) for row in w.action), w
+            for beta in reps.roots(d):
+                assert img[reps.slot(beta)] == root_image(w, beta), (w, beta)
+            assert len(img) == len(reps.roots(d)) + 1
+
+
+@pytest.mark.parametrize("ct", TABLE_TYPES)
+def test_descent_length_is_descent_word_length(ct):
+    # on w s_beta . rho = w.rho - <rho, beta-vee> w.beta for every
+    # (column, root) pair, which is what reflect_length descends
+    d, cases = _table_cases(ct)
+    for reps in cases:
+        for c, img in enumerate(reps.images):
+            for beta in reps.roots(d):
+                h = sum(beta.coroot.coeffs)
+                v = [r - h * b for r, b in zip(img[0], img[reps.slot(beta)])]
+                assert _descent_length(d, v) == len(_descent_word(d, v)), \
+                    (c, beta)
+
+
+def test_descent_length_of_any_weight():
+    # the count does not depend on the order of the steps, also for
+    # weights on a wall and for the zero weight
+    d = D("E6")
+    for mu in [(0,) * 6, (-1, 0, 0, 0, 0, 0), (0, -1, 0, 2, -3, 0),
+               (-1,) * 6, (2, -1, 0, -1, 1, -2)]:
+        assert _descent_length(d, mu) == len(_descent_word(d, mu)), mu
+    assert _descent_length(d, (-1,) * 6) == 36
+
+
+def test_levi_root_has_no_coset_move():
+    d = D("A3")
+    reps = minuscule_coset_reps(d, 2)
+    alpha1 = simple_root(d, 1)
+    for move in (lambda: reflect_coset(reps, 0, alpha1),
+                 lambda: reflect_length(d, reps, 0, alpha1)):
+        with pytest.raises(ValueError, match=r"Root\(1, 0, 0\).*Levi"):
+            move()
+
+
+def test_chevalley_route_does_not_use_root_step(monkeypatch):
+    # the coset table, the Fulton-Woodward matrix and the Bruhat chain
+    # count share no code with the representation side's root_step
+    def refused(*args, **kwargs):
+        raise AssertionError("root_step called on the Chevalley route")
+
+    monkeypatch.setattr(minrep, "root_step", refused)
+    d = D("E7")
+    reps = minuscule_coset_reps(d, 7)
+    assert len(reps) == 56
+    assert len(fw_matrix(d, reps, 7).cells) > 0
+    assert bruhat_path_count(d, reps, 7) > 0
+    with pytest.raises(AssertionError, match="root_step"):
+        fg_connection(build_rep(d, reps))
 
 
 # ------------------------------------------- words against a reference
