@@ -34,7 +34,7 @@ from .crystal_potential import (
     potential_typeA,
     refuse_large_grassmannian,
 )
-from .minrep import build_rep, equivariant_fg, fg_connection
+from .minrep import build_rep, coweight_diagonal, fg_connection
 from .period_gw import (
     RatFunc,
     bessel_numeric_checks,
@@ -49,7 +49,9 @@ from .qchev import (
     LaurentPoly,
     check_homogeneous,
     fw_matrix,
+    lift_equivariant,
     matrix_relation,
+    mihalcea_diagonal,
     mihalcea_equivariant,
     poincare_self_adjoint,
     quantum_chevalley_minuscule,  # noqa: F401  (re-exported alias)
@@ -292,12 +294,18 @@ def _check_mirror(case, D, budget):
 
 
 def _check_equivariant(case, D, budget):
-    M = mihalcea_equivariant(case.d, case.matrix, case.node)
-    F = equivariant_fg(case.rep, case.fg)
-    if M != F:
+    """The lifts agree when the q-matrices and the integer diagonals, over
+    their two denominators, do; only a failure builds the lifts."""
+    dm, mrows = mihalcea_diagonal(case.d, case.reps, case.node)
+    df, frows = coweight_diagonal(case.rep)
+    if case.matrix != case.fg or any(
+            a * df != b * dm for u, v in zip(mrows, frows)
+            for a, b in zip(u, v)):
+        M = lift_equivariant(case.matrix, mrows, dm)
+        F = lift_equivariant(case.fg, frows, df)
         raise CheckFailure("equivariant matrices differ"
                            + _first_difference(M, F))
-    return f"equal over {len(M.variables)} variables"
+    return f"equal over {case.d.rank + 1} variables"
 
 
 def _check_homogeneous(case, D, budget):

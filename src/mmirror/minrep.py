@@ -7,8 +7,9 @@ v_mu to v_{mu + beta} exactly when <mu, beta-vee> = -1, with coefficient 1.
 That gives x_j (beta = alpha_j), y_j (beta = -alpha_j) and x_theta (beta =
 theta), with h = [e, f] acting diagonally.  Out of these the connection
 f + q x_theta is assembled; its equivariant version adds the diagonal
--<mu-vee, h>, mu-vee the coweight dual to mu.  The mirror statement is that
-these coincide, index for index, with the quantum Chevalley matrices.
+-<mu-vee, h>, mu-vee the coweight dual to mu (integer rows over one
+scale).  The mirror statement is that these coincide, index for index,
+with the quantum Chevalley matrices.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "build_rep",
     "root_step",
     "fg_connection",
+    "coweight_diagonal",
     "equivariant_fg",
 ]
 
@@ -47,11 +49,6 @@ class MinusculeRep:
     @property
     def dim(self):
         return len(self.reps)
-
-    @property
-    def space_dim(self):
-        """Complex dimension of G/P, the top coset length."""
-        return self.reps.reps[-1].length
 
 
 def build_rep(d: RootDatum, reps: CosetReps) -> MinusculeRep:
@@ -77,22 +74,20 @@ def root_step(mu, root, sign: int = 1):
     return tuple(x + sign * a for x, a in zip(mu, root.fw))
 
 
-def _coweight_diagonal(rep: MinusculeRep):
-    """Per basis vector v_mu, the coweight mu-vee dual to mu in
-    simple-coroot coordinates: with mu = sum_k m_k alpha_k (m = mu A^-1)
-    and alpha_k = d_k alpha_k-vee, mu-vee = sum_k d_k m_k alpha_k-vee /
-    d_node, normalised so that varpi_node maps to varpi_node-vee.  The
-    pairings run in integers: A^-1 is integer over its denominator, and
+def coweight_diagonal(rep: MinusculeRep):
+    """(scale, rows): rows[c] / scale is the coweight mu-vee dual to the
+    weight mu of v_mu = basis vector c, in simple-coroot coordinates:
+    with mu = sum_k m_k alpha_k (m = mu A^-1) and alpha_k = d_k
+    alpha_k-vee, mu-vee = sum_k d_k m_k alpha_k-vee / d_node, so that
+    varpi_node maps to varpi_node-vee.  A^-1 is integer over its den, and
     d_k / d_node = (alpha_k, alpha_k) / (alpha_node, alpha_node)."""
     d = rep.datum
     den, inv = d.inverse_cartan
     norms = [simple_root(d, k).norm2 for k in range(1, d.rank + 1)]
-    scale = den * norms[rep.node - 1]
     cols = [[e * x for x in col] for e, col in zip(norms, zip(*inv))]
-    return [
-        tuple(Fraction(sum(map(mul, mu, col)), scale) for col in cols)
-        for mu in rep.reps.weights
-    ]
+    return den * norms[rep.node - 1], [
+        tuple(sum(map(mul, mu, col)) for col in cols)
+        for mu in rep.reps.weights]
 
 
 def fg_connection(rep: MinusculeRep) -> ConnMatrix:
@@ -122,4 +117,5 @@ def equivariant_fg(rep: MinusculeRep, fg: ConnMatrix = None) -> ConnMatrix:
     ``fg``, when given, is the already built fg_connection(rep)."""
     if fg is None:
         fg = fg_connection(rep)
-    return lift_equivariant(fg, _coweight_diagonal(rep))
+    scale, rows = coweight_diagonal(rep)
+    return lift_equivariant(fg, rows, scale)

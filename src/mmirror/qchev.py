@@ -13,7 +13,8 @@ beta-vee> is an integer found once, and only the nonzero cells are
 built.  The rule serves minuscule nodes and odd quadrics alike; the
 classical (q^0) part and the torus-equivariant matrix, with a linear
 form in h_1..h_r on the diagonal as in Mihalcea's formula, are derived
-from it.
+from it; that diagonal is integer rows over one denominator
+(mihalcea_diagonal) until a lifted matrix is built.
 
 Matrices use the column convention: column w holds the expansion of the
 operator applied to the basis class sigma_w.  A ConnMatrix is held as its
@@ -28,19 +29,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .rootsys import (
-    RootDatum,
-    Weight,
-    fundamental_coweight,
-    pairing,
-)
-from .weyl import CosetReps, act_coweight, reflect_coset, reflect_length
+from .rootsys import RootDatum, Weight, pairing
+from .weyl import CosetReps, reflect_coset, reflect_length
 
 __all__ = [
     "LaurentPoly",
     "ConnMatrix",
     "quantum_chevalley_minuscule",
     "fw_matrix",
+    "mihalcea_diagonal",
     "lift_equivariant",
     "mihalcea_equivariant",
     "matrix_relation",
@@ -331,19 +328,29 @@ def fw_matrix(d: RootDatum, reps: CosetReps, node: int) -> ConnMatrix:
 quantum_chevalley_minuscule = fw_matrix
 
 
-def lift_equivariant(M: ConnMatrix, diagonal) -> ConnMatrix:
-    """M over ("q",) lifted to ("q", "h1", .., "hr") with -<diagonal[c], h>
-    added in column c, where diagonal[c] is a coweight in simple-coroot
+def mihalcea_diagonal(d: RootDatum, reps: CosetReps, node: int):
+    """(den, rows): rows[c] * den is reps.reps[c] . varpi_node-vee in
+    simple-coroot coordinates.  varpi_node-vee is column node of A^-1,
+    and coweights move by the transpose of the inverse action."""
+    den, inv = d.inverse_cartan
+    cov = [row[node - 1] for row in inv]
+    return den, [tuple(sum(map(mul, col, cov)) for col in zip(*w.inv_action))
+                 for w in reps.reps]
+
+
+def lift_equivariant(M: ConnMatrix, rows, den=1) -> ConnMatrix:
+    """M over ("q",) lifted to ("q", "h1", .., "hr") with -<rows[c] / den,
+    h> added in column c, where rows[c] is a coweight in simple-coroot
     coordinates and h_j is the equivariant parameter on alpha_j-vee.
     Only the diagonal gains terms: every other cell is M's, re-keyed."""
-    rank = len(diagonal[0])
+    rank = len(rows[0])
     variables = ("q",) + tuple(f"h{j}" for j in range(1, rank + 1))
     pad = (0,) * rank
     units = [(0,) + pad[:j] + (1,) + pad[j + 1:] for j in range(rank)]
     cells = {rc: {k + pad: v for k, v in e.terms.items()}
              for rc, e in M.cells.items()}
-    for c, coweight in enumerate(diagonal):
-        shift = {unit: -Fraction(x)
+    for c, coweight in enumerate(rows):
+        shift = {unit: Fraction(-x, den)
                  for unit, x in zip(units, coweight) if x != 0}
         if shift:
             cells.setdefault((c, c), {}).update(shift)
@@ -355,9 +362,8 @@ def mihalcea_equivariant(d: RootDatum, M: ConnMatrix,
     """Equivariant first-Chern-class action: the Chevalley matrix M (from
     fw_matrix) plus the diagonal linear form -<w . varpi_node-vee, h> in
     column w, over the variables ("q", "h1", .., "hr")."""
-    covec = fundamental_coweight(d, node)
-    return lift_equivariant(
-        M, [act_coweight(w, covec) for w in M.basis.reps])
+    den, rows = mihalcea_diagonal(d, M.basis, node)
+    return lift_equivariant(M, rows, den)
 
 
 def matrix_relation(M: ConnMatrix, relation: LaurentPoly) -> bool:

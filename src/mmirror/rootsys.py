@@ -43,7 +43,6 @@ __all__ = [
     "minuscule_dimension",
     "is_cominuscule",
     "fundamental_weight",
-    "fundamental_coweight",
     "simple_root",
     "reflection_length",
     "datum_to_json",
@@ -372,13 +371,6 @@ def simple_root(d: RootDatum, i: int) -> Root:
 
 def fundamental_weight(d: RootDatum, i: int) -> Weight:
     return Weight(tuple(1 if j == i - 1 else 0 for j in range(d.rank)))
-
-
-def fundamental_coweight(d: RootDatum, i: int) -> Coroot:
-    """varpi_i-vee in simple-coroot coordinates: column i of the inverse
-    Cartan matrix (rational in general)."""
-    den, inv = d.inverse_cartan
-    return Coroot(tuple(Fraction(row[i - 1], den) for row in inv))
 
 
 def reflection_length(d: RootDatum, beta: Root) -> int:

@@ -26,15 +26,14 @@ cosets on that table only: w s_beta lies in the coset of mu -
 length of the descent of w.rho - <rho, beta-vee> w.beta (reflect_length,
 asked only when the coset's length can match), which gives Bruhat covers
 and the Chevalley rule; w lies in W(gamma) when its gamma image is -theta;
-the Poincare dual of mu is w0.mu, since w0P fixes varpi_node.
+the Poincare dual of mu is w0.mu, whose coordinate at sigma(i) is -mu_i
+for the diagram involution sigma = -w0, read off the descent of -(1, 2,
+.., r) to -w0.(1, 2, .., r).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from fractions import Fraction
-from math import lcm
 from operator import mul, sub
 
 from .rootsys import ParabolicData, Root, RootDatum, levi_data
@@ -43,9 +42,6 @@ __all__ = [
     "WeylElt",
     "CosetReps",
     "identity_elt",
-    "from_word",
-    "act_coweight",
-    "longest_element",
     "minuscule_coset_reps",
     "reflect_coset",
     "reflect_length",
@@ -70,10 +66,6 @@ class WeylElt:
 
     def __repr__(self):
         return f"W[{'.'.join(map(str, self.word)) or 'e'}]"
-
-
-def _matvec(m, v):
-    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def _identity_matrix(n):
@@ -140,15 +132,15 @@ def _descent_word(d: RootDatum, mu):
     return tuple(word)
 
 
-def _descent_length(d: RootDatum, mu) -> int:
-    """len(_descent_word(d, mu)), with no word built.  s_j with mu_j < 0
-    permutes the positive roots other than alpha_j, so it lowers
-    #{beta > 0 : <mu, beta-vee> < 0} by exactly one: every descent has
-    that many steps, in any order.  The negative coordinates wait on a
-    stack, and a step touches only the nonzero entries of its Cartan row;
-    a coordinate is pushed when a step makes it negative."""
+def _descend(d: RootDatum, cur: list) -> int:
+    """Descend the list cur to the dominant chamber in place; return the
+    step count.  s_j with cur_j < 0 permutes the positive roots other than
+    alpha_j, so it lowers #{beta > 0 : <cur, beta-vee> < 0} by exactly
+    one: every descent has that many steps, in any order.  The negative
+    coordinates wait on a stack, and a step touches only the nonzero
+    entries of its Cartan row; a coordinate is pushed when a step makes
+    it negative."""
     rows = d.cartan_rows
-    cur = list(mu)
     stack = [j for j, x in enumerate(cur) if x < 0]
     steps = 0
     while stack:
@@ -163,42 +155,14 @@ def _descent_length(d: RootDatum, mu) -> int:
     return steps
 
 
-def _make_elt(d: RootDatum, action, inv_action) -> WeylElt:
-    """The canonical (greedy left-descent) word of w is the descent word
-    of w.rho, which in fw coordinates is the row sums of the action."""
-    word = _descent_word(d, [sum(row) for row in action])
-    return WeylElt(action=action, inv_action=inv_action, length=len(word),
-                   word=word)
+def _descent_length(d: RootDatum, mu) -> int:
+    """len(_descent_word(d, mu)), with no word built (see _descend)."""
+    return _descend(d, list(mu))
 
 
 def identity_elt(d: RootDatum) -> WeylElt:
     eye = _identity_matrix(d.rank)
     return WeylElt(action=eye, inv_action=eye, length=0, word=())
-
-
-def from_word(d: RootDatum, word) -> WeylElt:
-    act = inv = _identity_matrix(d.rank)
-    for i in reversed(word):
-        act = _reflect_rows(d, i, act)
-    for i in word:
-        inv = _reflect_rows(d, i, inv)
-    return _make_elt(d, act, inv)
-
-
-def act_coweight(w: WeylElt, covec) -> tuple:
-    """Coweights transform by the transpose of the inverse action; the
-    sums run in integers over the common denominator of covec, and each
-    coordinate comes back as a Fraction."""
-    cc = covec.coeffs if hasattr(covec, "coeffs") else tuple(covec)
-    den = lcm(*(x.denominator for x in cc))
-    nums = [x.numerator * (den // x.denominator) for x in cc]
-    return tuple(Fraction(sum(map(mul, col, nums)), den)
-                 for col in zip(*w.inv_action))
-
-
-def longest_element(d: RootDatum) -> WeylElt:
-    """Longest element w0 of W: the descent word of w0.rho = -rho."""
-    return from_word(d, _descent_word(d, [-1] * d.rank))
 
 
 @dataclass(frozen=True)
@@ -334,8 +298,23 @@ def w_gamma_set(d: RootDatum, reps: CosetReps):
             if img[slot] == minus_theta]
 
 
+def _diagram_involution(d: RootDatum) -> tuple:
+    """sigma with -w0 . varpi_i = varpi_sigma(i), 0-based: the coordinate
+    i + 1 of -w0.(1, 2, .., r) lies at sigma(i)."""
+    n = d.rank
+    top = [-i for i in range(1, n + 1)]
+    _descend(d, top)
+    if sorted(top) != list(range(1, n + 1)):
+        raise AssertionError("-w0 does not permute the fundamental weights")
+    sigma = [0] * n
+    for k, x in enumerate(top):
+        sigma[x - 1] = k
+    return tuple(sigma)
+
+
 def pd(d: RootDatum, reps: CosetReps) -> tuple:
     """Poincare duality on W^P as indices: PD(w) = pi_P(w0 w w0P), whose
-    weight is w0 . mu because w0P fixes varpi_node."""
-    w0 = longest_element(d).action
-    return tuple(reps.index_of_weight(_matvec(w0, mu)) for mu in reps.weights)
+    weight is w0 . mu because w0P fixes varpi_node: -mu_sigma(k) at k."""
+    sigma = _diagram_involution(d)
+    return tuple(reps.index_of_weight(tuple(-mu[s] for s in sigma))
+                 for mu in reps.weights)

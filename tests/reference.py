@@ -2,19 +2,24 @@
 
 For the root datum: ``root_fw`` is the rank-squared product of a root's
 simple-root coordinates with the Cartan matrix, the oracle for the
-fundamental-weight coordinates that the closure carries up.
+fundamental-weight coordinates that the closure carries up;
+``fundamental_coweight`` is varpi_i-vee as Fractions.
 
 For the Weyl layer: the element-level route that the coset table is
-checked against.  ``multiply``, ``inverse``, ``reflection``, ``pi_P``,
-``longest_element`` (of any standard parabolic) and ``special_elements``
-work on rank x rank action matrices; ``root_image`` is w.beta as the
-product of w's action with beta's fw coordinates.
+checked against.  ``from_word`` builds an element from a word;
+``multiply``, ``inverse``, ``reflection``, ``pi_P``, ``longest_element``
+(of any standard parabolic; ``pd_oracle`` reads Poincare duality off
+w0) and ``special_elements`` work on rank x rank action matrices;
+``root_image`` is w.beta as the product of w's action with beta's fw
+coordinates, and ``act_coweight`` is the Fraction action on coweights
+that the integer equivariant diagonals are checked against.
+``parabolic_cases`` lists the (type, node) pairs these oracles run over.
 
 For the minuscule representation: ``generator_matrices`` and
 ``xtheta_matrix`` build the Chevalley generators, the principal triple
-and x_theta as dense matrices, from the weights alone;
-``zeta_rescaling_consistent`` checks the homogeneity of a connection
-form.
+and x_theta as dense matrices, from the weights alone; ``space_dim`` is
+the dimension of G/P; ``zeta_rescaling_consistent`` checks the
+homogeneity of a connection form.
 
 For the crystal-potential builder: ``reference_unipotent_vector`` is the
 generic ``LaurentPoly`` walk that the integer builder is checked against;
@@ -61,22 +66,23 @@ from mmirror.qchev import (
 )
 from mmirror.rootsys import (
     CartanType,
+    Coroot,
     ParabolicData,
     Weight,
     build_root_datum,
     is_cominuscule,
     levi_data,
+    minuscule_nodes,
     pairing,
     simple_root,
 )
 from mmirror.weyl import (
     WeylElt,
     _descent_word,
-    _make_elt,
-    from_word,
+    _identity_matrix,
+    _reflect_rows,
     minuscule_coset_reps,
 )
-from mmirror import weyl
 
 
 def root_fw(coeffs, cartan) -> tuple:
@@ -95,6 +101,41 @@ def _matmul(a, b):
 
 def _matvec(m, v):
     return tuple(sum(map(mul, row, v)) for row in m)
+
+
+def fundamental_coweight(d, i: int) -> Coroot:
+    """varpi_i-vee in simple-coroot coordinates: column i of the inverse
+    Cartan matrix (rational in general)."""
+    den, inv = d.inverse_cartan
+    return Coroot(tuple(Fraction(row[i - 1], den) for row in inv))
+
+
+def _make_elt(d, action, inv_action) -> WeylElt:
+    """The canonical (greedy left-descent) word of w is the descent word
+    of w.rho, which in fw coordinates is the row sums of the action."""
+    word = _descent_word(d, [sum(row) for row in action])
+    return WeylElt(action=action, inv_action=inv_action, length=len(word),
+                   word=word)
+
+
+def from_word(d, word) -> WeylElt:
+    act = inv = _identity_matrix(d.rank)
+    for i in reversed(word):
+        act = _reflect_rows(d, i, act)
+    for i in word:
+        inv = _reflect_rows(d, i, inv)
+    return _make_elt(d, act, inv)
+
+
+def act_coweight(w: WeylElt, covec) -> tuple:
+    """Coweights transform by the transpose of the inverse action; the
+    sums run in integers over the common denominator of covec, and each
+    coordinate comes back as a Fraction."""
+    cc = covec.coeffs if hasattr(covec, "coeffs") else tuple(covec)
+    den = math.lcm(*(x.denominator for x in cc))
+    nums = [x.numerator * (den // x.denominator) for x in cc]
+    return tuple(Fraction(sum(map(mul, col, nums)), den)
+                 for col in zip(*w.inv_action))
 
 
 def simple_reflection(d, i: int) -> WeylElt:
@@ -139,11 +180,33 @@ def root_image(w: WeylElt, beta) -> tuple:
 
 def longest_element(d, J=None) -> WeylElt:
     """Longest element of the standard parabolic W_J (J = all nodes when
-    omitted): the descent word of w0_J.rho = rho - 2 rho_J."""
+    omitted): the descent word of w0_J.rho = rho - 2 rho_J, which is -rho
+    for w0."""
     if J is None:
-        return weyl.longest_element(d)
+        return from_word(d, _descent_word(d, [-1] * d.rank))
     rho_J = levi_data(d, subset=J).rho_P.coeffs
     return from_word(d, _descent_word(d, [int(1 - 2 * x) for x in rho_J]))
+
+
+def pd_oracle(d, reps) -> tuple:
+    """Poincare duality on W^P as indices, by w0 built from its word: the
+    dual of the coset of weight mu has weight w0 . mu."""
+    w0 = longest_element(d).action
+    return tuple(reps.index_of_weight(_matvec(w0, mu)) for mu in reps.weights)
+
+
+def parabolic_cases() -> list:
+    """(type, node) for every minuscule node of A1-A10, B2-B8, C2-C8,
+    D4-D9, E6 and E7, and the odd quadrics B2-B8 node 1."""
+    out = []
+    for family, low, high in (("A", 1, 10), ("B", 2, 8), ("C", 2, 8),
+                              ("D", 4, 9)):
+        for n in range(low, high + 1):
+            ct = CartanType(family, n)
+            out.extend((str(ct), node) for node in minuscule_nodes(ct))
+            if family == "B":
+                out.append((str(ct), 1))
+    return out + [("E6", 1), ("E6", 6), ("E7", 7)]
 
 
 def pi_P(d, I_P, w: WeylElt) -> WeylElt:
@@ -259,6 +322,11 @@ def generator_matrices(rep) -> dict:
     out["f"] = RepOperator("f", tuple(tuple(r) for r in f))
     out["h"] = RepOperator("h", tuple(tuple(r) for r in h))
     return out
+
+
+def space_dim(rep) -> int:
+    """Complex dimension of G/P, the top coset length."""
+    return rep.reps.reps[-1].length
 
 
 def xtheta_matrix(rep) -> RepOperator:

@@ -75,6 +75,21 @@ def test_chevalley_equivariant_p1(capsys):
     assert doc["equivariant"] is True
 
 
+@pytest.mark.parametrize("ct,node,digest", [
+    ("E7", "7",
+     "ba2a78b4cf3cf16189a17a75e2491a319d34f2afad3434857eb299cabb125e9c"),
+    ("E6", "1",
+     "ec7802d8b46aa9070f90e67ae4d9fb3e5212f46b7aea06440cd130438d0db1b8"),
+    ("B4", "4",
+     "e902f48c6787805553f1298d670028e9b1a900c9f11fcecc85cec6adad0d113e"),
+])
+def test_chevalley_equivariant_golden(capsys, ct, node, digest):
+    code, out, err = run(capsys, "chevalley", ct, "--node", node,
+                         "--equivariant")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_chevalley_csv_quadric(capsys):
     code, out, err = run(capsys, "chevalley", "B3", "--node", "1",
                          "--format", "csv")
@@ -320,20 +335,51 @@ def test_wgamma_position_failure_names_column(monkeypatch):
     assert repr(case.reps.reps[2]) in check["detail"]
 
 
+def _equivariant_check(report):
+    return next(c for c in report["checks"] if c["name"] == "equivariant")
+
+
+def _corrupted_diagonal_check(monkeypatch, side):
+    """The equivariant check of P^2 with one integer coordinate of column
+    1 moved on one side (the cli name ``side``)."""
+    original = getattr(cli, side)
+
+    def corrupted(*args):
+        den, rows = original(*args)
+        rows = list(rows)
+        rows[1] = (rows[1][0] + 1,) + rows[1][1:]
+        return den, rows
+
+    monkeypatch.setattr(cli, side, corrupted)
+    return _equivariant_check(cli._run_case({"cartan": "A2", "node": 1},
+                                            None, 10_000))
+
+
 def test_equivariant_failure_names_first_difference(monkeypatch):
-    original = cli.mihalcea_equivariant
-
-    def corrupted(d, matrix, node):
-        M = original(d, matrix, node)
-        cells = dict(M.cells)
-        cells[1, 1] = M.entry(1, 1) + 1
-        return ConnMatrix(M.basis, M.variables, M.size, cells)
-
-    monkeypatch.setattr(cli, "mihalcea_equivariant", corrupted)
-    report = cli._run_case({"cartan": "A2", "node": 1}, None, 10_000)
-    check = next(c for c in report["checks"] if c["name"] == "equivariant")
+    check = _corrupted_diagonal_check(monkeypatch, "mihalcea_diagonal")
     assert not check["pass"]
     assert "(1, 1)" in check["detail"]
+
+
+def test_equivariant_rep_side_failure_names_first_difference(monkeypatch):
+    check = _corrupted_diagonal_check(monkeypatch, "coweight_diagonal")
+    assert not check["pass"]
+    assert check["detail"] == ("equivariant matrices differ at (1, 1): "
+                               "-1/3*h2+1/3*h1 vs -1/3*h2+1/6*h1")
+
+
+def test_equivariant_fails_on_q_cell_alone():
+    # a q-cell of f + q x_theta doubled fails the equivariant check on its
+    # own, with the mirror check never run
+    case = cli.Case("A2", 1)
+    F = case.fg
+    cells = dict(F.cells)
+    cells[0, 2] = F.entry(0, 2) * 2
+    case.fg = ConnMatrix(F.basis, F.variables, F.size, cells)
+    with pytest.raises(cli.CheckFailure) as failure:
+        cli._CHECKS["equivariant"](case, None, None)
+    assert str(failure.value) == ("equivariant matrices differ at (0, 2): "
+                                  "q vs 2*q")
 
 
 # ------------------------------------------------------------ size guards

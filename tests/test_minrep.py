@@ -5,34 +5,36 @@ import pytest
 from mmirror.rootsys import (
     CartanType,
     build_root_datum,
-    fundamental_coweight,
     minuscule_nodes,
 )
 from mmirror.qchev import (
     ConnMatrix,
     LaurentPoly,
     fw_matrix,
+    mihalcea_diagonal,
     mihalcea_equivariant,
     quantum_chevalley_minuscule,
 )
 from mmirror.minrep import (
-    _coweight_diagonal,
     build_rep,
+    coweight_diagonal,
     equivariant_fg,
     fg_connection,
 )
 from mmirror.weyl import (
-    act_coweight,
-    from_word,
     minuscule_coset_reps,
     w_gamma_set,
 )
 from reference import (
+    act_coweight,
+    fundamental_coweight,
     generator_matrices,
+    parabolic_cases,
     multiply,
     pi_P,
     reflection,
     simple_reflection,
+    space_dim,
     xtheta_matrix,
     zeta_rescaling_consistent,
 )
@@ -95,7 +97,7 @@ def test_h_eigenvalues():
     for ct, node in [("A3", 2), ("B3", 3), ("C3", 1), ("D4", 1)]:
         rep = R(ct, node)
         g = generator_matrices(rep)
-        dim = rep.space_dim
+        dim = space_dim(rep)
         for i, w in enumerate(rep.reps.reps):
             assert g["h"].matrix[i][i] == dim - 2 * w.length
 
@@ -203,9 +205,10 @@ def fraction_inverse_cartan(d):
 
 
 def test_integer_coweights_equal_fraction_formulas():
-    # act_coweight (Chevalley side) and _coweight_diagonal (rep side) sum
-    # in integers over one denominator; both equal the Fraction formulas
-    # on every rep of every minuscule case up to rank 7 and E7
+    # mihalcea_diagonal (Chevalley side) and coweight_diagonal (rep side)
+    # give integer rows over one denominator; over it both equal the
+    # Fraction formulas on every rep of every minuscule case up to rank 7
+    # and E7, and the Chevalley side equals the Fraction act_coweight
     for ct, node in minuscule_cases():
         rep = R(ct, node)
         d = rep.datum
@@ -217,18 +220,40 @@ def test_integer_coweights_equal_fraction_formulas():
         dsym = {"B": [one] * (n - 1) + [half],
                 "C": [half] * (n - 1) + [one]}.get(d.cartan_type.family,
                                                   [one] * n)
-        diagonal = _coweight_diagonal(rep)
-        for w, mu, got in zip(rep.reps.reps, rep.reps.weights, diagonal):
+        scale, diagonal = coweight_diagonal(rep)
+        den, moved_rows = mihalcea_diagonal(d, rep.reps, node)
+        assert isinstance(scale, int) and isinstance(den, int)
+        for w, mu, got, moved in zip(rep.reps.reps, rep.reps.weights,
+                                     diagonal, moved_rows):
+            assert all(isinstance(x, int) for x in got + moved)
             want = tuple(
                 dsym[k] / dsym[node - 1]
                 * sum(mu[j] * inv[j][k] for j in range(n))
                 for k in range(n))
-            assert got == want, (ct, node, mu)
-            moved = act_coweight(w, cov)
+            assert tuple(Fraction(x, scale) for x in got) == want, \
+                (ct, node, mu)
+            moved = tuple(Fraction(x, den) for x in moved)
             assert moved == tuple(
                 sum(w.inv_action[j][k] * cov[j] for j in range(n))
                 for k in range(n)), (ct, node, w)
-            assert all(isinstance(x, Fraction) for x in got + moved)
+            assert moved == act_coweight(w, cov), (ct, node, w)
+
+
+@pytest.mark.parametrize("ct,node", parabolic_cases())
+def test_integer_diagonals_equal_act_coweight(ct, node):
+    # over its denominator each integer row is the Fraction w . varpi-vee,
+    # on the Chevalley side at every node and on the rep side where the
+    # node is minuscule
+    d = build_root_datum(CartanType.parse(ct))
+    reps = minuscule_coset_reps(d, node)
+    covec = fundamental_coweight(d, node)
+    want = [act_coweight(w, covec) for w in reps.reps]
+    sides = [mihalcea_diagonal(d, reps, node)]
+    if node in minuscule_nodes(d.cartan_type):
+        sides.append(coweight_diagonal(build_rep(d, reps)))
+    for den, rows in sides:
+        assert [tuple(Fraction(x, den) for x in row) for row in rows] \
+            == want, (ct, node)
 
 
 def test_xtheta_entries_binary():

@@ -7,7 +7,6 @@ from mmirror.rootsys import (
     Coroot,
     Weight,
     build_root_datum,
-    fundamental_coweight,
     fundamental_weight,
     gamma_root,
     levi_data,
@@ -19,7 +18,7 @@ from mmirror.rootsys import (
     simple_root,
 )
 from mmirror.weyl import minuscule_coset_reps
-from reference import root_fw
+from reference import fundamental_coweight, root_fw
 
 
 # ---------------------------------------------------------------- parsing

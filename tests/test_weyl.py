@@ -18,9 +18,8 @@ from mmirror.rootsys import (
 from mmirror.weyl import (
     _descent_length,
     _descent_word,
-    act_coweight,
+    _diagram_involution,
     bruhat_covers_up,
-    from_word,
     identity_elt,
     minuscule_coset_reps,
     pd,
@@ -29,11 +28,15 @@ from mmirror.weyl import (
     w_gamma_set,
 )
 from reference import (
+    act_coweight,
     act_root,
     act_weight,
+    from_word,
     inverse,
     longest_element,
     multiply,
+    parabolic_cases,
+    pd_oracle,
     pi_P,
     reflection,
     root_image,
@@ -485,3 +488,36 @@ def test_pd_involution():
             assert dual[dual[i]] == i
     # bottom maps to top
     assert dual[0] == len(reps) - 1
+
+
+@pytest.mark.parametrize("ct,node", parabolic_cases())
+def test_pd_equals_w0_oracle(ct, node):
+    d = D(ct)
+    reps = minuscule_coset_reps(d, node)
+    assert pd(d, reps) == pd_oracle(d, reps)
+
+
+@pytest.mark.parametrize("ct", sorted({ct for ct, _ in parabolic_cases()}))
+def test_diagram_involution(ct):
+    # sigma is the involution of the Dynkin diagram given by -w0
+    d = D(ct)
+    n = d.rank
+    sigma = _diagram_involution(d)
+    assert sorted(sigma) == list(range(n))
+    assert all(sigma[sigma[i]] == i for i in range(n))
+    assert all(d.cartan[sigma[i]][sigma[j]] == d.cartan[i][j]
+               for i in range(n) for j in range(n))
+    family = d.cartan_type.family
+    if family == "A":
+        want = tuple(reversed(range(n)))
+    elif family == "D" and n % 2:
+        want = tuple(range(n - 2)) + (n - 1, n - 2)
+    elif ct == "E6":
+        want = (5, 1, 4, 3, 2, 0)
+    else:                             # B, C, D_even, E7: w0 = -1
+        want = tuple(range(n))
+    assert sigma == want
+    w0 = longest_element(d).action
+    for i in range(n):                # -w0 . varpi_i = varpi_sigma(i)
+        assert tuple(-row[i] for row in w0) == tuple(
+            int(k == sigma[i]) for k in range(n))
