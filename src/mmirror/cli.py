@@ -88,8 +88,13 @@ MAX_SCALAR_ODE_SIZE = 72
 # 4300-digit limit on integer-to-string conversion.
 MAX_PERIOD_DEGREE = 100
 
-# cases whose quantum-column count is pinned exactly
-_WGAMMA_PINNED = {("E6", 6): 6, ("E7", 7): 12, ("D4", 1): 2}
+# The checks every case of a kind runs, then the pinned checks in order,
+# each with the case parameter it reads; a case's "golden" list runs last.
+_MINUSCULE_BATTERY = ("mirror", "equivariant", "homogeneous", "poincare",
+                      "period")
+_QUADRIC_BATTERY = ("fw_products", "homogeneous", "period_positive")
+_PINNED_INPUTS = (("projective_period", "projective_dim"),
+                  ("constant_term", "ct_degree"), ("wgamma", "wgamma"))
 
 
 class CheckFailure(Exception):
@@ -100,12 +105,15 @@ class CheckFailure(Exception):
 # case plumbing
 # --------------------------------------------------------------------------
 
-def _default_params(family: str, rank: int, node: int) -> dict:
-    """Depth defaults used both by the pinned case list and by ad-hoc
-    single-case runs: period depth 3 everywhere; constant-term depth for
-    the type-A potentials graded by their number of variables k(n-k), up
-    to MAX_POTENTIAL_VARS."""
+def _default_params(ct: CartanType, node: int) -> dict:
+    """The parameters every (type, node) gets, pinned or ad hoc: period
+    depth 3; the dimension N when G/P is the projective space P^N; the
+    constant-term depth of a type-A potential, graded by its number of
+    variables k(n-k), up to MAX_POTENTIAL_VARS."""
+    family, rank = ct.family, ct.rank
     params = {"max_degree": 3}
+    if (family, node) in (("A", 1), ("A", rank), ("C", 1)):
+        params["projective_dim"] = _orbit_size(ct, node) - 1
     if family == "A":
         v = node * (rank + 1 - node)
         if v <= 4:
@@ -150,6 +158,12 @@ def _refuse_large_datum(ct: CartanType) -> None:
         )
 
 
+def _refuse_bad_budget(budget: int) -> None:
+    """Raise ValueError for a constant-term walk budget below 1."""
+    if budget < 1:
+        raise ValueError(f"--budget {budget} is below 1")
+
+
 def _refuse_deep_period(depth) -> None:
     """Raise ValueError for a period depth above MAX_PERIOD_DEGREE."""
     if depth is not None and depth > MAX_PERIOD_DEGREE:
@@ -169,20 +183,15 @@ class Case:
         if not 1 <= self.node <= self.ct.rank:
             raise ValueError(f"node {node} out of range for {self.cartan}")
         self.minuscule = self.node in minuscule_nodes(self.ct)
-        self.quadric = (not self.minuscule
-                        and self.ct.family == "B" and self.node == 1)
-        if not (self.minuscule or self.quadric):
+        if not (self.minuscule or self.ct.family == "B" and self.node == 1):
             raise ValueError(
                 f"unsupported case {self.cartan} node {self.node}: "
                 "need a minuscule node or an odd quadric B_n node 1"
             )
         _refuse_large_orbit(self.ct, self.node)
         _refuse_large_datum(self.ct)
-        merged = _default_params(self.ct.family, self.ct.rank, self.node)
-        merged.update(params or {})
-        if self.quadric:
-            merged.pop("ct_degree", None)
-        self.params = merged
+        self.params = _default_params(self.ct, self.node)
+        self.params.update(params or {})
         self.d = build_root_datum(self.ct)
         self._periods = {}
 
@@ -212,30 +221,12 @@ class Case:
             self._periods[depth] = quantum_period(self.matrix, depth)
         return self._periods[depth]
 
-    def is_projective_space(self) -> bool:
-        fam, n = self.ct.family, self.ct.rank
-        return (fam == "A" and self.node in (1, n)) or (
-            fam == "C" and self.node == 1
-        )
-
     def check_names(self):
-        if self.quadric:
-            names = ["fw_products", "homogeneous", "period_positive"]
-            if self.ct.rank == 3:
-                names.append("x6_relation")
-            return names
-        names = ["mirror", "equivariant", "homogeneous", "poincare", "period"]
-        if self.is_projective_space():
-            names.append("projective_period")
-        if "ct_degree" in self.params:
-            names.append("constant_term")
-        if (self.cartan, self.node) in _WGAMMA_PINNED:
-            names.append("wgamma")
-        if (self.cartan, self.node) == ("A3", 2):
-            names.append("gr24_products")
-        if (self.cartan, self.node) == ("D4", 1):
-            names.extend(["d4_kernel", "d4_scalar"])
-        return names
+        """The battery of the case's kind, then each pinned check whose
+        input is in ``params``, then the golden checks."""
+        base = _MINUSCULE_BATTERY if self.minuscule else _QUADRIC_BATTERY
+        pinned = [name for name, key in _PINNED_INPUTS if key in self.params]
+        return [*base, *pinned, *self.params.get("golden", ())]
 
 
 # --------------------------------------------------------------------------
@@ -284,7 +275,7 @@ def _check_wgamma_positions(case) -> None:
             )
 
 
-def _check_mirror(case, D, budget):
+def _check_mirror(case, budget):
     F = case.fg
     if case.matrix != F:
         raise CheckFailure("quantum Chevalley matrix != canonical-basis "
@@ -293,7 +284,7 @@ def _check_mirror(case, D, budget):
     return f"{case.matrix.size}x{case.matrix.size} matrices equal"
 
 
-def _check_equivariant(case, D, budget):
+def _check_equivariant(case, budget):
     """The lifts agree when the q-matrices and the integer diagonals, over
     their two denominators, do; only a failure builds the lifts."""
     dm, mrows = mihalcea_diagonal(case.d, case.reps, case.node)
@@ -308,23 +299,23 @@ def _check_equivariant(case, D, budget):
     return f"equal over {case.d.rank + 1} variables"
 
 
-def _check_homogeneous(case, D, budget):
+def _check_homogeneous(case, budget):
     if not check_homogeneous(case.d, case.matrix, case.node):
         raise CheckFailure("matrix entries are not degree-homogeneous")
     return "degree-homogeneous"
 
 
-def _check_poincare(case, D, budget):
+def _check_poincare(case, budget):
     if not poincare_self_adjoint(case.matrix, pd(case.d, case.reps)):
         raise CheckFailure("matrix is not self-adjoint for the Poincare "
                            "pairing")
     return "self-adjoint"
 
 
-def _check_period(case, D, budget):
-    series = case.period(D)
+def _check_period(case, budget):
+    D = case.params["max_degree"]
+    c1 = case.period(D).coefficients[1]
     paths = bruhat_path_count(case.d, case.reps, case.node)
-    c1 = series.coefficients[1]
     if c1 != paths:
         raise CheckFailure(f"c1 = {c1} but saturated-chain count = {paths}")
     if c1 <= 0:
@@ -332,27 +323,27 @@ def _check_period(case, D, budget):
     return f"c1 = {c1} = chain count; c_0..c_{D} nonnegative"
 
 
-def _check_period_positive(case, D, budget):
-    series = case.period(D)
-    c1 = series.coefficients[1]
+def _check_period_positive(case, budget):
+    D = case.params["max_degree"]
+    c1 = case.period(D).coefficients[1]
     if c1 != 2:
         raise CheckFailure(f"quadric c1 = {c1}, expected 2")
     return f"c1 = 2; c_0..c_{D} nonnegative"
 
 
-def _check_projective_period(case, D, budget):
-    series = case.period(D)
-    size = len(case.reps)
-    for d, c in enumerate(series.coefficients):
+def _check_projective_period(case, budget):
+    D = case.params["max_degree"]
+    size = case.params["projective_dim"] + 1
+    for d, c in enumerate(case.period(D).coefficients):
         want = Fraction(1, factorial(d) ** size)
         if c != want:
             raise CheckFailure(f"c_{d} = {c}, expected 1/(d!)^{size}")
     return f"c_d = 1/(d!)^{size} up to degree {D}"
 
 
-def _check_constant_term(case, D, budget):
+def _check_constant_term(case, budget):
     k, n = case.node, case.ct.rank + 1
-    depth = case.params["ct_degree"] if D is None else D
+    depth = case.params["ct_degree"]
     refuse_large_grassmannian(k, n)
     pot = minuscule_potential(case.d, case.node)
     series = case.period(depth)
@@ -368,15 +359,15 @@ def _check_constant_term(case, D, budget):
     return f"Gr({k},{n}) degrees 1..{depth}: " + ", ".join(values)
 
 
-def _check_wgamma(case, D, budget):
-    want = _WGAMMA_PINNED[(case.cartan, case.node)]
+def _check_wgamma(case, budget):
+    want = case.params["wgamma"]
     got = len(w_gamma_set(case.d, case.reps))
     if got != want:
         raise CheckFailure(f"|W(gamma)| = {got}, expected {want}")
     return f"|W(gamma)| = {want}"
 
 
-def _check_gr24_products(case, D, budget):
+def _check_gr24_products(case, budget):
     m = case.matrix
     q = LaurentPoly.var(m.variables, "q")
     one = LaurentPoly.const(m.variables, 1)
@@ -393,7 +384,7 @@ def _check_gr24_products(case, D, budget):
     return "five golden columns match"
 
 
-def _check_d4_kernel(case, D, budget):
+def _check_d4_kernel(case, budget):
     split = case.d4
     full = case.period(3)
     restricted = quantum_period(split.restricted, 3)
@@ -403,7 +394,7 @@ def _check_d4_kernel(case, D, budget):
     return "one-line kernel; rank-7 block carries the period"
 
 
-def _check_d4_scalar(case, D, budget):
+def _check_d4_scalar(case, budget):
     split = case.d4
     op = cyclic_scalar_operator(split.restricted, 6)
     want = (RatFunc.make((0, -2)), RatFunc.make((0, -4)))
@@ -415,7 +406,7 @@ def _check_d4_scalar(case, D, budget):
     return "theta^7 - 4q*theta - 2q; annihilates the period to degree 8"
 
 
-def _check_fw_products(case, D, budget):
+def _check_fw_products(case, budget):
     m = case.matrix
     n = case.ct.rank
     one = LaurentPoly.const(m.variables, 1)
@@ -430,7 +421,7 @@ def _check_fw_products(case, D, budget):
     return "doubling, +q, and wrap products match"
 
 
-def _check_x6_relation(case, D, budget):
+def _check_x6_relation(case, budget):
     X = LaurentPoly.var(("X", "q"), "X")
     q = LaurentPoly.var(("X", "q"), "q")
     if not matrix_relation(case.matrix, X ** 6 - 4 * q * X):
@@ -466,13 +457,14 @@ def _run_case(entry, max_degree, budget):
             "cartan": cartan, "node": node, "pass": False,
             "checks": [{"name": "setup", "pass": False, "detail": str(exc)}],
         }
-    period_D = case.params["max_degree"] if max_degree is None else max_degree
-    ct_D = max_degree  # None -> per-case default depth
+    if max_degree is not None:  # one depth for every series of the case
+        for key in ("max_degree", "ct_degree"):
+            if key in case.params:
+                case.params[key] = max_degree
     checks = []
     for name in case.check_names():
-        depth = ct_D if name == "constant_term" else period_D
         try:
-            detail = _CHECKS[name](case, depth, budget)
+            detail = _CHECKS[name](case, budget)
             checks.append({"name": name, "pass": True, "detail": detail})
         except CheckFailure as exc:
             checks.append({"name": name, "pass": False, "detail": str(exc)})
@@ -491,7 +483,9 @@ def _run_case(entry, max_degree, budget):
 @cache
 def _load_case_list():
     text = (resources.files("mmirror.data") / "verify_cases.json").read_text()
-    return tuple(MappingProxyType(e) for e in json.loads(text)["cases"])
+    return tuple(MappingProxyType({k: tuple(v) if isinstance(v, list) else v
+                                   for k, v in e.items()})
+                 for e in json.loads(text)["cases"])
 
 
 # --------------------------------------------------------------------------
@@ -576,16 +570,18 @@ def cmd_verify(args) -> int:
     if args.max_degree is not None and args.max_degree < 1:
         raise ValueError(f"verify depth {args.max_degree} is below 1: the "
                          "period checks read c_1")
+    _refuse_bad_budget(args.budget)
     if args.all:
+        if args.case or args.node is not None:
+            raise ValueError("verify takes a case or --all, not both")
         entries = _load_case_list()
     elif args.case:
         if args.node is None:
             raise ValueError("single-case verify needs --node")
-        wanted = (str(CartanType.parse(args.case)), args.node)
+        # the pinned entry of the case, else a bare one
+        bare = {"cartan": str(CartanType.parse(args.case)), "node": args.node}
         entries = [e for e in _load_case_list()
-                   if (e["cartan"], e["node"]) == wanted]
-        if not entries:
-            entries = [{"cartan": wanted[0], "node": wanted[1]}]
+                   if bare.items() <= e.items()] or [bare]
     else:
         raise ValueError("verify needs a case or --all")
 
@@ -639,6 +635,7 @@ def cmd_period(args) -> int:
 
 
 def cmd_gw(args) -> int:
+    _refuse_bad_budget(args.budget)
     pot = potential_typeA(args.k, args.n)
     m = pot.coxeter * args.d
     ct = constant_term_power(pot, m, args.budget)

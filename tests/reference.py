@@ -15,6 +15,10 @@ coordinates, and ``act_coweight`` is the Fraction action on coweights
 that the integer equivariant diagonals are checked against.
 ``parabolic_cases`` lists the (type, node) pairs these oracles run over.
 
+For the command line: ``battery`` is the check list of a ``verify`` case
+as the branches on (type, node) once decided it, the oracle for the rule
+that reads it off the case parameters.
+
 For the minuscule representation: ``generator_matrices`` and
 ``xtheta_matrix`` build the Chevalley generators, the principal triple
 and x_theta as dense matrices, from the weights alone; ``space_dim`` is
@@ -207,6 +211,30 @@ def parabolic_cases() -> list:
             if family == "B":
                 out.append((str(ct), 1))
     return out + [("E6", 1), ("E6", 6), ("E7", 7)]
+
+
+def battery(cartan: str, node: int, entry) -> list:
+    """The checks ``verify`` runs on (cartan, node), in order, by the
+    branches on (type, node) that decided them before the case list did;
+    ``entry`` is the pinned case-list entry, or {} for an ad-hoc case."""
+    family, rank = cartan[0], int(cartan[1:])
+    if family == "B" and node == 1:                       # odd quadric
+        names = ["fw_products", "homogeneous", "period_positive"]
+        return names + (["x6_relation"] if rank == 3 else [])
+    names = ["mirror", "equivariant", "homogeneous", "poincare", "period"]
+    if (family == "A" and node in (1, rank)) or (family == "C" and node == 1):
+        names.append("projective_period")
+    # Gr(k, n) potentials with at most 12 variables k(n - k)
+    if "ct_degree" in entry or (family == "A"
+                                and node * (rank + 1 - node) <= 12):
+        names.append("constant_term")
+    if (cartan, node) in (("E6", 6), ("E7", 7), ("D4", 1)):
+        names.append("wgamma")
+    if (cartan, node) == ("A3", 2):
+        names.append("gr24_products")
+    if (cartan, node) == ("D4", 1):
+        names += ["d4_kernel", "d4_scalar"]
+    return names
 
 
 def pi_P(d, I_P, w: WeylElt) -> WeylElt:

@@ -13,6 +13,9 @@ import mmirror.cli as cli
 from mmirror import crystal_potential, minrep, period_gw, qchev, rootsys, weyl
 from mmirror.cli import _load_case_list, main
 from mmirror.qchev import ConnMatrix
+from mmirror.rootsys import CartanType, minuscule_nodes
+
+from reference import battery
 
 
 def run(capsys, *argv):
@@ -284,6 +287,38 @@ def test_verify_needs_case_or_all(capsys):
     assert "case or --all" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "A3", "--node", "2", "--all"),
+    ("verify", "--all", "--node", "3"),
+    ("verify", "A3", "--all"),
+])
+def test_verify_refuses_case_with_all(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "_run_case", _never)
+    assert run(capsys, *argv) == (
+        1, "", "error: verify takes a case or --all, not both\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "A3", "--node", "2", "--budget", "-3"),
+    ("verify", "--all", "--budget", "0"),
+    ("gw", "2", "5", "1", "--budget", "0"),
+])
+def test_budget_below_one_refused(capsys, monkeypatch, argv):
+    # bad input is an input error, not a failed constant-term check
+    for name in ("_run_case", "potential_typeA"):
+        monkeypatch.setattr(cli, name, _never)
+    budget = argv[-1]
+    assert run(capsys, *argv) == (
+        1, "", f"error: --budget {budget} is below 1\n")
+
+
+def test_budget_of_one_is_a_budget(capsys):
+    # the smallest admitted budget reaches the walk and is exceeded there
+    code, out, err = run(capsys, "gw", "2", "5", "1", "--budget", "1")
+    assert code == 1 and out == ""
+    assert "budget" in err and "below 1" not in err
+
+
 # ------------------------------------------------------- failure details
 
 def _mirror_check(report):
@@ -377,7 +412,7 @@ def test_equivariant_fails_on_q_cell_alone():
     cells[0, 2] = F.entry(0, 2) * 2
     case.fg = ConnMatrix(F.basis, F.variables, F.size, cells)
     with pytest.raises(cli.CheckFailure) as failure:
-        cli._CHECKS["equivariant"](case, None, None)
+        cli._CHECKS["equivariant"](case, None)
     assert str(failure.value) == ("equivariant matrices differ at (0, 2): "
                                   "q vs 2*q")
 
@@ -632,6 +667,64 @@ def test_pinned_case_list():
     for n in range(1, 8):
         for node in range(1, n + 1):
             assert (f"A{n}", node) in seen
+    assert set().union(*cases) == {"cartan", "node", "ct_degree", "wgamma",
+                                   "golden"}
+    pinned = {(c["cartan"], c["node"]): c for c in cases}
+    assert {k: c["wgamma"] for k, c in pinned.items() if "wgamma" in c} == {
+        ("E6", 6): 6, ("E7", 7): 12, ("D4", 1): 2}
+    assert {k: c["golden"] for k, c in pinned.items() if "golden" in c} == {
+        ("A3", 2): ("gr24_products",),
+        ("D4", 1): ("d4_kernel", "d4_scalar"),
+        ("B3", 1): ("x6_relation",),
+    }
+    # ct_degree is pinned where, and as, the per-(type, node) default has it
+    for c in cases:
+        default = cli._default_params(CartanType.parse(c["cartan"]),
+                                      c["node"])
+        assert c.get("ct_degree") == default.get("ct_degree"), c
+    assert sum("ct_degree" in c for c in cases) == 25
+
+
+def _adhoc_cases():
+    """Every (type, node) an ad-hoc ``verify`` admits among the minuscule
+    nodes of A1-A12, B2-B10, C2-C10, D4-D10, E6 and E7 and the odd
+    quadrics B2-B10 node 1."""
+    out = []
+    for family, low, high in (("A", 1, 12), ("B", 2, 10), ("C", 2, 10),
+                              ("D", 4, 10), ("E", 6, 7)):
+        for n in range(low, high + 1):
+            ct = CartanType(family, n)
+            nodes = minuscule_nodes(ct) + ((1,) if family == "B" else ())
+            out += [(str(ct), node) for node in nodes
+                    if cli._orbit_size(ct, node) <= cli.MAX_ORBIT_SIZE]
+    return out
+
+
+def _case_params(entry):
+    return {k: v for k, v in entry.items() if k not in ("cartan", "node")}
+
+
+def test_battery_matches_oracle_on_pinned_cases():
+    for entry in _load_case_list():
+        cartan, node = entry["cartan"], entry["node"]
+        case = cli.Case(cartan, node, _case_params(entry))
+        assert case.check_names() == battery(cartan, node, entry), entry
+
+
+@pytest.mark.parametrize("cartan,node", _adhoc_cases())
+def test_battery_matches_oracle_on_adhoc_cases(cartan, node):
+    # verify runs the pinned entry of a pinned case, else a bare one
+    pinned = {(e["cartan"], e["node"]): e for e in _load_case_list()}
+    entry = pinned.get((cartan, node), {})
+    case = cli.Case(cartan, node, _case_params(entry))
+    assert case.check_names() == battery(cartan, node, entry)
+
+
+def test_adhoc_battery_sweep_size():
+    cases = _adhoc_cases()
+    assert len(cases) == len(set(cases)) == 119
+    assert {("B10", 1), ("D10", 10), ("A12", 3)} <= set(cases)
+    assert ("A12", 4) not in cases and ("B10", 10) not in cases
 
 
 def test_output_flag_writes_same_bytes(capsys, tmp_path):
@@ -710,6 +803,7 @@ def test_verify_depth_does_not_carry_over(capsys):
     assert code == 0
     details = {c["name"]: c["detail"] for c in deep["cases"][0]["checks"]}
     assert details["period"].endswith("c_0..c_4 nonnegative")
+    assert details["constant_term"].startswith("Gr(2,4) degrees 1..4: ")
     code, again, _ = run(capsys, *argv)
     assert code == 0 and again == first
     details = {c["name"]: c["detail"]
@@ -765,3 +859,7 @@ def test_case_list_is_read_only():
     with pytest.raises(TypeError):
         cases[0] = {"cartan": "A1", "node": 1}
     assert (cases[0]["cartan"], cases[0]["node"]) == ("A1", 1)
+    # a list in the JSON is a tuple in the entry
+    values = [v for c in cases for v in c.values()]
+    assert not any(isinstance(v, (list, dict)) for v in values)
+    assert ("d4_kernel", "d4_scalar") in values
