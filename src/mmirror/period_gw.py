@@ -10,17 +10,22 @@ operators:
   the period;
 * reduction of a connection matrix to a scalar operator in theta =
   q d/dq via a cyclic covector, by fraction-free elimination over Z[q]
-  on sparse integer polynomials (exponent -> nonzero int, so a large
-  power of q or a graded polynomial costs only its nonzero terms; one
-  exact division per step, rational functions only at the end);
+  (one exact division per step);
+* one polynomial layer for all of it: sparse integer polynomials in q
+  (exponent -> nonzero int), so a large power of q or a graded
+  polynomial costs only its nonzero terms.  The elimination, the gcd
+  that reduces each operator coefficient and the denominator clearing
+  of the annihilation check all run on it; ``RatFunc`` is only the
+  output form of a coefficient;
 * the kernel/complement splitting of the six-dimensional quadric's
   8x8 connection;
 * floating-point Bessel Wronskian diagnostics -- the only non-exact
   computation in the package.
 
 The test-only routes (the hbar re-run, the rank-one Bessel series and
-operator, the Jacobian-ring check, the dense elimination) live in the
-test suite's ``reference`` module.
+operator, the Jacobian-ring check, the dense elimination, dense
+polynomials and rational-function arithmetic) live in the test suite's
+``reference`` module.
 """
 
 from __future__ import annotations
@@ -28,8 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import zip_longest
 from typing import Callable, Optional, Tuple
 
 from .qchev import ConnMatrix, LaurentPoly
@@ -168,56 +171,8 @@ def bruhat_path_count(d: RootDatum, reps: CosetReps, node: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# rational functions of q and the cyclic-vector reduction
+# sparse Z[q] polynomials, rational functions and the cyclic reduction
 # --------------------------------------------------------------------------
-
-def _ptrim(t):
-    t = list(t)
-    while t and t[-1] == 0:
-        t.pop()
-    return tuple(t)
-
-
-def _padd(a, b):
-    return _ptrim(tuple(x + y for x, y in zip_longest(a, b, fillvalue=0)))
-
-
-def _pneg(a):
-    return tuple(-x for x in a)
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _ptrim(out)
-
-
-def _pderiv(a):
-    return _ptrim(tuple(a[i] * i for i in range(1, len(a))))
-
-
-def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [0] * max(len(a) - len(b) + 1, 0)
-    rem = list(_ptrim(a))
-    lead = b[-1]
-    while len(rem) >= len(b):
-        k = len(rem) - len(b)
-        f = quot[k] = rem[-1] / lead
-        for i, y in enumerate(b):
-            rem[k + i] -= f * y
-        rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return _ptrim(quot), _ptrim(rem)
-
 
 def _exact_div(x: int, y: int) -> int:
     """x / y for ints that must divide exactly; divmod keeps it an int."""
@@ -230,11 +185,6 @@ def _exact_div(x: int, y: int) -> int:
 # Sparse integer polynomials in q: dicts exponent -> nonzero int.  Only
 # the nonzero terms are stored and walked, so a pivot with a large power
 # of q as a factor, or a polynomial in q^h, costs its terms alone.
-
-def _sparse(p) -> dict:
-    """A coefficient tuple (low degree first) as a sparse polynomial."""
-    return {e: c for e, c in enumerate(p) if c}
-
 
 def _dense(p: dict, low: int) -> tuple:
     """Coefficients of q^low, q^(low+1), ..., up to the degree of p."""
@@ -297,38 +247,38 @@ def _sdiv(a: dict, b: dict) -> dict:
     return quot
 
 
-def _cleared(p):
-    """Integer coefficients c and a scale s > 0 with p = c / s, trimmed;
-    p holds ints or Fractions."""
+def _cleared(p) -> tuple:
+    """A sparse integer polynomial c and a scale s > 0 with p = c / s;
+    p is a coefficient tuple (low degree first) of ints or Fractions."""
     s = math.lcm(*(x.denominator for x in p))
-    return _ptrim(tuple(x.numerator * (s // x.denominator) for x in p)), s
+    return {e: x.numerator * (s // x.denominator)
+            for e, x in enumerate(p) if x}, s
 
 
-def _primitive(p):
-    """The primitive integer polynomial that is a rational multiple of p."""
-    p = _cleared(p)[0]
-    g = math.gcd(*p)
-    return tuple(x // g for x in p)
+def _primitive(p: dict) -> dict:
+    g = math.gcd(*p.values())
+    return {e: c // g for e, c in p.items()}
 
 
-def _pgcd(a, b):
-    """Primitive integer gcd of two nonzero rational polynomials, by the
-    heuristic gcd of their primitive integer parts (Char, Geddes and
-    Gonnet, "GCDHEU"): the integer gcd of their values at a large xi,
-    read back in balanced base-xi digits, is the gcd once its primitive
-    part divides both."""
+def _pgcd(a: dict, b: dict) -> dict:
+    """Primitive gcd of two nonzero integer polynomials, by the heuristic
+    gcd of their primitive parts (Char, Geddes and Gonnet, "GCDHEU"): the
+    integer gcd of their values at a large xi, read back in balanced
+    base-xi digits, is the gcd once its primitive part divides both."""
     a, b = _primitive(a), _primitive(b)
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
     while True:
-        h = math.gcd(*(reduce(lambda v, c: v * xi + c, reversed(p), 0)
+        h = math.gcd(*(sum(c * xi ** e for e, c in p.items())
                        for p in (a, b)))
-        g = []
+        g, e = {}, 0
         while h:
-            g.append((h + xi // 2) % xi - xi // 2)
-            h = (h - g[-1]) // xi
+            c = (h + xi // 2) % xi - xi // 2
+            if c:
+                g[e] = c
+            h, e = (h - c) // xi, e + 1
         g = _primitive(g)
         try:
-            _sdiv(_sparse(a), _sparse(g)), _sdiv(_sparse(b), _sparse(g))
+            _sdiv(a, g), _sdiv(b, g)
             return g
         except ArithmeticError:
             xi = xi * 73794 // 27011
@@ -336,8 +286,9 @@ def _pgcd(a, b):
 
 @dataclass(frozen=True)
 class RatFunc:
-    """Rational function of q: coprime numerator/denominator coefficient
-    tuples (low degree first), denominator monic."""
+    """Rational function of q, the output form of the operators:
+    coprime numerator/denominator coefficient tuples of Fractions (low
+    degree first), denominator monic."""
 
     num: tuple
     den: tuple
@@ -351,53 +302,17 @@ class RatFunc:
             raise ZeroDivisionError("zero denominator")
         if not a:
             return RatFunc((), (Fraction(1),))
-        if len(b) > 1:
-            g = _sparse(_pgcd(a, b))
-            a, b = (_dense(_sdiv(_sparse(p), g), 0) for p in (a, b))
-        lead = b[-1]
-        return RatFunc(tuple(Fraction(x * t, lead * s) for x in a),
-                       tuple(Fraction(x, lead) for x in b))
+        # degree, not term count: c q^e with e > 0 still shares q with a
+        if max(b) > 0:
+            g = _pgcd(a, b)
+            a, b = _sdiv(a, g), _sdiv(b, g)
+        lead = b[max(b)]
+        return RatFunc(tuple(Fraction(x * t, lead * s) for x in _dense(a, 0)),
+                       tuple(Fraction(x, lead) for x in _dense(b, 0)))
 
     @staticmethod
     def const(v) -> "RatFunc":
         return RatFunc.make((Fraction(v),))
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def __add__(self, other):
-        if not self.num:
-            return other
-        if not other.num:
-            return self
-        if self.den == other.den:
-            return RatFunc.make(_padd(self.num, other.num), self.den)
-        return RatFunc.make(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return RatFunc.make(_pmul(self.num, other.num),
-                            _pmul(self.den, other.den))
-
-    def __truediv__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc.make(_pmul(self.num, other.den),
-                            _pmul(self.den, other.num))
-
-    def __neg__(self):
-        return RatFunc(_pneg(self.num), self.den)
-
-    def theta(self) -> "RatFunc":
-        """q d/dq of the rational function."""
-        diff = _padd(_pmul(_pderiv(self.num), self.den),
-                     _pneg(_pmul(self.num, _pderiv(self.den))))
-        return RatFunc.make((0,) + diff, _pmul(self.den, self.den))
 
 
 @dataclass(frozen=True)
@@ -511,19 +426,28 @@ def operator_annihilates(op: ScalarOperator, series: PeriodSeries,
     if not isinstance(shift, (int, Fraction)):
         raise TypeError(f"shift must be an int or a Fraction, not "
                         f"{type(shift).__name__}")
-    common = (Fraction(1),)
-    for c in op.coefficients:
-        if _pdivmod(common, c.den)[1]:
-            common = _pmul(common, c.den)
-    cleared = [_pmul(c.num, _pdivmod(common, c.den)[0])
-               for c in op.coefficients]
-    scale = math.lcm(*(x.denominator for poly in cleared for x in poly))
-    cleared = [[x.numerator * (scale // x.denominator) for x in poly]
-               for poly in cleared]
+    # the common multiple takes in each cleared denominator that does not
+    # yet divide it; a cleared monic denominator is primitive, so exact
+    # division in Z[q] decides divisibility over Q[q]
+    nums = [_cleared(c.num) for c in op.coefficients]
+    dens = [_cleared(c.den) for c in op.coefficients]
+    common = {0: 1}
+    for d, _ in dens:
+        try:
+            _sdiv(common, d)
+        except ArithmeticError:
+            common = _smul(common, d)
+    # with p_k = (n / s) / (d / t) and the integer L = lcm of the s,
+    # L common p_k = n (common / d) t (L / s)
+    scale = math.lcm(*(s for _, s in nums))
+    cleared = [{j: x * t * (scale // s)
+                for j, x in _smul(n, _sdiv(common, d)).items()}
+               for (n, s), (d, t) in zip(nums, dens)]
     # by_power[j][K - k] = p_{k,j} b^(K-k), p_{k,j} the q^j coefficient
     a, b = shift.numerator, shift.denominator
-    K, width = len(cleared) - 1, max(len(poly) for poly in cleared)
-    by_power = [[cleared[k][j] * b ** (K - k) if j < len(cleared[k]) else 0
+    K = len(cleared) - 1
+    width = 1 + max((j for poly in cleared for j in poly), default=-1)
+    by_power = [[cleared[k].get(j, 0) * b ** (K - k)
                  for k in range(K, -1, -1)]
                 for j in range(width)]
     den = math.lcm(*(c.denominator for c in series.coefficients))

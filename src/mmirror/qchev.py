@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .rootsys import RootDatum, Weight, pairing
+from .rootsys import RootDatum
 from .weyl import CosetReps, reflect_coset, reflect_length
 
 __all__ = [
@@ -404,10 +404,8 @@ def check_homogeneous(d: RootDatum, M: ConnMatrix, node: int) -> bool:
     <4(rho - rho_P), alpha_node-vee> and deg h_j = 2, every nonzero entry
     at (row u, col w) has degree 2 ell(w) + 2 - 2 ell(u)."""
     p = M.basis.parabolic
-    qdeg = pairing(
-        Weight(tuple(4 * (1 - x) for x in p.rho_P.coeffs)),
-        tuple(1 if j == node - 1 else 0 for j in range(d.rank)),
-    )
+    # alpha_node-vee is a unit vector in simple-coroot coordinates
+    qdeg = int(4 * (1 - p.rho_P.coeffs[node - 1]))
     weights = {}
     for v in M.variables:
         if v == "q":

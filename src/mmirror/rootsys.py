@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 import json
 from math import gcd, lcm
+from operator import mul
 import re
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "RootDatum",
     "ParabolicData",
     "build_root_datum",
-    "pairing",
     "quantum_roots",
     "gamma_root",
     "levi_data",
@@ -130,19 +130,6 @@ class Weight:
         return f"Weight{self.coeffs}"
 
 
-def pairing(w, c):
-    """Pairing <w, c> of a weight against a coroot: a dot product, valid
-    because the bases are dual."""
-    wc = w.coeffs if isinstance(w, Weight) else w
-    cc = c.coeffs if isinstance(c, Coroot) else c
-    if len(wc) != len(cc):
-        raise ValueError(f"rank mismatch: {len(wc)} vs {len(cc)}")
-    total = sum(a * b for a, b in zip(wc, cc))
-    if isinstance(total, Fraction) and total.denominator == 1:
-        return int(total)
-    return total
-
-
 def _cartan_matrix(ct: CartanType):
     """Bourbaki Cartan matrix a_ij = <alpha_i, alpha_j-vee>."""
     n = ct.rank
@@ -193,8 +180,8 @@ class RootDatum:
     """Root data for one simple type.
 
     Fields follow the obvious meanings; `positive_roots` is ordered by
-    (height, lexicographic coeffs).  Lookup tables (private) map coordinates
-    back to roots for sign determination in reflection computations.
+    (height, lexicographic coeffs).  A private table maps simple-root
+    coordinates back to positive roots.
     """
 
     cartan_type: CartanType
@@ -206,7 +193,6 @@ class RootDatum:
     coxeter_number: int
     exponents: tuple
     _by_coeffs: dict = field(repr=False)
-    _fw_index: dict = field(repr=False)
 
     @property
     def rank(self) -> int:
@@ -221,11 +207,6 @@ class RootDatum:
     def root_from_coeffs(self, coeffs):
         """Positive Root with the given simple-root coordinates, or None."""
         return self._by_coeffs.get(tuple(coeffs))
-
-    def signed_root_from_fw(self, fw):
-        """(sign, Root) for the root with the given fundamental-weight
-        coordinates; raises KeyError if the vector is not a root."""
-        return self._fw_index[tuple(fw)]
 
     @cached_property
     def cartan_rows(self):
@@ -318,10 +299,6 @@ def build_root_datum(ct: CartanType) -> RootDatum:
 
     roots = tuple(make_root(c, allpos[c]) for c in ordered)
     by_coeffs = {r.coeffs: r for r in roots}
-    fw_index = {}
-    for r in roots:
-        fw_index[r.fw] = (1, r)
-        fw_index[tuple(-x for x in r.fw)] = (-1, r)
 
     theta = roots[-1]
     if any(x < 0 for x in theta.fw):
@@ -359,7 +336,6 @@ def build_root_datum(ct: CartanType) -> RootDatum:
         coxeter_number=cox,
         exponents=exps,
         _by_coeffs=by_coeffs,
-        _fw_index=fw_index,
     )
 
 
@@ -378,7 +354,7 @@ def reflection_length(d: RootDatum, beta: Root) -> int:
     count = 0
     bvec = beta.coroot.coeffs
     for alpha in d.positive_roots:
-        k = pairing(Weight(alpha.fw), Coroot(bvec))
+        k = sum(map(mul, alpha.fw, bvec))
         image = tuple(a - k * b for a, b in zip(alpha.coeffs, beta.coeffs))
         if all(x <= 0 for x in image):
             count += 1
@@ -454,7 +430,7 @@ def gamma_root(d: RootDatum, node: int) -> Root:
         raise AssertionError("gamma is not a quantum root")
     for alpha in d.positive_roots:
         if alpha.coeffs[node - 1] == 0:
-            if pairing(Weight(alpha.fw), gamma.coroot) not in (-1, 0):
+            if sum(map(mul, alpha.fw, gamma.coroot.coeffs)) not in (-1, 0):
                 raise AssertionError("gamma fails the Levi pairing check")
     return gamma
 
@@ -515,15 +491,11 @@ def levi_data(d: RootDatum, node: int = None, subset=None) -> ParabolicData:
         gamma = gamma_root(d, node)
         I_Q = tuple(
             j for j in I_P
-            if pairing(Weight(simple_root(d, j).fw), gamma.coroot) == 0
-        )
-        lhs = pairing(
-            Weight(tuple(2 * (1 - rp) for rp in rho_P.coeffs)),
-            Coroot(tuple(1 if j == node - 1 else 0 for j in range(n))),
+            if sum(map(mul, simple_root(d, j).fw, gamma.coroot.coeffs)) == 0
         )
         # <2(rho-rho_P), alpha_node-vee>: alpha_node-vee is a unit vector in
         # simple-coroot coordinates, so this is just the node coordinate.
-        if lhs != d.coxeter_number:
+        if 2 * (1 - rho_P.coeffs[node - 1]) != d.coxeter_number:
             raise AssertionError(
                 f"Coxeter-number identity failed for {d.cartan_type} node {node}"
             )

@@ -1,8 +1,10 @@
 """Test-only references.
 
-For the root datum: ``root_fw`` is the rank-squared product of a root's
-simple-root coordinates with the Cartan matrix, the oracle for the
-fundamental-weight coordinates that the closure carries up;
+For the root datum: ``pairing`` is the generic weight-coroot pairing;
+``signed_root_from_fw`` looks a signed root up by its
+fundamental-weight coordinates; ``root_fw`` is the rank-squared product
+of a root's simple-root coordinates with the Cartan matrix, the oracle
+for the fundamental-weight coordinates that the closure carries up;
 ``fundamental_coweight`` is varpi_i-vee as Fractions.
 
 For the Weyl layer: the element-level route that the coset table is
@@ -31,7 +33,11 @@ generic ``LaurentPoly`` walk that the integer builder is checked against;
 ``potential_projective`` is the closed-form potential of P^n.
 
 For the period layer: ``reference_cyclic_scalar_operator`` is the dense
-fraction-free elimination that the sparse one is checked against;
+fraction-free elimination that the sparse one is checked against, on
+the dense polynomial helpers (``_pmul``, ``_pdivmod``, ...);
+``reference_ratfunc`` reduces a quotient by Euclid's algorithm over
+Q[q], and ``rf_add``, ``rf_mul``, ``rf_div``, ``rf_theta`` and the rest
+are the rational-function arithmetic of the combination reference;
 ``hbar_rescale_consistent`` re-runs the period sweep over Laurent
 polynomials in hbar; ``equivariant_bessel`` and
 ``bessel_operator_from_matrix`` give the rank-one equivariant series and
@@ -42,6 +48,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from operator import mul
 
 from mmirror.crystal_potential import Potential
@@ -53,10 +60,6 @@ from mmirror.period_gw import (
     _check_nilpotent,
     _exact_div,
     _linear_split,
-    _padd,
-    _pmul,
-    _pneg,
-    _ptrim,
     _sparse_matvec,
     cyclic_scalar_operator,
     quantum_period,
@@ -77,7 +80,6 @@ from mmirror.rootsys import (
     is_cominuscule,
     levi_data,
     minuscule_nodes,
-    pairing,
     simple_root,
 )
 from mmirror.weyl import (
@@ -87,6 +89,34 @@ from mmirror.weyl import (
     _reflect_rows,
     minuscule_coset_reps,
 )
+
+
+def pairing(w, c):
+    """Pairing <w, c> of a weight against a coroot: a dot product, valid
+    because the bases are dual."""
+    wc = w.coeffs if isinstance(w, Weight) else w
+    cc = c.coeffs if isinstance(c, Coroot) else c
+    if len(wc) != len(cc):
+        raise ValueError(f"rank mismatch: {len(wc)} vs {len(cc)}")
+    total = sum(a * b for a, b in zip(wc, cc))
+    if isinstance(total, Fraction) and total.denominator == 1:
+        return int(total)
+    return total
+
+
+@lru_cache(maxsize=None)
+def _fw_index(d) -> dict:
+    out = {}
+    for r in d.positive_roots:
+        out[r.fw] = (1, r)
+        out[tuple(-x for x in r.fw)] = (-1, r)
+    return out
+
+
+def signed_root_from_fw(d, fw):
+    """(sign, Root) for the root with the given fundamental-weight
+    coordinates; raises KeyError if the vector is not a root."""
+    return _fw_index(d)[tuple(fw)]
 
 
 def root_fw(coeffs, cartan) -> tuple:
@@ -174,7 +204,7 @@ def act_weight(w: WeylElt, lam) -> tuple:
 
 def act_root(d, w: WeylElt, root):
     """(sign, Root): the image w(root) as a signed positive root."""
-    return d.signed_root_from_fw(_matvec(w.action, root.fw))
+    return signed_root_from_fw(d, _matvec(w.action, root.fw))
 
 
 def root_image(w: WeylElt, beta) -> tuple:
@@ -614,6 +644,112 @@ def jacobian_pn_check(n: int) -> bool:
     rel = (LaurentPoly(Vq, {(n + 1, 0): Fraction(1)})
            - LaurentPoly.var(Vq, "q"))
     return matrix_relation(Mq, rel)
+
+
+# Dense polynomials in q: coefficient tuples, low degree first, trimmed
+# of trailing zeros.
+
+def _ptrim(t):
+    t = list(t)
+    while t and t[-1] == 0:
+        t.pop()
+    return tuple(t)
+
+
+def _padd(a, b):
+    return _ptrim(tuple(x + y for x, y in zip_longest(a, b, fillvalue=0)))
+
+
+def _pneg(a):
+    return tuple(-x for x in a)
+
+
+def _pmul(a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ptrim(out)
+
+
+def _pderiv(a):
+    return _ptrim(tuple(a[i] * i for i in range(1, len(a))))
+
+
+def _pdivmod(a, b):
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    rem = list(_ptrim(a))
+    lead = b[-1]
+    while len(rem) >= len(b):
+        k = len(rem) - len(b)
+        f = quot[k] = rem[-1] / lead
+        for i, y in enumerate(b):
+            rem[k + i] -= f * y
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return _ptrim(quot), _ptrim(rem)
+
+
+def reference_ratfunc(num, den=(1,)) -> RatFunc:
+    """num / den in the canonical form of ``RatFunc.make``, reduced by
+    Euclid's algorithm over Q[q] on dense tuples instead of a heuristic
+    gcd over Z[q]."""
+    num = _ptrim(tuple(map(Fraction, num)))
+    den = _ptrim(tuple(map(Fraction, den)))
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    g, r = num, den
+    while r:
+        g, r = r, _pdivmod(g, r)[1]
+    num, den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
+    return RatFunc(tuple(x / den[-1] for x in num),
+                   tuple(x / den[-1] for x in den))
+
+
+# Rational-function arithmetic on ``RatFunc``, every result through
+# ``RatFunc.make``.
+
+def rf_add(x: RatFunc, y: RatFunc) -> RatFunc:
+    if not x.num:
+        return y
+    if not y.num:
+        return x
+    if x.den == y.den:
+        return RatFunc.make(_padd(x.num, y.num), x.den)
+    return RatFunc.make(_padd(_pmul(x.num, y.den), _pmul(y.num, x.den)),
+                        _pmul(x.den, y.den))
+
+
+def rf_neg(x: RatFunc) -> RatFunc:
+    return RatFunc(_pneg(x.num), x.den)
+
+
+def rf_sub(x: RatFunc, y: RatFunc) -> RatFunc:
+    return rf_add(x, rf_neg(y))
+
+
+def rf_mul(x: RatFunc, y: RatFunc) -> RatFunc:
+    return RatFunc.make(_pmul(x.num, y.num), _pmul(x.den, y.den))
+
+
+def rf_div(x: RatFunc, y: RatFunc) -> RatFunc:
+    if not y.num:
+        raise ZeroDivisionError("division by zero rational function")
+    return RatFunc.make(_pmul(x.num, y.den), _pmul(x.den, y.num))
+
+
+def rf_theta(x: RatFunc) -> RatFunc:
+    """q d/dq of the rational function."""
+    diff = _padd(_pmul(_pderiv(x.num), x.den),
+                 _pneg(_pmul(x.num, _pderiv(x.den))))
+    return RatFunc.make((0,) + diff, _pmul(x.den, x.den))
 
 
 def _pexact_div(a, b):

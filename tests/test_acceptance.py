@@ -43,7 +43,6 @@ from mmirror.rootsys import (
     is_cominuscule,
     levi_data,
     minuscule_dimension,
-    pairing,
     quantum_roots,
     simple_root,
 )
@@ -58,6 +57,7 @@ from reference import (
     homogeneous_degree_one,
     inverse,
     multiply,
+    pairing,
     pi_P,
     potential_projective,
     special_elements,

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,6 @@ from mmirror.period_gw import (
     PeriodSeries,
     RatFunc,
     ScalarOperator,
-    _pdivmod,
-    _pmul,
     _sdiv,
     _smul,
     bessel_numeric_checks,
@@ -26,6 +25,8 @@ from mmirror.period_gw import (
     series_to_json,
 )
 from reference import (
+    _pdivmod,
+    _pmul,
     bessel_operator_from_matrix,
     equivariant_bessel,
     hbar_rescale,
@@ -34,6 +35,12 @@ from reference import (
     potential_projective,
     quantum_period_case,
     reference_cyclic_scalar_operator,
+    reference_ratfunc,
+    rf_add,
+    rf_div,
+    rf_mul,
+    rf_sub,
+    rf_theta,
 )
 
 
@@ -283,8 +290,33 @@ def test_ratfunc_make_reduces_to_monic_coprime_form():
     assert R((1,), (0, -2)) == RatFunc((Fraction(-1, 2),),
                                        (Fraction(0), Fraction(1)))
     assert R((0, 0), (5, 7)) == RatFunc((), (Fraction(1),))
+    # a one-term denominator c q^e with e > 0 still shares q with the top
+    assert R((0, 1), (0, 2)) == RatFunc((Fraction(1, 2),), (Fraction(1),))
+    assert R((0, 0, 3), (0, 0, 0, -6)) == RatFunc((Fraction(-1, 2),),
+                                                 (Fraction(0), Fraction(1)))
     with pytest.raises(ZeroDivisionError):
         R((1,), (0, 0))
+
+
+small_rationals = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+dense_polys = st.lists(small_rationals, max_size=4).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_polys, dense_polys, dense_polys, st.integers(0, 3),
+       st.integers(0, 2))
+def test_ratfunc_make_matches_euclid_reference(a, b, g, valuation, pad):
+    # a common factor q^valuation g, and trailing zeros on top, so that
+    # the gcd has work to do, also for one-term denominators
+    g = (0,) * valuation + (g if any(g) else (1,))
+    num, den = _pmul(a, g) + (0,) * pad, _pmul(b, g)
+    if not den:
+        with pytest.raises(ZeroDivisionError):
+            RatFunc.make(num, den)
+        return
+    assert RatFunc.make(num, den) == reference_ratfunc(num, den)
 
 
 def test_scalar_operator_trivial():
@@ -329,20 +361,22 @@ def combo_scalar_operator(M, start):
         work = list(row)
         for pivot, brow, bcombo in basis:
             f = work[pivot]
-            if f.is_zero():
+            if not f.num:
                 continue
-            work = [w - f * b for w, b in zip(work, brow)]
+            work = [rf_sub(w, rf_mul(f, b)) for w, b in zip(work, brow)]
             for i, c in bcombo.items():
-                combo[i] = combo.get(i, RatFunc.const(0)) - f * c
-        pivot = next((j for j in range(n) if not work[j].is_zero()), None)
+                combo[i] = rf_sub(combo.get(i, RatFunc.const(0)),
+                                  rf_mul(f, c))
+        pivot = next((j for j in range(n) if work[j].num), None)
         if pivot is None:
             return ScalarOperator(tuple(combo.get(i, RatFunc.const(0))
                                         for i in range(k + 1)))
         inv = work[pivot]
-        basis.append((pivot, [w / inv for w in work],
-                      {i: c / inv for i, c in combo.items()}))
-        row = [row[j].theta() + sum((row[i] * mrf[i][j] for i in range(n)),
-                                    RatFunc.const(0))
+        basis.append((pivot, [rf_div(w, inv) for w in work],
+                      {i: rf_div(c, inv) for i, c in combo.items()}))
+        row = [rf_add(rf_theta(row[j]),
+                      reduce(rf_add, (rf_mul(row[i], mrf[i][j])
+                                      for i in range(n)), RatFunc.const(0)))
                for j in range(n)]
 
 
@@ -518,15 +552,21 @@ def test_scalar_operator_matches_dense_reference(ct, node):
         reference_cyclic_scalar_operator(m, m.size - 1)
 
 
-def power_loop_annihilates(op, series, shift):
-    """Reference: sum_k p_k theta^k on the series with theta^k evaluated
-    as explicit powers (shift + m - j) ** k."""
+def power_loop_cleared(op):
+    """The p_k times the common multiple of their denominators that takes
+    in each denominator not yet dividing it, as dense tuples over Q."""
     common = (Fraction(1),)
     for c in op.coefficients:
         if _pdivmod(common, c.den)[1]:
             common = _pmul(common, c.den)
-    cleared = [_pmul(c.num, _pdivmod(common, c.den)[0])
-               for c in op.coefficients]
+    return [_pmul(c.num, _pdivmod(common, c.den)[0])
+            for c in op.coefficients]
+
+
+def power_loop_annihilates(op, series, shift):
+    """Reference: sum_k p_k theta^k on the series with theta^k evaluated
+    as explicit powers (shift + m - j) ** k."""
+    cleared = power_loop_cleared(op)
     coeffs = series.coefficients
     for m in range(len(coeffs)):
         total = sum(pj * (shift + m - j) ** k * coeffs[m - j]
@@ -542,7 +582,7 @@ def test_operator_annihilates_matches_power_loop(h):
     op = bessel_operator_from_matrix(h)
     series = equivariant_bessel(h, 10)
     perturbed = ScalarOperator(
-        (op.coefficients[0] + RatFunc.make((0, 0, Fraction(1, 5))),)
+        (rf_add(op.coefficients[0], RatFunc.make((0, 0, Fraction(1, 5)))),)
         + op.coefficients[1:])
     for shift in (h, h + 1, Fraction(0)):
         for candidate in (op, perturbed):
@@ -569,6 +609,60 @@ def test_operator_annihilates_matches_power_loop_on_periods(ct, node):
             assert got == power_loop_annihilates(op, candidate, shift)
             verdicts.append(got)
     assert verdicts == [True] + [False] * 15
+
+
+# q, q^2 (1 + q), ... share factors, so the common multiple of the
+# reference (take in each denominator that does not divide it yet) is
+# neither their lcm nor their product for some orders of the p_k
+SHARED_DENOMINATORS = ((1,), (0, 1), (0, 0, 1), (1, 1), (0, 1, 1),
+                       (0, 0, 1, 1), (1, 0, 1))
+
+
+@st.composite
+def shared_denominator_operators(draw):
+    coefficients = [
+        RatFunc.make(draw(dense_polys), draw(st.sampled_from(
+            SHARED_DENOMINATORS)))
+        for _ in range(draw(st.integers(2, 4)))]
+    return ScalarOperator(tuple(coefficients))
+
+
+def solved_series(cleared, shift, length):
+    """c_0 = 1 and each later c_i solved so that the q^(i + j0) term of
+    the cleared operator on the series vanishes, j0 its lowest q-power,
+    wherever the indicial polynomial at shift + i allows it."""
+    j0 = min(j for poly in cleared for j, x in enumerate(poly) if x)
+    coeffs = [Fraction(1)]
+    for i in range(1, length):
+        rest = sum(pj * (shift + i + j0 - j) ** k * coeffs[i + j0 - j]
+                   for k, poly in enumerate(cleared)
+                   for j, pj in enumerate(poly) if j0 < j <= i + j0)
+        lead = sum(poly[j0] * (shift + i) ** k
+                   for k, poly in enumerate(cleared) if len(poly) > j0)
+        coeffs.append(-rest / lead if lead else Fraction(1))
+    return coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_denominator_operators(),
+       st.sampled_from((0, 1, Fraction(1, 2), Fraction(-2, 3))), st.data())
+def test_operator_annihilates_matches_power_loop_on_shared_denominators(
+        op, shift, data):
+    # the verdict moves with the power of q in the common multiple when
+    # the series ends near the operator's lowest q-power j0: a series
+    # killed past its first term, cut there and perhaps perturbed
+    cleared = power_loop_cleared(op)
+    if not any(cleared):
+        return
+    j0 = min(j for poly in cleared for j, x in enumerate(poly) if x)
+    length = max(1, j0 + data.draw(st.integers(-2, 3)))
+    coeffs = solved_series(cleared, shift, length)
+    spot = data.draw(st.integers(-1, length - 1))
+    if spot >= 0:
+        coeffs[spot] += Fraction(1, 7)
+    series = PeriodSeries(tuple(coeffs))
+    assert operator_annihilates(op, series, shift) == \
+        power_loop_annihilates(op, series, shift)
 
 
 def test_operator_annihilates_refuses_float_shift():

@@ -12,13 +12,12 @@ from mmirror.rootsys import (
     levi_data,
     minuscule_dimension,
     minuscule_nodes,
-    pairing,
     quantum_roots,
     reflection_length,
     simple_root,
 )
 from mmirror.weyl import minuscule_coset_reps
-from reference import fundamental_coweight, root_fw
+from reference import fundamental_coweight, pairing, root_fw
 
 
 # ---------------------------------------------------------------- parsing

@@ -40,6 +40,7 @@ from reference import (
     pi_P,
     reflection,
     root_image,
+    signed_root_from_fw,
     simple_reflection,
     special_elements,
 )
@@ -275,7 +276,7 @@ def _reference_word_and_length(d, w):
 
     def sign(m, root):
         image = tuple(sum(map(mul, row, root.fw)) for row in m)
-        return d.signed_root_from_fw(image)[0]
+        return signed_root_from_fw(d, image)[0]
 
     inv, word = w.inv_action, []
     while True:
