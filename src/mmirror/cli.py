@@ -250,8 +250,7 @@ def _wgamma_positions(d, reps) -> set:
     k = p.gamma.coroot.coeffs[p.node - 1]
     theta = d.highest_root.fw
     out = set()
-    for w in w_gamma_set(d, reps):
-        c = reps.index_of(w)
+    for c in w_gamma_set(d, reps):
         target = [m + k * t for m, t in zip(reps.weights[c], theta)]
         out.add((reps.index_of_weight(target), c))
     return out
@@ -271,7 +270,8 @@ def _check_wgamma_positions(case) -> None:
             qpart = LaurentPoly(M.variables, qterms)
             raise CheckFailure(
                 f"q-part at ({r}, {c}) is {qpart.render()} but W(gamma) "
-                f"gives {expect.render()} (column w = {reps.reps[c]!r})"
+                f"gives {expect.render()} (column w = "
+                f"W[{'.'.join(map(str, reps.words[c])) or 'e'}])"
             )
 
 
@@ -500,8 +500,8 @@ def _matrix_payload(case: Case, M) -> dict:
         "size": M.size,
         "variables": list(M.variables),
         "basis": [
-            {"word": list(w.word), "length": w.length}
-            for w in case.reps.reps
+            {"word": list(word), "length": length}
+            for word, length in zip(case.reps.words, case.reps.lengths)
         ],
         "entries": [[e.termlist() for e in row] for row in M.entries],
     }

@@ -39,7 +39,7 @@ __all__ = [
 @dataclass(frozen=True)
 class MinusculeRep:
     """The minuscule representation attached to (datum, node), with basis
-    vectors indexed by reps.reps and weights by reps.weights."""
+    vectors and weights indexed by the rows of reps."""
 
     datum: RootDatum
     node: int

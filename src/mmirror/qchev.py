@@ -304,7 +304,7 @@ def fw_matrix(d: RootDatum, reps: CosetReps, node: int) -> ConnMatrix:
     # possible only where that length is ell(w) + 1 (classical) or
     # ell(w) + 1 - drop (quantum, drop >= 2); only then is ell(w s_beta)
     # computed.
-    lengths = [w.length for w in reps.reps]
+    lengths = reps.lengths
     cells = {}   # (row, col) -> {(q exp,): coeff}
     for c, ell in enumerate(lengths):
         for beta, k, ell_s, drop in roots:
@@ -329,13 +329,14 @@ quantum_chevalley_minuscule = fw_matrix
 
 
 def mihalcea_diagonal(d: RootDatum, reps: CosetReps, node: int):
-    """(den, rows): rows[c] * den is reps.reps[c] . varpi_node-vee in
-    simple-coroot coordinates.  varpi_node-vee is column node of A^-1,
-    and coweights move by the transpose of the inverse action."""
-    den, inv = d.inverse_cartan
-    cov = [row[node - 1] for row in inv]
-    return den, [tuple(sum(map(mul, col, cov)) for col in zip(*w.inv_action))
-                 for w in reps.reps]
+    """(den, rows): rows[c] / den is w . varpi_node-vee in simple-coroot
+    coordinates, for w the rep at c: the coweights that the coset walk
+    carries up from column node of den * A^-1."""
+    if node != reps.parabolic.node:
+        raise ValueError(f"node {node} is not the node "
+                         f"{reps.parabolic.node} of the coset "
+                         "representatives")
+    return d.inverse_cartan[0], reps.coweights
 
 
 def lift_equivariant(M: ConnMatrix, rows, den=1) -> ConnMatrix:
@@ -414,7 +415,7 @@ def check_homogeneous(d: RootDatum, M: ConnMatrix, node: int) -> bool:
             weights[v] = 2
         else:
             raise ValueError(f"no degree rule for variable {v}")
-    lengths = [w.length for w in M.basis.reps]
+    lengths = M.basis.lengths
     for (r, c), e in M.cells.items():
         deg = e.weighted_degree(weights)
         if deg is None or 2 * lengths[r] + deg != 2 * lengths[c] + 2:

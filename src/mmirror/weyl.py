@@ -1,34 +1,38 @@
-"""Weyl group elements, minuscule coset representatives, Bruhat covers.
+"""Minuscule coset representatives keyed by weight, and Bruhat covers.
 
-Elements act on weights in fundamental-weight coordinates; the action matrix
-of s_i is the identity with column i replaced by e_i minus the i-th row of
-the Cartan matrix.  Equality and hashing use the action matrix only.
+A coset w W_P of a maximal parabolic is named by its weight mu =
+w.varpi_node in fundamental-weight (fw) coordinates, and W^P is one table
+keyed by that weight (CosetReps).  Its rows hold, for the minimal rep w
+of each coset, the length and canonical reduced word of w, the coweight
+w.varpi_node-vee, and the images of w that coset moves read.  No Weyl
+element and no matrix is built.
 
-Words, lengths and coset representatives are read off weights by one
-descent rule: s_j w < w exactly when <w.rho, alpha_j-vee> < 0, so
-repeatedly applying the smallest such s_j to w.rho (the row sums of the
-action matrix) spells the canonical reduced word of w, and the length is
-the number of letters.  Applied to w.lam, with lam dominant and stabiliser
-W_P, the same descent spells the minimal representative of w W_P.  When
-only the length is wanted no word is built (_descent_length): every
-descent of a weight mu takes #{beta > 0 : <mu, beta-vee> < 0} steps,
-whatever the order of the reflections.
+Words and lengths are read off weights by one descent rule: s_j w < w
+exactly when <w.rho, alpha_j-vee> < 0, so repeatedly applying the
+smallest such s_j to w.rho spells the canonical reduced word of w, and
+the length is the number of letters.  Applied to w.lam, with lam dominant
+and stabiliser W_P, the same descent spells the minimal representative of
+w W_P.  When only the length is wanted no word is built
+(_descent_length): every descent of a weight mu takes
+#{beta > 0 : <mu, beta-vee> < 0} steps, whatever the order of the
+reflections.
 
-A coset w W_P of a maximal parabolic is its weight mu = w.varpi_node;
 W^P is grown once, up the left weak order from the identity
-(minuscule_coset_reps).  The walk carries, for each rep w, one tuple of
-fw coordinates: w.rho and w.beta for every beta in R+ \\ R+_P, in
-positive-root order.  The child s_j w gets each image v as s_j.v = v -
-v_j (row j of the Cartan matrix), and keeps the parent's v where v_j = 0.
-At a minuscule node (or the B_n quadric node) the library moves between
-cosets on that table only: w s_beta lies in the coset of mu -
-<varpi_node, beta-vee> w.beta (reflect_coset, a dict lookup) and has the
-length of the descent of w.rho - <rho, beta-vee> w.beta (reflect_length,
-asked only when the coset's length can match), which gives Bruhat covers
-and the Chevalley rule; w lies in W(gamma) when its gamma image is -theta;
-the Poincare dual of mu is w0.mu, whose coordinate at sigma(i) is -mu_i
-for the diagram involution sigma = -w0, read off the descent of -(1, 2,
-.., r) to -w0.(1, 2, .., r).
+(minuscule_coset_reps).  The walk carries, for each rep w, the fw
+coordinates of w.rho and of w.beta for every beta in R+ \\ R+_P, in
+positive-root order, and w.varpi_node-vee in simple-coroot coordinates.
+The child s_j w moves an image v to s_j.v = v - v_j (row j of the Cartan
+matrix), keeping the parent's v where v_j = 0, and the coweight cw in
+coordinate j alone: cw_j - sum_k a_jk cw_k.  At a minuscule node (or the
+B_n quadric node) the library moves between cosets on that table only:
+w s_beta lies in the coset of mu - <varpi_node, beta-vee> w.beta
+(reflect_coset, a dict lookup) and has the length of the descent of
+w.rho - <rho, beta-vee> w.beta (reflect_length, asked only when the
+coset's length can match), which gives Bruhat covers and the Chevalley
+rule; w lies in W(gamma) when its gamma image is -theta; the Poincare
+dual of mu is w0.mu, whose coordinate at sigma(i) is -mu_i for the
+diagram involution sigma = -w0, read off the descent of -(1, 2, .., r)
+to -w0.(1, 2, .., r).
 """
 
 from __future__ import annotations
@@ -39,9 +43,7 @@ from operator import mul, sub
 from .rootsys import ParabolicData, Root, RootDatum, levi_data
 
 __all__ = [
-    "WeylElt",
     "CosetReps",
-    "identity_elt",
     "minuscule_coset_reps",
     "reflect_coset",
     "reflect_length",
@@ -49,46 +51,6 @@ __all__ = [
     "w_gamma_set",
     "pd",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class WeylElt:
-    action: tuple        # rank x rank integer matrix, acts on fw coords
-    inv_action: tuple
-    length: int
-    word: tuple          # canonical reduced word (greedy left descents)
-
-    def __eq__(self, other):
-        return isinstance(other, WeylElt) and self.action == other.action
-
-    def __hash__(self):
-        return hash(self.action)
-
-    def __repr__(self):
-        return f"W[{'.'.join(map(str, self.word)) or 'e'}]"
-
-
-def _identity_matrix(n):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def _reflect_rows(d: RootDatum, i: int, m):
-    """s_i . m: since (s_i lam)_j = lam_j - lam_i * a_ij, row j of m loses
-    a_ij times row i, and only row i and its neighbours change."""
-    a = d.cartan[i - 1]
-    pivot = m[i - 1]
-    return tuple(
-        row if a[j] == 0 else tuple(x - a[j] * y for x, y in zip(row, pivot))
-        for j, row in enumerate(m)
-    )
-
-
-def _reflect_cols(d: RootDatum, i: int, m):
-    """m . s_i: column i of s_i is e_i minus row i of the Cartan matrix,
-    so only entry i of each row of m changes."""
-    a = d.cartan[i - 1]
-    return tuple(row[:i - 1] + (row[i - 1] - sum(map(mul, a, row)),) + row[i:]
-                 for row in m)
 
 
 def _reflect_images(d: RootDatum, i: int, images, pool: dict) -> tuple:
@@ -108,6 +70,15 @@ def _reflect_images(d: RootDatum, i: int, images, pool: dict) -> tuple:
             v = pool.setdefault(v, v)
         out.append(v)
     return tuple(out)
+
+
+def _reflect_coweight(d: RootDatum, j: int, cw) -> tuple:
+    """s_j.cw for a coweight cw in simple-coroot coordinates: cw loses
+    <alpha_j, cw> alpha_j-vee, so only coordinate j moves, by
+    -sum_k a_jk cw_k over row j of the Cartan matrix."""
+    cw = list(cw)
+    cw[j - 1] -= sum(a * cw[k] for k, a in d.cartan_rows[j - 1])
+    return tuple(cw)
 
 
 def _descent_word(d: RootDatum, mu):
@@ -160,33 +131,30 @@ def _descent_length(d: RootDatum, mu) -> int:
     return _descend(d, list(mu))
 
 
-def identity_elt(d: RootDatum) -> WeylElt:
-    eye = _identity_matrix(d.rank)
-    return WeylElt(action=eye, inv_action=eye, length=0, word=())
-
-
 @dataclass(frozen=True)
 class CosetReps:
-    """Minimal-length representatives of W/W_P for a minuscule node,
-    ordered by (length, canonical word); weights[i] = reps[i] . varpi_node.
+    """W^P for a maximal parabolic as parallel tuples, one row per coset,
+    ordered by (length, canonical word) of its minimal representative w:
+    weights[i] = w . varpi_node, which keys the row; lengths[i] = ell(w)
+    and words[i] its canonical reduced word; coweights[i] = w .
+    varpi_node-vee in simple-coroot coordinates, integers over
+    d.inverse_cartan[0].
 
-    images[i][0] is reps[i] . rho and images[i][slot(beta)] is
-    reps[i] . beta for beta in R+ \\ R+_P, all in fw coordinates.  Only
-    coordinates are kept; roots(d) reads the Root objects off the datum."""
+    images[i][0] is w . rho and images[i][slot(beta)] is w . beta for
+    beta in R+ \\ R+_P, all in fw coordinates.  Only coordinates are kept;
+    roots(d) reads the Root objects off the datum."""
 
     parabolic: ParabolicData
-    reps: tuple
     weights: tuple
+    lengths: tuple
+    words: tuple
+    coweights: tuple
     images: tuple
-    _index: dict = field(repr=False)
     _by_weight: dict = field(repr=False)
     _slot: dict = field(repr=False)
 
     def __len__(self):
-        return len(self.reps)
-
-    def index_of(self, w: WeylElt) -> int:
-        return self._index[w.action]
+        return len(self.weights)
 
     def index_of_weight(self, mu) -> int:
         return self._by_weight[tuple(mu)]
@@ -207,53 +175,55 @@ class CosetReps:
 def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
     """W^P by one walk up the left weak order from the identity.  For a
     rep w of weight mu = w.varpi_node and each j with mu_j > 0, s_j w is a
-    rep one step longer (Deodhar's lemma) of weight s_j.mu: its action is
-    one row update of w's, its inverse one column update of w's, its word
-    the descent word of s_j.mu, and each of its images s_j.v for an image
-    v of w (v itself when v_j = 0).  The count must be the closed-form
-    |W^P| of levi_data."""
+    rep one step longer (Deodhar's lemma) of weight s_j.mu: its word is
+    the descent word of s_j.mu, its coweight that of w moved in
+    coordinate j, and each of its images s_j.v for an image v of w (v
+    itself when v_j = 0).  Each new row must pair its weight with its
+    coweight to <varpi_node, varpi_node-vee>, which W preserves, and the
+    count must be the closed-form |W^P| of levi_data."""
     p = levi_data(d, node=node)
     levi = {r.coeffs for r in p.levi_positive_roots}
     roots = tuple(r for r in d.positive_roots if r.coeffs not in levi)
     start = tuple(int(j == node - 1) for j in range(d.rank))
-    elts = {start: identity_elt(d)}
+    cov = tuple(row[node - 1] for row in d.inverse_cartan[1])
+    words = {start: ()}
+    coweights = {start: cov}
     images = {start: ((1,) * d.rank,) + tuple(r.fw for r in roots)}
     pool = {}
     order = [start]
     for mu in order:                  # the walk appends to order
-        w = elts[mu]
         for j, a in enumerate(d.cartan, 1):
             if mu[j - 1] <= 0:
                 continue
             nu = tuple(x - mu[j - 1] * y for x, y in zip(mu, a))
-            if nu in elts:
+            if nu in words:
                 continue
-            action = _reflect_rows(d, j, w.action)
-            if tuple(row[node - 1] for row in action) != nu:
-                raise AssertionError("walk action misses its weight")
-            word = _descent_word(d, nu)
-            elts[nu] = WeylElt(action, _reflect_cols(d, j, w.inv_action),
-                               len(word), word)
+            cw = _reflect_coweight(d, j, coweights[mu])
+            if sum(map(mul, nu, cw)) != cov[node - 1]:
+                raise AssertionError("walk coweight does not pair with its "
+                                     "weight to <varpi, varpi-vee>")
+            words[nu] = _descent_word(d, nu)
+            coweights[nu] = cw
             images[nu] = _reflect_images(d, j, images[mu], pool)
             order.append(nu)
     if len(order) != p.coset_size:
         raise AssertionError("walk does not reach |W^P| cosets")
 
-    order.sort(key=lambda mu: (elts[mu].length, elts[mu].word))
-    reps = tuple(elts[mu] for mu in order)
+    order.sort(key=lambda mu: (len(words[mu]), words[mu]))
     return CosetReps(
         parabolic=p,
-        reps=reps,
         weights=tuple(order),
+        lengths=tuple(len(words[mu]) for mu in order),
+        words=tuple(words[mu] for mu in order),
+        coweights=tuple(coweights[mu] for mu in order),
         images=tuple(images[mu] for mu in order),
-        _index={w.action: i for i, w in enumerate(reps)},
         _by_weight={mu: i for i, mu in enumerate(order)},
         _slot={r.coeffs: s for s, r in enumerate(roots, 1)},
     )
 
 
 def reflect_coset(reps: CosetReps, c: int, beta: Root) -> int:
-    """Index of the coset of w s_beta for w = reps.reps[c] and beta in
+    """Index of the coset of w s_beta for w the rep at c and beta in
     R+ \\ R+_P: its weight w s_beta . varpi = mu - <varpi, beta-vee>
     w.beta, found by a dict lookup.  Since ell(w s_beta) is at least the
     length of that coset, a caller that needs w s_beta to have a given
@@ -267,7 +237,7 @@ def reflect_coset(reps: CosetReps, c: int, beta: Root) -> int:
 
 
 def reflect_length(d: RootDatum, reps: CosetReps, c: int, beta: Root) -> int:
-    """ell(w s_beta) for w = reps.reps[c] and beta in R+ \\ R+_P: the
+    """ell(w s_beta) for w the rep at c and beta in R+ \\ R+_P: the
     descent length of w s_beta . rho = w.rho - <rho, beta-vee> w.beta."""
     img = reps.images[c]
     h = sum(beta.coroot.coeffs)
@@ -276,25 +246,25 @@ def reflect_length(d: RootDatum, reps: CosetReps, c: int, beta: Root) -> int:
 
 
 def bruhat_covers_up(d: RootDatum, reps: CosetReps, c: int):
-    """Covers of w = reps.reps[c] in W^P: w s_beta with beta in R+ \\ R+_P,
+    """Covers of the rep w at c in W^P: w s_beta with beta in R+ \\ R+_P,
     ell(w s_beta) = ell(w) + 1 and w s_beta the minimal rep of its coset,
     i.e. its coset has length ell(w) + 1.  Returned as (beta, index) pairs
     in positive-root order."""
-    up = reps.reps[c].length + 1
+    up = reps.lengths[c] + 1
     out = []
     for beta in reps.roots(d):
         r = reflect_coset(reps, c, beta)
-        if (reps.reps[r].length == up
+        if (reps.lengths[r] == up
                 and reflect_length(d, reps, c, beta) == up):
             out.append((beta, r))
     return out
 
 
 def w_gamma_set(d: RootDatum, reps: CosetReps):
-    """{w in W^P : w(gamma) = -theta}, in rep order."""
+    """The indices of {w in W^P : w(gamma) = -theta}, in rep order."""
     slot = reps.slot(reps.parabolic.gamma)
     minus_theta = tuple(-x for x in d.highest_root.fw)
-    return [w for w, img in zip(reps.reps, reps.images)
+    return [i for i, img in enumerate(reps.images)
             if img[slot] == minus_theta]
 
 

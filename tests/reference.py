@@ -8,7 +8,10 @@ for the fundamental-weight coordinates that the closure carries up;
 ``fundamental_coweight`` is varpi_i-vee as Fractions.
 
 For the Weyl layer: the element-level route that the coset table is
-checked against.  ``from_word`` builds an element from a word;
+checked against.  ``WeylElt`` holds an element's rank x rank action on
+fw coordinates and its inverse; ``from_word`` builds one from a word,
+``rep_elements`` rebuilds every row of a coset table from its word, and
+``index_of`` finds the row whose rep is a given element;
 ``multiply``, ``inverse``, ``reflection``, ``pi_P``, ``longest_element``
 (of any standard parabolic; ``pd_oracle`` reads Poincare duality off
 w0) and ``special_elements`` work on rank x rank action matrices;
@@ -82,13 +85,7 @@ from mmirror.rootsys import (
     minuscule_nodes,
     simple_root,
 )
-from mmirror.weyl import (
-    WeylElt,
-    _descent_word,
-    _identity_matrix,
-    _reflect_rows,
-    minuscule_coset_reps,
-)
+from mmirror.weyl import _descent_word, minuscule_coset_reps
 
 
 def pairing(w, c):
@@ -128,6 +125,41 @@ def root_fw(coeffs, cartan) -> tuple:
 
 # ------------------------------------------------------ Weyl layer
 
+@dataclass(frozen=True, eq=False)
+class WeylElt:
+    """A Weyl group element by its action on fw coordinates: the action
+    matrix of s_i is the identity with column i replaced by e_i minus
+    row i of the Cartan matrix.  Equality and hashing use the action
+    matrix only."""
+
+    action: tuple        # rank x rank integer matrix, acts on fw coords
+    inv_action: tuple
+    length: int
+    word: tuple          # canonical reduced word (greedy left descents)
+
+    def __eq__(self, other):
+        return isinstance(other, WeylElt) and self.action == other.action
+
+    def __hash__(self):
+        return hash(self.action)
+
+    def __repr__(self):
+        return f"W[{'.'.join(map(str, self.word)) or 'e'}]"
+
+
+def _spell(d, letters) -> tuple:
+    """The action matrix of s_{l_k} .. s_{l_2} s_{l_1} for the letters
+    l_1, .., l_k: each letter i multiplies by s_i on the left, and since
+    (s_i lam)_j = lam_j - lam_i * a_ij, that takes a_ij times row i from
+    row j, for the nonzero a_ij of row i only."""
+    m = [[int(i == j) for j in range(d.rank)] for i in range(d.rank)]
+    for i in letters:
+        pivot = m[i - 1]
+        for j, a in d.cartan_rows[i - 1]:
+            m[j] = [x - a * y for x, y in zip(m[j], pivot)]
+    return tuple(map(tuple, m))
+
+
 def _matmul(a, b):
     cols = tuple(zip(*b))
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
@@ -153,12 +185,7 @@ def _make_elt(d, action, inv_action) -> WeylElt:
 
 
 def from_word(d, word) -> WeylElt:
-    act = inv = _identity_matrix(d.rank)
-    for i in reversed(word):
-        act = _reflect_rows(d, i, act)
-    for i in word:
-        inv = _reflect_rows(d, i, inv)
-    return _make_elt(d, act, inv)
+    return _make_elt(d, _spell(d, reversed(word)), _spell(d, word))
 
 
 def act_coweight(w: WeylElt, covec) -> tuple:
@@ -170,6 +197,24 @@ def act_coweight(w: WeylElt, covec) -> tuple:
     nums = [x.numerator * (den // x.denominator) for x in cc]
     return tuple(Fraction(sum(map(mul, col, nums)), den)
                  for col in zip(*w.inv_action))
+
+
+def rep_elements(d, reps) -> list:
+    """Each row of the coset table as an element, rebuilt from its
+    word."""
+    return [from_word(d, word) for word in reps.words]
+
+
+def index_of(d, reps, w: WeylElt) -> int:
+    """The row whose rep is w itself: looked up by the weight
+    w . varpi_node, then the rep rebuilt from that row's word must equal
+    w, not only lie in its coset (KeyError otherwise)."""
+    node = reps.parabolic.node
+    i = reps.index_of_weight(
+        act_weight(w, [int(j == node - 1) for j in range(d.rank)]))
+    if from_word(d, reps.words[i]) != w:
+        raise KeyError(f"{w!r} is not the minimal rep of its coset")
+    return i
 
 
 def simple_reflection(d, i: int) -> WeylElt:
@@ -384,7 +429,7 @@ def generator_matrices(rep) -> dict:
 
 def space_dim(rep) -> int:
     """Complex dimension of G/P, the top coset length."""
-    return rep.reps.reps[-1].length
+    return rep.reps.lengths[-1]
 
 
 def xtheta_matrix(rep) -> RepOperator:
@@ -398,7 +443,7 @@ def zeta_rescaling_consistent(rep, M: ConnMatrix) -> bool:
     and substituting q -> z^c q multiplies every entry by z."""
     d = rep.datum
     c = d.coxeter_number
-    lengths = [w.length for w in rep.reps.reps]
+    lengths = rep.reps.lengths
     variables = ("q", "z")
     z = LaurentPoly.var(variables, "z")
     for (r, col), entry in M.cells.items():

@@ -60,6 +60,7 @@ from reference import (
     pairing,
     pi_P,
     potential_projective,
+    rep_elements,
     special_elements,
     zeta_rescaling_consistent,
 )
@@ -334,20 +335,21 @@ def test_criterion_09_combinatorics():
         assert char_pairing == {gamma.coeffs}, (ct, node)
         # ... and the unique positive root sent to -theta by some minimal
         # representative
+        elts = rep_elements(d, reps)
         char_orbit = set()
-        for w in reps.reps:
+        for w in elts:
             sign, img = act_root(d, inverse(d, w), d.highest_root)
             if sign < 0:
                 char_orbit.add(img.coeffs)
         assert char_orbit == {gamma.coeffs}, (ct, node)
 
         # the reflection set W(gamma) and its length identities
-        wg = w_gamma_set(d, reps)
+        wg = set(w_gamma_set(d, reps))
         sg = se.sgamma
         sgp = multiply(d, sg, inverse(d, se.wPQ))
         assert sgp.length == sg.length + se.wPQ.length, (ct, node)
-        for w in reps.reps:
-            member = w in wg
+        for i, w in enumerate(elts):
+            member = i in wg
             ws = multiply(d, w, sg)
             wsp = multiply(d, w, sgp)
             drop_s = ws.length == w.length - sg.length
@@ -397,7 +399,7 @@ def test_criterion_09_combinatorics():
         chern = sum(a * b for a, b in zip(two_rho_out, node_coroot))
         assert chern == d.coxeter_number, (ct, node)
         assert p.coset_size == minuscule_dimension(d.cartan_type, node)
-        assert len(reps.reps) == p.coset_size
+        assert len(reps) == p.coset_size
 
         # pinned sizes of W(gamma)
         if ct == "E6" and node == 6:

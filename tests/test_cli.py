@@ -12,10 +12,10 @@ import pytest
 import mmirror.cli as cli
 from mmirror import crystal_potential, minrep, period_gw, qchev, rootsys, weyl
 from mmirror.cli import _load_case_list, main
-from mmirror.qchev import ConnMatrix
+from mmirror.qchev import ConnMatrix, LaurentPoly
 from mmirror.rootsys import CartanType, minuscule_nodes
 
-from reference import battery
+from reference import battery, rep_elements
 
 
 def run(capsys, *argv):
@@ -367,7 +367,27 @@ def test_wgamma_position_failure_names_column(monkeypatch):
                                         None, 10_000))
     assert not check["pass"]
     assert "(0, 2)" in check["detail"]
-    assert repr(case.reps.reps[2]) in check["detail"]
+    assert repr(rep_elements(case.d, case.reps)[2]) in check["detail"]
+
+
+@pytest.mark.parametrize("cartan,node,cell,change,detail", [
+    # a q-cell of the six-dimensional quadric doubled
+    ("D4", 1, (0, 6), lambda e, q: e * 2,
+     "q-part at (0, 6) is 2*q but W(gamma) gives q "
+     "(column w = W[2.3.4.2.1])"),
+    # a q where the identity's column has none
+    ("A1", 1, (1, 0), lambda e, q: e + q,
+     "q-part at (1, 0) is q but W(gamma) gives 0 (column w = W[e])"),
+], ids=["D4-doubled", "A1-identity-column"])
+def test_wgamma_position_failure_detail(cartan, node, cell, change, detail):
+    case = cli.Case(cartan, node)
+    M = case.matrix
+    cells = dict(M.cells)
+    cells[cell] = change(M.entry(*cell), LaurentPoly.var(M.variables, "q"))
+    case.matrix = ConnMatrix(M.basis, M.variables, M.size, cells)
+    with pytest.raises(cli.CheckFailure) as failure:
+        cli._check_wgamma_positions(case)
+    assert str(failure.value) == detail
 
 
 def _equivariant_check(report):

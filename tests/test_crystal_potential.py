@@ -81,7 +81,7 @@ def test_standard_word_gr24_length():
 def test_word_is_reduced_for_top_coset_rep(k, n):
     d = datum("A", n - 1)
     word = word_of(k, n)
-    assert word == minuscule_coset_reps(d, k).reps[-1].word
+    assert word == minuscule_coset_reps(d, k).words[-1]
     assert len(potential_typeA(k, n).variables) == len(word) == k * (n - k)
 
 
@@ -251,7 +251,7 @@ def test_minuscule_potential_matches_period(family, rank, node, depth):
     pot = minuscule_potential(d, node)
     assert pot.coxeter == d.coxeter_number
     reps = minuscule_coset_reps(d, node)
-    assert len(pot.variables) == reps.reps[-1].length
+    assert len(pot.variables) == reps.lengths[-1]
     series = quantum_period(fw_matrix(d, reps, node), depth)
     for deg in range(depth + 1):
         assert gw_from_constant_term(pot, deg) == series.coefficients[deg]

@@ -29,10 +29,12 @@ from reference import (
     act_coweight,
     fundamental_coweight,
     generator_matrices,
+    index_of,
     parabolic_cases,
     multiply,
     pi_P,
     reflection,
+    rep_elements,
     simple_reflection,
     space_dim,
     xtheta_matrix,
@@ -84,13 +86,13 @@ def test_weights_move_by_simple_roots():
     rep = R("A3", 2)
     d = rep.datum
     g = generator_matrices(rep)
+    elts = rep_elements(d, rep.reps)
     for j in (1, 2, 3):
         for r, c, v in g[f"x{j}"].nonzeros():
             assert v == 1
             # target basis vector is s_j w as a Weyl element, inside W^P
-            w = rep.reps.reps[c]
-            target = multiply(d, simple_reflection(d, j), w)
-            assert rep.reps.index_of(target) == r
+            target = multiply(d, simple_reflection(d, j), elts[c])
+            assert index_of(d, rep.reps, target) == r
 
 
 def test_h_eigenvalues():
@@ -98,8 +100,8 @@ def test_h_eigenvalues():
         rep = R(ct, node)
         g = generator_matrices(rep)
         dim = space_dim(rep)
-        for i, w in enumerate(rep.reps.reps):
-            assert g["h"].matrix[i][i] == dim - 2 * w.length
+        for i, ell in enumerate(rep.reps.lengths):
+            assert g["h"].matrix[i][i] == dim - 2 * ell
 
 
 @pytest.mark.parametrize("ct,node", [
@@ -155,10 +157,11 @@ def test_xtheta_support_is_w_gamma_route():
         d, reps = rep.datum, rep.reps
         p = reps.parabolic
         sgamma = reflection(d, p.gamma)
+        elts = rep_elements(d, reps)
         want = sorted(
-            (reps.index_of(pi_P(d, p.I_P, multiply(d, w, sgamma))),
-             reps.index_of(w), 1)
-            for w in w_gamma_set(d, reps)
+            (index_of(d, reps, pi_P(d, p.I_P, multiply(d, elts[c], sgamma))),
+             c, 1)
+            for c in w_gamma_set(d, reps)
         )
         assert sorted(xtheta_matrix(rep).nonzeros()) == want, (ct, node)
 
@@ -171,7 +174,7 @@ def test_equivariant_diagonal_is_moved_coweight():
         d = rep.datum
         F = equivariant_fg(rep)
         covec = fundamental_coweight(d, node)
-        for c, w in enumerate(rep.reps.reps):
+        for c, w in enumerate(rep_elements(d, rep.reps)):
             moved = act_coweight(w, covec)
             for j in range(d.rank):
                 assert F.entry(c, c).coefficient(**{f"h{j + 1}": 1}) \
@@ -223,8 +226,8 @@ def test_integer_coweights_equal_fraction_formulas():
         scale, diagonal = coweight_diagonal(rep)
         den, moved_rows = mihalcea_diagonal(d, rep.reps, node)
         assert isinstance(scale, int) and isinstance(den, int)
-        for w, mu, got, moved in zip(rep.reps.reps, rep.reps.weights,
-                                     diagonal, moved_rows):
+        for w, mu, got, moved in zip(rep_elements(d, rep.reps),
+                                     rep.reps.weights, diagonal, moved_rows):
             assert all(isinstance(x, int) for x in got + moved)
             want = tuple(
                 dsym[k] / dsym[node - 1]
@@ -242,13 +245,14 @@ def test_integer_coweights_equal_fraction_formulas():
 @pytest.mark.parametrize("ct,node", parabolic_cases())
 def test_integer_diagonals_equal_act_coweight(ct, node):
     # over its denominator each integer row is the Fraction w . varpi-vee,
-    # on the Chevalley side at every node and on the rep side where the
-    # node is minuscule
+    # for the coweights the coset walk carries and on the Chevalley side
+    # at every node, and on the rep side where the node is minuscule
     d = build_root_datum(CartanType.parse(ct))
     reps = minuscule_coset_reps(d, node)
     covec = fundamental_coweight(d, node)
-    want = [act_coweight(w, covec) for w in reps.reps]
-    sides = [mihalcea_diagonal(d, reps, node)]
+    want = [act_coweight(w, covec) for w in rep_elements(d, reps)]
+    sides = [(d.inverse_cartan[0], reps.coweights),
+             mihalcea_diagonal(d, reps, node)]
     if node in minuscule_nodes(d.cartan_type):
         sides.append(coweight_diagonal(build_rep(d, reps)))
     for den, rows in sides:

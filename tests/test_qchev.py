@@ -13,6 +13,7 @@ from mmirror.qchev import (
     fw_matrix,
     lift_equivariant,
     matrix_relation,
+    mihalcea_diagonal,
     mihalcea_equivariant,
     poincare_self_adjoint,
     quantum_chevalley_minuscule,
@@ -26,7 +27,14 @@ from mmirror.weyl import (
     pd,
     w_gamma_set,
 )
-from reference import multiply, pi_P, reflection, special_elements
+from reference import (
+    index_of,
+    multiply,
+    pi_P,
+    reflection,
+    rep_elements,
+    special_elements,
+)
 
 
 def D(s):
@@ -155,7 +163,7 @@ def test_classical_nilpotent():
         for r, row in enumerate(m.entries):
             for c, e in enumerate(row):
                 if e.constant_term():
-                    assert reps.reps[r].length == reps.reps[c].length + 1
+                    assert reps.lengths[r] == reps.lengths[c] + 1
 
 
 def test_classical_coefficients_all_one_minuscule():
@@ -206,7 +214,7 @@ def test_quantum_column_iff_w_gamma():
     for ct, node in [("A3", 2), ("B3", 3), ("C3", 1), ("D4", 1)]:
         d, reps = case(ct, node)
         m = quantum_chevalley_minuscule(d, reps, node)
-        wg = {reps.index_of(w) for w in w_gamma_set(d, reps)}
+        wg = set(w_gamma_set(d, reps))
         for c in range(m.size):
             has_q = any(
                 any(k[0] > 0 for k in e.terms) for e in m.column(c).values()
@@ -258,15 +266,15 @@ def test_fw_matches_minuscule_columnwise():
         sgamma = reflection(d, p.gamma)
         wg = set(w_gamma_set(d, reps))
         m = fw_matrix(d, reps, node)
-        for c, w in enumerate(reps.reps):
+        for c, w in enumerate(rep_elements(d, reps)):
             got = _column(m, c)
             want = {}
             for beta, r in bruhat_covers_up(d, reps, c):
                 key = (0, r)
                 want[key] = want.get(key, 0) + beta.coroot.coeffs[node - 1]
-            if w in wg:
+            if c in wg:
                 target = pi_P(d, p.I_P, multiply(d, w, sgamma))
-                want[(1, reps.index_of(target))] = 1
+                want[(1, index_of(d, reps, target))] = 1
             assert got == want, (ct, node, c)
 
 
@@ -275,6 +283,8 @@ def test_fw_rejects_bad_input():
     reps = minuscule_coset_reps(d, 2)
     with pytest.raises(ValueError):
         fw_matrix(d, reps, 3)  # node 3 lies in the Levi of node 2
+    with pytest.raises(ValueError, match="node 3 is not the node 2"):
+        mihalcea_diagonal(d, reps, 3)
 
 
 # ------------------------------------- weights against Weyl products
@@ -297,12 +307,12 @@ def _product_route_column(d, reps, node, w):
         cand = multiply(d, w, s_beta)
         target = pi_P(d, p.I_P, cand)
         if cand.length == w.length + 1 and target == cand:
-            key = (0, reps.index_of(cand))
+            key = (0, index_of(d, reps, cand))
             col[key] = col.get(key, 0) + coeff
         drop = sum(t * cv for t, cv in zip(two_rho_diff, beta.coroot.coeffs))
         if (cand.length == w.length - s_beta.length
                 and target.length == w.length + 1 - drop):
-            key = (coeff, reps.index_of(target))
+            key = (coeff, index_of(d, reps, target))
             col[key] = col.get(key, 0) + coeff
     return {k: v for k, v in col.items() if v}
 
@@ -320,26 +330,27 @@ def test_weight_route_matches_product_route(ct, node):
     m = fw_matrix(d, reps, node)
     levi = {r.coeffs for r in p.levi_positive_roots}
     se = special_elements(d, p)
-    for c, w in enumerate(reps.reps):
+    elts = rep_elements(d, reps)
+    for c, w in enumerate(elts):
         assert _column(m, c) == _product_route_column(d, reps, node, w), c
         covers = []
         for beta in d.positive_roots:
             elt = multiply(d, w, reflection(d, beta))
             if (beta.coeffs not in levi and elt.length == w.length + 1
                     and pi_P(d, p.I_P, elt) == elt):
-                covers.append((beta, reps.index_of(elt)))
+                covers.append((beta, index_of(d, reps, elt)))
         assert bruhat_covers_up(d, reps, c) == covers, c
     assert pd(d, reps) == tuple(
-        reps.index_of(pi_P(d, p.I_P, multiply(d, multiply(d, se.w0, w),
-                                              se.w0P)))
-        for w in reps.reps
+        index_of(d, reps, pi_P(d, p.I_P, multiply(d, multiply(d, se.w0, w),
+                                                  se.w0P)))
+        for w in elts
     )
     if p.gamma is not None:
         sgamma = reflection(d, p.gamma)
         assert _wgamma_positions(d, reps) == {
-            (reps.index_of(pi_P(d, p.I_P, multiply(d, w, sgamma))),
-             reps.index_of(w))
-            for w in w_gamma_set(d, reps)
+            (index_of(d, reps, pi_P(d, p.I_P, multiply(d, elts[c], sgamma))),
+             c)
+            for c in w_gamma_set(d, reps)
         }
 
 
@@ -426,7 +437,7 @@ def test_cell_invariant_of_restriction_and_product():
 def test_odd_quadric_b3_products():
     d = D("B3")
     reps = minuscule_coset_reps(d, 1)
-    assert [w.length for w in reps.reps] == [0, 1, 2, 3, 4, 5]
+    assert list(reps.lengths) == [0, 1, 2, 3, 4, 5]
     m = fw_matrix(d, reps, 1)
     q = LaurentPoly.var(("q",), "q")
     one = LaurentPoly.const(("q",), 1)

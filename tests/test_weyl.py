@@ -3,7 +3,7 @@ from operator import mul
 
 import pytest
 
-from mmirror import minrep
+from mmirror import minrep, weyl
 from mmirror.minrep import build_rep, fg_connection
 from mmirror.period_gw import bruhat_path_count
 from mmirror.qchev import fw_matrix
@@ -20,7 +20,6 @@ from mmirror.weyl import (
     _descent_word,
     _diagram_involution,
     bruhat_covers_up,
-    identity_elt,
     minuscule_coset_reps,
     pd,
     reflect_coset,
@@ -32,6 +31,7 @@ from reference import (
     act_root,
     act_weight,
     from_word,
+    index_of,
     inverse,
     longest_element,
     multiply,
@@ -39,8 +39,8 @@ from reference import (
     pd_oracle,
     pi_P,
     reflection,
+    rep_elements,
     root_image,
-    signed_root_from_fw,
     simple_reflection,
     special_elements,
 )
@@ -65,7 +65,7 @@ def test_multiply_inverse_roundtrip():
     d = D("B3")
     w = from_word(d, [1, 2, 3, 2])
     assert w.length == 4
-    assert multiply(d, w, inverse(d, w)) == identity_elt(d)
+    assert multiply(d, w, inverse(d, w)) == from_word(d, ())
     assert inverse(d, inverse(d, w)) == w
 
 
@@ -82,7 +82,7 @@ def test_reflection_matches_word():
     theta = d.highest_root
     s = reflection(d, theta)
     assert s.length == 2 * sum(theta.coroot.coeffs) - 1  # theta is quantum
-    assert multiply(d, s, s) == identity_elt(d)
+    assert multiply(d, s, s) == from_word(d, ())
     sign, img = act_root(d, s, theta)
     assert sign == -1 and img.coeffs == theta.coeffs
 
@@ -107,7 +107,7 @@ def test_longest_element_length(ct, length):
     d = D(ct)
     w0 = longest_element(d)
     assert w0.length == length
-    assert multiply(d, w0, w0) == identity_elt(d)
+    assert multiply(d, w0, w0) == from_word(d, ())
 
 
 def test_longest_element_negates_in_minus_one_types():
@@ -148,15 +148,15 @@ def test_longest_parabolic():
 def test_rep_lengths(ct, node, lengths):
     d = D(ct)
     reps = minuscule_coset_reps(d, node)
-    assert [w.length for w in reps.reps] == lengths
-    assert reps.reps[0] == identity_elt(d)
+    assert list(reps.lengths) == lengths
+    assert rep_elements(d, reps)[0] == from_word(d, ())
 
 
 def test_reps_are_minimal_and_weights_track():
     d = D("A3")
     reps = minuscule_coset_reps(d, 2)
     varpi = Weight((0, 1, 0))
-    for w, mu in zip(reps.reps, reps.weights):
+    for w, mu in zip(rep_elements(d, reps), reps.weights):
         assert act_weight(w, varpi) == mu
         # no right descent inside the Levi
         for j in reps.parabolic.I_P:
@@ -168,15 +168,19 @@ def test_e7_coset_count():
     d = D("E7")
     reps = minuscule_coset_reps(d, 7)
     assert len(reps) == 56
-    assert reps.reps[-1].length == 27
+    assert reps.lengths[-1] == 27
 
 
 def test_index_lookup():
     d = D("A3")
     reps = minuscule_coset_reps(d, 2)
-    for i, w in enumerate(reps.reps):
-        assert reps.index_of(w) == i
-        assert reps.reps[reps.index_of_weight(reps.weights[i])] == w
+    s1 = simple_reflection(d, 1)      # in the Levi of node 2
+    for i, w in enumerate(rep_elements(d, reps)):
+        assert index_of(d, reps, w) == i
+        assert reps.index_of_weight(reps.weights[i]) == i
+        # the same coset, but not its minimal rep
+        with pytest.raises(KeyError, match="not the minimal rep"):
+            index_of(d, reps, multiply(d, w, s1))
 
 
 # ---------------------------------------------------- the coset table
@@ -205,7 +209,7 @@ def test_table_images_match_action(ct):
         levi = {r.coeffs for r in reps.parabolic.levi_positive_roots}
         assert [r.coeffs for r in reps.roots(d)] == [
             r.coeffs for r in d.positive_roots if r.coeffs not in levi]
-        for w, img in zip(reps.reps, reps.images):
+        for w, img in zip(rep_elements(d, reps), reps.images):
             assert img[0] == tuple(sum(row) for row in w.action), w
             for beta in reps.roots(d):
                 assert img[reps.slot(beta)] == root_image(w, beta), (w, beta)
@@ -224,6 +228,30 @@ def test_descent_length_is_descent_word_length(ct):
                 v = [r - h * b for r, b in zip(img[0], img[reps.slot(beta)])]
                 assert _descent_length(d, v) == len(_descent_word(d, v)), \
                     (c, beta)
+
+
+def _frozen_step(d, j, cw):
+    """The coweight step left out."""
+    return tuple(cw)
+
+
+def _column_step(d, j, cw):
+    """The coweight step with row j of the Cartan matrix read as column j:
+    the same step where the Cartan matrix is symmetric."""
+    cw = list(cw)
+    cw[j - 1] -= sum(row[j - 1] * x for row, x in zip(d.cartan, cw))
+    return tuple(cw)
+
+
+@pytest.mark.parametrize("ct,node,step", [
+    ("A3", 2, _frozen_step), ("B3", 3, _column_step),
+])
+def test_walk_refuses_a_coweight_off_its_weight(monkeypatch, ct, node, step):
+    # W keeps <mu, cw>, so a child whose coweight took a wrong step no
+    # longer pairs with its weight to <varpi, varpi-vee>
+    monkeypatch.setattr(weyl, "_reflect_coweight", step)
+    with pytest.raises(AssertionError, match="walk coweight"):
+        minuscule_coset_reps(D(ct), node)
 
 
 def test_descent_length_of_any_weight():
@@ -264,36 +292,31 @@ def test_chevalley_route_does_not_use_root_step(monkeypatch):
 
 # ------------------------------------------- words against a reference
 
-def _reference_word_and_length(d, w):
-    """The greedy left-descent word found on matrices (strip the smallest
-    s_j with w^{-1}(alpha_j) < 0, updating w^{-1} to w^{-1} s_j), and the
-    length as the number of positive roots that w sends to negative roots.
+def _reference_word_and_length(d, w, fw_sign):
+    """The greedy left-descent word found on matrices, and the length as
+    the number of positive roots that w sends to negative roots; fw_sign
+    maps each root's fw coordinates to its sign.
 
-    s_j is the identity with column j replaced by e_j minus row j of the
-    Cartan matrix, so w^{-1} s_j differs from w^{-1} in column j only."""
-    n = d.rank
-    simple = [None] + [simple_root(d, j) for j in range(1, n + 1)]
-
-    def sign(m, root):
-        image = tuple(sum(map(mul, row, root.fw)) for row in m)
-        return signed_root_from_fw(d, image)[0]
-
-    inv, word = w.inv_action, []
+    The word strips the smallest s_j with w^{-1}(alpha_j) < 0: w^{-1}
+    becomes w^{-1} s_j, which sends alpha_k to w^{-1}(alpha_k) - a_kj
+    w^{-1}(alpha_j), so the images of the simple roots are updated in
+    place of the matrix."""
+    simple = [tuple(sum(map(mul, row, a)) for row in w.inv_action)
+              for a in d.cartan]
+    word = []
     while True:
-        for j in range(1, n + 1):
-            if sign(inv, simple[j]) < 0:
-                a = d.cartan[j - 1]
-                inv = tuple(
-                    row[:j - 1]
-                    + (row[j - 1] - sum(map(mul, a, row)),)
-                    + row[j:]
-                    for row in inv
-                )
-                word.append(j)
-                break
-        else:
+        j = next((j for j, v in enumerate(simple) if fw_sign[v] < 0), None)
+        if j is None:
             break
-    length = sum(1 for a in d.positive_roots if sign(w.action, a) < 0)
+        pivot = simple[j]
+        for k, row in enumerate(d.cartan):
+            if row[j]:
+                simple[k] = tuple(x - row[j] * y
+                                  for x, y in zip(simple[k], pivot))
+        word.append(j + 1)
+    length = sum(
+        1 for a in d.positive_roots
+        if fw_sign[tuple(sum(map(mul, row, a.fw)) for row in w.action)] < 0)
     return tuple(word), length
 
 
@@ -304,22 +327,28 @@ def _reference_word_and_length(d, w):
     ("B4", 2), ("C4", 3), ("D5", 3), ("E6", 4),
 ])
 def test_words_and_lengths_match_reference(ct, node):
+    # each row's word spells the minimal rep of the coset its weight keys,
+    # and the words and lengths of the reps, their inverses, products and
+    # w0 are those of the matrix route
     d = D(ct)
-    reps = minuscule_coset_reps(d, node).reps
-    eye = identity_elt(d).action
-    for w in reps:
-        product = tuple(
-            tuple(sum(x * y for x, y in zip(row, col))
-                  for col in zip(*w.inv_action))
-            for row in w.action)
-        assert product == eye, w
-        ref = from_word(d, w.word)
-        assert (ref.action, ref.inv_action) == (w.action, w.inv_action), w
-    elements = list(reps) + [inverse(d, w) for w in reps]
-    elements += [multiply(d, u, v) for u, v in zip(reps, reps[::-1])]
-    elements.append(longest_element(d))
-    for w in elements:
-        want = _reference_word_and_length(d, w)
+    reps = minuscule_coset_reps(d, node)
+    fw_sign = {}
+    for a in d.positive_roots:
+        fw_sign[a.fw] = 1
+        fw_sign[tuple(-x for x in a.fw)] = -1
+    elts = rep_elements(d, reps)
+    varpi = [int(j == node - 1) for j in range(d.rank)]
+    levi = [simple_root(d, j) for j in reps.parabolic.I_P]
+    for w, mu, word, length in zip(elts, reps.weights, reps.words,
+                                   reps.lengths):
+        assert act_weight(w, varpi) == mu, word
+        assert all(act_root(d, w, a)[0] > 0 for a in levi), word
+        assert (word, length) == _reference_word_and_length(d, w, fw_sign)
+    others = [inverse(d, w) for w in elts]
+    others += [multiply(d, u, v) for u, v in zip(elts, elts[::-1])]
+    others.append(longest_element(d))
+    for w in others:
+        want = _reference_word_and_length(d, w, fw_sign)
         assert (w.word, w.length) == want, w
         assert len(want[0]) == want[1]  # the reference word is reduced
 
@@ -332,9 +361,10 @@ def test_pi_p_projects():
     reps = minuscule_coset_reps(d, 2)
     w0 = longest_element(d)
     top = pi_P(d, p.I_P, w0)
-    assert top == reps.reps[-1]
+    elts = rep_elements(d, reps)
+    assert top == elts[-1]
     # projecting a rep is a no-op
-    for w in reps.reps:
+    for w in elts:
         assert pi_P(d, p.I_P, w) == w
 
 
@@ -361,9 +391,9 @@ def test_covers_gr24_diamond():
 def test_covers_land_in_reps():
     d = D("B3")
     reps = minuscule_coset_reps(d, 3)
-    for i, w in enumerate(reps.reps):
+    for i, ell in enumerate(reps.lengths):
         for beta, c in bruhat_covers_up(d, reps, i):
-            assert reps.reps[c].length == w.length + 1
+            assert reps.lengths[c] == ell + 1
             assert 0 <= c < len(reps)
             assert beta.coeffs[2] != 0  # outside the Levi
 
@@ -379,16 +409,17 @@ def test_w_gamma_sizes_small(ct, node, size):
     ws = w_gamma_set(d, reps)
     assert len(ws) == size
     gamma = reps.parabolic.gamma
-    for w in ws:
-        sign, img = act_root(d, w, gamma)
+    elts = rep_elements(d, reps)
+    for i in ws:
+        sign, img = act_root(d, elts[i], gamma)
         assert sign == -1 and img.coeffs == d.highest_root.coeffs
 
 
 def test_w_gamma_c3_is_reflection():
     d = D("C3")
     reps = minuscule_coset_reps(d, 1)
-    (w,) = w_gamma_set(d, reps)
-    assert w == reflection(d, reps.parabolic.gamma)
+    (i,) = w_gamma_set(d, reps)
+    assert rep_elements(d, reps)[i] == reflection(d, reps.parabolic.gamma)
 
 
 # ------------------------------------------------------------ special elements
@@ -461,16 +492,16 @@ def test_reflect_coset_matches_product_route(ct, node):
     levi = {r.coeffs for r in p.levi_positive_roots}
     two_rho_diff = [2 - 2 * x for x in p.rho_P.coeffs]
     admitted = 0
-    for c, w in enumerate(reps.reps):
+    for c, w in enumerate(rep_elements(d, reps)):
         for beta in d.positive_roots:
             if beta.coeffs in levi:
                 continue
             elt = multiply(d, w, reflection(d, beta))
             r = reflect_coset(reps, c, beta)
-            assert r == reps.index_of(pi_P(d, p.I_P, elt)), (c, beta)
+            assert r == index_of(d, reps, pi_P(d, p.I_P, elt)), (c, beta)
             drop = sum(t * x for t, x in zip(two_rho_diff,
                                              beta.coroot.coeffs))
-            if reps.reps[r].length in (w.length + 1, w.length + 1 - drop):
+            if reps.lengths[r] in (w.length + 1, w.length + 1 - drop):
                 assert reflect_length(d, reps, c, beta) == elt.length, \
                     (c, beta)
                 admitted += 1
@@ -482,10 +513,10 @@ def test_pd_involution():
         d = D(ct)
         reps = minuscule_coset_reps(d, node)
         dual = pd(d, reps)
-        top_len = reps.reps[-1].length
-        for i, w in enumerate(reps.reps):
+        top_len = reps.lengths[-1]
+        for i, ell in enumerate(reps.lengths):
             assert 0 <= dual[i] < len(reps)
-            assert reps.reps[dual[i]].length == top_len - w.length
+            assert reps.lengths[dual[i]] == top_len - ell
             assert dual[dual[i]] == i
     # bottom maps to top
     assert dual[0] == len(reps) - 1
