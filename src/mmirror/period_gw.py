@@ -16,7 +16,10 @@ operators:
   polynomial costs only its nonzero terms.  The elimination, the gcd
   that reduces each operator coefficient and the denominator clearing
   of the annihilation check all run on it; ``RatFunc`` is only the
-  output form of a coefficient;
+  output form of a coefficient.  A row of the elimination is one
+  polynomial in q with integer-vector coefficients (exponent -> one int
+  per column, nonzero vectors only), so a Bareiss step or an exact
+  division treats all columns of an exponent at once;
 * the kernel/complement splitting of the six-dimensional quadric's
   8x8 connection;
 * floating-point Bessel Wronskian diagnostics -- the only non-exact
@@ -33,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Optional, Tuple
 
 from .qchev import ConnMatrix, LaurentPoly
@@ -52,13 +56,6 @@ class PeriodSeries:
 
     coefficients: Tuple[Fraction, ...]
     trace: Optional[Tuple[Tuple[Tuple[int, ...], int], ...]] = None
-
-    @property
-    def basis_trace(self) -> Optional[Tuple[Tuple[Fraction, ...], ...]]:
-        """The flat-section vectors S_0..S_D as rationals."""
-        if self.trace is None:
-            return None
-        return tuple(tuple(Fraction(x, Q) for x in X) for X, Q in self.trace)
 
 
 def _linear_split(M: ConnMatrix):
@@ -184,7 +181,11 @@ def _exact_div(x: int, y: int) -> int:
 
 # Sparse integer polynomials in q: dicts exponent -> nonzero int.  Only
 # the nonzero terms are stored and walked, so a pivot with a large power
-# of q as a factor, or a polynomial in q^h, costs its terms alone.
+# of q as a factor, or a polynomial in q^h, costs its terms alone.  Rows
+# of the cyclic reduction are the same with a vector of ints, one per
+# column, in place of each int.  Rows and scalars keep separate exact
+# divisions: on one-element vectors the row division would slow every
+# scalar one, and RatFunc's gcd leans on those.
 
 def _dense(p: dict, low: int) -> tuple:
     """Coefficients of q^low, q^(low+1), ..., up to the degree of p."""
@@ -211,6 +212,53 @@ def _smul(a: dict, b: dict, plus: Optional[dict] = None) -> dict:
 
 def _sneg(a: dict) -> dict:
     return {e: -c for e, c in a.items()}
+
+
+def _rcombine(terms) -> dict:
+    """The row sum of a * r over pairs of a sparse polynomial a and a
+    row r, with zero slots dropped; a row is a polynomial in q with
+    integer-vector coefficients, exponent -> one int per column."""
+    out = {}
+    get = out.get
+    for a, r in terms:
+        for i, x in a.items():
+            for e, v in r.items():
+                u = get(i + e)
+                out[i + e] = ([x * y for y in v] if u is None else
+                              [z + x * y if y else z for z, y in zip(u, v)])
+    return {e: v for e, v in out.items() if any(v)}
+
+
+def _rdiv(a: dict, b: dict) -> dict:
+    """Quotient of a row by a sparse polynomial b that must divide it
+    exactly, all columns at once: long division from the top, visiting
+    each quotient exponent once, each slot one divmod of a vector by the
+    leading coefficient.  A monomial b divides slot by slot, and b = 1
+    returns the row itself."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not a:
+        return {}
+    low, top = min(b), max(b)
+    if min(a) < low:
+        raise ArithmeticError("inexact polynomial division")
+    lead, rest = b[top], [(e - top, c) for e, c in b.items() if e != top]
+    if lead == 1 and not rest:
+        return {k - low: v for k, v in a.items()} if low else a
+    rem, quot = dict(a), {}
+    for k in range(max(a), min(a) - low + top - 1, -1) if rest else a:
+        v = rem.pop(k, None)
+        if v is not None and any(v):
+            f, r = zip(*map(divmod, v, repeat(lead)))
+            if any(r):
+                raise ArithmeticError("inexact polynomial division")
+            quot[k - top] = f
+            for e, c in rest:
+                rem[k + e] = [z - c * y if y else z
+                              for z, y in zip(rem.get(k + e) or repeat(0), f)]
+    if any(map(any, rem.values())):
+        raise ArithmeticError("inexact polynomial division")
+    return quot
 
 
 def _sdiv(a: dict, b: dict) -> dict:
@@ -339,6 +387,14 @@ def cyclic_scalar_operator(M: ConnMatrix, start) -> ScalarOperator:
     Every reduced entry is a minor of the r'_k, so each step ends in one
     exact division; the dependency is unwound by one fraction-free back
     substitution, and each coefficient is reduced once, at the end.
+
+    Each r'_k and each reduced row b_k is stored as one polynomial in q
+    with integer-vector coefficients, {exponent: [int per column]}, so a
+    Bareiss step w <- (p w - f b) / d is one list comprehension per
+    (scalar term, exponent) pair and one vector division per exponent;
+    the scalars -- pivots p, entries f = w[pivot] and multipliers h --
+    are sparse {exponent: int} polynomials.  theta - mk scales whole
+    vectors, and r'_k M' is one sparse mat-vec per pair of exponents.
     """
     n = M.size
     if isinstance(start, int):
@@ -352,49 +408,53 @@ def cyclic_scalar_operator(M: ConnMatrix, start) -> ScalarOperator:
     if not any(start):
         raise ValueError(f"zero covector for a matrix of size {n}")
     t = math.lcm(*(x.denominator for x in start))
-    row = {j: {0: x.numerator * (t // x.denominator)}
-           for j, x in enumerate(start) if x}
+    row = {0: [x.numerator * (t // x.denominator) for x in start]}
     terms = [(e, c) for p in M.cells.values() for (e,), c in p.terms.items()]
     m = max([0] + [-e for e, _ in terms])
     s = math.lcm(*(c.denominator for _, c in terms))
-    cells = [(i, j, {e + m: c.numerator * (s // c.denominator)
-                     for (e,), c in p.terms.items()})
-             for (i, j), p in sorted(M.cells.items())]
+    # M' = sum_e q^e A_e, each A_e as rows of nonzero (column, value)
+    mats = {}
+    for (i, j), p in M.cells.items():
+        for (e,), c in p.terms.items():
+            mats.setdefault(e + m, [[] for _ in range(n)])[i].append(
+                (j, c.numerator * (s // c.denominator)))
 
-    # basis[k] = (pivot column, b_k as {column: polynomial}, the nonzero
-    # multipliers h_{k,i}: the entry at pivot i when b_i was reduced out);
+    # basis[k] = (pivot column, the row b_k, the nonzero multipliers
+    # h_{k,i}: the entry at pivot i when b_i was reduced out);
     # values[k + 1] = p_k = b_k[pivot], and r'_k = p_k e_k +
     # sum_i h_{k,i} e_i with e_i = b_i / (p_{i-1} p_i)
     basis, values = [], [{0: 1}]
     for k in range(n + 1):
         # Bareiss steps w <- (p_i w - w[pivot_i] b_i) / p_{i-1}; a step with
         # w[pivot_i] = 0 only rescales w, so it waits for the next real one
-        w, mults, last = dict(row), [], 0
+        w, mults, last = row, [], 0
         for i, (pivot, b, _) in enumerate(basis):
-            f = w.get(pivot)
-            if f is not None:
+            f = {e: v[pivot] for e, v in w.items() if v[pivot]}
+            if f:
                 p, d = values[i + 1], values[last]
                 mults.append((i, f if last == i else
                               _sdiv(_smul(f, values[i]), d)))
-                f = _sneg(f)
-                w = {j: _sdiv(x, d) for j in w.keys() | b.keys()
-                     if (x := _smul(f, b.get(j, {}), _smul(p, w.get(j, {}))))}
+                w = _rdiv(_rcombine(((p, w), (_sneg(f), b))), d)
                 last = i + 1
         if not w:
             break
         if last != k:
-            w = {j: _sdiv(_smul(values[-1], x), values[last])
-                 for j, x in w.items()}
-        basis.append((min(w), w, mults))
-        values.append(w[min(w)])
-        # theta - mk sends q^e to (e - mk) q^e, and the factor q^m shifts
-        shifted = {j: y for j, x in row.items()
-                   if (y := {e + m: s * (e - m * k) * c
-                             for e, c in x.items() if e != m * k})}
-        for i, j, a in cells:
-            if i in row:
-                shifted[j] = _smul(row[i], a, shifted.get(j))
-        row = {j: x for j, x in shifted.items() if x}
+            w = _rdiv(_rcombine(((values[-1], w),)), values[last])
+        pivot = min(next(j for j, x in enumerate(v) if x) for v in w.values())
+        basis.append((pivot, w, mults))
+        values.append({e: v[pivot] for e, v in w.items() if v[pivot]})
+        # theta - mk sends q^e to (e - mk) q^e, and the factor q^m shifts;
+        # then r'_k M' is one sparse mat-vec per exponent pair
+        shifted = {e + m: [s * (e - m * k) * x for x in v]
+                   for e, v in row.items() if e != m * k}
+        for e, v in row.items():
+            for h, a in mats.items():
+                out = shifted.setdefault(e + h, [0] * n)
+                for i, x in enumerate(v):
+                    if x:
+                        for j, c in a[i]:
+                            out[j] += x * c
+        row = {e: v for e, v in shifted.items() if any(v)}
 
     # r'_K = sum_i h_{K,i} e_i; x_i = p_{K-1} a_i in r'_K = sum_i a_i r'_i
     # is a minor and solves x_i p_i = p_{K-1} h_{K,i} - sum_{k>i} x_k h_{k,i}

@@ -10,7 +10,8 @@ for the fundamental-weight coordinates that the closure carries up;
 For the Weyl layer: the element-level route that the coset table is
 checked against.  ``WeylElt`` holds an element's rank x rank action on
 fw coordinates and its inverse; ``from_word`` builds one from a word,
-``rep_elements`` rebuilds every row of a coset table from its word, and
+``rep_elements`` rebuilds every row of a coset table, each from the
+shorter row its word drops the first letter to, and
 ``index_of`` finds the row whose rep is a given element;
 ``multiply``, ``inverse``, ``reflection``, ``pi_P``, ``longest_element``
 (of any standard parabolic; ``pd_oracle`` reads Poincare duality off
@@ -35,7 +36,8 @@ generic ``LaurentPoly`` walk that the integer builder is checked against;
 ``homogeneous_degree_one`` checks homogeneity by rescaling the whole f_q;
 ``potential_projective`` is the closed-form potential of P^n.
 
-For the period layer: ``reference_cyclic_scalar_operator`` is the dense
+For the period layer: ``basis_trace`` reads the flat-section vectors of
+a period as rationals; ``reference_cyclic_scalar_operator`` is the dense
 fraction-free elimination that the sparse one is checked against, on
 the dense polynomial helpers (``_pmul``, ``_pdivmod``, ...);
 ``reference_ratfunc`` reduces a quotient by Euclid's algorithm over
@@ -101,13 +103,21 @@ def pairing(w, c):
     return total
 
 
-@lru_cache(maxsize=None)
+# id(datum) -> (datum, {fw coordinates: (sign, Root)}); keyed by identity
+# so that a lookup hashes an int, not the datum, and each entry holds
+# its datum, so the id cannot pass to another object
+_FW_INDEX = {}
+
+
 def _fw_index(d) -> dict:
-    out = {}
-    for r in d.positive_roots:
-        out[r.fw] = (1, r)
-        out[tuple(-x for x in r.fw)] = (-1, r)
-    return out
+    hit = _FW_INDEX.get(id(d))
+    if hit is None:
+        out = {}
+        for r in d.positive_roots:
+            out[r.fw] = (1, r)
+            out[tuple(-x for x in r.fw)] = (-1, r)
+        hit = _FW_INDEX[id(d)] = (d, out)
+    return hit[1]
 
 
 def signed_root_from_fw(d, fw):
@@ -147,12 +157,14 @@ class WeylElt:
         return f"W[{'.'.join(map(str, self.word)) or 'e'}]"
 
 
-def _spell(d, letters) -> tuple:
+def _spell(d, letters, start=None) -> tuple:
     """The action matrix of s_{l_k} .. s_{l_2} s_{l_1} for the letters
-    l_1, .., l_k: each letter i multiplies by s_i on the left, and since
+    l_1, .., l_k, times the matrix ``start`` (the identity by default):
+    each letter i multiplies by s_i on the left, and since
     (s_i lam)_j = lam_j - lam_i * a_ij, that takes a_ij times row i from
     row j, for the nonzero a_ij of row i only."""
-    m = [[int(i == j) for j in range(d.rank)] for i in range(d.rank)]
+    m = list(start or ([int(i == j) for j in range(d.rank)]
+                       for i in range(d.rank)))
     for i in letters:
         pivot = m[i - 1]
         for j, a in d.cartan_rows[i - 1]:
@@ -200,9 +212,24 @@ def act_coweight(w: WeylElt, covec) -> tuple:
 
 
 def rep_elements(d, reps) -> list:
-    """Each row of the coset table as an element, rebuilt from its
-    word."""
-    return [from_word(d, word) for word in reps.words]
+    """Each row of the coset table as an element.  A rep w's word
+    without its first letter j is the word of the shorter rep u = s_j w,
+    so w is built from u: its action is s_j times u's, one letter on the
+    left, and its inverse u^-1 s_j differs from u's only in column j,
+    which loses sum_k a_jk times column k.  A word whose tail is not in
+    the table is spelled out with ``from_word``."""
+    elts = {}
+    for word in sorted(reps.words, key=len):
+        u = elts.get(word[1:])
+        if u is None:
+            elts[word] = from_word(d, word)
+            continue
+        j = word[0] - 1
+        inv = tuple(row[:j] + (row[j] - sum(a * row[k] for k, a
+                                            in d.cartan_rows[j]),) + row[j + 1:]
+                    for row in u.inv_action)
+        elts[word] = _make_elt(d, _spell(d, word[:1], u.action), inv)
+    return [elts[word] for word in reps.words]
 
 
 def index_of(d, reps, w: WeylElt) -> int:
@@ -534,6 +561,15 @@ def quantum_period_case(ct: str, node: int, D: int) -> PeriodSeries:
     d = build_root_datum(CartanType.parse(ct))
     reps = minuscule_coset_reps(d, node)
     return quantum_period(fw_matrix(d, reps, node), D)
+
+
+def basis_trace(series: PeriodSeries):
+    """The flat-section vectors S_0..S_D of a period as rationals, read
+    off the integers (X, Q) of S_d = X / Q that ``quantum_period``
+    keeps; None for a series without a trace."""
+    if series.trace is None:
+        return None
+    return tuple(tuple(Fraction(x, Q) for x in X) for X, Q in series.trace)
 
 
 def _peel_solve(d1, order, d: int, b):

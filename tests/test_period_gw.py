@@ -10,10 +10,13 @@ from mmirror.rootsys import CartanType, build_root_datum
 from mmirror.weyl import minuscule_coset_reps
 from mmirror.qchev import ConnMatrix, LaurentPoly, quantum_chevalley_minuscule
 from mmirror.crystal_potential import gw_from_constant_term, potential_typeA
+from mmirror import period_gw
 from mmirror.period_gw import (
     PeriodSeries,
     RatFunc,
     ScalarOperator,
+    _rcombine,
+    _rdiv,
     _sdiv,
     _smul,
     bessel_numeric_checks,
@@ -27,6 +30,7 @@ from mmirror.period_gw import (
 from reference import (
     _pdivmod,
     _pmul,
+    basis_trace,
     bessel_operator_from_matrix,
     equivariant_bessel,
     hbar_rescale,
@@ -97,8 +101,8 @@ def test_c1_positive_and_counts_bruhat_paths(ct, node):
 def test_period_c0_is_one_and_trace_kept():
     series = quantum_period_case("A3", 2, 2)
     assert series.coefficients[0] == 1
-    assert series.basis_trace is not None
-    assert len(series.basis_trace) == 3
+    assert basis_trace(series) is not None
+    assert len(basis_trace(series)) == 3
 
 
 def test_period_rejects_negative_coefficients():
@@ -125,7 +129,7 @@ def test_period_builds_only_the_coefficient_fractions(monkeypatch):
         patch.setattr(Fraction, "__new__", counting)
         series = quantum_period(m, D)
         assert len(made) <= D + 1
-        trace = series.basis_trace
+        trace = basis_trace(series)
         assert len(made) > D + 1
     assert len(trace) == D + 1
     assert all(isinstance(x, Fraction) for s in trace for x in s)
@@ -200,7 +204,7 @@ def assert_matches_neumann(M, D):
     series = quantum_period(M, D)
     want = neumann_trace(M, D)
     assert series.coefficients == tuple(v[-1] for v in want)
-    got = series.basis_trace
+    got = basis_trace(series)
     assert len(got) == len(want) == D + 1
     for d, (s, w) in enumerate(zip(got, want)):
         assert len(s) == len(w) == M.size
@@ -436,7 +440,7 @@ def test_scalar_operator_dense_covector_annihilates_paired_series(cov):
     assert op == reference_cyclic_scalar_operator(m, tuple(v))
     assert op.order == m.size
     assert max(len(c.den) - 1 for c in op.coefficients) == 12
-    trace = quantum_period(m, 3 * op.order).basis_trace
+    trace = basis_trace(quantum_period(m, 3 * op.order))
     paired = PeriodSeries(tuple(sum(a * b for a, b in zip(v, s))
                                 for s in trace))
     assert operator_annihilates(op, paired)
@@ -521,6 +525,75 @@ def test_sparse_division_by_zero():
         _sdiv({0: 1}, {})
     with pytest.raises(ZeroDivisionError):
         _sdiv({}, {})
+
+
+# ----------------------------------- rows: polynomials with vector coefficients
+
+def as_lists(row):
+    return {e: list(v) for e, v in row.items()}
+
+
+@pytest.mark.parametrize("row,b,want", [
+    # monomial divisor: every slot at once, exponents shifted down by 2
+    ({3: [6, -4, 0], 5: [2, 8, 10]}, {2: 2},
+     {1: [3, -2, 0], 3: [1, 4, 5]}),
+    ({0: [0, 7]}, {0: -7}, {0: [0, -1]}),
+    # general divisors: (1 + q) and (q^2 - 3q^5), long division from the top
+    ({0: [1, 2], 1: [1, 1], 2: [0, -1]}, {0: 1, 1: 1},
+     {0: [1, 2], 1: [0, -1]}),
+    ({2: [1, 0, 2], 3: [0, 4, 0], 5: [-3, 0, -6], 6: [0, -12, 0]},
+     {2: 1, 5: -3}, {0: [1, 0, 2], 1: [0, 4, 0]}),
+])
+def test_row_division_examples(row, b, want):
+    assert as_lists(_rdiv(row, b)) == want
+
+
+@pytest.mark.parametrize("row,b", [
+    ({0: [4, 3]}, {0: 2}),                      # monomial: a remainder 1
+    ({4: [0, 5], 6: [9, 0]}, {1: 3}),           # monomial: 5 mod 3
+    ({0: [1, 2], 1: [1, 1]}, {0: 1, 1: 1}),     # general: remainder [0, 1]
+    ({1: [2, 3]}, {0: 1, 1: 2}),                # general: 3 mod lead 2
+    ({0: [1, 0]}, {1: 1}),                      # valuation, monomial
+    ({1: [1, 1], 3: [1, 1]}, {2: 1, 3: 1}),     # valuation, general
+])
+def test_row_inexact_division_raises(row, b):
+    with pytest.raises(ArithmeticError, match="inexact"):
+        _rdiv(row, b)
+
+
+row_slots = st.lists(st.integers(-10**30, 10**30), min_size=3, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(0, 30), row_slots.filter(any),
+                       min_size=1, max_size=6),
+       sparse_polys, st.integers(0, 20))
+def test_row_multiply_then_divide_round_trips(row, b, shift):
+    b = {e + shift: c for e, c in b.items()}
+    product = _rcombine(((b, row),))
+    assert as_lists(_rdiv(product, b)) == row
+    # each column of the quotient is the scalar quotient of that column
+    for j in range(3):
+        column = {e: v[j] for e, v in product.items() if v[j]}
+        assert _sdiv(column, b) == {e: v[j] for e, v in row.items() if v[j]}
+
+
+def test_b5_top_covector_reaches_general_row_division(monkeypatch):
+    # B5 n5 divides its rows by a polynomial of more than one term; the
+    # other series_ode cases only ever by monomials
+    m = series_matrix("B5", 5)
+    general = []
+    original = period_gw._rdiv
+
+    def counting(a, b):
+        if len(b) > 1:
+            general.append(b)
+        return original(a, b)
+
+    monkeypatch.setattr(period_gw, "_rdiv", counting)
+    op = cyclic_scalar_operator(m, m.size - 1)
+    assert op.order == 32
+    assert general
 
 
 @settings(max_examples=25, deadline=None)
@@ -878,4 +951,4 @@ def test_series_json():
 
 def test_period_series_fields():
     s = PeriodSeries((Fraction(1),))
-    assert s.basis_trace is None
+    assert basis_trace(s) is None

@@ -164,6 +164,20 @@ def test_reps_are_minimal_and_weights_track():
             assert sign > 0
 
 
+@pytest.mark.parametrize("ct,node", [
+    ("A5", 3), ("B4", 1), ("C4", 1), ("D5", 5), ("E6", 1), ("E7", 7),
+])
+def test_rep_elements_equal_spelled_words(ct, node):
+    # each rep built from the shorter rep its word drops a letter to is
+    # the element spelled from its word: action, inverse and word
+    d = D(ct)
+    reps = minuscule_coset_reps(d, node)
+    for w, word in zip(rep_elements(d, reps), reps.words):
+        want = from_word(d, word)
+        assert (w.action, w.inv_action, w.word, w.length) == \
+            (want.action, want.inv_action, want.word, want.length), word
+
+
 def test_e7_coset_count():
     d = D("E7")
     reps = minuscule_coset_reps(d, 7)
