@@ -20,10 +20,14 @@ operators:
   polynomial in q with integer-vector coefficients (exponent -> one int
   per column, nonzero vectors only), so a Bareiss step or an exact
   division treats all columns of an exponent at once;
+* one integer view of a connection matrix, s q^m M split by powers of
+  q into rows of (column, int) pairs (``_integer_parts``), read by the
+  period, the cyclic reduction and the quadric's kernel check alike;
 * the kernel/complement splitting of the six-dimensional quadric's
   8x8 connection;
 * floating-point Bessel Wronskian diagnostics -- the only non-exact
-  computation in the package.
+  computation in the package: I_nu by its power series, K_nu by the
+  trapezoid rule on its integral representation.
 
 The test-only routes (the hbar re-run, the rank-one Bessel series and
 operator, the Jacobian-ring check, the dense elimination, dense
@@ -36,10 +40,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from typing import Callable, Optional, Tuple
+from itertools import count, repeat
+from typing import Optional, Tuple
 
-from .qchev import ConnMatrix, LaurentPoly
+from .qchev import ConnMatrix
 from .rootsys import RootDatum
 from .weyl import CosetReps, bruhat_covers_up, reflect_coset
 
@@ -58,22 +62,21 @@ class PeriodSeries:
     trace: Optional[Tuple[Tuple[Tuple[int, ...], int], ...]] = None
 
 
-def _linear_split(M: ConnMatrix):
-    """Write M = D1 + q*D2 with rational matrices D1, D2, each given as
-    rows of nonzero (column, value) pairs."""
+def _integer_parts(M: ConnMatrix):
+    """The integer view (s, m, parts) of a matrix over q: s > 0 and
+    m >= 0 are the least with s q^m M integral, and parts[e] holds the
+    q^e part of s q^m M as rows of nonzero (column, int) pairs."""
     if M.variables != ("q",):
         raise ValueError("expected a matrix over the single variable q")
-    d1 = [[] for _ in range(M.size)]
-    d2 = [[] for _ in range(M.size)]
-    for (r, c), entry in sorted(M.cells.items()):
-        for exps, coeff in entry.terms.items():
-            if exps == (0,):
-                d1[r].append((c, coeff))
-            elif exps == (1,):
-                d2[r].append((c, coeff))
-            else:
-                raise ValueError("matrix entry is not linear in q")
-    return tuple(map(tuple, d1)), tuple(map(tuple, d2))
+    terms = [(e, r, c, x) for (r, c), p in sorted(M.cells.items())
+             for (e,), x in p.terms.items()]
+    s = math.lcm(*(x.denominator for *_, x in terms))
+    m = max([0] + [-e for e, *_ in terms])
+    parts = {e: [[] for _ in range(M.size)]
+             for e in {t[0] + m for t in terms}}
+    for e, r, c, x in terms:
+        parts[e + m][r].append((c, x.numerator * (s // x.denominator)))
+    return s, m, parts
 
 
 def _sparse_matvec(rows, v):
@@ -115,20 +118,20 @@ def quantum_period(M: ConnMatrix, D: int) -> PeriodSeries:
     Solves (d*Id - D1) S_d = D2 S_{d-1} starting from the point class
     (the top basis vector), one triangular sweep per degree in the peel
     order of D1; c_d is the top coefficient of S_d.  The sweep runs in
-    integers, with S_{d-1} = X/Q, D1 = A1/s1 and D2 = A2/s2: for T = s1*d
-    and N = 1 + the longest D1 chain, Y = s2*Q*T^N*S_d solves
-    Y_r = (s1*T^N*(A2 X)_r + sum_c A1[r, c] Y_c) / T exactly, as S_d at
-    chain depth l has a denominator dividing s2*Q*T^(l+1).
+    integers, with S_{d-1} = X/Q and s M = A1 + q A2 for the common
+    denominator s of M: for T = s*d and N = 1 + the longest D1 chain,
+    Y = s*Q*T^N*S_d solves Y_r = (s*T^N*(A2 X)_r + sum_c A1[r, c] Y_c) / T
+    exactly, as S_d at chain depth l has a denominator dividing
+    Q*T^(l+1).
     """
     if D < 0:
         raise ValueError("degree bound must be nonnegative")
-    d1, d2 = _linear_split(M)
-    order = _check_nilpotent(d1)
-    s1, s2 = (math.lcm(*(a.denominator for row in part for _, a in row))
-              for part in (d1, d2))
-    a1, a2 = ([[(c, a.numerator * (s // a.denominator)) for c, a in row]
-               for row in part]
-              for part, s in ((d1, s1), (d2, s2)))
+    s, m, parts = _integer_parts(M)
+    if m or parts.keys() - {0, 1}:
+        raise ValueError("matrix entry is not linear in q")
+    empty = [[] for _ in range(M.size)]
+    a1, a2 = parts.get(0, empty), parts.get(1, empty)
+    order = _check_nilpotent(a1)
     depth = [0] * M.size
     for r in reversed(order):
         depth[r] = max((depth[c] + 1 for c, _ in a1[r]), default=0)
@@ -137,11 +140,11 @@ def quantum_period(M: ConnMatrix, D: int) -> PeriodSeries:
     X, Q = [int(i == top) for i in range(M.size)], 1
     trace = [(tuple(X), Q)]
     for d in range(1, D + 1):
-        T = s1 * d
-        Y = [s1 * T ** N * b for b in _sparse_matvec(a2, X)]
+        T = s * d
+        Y = [s * T ** N * b for b in _sparse_matvec(a2, X)]
         for r in reversed(order):
             Y[r] = _exact_div(Y[r] + sum(a * Y[c] for c, a in a1[r]), T)
-        Q *= s2 * T ** N
+        Q *= s * T ** N
         g = math.gcd(Q, *Y)
         X, Q = [y // g for y in Y], Q // g
         trace.append((tuple(X), Q))
@@ -308,16 +311,19 @@ def _primitive(p: dict) -> dict:
     return {e: c // g for e, c in p.items()}
 
 
-def _pgcd(a: dict, b: dict) -> dict:
-    """Primitive gcd of two nonzero integer polynomials, by the heuristic
-    gcd of their primitive parts (Char, Geddes and Gonnet, "GCDHEU"): the
-    integer gcd of their values at a large xi, read back in balanced
-    base-xi digits, is the gcd once its primitive part divides both."""
-    a, b = _primitive(a), _primitive(b)
-    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
+def _pgcd(a: dict, b: dict) -> tuple:
+    """The cofactors a / g and b / g of the primitive gcd g of two nonzero
+    integer polynomials, by the heuristic gcd of their primitive parts
+    (Char, Geddes and Gonnet, "GCDHEU"): the integer gcd of their values
+    at a large xi, read back in balanced base-xi digits, is the gcd once
+    its primitive part divides both.  g is primitive, so by Gauss's lemma
+    it divides a primitive part exactly when it divides the polynomial,
+    and the test divisions of a and b are the cofactors."""
+    pa, pb = _primitive(a), _primitive(b)
+    xi = 2 * min(max(map(abs, pa.values())), max(map(abs, pb.values()))) + 29
     while True:
         h = math.gcd(*(sum(c * xi ** e for e, c in p.items())
-                       for p in (a, b)))
+                       for p in (pa, pb)))
         g, e = {}, 0
         while h:
             c = (h + xi // 2) % xi - xi // 2
@@ -326,8 +332,7 @@ def _pgcd(a: dict, b: dict) -> dict:
             h, e = (h - c) // xi, e + 1
         g = _primitive(g)
         try:
-            _sdiv(a, g), _sdiv(b, g)
-            return g
+            return _sdiv(a, g), _sdiv(b, g)
         except ArithmeticError:
             xi = xi * 73794 // 27011
 
@@ -352,8 +357,7 @@ class RatFunc:
             return RatFunc((), (Fraction(1),))
         # degree, not term count: c q^e with e > 0 still shares q with a
         if max(b) > 0:
-            g = _pgcd(a, b)
-            a, b = _sdiv(a, g), _sdiv(b, g)
+            a, b = _pgcd(a, b)
         lead = b[max(b)]
         return RatFunc(tuple(Fraction(x * t, lead * s) for x in _dense(a, 0)),
                        tuple(Fraction(x, lead) for x in _dense(b, 0)))
@@ -397,6 +401,7 @@ def cyclic_scalar_operator(M: ConnMatrix, start) -> ScalarOperator:
     vectors, and r'_k M' is one sparse mat-vec per pair of exponents.
     """
     n = M.size
+    s, m, mats = _integer_parts(M)
     if isinstance(start, int):
         if not 0 <= start < n:
             raise ValueError(f"covector index {start} out of range for a "
@@ -409,15 +414,6 @@ def cyclic_scalar_operator(M: ConnMatrix, start) -> ScalarOperator:
         raise ValueError(f"zero covector for a matrix of size {n}")
     t = math.lcm(*(x.denominator for x in start))
     row = {0: [x.numerator * (t // x.denominator) for x in start]}
-    terms = [(e, c) for p in M.cells.values() for (e,), c in p.terms.items()]
-    m = max([0] + [-e for e, _ in terms])
-    s = math.lcm(*(c.denominator for _, c in terms))
-    # M' = sum_e q^e A_e, each A_e as rows of nonzero (column, value)
-    mats = {}
-    for (i, j), p in M.cells.items():
-        for (e,), c in p.terms.items():
-            mats.setdefault(e + m, [[] for _ in range(n)])[i].append(
-                (j, c.numerator * (s // c.denominator)))
 
     # basis[k] = (pivot column, the row b_k, the nonzero multipliers
     # h_{k,i}: the entry at pivot i when b_i was reduced out);
@@ -545,22 +541,21 @@ def d4_split(M: ConnMatrix) -> D4Split:
     middle classes and restrict M to the 7-dimensional complement."""
     if M.size != 8:
         raise ValueError("expected the 8-dimensional quadric matrix")
-    V = M.variables
-    zero = LaurentPoly(V)
     if M.column(3) != M.column(4):
         raise ArithmeticError("middle columns disagree; no kernel line")
     kernel = (0, 0, 0, 1, -1, 0, 0, 0)
 
     # constant vectors killed identically in q: the joint kernel of the
-    # classical and quantum parts, which must be exactly this one line
-    rows = [[dict(row).get(c, Fraction(0)) for c in range(8)]
-            for part in _linear_split(M) for row in part]
+    # q-parts, which must be exactly this one line; its rank by integer
+    # elimination on the rows of the parts
+    rows = [[dict(row).get(c, 0) for c in range(8)]
+            for part in _integer_parts(M)[2].values() for row in part]
     rank = 0
     for col in range(8):
         i = next((i for i, r in enumerate(rows) if r[col]), None)
         if i is not None:
             piv = rows.pop(i)
-            rows = [[a - r[col] / piv[col] * b for a, b in zip(r, piv)]
+            rows = [[piv[col] * a - r[col] * b for a, b in zip(r, piv)]
                     if r[col] else r for r in rows]
             rank += 1
     if rank != 7:
@@ -568,28 +563,21 @@ def d4_split(M: ConnMatrix) -> D4Split:
             f"expected a one-line constant kernel, found nullity {8 - rank}"
         )
 
-    basis = (
-        (1, 0, 0, 0, 0, 0, 0, 0),
-        (0, 1, 0, 0, 0, 0, 0, 0),
-        (0, 0, 1, 0, 0, 0, 0, 0),
-        (0, 0, 0, 1, 1, 0, 0, 0),
-        (0, 0, 0, 0, 0, 1, 0, 0),
-        (0, 0, 0, 0, 0, 0, 1, 0),
-        (0, 0, 0, 0, 0, 0, 0, 1),
-    )
+    # the basis e_0, e_1, e_2, e_3 + e_4, e_5, e_6, e_7; the image of
+    # e_3 + e_4 is twice column 3, as columns 3 and 4 agree
+    cols = (0, 1, 2, 3, 5, 6, 7)
+    basis = tuple(tuple(int(i == c or (c, i) == (3, 4)) for i in range(8))
+                  for c in cols)
     cells = {}
-    for k, b in enumerate(basis):
-        image = [zero] * 8
-        for (r, c), e in M.cells.items():
-            if b[c]:
-                image[r] = image[r] + e * b[c]
+    for k, c in enumerate(cols):
         # rows 3 and 4 both express the coefficient of the summed middle
-        # class; invariance demands they agree
-        if image[3] != image[4]:
+        # class; invariance demands they agree, and row 4 is dropped
+        if M.entry(3, c) != M.entry(4, c):
             raise ArithmeticError("complement is not invariant")
-        for r, e in enumerate(image[:4] + image[5:]):
-            cells[r, k] = e
-    restricted = ConnMatrix.nonzero(None, V, 7, cells)
+        for r, e in M.column(c).items():
+            if r != 4:
+                cells[r - (r > 4), k] = e * 2 if c == 3 else e
+    restricted = ConnMatrix(None, M.variables, 7, cells)
     return D4Split(kernel, basis, restricted)
 
 
@@ -599,8 +587,8 @@ def d4_split(M: ConnMatrix) -> D4Split:
 
 def _bessel_i_series(y: float, nu: float) -> float:
     """I_nu(y) by its power series; past k ~ y the terms fall at least
-    geometrically, so the tail is negligible once a term drops below
-    1e-20 of the running sum."""
+    geometrically, so the tail is negligible once a term drops to 1e-17
+    of the running sum (or an underflowed sum stops at zero)."""
     half = y / 2.0
     term = half ** nu / math.gamma(nu + 1.0)
     total = term
@@ -609,48 +597,26 @@ def _bessel_i_series(y: float, nu: float) -> float:
         k += 1
         term *= (half * half) / (k * (k + nu))
         total += term
-        if k > y and term < 1e-20 * max(total, 1.0):
+        if k > y and term <= 1e-17 * total:
             return total
         if k > 500:
             raise RuntimeError("Bessel-I series failed to converge")
 
 
-def _adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                      tol: float) -> float:
-    fa, fb = f(a), f(b)
-    mid = 0.5 * (a + b)
-    fmid = f(mid)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fmid + fb)
-
-    def rec(a, b, fa, fb, fm, whole, tol, depth):
-        if depth > 40:
-            raise RuntimeError("quadrature did not converge")
-        m = 0.5 * (a + b)
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (rec(a, m, fa, fm, flm, left, tol / 2.0, depth + 1)
-                + rec(m, b, fm, fb, frm, right, tol / 2.0, depth + 1))
-
-    return rec(a, b, fa, fb, fmid, whole, tol, 0)
-
-
 def _bessel_k_integral(y: float, nu: float) -> float:
-    """K_nu(y) = integral_0^inf exp(-y cosh t) cosh(nu t) dt, truncated
-    where the integrand drops below 1e-22 and integrated adaptively."""
-    def g(t: float) -> float:
-        return math.exp(-y * math.cosh(t)) * math.cosh(nu * t)
-
-    T = 1.0
-    while g(T) > 1e-22:
-        T += 0.5
-        if T > 700.0:
-            raise RuntimeError("integrand truncation failed")
-    return _adaptive_simpson(g, 0.0, T, 1e-13)
+    """K_nu(y) = integral_0^inf g(t) dt, g(t) = exp(-y cosh t) cosh(nu t),
+    by the trapezoid rule h (g(0)/2 + sum_k g(kh)) with h = 0.1.  g is
+    even, entire and falls double-exponentially, so the error is of
+    order exp(-pi^2 / h) (Trefethen and Weideman, "The exponentially
+    convergent trapezoidal rule").  g rises to a single peak and then
+    falls, as -y sinh t + nu tanh(nu t) changes sign at most once, so
+    the sum stops once a term drops below 1e-22 of the running sum."""
+    h, total = 0.1, 0.5 * math.exp(-y)
+    for k in count(1):
+        term = math.exp(-y * math.cosh(k * h)) * math.cosh(nu * k * h)
+        total += term
+        if term < 1e-22 * total:
+            return h * total
 
 
 def bessel_numeric_checks(y: float, nu: float) -> dict:

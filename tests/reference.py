@@ -64,7 +64,6 @@ from mmirror.period_gw import (
     ScalarOperator,
     _check_nilpotent,
     _exact_div,
-    _linear_split,
     _sparse_matvec,
     cyclic_scalar_operator,
     quantum_period,
@@ -597,7 +596,12 @@ def hbar_rescale_consistent(M: ConnMatrix, c: int, D: int) -> bool:
     re-run is the generic sweep over Laurent polynomials, not the integer
     one of quantum_period, so the two routes share only the peel order."""
     want = hbar_rescale(quantum_period(M, D), c)
-    d1, d2 = _linear_split(M)
+    # M = D1 + q D2 over Q, split here; quantum_period has already
+    # refused any other power of q
+    d1, d2 = [[] for _ in range(M.size)], [[] for _ in range(M.size)]
+    for (r, j), entry in sorted(M.cells.items()):
+        for (e,), a in entry.terms.items():
+            (d1, d2)[e][r].append((j, a))
     order = _check_nilpotent(d1)
     V = ("hbar",)
     inv_h = LaurentPoly(V, {(-1,): Fraction(1)})

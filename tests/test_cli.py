@@ -232,6 +232,13 @@ def test_bessel_report(capsys):
     assert abs(doc["wronskian"] - 0.5) < 1e-8
 
 
+@pytest.mark.parametrize("y,nu", [("0.01", "2.0"), ("25", "0")])
+def test_bessel_report_small_and_large_y(capsys, y, nu):
+    code, doc = run_json(capsys, "bessel", y, nu)
+    assert code == 0
+    assert doc["pass"] is True
+
+
 # ------------------------------------------------------------------ verify
 
 def test_verify_single_case(capsys):

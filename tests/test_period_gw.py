@@ -8,13 +8,20 @@ from hypothesis import strategies as st
 
 from mmirror.rootsys import CartanType, build_root_datum
 from mmirror.weyl import minuscule_coset_reps
-from mmirror.qchev import ConnMatrix, LaurentPoly, quantum_chevalley_minuscule
+from mmirror.qchev import (
+    ConnMatrix,
+    LaurentPoly,
+    mihalcea_equivariant,
+    quantum_chevalley_minuscule,
+)
 from mmirror.crystal_potential import gw_from_constant_term, potential_typeA
 from mmirror import period_gw
 from mmirror.period_gw import (
     PeriodSeries,
     RatFunc,
     ScalarOperator,
+    _integer_parts,
+    _pgcd,
     _rcombine,
     _rdiv,
     _sdiv,
@@ -148,6 +155,46 @@ def test_period_rejects_nonlinear_matrix():
     )
     with pytest.raises(ValueError):
         quantum_period(m, 1)
+
+
+def test_period_refuses_a_negative_power_of_q():
+    m = ConnMatrix(
+        basis=None, variables=("q",), size=1,
+        cells={(0, 0): LaurentPoly(("q",), {(-1,): Fraction(1)})},
+    )
+    with pytest.raises(ValueError, match="not linear in q"):
+        quantum_period(m, 1)
+
+
+def test_integer_parts_round_trip():
+    # s q^m M read back from the parts is M, every part entry a nonzero
+    # int and every exponent's rows one list per row
+    V = ("q",)
+    m = ConnMatrix(None, V, 3, {
+        (0, 1): LaurentPoly(V, {(-2,): Fraction(1, 6), (1,): Fraction(3, 4)}),
+        (2, 0): LaurentPoly(V, {(0,): Fraction(-5, 2)}),
+        (1, 2): LaurentPoly(V, {(-1,): Fraction(2, 3), (0,): Fraction(7)}),
+        (1, 1): LaurentPoly(V, {(1,): Fraction(-1, 4)}),
+    })
+    s, shift, parts = _integer_parts(m)
+    assert (s, shift) == (12, 2)
+    assert sorted(parts) == [0, 1, 2, 3]
+    cells = {}
+    for e, rows in parts.items():
+        assert len(rows) == 3 and len({id(row) for row in rows}) == 3
+        for r, row in enumerate(rows):
+            for c, x in row:
+                assert type(x) is int and x
+                cells.setdefault((r, c), {})[(e - shift,)] = Fraction(x, s)
+    assert ConnMatrix(None, V, 3, {
+        rc: LaurentPoly(V, t) for rc, t in cells.items()}) == m
+
+
+def test_integer_parts_refuses_several_variables():
+    m = ConnMatrix(None, ("q", "h1"), 1,
+                   {(0, 0): LaurentPoly(("q", "h1"), {(0, 1): Fraction(1)})})
+    with pytest.raises(ValueError, match="single variable q"):
+        _integer_parts(m)
 
 
 def test_cross_oracle_constant_terms():
@@ -426,6 +473,12 @@ def test_scalar_operator_refuses_bad_covector(start, message):
         cyclic_scalar_operator(m, start)
 
 
+def test_scalar_operator_refuses_an_equivariant_matrix():
+    d, reps, m = setup_case("A2", 1)
+    with pytest.raises(ValueError, match="single variable q"):
+        cyclic_scalar_operator(mihalcea_equivariant(d, m, 1), 0)
+
+
 @pytest.mark.parametrize("cov", [
     lambda i: Fraction(i + 1, 2),
     lambda i: Fraction((-1) ** i, i + 1),
@@ -525,6 +578,25 @@ def test_sparse_division_by_zero():
         _sdiv({0: 1}, {})
     with pytest.raises(ZeroDivisionError):
         _sdiv({}, {})
+
+
+small_polys = st.dictionaries(st.integers(0, 8),
+                              st.integers(-99, 99).filter(bool),
+                              min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_polys, small_polys, small_polys, st.integers(1, 10**6))
+def test_pgcd_returns_coprime_cofactors(g, a, b, content):
+    # x / u = y / v is the primitive gcd, and u, v have no common factor:
+    # Euclid over Q[q] cancels nothing from u / v
+    def dense(p):
+        return tuple(p.get(e, 0) for e in range(max(p) + 1))
+    x, y = _smul({0: content}, _smul(g, a)), _smul(g, b)
+    u, v = _pgcd(x, y)
+    gcd = _sdiv(x, u)
+    assert _sdiv(y, v) == gcd and math.gcd(*gcd.values()) == 1
+    assert len(reference_ratfunc(dense(u), dense(v)).den) == len(dense(v))
 
 
 # ----------------------------------- rows: polynomials with vector coefficients
@@ -839,6 +911,24 @@ def test_d4_scalar_operator_is_hypergeometric():
     assert operator_annihilates(scaled_op, hyper_series)
 
 
+def test_d4_split_rejects_unequal_middle_columns():
+    m = d4_matrix()
+    cells = dict(m.cells)
+    cells[5, 3] = LaurentPoly.const(m.variables, 2)
+    with pytest.raises(ArithmeticError, match="middle columns disagree"):
+        d4_split(ConnMatrix(m.basis, m.variables, m.size, cells))
+
+
+def test_d4_split_rejects_a_non_invariant_complement():
+    # rows 3 and 4 of the image of e_0 differ, while columns 3 and 4
+    # still agree and the constant kernel is still one line
+    m = d4_matrix()
+    cells = dict(m.cells)
+    cells[3, 0] = LaurentPoly.const(m.variables, 1)
+    with pytest.raises(ArithmeticError, match="complement is not invariant"):
+        d4_split(ConnMatrix(m.basis, m.variables, m.size, cells))
+
+
 def test_d4_split_rejects_wrong_size():
     _, _, m = setup_case("A3", 2)
     with pytest.raises(ValueError):
@@ -921,6 +1011,24 @@ def test_bessel_against_mpmath():
         ]:
             want = float(fn(order, y))
             assert abs(report[key] - want) <= 1e-9 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("y", [1e-4, 0.01, 0.1, 15.0, 25.0, 50.0])
+@pytest.mark.parametrize("nu", [0.0, 1.3, 3.7, 8.0, 20.0])
+def test_bessel_corners_against_mpmath(y, nu):
+    # small y puts K's integrand peak far out and makes I_nu tiny; large
+    # y makes K tiny: both need relative, not absolute, stopping rules
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    report = bessel_numeric_checks(y, nu)
+    for key, fn, order in [
+        ("i_nu", mpmath.besseli, nu),
+        ("i_nu_plus_1", mpmath.besseli, nu + 1.0),
+        ("k_nu", mpmath.besselk, nu),
+        ("k_nu_plus_1", mpmath.besselk, nu + 1.0),
+    ]:
+        want = float(fn(order, y))
+        assert abs(report[key] - want) <= 1e-12 * abs(want), key
 
 
 def test_bessel_rejects_bad_y():
