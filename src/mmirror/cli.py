@@ -247,7 +247,7 @@ def _wgamma_positions(d, reps) -> set:
     w.gamma = -theta, the coset of w s_gamma has weight
     mu + <varpi_node, gamma-vee> theta."""
     p = reps.parabolic
-    k = p.gamma.coroot.coeffs[p.node - 1]
+    k = p.gamma.coroot[p.node - 1]
     theta = d.highest_root.fw
     out = set()
     for c in w_gamma_set(d, reps):

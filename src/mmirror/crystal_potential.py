@@ -42,10 +42,9 @@ from .rootsys import (
     CartanType,
     RootDatum,
     build_root_datum,
-    fundamental_weight,
     minuscule_nodes,
 )
-from .weyl import _descent_word
+from .weyl import _descend, _descent_word
 
 # Most variables (letters of the word of w^P) a Grassmannian potential
 # may have.
@@ -78,18 +77,12 @@ class Potential:
 def top_coset_word(d: RootDatum, node: int) -> Tuple[tuple, tuple]:
     """(word, lowest): the lowest weight of W . varpi_node, which is
     -varpi_{node*}, and its descent word, which spells w^P, the longest
-    minimal coset representative.  The lowest weight is reached from
-    varpi_node by applying s_j while some mu_j > 0."""
-    mu = list(fundamental_weight(d, node).coeffs)
-    while True:
-        for j, c in enumerate(mu):
-            if c > 0:
-                for k, a in enumerate(d.cartan[j]):
-                    mu[k] -= c * a
-                break
-        else:
-            break
-    lowest = tuple(mu)
+    minimal coset representative.  W . varpi_node is the negative of
+    W . (-varpi_node), so the lowest weight is the negated dominant
+    weight that -varpi_node descends to."""
+    mu = [-int(j == node - 1) for j in range(d.rank)]
+    _descend(d, mu)
+    lowest = tuple(-x for x in mu)
     return _descent_word(d, lowest), lowest
 
 

@@ -68,7 +68,7 @@ def root_step(mu, root, sign: int = 1):
     """The weight mu + beta, beta = sign * root, when the root vector for
     beta sends v_mu to v_{mu + beta} (exactly when <mu, beta-vee> = -1,
     with coefficient 1); None when it kills v_mu."""
-    if sign * sum(map(mul, mu, root.coroot.coeffs)) != -1:
+    if sign * sum(map(mul, mu, root.coroot)) != -1:
         return None
     return tuple(x + sign * a for x, a in zip(mu, root.fw))
 

@@ -620,13 +620,20 @@ def _bessel_k_integral(y: float, nu: float) -> float:
 
 
 def bessel_numeric_checks(y: float, nu: float) -> dict:
-    """Wronskian diagnostic I_nu K_{nu+1} + I_{nu+1} K_nu = 1/y."""
+    """Wronskian diagnostic I_nu K_{nu+1} + I_{nu+1} K_nu = 1/y, its error
+    relative to 1/y; nu must be finite and > -1 (positive I-series terms)."""
     if not 0 < y <= 50:
         raise ValueError("y must lie in (0, 50]")
-    i0 = _bessel_i_series(y, nu)
-    i1 = _bessel_i_series(y, nu + 1.0)
-    k0 = _bessel_k_integral(y, nu)
-    k1 = _bessel_k_integral(y, nu + 1.0)
+    if not -1 < nu < math.inf:
+        raise ValueError(f"nu = {nu} must be finite and > -1")
+    try:
+        i0 = _bessel_i_series(y, nu)
+        i1 = _bessel_i_series(y, nu + 1.0)
+        k0 = _bessel_k_integral(y, nu)
+        k1 = _bessel_k_integral(y, nu + 1.0)
+    except OverflowError:
+        raise ValueError(f"I_nu or K_nu at y = {y}, nu = {nu} is beyond "
+                         "float range") from None
     wronskian = i0 * k1 + i1 * k0
     return {
         "i_nu": i0,
@@ -634,7 +641,7 @@ def bessel_numeric_checks(y: float, nu: float) -> dict:
         "k_nu": k0,
         "k_nu_plus_1": k1,
         "wronskian": wronskian,
-        "wronskian_error": abs(wronskian - 1.0 / y),
+        "wronskian_error": abs(y * wronskian - 1.0),
     }
 
 

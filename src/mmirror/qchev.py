@@ -292,10 +292,10 @@ def fw_matrix(d: RootDatum, reps: CosetReps, node: int) -> ConnMatrix:
     if node != p.node:
         raise ValueError(f"node {node} is not the node {p.node} of the "
                          "coset representatives")
-    two_rho_diff = [int(2 - 2 * x) for x in p.rho_P.coeffs]
+    two_rho_diff = [int(2 - 2 * x) for x in p.rho_P]
     roots = []   # (beta, k, ell(s_beta), <2(rho - rho_P), beta-vee>)
     for beta in reps.roots(d):
-        cv = beta.coroot.coeffs
+        cv = beta.coroot
         # column 0 is the identity: its reflected length is ell(s_beta)
         roots.append((beta, cv[node - 1], reflect_length(d, reps, 0, beta),
                       sum(map(mul, two_rho_diff, cv))))
@@ -406,7 +406,7 @@ def check_homogeneous(d: RootDatum, M: ConnMatrix, node: int) -> bool:
     at (row u, col w) has degree 2 ell(w) + 2 - 2 ell(u)."""
     p = M.basis.parabolic
     # alpha_node-vee is a unit vector in simple-coroot coordinates
-    qdeg = int(4 * (1 - p.rho_P.coeffs[node - 1]))
+    qdeg = int(4 * (1 - p.rho_P[node - 1]))
     weights = {}
     for v in M.variables:
         if v == "q":

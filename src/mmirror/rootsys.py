@@ -6,11 +6,11 @@ G2, F4 and E8 carry no minuscule node and are rejected.
 Conventions
 -----------
 * Node numbering follows Bourbaki throughout.
-* A root is stored by its integer coordinates in the simple-root basis, a
-  coroot by its coordinates in the simple-coroot basis, and a weight by its
-  coordinates in the fundamental-weight basis.  With these choices the
-  pairing of a weight against a coroot is a plain dot product, since
-  <varpi_i, alpha_j-vee> = delta_ij.
+* Roots, coroots and weights are plain tuples: a root's coordinates in
+  the simple-root basis, a coroot's (or coweight's) in the simple-coroot
+  basis, and a weight's in the fundamental-weight basis.  With these
+  choices the pairing of a weight against a coroot is a plain dot
+  product, since <varpi_i, alpha_j-vee> = delta_ij.
 * Root lengths are normalised so long roots have squared length 2.  The
   coroot of beta is 2*beta/(beta,beta); its coordinates are integers and are
   validated as such during construction.
@@ -31,8 +31,6 @@ import re
 __all__ = [
     "CartanType",
     "Root",
-    "Coroot",
-    "Weight",
     "RootDatum",
     "ParabolicData",
     "build_root_datum",
@@ -42,7 +40,6 @@ __all__ = [
     "minuscule_nodes",
     "minuscule_dimension",
     "is_cominuscule",
-    "fundamental_weight",
     "simple_root",
     "reflection_length",
     "datum_to_json",
@@ -95,39 +92,18 @@ class Root:
     height : sum of coeffs.
     fw     : the same root written in fundamental-weight coordinates,
              fw_k = sum_j coeffs_j * a_jk.
-    coroot : the associated coroot 2*beta/(beta,beta).
+    coroot : the coroot 2*beta/(beta,beta) in simple-coroot coordinates.
     norm2  : squared length (2 for long, 1 for short in types B/C).
     """
 
     coeffs: tuple
     height: int
     fw: tuple
-    coroot: "Coroot"
+    coroot: tuple
     norm2: int
 
     def __repr__(self):  # keep test output readable
         return f"Root{self.coeffs}"
-
-
-@dataclass(frozen=True)
-class Coroot:
-    """A coroot (or rational coweight such as a fundamental coweight) in
-    simple-coroot coordinates."""
-
-    coeffs: tuple
-
-    def __repr__(self):
-        return f"Coroot{self.coeffs}"
-
-
-@dataclass(frozen=True)
-class Weight:
-    """A weight in fundamental-weight coordinates (entries rational)."""
-
-    coeffs: tuple
-
-    def __repr__(self):
-        return f"Weight{self.coeffs}"
 
 
 def _cartan_matrix(ct: CartanType):
@@ -180,16 +156,15 @@ class RootDatum:
     """Root data for one simple type.
 
     Fields follow the obvious meanings; `positive_roots` is ordered by
-    (height, lexicographic coeffs).  A private table maps simple-root
-    coordinates back to positive roots.
+    (height, lexicographic coeffs), and rho = (1, .., 1) is not stored.
+    A private table maps simple-root coordinates back to positive roots.
     """
 
     cartan_type: CartanType
     cartan: tuple
     positive_roots: tuple
     highest_root: Root
-    rho: Weight
-    two_rho_covec: Coroot
+    two_rho_covec: tuple
     coxeter_number: int
     exponents: tuple
     _by_coeffs: dict = field(repr=False)
@@ -246,8 +221,6 @@ def build_root_datum(ct: CartanType) -> RootDatum:
     beta + alpha_i is a root iff p - <beta, alpha_i-vee> >= 1 where p is the
     largest k with beta - k*alpha_i still a root.
     """
-    if isinstance(ct, str):
-        ct = CartanType.parse(ct)
     n = ct.rank
     cartan = _cartan_matrix(ct)
     norms = _simple_norms(ct)
@@ -293,7 +266,7 @@ def build_root_datum(ct: CartanType) -> RootDatum:
             coeffs=coeffs,
             height=sum(coeffs),
             fw=fw,
-            coroot=Coroot(tuple(cvec)),
+            coroot=tuple(cvec),
             norm2=twice // 2,
         )
 
@@ -304,11 +277,7 @@ def build_root_datum(ct: CartanType) -> RootDatum:
     if any(x < 0 for x in theta.fw):
         raise AssertionError("highest root is not dominant")
 
-    rho = Weight(tuple([1] * n))
-    two_rho = [0] * n
-    for r in roots:
-        for k in range(n):
-            two_rho[k] += r.coroot.coeffs[k]
+    two_rho = tuple(map(sum, zip(*(r.coroot for r in roots))))
     cox = theta.height + 1
     if 2 * len(roots) != n * cox:
         raise AssertionError("|R| != rank * coxeter_number")
@@ -331,8 +300,7 @@ def build_root_datum(ct: CartanType) -> RootDatum:
         cartan=cartan,
         positive_roots=roots,
         highest_root=theta,
-        rho=rho,
-        two_rho_covec=Coroot(tuple(two_rho)),
+        two_rho_covec=two_rho,
         coxeter_number=cox,
         exponents=exps,
         _by_coeffs=by_coeffs,
@@ -345,14 +313,10 @@ def simple_root(d: RootDatum, i: int) -> Root:
     return d.root_from_coeffs(coeffs)
 
 
-def fundamental_weight(d: RootDatum, i: int) -> Weight:
-    return Weight(tuple(1 if j == i - 1 else 0 for j in range(d.rank)))
-
-
 def reflection_length(d: RootDatum, beta: Root) -> int:
     """ell(s_beta) as an inversion count |{alpha in R+ : s_beta(alpha) < 0}|."""
     count = 0
-    bvec = beta.coroot.coeffs
+    bvec = beta.coroot
     for alpha in d.positive_roots:
         k = sum(map(mul, alpha.fw, bvec))
         image = tuple(a - k * b for a, b in zip(alpha.coeffs, beta.coeffs))
@@ -364,7 +328,7 @@ def reflection_length(d: RootDatum, beta: Root) -> int:
 def quantum_roots(d: RootDatum):
     """Positive roots beta with ell(s_beta) = <2*rho, beta-vee> - 1."""
     return [beta for beta in d.positive_roots
-            if reflection_length(d, beta) == 2 * sum(beta.coroot.coeffs) - 1]
+            if reflection_length(d, beta) == 2 * sum(beta.coroot) - 1]
 
 
 def minuscule_nodes(ct: CartanType):
@@ -425,12 +389,12 @@ def gamma_root(d: RootDatum, node: int) -> Root:
         gamma = simple_root(d, node)
 
     # characterization self-check
-    target = 2 * sum(gamma.coroot.coeffs) - 1
+    target = 2 * sum(gamma.coroot) - 1
     if reflection_length(d, gamma) != target:
         raise AssertionError("gamma is not a quantum root")
     for alpha in d.positive_roots:
         if alpha.coeffs[node - 1] == 0:
-            if sum(map(mul, alpha.fw, gamma.coroot.coeffs)) not in (-1, 0):
+            if sum(map(mul, alpha.fw, gamma.coroot)) not in (-1, 0):
                 raise AssertionError("gamma fails the Levi pairing check")
     return gamma
 
@@ -446,7 +410,7 @@ class ParabolicData:
     node: int
     I_P: tuple
     levi_positive_roots: tuple
-    rho_P: Weight
+    rho_P: tuple
     gamma: Root
     I_Q: tuple
     coset_size: int
@@ -482,8 +446,7 @@ def levi_data(d: RootDatum, node: int = None, subset=None) -> ParabolicData:
         if all(r.coeffs[j - 1] == 0 for j in outside)
     )
     levi_coeffs = {r.coeffs for r in levi}
-    rho_P = Weight(tuple(Fraction(sum(r.fw[k] for r in levi), 2)
-                         for k in range(n)))
+    rho_P = tuple(Fraction(sum(r.fw[k] for r in levi), 2) for k in range(n))
 
     gamma = None
     I_Q = None
@@ -491,11 +454,11 @@ def levi_data(d: RootDatum, node: int = None, subset=None) -> ParabolicData:
         gamma = gamma_root(d, node)
         I_Q = tuple(
             j for j in I_P
-            if sum(map(mul, simple_root(d, j).fw, gamma.coroot.coeffs)) == 0
+            if sum(map(mul, simple_root(d, j).fw, gamma.coroot)) == 0
         )
         # <2(rho-rho_P), alpha_node-vee>: alpha_node-vee is a unit vector in
         # simple-coroot coordinates, so this is just the node coordinate.
-        if 2 * (1 - rho_P.coeffs[node - 1]) != d.coxeter_number:
+        if 2 * (1 - rho_P[node - 1]) != d.coxeter_number:
             raise AssertionError(
                 f"Coxeter-number identity failed for {d.cartan_type} node {node}"
             )
@@ -531,14 +494,14 @@ def datum_to_json(d: RootDatum, parabolic: ParabolicData = None) -> dict:
         "highest_root": list(d.highest_root.coeffs),
         "coxeter_number": d.coxeter_number,
         "exponents": list(d.exponents),
-        "two_rho_covec": list(d.two_rho_covec.coeffs),
+        "two_rho_covec": list(d.two_rho_covec),
     }
     if parabolic is not None:
         out["parabolic"] = {
             "node": parabolic.node,
             "I_P": list(parabolic.I_P),
             "levi_positive_roots": [list(r.coeffs) for r in parabolic.levi_positive_roots],
-            "rho_P": [str(x) for x in parabolic.rho_P.coeffs],
+            "rho_P": [str(x) for x in parabolic.rho_P],
             "gamma": list(parabolic.gamma.coeffs) if parabolic.gamma else None,
             "I_Q": list(parabolic.I_Q) if parabolic.I_Q is not None else None,
             "coset_size": parabolic.coset_size,

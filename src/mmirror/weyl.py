@@ -230,7 +230,7 @@ def reflect_coset(reps: CosetReps, c: int, beta: Root) -> int:
     length compares the coset's length first and asks reflect_length only
     when it can match."""
     w_beta = reps.images[c][reps.slot(beta)]
-    k = beta.coroot.coeffs[reps.parabolic.node - 1]
+    k = beta.coroot[reps.parabolic.node - 1]
     if k != 1:                        # only at the B_n quadric node
         w_beta = [k * b for b in w_beta]
     return reps._by_weight[tuple(map(sub, reps.weights[c], w_beta))]
@@ -240,7 +240,7 @@ def reflect_length(d: RootDatum, reps: CosetReps, c: int, beta: Root) -> int:
     """ell(w s_beta) for w the rep at c and beta in R+ \\ R+_P: the
     descent length of w s_beta . rho = w.rho - <rho, beta-vee> w.beta."""
     img = reps.images[c]
-    h = sum(beta.coroot.coeffs)
+    h = sum(beta.coroot)
     return _descent_length(
         d, [r - h * b for r, b in zip(img[0], img[reps.slot(beta)])])
 

@@ -77,9 +77,7 @@ from mmirror.qchev import (
 )
 from mmirror.rootsys import (
     CartanType,
-    Coroot,
     ParabolicData,
-    Weight,
     build_root_datum,
     is_cominuscule,
     levi_data,
@@ -92,11 +90,9 @@ from mmirror.weyl import _descent_word, minuscule_coset_reps
 def pairing(w, c):
     """Pairing <w, c> of a weight against a coroot: a dot product, valid
     because the bases are dual."""
-    wc = w.coeffs if isinstance(w, Weight) else w
-    cc = c.coeffs if isinstance(c, Coroot) else c
-    if len(wc) != len(cc):
-        raise ValueError(f"rank mismatch: {len(wc)} vs {len(cc)}")
-    total = sum(a * b for a, b in zip(wc, cc))
+    if len(w) != len(c):
+        raise ValueError(f"rank mismatch: {len(w)} vs {len(c)}")
+    total = sum(a * b for a, b in zip(w, c))
     if isinstance(total, Fraction) and total.denominator == 1:
         return int(total)
     return total
@@ -180,11 +176,11 @@ def _matvec(m, v):
     return tuple(sum(map(mul, row, v)) for row in m)
 
 
-def fundamental_coweight(d, i: int) -> Coroot:
+def fundamental_coweight(d, i: int) -> tuple:
     """varpi_i-vee in simple-coroot coordinates: column i of the inverse
     Cartan matrix (rational in general)."""
     den, inv = d.inverse_cartan
-    return Coroot(tuple(Fraction(row[i - 1], den) for row in inv))
+    return tuple(Fraction(row[i - 1], den) for row in inv)
 
 
 def _make_elt(d, action, inv_action) -> WeylElt:
@@ -203,9 +199,8 @@ def act_coweight(w: WeylElt, covec) -> tuple:
     """Coweights transform by the transpose of the inverse action; the
     sums run in integers over the common denominator of covec, and each
     coordinate comes back as a Fraction."""
-    cc = covec.coeffs if hasattr(covec, "coeffs") else tuple(covec)
-    den = math.lcm(*(x.denominator for x in cc))
-    nums = [x.numerator * (den // x.denominator) for x in cc]
+    den = math.lcm(*(x.denominator for x in covec))
+    nums = [x.numerator * (den // x.denominator) for x in covec]
     return tuple(Fraction(sum(map(mul, col, nums)), den)
                  for col in zip(*w.inv_action))
 
@@ -251,7 +246,7 @@ def simple_reflection(d, i: int) -> WeylElt:
 def reflection(d, beta) -> WeylElt:
     """s_beta, built directly as 1 - beta tensor beta-vee on fw coords."""
     n = d.rank
-    cv = beta.coroot.coeffs
+    cv = beta.coroot
     m = tuple(
         tuple(int(j == k) - beta.fw[j] * cv[k] for k in range(n))
         for j in range(n)
@@ -269,8 +264,7 @@ def inverse(d, w: WeylElt) -> WeylElt:
 
 
 def act_weight(w: WeylElt, lam) -> tuple:
-    vec = lam.coeffs if isinstance(lam, Weight) else tuple(lam)
-    return _matvec(w.action, vec)
+    return _matvec(w.action, lam)
 
 
 def act_root(d, w: WeylElt, root):
@@ -289,7 +283,7 @@ def longest_element(d, J=None) -> WeylElt:
     for w0."""
     if J is None:
         return from_word(d, _descent_word(d, [-1] * d.rank))
-    rho_J = levi_data(d, subset=J).rho_P.coeffs
+    rho_J = levi_data(d, subset=J).rho_P
     return from_word(d, _descent_word(d, [int(1 - 2 * x) for x in rho_J]))
 
 
@@ -364,9 +358,9 @@ def special_elements(d, p: ParabolicData) -> SpecialElements:
     w0P = longest_element(d, p.I_P)
     wP = multiply(d, w0P, w0)
 
-    got = act_weight(wP, d.rho)
+    got = act_weight(wP, (1,) * d.rank)
     if tuple(Fraction(x) for x in got) != tuple(
-        -1 + 2 * x for x in p.rho_P.coeffs
+        -1 + 2 * x for x in p.rho_P
     ):
         raise AssertionError("w_P(rho) != -rho + 2 rho_P")
     if p.node is not None and is_cominuscule(d, p.node):
@@ -434,7 +428,7 @@ def generator_matrices(rep) -> dict:
         out[f"y{j}"] = _root_operator(rep, f"y{j}", alpha, -1)
 
     n = rep.dim
-    c = d.two_rho_covec.coeffs
+    c = d.two_rho_covec
     e = [[0] * n for _ in range(n)]
     f = [[0] * n for _ in range(n)]
     for j in range(1, d.rank + 1):

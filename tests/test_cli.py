@@ -43,6 +43,21 @@ def test_roots_dump(capsys):
     assert doc["parabolic"]["coset_size"] == 6
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (("E7", "--node", "7"),
+     "896bc0ec9fc32f3d87c8acb0861f7f885fe173c6c5fd9cf136466cf2a84fd99a"),
+    # half-integer rho_P; gamma and I_Q are null off the minuscule node
+    (("B4", "--node", "1"),
+     "796ee06cdcecca58421131da0ef2e10064399c6d2a87e5b4c953951aaa7ffa34"),
+    (("C5",),
+     "cc66b436c792d0c2d97ea32f3f5448c2cb1078881cf3749ddccc48fb29bc238b"),
+])
+def test_roots_golden(capsys, argv, digest):
+    code, out, err = run(capsys, "roots", *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_roots_without_node(capsys):
     code, doc = run_json(capsys, "roots", "B2")
     assert code == 0
@@ -237,6 +252,30 @@ def test_bessel_report_small_and_large_y(capsys, y, nu):
     code, doc = run_json(capsys, "bessel", y, nu)
     assert code == 0
     assert doc["pass"] is True
+
+
+@pytest.mark.parametrize("y,nu", [("1e-7", "10"), ("1e-8", "0"),
+                                  ("1", "-0.5")])
+def test_bessel_report_tiny_y_and_negative_nu(capsys, y, nu):
+    # the Wronskian is judged relative to 1/y, which is 1e8 at y = 1e-8
+    code, doc = run_json(capsys, "bessel", y, nu)
+    assert code == 0
+    assert doc["pass"] is True
+
+
+@pytest.mark.parametrize("y,nu,names", [
+    ("2", "nan", ("nu = nan",)),
+    ("2", "inf", ("nu = inf",)),
+    ("1", "-1", ("nu = -1.0",)),
+    ("1", "-1.5", ("nu = -1.5",)),
+    ("0.01", "200", ("y = 0.01", "nu = 200.0", "beyond float range")),
+    ("50", "300", ("y = 50.0", "nu = 300.0", "beyond float range")),
+])
+def test_bessel_refusals_name_nu(capsys, y, nu, names):
+    code, out, err = run(capsys, "bessel", y, nu)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(name in err for name in names), err
 
 
 # ------------------------------------------------------------------ verify

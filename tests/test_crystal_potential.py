@@ -16,7 +16,6 @@ from mmirror import crystal_potential
 from mmirror.rootsys import (
     CartanType,
     build_root_datum,
-    fundamental_weight,
     minuscule_nodes,
 )
 from mmirror.weyl import minuscule_coset_reps
@@ -241,6 +240,21 @@ def test_typeA_json_golden():
         "47d32cfaea151bdcd2bdc1c10dfda3831170b1503098e7dc572e3f7295e77e62"
 
 
+def test_minuscule_json_golden_de():
+    # SHA-256 of the potential_to_json output of the 15 minuscule nodes
+    # of D4-D7, E6 and E7, in (family, rank, node) order
+    blob = "\n".join(
+        json.dumps(potential_to_json(minuscule_potential(d, node)),
+                   sort_keys=True)
+        for family, ranks in (("D", (4, 5, 6, 7)), ("E", (6, 7)))
+        for d in (datum(family, rank) for rank in ranks)
+        for node in sorted(minuscule_nodes(d.cartan_type))
+    )
+    assert blob.count("\n") == 14
+    assert hashlib.sha256(blob.encode()).hexdigest() == \
+        "504bb7e91c29d5a17945b7b82003fa4bdba02a6840487287f6222229bd4a4236"
+
+
 @pytest.mark.parametrize("family,rank,node,depth", [
     ("D", 4, 1, 3), ("D", 5, 1, 2), ("D", 5, 5, 2), ("E", 6, 1, 2),
     ("D", 6, 6, 3), ("E", 6, 1, 3), ("D", 7, 7, 2), ("E", 7, 7, 1),
@@ -280,7 +294,7 @@ def test_integer_walk_matches_laurent_reference(family, rank, node):
     d = datum(family, rank)
     word, lowest = top_coset_word(d, node)
     assert lowest == act_weight(longest_element(d),
-                                fundamental_weight(d, node))
+                                [int(j == node - 1) for j in range(rank)])
     V = tuple(f"a{m + 1}" for m in range(len(word)))
     low = tuple(-int(j == node - 1) for j in range(rank))
     vec = unipotent_vector(d, word, low)

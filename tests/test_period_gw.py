@@ -1031,6 +1031,40 @@ def test_bessel_corners_against_mpmath(y, nu):
         assert abs(report[key] - want) <= 1e-12 * abs(want), key
 
 
+@pytest.mark.parametrize("y", [1e-9, 1e-8, 1e-7])
+@pytest.mark.parametrize("nu", [0.0, 1.0, 10.0, 20.0])
+def test_bessel_wronskian_relative_at_tiny_y(y, nu):
+    # W = 1/y is up to 1e9 here: the error is |y W - 1|, not |W - 1/y|
+    report = bessel_numeric_checks(y, nu)
+    assert report["wronskian_error"] < 1e-8, report
+    assert report["wronskian_error"] == abs(y * report["wronskian"] - 1)
+
+
+@pytest.mark.parametrize("nu", [float("nan"), float("inf"), -float("inf"),
+                                -1.0, -1.5, -3.7])
+def test_bessel_rejects_bad_nu(nu):
+    with pytest.raises(ValueError, match=f"nu = {nu} must be finite"):
+        bessel_numeric_checks(1.0, nu)
+
+
+def test_bessel_accepts_nu_above_minus_one():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    for nu in (-0.5, -0.9):
+        report = bessel_numeric_checks(1.0, nu)
+        assert report["wronskian_error"] < 1e-8
+        want = float(mpmath.besseli(nu, 1.0))
+        assert abs(report["i_nu"] - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("y,nu", [(0.01, 200.0), (50.0, 300.0),
+                                  (1e-12, 21.0)])
+def test_bessel_overflow_names_y_and_nu(y, nu):
+    with pytest.raises(ValueError, match=f"y = {y}, nu = {nu} is beyond "
+                                         "float range"):
+        bessel_numeric_checks(y, nu)
+
+
 def test_bessel_rejects_bad_y():
     with pytest.raises(ValueError):
         bessel_numeric_checks(0.0, 0.0)

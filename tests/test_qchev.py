@@ -271,7 +271,7 @@ def test_fw_matches_minuscule_columnwise():
             want = {}
             for beta, r in bruhat_covers_up(d, reps, c):
                 key = (0, r)
-                want[key] = want.get(key, 0) + beta.coroot.coeffs[node - 1]
+                want[key] = want.get(key, 0) + beta.coroot[node - 1]
             if c in wg:
                 target = pi_P(d, p.I_P, multiply(d, w, sgamma))
                 want[(1, index_of(d, reps, target))] = 1
@@ -302,14 +302,14 @@ def _product_route_column(d, reps, node, w):
     for beta in d.positive_roots:
         if beta.coeffs in levi:
             continue
-        coeff = beta.coroot.coeffs[node - 1]
+        coeff = beta.coroot[node - 1]
         s_beta = reflection(d, beta)
         cand = multiply(d, w, s_beta)
         target = pi_P(d, p.I_P, cand)
         if cand.length == w.length + 1 and target == cand:
             key = (0, index_of(d, reps, cand))
             col[key] = col.get(key, 0) + coeff
-        drop = sum(t * cv for t, cv in zip(two_rho_diff, beta.coroot.coeffs))
+        drop = sum(t * cv for t, cv in zip(two_rho_diff, beta.coroot))
         if (cand.length == w.length - s_beta.length
                 and target.length == w.length + 1 - drop):
             key = (coeff, index_of(d, reps, target))
