@@ -193,7 +193,7 @@ class Case:
         self.params = _default_params(self.ct, self.node)
         self.params.update(params or {})
         self.d = build_root_datum(self.ct)
-        self._periods = {}
+        self._period = None
 
     @cached_property
     def reps(self):
@@ -216,10 +216,12 @@ class Case:
         return d4_split(self.matrix)
 
     def period(self, depth: int):
-        """The quantum period of ``matrix`` to ``depth``, computed once."""
-        if depth not in self._periods:
-            self._periods[depth] = quantum_period(self.matrix, depth)
-        return self._periods[depth]
+        """The quantum period of ``matrix`` to ``depth``.  Only the deepest
+        series asked for is kept: degrees 0..depth do not depend on how
+        deep the sweep went, so a shallower one is its truncation."""
+        if self._period is None or len(self._period.coefficients) <= depth:
+            self._period = quantum_period(self.matrix, depth)
+        return self._period.upto(depth)
 
     def check_names(self):
         """The battery of the case's kind, then each pinned check whose

@@ -18,8 +18,8 @@ operators:
   of the annihilation check all run on it; ``RatFunc`` is only the
   output form of a coefficient.  A row of the elimination is one
   polynomial in q with integer-vector coefficients (exponent -> one int
-  per column, nonzero vectors only), so a Bareiss step or an exact
-  division treats all columns of an exponent at once;
+  per column, nonzero vectors only), so a Bareiss step, with its exact
+  division, treats all columns of an exponent at once;
 * one integer view of a connection matrix, s q^m M split by powers of
   q into rows of (column, int) pairs (``_integer_parts``), read by the
   period, the cyclic reduction and the quadric's kernel check alike;
@@ -61,6 +61,12 @@ class PeriodSeries:
     coefficients: Tuple[Fraction, ...]
     trace: Optional[Tuple[Tuple[Tuple[int, ...], int], ...]] = None
 
+    def upto(self, depth: int) -> "PeriodSeries":
+        """The series to order q^depth: degrees 0..depth do not depend on
+        how deep the sweep went."""
+        return PeriodSeries(self.coefficients[:depth + 1],
+                            self.trace and self.trace[:depth + 1])
+
 
 def _integer_parts(M: ConnMatrix):
     """The integer view (s, m, parts) of a matrix over q: s > 0 and
@@ -77,10 +83,6 @@ def _integer_parts(M: ConnMatrix):
     for e, r, c, x in terms:
         parts[e + m][r].append((c, x.numerator * (s // x.denominator)))
     return s, m, parts
-
-
-def _sparse_matvec(rows, v):
-    return tuple(sum(a * v[c] for c, a in row) for row in rows)
 
 
 def _check_nilpotent(d1) -> list:
@@ -122,7 +124,8 @@ def quantum_period(M: ConnMatrix, D: int) -> PeriodSeries:
     denominator s of M: for T = s*d and N = 1 + the longest D1 chain,
     Y = s*Q*T^N*S_d solves Y_r = (s*T^N*(A2 X)_r + sum_c A1[r, c] Y_c) / T
     exactly, as S_d at chain depth l has a denominator dividing
-    Q*T^(l+1).
+    Q*T^(l+1).  The scale s*T^N is formed once per degree, and each row
+    of the sweep costs one divmod by T, a remainder raising.
     """
     if D < 0:
         raise ValueError("degree bound must be nonnegative")
@@ -139,12 +142,20 @@ def quantum_period(M: ConnMatrix, D: int) -> PeriodSeries:
     top = M.size - 1
     X, Q = [int(i == top) for i in range(M.size)], 1
     trace = [(tuple(X), Q)]
+    steps = [(r, a1[r]) for r in reversed(order)]
     for d in range(1, D + 1):
         T = s * d
-        Y = [s * T ** N * b for b in _sparse_matvec(a2, X)]
-        for r in reversed(order):
-            Y[r] = _exact_div(Y[r] + sum(a * Y[c] for c, a in a1[r]), T)
-        Q *= s * T ** N
+        scale = s * T ** N
+        Y = [scale * sum([a * X[c] for c, a in row]) if row else 0
+             for row in a2]
+        for r, row in steps:
+            y = Y[r]
+            for c, a in row:
+                y += a * Y[c]
+            Y[r], rem = divmod(y, T)
+            if rem:
+                raise ArithmeticError("inexact integer division")
+        Q *= scale
         g = math.gcd(Q, *Y)
         X, Q = [y // g for y in Y], Q // g
         trace.append((tuple(X), Q))
@@ -173,14 +184,6 @@ def bruhat_path_count(d: RootDatum, reps: CosetReps, node: int) -> int:
 # --------------------------------------------------------------------------
 # sparse Z[q] polynomials, rational functions and the cyclic reduction
 # --------------------------------------------------------------------------
-
-def _exact_div(x: int, y: int) -> int:
-    """x / y for ints that must divide exactly; divmod keeps it an int."""
-    f, r = divmod(x, y)
-    if r:
-        raise ArithmeticError("inexact integer division")
-    return f
-
 
 # Sparse integer polynomials in q: dicts exponent -> nonzero int.  Only
 # the nonzero terms are stored and walked, so a pivot with a large power
@@ -217,39 +220,62 @@ def _sneg(a: dict) -> dict:
     return {e: -c for e, c in a.items()}
 
 
-def _rcombine(terms) -> dict:
-    """The row sum of a * r over pairs of a sparse polynomial a and a
-    row r, with zero slots dropped; a row is a polynomial in q with
-    integer-vector coefficients, exponent -> one int per column."""
+def _rstep(p: dict, w: dict, f: dict, b: dict, d: dict) -> dict:
+    """The Bareiss step (p w - f b) / d for rows w, b and sparse
+    polynomials p, f, d, where d must divide exactly; a row is a
+    polynomial in q with integer-vector coefficients, exponent -> one int
+    per column, and zero slots are dropped.  A monomial d = c q^low
+    shifts each product down by low as it is formed; c then divides p
+    and f when it divides all their coefficients, and otherwise each
+    finished slot, one divmod per entry.  Any other d divides the
+    combined row by long division (_rdiv)."""
+    c = low = 0
+    if len(d) == 1:
+        (low, c), = d.items()
+        if c != 1 and not any(x % c for x in (*p.values(), *f.values())):
+            p = {i: x // c for i, x in p.items()}
+            f = {i: x // c for i, x in f.items()}
+            c = 1
     out = {}
     get = out.get
-    for a, r in terms:
-        for i, x in a.items():
-            for e, v in r.items():
-                u = get(i + e)
-                out[i + e] = ([x * y for y in v] if u is None else
-                              [z + x * y if y else z for z, y in zip(u, v)])
-    return {e: v for e, v in out.items() if any(v)}
+    for i, x in p.items():
+        i -= low
+        for e, v in w.items():
+            u = get(i + e)
+            out[i + e] = ((v if x == 1 else [x * y for y in v]) if u is None
+                          else [z + x * y if y else z for z, y in zip(u, v)])
+    for i, x in f.items():
+        i -= low
+        for e, v in b.items():
+            u = get(i + e)
+            out[i + e] = ([-x * y for y in v] if u is None else
+                          [z - x * y if y else z for z, y in zip(u, v)])
+    if not c:
+        return _rdiv(out, d)
+    quot = {}
+    for k, v in out.items():
+        if any(v):
+            if k < 0:
+                raise ArithmeticError("inexact polynomial division")
+            if c != 1:
+                v, r = zip(*map(divmod, v, repeat(c)))
+                if any(r):
+                    raise ArithmeticError("inexact polynomial division")
+            quot[k] = v
+    return quot
 
 
 def _rdiv(a: dict, b: dict) -> dict:
     """Quotient of a row by a sparse polynomial b that must divide it
     exactly, all columns at once: long division from the top, visiting
     each quotient exponent once, each slot one divmod of a vector by the
-    leading coefficient.  A monomial b divides slot by slot, and b = 1
-    returns the row itself."""
+    leading coefficient; zero slots of a are skipped."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return {}
-    low, top = min(b), max(b)
-    if min(a) < low:
-        raise ArithmeticError("inexact polynomial division")
+    top = max(b)
     lead, rest = b[top], [(e - top, c) for e, c in b.items() if e != top]
-    if lead == 1 and not rest:
-        return {k - low: v for k, v in a.items()} if low else a
     rem, quot = dict(a), {}
-    for k in range(max(a), min(a) - low + top - 1, -1) if rest else a:
+    for k in range(max(a, default=top), top - 1, -1):
         v = rem.pop(k, None)
         if v is not None and any(v):
             f, r = zip(*map(divmod, v, repeat(lead)))
@@ -290,7 +316,10 @@ def _sdiv(a: dict, b: dict) -> dict:
     for k in range(max(a), min(a) - low + top - 1, -1):
         x = rem.pop(k, 0)
         if x:
-            f = quot[k - top] = _exact_div(x, lead)
+            f, r = divmod(x, lead)
+            if r:
+                raise ArithmeticError("inexact polynomial division")
+            quot[k - top] = f
             for e, c in rest:
                 rem[k + e] = rem.get(k + e, 0) - f * c
     if any(rem.values()):
@@ -394,9 +423,9 @@ def cyclic_scalar_operator(M: ConnMatrix, start) -> ScalarOperator:
 
     Each r'_k and each reduced row b_k is stored as one polynomial in q
     with integer-vector coefficients, {exponent: [int per column]}, so a
-    Bareiss step w <- (p w - f b) / d is one list comprehension per
-    (scalar term, exponent) pair and one vector division per exponent;
-    the scalars -- pivots p, entries f = w[pivot] and multipliers h --
+    Bareiss step w <- (p w - f b) / d (_rstep) forms each exponent's
+    vector once and, for the monomial d of almost every step, divides it
+    as it stands or divides the scalars p and f instead; the scalars -- pivots p, entries f = w[pivot] and multipliers h --
     are sparse {exponent: int} polynomials.  theta - mk scales whole
     vectors, and r'_k M' is one sparse mat-vec per pair of exponents.
     """
@@ -430,12 +459,12 @@ def cyclic_scalar_operator(M: ConnMatrix, start) -> ScalarOperator:
                 p, d = values[i + 1], values[last]
                 mults.append((i, f if last == i else
                               _sdiv(_smul(f, values[i]), d)))
-                w = _rdiv(_rcombine(((p, w), (_sneg(f), b))), d)
+                w = _rstep(p, w, f, b, d)
                 last = i + 1
         if not w:
             break
         if last != k:
-            w = _rdiv(_rcombine(((values[-1], w),)), values[last])
+            w = _rstep(values[-1], w, {}, {}, values[last])
         pivot = min(next(j for j, x in enumerate(v) if x) for v in w.values())
         basis.append((pivot, w, mults))
         values.append({e: v[pivot] for e, v in w.items() if v[pivot]})
@@ -605,13 +634,15 @@ def _bessel_i_series(y: float, nu: float) -> float:
 
 def _bessel_k_integral(y: float, nu: float) -> float:
     """K_nu(y) = integral_0^inf g(t) dt, g(t) = exp(-y cosh t) cosh(nu t),
-    by the trapezoid rule h (g(0)/2 + sum_k g(kh)) with h = 0.1.  g is
-    even, entire and falls double-exponentially, so the error is of
-    order exp(-pi^2 / h) (Trefethen and Weideman, "The exponentially
-    convergent trapezoidal rule").  g rises to a single peak and then
-    falls, as -y sinh t + nu tanh(nu t) changes sign at most once, so
-    the sum stops once a term drops below 1e-22 of the running sum."""
-    h, total = 0.1, 0.5 * math.exp(-y)
+    by the trapezoid rule h (g(0)/2 + sum_k g(kh)).  g is even, entire
+    and falls double-exponentially, so the error is of order
+    exp(-pi^2 / h) (Trefethen and Weideman, "The exponentially convergent
+    trapezoidal rule") once h resolves g's peak, whose width falls like
+    1/sqrt(nu): h = min(0.1, 0.5 / sqrt(nu + 1)).  g rises to a single
+    peak and then falls, as -y sinh t + nu tanh(nu t) changes sign at
+    most once, so the sum stops once a term drops below 1e-22 of the
+    running sum."""
+    h, total = min(0.1, 0.5 / math.sqrt(nu + 1.0)), 0.5 * math.exp(-y)
     for k in count(1):
         term = math.exp(-y * math.cosh(k * h)) * math.cosh(nu * k * h)
         total += term

@@ -6,8 +6,11 @@ of Fulton-Woodward, column by column over the minimal coset
 representatives (fw_matrix).  Each candidate w s_beta is read off the
 table of images that the coset walk carries (w.rho and w.beta for every
 beta outside the Levi): as a coset index (weyl.reflect_coset, a lookup)
-and, only when that coset's length admits a term, as a length
-(weyl.reflect_length, the step count of a descent that builds no word).
+and, only when that coset's length admits a term, either as the test
+that w s_beta is the coset's minimal rep (its rho image is the rep's,
+weyl.reflect_rho) or, for a quantum term whose w s_beta is not minimal,
+as a length (weyl.reflect_length, the step count of a descent that
+builds no word).
 No Weyl product or matrix is formed, each root's drop <2(rho - rho_P),
 beta-vee> is an integer found once, and only the nonzero cells are
 built.  The rule serves minuscule nodes and odd quadrics alike; the
@@ -30,7 +33,7 @@ from fractions import Fraction
 from operator import mul
 
 from .rootsys import RootDatum
-from .weyl import CosetReps, reflect_coset, reflect_length
+from .weyl import CosetReps, reflect_coset, reflect_length, reflect_rho
 
 __all__ = [
     "LaurentPoly",
@@ -302,9 +305,10 @@ def fw_matrix(d: RootDatum, reps: CosetReps, node: int) -> ConnMatrix:
 
     # The coset of w s_beta has length at most ell(w s_beta), so a term is
     # possible only where that length is ell(w) + 1 (classical) or
-    # ell(w) + 1 - drop (quantum, drop >= 2); only then is ell(w s_beta)
-    # computed.
-    lengths = reps.lengths
+    # ell(w) + 1 - drop (quantum, drop >= 2).  Where the wanted length is
+    # the coset's, w s_beta must be its minimal rep, which the rho images
+    # decide; only the other quantum candidates compute ell(w s_beta).
+    lengths, images = reps.lengths, reps.images
     cells = {}   # (row, col) -> {(q exp,): coeff}
     for c, ell in enumerate(lengths):
         for beta, k, ell_s, drop in roots:
@@ -315,7 +319,9 @@ def fw_matrix(d: RootDatum, reps: CosetReps, node: int) -> ConnMatrix:
                 key, want = (k,), ell - ell_s
             else:
                 continue
-            if reflect_length(d, reps, c, beta) == want:
+            if (reflect_rho(reps, c, beta) == images[r][0]
+                    if want == lengths[r] else
+                    reflect_length(d, reps, c, beta) == want):
                 entry = cells.setdefault((r, c), {})
                 entry[key] = entry.get(key, 0) + k
     return ConnMatrix.from_cells(reps, ("q",), {

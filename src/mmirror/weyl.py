@@ -26,10 +26,13 @@ matrix), keeping the parent's v where v_j = 0, and the coweight cw in
 coordinate j alone: cw_j - sum_k a_jk cw_k.  At a minuscule node (or the
 B_n quadric node) the library moves between cosets on that table only:
 w s_beta lies in the coset of mu - <varpi_node, beta-vee> w.beta
-(reflect_coset, a dict lookup) and has the length of the descent of
-w.rho - <rho, beta-vee> w.beta (reflect_length, asked only when the
-coset's length can match), which gives Bruhat covers and the Chevalley
-rule; w lies in W(gamma) when its gamma image is -theta; the Poincare
+(reflect_coset, a dict lookup), maps rho to w.rho - <rho, beta-vee> w.beta
+(reflect_rho), and is the minimal rep of that coset exactly when this
+image is the rep's own rho image, as rho is regular.  That test gives the
+Bruhat covers and most terms of the Chevalley rule with no descent; a
+term whose w s_beta is not minimal needs its length, the descent of its
+rho image (reflect_length, asked only when the coset's length can
+match).  w lies in W(gamma) when its gamma image is -theta; the Poincare
 dual of mu is w0.mu, whose coordinate at sigma(i) is -mu_i for the
 diagram involution sigma = -w0, read off the descent of -(1, 2, .., r)
 to -w0.(1, 2, .., r).
@@ -46,6 +49,7 @@ __all__ = [
     "CosetReps",
     "minuscule_coset_reps",
     "reflect_coset",
+    "reflect_rho",
     "reflect_length",
     "bruhat_covers_up",
     "w_gamma_set",
@@ -236,26 +240,34 @@ def reflect_coset(reps: CosetReps, c: int, beta: Root) -> int:
     return reps._by_weight[tuple(map(sub, reps.weights[c], w_beta))]
 
 
-def reflect_length(d: RootDatum, reps: CosetReps, c: int, beta: Root) -> int:
-    """ell(w s_beta) for w the rep at c and beta in R+ \\ R+_P: the
-    descent length of w s_beta . rho = w.rho - <rho, beta-vee> w.beta."""
+def reflect_rho(reps: CosetReps, c: int, beta: Root) -> tuple:
+    """w s_beta . rho = w.rho - <rho, beta-vee> w.beta in fw coordinates,
+    for w the rep at c and beta in R+ \\ R+_P.  As rho is regular, w s_beta
+    is the minimal rep of its coset r exactly when this equals
+    reps.images[r][0], the rep's own rho image; no descent is needed."""
     img = reps.images[c]
     h = sum(beta.coroot)
-    return _descent_length(
-        d, [r - h * b for r, b in zip(img[0], img[reps.slot(beta)])])
+    return tuple(r - h * b for r, b in zip(img[0], img[reps.slot(beta)]))
+
+
+def reflect_length(d: RootDatum, reps: CosetReps, c: int, beta: Root) -> int:
+    """ell(w s_beta) for w the rep at c and beta in R+ \\ R+_P: the
+    descent length of w s_beta . rho (reflect_rho)."""
+    return _descent_length(d, reflect_rho(reps, c, beta))
 
 
 def bruhat_covers_up(d: RootDatum, reps: CosetReps, c: int):
     """Covers of the rep w at c in W^P: w s_beta with beta in R+ \\ R+_P,
     ell(w s_beta) = ell(w) + 1 and w s_beta the minimal rep of its coset,
-    i.e. its coset has length ell(w) + 1.  Returned as (beta, index) pairs
-    in positive-root order."""
+    i.e. its coset r has length ell(w) + 1 and w s_beta . rho is the rho
+    image of r's rep (reflect_rho).  Returned as (beta, index) pairs in
+    positive-root order."""
     up = reps.lengths[c] + 1
     out = []
     for beta in reps.roots(d):
         r = reflect_coset(reps, c, beta)
         if (reps.lengths[r] == up
-                and reflect_length(d, reps, c, beta) == up):
+                and reflect_rho(reps, c, beta) == reps.images[r][0]):
             out.append((beta, r))
     return out
 

@@ -63,8 +63,6 @@ from mmirror.period_gw import (
     RatFunc,
     ScalarOperator,
     _check_nilpotent,
-    _exact_div,
-    _sparse_matvec,
     cyclic_scalar_operator,
     quantum_period,
 )
@@ -563,6 +561,20 @@ def basis_trace(series: PeriodSeries):
     if series.trace is None:
         return None
     return tuple(tuple(Fraction(x, Q) for x in X) for X, Q in series.trace)
+
+
+def _exact_div(x: int, y: int) -> int:
+    """x / y for ints that must divide exactly; divmod keeps it an int."""
+    f, r = divmod(x, y)
+    if r:
+        raise ArithmeticError("inexact integer division")
+    return f
+
+
+def _sparse_matvec(rows, v):
+    """The product of a matrix given as rows of (column, entry) pairs
+    with the vector v."""
+    return tuple(sum(a * v[c] for c, a in row) for row in rows)
 
 
 def _peel_solve(d1, order, d: int, b):

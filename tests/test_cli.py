@@ -263,6 +263,16 @@ def test_bessel_report_tiny_y_and_negative_nu(capsys, y, nu):
     assert doc["pass"] is True
 
 
+@pytest.mark.parametrize("y,nu", [("0.5", "100"), ("0.562", "100")])
+def test_bessel_report_large_nu(capsys, y, nu):
+    # K_nu's trapezoid step shrinks with its integrand's peak; with a
+    # fixed step of 0.1 the Wronskian error here was 1.7e-8
+    code, doc = run_json(capsys, "bessel", y, nu)
+    assert code == 0
+    assert doc["pass"] is True
+    assert doc["wronskian_error"] < 1e-12
+
+
 @pytest.mark.parametrize("y,nu,names", [
     ("2", "nan", ("nu = nan",)),
     ("2", "inf", ("nu = inf",)),
@@ -663,9 +673,12 @@ def test_verify_builds_fg_connection_once(capsys, monkeypatch, cartan, node):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("cartan,node", [("A3", 2), ("D4", 1)])
+@pytest.mark.parametrize("cartan,node", [("A3", 2), ("D4", 1), ("A4", 2),
+                                         ("A5", 3)])
 def test_verify_computes_period_once(capsys, monkeypatch, cartan, node):
-    # period, constant_term and d4_kernel all read one series of the matrix
+    # period, constant_term and d4_kernel all read one series of the matrix,
+    # also where constant_term is shallower (ct_degree 2 on A4 n2 and 1 on
+    # A5 n3, against the period's depth 3)
     built, expanded = [], []
     fw_matrix, quantum_period = cli.fw_matrix, cli.quantum_period
 
@@ -683,6 +696,24 @@ def test_verify_computes_period_once(capsys, monkeypatch, cartan, node):
     assert code == 0 and doc["pass"]
     assert len(built) == 1
     assert sum(M is built[0] for M in expanded) == 1
+
+
+def test_case_period_truncates_the_deepest_series(monkeypatch):
+    # a shallower depth is the deepest series cut short, field for field;
+    # a deeper one runs the recursion again and is then the one kept
+    case = cli.Case("A4", 2)
+    depths = []
+    quantum_period = cli.quantum_period
+
+    def expanding(M, depth):
+        depths.append(depth)
+        return quantum_period(M, depth)
+
+    monkeypatch.setattr(cli, "quantum_period", expanding)
+    assert case.period(2) == quantum_period(case.matrix, 2)
+    for depth in (0, 1, 2, 5, 3, 4, 5):
+        assert case.period(depth) == quantum_period(case.matrix, depth)
+    assert depths == [2, 5]
 
 
 @pytest.mark.parametrize("cartan,node", [

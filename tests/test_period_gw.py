@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 from functools import reduce
@@ -22,8 +23,9 @@ from mmirror.period_gw import (
     ScalarOperator,
     _integer_parts,
     _pgcd,
-    _rcombine,
+    _bessel_k_integral,
     _rdiv,
+    _rstep,
     _sdiv,
     _smul,
     bessel_numeric_checks,
@@ -273,6 +275,17 @@ SERIES_ODE_CASES = [("A4", 2), ("A5", 3), ("D5", 5), ("E6", 1), ("B5", 5),
 def test_period_matches_neumann_reference(ct, node):
     m = series_matrix(ct, node)
     assert_matches_neumann(m, 2 * m.size)
+
+
+def test_series_ode_traces_golden():
+    # the flat-section vectors (X, Q) of every degree on the benchmark's
+    # matrices at its depth 2 * size, byte for byte
+    digest = hashlib.sha256()
+    for ct, node in SERIES_ODE_CASES:
+        m = series_matrix(ct, node)
+        digest.update(repr(quantum_period(m, 2 * m.size).trace).encode())
+    assert digest.hexdigest() == ("7bba8e24452e9a593758b240976a06ec"
+                                  "76e4cbb2edeeb18939a027e9e8f006a1")
 
 
 def rescaled(m, classical, quantum):
@@ -642,12 +655,81 @@ row_slots = st.lists(st.integers(-10**30, 10**30), min_size=3, max_size=3)
        sparse_polys, st.integers(0, 20))
 def test_row_multiply_then_divide_round_trips(row, b, shift):
     b = {e + shift: c for e, c in b.items()}
-    product = _rcombine(((b, row),))
+    product = _rstep(b, row, {}, {}, {0: 1})
     assert as_lists(_rdiv(product, b)) == row
+    assert as_lists(_rstep({0: 1}, product, {}, {}, b)) == row
     # each column of the quotient is the scalar quotient of that column
     for j in range(3):
         column = {e: v[j] for e, v in product.items() if v[j]}
         assert _sdiv(column, b) == {e: v[j] for e, v in row.items() if v[j]}
+
+
+def column(row, j):
+    return {e: v[j] for e, v in row.items() if v[j]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(0, 20), row_slots, max_size=4),
+       st.dictionaries(st.integers(0, 20), row_slots, max_size=4),
+       sparse_polys, st.dictionaries(st.integers(0, 20),
+                                     st.integers(-9, 9).filter(bool),
+                                     max_size=3),
+       sparse_polys, st.integers(0, 3), st.booleans(), st.booleans())
+def test_row_step_matches_column_by_column(w, b, p, f, d, shape, exact,
+                                           scale):
+    # (p w - f b) / d against the scalar product and long division of
+    # each column: d a unit, a monomial or a general polynomial; w and b
+    # multiplied by d when ``exact``; p and f multiplied by d's lead when
+    # ``scale``, so that a monomial d can divide the scalars instead
+    low = min(d)
+    d = ({0: 1}, {low: 1}, {low: d[low]}, d)[shape]
+    if exact:
+        w, b = (_rstep(d, r, {}, {}, {0: 1}) for r in (w, b))
+    if scale:
+        lead = d[max(d)]
+        p, f = ({e: c * lead for e, c in a.items()} for a in (p, f))
+    want = []
+    try:
+        for j in range(3):
+            minus_fb = {e: -c for e, c in _smul(f, column(b, j)).items()}
+            want.append(_sdiv(_smul(p, column(w, j), minus_fb), d))
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError, match="inexact"):
+            _rstep(p, w, f, b, d)
+        return
+    got = _rstep(p, w, f, b, d)
+    assert all(map(any, got.values()))
+    assert [column(got, j) for j in range(3)] == want
+
+
+@pytest.mark.parametrize("p,w,f,b,d", [
+    # a remainder in one slot after the combination: (2 w - b) / 3
+    ({0: 2}, {0: [3, 1]}, {0: 1}, {0: [3, 0]}, {0: 3}),
+    # the combination keeps q^0, which q^1 cannot divide
+    ({0: 1}, {0: [1, 0], 1: [2, 2]}, {1: 1}, {0: [2, 2]}, {1: 1}),
+    # c divides p and f but the product has too low a valuation
+    ({0: 3}, {0: [1, 1]}, {0: 3}, {1: [1, 1]}, {1: 3}),
+    # a general divisor: the combination q - 1 over q + 1
+    ({1: 1}, {0: [1, 0]}, {0: 1}, {0: [1, 0]}, {0: 1, 1: 1}),
+])
+def test_row_step_inexact_raises(p, w, f, b, d):
+    with pytest.raises(ArithmeticError, match="inexact"):
+        _rstep(p, w, f, b, d)
+
+
+def test_row_step_examples():
+    # (3q w - 3q b) / 3q: c = 3 divides both scalars
+    assert as_lists(_rstep({1: 3}, {0: [1, 2]}, {1: 3}, {0: [1, 0]},
+                           {1: 3})) == {0: [0, 2]}
+    # (2 w - b) / 3: the finished slot [6, 3] divides, [0, 0] drops
+    assert as_lists(_rstep({0: 2}, {0: [3, 0], 1: [1, 1]}, {0: 1},
+                           {0: [0, -3], 1: [2, 2]}, {0: 3})) == {0: [2, 1]}
+    # (q w + b) / (1 + q) by long division
+    assert as_lists(_rstep({1: 1}, {0: [1, 2]}, {0: -1}, {0: [1, 2]},
+                           {0: 1, 1: 1})) == {0: [1, 2]}
+    # w = 1 * w / 1 is the row itself, and an empty f adds nothing
+    w = {2: [0, 5]}
+    assert _rstep({0: 1}, w, {}, {}, {0: 1}) == w
 
 
 def test_b5_top_covector_reaches_general_row_division(monkeypatch):
@@ -1029,6 +1111,26 @@ def test_bessel_corners_against_mpmath(y, nu):
     ]:
         want = float(fn(order, y))
         assert abs(report[key] - want) <= 1e-12 * abs(want), key
+
+
+@pytest.mark.parametrize("y,nu", [(0.5, 100.0), (0.562, 100.0),
+                                  (50.0, 170.5)])
+def test_bessel_k_at_large_nu_against_mpmath(y, nu):
+    # K's integrand peaks with a width falling like 1/sqrt(nu), and the
+    # trapezoid step shrinks with it: with a fixed step of 0.1, K_100(0.562)
+    # was off by 3.5e-9 and K_170.5(50) by 3.2e-5 relative.  At (50, 170.5)
+    # Gamma(nu + 2) overflows, so only K is checked there
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    for order in (nu, nu + 1.0):
+        want = float(mpmath.besselk(order, y))
+        assert abs(_bessel_k_integral(y, order) - want) <= 1e-12 * want
+    if nu < 170:
+        report = bessel_numeric_checks(y, nu)
+        assert report["wronskian_error"] < 1e-12
+        for key, order in (("i_nu", nu), ("i_nu_plus_1", nu + 1.0)):
+            want = float(mpmath.besseli(order, y))
+            assert abs(report[key] - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("y", [1e-9, 1e-8, 1e-7])

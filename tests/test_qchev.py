@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,8 @@ from mmirror.weyl import (
     bruhat_covers_up,
     minuscule_coset_reps,
     pd,
+    reflect_coset,
+    reflect_length,
     w_gamma_set,
 )
 from reference import (
@@ -355,14 +358,23 @@ def test_weight_route_matches_product_route(ct, node):
 
 
 def test_lengths_asked_only_where_a_term_is_possible(monkeypatch):
-    # fw_matrix and the covers compare the reflected coset's length first;
-    # on E7 n7 they run a descent for at most a tenth of the (column, root)
-    # pairs they try
+    # fw_matrix and the covers compare the reflected coset's length first,
+    # and where the wanted length is the coset's they read the rho images;
+    # on E7 n7 the covers run no descent, and fw_matrix one per root for
+    # column 0 and one per quantum candidate with ell(s_beta) != drop - 1,
+    # whose w s_beta is not its coset's minimal rep
     d, reps = case("E7", 7)
-    levi = {r.coeffs for r in reps.parabolic.levi_positive_roots}
-    pairs = len(reps) * sum(1 for b in d.positive_roots
-                            if b.coeffs not in levi)
-    assert pairs == 1512
+    roots = reps.roots(d)
+    assert len(reps) * len(roots) == 1512
+    two_rho_diff = [2 - 2 * x for x in reps.parabolic.rho_P]
+    quantum = 0
+    for beta in roots:
+        ell_s = reflect_length(d, reps, 0, beta)
+        drop = sum(map(mul, two_rho_diff, beta.coroot))
+        for c, ell in enumerate(reps.lengths):
+            up = reps.lengths[reflect_coset(reps, c, beta)]
+            quantum += (up != ell + 1 and up == ell + 1 - drop
+                        and ell_s != drop - 1)
     calls = []
     original = weyl._descent_length
 
@@ -372,11 +384,11 @@ def test_lengths_asked_only_where_a_term_is_possible(monkeypatch):
 
     monkeypatch.setattr(weyl, "_descent_length", counted)
     fw_matrix(d, reps, 7)
-    assert 0 < 10 * len(calls) <= pairs
+    assert len(calls) == len(roots) + quantum == 39
     calls.clear()
     for c in range(len(reps)):
         bruhat_covers_up(d, reps, c)
-    assert 0 < 10 * len(calls) <= pairs
+    assert calls == []
 
 
 def _assert_cells(m):

@@ -23,6 +23,7 @@ from mmirror.weyl import (
     pd,
     reflect_coset,
     reflect_length,
+    reflect_rho,
     w_gamma_set,
 )
 from reference import (
@@ -519,6 +520,31 @@ def test_reflect_coset_matches_product_route(ct, node):
                     (c, beta)
                 admitted += 1
     assert admitted >= len(reps) - 1   # at least every classical cover
+
+
+@pytest.mark.parametrize("ct,node", [
+    ("A4", 2), ("B4", 4), ("C4", 1), ("D5", 5), ("B4", 1), ("E6", 6),
+    ("E7", 7),
+])
+def test_rho_image_decides_minimal_rep(ct, node):
+    # w s_beta . rho read off the table is the product route's, and since
+    # rho is regular it equals the rho image of the coset's rep exactly
+    # when ell(w s_beta) is the coset's length, on every (column, root)
+    d = D(ct)
+    reps = minuscule_coset_reps(d, node)
+    rho = (1,) * d.rank
+    minimal = 0
+    for c, w in enumerate(rep_elements(d, reps)):
+        for beta in reps.roots(d):
+            image = reflect_rho(reps, c, beta)
+            assert image == act_weight(multiply(d, w, reflection(d, beta)),
+                                       rho), (c, beta)
+            r = reflect_coset(reps, c, beta)
+            is_rep = image == reps.images[r][0]
+            assert is_rep == (reflect_length(d, reps, c, beta)
+                              == reps.lengths[r]), (c, beta)
+            minimal += is_rep
+    assert minimal >= len(reps) - 1   # at least every classical cover
 
 
 def test_pd_involution():
