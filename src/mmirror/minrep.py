@@ -15,7 +15,6 @@ with the quantum Chevalley matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .rootsys import (
@@ -100,14 +99,13 @@ def fg_connection(rep: MinusculeRep) -> ConnMatrix:
     steps = [(simple_root(d, j), -1, (0,)) for j in range(1, d.rank + 1)]
     steps.append((d.highest_root, 1, (1,)))
     cells = {}   # (row, col) -> {(q exp,): 1}
-    one = Fraction(1)
     for c, mu in enumerate(reps.weights):
         for root, sign, exp in steps:
             target = root_step(mu, root, sign)
             if target is not None:
                 r = reps.index_of_weight(target)
-                cells.setdefault((r, c), {})[exp] = one
-    return ConnMatrix.from_cells(reps, ("q",), cells)
+                cells.setdefault((r, c), {})[exp] = 1
+    return ConnMatrix(reps, ("q",), len(reps), cells)
 
 
 def equivariant_fg(rep: MinusculeRep, fg: ConnMatrix = None) -> ConnMatrix:

@@ -75,7 +75,7 @@ def _integer_parts(M: ConnMatrix):
     if M.variables != ("q",):
         raise ValueError("expected a matrix over the single variable q")
     terms = [(e, r, c, x) for (r, c), p in sorted(M.cells.items())
-             for (e,), x in p.terms.items()]
+             for (e,), x in p.items()]
     s = math.lcm(*(x.denominator for *_, x in terms))
     m = max([0] + [-e for e, *_ in terms])
     parts = {e: [[] for _ in range(M.size)]
@@ -603,9 +603,10 @@ def d4_split(M: ConnMatrix) -> D4Split:
         # class; invariance demands they agree, and row 4 is dropped
         if M.entry(3, c) != M.entry(4, c):
             raise ArithmeticError("complement is not invariant")
-        for r, e in M.column(c).items():
+        for r, terms in M.column(c).items():
             if r != 4:
-                cells[r - (r > 4), k] = e * 2 if c == 3 else e
+                cells[r - (r > 4), k] = ({e: 2 * v for e, v in terms.items()}
+                                         if c == 3 else terms)
     restricted = ConnMatrix(None, M.variables, 7, cells)
     return D4Split(kernel, basis, restricted)
 
@@ -617,9 +618,14 @@ def d4_split(M: ConnMatrix) -> D4Split:
 def _bessel_i_series(y: float, nu: float) -> float:
     """I_nu(y) by its power series; past k ~ y the terms fall at least
     geometrically, so the tail is negligible once a term drops to 1e-17
-    of the running sum (or an underflowed sum stops at zero)."""
+    of the running sum (or an underflowed sum stops at zero).  Where
+    Gamma(nu + 1) overflows (nu past about 170.6) the first term starts
+    from its logarithm."""
     half = y / 2.0
-    term = half ** nu / math.gamma(nu + 1.0)
+    try:
+        term = half ** nu / math.gamma(nu + 1.0)
+    except OverflowError:
+        term = math.exp(nu * math.log(half) - math.lgamma(nu + 1.0))
     total = term
     k = 0
     while True:

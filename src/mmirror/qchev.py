@@ -21,16 +21,17 @@ from it; that diagonal is integer rows over one denominator
 
 Matrices use the column convention: column w holds the expansion of the
 operator applied to the basis class sigma_w.  A ConnMatrix is held as its
-nonzero cells only, about (rank + 1) per column, and every consumer
-(equality, the invariants, products) walks those cells; the dense table
-is a view for output.
+nonzero cells only, about (rank + 1) per column, each the plain terms dict
+of its entry; every consumer (equality, the invariants, products) walks
+those dicts.  LaurentPoly serves the potentials, the relation that
+matrix_relation evaluates and the dense table, a view for output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from .rootsys import RootDatum
 from .weyl import CosetReps, reflect_coset, reflect_length, reflect_rho
@@ -53,7 +54,8 @@ class LaurentPoly:
     """Multivariate Laurent polynomial with exact rational coefficients.
 
     terms maps integer exponent tuples (one slot per variable, negatives
-    allowed) to nonzero Fractions.
+    allowed) to nonzero Fractions, or to nonzero ints where _clean wraps
+    a connection-matrix cell as it is.
     """
 
     __slots__ = ("variables", "terms")
@@ -76,7 +78,7 @@ class LaurentPoly:
     def _clean(cls, variables: tuple, terms: dict) -> "LaurentPoly":
         """Wrap ``terms`` as they are: the caller guarantees int-tuple
         exponents of the arity of ``variables`` (a tuple) and nonzero
-        Fraction coefficients, so nothing is normalised or copied."""
+        int or Fraction coefficients, so nothing is normalised or copied."""
         poly = cls.__new__(cls)
         poly.variables = variables
         poly.terms = terms
@@ -161,35 +163,7 @@ class LaurentPoly:
     def is_zero(self):
         return not self.terms
 
-    # -- inspection ------------------------------------------------------
-
-    def constant_term(self):
-        return self.terms.get(tuple([0] * len(self.variables)), Fraction(0))
-
-    def coefficient(self, **powers):
-        """Coefficient of the monomial with the given variable powers."""
-        key = tuple(powers.get(v, 0) for v in self.variables)
-        return self.terms.get(key, Fraction(0))
-
-    def subs(self, assignments):
-        """Full evaluation; every variable must receive a Fraction value."""
-        total = Fraction(0)
-        vals = [Fraction(assignments[v]) for v in self.variables]
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for val, e in zip(vals, exps):
-                term *= val ** e
-            total += term
-        return total
-
-    def weighted_degree(self, weights):
-        """The common weighted degree of all terms, or None if inhomogeneous
-        or zero.  weights maps variable name -> integer weight."""
-        wvec = [weights[v] for v in self.variables]
-        degs = {sum(w * e for w, e in zip(wvec, exps)) for exps in self.terms}
-        if len(degs) != 1:
-            return None
-        return degs.pop()
+    # -- output ----------------------------------------------------------
 
     def render(self):
         """Canonical human/CSV form, terms in lexicographic exponent order."""
@@ -214,10 +188,11 @@ class LaurentPoly:
 
 @dataclass(frozen=True, eq=False)
 class ConnMatrix:
-    """Square matrix over LaurentPoly indexed by a CosetReps basis (None
-    for a matrix on another basis); column w is the operator applied to
-    sigma_w.  cells maps (row, col) to a nonzero LaurentPoly and is the
-    only store: every other entry is zero."""
+    """Square matrix of Laurent polynomials indexed by a CosetReps basis
+    (None for a matrix on another basis); column w is the operator
+    applied to sigma_w.  cells maps (row, col) to the entry's terms,
+    {exponent tuple: nonzero int or Fraction}, and is the only store:
+    every other entry is zero."""
 
     basis: CosetReps
     variables: tuple
@@ -225,15 +200,16 @@ class ConnMatrix:
     cells: dict
 
     def entry(self, r, c):
-        e = self.cells.get((r, c))
-        return LaurentPoly(self.variables) if e is None else e
+        return self.cells.get((r, c), {})
 
     @property
     def entries(self):
-        """The dense n x n table, for output only."""
+        """The dense n x n table of LaurentPoly, for output only."""
         zero = LaurentPoly(self.variables)
         n = self.size
-        return tuple(tuple(self.cells.get((r, c), zero) for c in range(n))
+        cells = {rc: LaurentPoly._clean(self.variables, terms)
+                 for rc, terms in self.cells.items()}
+        return tuple(tuple(cells.get((r, c), zero) for c in range(n))
                      for r in range(n))
 
     def __eq__(self, other):
@@ -245,35 +221,29 @@ class ConnMatrix:
         )
 
     def column(self, c):
-        """The nonzero entries of column c as {row: entry}, by row."""
+        """The nonzero entries of column c as {row: terms}, by row."""
         return {r: self.cells[r, c] for r in range(self.size)
                 if (r, c) in self.cells}
 
     def mat_mul(self, other):
-        """The product, summed over pairs of nonzero cells."""
+        """The product, summed over pairs of nonzero cells and terms."""
         by_row = {}
         for (k, c), b in other.cells.items():
             by_row.setdefault(k, []).append((c, b))
         acc = {}
         for (r, k), a in self.cells.items():
             for c, b in by_row.get(k, ()):
-                acc[r, c] = acc[r, c] + a * b if (r, c) in acc else a * b
-        return ConnMatrix.nonzero(self.basis, self.variables, self.size, acc)
-
-    @staticmethod
-    def nonzero(basis, variables, size, cells: dict) -> "ConnMatrix":
-        """The matrix of the nonzero LaurentPoly values of cells."""
-        return ConnMatrix(basis, variables, size,
-                          {rc: e for rc, e in cells.items() if e.terms})
-
-    @staticmethod
-    def from_cells(basis, variables: tuple, cells: dict) -> "ConnMatrix":
-        """The matrix over ``basis`` whose cell (r, c) wraps cells[(r, c)],
-        a nonempty terms dict that is already clean (see
-        LaurentPoly._clean)."""
-        return ConnMatrix(basis, variables, len(basis), {
-            rc: LaurentPoly._clean(variables, terms)
-            for rc, terms in cells.items()})
+                out = acc.setdefault((r, c), {})
+                for ea, x in a.items():
+                    for eb, y in b.items():
+                        e = tuple(map(add, ea, eb))
+                        out[e] = out.get(e, 0) + x * y
+        cells = {}
+        for rc, terms in acc.items():
+            terms = {e: v for e, v in terms.items() if v}
+            if terms:
+                cells[rc] = terms
+        return ConnMatrix(self.basis, self.variables, self.size, cells)
 
 
 # --------------------------------------------------------------------------
@@ -324,9 +294,7 @@ def fw_matrix(d: RootDatum, reps: CosetReps, node: int) -> ConnMatrix:
                     reflect_length(d, reps, c, beta) == want):
                 entry = cells.setdefault((r, c), {})
                 entry[key] = entry.get(key, 0) + k
-    return ConnMatrix.from_cells(reps, ("q",), {
-        rc: {e: Fraction(v) for e, v in terms.items()}
-        for rc, terms in cells.items()})
+    return ConnMatrix(reps, ("q",), len(reps), cells)
 
 
 # The paper's W(gamma) description of the q-part is checked by the
@@ -354,14 +322,14 @@ def lift_equivariant(M: ConnMatrix, rows, den=1) -> ConnMatrix:
     variables = ("q",) + tuple(f"h{j}" for j in range(1, rank + 1))
     pad = (0,) * rank
     units = [(0,) + pad[:j] + (1,) + pad[j + 1:] for j in range(rank)]
-    cells = {rc: {k + pad: v for k, v in e.terms.items()}
-             for rc, e in M.cells.items()}
+    cells = {rc: {k + pad: v for k, v in terms.items()}
+             for rc, terms in M.cells.items()}
     for c, coweight in enumerate(rows):
         shift = {unit: Fraction(-x, den)
                  for unit, x in zip(units, coweight) if x != 0}
         if shift:
             cells.setdefault((c, c), {}).update(shift)
-    return ConnMatrix.from_cells(M.basis, variables, cells)
+    return ConnMatrix(M.basis, variables, M.size, cells)
 
 
 def mihalcea_equivariant(d: RootDatum, M: ConnMatrix,
@@ -380,26 +348,27 @@ def matrix_relation(M: ConnMatrix, relation: LaurentPoly) -> bool:
         raise ValueError("relation must involve only X and q")
     xi = relation.variables.index("X") if "X" in relation.variables else None
     qi = relation.variables.index("q") if "q" in relation.variables else None
-    qvar = LaurentPoly.var(M.variables, "q")
-    one = LaurentPoly.const(M.variables, 1)
+    qm = M.variables.index("q")
     powers = {0: ConnMatrix(M.basis, M.variables, M.size,
-                            {(i, i): one for i in range(M.size)})}
+                            {(i, i): {(0,) * len(M.variables): 1}
+                             for i in range(M.size)})}
 
     def mat_power(k):
         if k not in powers:
             powers[k] = mat_power(k - 1).mat_mul(M)
         return powers[k]
 
-    acc = {}
+    acc = {}   # (row, col, exponent) -> coefficient
     for exps, coeff in relation.terms.items():
         a = exps[xi] if xi is not None else 0
         b = exps[qi] if qi is not None else 0
         if a < 0 or b < 0:
             raise ValueError("relation must be polynomial")
-        scalar = LaurentPoly.const(M.variables, coeff) * (qvar ** b)
-        for rc, e in mat_power(a).cells.items():
-            acc[rc] = acc[rc] + scalar * e if rc in acc else scalar * e
-    return all(e.is_zero() for e in acc.values())
+        for (r, c), terms in mat_power(a).cells.items():
+            for e, v in terms.items():
+                key = r, c, e[:qm] + (e[qm] + b,) + e[qm + 1:]
+                acc[key] = acc.get(key, 0) + coeff * v
+    return not any(acc.values())
 
 
 # --------------------------------------------------------------------------
@@ -413,18 +382,18 @@ def check_homogeneous(d: RootDatum, M: ConnMatrix, node: int) -> bool:
     p = M.basis.parabolic
     # alpha_node-vee is a unit vector in simple-coroot coordinates
     qdeg = int(4 * (1 - p.rho_P[node - 1]))
-    weights = {}
+    weights = []
     for v in M.variables:
         if v == "q":
-            weights[v] = qdeg
+            weights.append(qdeg)
         elif v.startswith("h"):
-            weights[v] = 2
+            weights.append(2)
         else:
             raise ValueError(f"no degree rule for variable {v}")
     lengths = M.basis.lengths
-    for (r, c), e in M.cells.items():
-        deg = e.weighted_degree(weights)
-        if deg is None or 2 * lengths[r] + deg != 2 * lengths[c] + 2:
+    for (r, c), terms in M.cells.items():
+        want = 2 * lengths[c] + 2 - 2 * lengths[r]
+        if any(sum(map(mul, weights, e)) != want for e in terms):
             return False
     return True
 
@@ -435,5 +404,5 @@ def poincare_self_adjoint(M: ConnMatrix, dual) -> bool:
     weyl.pd): M[PD(v), c] == M[PD(c), v] for all c, v.  As PD is an
     involution, that is M[r, c] == M[PD(c), PD(r)] for every cell; a
     cell whose mirror is absent fails, so absent cells need no walk."""
-    return all(M.entry(dual[c], dual[r]) == e
-               for (r, c), e in M.cells.items())
+    return all(M.entry(dual[c], dual[r]) == terms
+               for (r, c), terms in M.cells.items())

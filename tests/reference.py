@@ -31,6 +31,9 @@ and x_theta as dense matrices, from the weights alone; ``space_dim`` is
 the dimension of G/P; ``zeta_rescaling_consistent`` checks the
 homogeneity of a connection form.
 
+For Laurent polynomials: ``subs`` evaluates one at rationals and
+``weighted_degree`` reads its common weighted degree.
+
 For the crystal-potential builder: ``reference_unipotent_vector`` is the
 generic ``LaurentPoly`` walk that the integer builder is checked against;
 ``homogeneous_degree_one`` checks homogeneity by rescaling the whole f_q;
@@ -469,15 +472,37 @@ def zeta_rescaling_consistent(rep, M: ConnMatrix) -> bool:
             variables,
             {
                 (k[0], lengths[r] - lengths[col] + c * k[0]): v
-                for k, v in entry.terms.items()
+                for k, v in entry.items()
             },
         )
         want = z * LaurentPoly(
-            variables, {(k[0], 0): v for k, v in entry.terms.items()}
+            variables, {(k[0], 0): v for k, v in entry.items()}
         )
         if lifted != want:
             return False
     return True
+
+
+# ------------------------------------------------------ Laurent polynomials
+
+def subs(p: LaurentPoly, assignments) -> Fraction:
+    """Full evaluation of p; every variable must receive a value."""
+    total = Fraction(0)
+    vals = [Fraction(assignments[v]) for v in p.variables]
+    for exps, coeff in p.terms.items():
+        term = coeff
+        for val, e in zip(vals, exps):
+            term *= val ** e
+        total += term
+    return total
+
+
+def weighted_degree(p: LaurentPoly, weights):
+    """The common weighted degree of all terms of p, or None if p is
+    inhomogeneous or zero; weights maps variable name -> integer weight."""
+    wvec = [weights[v] for v in p.variables]
+    degs = {sum(w * e for w, e in zip(wvec, exps)) for exps in p.terms}
+    return degs.pop() if len(degs) == 1 else None
 
 
 # ------------------------------------------------------ crystal potential
@@ -606,7 +631,7 @@ def hbar_rescale_consistent(M: ConnMatrix, c: int, D: int) -> bool:
     # refused any other power of q
     d1, d2 = [[] for _ in range(M.size)], [[] for _ in range(M.size)]
     for (r, j), entry in sorted(M.cells.items()):
-        for (e,), a in entry.terms.items():
+        for (e,), a in entry.items():
             (d1, d2)[e][r].append((j, a))
     order = _check_nilpotent(d1)
     V = ("hbar",)
@@ -652,13 +677,13 @@ def equivariant_bessel(h, D: int) -> PeriodSeries:
     return PeriodSeries(tuple(coeffs))
 
 
-def _substitute_h(entry: LaurentPoly, value: Fraction) -> LaurentPoly:
-    """Specialize the h1 variable of a (q, h1) polynomial to a rational."""
+def _substitute_h(entry: dict, value: Fraction) -> dict:
+    """Specialize the h1 variable of a (q, h1) terms dict to a rational."""
     out = {}
-    for (eq, eh), coeff in entry.terms.items():
+    for (eq, eh), coeff in entry.items():
         term = coeff * (Fraction(value) ** eh)
         out[(eq,)] = out.get((eq,), Fraction(0)) + term
-    return LaurentPoly(("q",), {k: v for k, v in out.items() if v != 0})
+    return {k: v for k, v in out.items() if v != 0}
 
 
 def bessel_operator_from_matrix(h) -> ScalarOperator:
@@ -668,8 +693,8 @@ def bessel_operator_from_matrix(h) -> ScalarOperator:
     d = build_root_datum(CartanType("A", 1))
     M = mihalcea_equivariant(d, fw_matrix(d, minuscule_coset_reps(d, 1), 1),
                              1)
-    m2 = ConnMatrix.nonzero(None, ("q",), 2, {
-        rc: _substitute_h(e, 2 * h) for rc, e in M.cells.items()})
+    cells = {rc: _substitute_h(e, 2 * h) for rc, e in M.cells.items()}
+    m2 = ConnMatrix(None, ("q",), 2, {rc: e for rc, e in cells.items() if e})
     return cyclic_scalar_operator(m2, 1)
 
 
@@ -717,17 +742,18 @@ def jacobian_pn_check(n: int) -> bool:
     diag_sum = LaurentPoly(Vm)
     prod = None
     for i in range(size):
-        diag = M.entry(i, i)
+        diag = LaurentPoly(Vm, M.entry(i, i))
         diag_sum = diag_sum + diag
         cells = dict(M.cells)
         for r in range(size):
-            cells[r, r] = M.entry(r, r) - diag
-        shifted = ConnMatrix.nonzero(None, Vm, size, cells)
+            cells[r, r] = (LaurentPoly(Vm, M.entry(r, r)) - diag).terms
+        shifted = ConnMatrix(None, Vm, size,
+                             {rc: e for rc, e in cells.items() if e})
         prod = shifted if prod is None else prod.mat_mul(shifted)
     if not diag_sum.is_zero():
         return False
     qv = LaurentPoly.var(Vm, "q")
-    if prod.cells != {(r, r): qv for r in range(size)}:
+    if prod.cells != {(r, r): qv.terms for r in range(size)}:
         return False
 
     # (iii) non-equivariant matrix relation X^{n+1} = q
@@ -890,11 +916,11 @@ def reference_cyclic_scalar_operator(M: ConnMatrix, start) -> ScalarOperator:
         raise ValueError(f"zero covector for a matrix of size {n}")
     t = math.lcm(*(x.denominator for x in start))
     row = {j: (int(x * t),) for j, x in enumerate(start) if x}
-    terms = [(e, c) for p in M.cells.values() for (e,), c in p.terms.items()]
+    terms = [(e, c) for p in M.cells.values() for (e,), c in p.items()]
     m = max([0] + [-e for e, _ in terms])
     s = math.lcm(*(c.denominator for _, c in terms))
-    cells = [(i, j, tuple(int(p.terms.get((e - m,), 0) * s)
-                          for e in range(m + max(p.terms)[0] + 1)))
+    cells = [(i, j, tuple(int(p.get((e - m,), 0) * s)
+                          for e in range(m + max(p)[0] + 1)))
              for (i, j), p in sorted(M.cells.items())]
 
     # basis[k] = (pivot column, b_k as {column: polynomial}, the nonzero

@@ -160,8 +160,7 @@ def test_criterion_02_equivariant_identity():
 @criterion(3, "Gr(2,4) golden products")
 def test_criterion_03_gr24_products():
     m = qc_matrix("A3", 2)
-    q = LaurentPoly.var(("q",), "q")
-    one = LaurentPoly.const(("q",), 1)
+    q, one = {(1,): 1}, {(0,): 1}
     # basis order: 0 empty, 1 s1, 2 s11, 3 s2, 4 s21, 5 s22
     assert m.column(1) == {2: one, 3: one}   # s1*s1  = s11 + s2
     assert m.column(2) == {4: one}           # s1*s11 = s21
@@ -176,8 +175,7 @@ def test_criterion_03_gr24_products():
               "operator")
 def test_criterion_04_d4_quadric():
     m = qc_matrix("D4", 1)
-    q = LaurentPoly.var(("q",), "q")
-    one = LaurentPoly.const(("q",), 1)
+    q, one = {(1,): 1}, {(0,): 1}
     # Columns of the 8x8 matrix; the two degree-3 classes (indices 3, 4)
     # are interchangeable and the data below is invariant under the swap.
     expected = {
@@ -217,9 +215,7 @@ def test_criterion_04_d4_quadric():
 @criterion(5, "odd quadrics: doubled product, quantum corrections, "
               "matrix relation")
 def test_criterion_05_odd_quadrics():
-    q = LaurentPoly.var(("q",), "q")
-    one = LaurentPoly.const(("q",), 1)
-    two = LaurentPoly.const(("q",), 2)
+    q, one, two = {(1,): 1}, {(0,): 1}, {(0,): 2}
     for n in (2, 3, 4):
         d = datum(f"B{n}")
         reps = minuscule_coset_reps(d, 1)

@@ -263,10 +263,13 @@ def test_bessel_report_tiny_y_and_negative_nu(capsys, y, nu):
     assert doc["pass"] is True
 
 
-@pytest.mark.parametrize("y,nu", [("0.5", "100"), ("0.562", "100")])
+@pytest.mark.parametrize("y,nu", [("0.5", "100"), ("0.562", "100"),
+                                  ("50", "170.5"), ("30", "171")])
 def test_bessel_report_large_nu(capsys, y, nu):
     # K_nu's trapezoid step shrinks with its integrand's peak; with a
-    # fixed step of 0.1 the Wronskian error here was 1.7e-8
+    # fixed step of 0.1 the Wronskian error at nu = 100 was 1.7e-8.  At
+    # nu = 170.5 and 171 Gamma(nu + 2) overflows, and the I series starts
+    # from its logarithm
     code, doc = run_json(capsys, "bessel", y, nu)
     assert code == 0
     assert doc["pass"] is True
@@ -276,16 +279,40 @@ def test_bessel_report_large_nu(capsys, y, nu):
 @pytest.mark.parametrize("y,nu,names", [
     ("2", "nan", ("nu = nan",)),
     ("2", "inf", ("nu = inf",)),
+    # argparse would read -inf as an option flag
+    ("2", "-inf", ("nu = -inf must be finite and > -1\n",)),
     ("1", "-1", ("nu = -1.0",)),
     ("1", "-1.5", ("nu = -1.5",)),
     ("0.01", "200", ("y = 0.01", "nu = 200.0", "beyond float range")),
     ("50", "300", ("y = 50.0", "nu = 300.0", "beyond float range")),
+    # cosh(nu t) overflows inside K
+    ("10", "171", ("y = 10.0", "nu = 171.0", "beyond float range")),
 ])
 def test_bessel_refusals_name_nu(capsys, y, nu, names):
     code, out, err = run(capsys, "bessel", y, nu)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert all(name in err for name in names), err
+
+
+@pytest.mark.parametrize("nu", ["-1e-3", "-5E-1", "-.5e0"])
+def test_bessel_takes_negative_nu_with_exponent(capsys, tmp_path, nu):
+    # argparse would read these as option flags on some Python versions
+    code, out, err = run(capsys, "bessel", "1", nu)
+    assert code == 0 and err == ""
+    assert (code, out, err) == run(capsys, "bessel", "1", "--", nu)
+    path = tmp_path / "bessel.json"
+    assert run(capsys, "bessel", "1", nu, "--output", str(path)) == (0, "",
+                                                                      "")
+    assert path.read_text() == out
+
+
+def test_bessel_output_value_is_not_a_number(capsys):
+    # a negative number after --output stays its value, refused as before
+    with pytest.raises(SystemExit) as exit_:
+        main(["bessel", "1", "--output", "-1e-3", "2"])
+    assert exit_.value.code == 2
+    assert "--output: expected one argument" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ verify
@@ -387,7 +414,7 @@ def test_mirror_failure_names_first_difference(monkeypatch):
     def corrupted(rep):
         F = original(rep)
         cells = dict(F.cells)
-        cells[2, 0] = F.entry(2, 0) + 5
+        cells[2, 0] = (LaurentPoly(F.variables, F.entry(2, 0)) + 5).terms
         return ConnMatrix(F.basis, F.variables, F.size, cells)
 
     monkeypatch.setattr(cli, "fg_connection", corrupted)
@@ -439,7 +466,8 @@ def test_wgamma_position_failure_detail(cartan, node, cell, change, detail):
     case = cli.Case(cartan, node)
     M = case.matrix
     cells = dict(M.cells)
-    cells[cell] = change(M.entry(*cell), LaurentPoly.var(M.variables, "q"))
+    cells[cell] = change(LaurentPoly(M.variables, M.entry(*cell)),
+                         LaurentPoly.var(M.variables, "q")).terms
     case.matrix = ConnMatrix(M.basis, M.variables, M.size, cells)
     with pytest.raises(cli.CheckFailure) as failure:
         cli._check_wgamma_positions(case)
@@ -485,7 +513,7 @@ def test_equivariant_fails_on_q_cell_alone():
     case = cli.Case("A2", 1)
     F = case.fg
     cells = dict(F.cells)
-    cells[0, 2] = F.entry(0, 2) * 2
+    cells[0, 2] = {k: 2 * v for k, v in F.entry(0, 2).items()}
     case.fg = ConnMatrix(F.basis, F.variables, F.size, cells)
     with pytest.raises(cli.CheckFailure) as failure:
         cli._CHECKS["equivariant"](case, None)

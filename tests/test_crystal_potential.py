@@ -43,7 +43,8 @@ from reference import (
 def ct_bruteforce(pot: Potential, m: int) -> Fraction:
     """Independent oracle: expand f_1^m as a Laurent polynomial and read
     off the constant term."""
-    return (pot.f_one() ** m).constant_term()
+    f = pot.f_one()
+    return (f ** m).terms.get((0,) * len(f.variables), Fraction(0))
 
 
 def poly(variables, termdict):
