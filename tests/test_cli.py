@@ -279,12 +279,12 @@ def test_bessel_report_large_nu(capsys, y, nu):
 @pytest.mark.parametrize("y,nu,names", [
     ("2", "nan", ("nu = nan",)),
     ("2", "inf", ("nu = inf",)),
-    # argparse would read -inf as an option flag
-    ("2", "-inf", ("nu = -inf must be finite and > -1\n",)),
     ("1", "-1", ("nu = -1.0",)),
     ("1", "-1.5", ("nu = -1.5",)),
     ("0.01", "200", ("y = 0.01", "nu = 200.0", "beyond float range")),
     ("50", "300", ("y = 50.0", "nu = 300.0", "beyond float range")),
+    # argparse would read -inf as an option flag
+    ("2", "-inf", ("nu = -inf must be finite and > -1\n",)),
     # cosh(nu t) overflows inside K
     ("10", "171", ("y = 10.0", "nu = 171.0", "beyond float range")),
 ])
