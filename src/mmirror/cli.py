@@ -449,14 +449,18 @@ _CHECKS = {
 
 
 def _run_case(entry, max_degree, budget):
+    """One case's report; an unexpected exception fails its check by name."""
     cartan, node = entry["cartan"], entry["node"]
     params = {k: v for k, v in entry.items() if k not in ("cartan", "node")}
     try:
         case = Case(cartan, node, params)
-    except ValueError as exc:
+        dim = len(case.reps)
+    except Exception as exc:
+        detail = (str(exc) if isinstance(exc, ValueError)
+                  else f"{type(exc).__name__}: {exc}")
         return {
             "cartan": cartan, "node": node, "pass": False,
-            "checks": [{"name": "setup", "pass": False, "detail": str(exc)}],
+            "checks": [{"name": "setup", "pass": False, "detail": detail}],
         }
     if max_degree is not None:  # one depth for every series of the case
         for key in ("max_degree", "ct_degree"):
@@ -472,10 +476,13 @@ def _run_case(entry, max_degree, budget):
         except BudgetExceeded as exc:
             checks.append({"name": name, "pass": False,
                            "detail": f"enumeration budget exceeded: {exc}"})
+        except Exception as exc:
+            checks.append({"name": name, "pass": False,
+                           "detail": f"{type(exc).__name__}: {exc}"})
     return {
         "cartan": case.cartan,
         "node": case.node,
-        "dim": len(case.reps),
+        "dim": dim,
         "pass": all(c["pass"] for c in checks),
         "checks": checks,
     }

@@ -647,10 +647,16 @@ def _bessel_k_integral(y: float, nu: float) -> float:
     1/sqrt(nu): h = min(0.1, 0.5 / sqrt(nu + 1)).  g rises to a single
     peak and then falls, as -y sinh t + nu tanh(nu t) changes sign at
     most once, so the sum stops once a term drops below 1e-22 of the
-    running sum."""
+    running sum.  A term where cosh(nu t) overflows is taken as
+    exp(nu t - y cosh t) (1 + exp(-2 nu t)) / 2: K may still be finite."""
     h, total = min(0.1, 0.5 / math.sqrt(nu + 1.0)), 0.5 * math.exp(-y)
     for k in count(1):
-        term = math.exp(-y * math.cosh(k * h)) * math.cosh(nu * k * h)
+        try:
+            term = math.exp(-y * math.cosh(k * h)) * math.cosh(nu * k * h)
+        except OverflowError:
+            t = k * h
+            term = (math.exp(nu * t - y * math.cosh(t))
+                    * (1.0 + math.exp(-2.0 * nu * t)) / 2.0)
         total += term
         if term < 1e-22 * total:
             return h * total

@@ -260,33 +260,40 @@ def fw_matrix(d: RootDatum, reps: CosetReps, node: int) -> ConnMatrix:
     ell(w s_beta) = ell(w) + 1 = the length of that coset (classical), and
     k q^k there when ell(w s_beta) = ell(w) - ell(s_beta) and the coset has
     length ell(w) + 1 - <2(rho - rho_P), beta-vee> (quantum).
+    At a minuscule node that coset has length ell(w) + ht(w.beta)
+    (CosetReps), so only ht(w.beta) = 1 or 1 - drop is looked up there.
     """
     p = reps.parabolic
     if node != p.node:
         raise ValueError(f"node {node} is not the node {p.node} of the "
                          "coset representatives")
     two_rho_diff = [int(2 - 2 * x) for x in p.rho_P]
-    roots = []   # (beta, k, ell(s_beta), <2(rho - rho_P), beta-vee>)
-    for beta in reps.roots(d):
-        cv = beta.coroot
-        # column 0 is the identity: its reflected length is ell(s_beta)
-        roots.append((beta, cv[node - 1], reflect_length(d, reps, 0, beta),
-                      sum(map(mul, two_rho_diff, cv))))
+    # (slot, beta, k, <2(rho - rho_P), beta-vee>)
+    roots = [(s, beta, beta.coroot[node - 1],
+              sum(map(mul, two_rho_diff, beta.coroot)))
+             for s, beta in enumerate(reps.roots, 1)]
 
     # The coset of w s_beta has length at most ell(w s_beta), so a term is
     # possible only where that length is ell(w) + 1 (classical) or
     # ell(w) + 1 - drop (quantum, drop >= 2).  Where the wanted length is
     # the coset's, w s_beta must be its minimal rep, which the rho images
-    # decide; only the other quantum candidates compute ell(w s_beta).
-    lengths, images = reps.lengths, reps.images
+    # decide; only the other quantum candidates compute ell(w s_beta), and
+    # ell(s_beta) (column 0) at a root's first quantum candidate.
+    lengths, images, heights = reps.lengths, reps.images, reps.heights
+    ell_s = {}   # slot -> ell(s_beta)
     cells = {}   # (row, col) -> {(q exp,): coeff}
     for c, ell in enumerate(lengths):
-        for beta, k, ell_s, drop in roots:
+        hts = heights[c] if heights else None
+        for s, beta, k, drop in roots:
+            if hts and hts[s] != 1 and hts[s] != 1 - drop:
+                continue
             r = reflect_coset(reps, c, beta)
             if lengths[r] == ell + 1:
                 key, want = (0,), ell + 1
             elif lengths[r] == ell + 1 - drop:
-                key, want = (k,), ell - ell_s
+                if s not in ell_s:
+                    ell_s[s] = reflect_length(d, reps, 0, beta)
+                key, want = (k,), ell - ell_s[s]
             else:
                 continue
             if (reflect_rho(reps, c, beta) == images[r][0]

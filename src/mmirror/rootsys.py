@@ -217,35 +217,26 @@ class RootDatum:
 def build_root_datum(ct: CartanType) -> RootDatum:
     """Enumerate the root system by closure from the simple roots.
 
-    The closure step uses root strings: for a root beta and simple alpha_i,
-    beta + alpha_i is a root iff p - <beta, alpha_i-vee> >= 1 where p is the
-    largest k with beta - k*alpha_i still a root.
+    The closure step uses simple reflections: for beta > 0 with fw_i =
+    <beta, alpha_i-vee> < 0, s_i.beta = beta - fw_i alpha_i is a higher
+    positive root, and every non-simple positive root is reached so.
     """
     n = ct.rank
     cartan = _cartan_matrix(ct)
     norms = _simple_norms(ct)
 
-    # closure by height; fw(beta + alpha_i) = fw(beta) + row i of cartan
-    level = {tuple(int(j == i) for j in range(n)): cartan[i] for i in range(n)}
-    allpos = dict(level)
-    while level:
-        nxt = {}
-        for beta, fw in level.items():
-            for i in range(n):
-                # p = longest tail beta - k*alpha_i inside the system
-                p = 0
-                cur = list(beta)
-                while True:
-                    cur[i] -= 1
-                    if tuple(cur) not in allpos:
-                        break
-                    p += 1
-                if p - fw[i] >= 1:
-                    up = list(beta)
-                    up[i] += 1
-                    nxt[tuple(up)] = tuple(x + y for x, y in zip(fw, cartan[i]))
-        level = nxt
-        allpos |= nxt
+    # fw(s_i.beta) = fw(beta) - fw_i * (row i of cartan)
+    allpos = {tuple(int(j == i) for j in range(n)): cartan[i] for i in range(n)}
+    stack = list(allpos.items())
+    while stack:
+        beta, fw = stack.pop()
+        for i, f in enumerate(fw):
+            if f < 0:
+                up = beta[:i] + (beta[i] - f,) + beta[i + 1:]
+                if up not in allpos:
+                    allpos[up] = t = tuple(x - f * y
+                                           for x, y in zip(fw, cartan[i]))
+                    stack.append((up, t))
 
     ordered = sorted(allpos, key=lambda c: (sum(c), c))
 
@@ -316,11 +307,11 @@ def simple_root(d: RootDatum, i: int) -> Root:
 def reflection_length(d: RootDatum, beta: Root) -> int:
     """ell(s_beta) as an inversion count |{alpha in R+ : s_beta(alpha) < 0}|."""
     count = 0
-    bvec = beta.coroot
+    bvec, bco = beta.coroot, beta.coeffs
     for alpha in d.positive_roots:
+        # s_beta(alpha) = alpha - k beta stays positive unless k > 0
         k = sum(map(mul, alpha.fw, bvec))
-        image = tuple(a - k * b for a, b in zip(alpha.coeffs, beta.coeffs))
-        if all(x <= 0 for x in image):
+        if k > 0 and all(a <= k * b for a, b in zip(alpha.coeffs, bco)):
             count += 1
     return count
 

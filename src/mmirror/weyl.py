@@ -20,22 +20,25 @@ reflections.
 W^P is grown once, up the left weak order from the identity
 (minuscule_coset_reps).  The walk carries, for each rep w, the fw
 coordinates of w.rho and of w.beta for every beta in R+ \\ R+_P, in
-positive-root order, and w.varpi_node-vee in simple-coroot coordinates.
-The child s_j w moves an image v to s_j.v = v - v_j (row j of the Cartan
-matrix), keeping the parent's v where v_j = 0, and the coweight cw in
-coordinate j alone: cw_j - sum_k a_jk cw_k.  At a minuscule node (or the
-B_n quadric node) the library moves between cosets on that table only:
-w s_beta lies in the coset of mu - <varpi_node, beta-vee> w.beta
-(reflect_coset, a dict lookup), maps rho to w.rho - <rho, beta-vee> w.beta
-(reflect_rho), and is the minimal rep of that coset exactly when this
-image is the rep's own rho image, as rho is regular.  That test gives the
-Bruhat covers and most terms of the Chevalley rule with no descent; a
-term whose w s_beta is not minimal needs its length, the descent of its
-rho image (reflect_length, asked only when the coset's length can
-match).  w lies in W(gamma) when its gamma image is -theta; the Poincare
-dual of mu is w0.mu, whose coordinate at sigma(i) is -mu_i for the
-diagram involution sigma = -w0, read off the descent of -(1, 2, .., r)
-to -w0.(1, 2, .., r).
+positive-root order, with their heights, and w.varpi_node-vee in
+simple-coroot coordinates.  The child s_j w moves an image v to s_j.v =
+v - v_j (row j of the Cartan matrix) and its height to ht(v) - v_j,
+keeping the parent's v where v_j = 0, and the coweight cw in coordinate
+j alone: cw_j - sum_k a_jk cw_k.  A minuscule step lowers the weight by
+one simple root (Proctor, "Bruhat lattices, plane partition generating
+functions, and minuscule representations"): lengths are heights there
+(CosetReps).  At a minuscule node (or the B_n quadric node) the library
+moves between cosets on that table only: w s_beta lies in the coset of
+mu - <varpi_node, beta-vee> w.beta (reflect_coset, a dict lookup), maps
+rho to w.rho - <rho, beta-vee> w.beta (reflect_rho), and is the minimal
+rep of that coset exactly when this image is the rep's own rho image,
+as rho is regular.  That test gives the Bruhat covers and most terms of
+the Chevalley rule with no descent; a term whose w s_beta is not
+minimal needs its length, the descent of its rho image (reflect_length,
+asked only when the coset's length can match).  w lies in W(gamma) when
+its gamma image is -theta; the Poincare dual of mu is w0.mu, whose
+coordinate at sigma(i) is -mu_i for the diagram involution sigma = -w0,
+read off the descent of -(1, 2, .., r) to -w0.(1, 2, .., r).
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import mul, sub
 
-from .rootsys import ParabolicData, Root, RootDatum, levi_data
+from .rootsys import ParabolicData, Root, RootDatum, levi_data, minuscule_nodes
 
 __all__ = [
     "CosetReps",
@@ -57,23 +60,23 @@ __all__ = [
 ]
 
 
-def _reflect_images(d: RootDatum, i: int, images, pool: dict) -> tuple:
-    """s_i.v for each v of images: v - v_i (row i of the Cartan matrix),
-    changed only along that row's nonzero entries; v itself when
-    v_i = 0.  A new image is stored once in pool: the images of roots
-    are roots, so the reps share them."""
+def _reflect_images(d: RootDatum, i: int, images, heights, pool) -> tuple:
+    """s_i.v = v - v_i (row i of the Cartan matrix) of height ht(v) - v_i
+    for each v of images, changed only along that row's nonzero entries;
+    v itself when v_i = 0.  A new image is stored once in pool: the
+    images of roots are roots, so the reps share them."""
     row = d.cartan_rows[i - 1]
-    out = []
-    for v in images:
+    out, hts = list(images), list(heights)
+    for s, v in enumerate(images):
         c = v[i - 1]
         if c:
             v = list(v)
             for k, a in row:
                 v[k] -= c * a
             v = tuple(v)
-            v = pool.setdefault(v, v)
-        out.append(v)
-    return tuple(out)
+            out[s] = pool.setdefault(v, v)
+            hts[s] -= c
+    return tuple(out), tuple(hts)
 
 
 def _reflect_coweight(d: RootDatum, j: int, cw) -> tuple:
@@ -145,8 +148,12 @@ class CosetReps:
     d.inverse_cartan[0].
 
     images[i][0] is w . rho and images[i][slot(beta)] is w . beta for
-    beta in R+ \\ R+_P, all in fw coordinates.  Only coordinates are kept;
-    roots(d) reads the Root objects off the datum."""
+    beta in R+ \\ R+_P (roots, in slot order), all in fw coordinates.  At
+    a minuscule node heights[i][s] is the height of images[i][s] (slot 0:
+    ht(w.rho - rho)); as ell(w) = ht(varpi_node - mu) there, the coset
+    of w s_beta, of weight mu - w.beta, has length ell(w) + ht(w.beta).
+    At the B_n quadric node a step may lower mu by 2 alpha_n, lengths
+    are not heights, and heights is None: no move is pruned."""
 
     parabolic: ParabolicData
     weights: tuple
@@ -154,6 +161,8 @@ class CosetReps:
     words: tuple
     coweights: tuple
     images: tuple
+    heights: tuple
+    roots: tuple
     _by_weight: dict = field(repr=False)
     _slot: dict = field(repr=False)
 
@@ -162,10 +171,6 @@ class CosetReps:
 
     def index_of_weight(self, mu) -> int:
         return self._by_weight[tuple(mu)]
-
-    def roots(self, d: RootDatum) -> list:
-        """R+ \\ R+_P in positive-root order, the order of the slots."""
-        return [d.root_from_coeffs(c) for c in self._slot]
 
     def slot(self, beta: Root) -> int:
         """Position of w.beta in each images tuple; a Levi root has none."""
@@ -182,10 +187,12 @@ def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
     rep one step longer (Deodhar's lemma) of weight s_j.mu: its word is
     the descent word of s_j.mu, its coweight that of w moved in
     coordinate j, and each of its images s_j.v for an image v of w (v
-    itself when v_j = 0).  Each new row must pair its weight with its
-    coweight to <varpi_node, varpi_node-vee>, which W preserves, and the
-    count must be the closed-form |W^P| of levi_data."""
+    itself when v_j = 0) with its height.  Each new row must pair its
+    weight with its coweight to <varpi_node, varpi_node-vee>, which W
+    preserves, at a minuscule node have length ht(varpi_node - mu), and
+    the count must be the closed-form |W^P| of levi_data."""
     p = levi_data(d, node=node)
+    minuscule = node in minuscule_nodes(d.cartan_type)
     levi = {r.coeffs for r in p.levi_positive_roots}
     roots = tuple(r for r in d.positive_roots if r.coeffs not in levi)
     start = tuple(int(j == node - 1) for j in range(d.rank))
@@ -193,6 +200,7 @@ def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
     words = {start: ()}
     coweights = {start: cov}
     images = {start: ((1,) * d.rank,) + tuple(r.fw for r in roots)}
+    heights = {start: (0,) + tuple(r.height for r in roots)}
     pool = {}
     order = [start]
     for mu in order:                  # the walk appends to order
@@ -207,8 +215,12 @@ def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
                 raise AssertionError("walk coweight does not pair with its "
                                      "weight to <varpi, varpi-vee>")
             words[nu] = _descent_word(d, nu)
+            if minuscule and len(words[nu]) != len(words[mu]) + mu[j - 1]:
+                raise AssertionError("walk length is not the depth "
+                                     "ht(varpi - mu) at a minuscule node")
             coweights[nu] = cw
-            images[nu] = _reflect_images(d, j, images[mu], pool)
+            images[nu], heights[nu] = _reflect_images(
+                d, j, images[mu], heights[mu], pool)
             order.append(nu)
     if len(order) != p.coset_size:
         raise AssertionError("walk does not reach |W^P| cosets")
@@ -221,6 +233,8 @@ def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
         words=tuple(words[mu] for mu in order),
         coweights=tuple(coweights[mu] for mu in order),
         images=tuple(images[mu] for mu in order),
+        heights=tuple(heights[mu] for mu in order) if minuscule else None,
+        roots=roots,
         _by_weight={mu: i for i, mu in enumerate(order)},
         _slot={r.coeffs: s for s, r in enumerate(roots, 1)},
     )
@@ -261,10 +275,14 @@ def bruhat_covers_up(d: RootDatum, reps: CosetReps, c: int):
     ell(w s_beta) = ell(w) + 1 and w s_beta the minimal rep of its coset,
     i.e. its coset r has length ell(w) + 1 and w s_beta . rho is the rho
     image of r's rep (reflect_rho).  Returned as (beta, index) pairs in
-    positive-root order."""
+    positive-root order.  r has length ell(w) + ht(w.beta) at a
+    minuscule node, so only ht(w.beta) = 1 is looked up there."""
     up = reps.lengths[c] + 1
+    hts = reps.heights[c] if reps.heights else None
     out = []
-    for beta in reps.roots(d):
+    for s, beta in enumerate(reps.roots, 1):
+        if hts and hts[s] != 1:
+            continue
         r = reflect_coset(reps, c, beta)
         if (reps.lengths[r] == up
                 and reflect_rho(reps, c, beta) == reps.images[r][0]):

@@ -5,7 +5,9 @@ For the root datum: ``pairing`` is the generic weight-coroot pairing;
 fundamental-weight coordinates; ``root_fw`` is the rank-squared product
 of a root's simple-root coordinates with the Cartan matrix, the oracle
 for the fundamental-weight coordinates that the closure carries up;
-``fundamental_coweight`` is varpi_i-vee as Fractions.
+``fundamental_coweight`` is varpi_i-vee as Fractions;
+``root_string_closure`` enumerates the positive roots by root strings,
+the oracle for the closure by simple reflections.
 
 For the Weyl layer: the element-level route that the coset table is
 checked against.  ``WeylElt`` holds an element's rank x rank action on
@@ -20,6 +22,8 @@ w0) and ``special_elements`` work on rank x rank action matrices;
 coordinates, and ``act_coweight`` is the Fraction action on coweights
 that the integer equivariant diagonals are checked against.
 ``parabolic_cases`` lists the (type, node) pairs these oracles run over.
+``unpruned_fw_matrix`` and ``unpruned_covers_up`` look up every (column,
+root) pair, the oracles for the height-pruned Chevalley rule and covers.
 
 For the command line: ``battery`` is the check list of a ``verify`` case
 as the branches on (type, node) once decided it, the oracle for the rule
@@ -79,13 +83,20 @@ from mmirror.qchev import (
 from mmirror.rootsys import (
     CartanType,
     ParabolicData,
+    _cartan_matrix,
     build_root_datum,
     is_cominuscule,
     levi_data,
     minuscule_nodes,
     simple_root,
 )
-from mmirror.weyl import _descent_word, minuscule_coset_reps
+from mmirror.weyl import (
+    _descent_word,
+    minuscule_coset_reps,
+    reflect_coset,
+    reflect_length,
+    reflect_rho,
+)
 
 
 def pairing(w, c):
@@ -120,6 +131,37 @@ def signed_root_from_fw(d, fw):
     """(sign, Root) for the root with the given fundamental-weight
     coordinates; raises KeyError if the vector is not a root."""
     return _fw_index(d)[tuple(fw)]
+
+
+def root_string_closure(ct) -> dict:
+    """{simple-root coordinates: fw coordinates} of every positive root,
+    closed up by root strings: beta + alpha_i is a root iff p -
+    <beta, alpha_i-vee> >= 1, p the largest k with beta - k alpha_i a
+    root."""
+    n = ct.rank
+    cartan = _cartan_matrix(ct)
+    level = {tuple(int(j == i) for j in range(n)): cartan[i]
+             for i in range(n)}
+    allpos = dict(level)
+    while level:
+        nxt = {}
+        for beta, fw in level.items():
+            for i in range(n):
+                p = 0
+                cur = list(beta)
+                while True:
+                    cur[i] -= 1
+                    if tuple(cur) not in allpos:
+                        break
+                    p += 1
+                if p - fw[i] >= 1:
+                    up = list(beta)
+                    up[i] += 1
+                    nxt[tuple(up)] = tuple(x + y
+                                           for x, y in zip(fw, cartan[i]))
+        level = nxt
+        allpos |= nxt
+    return allpos
 
 
 def root_fw(coeffs, cartan) -> tuple:
@@ -293,6 +335,45 @@ def pd_oracle(d, reps) -> tuple:
     dual of the coset of weight mu has weight w0 . mu."""
     w0 = longest_element(d).action
     return tuple(reps.index_of_weight(_matvec(w0, mu)) for mu in reps.weights)
+
+
+def unpruned_fw_matrix(d, reps, node) -> ConnMatrix:
+    """fw_matrix with every (column, root) pair looked up and ell(s_beta)
+    found for every root: the Fulton-Woodward rule with no height
+    pruning."""
+    two_rho_diff = [int(2 - 2 * x) for x in reps.parabolic.rho_P]
+    roots = [(beta, beta.coroot[node - 1], reflect_length(d, reps, 0, beta),
+              sum(map(mul, two_rho_diff, beta.coroot)))
+             for beta in reps.roots]
+    lengths, images = reps.lengths, reps.images
+    cells = {}
+    for c, ell in enumerate(lengths):
+        for beta, k, ell_s, drop in roots:
+            r = reflect_coset(reps, c, beta)
+            if lengths[r] == ell + 1:
+                key, want = (0,), ell + 1
+            elif lengths[r] == ell + 1 - drop:
+                key, want = (k,), ell - ell_s
+            else:
+                continue
+            if (reflect_rho(reps, c, beta) == images[r][0]
+                    if want == lengths[r] else
+                    reflect_length(d, reps, c, beta) == want):
+                entry = cells.setdefault((r, c), {})
+                entry[key] = entry.get(key, 0) + k
+    return ConnMatrix(reps, ("q",), len(reps), cells)
+
+
+def unpruned_covers_up(d, reps, c) -> list:
+    """bruhat_covers_up with every root looked up."""
+    up = reps.lengths[c] + 1
+    out = []
+    for beta in reps.roots:
+        r = reflect_coset(reps, c, beta)
+        if (reps.lengths[r] == up
+                and reflect_rho(reps, c, beta) == reps.images[r][0]):
+            out.append((beta, r))
+    return out
 
 
 def parabolic_cases() -> list:

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -264,12 +265,14 @@ def test_bessel_report_tiny_y_and_negative_nu(capsys, y, nu):
 
 
 @pytest.mark.parametrize("y,nu", [("0.5", "100"), ("0.562", "100"),
-                                  ("50", "170.5"), ("30", "171")])
+                                  ("50", "170.5"), ("30", "171"),
+                                  ("10", "171"), ("50", "300")])
 def test_bessel_report_large_nu(capsys, y, nu):
     # K_nu's trapezoid step shrinks with its integrand's peak; with a
     # fixed step of 0.1 the Wronskian error at nu = 100 was 1.7e-8.  At
     # nu = 170.5 and 171 Gamma(nu + 2) overflows, and the I series starts
-    # from its logarithm
+    # from its logarithm.  At (10, 171) and (50, 300) cosh(nu t) overflows
+    # inside K's integrand while K is finite
     code, doc = run_json(capsys, "bessel", y, nu)
     assert code == 0
     assert doc["pass"] is True
@@ -282,11 +285,11 @@ def test_bessel_report_large_nu(capsys, y, nu):
     ("1", "-1", ("nu = -1.0",)),
     ("1", "-1.5", ("nu = -1.5",)),
     ("0.01", "200", ("y = 0.01", "nu = 200.0", "beyond float range")),
-    ("50", "300", ("y = 50.0", "nu = 300.0", "beyond float range")),
+    ("1", "200", ("y = 1.0", "nu = 200.0", "beyond float range")),
     # argparse would read -inf as an option flag
     ("2", "-inf", ("nu = -inf must be finite and > -1\n",)),
-    # cosh(nu t) overflows inside K
-    ("10", "171", ("y = 10.0", "nu = 171.0", "beyond float range")),
+    # K_300(0.1) itself is beyond float range
+    ("0.1", "300", ("y = 0.1", "nu = 300.0", "beyond float range")),
 ])
 def test_bessel_refusals_name_nu(capsys, y, nu, names):
     code, out, err = run(capsys, "bessel", y, nu)
@@ -870,6 +873,68 @@ def test_verify_all_golden(tmp_path):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == (
         "a3f814c0cc9481e43fa98b65b7147d6f5ddd6b635422d713fdd7f3446b71925b"
     )
+
+
+def _coroots_are_coefficients(ct):
+    # a shared-datum bug that hits B and C only: every coroot read as the
+    # root's own simple-root coefficients
+    d = rootsys.build_root_datum(ct)
+    roots = tuple(dataclasses.replace(r, coroot=r.coeffs)
+                  for r in d.positive_roots)
+    return dataclasses.replace(d, positive_roots=roots,
+                               highest_root=roots[-1],
+                               _by_coeffs={r.coeffs: r for r in roots})
+
+
+def _theta_highest_short(ct):
+    d = rootsys.build_root_datum(ct)
+    short = [r for r in d.positive_roots if r.norm2 == 1]
+    return dataclasses.replace(d, highest_root=short[-1]) if short else d
+
+
+@pytest.mark.parametrize("mutation,error", [
+    (_coroots_are_coefficients, "KeyError: "),
+    (_theta_highest_short, "AssertionError: "),
+])
+def test_verify_all_names_a_defect_instead_of_crashing(capsys, monkeypatch,
+                                                        mutation, error):
+    # an internal error in one case fails that case's check by name; the
+    # other checks and cases still run and the verdict is whole JSON
+    monkeypatch.setattr(cli, "build_root_datum", mutation)
+    code, doc = run_json(capsys, "verify", "--all")
+    assert code == 1 and doc["pass"] is False
+    assert doc["counts"]["cases"] == 58
+    failed = [(c["cartan"], ch) for c in doc["cases"]
+              for ch in c["checks"] if not ch["pass"]]
+    assert doc["counts"]["failed"] == len(failed) > 0
+    assert any(ch["detail"].startswith(error) for _, ch in failed)
+    # the mutations change only the non-simply-laced types
+    assert {cartan[0] for cartan, _ in failed} == {"B", "C"}
+    assert all(c["pass"] for c in doc["cases"] if c["cartan"][0] in "ADE")
+
+
+@pytest.mark.parametrize("where", ["setup", "check"])
+def test_verify_exception_fails_its_check_by_name(capsys, monkeypatch,
+                                                  where):
+    def broken(*args):
+        raise RuntimeError("patched defect")
+
+    if where == "setup":
+        monkeypatch.setattr(cli, "minuscule_coset_reps", broken)
+    else:
+        monkeypatch.setattr(cli, "_CHECKS",
+                            {**cli._CHECKS, "homogeneous": broken})
+    code, doc = run_json(capsys, "verify", "A3", "--node", "2")
+    assert code == 1 and doc["counts"]["failed"] == 1
+    failed = [ch for ch in doc["cases"][0]["checks"] if not ch["pass"]]
+    assert failed == [{"name": "setup" if where == "setup" else
+                       "homogeneous", "pass": False,
+                       "detail": "RuntimeError: patched defect"}]
+    if where == "check":
+        # the checks after the broken one still ran, and passed
+        names = [ch["name"] for ch in doc["cases"][0]["checks"]]
+        assert names[:5] == ["mirror", "equivariant", "homogeneous",
+                             "poincare", "period"]
 
 
 def test_repeat_runs_byte_identical(capsys):

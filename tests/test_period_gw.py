@@ -1132,6 +1132,28 @@ def test_bessel_k_at_large_nu_against_mpmath(y, nu):
         assert abs(report[key] - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("y,nu", [(10.0, 171.0), (10.0, 172.0),
+                                  (50.0, 300.0), (50.0, 301.0),
+                                  (1e-12, 21.0)])
+def test_bessel_k_past_cosh_overflow_against_mpmath(y, nu):
+    # cosh(nu t) overflows inside K's integrand while K_nu(y) is finite
+    # (about 2.6e276 at (1e-12, 21)); the integrand is then summed as
+    # exp(nu t - y cosh t) (1 + e^-2nu t) / 2
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    want = float(mpmath.besselk(nu, y))
+    assert abs(_bessel_k_integral(y, nu) - want) <= 1e-13 * want
+    assert bessel_numeric_checks(y, nu)["wronskian_error"] < 1e-12
+
+
+def test_bessel_k_beyond_float_range_still_refused():
+    # K_200(0.01) is about 3e832: the second sum overflows too
+    with pytest.raises(OverflowError):
+        _bessel_k_integral(0.01, 200.0)
+    with pytest.raises(ValueError, match="beyond float range"):
+        bessel_numeric_checks(0.01, 200.0)
+
+
 @pytest.mark.parametrize("y,nu", [(30.0, 171.0), (30.0, 250.0),
                                   (50.0, 300.0)])
 def test_bessel_i_past_gamma_overflow_against_mpmath(y, nu):
@@ -1168,8 +1190,8 @@ def test_bessel_accepts_nu_above_minus_one():
         assert abs(report["i_nu"] - want) <= 1e-12 * abs(want)
 
 
-@pytest.mark.parametrize("y,nu", [(0.01, 200.0), (50.0, 300.0),
-                                  (1e-12, 21.0)])
+@pytest.mark.parametrize("y,nu", [(0.01, 200.0), (1.0, 200.0),
+                                  (1e-12, 30.0)])
 def test_bessel_overflow_names_y_and_nu(y, nu):
     with pytest.raises(ValueError, match=f"y = {y}, nu = {nu} is beyond "
                                          "float range"):

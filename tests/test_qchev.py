@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmirror import weyl
+from mmirror import qchev, weyl
 from mmirror.rootsys import CartanType, build_root_datum
 from mmirror.qchev import (
     ConnMatrix,
@@ -19,7 +19,7 @@ from mmirror.qchev import (
     poincare_self_adjoint,
     quantum_chevalley_minuscule,
 )
-from mmirror.cli import _wgamma_positions
+from mmirror.cli import _load_case_list, _wgamma_positions
 from mmirror.minrep import build_rep, equivariant_fg, fg_connection
 from mmirror.period_gw import d4_split
 from mmirror.weyl import (
@@ -38,6 +38,8 @@ from reference import (
     rep_elements,
     special_elements,
     subs,
+    unpruned_covers_up,
+    unpruned_fw_matrix,
     weighted_degree,
 )
 
@@ -356,37 +358,67 @@ def test_weight_route_matches_product_route(ct, node):
 
 
 def test_lengths_asked_only_where_a_term_is_possible(monkeypatch):
-    # fw_matrix and the covers compare the reflected coset's length first,
-    # and where the wanted length is the coset's they read the rho images;
-    # on E7 n7 the covers run no descent, and fw_matrix one per root for
-    # column 0 and one per quantum candidate with ell(s_beta) != drop - 1,
-    # whose w s_beta is not its coset's minimal rep
+    # At a minuscule node the coset of w s_beta has length ell(w) +
+    # ht(w.beta), so fw_matrix looks up a pair only when that height is 1
+    # or 1 - drop, and the covers only when it is 1; where the wanted
+    # length is the coset's they read the rho images.  On E7 n7 the covers
+    # run no descent, and fw_matrix one ell(s_beta) per root with a
+    # quantum candidate and one per quantum candidate with ell(s_beta) !=
+    # drop - 1, whose w s_beta is not its coset's minimal rep.  Before
+    # the pruning fw_matrix ran 39 descents, one ell(s_beta) for each of
+    # the 27 roots.
     d, reps = case("E7", 7)
-    roots = reps.roots(d)
+    roots = reps.roots
     assert len(reps) * len(roots) == 1512
     two_rho_diff = [2 - 2 * x for x in reps.parabolic.rho_P]
-    quantum = 0
+    pairs = covers = quantum = 0
+    quantum_roots = set()
     for beta in roots:
         ell_s = reflect_length(d, reps, 0, beta)
         drop = sum(map(mul, two_rho_diff, beta.coroot))
         for c, ell in enumerate(reps.lengths):
             up = reps.lengths[reflect_coset(reps, c, beta)]
-            quantum += (up != ell + 1 and up == ell + 1 - drop
-                        and ell_s != drop - 1)
-    calls = []
-    original = weyl._descent_length
+            pairs += up in (ell + 1, ell + 1 - drop)
+            covers += up == ell + 1
+            if up != ell + 1 and up == ell + 1 - drop:
+                quantum_roots.add(beta)
+                quantum += ell_s != drop - 1
+    lookups, descents = [], []
 
-    def counted(d, mu):
-        calls.append(mu)
-        return original(d, mu)
+    def counting(module, name, calls):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(weyl, "_descent_length", counted)
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(qchev, "reflect_coset", lookups)
+    counting(weyl, "reflect_coset", lookups)
+    counting(weyl, "_descent_length", descents)
     fw_matrix(d, reps, 7)
-    assert len(calls) == len(roots) + quantum == 39
-    calls.clear()
+    assert len(lookups) == pairs == 96
+    assert len(descents) == len(quantum_roots) + quantum == 1 + 12 == 13
+    lookups.clear()
+    descents.clear()
     for c in range(len(reps)):
         bruhat_covers_up(d, reps, c)
-    assert calls == []
+    assert len(lookups) == covers == 84
+    assert descents == []
+
+
+@pytest.mark.parametrize("cartan,node", [
+    *[(e["cartan"], e["node"]) for e in _load_case_list()],
+    ("A8", 4), ("D8", 8),
+])
+def test_pruned_rule_and_covers_match_unpruned_reference(cartan, node):
+    # the height pruning skips only pairs that cannot give a term
+    d, reps = case(cartan, node)
+    assert fw_matrix(d, reps, node) == unpruned_fw_matrix(d, reps, node)
+    for c in range(len(reps)):
+        assert (bruhat_covers_up(d, reps, c)
+                == unpruned_covers_up(d, reps, c)), c
 
 
 def _assert_cells(m):

@@ -4,6 +4,7 @@ import pytest
 
 from mmirror.rootsys import (
     CartanType,
+    _simple_norms,
     build_root_datum,
     gamma_root,
     levi_data,
@@ -14,7 +15,12 @@ from mmirror.rootsys import (
     simple_root,
 )
 from mmirror.weyl import minuscule_coset_reps
-from reference import fundamental_coweight, pairing, root_fw
+from reference import (
+    fundamental_coweight,
+    pairing,
+    root_fw,
+    root_string_closure,
+)
 
 
 # ---------------------------------------------------------------- parsing
@@ -366,3 +372,57 @@ def test_fundamental_weight_pairing():
     w = (0, 0, 1)    # varpi_3
     for j in (1, 2, 3):
         assert pairing(w, simple_root(d, j).coroot) == (1 if j == 3 else 0)
+
+
+# ------------------------------------- closure by simple reflections
+
+CLOSURE_TYPES = ([f"A{n}" for n in range(1, 13)]
+                 + [f"B{n}" for n in range(2, 11)]
+                 + [f"C{n}" for n in range(2, 11)]
+                 + [f"D{n}" for n in range(4, 11)] + ["E6", "E7"])
+
+
+def _classical_exponents(ct):
+    n = ct.rank
+    if ct.family == "A":
+        return tuple(range(1, n + 1))
+    if ct.family in "BC":
+        return tuple(range(1, 2 * n, 2))
+    if ct.family == "D":
+        return tuple(sorted([*range(1, 2 * n - 2, 2), n - 1]))
+    return {6: (1, 4, 5, 7, 8, 11), 7: (1, 5, 7, 9, 11, 13, 17)}[n]
+
+
+@pytest.mark.parametrize("name", CLOSURE_TYPES)
+def test_closure_by_simple_reflections_matches_root_strings(name):
+    ct = CartanType.parse(name)
+    d = build_root_datum(ct)
+    ref = root_string_closure(ct)
+    order = sorted(ref, key=lambda c: (sum(c), c))
+    assert [r.coeffs for r in d.positive_roots] == order
+    assert [r.fw for r in d.positive_roots] == [ref[c] for c in order]
+    # (alpha_i, alpha_j) = a_ij (alpha_j, alpha_j) / 2, so (beta, beta) and
+    # beta-vee = 2 beta / (beta, beta) follow from the coefficients alone
+    norms = _simple_norms(ct)
+    a = d.cartan
+    for beta, c in zip(d.positive_roots, order):
+        twice = sum(c[i] * c[j] * a[i][j] * norms[j]
+                    for i in range(ct.rank) for j in range(ct.rank))
+        assert beta.norm2 * 2 == twice
+        assert beta.coroot == tuple(x * e * 2 // twice
+                                    for x, e in zip(c, norms))
+    assert d.exponents == _classical_exponents(ct)
+
+
+@pytest.mark.parametrize("name", ["A5", "B5", "C5", "D6", "E6", "E7"])
+def test_reflection_length_counts_inversions(name):
+    # every positive alpha with s_beta(alpha) = alpha - <alpha, beta-vee>
+    # beta negative, image built coordinate by coordinate
+    d = build_root_datum(CartanType.parse(name))
+    for beta in d.positive_roots:
+        count = 0
+        for alpha in d.positive_roots:
+            k = pairing(alpha.fw, beta.coroot)
+            image = [x - k * b for x, b in zip(alpha.coeffs, beta.coeffs)]
+            count += all(x <= 0 for x in image)
+        assert reflection_length(d, beta) == count, beta

@@ -221,13 +221,57 @@ def test_table_images_match_action(ct):
     d, cases = _table_cases(ct)
     for reps in cases:
         levi = {r.coeffs for r in reps.parabolic.levi_positive_roots}
-        assert [r.coeffs for r in reps.roots(d)] == [
+        assert [r.coeffs for r in reps.roots] == [
             r.coeffs for r in d.positive_roots if r.coeffs not in levi]
         for w, img in zip(rep_elements(d, reps), reps.images):
             assert img[0] == tuple(sum(row) for row in w.action), w
-            for beta in reps.roots(d):
+            for beta in reps.roots:
                 assert img[reps.slot(beta)] == root_image(w, beta), (w, beta)
-            assert len(img) == len(reps.roots(d)) + 1
+            assert len(img) == len(reps.roots) + 1
+
+
+def _height(d, v):
+    """ht(v) for v in fw coordinates: varpi_j in simple-root coordinates
+    is row j of the inverse Cartan matrix."""
+    den, rows = d.inverse_cartan
+    return Fraction(sum(x * sum(rows[j]) for j, x in enumerate(v)), den)
+
+
+def _depths(d, reps):
+    """ht(varpi_node - mu) for each row's weight mu."""
+    node = reps.parabolic.node
+    return [_height(d, [int(j == node - 1) - x for j, x in enumerate(mu)])
+            for mu in reps.weights]
+
+
+@pytest.mark.parametrize("ct", TABLE_TYPES)
+def test_length_is_depth_at_minuscule_nodes(ct):
+    # the premise of the height pruning: each walk step lowers the weight
+    # by one simple root, so ell(w) = ht(varpi_node - w.varpi_node); the
+    # table's heights are those of its images
+    d, cases = _table_cases(ct)
+    for reps in cases:
+        if reps.parabolic.node not in minuscule_nodes(d.cartan_type):
+            assert reps.heights is None
+            continue
+        assert _depths(d, reps) == list(reps.lengths)
+        rho_height = _height(d, (1,) * d.rank)
+        for img, hts in zip(reps.images, reps.heights):
+            assert len(hts) == len(img)
+            assert hts[0] == _height(d, img[0]) - rho_height
+            assert list(hts[1:]) == [_height(d, v) for v in img[1:]]
+
+
+def test_length_is_not_depth_at_the_quadric_node(monkeypatch):
+    # at B3 n1 a walk step lowers the weight by 2 alpha_3, so some length
+    # is not its depth: the walk asserts the premise where it prunes
+    d = D("B3")
+    reps = minuscule_coset_reps(d, 1)
+    assert reps.heights is None
+    assert _depths(d, reps) != list(reps.lengths)
+    monkeypatch.setattr(weyl, "minuscule_nodes", lambda ct: (1, 3))
+    with pytest.raises(AssertionError, match="depth"):
+        minuscule_coset_reps(d, 1)
 
 
 @pytest.mark.parametrize("ct", TABLE_TYPES)
@@ -237,7 +281,7 @@ def test_descent_length_is_descent_word_length(ct):
     d, cases = _table_cases(ct)
     for reps in cases:
         for c, img in enumerate(reps.images):
-            for beta in reps.roots(d):
+            for beta in reps.roots:
                 h = sum(beta.coroot)
                 v = [r - h * b for r, b in zip(img[0], img[reps.slot(beta)])]
                 assert _descent_length(d, v) == len(_descent_word(d, v)), \
@@ -535,7 +579,7 @@ def test_rho_image_decides_minimal_rep(ct, node):
     rho = (1,) * d.rank
     minimal = 0
     for c, w in enumerate(rep_elements(d, reps)):
-        for beta in reps.roots(d):
+        for beta in reps.roots:
             image = reflect_rho(reps, c, beta)
             assert image == act_weight(multiply(d, w, reflection(d, beta)),
                                        rho), (c, beta)
