@@ -172,6 +172,20 @@ def _refuse_deep_period(depth) -> None:
         )
 
 
+class _once(cached_property):
+    """A cached_property whose failed build re-raises, not rebuilds."""
+
+    def __get__(self, case, owner=None):
+        failed = getattr(case, "_failed", {})
+        if self.attrname in failed:
+            raise failed[self.attrname]
+        try:
+            return super().__get__(case, owner)
+        except Exception as exc:
+            case.__dict__.setdefault("_failed", {})[self.attrname] = exc
+            raise
+
+
 class Case:
     """One (cartan, node) context with the shared objects the checks
     need, built lazily and at most once."""
@@ -195,23 +209,23 @@ class Case:
         self.d = build_root_datum(self.ct)
         self._period = None
 
-    @cached_property
+    @_once
     def reps(self):
         return minuscule_coset_reps(self.d, self.node)
 
-    @cached_property
+    @_once
     def matrix(self):
         return fw_matrix(self.d, self.reps, self.node)
 
-    @cached_property
+    @_once
     def rep(self):
         return build_rep(self.d, self.reps)
 
-    @cached_property
+    @_once
     def fg(self):
         return fg_connection(self.rep)
 
-    @cached_property
+    @_once
     def d4(self):
         return d4_split(self.matrix)
 

@@ -7,34 +7,24 @@ Berenstein-Kazhdan geometric-crystal potential
 
 where u = x_{i_1}(a_1) ... x_{i_l}(a_l) runs over a reduced word of the
 longest minimal coset representative w^P, and the matrix coefficients are
-taken in the minuscule representation at the dual node.  There every
-raising operator E_j squares to zero, so x_j(a) = I + a E_j, and u v_low is
-l updates of a vector kept as a map weight -> coordinate: E_j sends v_mu
-to v_{mu + alpha_j} exactly when <mu, alpha_j-vee> = mu_j is -1 (the rule
-of :func:`mmirror.minrep.root_step`); no coset or basis is
-enumerated.  Each letter is applied once, so every monomial of u v_low
-is square-free: a coordinate is a map bitmask -> integer, bit m standing
-for a_{m+1}, and ``LaurentPoly`` is built only for the result.  The
-denominator must come out a monomial.  The type-A Grassmannian
-potentials are the case A_{n-1}.
+taken in the minuscule representation at the dual node, in integers
+(:func:`unipotent_vector`).  The type-A Grassmannian potentials are the
+case A_{n-1}.
 
 Constant terms of powers of the potential then compute genus-zero
-Gromov-Witten invariants, which is the bridge tested against the
-connection-matrix recursion in :mod:`mmirror.period_gw`.  A constant term
-is found by a memoized walk over the quantum terms only (the linear part
-is then forced), in integers: a state at remaining power r holds its
-weight times B^(m-r), B the lcm of the quantum denominators.  Each state
-solves its prune bounds once for an interval of counts; one unit of the
-walk's ``budget`` is one candidate (state, count), all r + 1 of a state
-charged before it is walked.
+Gromov-Witten invariants (:func:`constant_term_power`), which is the
+bridge tested against the connection-matrix recursion in
+:mod:`mmirror.period_gw`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from itertools import repeat
+from operator import add, floordiv, itemgetter, mul, neg
 from typing import Tuple
 
 from .qchev import LaurentPoly
@@ -182,33 +172,64 @@ def potential_typeA(k: int, n: int) -> Potential:
 # constant terms and Gromov-Witten numbers
 # --------------------------------------------------------------------------
 
+def _constraint_tables(steps, nvar: int) -> list:
+    """Per step, the rows v + c k >= 0, v = +-a + q r, of the walk's
+    bounds on (*acc, *-acc, 0), sorted by k, as (getter, q, divisors, nu,
+    nz), with c <= r twice (so the getter returns a tuple), 0 >= 0 and
+    c >= 0; nz is None if only upper bounds are left.  After the first
+    step a zero row is dropped: the step before held it."""
+    dim = nvar + 1
+    free = [i for i, col in enumerate(zip(*steps))
+            if nvar > 1 and i < nvar and max(col) <= 0]
+    kept = [i for i in range(dim) if i not in free]
+    bound = [(int(nvar == 1), 1)] * (len(kept) - 1) + [(0, 0)]
+    tables = []
+    for t in reversed(range(len(steps))):
+        step = steps[t]
+        rows = [(2 * dim, 1, -1)] * 2 + [(2 * dim, 0, 0), (2 * dim, 0, 1)]
+        for i, (l, h) in zip(kept, bound if nvar else ()):
+            s = step[i]
+            rows += [row for row in ((i, h, s - h), (dim + i, -l, l - s))
+                     if row[2] or not t]
+        rows.sort(key=itemgetter(2))
+        index, q, slope = zip(*rows)
+        nu, nz = bisect_left(slope, 0), bisect_right(slope, 0)
+        if len(rows) == nu + 2:     # past the upper bounds 0 >= 0, c >= 0
+            index, q, slope, nz = index[:nu], q[:nu], slope[:nu], None
+        tables.append((itemgetter(*free, *index), (1,) * len(free) + q,
+                       (*(1 - step[i] for i in free),
+                        *(abs(k) or 1 for k in slope)),
+                       len(free) + nu, nz and len(free) + nz))
+        bound = [(min(l, step[i]), max(h, step[i]))
+                 for i, (l, h) in zip(kept, bound)]
+    return tables[::-1]
+
+
 def constant_term_power(pot: Potential, m: int,
                         budget: int = 10_000_000) -> Fraction:
     """Constant term of ``f_1^m`` by a memoized walk over the quantum terms.
 
-    The walk chooses how often each quantum term is used, one term at a
-    time, and merges the paths that reach the same state (remaining
-    power r, accumulated exponent).  The linear part sum b_i x_i then has
-    forced counts v = -exponent, and a state adds
-    ``r! / prod v_i! * prod b_i^{v_i}`` when v >= 0 and |v| = r.
+    The walk picks how often each quantum term is used, one term at a
+    time, and merges paths that reach the same state (remaining power r,
+    exponent a, last the degree sum(a) + r, which term t moves by
+    deg(t) - 1).  The linear part sum b_i x_i then has forced
+    counts v = -a, and a state adds ``r! / prod v_i! * prod b_i^{v_i}``
+    when v >= 0 and |v| = r.  Weights are integers: a state at r holds
+    its weight times B^(m-r), B the lcm of the quantum denominators.
 
-    The arithmetic is in integers.  With B the lcm of the denominators of
-    the quantum coefficients and c_t = B * coeff_t, every path into a
-    state has used m - r quantum factors, so the state holds its weight
-    times B^(m-r); using term t ``count`` times multiplies that by
-    C(r, count) * c_t^count, an exact integer.  The surviving states are
-    summed per r over integer linear coefficients, with one ``Fraction``
-    per distinct r.
+    With s the step and l, h the least and greatest entry of a coordinate
+    over the later terms and the linear part, a count c is kept iff
+    a + c s + (r - c) l <= 0 <= a + c s + (r - c) h.  Each bound reads
+    v + c k >= 0: c <= v // -k if k < 0, c >= -(v // k) if k > 0, v >= 0
+    if k = 0, so tables built once per walk give a state its interval by
+    minima, with no sign test.  A variable no term raises keeps only
+    c <= (a + r) // (1 - s): it stays <= 0, and with two or more
+    variables l <= 0 and h = 1.
 
-    A count is pruned by per-coordinate bounds on what the remaining
-    quantum and linear terms can still contribute, and by the degree
-    sum(exponent) + r, which must reach 0 and which only a quantum term t
-    moves, by deg(t) - 1.  Both bounds are linear in the count, so each
-    state solves them once for an interval [cmin, cmax] and builds keys
-    only for the counts inside it.  Each state spends r + 1 units of
-    ``budget``, one per candidate (state, count), before it is walked.
-    Raises ValueError if the linear part is not one unit monomial per
-    variable.
+    The states are held in layers by r; each layer charges r + 1 units of
+    ``budget`` per state, one per candidate (state, count), before any is
+    walked.  Raises ValueError if the linear part is not one unit
+    monomial per variable.
     """
     if m < 0:
         raise ValueError("power must be nonnegative")
@@ -219,68 +240,60 @@ def constant_term_power(pot: Potential, m: int,
                          "variable")
     quantum = sorted(pot.quantum.terms.items())
     scale = math.lcm(*(c.denominator for _, c in quantum))
-    # Exponents extended by the degree coordinate: a state's last entry
-    # is sum(exponent) + r, so quantum term t shifts it by deg(t) - 1.
     steps = [e + (sum(e) - 1,) for e, _ in quantum]
-    linear = [u + (0,) for u in units]
-    walk = []
-    for t, ((_, coeff), step) in enumerate(zip(quantum, steps)):
-        rest = steps[t + 1:] + linear
-        # per coordinate (l, h, s - l, s - h): keep a count c iff
-        # a + c s + (r - c) l <= 0 and a + c s + (r - c) h >= 0
-        bounds = tuple((l, h, s - l, s - h) for s, l, h in
-                       zip(step, map(min, zip(*rest)), map(max, zip(*rest))))
-        walk.append((int(coeff * scale), step, bounds))
+    tables = _constraint_tables(steps, nvar)
 
     candidates = 0
-    states = {(m, (0,) * nvar + (m,)): 1}
-    for c_t, step, bounds in walk:
-        following: dict = {}
-        for (r, acc), weight in states.items():
-            candidates += r + 1
+    layers = [{} for _ in range(m + 1)]   # layers[r]: acc -> weight
+    layers[m][(0,) * nvar + (m,)] = 1
+    for (_, coeff), step, (pick, q, dens, nu, nz) in zip(quantum, steps,
+                                                         tables):
+        c_t = coeff.numerator * (scale // coeff.denominator)
+        following = [{} for _ in range(m + 1)]
+        for r, layer in enumerate(layers):
+            if not layer:
+                continue
+            candidates += (r + 1) * len(layer)
             if candidates > budget:
                 raise BudgetExceeded(
                     f"constant-term walk needs more than its budget "
                     f"of {budget} candidates"
                 )
-            cmin, cmax = 0, r
-            for a, (l, h, dl, dh) in zip(acc, bounds):
-                low = a + r * l       # keep c with low + c * dl <= 0
-                if dl > 0:
-                    cmax = min(cmax, -low // dl)
-                elif dl < 0:
-                    cmin = max(cmin, -(low // dl))
-                elif low > 0:
-                    cmax = -1
-                high = a + r * h      # and with high + c * dh >= 0
-                if dh > 0:
-                    cmin = max(cmin, -(high // dh))
-                elif dh < 0:
-                    cmax = min(cmax, high // -dh)
-                elif high < 0:
-                    cmax = -1
-            if cmin > cmax:
-                continue
-            piece = weight * math.comb(r, cmin) * c_t ** cmin
-            shifted = tuple(a + cmin * s for a, s in zip(acc, step))
-            for count in range(cmin, cmax + 1):
-                key = (r - count, shifted)
-                following[key] = following.get(key, 0) + piece
-                piece = piece * c_t * (r - count) // (count + 1)
-                shifted = tuple(map(add, shifted, step))
-        states = following
+            offsets = tuple(map(mul, q, repeat(r)))
+            for acc, weight in layer.items():
+                w = map(floordiv, map(add, pick((*acc, *map(neg, acc), 0)),
+                                      offsets), dens)
+                if nz is None:
+                    cmin, cmax = 0, min(w)
+                else:
+                    w = tuple(w)
+                    cmin, cmax = -min(w[nz:]), min(w[:nu])
+                    if min(w[nu:nz]) < 0:
+                        continue
+                if cmin > cmax:
+                    continue
+                shifted = tuple(a + cmin * s for a, s in zip(acc, step)
+                                ) if cmin else acc
+                piece = weight * math.comb(r, cmin) * c_t ** cmin
+                for count in range(cmin, cmax + 1):
+                    out = following[r - count]
+                    out[shifted] = out.get(shifted, 0) + piece
+                    piece = piece * c_t * (r - count) // (count + 1)
+                    shifted = tuple(map(add, shifted, step))
+        layers = following
 
     lin_scale = math.lcm(*(b.denominator for b in pot.linear.terms.values()))
-    b_scaled = [int(pot.linear.terms[u] * lin_scale) for u in units]
+    b_scaled = [b.numerator * (lin_scale // b.denominator)
+                for b in map(pot.linear.terms.get, units)]
     sums: dict = {}
-    for (r, acc), weight in states.items():
-        v = [-a for a in acc[:nvar]]
-        if min(v, default=0) < 0 or sum(v) != r:
-            continue
-        term = weight * math.factorial(r)
-        for vi, b in zip(v, b_scaled):
-            term = term * b ** vi // math.factorial(vi)
-        sums[r] = sums.get(r, 0) + term
+    for r, layer in enumerate(layers):
+        for acc, weight in layer.items():
+            v = tuple(map(neg, acc[:nvar]))
+            if min(v, default=0) < 0 or sum(v) != r:
+                continue
+            sums[r] = sums.get(r, 0) + weight * math.prod(
+                map(pow, b_scaled, v)) * (math.factorial(r) // math.prod(
+                    map(math.factorial, v)))
     # a state at r carries B^(m - r), and its linear factors lin_scale^r
     return sum((Fraction(s, scale ** (m - r) * lin_scale ** r)
                 for r, s in sums.items()), Fraction(0))

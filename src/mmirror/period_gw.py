@@ -160,8 +160,10 @@ def quantum_period(M: ConnMatrix, D: int) -> PeriodSeries:
         X, Q = [y // g for y in Y], Q // g
         trace.append((tuple(X), Q))
     coeffs = tuple(Fraction(X[top], Q) for X, Q in trace)
-    if any(c < 0 for c in coeffs):
-        raise AssertionError("period coefficients must be nonnegative")
+    for d, c in enumerate(coeffs):
+        if c < 0:
+            raise AssertionError(f"period coefficients must be "
+                                 f"nonnegative, but c_{d} = {c}")
     return PeriodSeries(coeffs, tuple(trace))
 
 

@@ -913,6 +913,25 @@ def test_verify_all_names_a_defect_instead_of_crashing(capsys, monkeypatch,
     assert all(c["pass"] for c in doc["cases"] if c["cartan"][0] in "ADE")
 
 
+def test_failed_lazy_build_runs_once_per_case(capsys, monkeypatch):
+    # the quadrics B_n n1 get past set-up and fail in fw_matrix; the
+    # case's later checks re-raise that failure instead of rebuilding,
+    # and the failed checks are the same 22
+    built = Counter()
+    fw_matrix = cli.fw_matrix
+
+    def counting(d, reps, node):
+        built[str(d.cartan_type), node] += 1
+        return fw_matrix(d, reps, node)
+
+    monkeypatch.setattr(cli, "build_root_datum", _coroots_are_coefficients)
+    monkeypatch.setattr(cli, "fw_matrix", counting)
+    code, doc = run_json(capsys, "verify", "--all")
+    assert code == 1 and doc["counts"]["failed"] == 22
+    assert {key: n for key, n in built.items() if key[0][0] in "BC"} == {
+        ("B2", 1): 1, ("B3", 1): 1, ("B4", 1): 1}
+
+
 @pytest.mark.parametrize("where", ["setup", "check"])
 def test_verify_exception_fails_its_check_by_name(capsys, monkeypatch,
                                                   where):

@@ -516,6 +516,23 @@ def test_budget_minimum_pinned(k, n, m, need, value):
                               f"budget of {need - 1} candidates")
 
 
+@pytest.mark.parametrize("family,rank,node,m,need,value", [
+    ("E", 6, 1, 24, 8278, 121787235105840944640000),
+    ("D", 5, 5, 24, 1595, 533781495594547200000),
+    ("D", 6, 6, 30, 57740, 975325425371104374927360000000),
+    ("E", 7, 7, 18, 55536, 499385149046784000),
+])
+def test_budget_minimum_pinned_beyond_type_a(family, rank, node, m, need,
+                                             value):
+    # the least budget and the value of CT(W^m) on the case's own datum
+    pot = minuscule_potential(datum(family, rank), node)
+    assert constant_term_power(pot, m, budget=need) == value
+    with pytest.raises(BudgetExceeded) as err:
+        constant_term_power(pot, m, budget=need - 1)
+    assert str(err.value) == ("constant-term walk needs more than its "
+                              f"budget of {need - 1} candidates")
+
+
 def two_variable_potential(quantum):
     """x1 + 2 x2 plus quantum terms with coefficients 3/2 and 1/3, so
     that the walk scales its weights by B = 6 and its linear part is not

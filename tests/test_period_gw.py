@@ -120,8 +120,10 @@ def test_period_rejects_negative_coefficients():
         basis=None, variables=("q",), size=1,
         cells={(0, 0): {(1,): -1}},
     )
-    with pytest.raises(AssertionError, match="nonnegative"):
-        quantum_period(m, 1)
+    with pytest.raises(AssertionError, match="nonnegative") as err:
+        quantum_period(m, 3)
+    # c_d = (-1)^d / d!: the first negative degree is named, c_3 is not
+    assert str(err.value).endswith("c_1 = -1")
 
 
 def test_period_builds_only_the_coefficient_fractions(monkeypatch):
