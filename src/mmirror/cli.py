@@ -658,6 +658,8 @@ def cmd_period(args) -> int:
 
 def cmd_gw(args) -> int:
     _refuse_bad_budget(args.budget)
+    if args.d < 0:
+        raise ValueError(f"degree {args.d} is below 0")
     pot = potential_typeA(args.k, args.n)
     m = pot.coxeter * args.d
     ct = constant_term_power(pot, m, args.budget)

@@ -32,9 +32,9 @@ from .rootsys import (
     CartanType,
     RootDatum,
     build_root_datum,
+    descent,
     minuscule_nodes,
 )
-from .weyl import _descend, _descent_word
 
 # Most variables (letters of the word of w^P) a Grassmannian potential
 # may have.
@@ -70,10 +70,9 @@ def top_coset_word(d: RootDatum, node: int) -> Tuple[tuple, tuple]:
     minimal coset representative.  W . varpi_node is the negative of
     W . (-varpi_node), so the lowest weight is the negated dominant
     weight that -varpi_node descends to."""
-    mu = [-int(j == node - 1) for j in range(d.rank)]
-    _descend(d, mu)
-    lowest = tuple(-x for x in mu)
-    return _descent_word(d, lowest), lowest
+    top = descent(d, [-int(j == node - 1) for j in range(d.rank)])[1]
+    lowest = tuple(-x for x in top)
+    return descent(d, lowest)[0], lowest
 
 
 def unipotent_vector(d: RootDatum, word, low) -> dict:

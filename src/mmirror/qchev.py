@@ -9,8 +9,8 @@ beta outside the Levi): as a coset index (weyl.reflect_coset, a lookup)
 and, only when that coset's length admits a term, either as the test
 that w s_beta is the coset's minimal rep (its rho image is the rep's,
 weyl.reflect_rho) or, for a quantum term whose w s_beta is not minimal,
-as a length (weyl.reflect_length, the step count of a descent that
-builds no word).
+as a length (weyl.reflect_length, the number of letters in the descent
+of its rho image; ell(s_beta) likewise, rootsys.reflection_length).
 No Weyl product or matrix is formed, each root's drop <2(rho - rho_P),
 beta-vee> is an integer found once, and only the nonzero cells are
 built.  The rule serves minuscule nodes and odd quadrics alike; the
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 
-from .rootsys import RootDatum
+from .rootsys import RootDatum, reflection_length
 from .weyl import CosetReps, reflect_coset, reflect_length, reflect_rho
 
 __all__ = [
@@ -278,7 +278,7 @@ def fw_matrix(d: RootDatum, reps: CosetReps, node: int) -> ConnMatrix:
     # ell(w) + 1 - drop (quantum, drop >= 2).  Where the wanted length is
     # the coset's, w s_beta must be its minimal rep, which the rho images
     # decide; only the other quantum candidates compute ell(w s_beta), and
-    # ell(s_beta) (column 0) at a root's first quantum candidate.
+    # ell(s_beta) (reflection_length) at a root's first quantum candidate.
     lengths, images, heights = reps.lengths, reps.images, reps.heights
     ell_s = {}   # slot -> ell(s_beta)
     cells = {}   # (row, col) -> {(q exp,): coeff}
@@ -292,7 +292,7 @@ def fw_matrix(d: RootDatum, reps: CosetReps, node: int) -> ConnMatrix:
                 key, want = (0,), ell + 1
             elif lengths[r] == ell + 1 - drop:
                 if s not in ell_s:
-                    ell_s[s] = reflect_length(d, reps, 0, beta)
+                    ell_s[s] = reflection_length(d, beta)
                 key, want = (k,), ell - ell_s[s]
             else:
                 continue

@@ -16,6 +16,9 @@ Conventions
   validated as such during construction.
 * positive_roots are ordered by height, then lexicographically on the
   simple-root coordinates, so all downstream matrix layouts are reproducible.
+* Every Weyl length and word is read off one descent of a weight to the
+  dominant chamber (descent): the word of w from w.rho, ell(s_beta) from
+  s_beta.rho (reflection_length).
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "minuscule_dimension",
     "is_cominuscule",
     "simple_root",
+    "descent",
     "reflection_length",
     "datum_to_json",
 ]
@@ -304,16 +308,38 @@ def simple_root(d: RootDatum, i: int) -> Root:
     return d.root_from_coeffs(coeffs)
 
 
+def descent(d: RootDatum, mu):
+    """(word, dominant): the descent of the weight mu (fw coordinates) to
+    the dominant chamber, repeatedly applying the smallest s_j with mu_j
+    < 0 and recording j, and the dominant weight where it ends.  s_j with
+    mu_j < 0 permutes the positive roots other than alpha_j, so each step
+    lowers #{beta > 0 : <mu, beta-vee> < 0} by one: that count is the
+    length of the word, which is the canonical reduced word of w when mu
+    = w.rho.  A step changes only the nonzero entries of row j of the
+    Cartan matrix, so the scan for the next letter resumes at the first
+    of them."""
+    rows = d.cartan_rows
+    n = d.rank
+    cur = list(mu)
+    word = []
+    j = 0
+    while j < n:
+        c = cur[j]
+        if c < 0:
+            for k, a in rows[j]:
+                cur[k] -= c * a
+            word.append(j + 1)
+            j = rows[j][0][0]
+        else:
+            j += 1
+    return tuple(word), tuple(cur)
+
+
 def reflection_length(d: RootDatum, beta: Root) -> int:
-    """ell(s_beta) as an inversion count |{alpha in R+ : s_beta(alpha) < 0}|."""
-    count = 0
-    bvec, bco = beta.coroot, beta.coeffs
-    for alpha in d.positive_roots:
-        # s_beta(alpha) = alpha - k beta stays positive unless k > 0
-        k = sum(map(mul, alpha.fw, bvec))
-        if k > 0 and all(a <= k * b for a, b in zip(alpha.coeffs, bco)):
-            count += 1
-    return count
+    """ell(s_beta): the descent length of s_beta.rho = rho - <rho,
+    beta-vee> beta, in fw coordinates 1 - <rho, beta-vee> beta.fw_k."""
+    h = sum(beta.coroot)
+    return len(descent(d, [1 - h * b for b in beta.fw])[0])
 
 
 def quantum_roots(d: RootDatum):

@@ -7,15 +7,12 @@ of each coset, the length and canonical reduced word of w, the coweight
 w.varpi_node-vee, and the images of w that coset moves read.  No Weyl
 element and no matrix is built.
 
-Words and lengths are read off weights by one descent rule: s_j w < w
-exactly when <w.rho, alpha_j-vee> < 0, so repeatedly applying the
-smallest such s_j to w.rho spells the canonical reduced word of w, and
-the length is the number of letters.  Applied to w.lam, with lam dominant
-and stabiliser W_P, the same descent spells the minimal representative of
-w W_P.  When only the length is wanted no word is built
-(_descent_length): every descent of a weight mu takes
-#{beta > 0 : <mu, beta-vee> < 0} steps, whatever the order of the
-reflections.
+Words and lengths are read off weights by the one descent of
+rootsys.descent: s_j w < w exactly when <w.rho, alpha_j-vee> < 0, so
+repeatedly applying the smallest such s_j to w.rho spells the canonical
+reduced word of w, and the length is the number of letters.  Applied to
+w.lam, with lam dominant and stabiliser W_P, the same descent spells the
+minimal representative of w W_P.
 
 W^P is grown once, up the left weak order from the identity
 (minuscule_coset_reps).  The walk carries, for each rep w, the fw
@@ -38,7 +35,8 @@ minimal needs its length, the descent of its rho image (reflect_length,
 asked only when the coset's length can match).  w lies in W(gamma) when
 its gamma image is -theta; the Poincare dual of mu is w0.mu, whose
 coordinate at sigma(i) is -mu_i for the diagram involution sigma = -w0,
-read off the descent of -(1, 2, .., r) to -w0.(1, 2, .., r).
+read off the dominant end -w0.(1, 2, .., r) of the descent of
+-(1, 2, .., r).
 """
 
 from __future__ import annotations
@@ -46,7 +44,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import mul, sub
 
-from .rootsys import ParabolicData, Root, RootDatum, levi_data, minuscule_nodes
+from .rootsys import (
+    ParabolicData,
+    Root,
+    RootDatum,
+    descent,
+    levi_data,
+    minuscule_nodes,
+)
 
 __all__ = [
     "CosetReps",
@@ -86,56 +91,6 @@ def _reflect_coweight(d: RootDatum, j: int, cw) -> tuple:
     cw = list(cw)
     cw[j - 1] -= sum(a * cw[k] for k, a in d.cartan_rows[j - 1])
     return tuple(cw)
-
-
-def _descent_word(d: RootDatum, mu):
-    """Letters of the descent of mu to the dominant chamber: repeatedly
-    apply the smallest s_j with mu_j < 0 and record j.  A step changes
-    only the nonzero entries of row j of the Cartan matrix, so the scan
-    for the next letter resumes at the first of them."""
-    rows = d.cartan_rows
-    n = d.rank
-    cur = list(mu)
-    word = []
-    j = 0
-    while j < n:
-        c = cur[j]
-        if c < 0:
-            for k, a in rows[j]:
-                cur[k] -= c * a
-            word.append(j + 1)
-            j = rows[j][0][0]
-        else:
-            j += 1
-    return tuple(word)
-
-
-def _descend(d: RootDatum, cur: list) -> int:
-    """Descend the list cur to the dominant chamber in place; return the
-    step count.  s_j with cur_j < 0 permutes the positive roots other than
-    alpha_j, so it lowers #{beta > 0 : <cur, beta-vee> < 0} by exactly
-    one: every descent has that many steps, in any order.  The negative
-    coordinates wait on a stack, and a step touches only the nonzero
-    entries of its Cartan row; a coordinate is pushed when a step makes
-    it negative."""
-    rows = d.cartan_rows
-    stack = [j for j, x in enumerate(cur) if x < 0]
-    steps = 0
-    while stack:
-        j = stack.pop()
-        c = cur[j]
-        steps += 1
-        for k, a in rows[j]:
-            x = cur[k]
-            cur[k] = y = x - c * a
-            if y < 0 <= x:
-                stack.append(k)
-    return steps
-
-
-def _descent_length(d: RootDatum, mu) -> int:
-    """len(_descent_word(d, mu)), with no word built (see _descend)."""
-    return _descend(d, list(mu))
 
 
 @dataclass(frozen=True)
@@ -214,7 +169,7 @@ def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
             if sum(map(mul, nu, cw)) != cov[node - 1]:
                 raise AssertionError("walk coweight does not pair with its "
                                      "weight to <varpi, varpi-vee>")
-            words[nu] = _descent_word(d, nu)
+            words[nu] = descent(d, nu)[0]
             if minuscule and len(words[nu]) != len(words[mu]) + mu[j - 1]:
                 raise AssertionError("walk length is not the depth "
                                      "ht(varpi - mu) at a minuscule node")
@@ -267,7 +222,7 @@ def reflect_rho(reps: CosetReps, c: int, beta: Root) -> tuple:
 def reflect_length(d: RootDatum, reps: CosetReps, c: int, beta: Root) -> int:
     """ell(w s_beta) for w the rep at c and beta in R+ \\ R+_P: the
     descent length of w s_beta . rho (reflect_rho)."""
-    return _descent_length(d, reflect_rho(reps, c, beta))
+    return len(descent(d, reflect_rho(reps, c, beta))[0])
 
 
 def bruhat_covers_up(d: RootDatum, reps: CosetReps, c: int):
@@ -302,8 +257,7 @@ def _diagram_involution(d: RootDatum) -> tuple:
     """sigma with -w0 . varpi_i = varpi_sigma(i), 0-based: the coordinate
     i + 1 of -w0.(1, 2, .., r) lies at sigma(i)."""
     n = d.rank
-    top = [-i for i in range(1, n + 1)]
-    _descend(d, top)
+    top = descent(d, [-i for i in range(1, n + 1)])[1]
     if sorted(top) != list(range(1, n + 1)):
         raise AssertionError("-w0 does not permute the fundamental weights")
     sigma = [0] * n

@@ -85,13 +85,13 @@ from mmirror.rootsys import (
     ParabolicData,
     _cartan_matrix,
     build_root_datum,
+    descent,
     is_cominuscule,
     levi_data,
     minuscule_nodes,
     simple_root,
 )
 from mmirror.weyl import (
-    _descent_word,
     minuscule_coset_reps,
     reflect_coset,
     reflect_length,
@@ -229,7 +229,7 @@ def fundamental_coweight(d, i: int) -> tuple:
 def _make_elt(d, action, inv_action) -> WeylElt:
     """The canonical (greedy left-descent) word of w is the descent word
     of w.rho, which in fw coordinates is the row sums of the action."""
-    word = _descent_word(d, [sum(row) for row in action])
+    word = descent(d, [sum(row) for row in action])[0]
     return WeylElt(action=action, inv_action=inv_action, length=len(word),
                    word=word)
 
@@ -325,9 +325,9 @@ def longest_element(d, J=None) -> WeylElt:
     omitted): the descent word of w0_J.rho = rho - 2 rho_J, which is -rho
     for w0."""
     if J is None:
-        return from_word(d, _descent_word(d, [-1] * d.rank))
+        return from_word(d, descent(d, [-1] * d.rank)[0])
     rho_J = levi_data(d, subset=J).rho_P
-    return from_word(d, _descent_word(d, [int(1 - 2 * x) for x in rho_J]))
+    return from_word(d, descent(d, [int(1 - 2 * x) for x in rho_J])[0])
 
 
 def pd_oracle(d, reps) -> tuple:
@@ -419,7 +419,7 @@ def pi_P(d, I_P, w: WeylElt) -> WeylElt:
     spelled by the descent word of w . lam, where lam = sum of varpi_j over
     j outside I_P has stabiliser W_P."""
     lam = [0 if j + 1 in I_P else 1 for j in range(d.rank)]
-    return from_word(d, _descent_word(d, act_weight(w, lam)))
+    return from_word(d, descent(d, act_weight(w, lam))[0])
 
 
 @dataclass(frozen=True)

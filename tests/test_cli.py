@@ -398,6 +398,13 @@ def test_budget_below_one_refused(capsys, monkeypatch, argv):
         1, "", f"error: --budget {budget} is below 1\n")
 
 
+def test_gw_refuses_a_negative_degree_by_name(capsys, monkeypatch):
+    # the degree the user typed, not the power h * d it would become
+    monkeypatch.setattr(cli, "potential_typeA", _never)
+    assert run(capsys, "gw", "2", "5", "-1") == (
+        1, "", "error: degree -1 is below 0\n")
+
+
 def test_budget_of_one_is_a_budget(capsys):
     # the smallest admitted budget reaches the walk and is exceeded there
     code, out, err = run(capsys, "gw", "2", "5", "1", "--budget", "1")
@@ -911,6 +918,61 @@ def test_verify_all_names_a_defect_instead_of_crashing(capsys, monkeypatch,
     # the mutations change only the non-simply-laced types
     assert {cartan[0] for cartan, _ in failed} == {"B", "C"}
     assert all(c["pass"] for c in doc["cases"] if c["cartan"][0] in "ADE")
+
+
+def _first_quantum_doubled(build):
+    def mutated(*args):
+        M = build(*args)
+        rc = next(rc for rc, t in M.cells.items() if any(e[0] for e in t))
+        cells = dict(M.cells)
+        cells[rc] = {e: 2 * v if e[0] else v for e, v in cells[rc].items()}
+        return ConnMatrix(M.basis, M.variables, M.size, cells)
+    return mutated
+
+
+def _first_theta_dropped(build):
+    def mutated(*args):
+        M = build(*args)
+        rc = next(rc for rc, t in M.cells.items() if (1,) in t)
+        cells = dict(M.cells)
+        cells[rc] = {e: v for e, v in cells[rc].items() if e != (1,)}
+        if not cells[rc]:
+            del cells[rc]
+        return ConnMatrix(M.basis, M.variables, M.size, cells)
+    return mutated
+
+
+def _shifted_by_one(build):
+    def mutated(d, reps):
+        return tuple((i + 1) % len(reps) for i in build(d, reps))
+    return mutated
+
+
+@pytest.mark.parametrize("name,mutate,cases,killed", [
+    # the Chevalley side: the first quantum cell's q-term doubled
+    ("fw_matrix", _first_quantum_doubled, 58, {
+        "mirror": 55, "equivariant": 55, "poincare": 35, "period": 20,
+        "projective_period": 19, "constant_term": 16, "fw_products": 3,
+        "gr24_products": 1, "x6_relation": 1, "d4_scalar": 1}),
+    # the representation side: the first x_theta (q) term dropped
+    ("fg_connection", _first_theta_dropped, 55,
+     {"mirror": 55, "equivariant": 55}),
+    # Poincare duality off by one index
+    ("pd", _shifted_by_one, 55, {"poincare": 55}),
+], ids=["chevalley", "rep", "poincare"])
+def test_verify_all_kills_each_mutation(capsys, monkeypatch, name, mutate,
+                                        cases, killed):
+    # one wrong term or index in one layer fails exactly these checks,
+    # by name, and the verdict is still whole JSON
+    monkeypatch.setattr(cli, name, mutate(getattr(cli, name)))
+    code, doc = run_json(capsys, "verify", "--all")
+    assert code == 1 and doc["pass"] is False
+    assert doc["counts"]["cases"] == len(doc["cases"]) == 58
+    assert sum(not c["pass"] for c in doc["cases"]) == cases
+    failed = Counter(ch["name"] for c in doc["cases"]
+                     for ch in c["checks"] if not ch["pass"])
+    assert failed == killed
+    assert doc["counts"]["failed"] == sum(killed.values())
 
 
 def test_failed_lazy_build_runs_once_per_case(capsys, monkeypatch):

@@ -344,6 +344,31 @@ def test_potential_independent_of_chevalley_side(monkeypatch):
     assert constant_term_power(pot, 7) == math.factorial(7) * 10
 
 
+def test_crystal_route_runs_without_weyl(monkeypatch):
+    # the potential shares only the root datum with the Chevalley side:
+    # with every callable of mmirror.weyl refused, wherever a module of
+    # the package binds it, the potentials and their degree-one numbers
+    # are unchanged
+    cases = [("A", 4, 2), ("D", 5, 5), ("E", 6, 1)]
+    pots = [minuscule_potential(datum(f, r), node) for f, r, node in cases]
+    gws = [gw_from_constant_term(pot, 1) for pot in pots]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("crystal route called into mmirror.weyl")
+
+    weyl = sys.modules["mmirror.weyl"]
+    for name, module in list(sys.modules.items()):
+        if name == "mmirror" or name.startswith("mmirror."):
+            for attr, value in list(vars(module).items()):
+                if callable(value) and (
+                        module is weyl
+                        or getattr(value, "__module__", None) == weyl.__name__):
+                    monkeypatch.setattr(module, attr, refused)
+    assert [minuscule_potential(datum(f, r), node)
+            for f, r, node in cases] == pots
+    assert [gw_from_constant_term(pot, 1) for pot in pots] == gws
+
+
 # ----------------------------------------------------------- constant terms
 
 def test_ct_trivial_power():

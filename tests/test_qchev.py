@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmirror import qchev, weyl
-from mmirror.rootsys import CartanType, build_root_datum
+from mmirror.rootsys import CartanType, build_root_datum, reflection_length
 from mmirror.qchev import (
     ConnMatrix,
     LaurentPoly,
@@ -27,7 +27,6 @@ from mmirror.weyl import (
     minuscule_coset_reps,
     pd,
     reflect_coset,
-    reflect_length,
     w_gamma_set,
 )
 from reference import (
@@ -374,7 +373,7 @@ def test_lengths_asked_only_where_a_term_is_possible(monkeypatch):
     pairs = covers = quantum = 0
     quantum_roots = set()
     for beta in roots:
-        ell_s = reflect_length(d, reps, 0, beta)
+        ell_s = reflection_length(d, beta)
         drop = sum(map(mul, two_rho_diff, beta.coroot))
         for c, ell in enumerate(reps.lengths):
             up = reps.lengths[reflect_coset(reps, c, beta)]
@@ -396,7 +395,8 @@ def test_lengths_asked_only_where_a_term_is_possible(monkeypatch):
 
     counting(qchev, "reflect_coset", lookups)
     counting(weyl, "reflect_coset", lookups)
-    counting(weyl, "_descent_length", descents)
+    counting(weyl, "descent", descents)
+    counting(qchev, "reflection_length", descents)
     fw_matrix(d, reps, 7)
     assert len(lookups) == pairs == 96
     assert len(descents) == len(quantum_roots) + quantum == 1 + 12 == 13

@@ -10,13 +10,12 @@ from mmirror.qchev import fw_matrix
 from mmirror.rootsys import (
     CartanType,
     build_root_datum,
+    descent,
     levi_data,
     minuscule_nodes,
     simple_root,
 )
 from mmirror.weyl import (
-    _descent_length,
-    _descent_word,
     _diagram_involution,
     bruhat_covers_up,
     minuscule_coset_reps,
@@ -276,15 +275,18 @@ def test_length_is_not_depth_at_the_quadric_node(monkeypatch):
 
 @pytest.mark.parametrize("ct", TABLE_TYPES)
 def test_descent_length_is_descent_word_length(ct):
-    # on w s_beta . rho = w.rho - <rho, beta-vee> w.beta for every
-    # (column, root) pair, which is what reflect_length descends
+    # every w s_beta . rho = w.rho - <rho, beta-vee> w.beta, which is what
+    # reflect_length descends, descends to rho in reflect_length letters
     d, cases = _table_cases(ct)
+    rho = (1,) * d.rank
     for reps in cases:
         for c, img in enumerate(reps.images):
             for beta in reps.roots:
                 h = sum(beta.coroot)
                 v = [r - h * b for r, b in zip(img[0], img[reps.slot(beta)])]
-                assert _descent_length(d, v) == len(_descent_word(d, v)), \
+                word, end = descent(d, v)
+                assert end == rho, (c, beta)
+                assert len(word) == reflect_length(d, reps, c, beta), \
                     (c, beta)
 
 
@@ -313,13 +315,17 @@ def test_walk_refuses_a_coweight_off_its_weight(monkeypatch, ct, node, step):
 
 
 def test_descent_length_of_any_weight():
-    # the count does not depend on the order of the steps, also for
-    # weights on a wall and for the zero weight
+    # the descent ends dominant in #{beta > 0 : <mu, beta-vee> < 0}
+    # letters, whatever the weight: also on a wall, and none for zero
     d = D("E6")
     for mu in [(0,) * 6, (-1, 0, 0, 0, 0, 0), (0, -1, 0, 2, -3, 0),
                (-1,) * 6, (2, -1, 0, -1, 1, -2)]:
-        assert _descent_length(d, mu) == len(_descent_word(d, mu)), mu
-    assert _descent_length(d, (-1,) * 6) == 36
+        word, end = descent(d, mu)
+        assert min(end) >= 0, mu
+        assert len(word) == sum(sum(map(mul, mu, beta.coroot)) < 0
+                                for beta in d.positive_roots), mu
+    assert len(descent(d, (-1,) * 6)[0]) == 36
+    assert descent(d, (0,) * 6) == ((), (0,) * 6)
 
 
 def test_levi_root_has_no_coset_move():
