@@ -159,7 +159,7 @@ def _refuse_large_datum(ct: CartanType) -> None:
 
 
 def _refuse_bad_budget(budget: int) -> None:
-    """Raise ValueError for a constant-term walk budget below 1."""
+    """Raise ValueError for a constant-term budget below 1."""
     if budget < 1:
         raise ValueError(f"--budget {budget} is below 1")
 
@@ -754,8 +754,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="override the per-case series depth (at most "
                         f"{MAX_PERIOD_DEGREE})")
     p.add_argument("--budget", type=int, default=10_000_000,
-                   help="constant-term walk budget: the most candidates "
-                        "(state, count) the quantum-term walk may try")
+                   help="constant-term budget: the most term products "
+                        "the powers of the quantum part may form")
     add_output(p)
 
     p = sub.add_parser("potential", help="dump a Grassmannian potential")
@@ -777,8 +777,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("d", type=int)
     p.add_argument("--budget", type=int, default=10_000_000,
-                   help="the most candidates (state, count) the "
-                        "quantum-term walk may try")
+                   help="the most term products the powers of the "
+                        "quantum part may form")
     add_output(p)
 
     p = sub.add_parser("scalar-ode", help="cyclic-vector scalar operator")

@@ -12,19 +12,20 @@ taken in the minuscule representation at the dual node, in integers
 case A_{n-1}.
 
 Constant terms of powers of the potential then compute genus-zero
-Gromov-Witten invariants (:func:`constant_term_power`), which is the
-bridge tested against the connection-matrix recursion in
-:mod:`mmirror.period_gw`.
+Gromov-Witten invariants, CT(W^{hd}) / (hd)! = c_d
+(:func:`gw_from_constant_term`), which is the bridge tested against the
+connection-matrix recursion in :mod:`mmirror.period_gw`.  The constant
+term is read off the powers Q^j of the quantum part for the j in a
+degree window (:func:`constant_term_power`); on a minuscule potential
+the window is the single power j = d.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import add, floordiv, itemgetter, mul, neg
+from operator import add, neg
 from typing import Tuple
 
 from .qchev import LaurentPoly
@@ -42,8 +43,8 @@ MAX_POTENTIAL_VARS = 12
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when a constant-term walk tries more candidates than its
-    budget allows."""
+    """Raised when forming the powers of the quantum part for a constant
+    term needs more term products than its budget allows."""
 
 
 # --------------------------------------------------------------------------
@@ -171,64 +172,27 @@ def potential_typeA(k: int, n: int) -> Potential:
 # constant terms and Gromov-Witten numbers
 # --------------------------------------------------------------------------
 
-def _constraint_tables(steps, nvar: int) -> list:
-    """Per step, the rows v + c k >= 0, v = +-a + q r, of the walk's
-    bounds on (*acc, *-acc, 0), sorted by k, as (getter, q, divisors, nu,
-    nz), with c <= r twice (so the getter returns a tuple), 0 >= 0 and
-    c >= 0; nz is None if only upper bounds are left.  After the first
-    step a zero row is dropped: the step before held it."""
-    dim = nvar + 1
-    free = [i for i, col in enumerate(zip(*steps))
-            if nvar > 1 and i < nvar and max(col) <= 0]
-    kept = [i for i in range(dim) if i not in free]
-    bound = [(int(nvar == 1), 1)] * (len(kept) - 1) + [(0, 0)]
-    tables = []
-    for t in reversed(range(len(steps))):
-        step = steps[t]
-        rows = [(2 * dim, 1, -1)] * 2 + [(2 * dim, 0, 0), (2 * dim, 0, 1)]
-        for i, (l, h) in zip(kept, bound if nvar else ()):
-            s = step[i]
-            rows += [row for row in ((i, h, s - h), (dim + i, -l, l - s))
-                     if row[2] or not t]
-        rows.sort(key=itemgetter(2))
-        index, q, slope = zip(*rows)
-        nu, nz = bisect_left(slope, 0), bisect_right(slope, 0)
-        if len(rows) == nu + 2:     # past the upper bounds 0 >= 0, c >= 0
-            index, q, slope, nz = index[:nu], q[:nu], slope[:nu], None
-        tables.append((itemgetter(*free, *index), (1,) * len(free) + q,
-                       (*(1 - step[i] for i in free),
-                        *(abs(k) or 1 for k in slope)),
-                       len(free) + nu, nz and len(free) + nz))
-        bound = [(min(l, step[i]), max(h, step[i]))
-                 for i, (l, h) in zip(kept, bound)]
-    return tables[::-1]
-
-
 def constant_term_power(pot: Potential, m: int,
                         budget: int = 10_000_000) -> Fraction:
-    """Constant term of ``f_1^m`` by a memoized walk over the quantum terms.
+    """Constant term of ``f_1^m`` over powers of the quantum part.
 
-    The walk picks how often each quantum term is used, one term at a
-    time, and merges paths that reach the same state (remaining power r,
-    exponent a, last the degree sum(a) + r, which term t moves by
-    deg(t) - 1).  The linear part sum b_i x_i then has forced
-    counts v = -a, and a state adds ``r! / prod v_i! * prod b_i^{v_i}``
-    when v >= 0 and |v| = r.  Weights are integers: a state at r holds
-    its weight times B^(m-r), B the lcm of the quantum denominators.
+    With f_1 = L + Q, L = sum b_i x_i the linear part, the binomial
+    theorem gives CT(f_1^m) = sum_j C(m, j) CT(Q^j L^(m-j)), and
+    L^(m-j) holds x^v with coefficient (m-j)! / prod v_i! * prod b_i^v_i
+    for v >= 0, |v| = m - j.  So an exponent e of Q^j adds
+    ``[Q^j]_e (m-j)! prod b_i^(-e_i) / (-e_i)!`` when e <= 0 and
+    sum(e) = j - m.  The exponent sums of Q^j lie between j min sigma
+    and j max sigma, sigma_t the exponent sum of quantum term t, so only
+    the degree window J = {j : j min sigma <= j - m <= j max sigma} can
+    add.  For a potential homogeneous of degree one with deg q = h every
+    sigma_t is 1 - h, and J = {m / h}, empty unless h divides m.
 
-    With s the step and l, h the least and greatest entry of a coordinate
-    over the later terms and the linear part, a count c is kept iff
-    a + c s + (r - c) l <= 0 <= a + c s + (r - c) h.  Each bound reads
-    v + c k >= 0: c <= v // -k if k < 0, c >= -(v // k) if k > 0, v >= 0
-    if k = 0, so tables built once per walk give a state its interval by
-    minima, with no sign test.  A variable no term raises keeps only
-    c <= (a + r) // (1 - s): it stays <= 0, and with two or more
-    variables l <= 0 and h = 1.
-
-    The states are held in layers by r; each layer charges r + 1 units of
-    ``budget`` per state, one per candidate (state, count), before any is
-    walked.  Raises ValueError if the linear part is not one unit
-    monomial per variable.
+    Q^j = Q^(j-1) Q is a merged dict with integer coefficients: Q is
+    scaled by B, the lcm of its denominators, and Q^j carries B^j.
+    Forming Q^j charges |Q^(j-1)| |Q| units of ``budget``, one per term
+    product, before it is built; no power past max J is formed.
+    Raises ValueError if the linear part is not one unit monomial per
+    variable.
     """
     if m < 0:
         raise ValueError("power must be nonnegative")
@@ -237,65 +201,47 @@ def constant_term_power(pot: Potential, m: int,
     if set(pot.linear.terms) != set(units):
         raise ValueError("the linear part must be one unit monomial per "
                          "variable")
-    quantum = sorted(pot.quantum.terms.items())
-    scale = math.lcm(*(c.denominator for _, c in quantum))
-    steps = [e + (sum(e) - 1,) for e, _ in quantum]
-    tables = _constraint_tables(steps, nvar)
-
-    candidates = 0
-    layers = [{} for _ in range(m + 1)]   # layers[r]: acc -> weight
-    layers[m][(0,) * nvar + (m,)] = 1
-    for (_, coeff), step, (pick, q, dens, nu, nz) in zip(quantum, steps,
-                                                         tables):
-        c_t = coeff.numerator * (scale // coeff.denominator)
-        following = [{} for _ in range(m + 1)]
-        for r, layer in enumerate(layers):
-            if not layer:
-                continue
-            candidates += (r + 1) * len(layer)
-            if candidates > budget:
-                raise BudgetExceeded(
-                    f"constant-term walk needs more than its budget "
-                    f"of {budget} candidates"
-                )
-            offsets = tuple(map(mul, q, repeat(r)))
-            for acc, weight in layer.items():
-                w = map(floordiv, map(add, pick((*acc, *map(neg, acc), 0)),
-                                      offsets), dens)
-                if nz is None:
-                    cmin, cmax = 0, min(w)
-                else:
-                    w = tuple(w)
-                    cmin, cmax = -min(w[nz:]), min(w[:nu])
-                    if min(w[nu:nz]) < 0:
-                        continue
-                if cmin > cmax:
-                    continue
-                shifted = tuple(a + cmin * s for a, s in zip(acc, step)
-                                ) if cmin else acc
-                piece = weight * math.comb(r, cmin) * c_t ** cmin
-                for count in range(cmin, cmax + 1):
-                    out = following[r - count]
-                    out[shifted] = out.get(shifted, 0) + piece
-                    piece = piece * c_t * (r - count) // (count + 1)
-                    shifted = tuple(map(add, shifted, step))
-        layers = following
+    quantum = pot.quantum.terms
+    scale = math.lcm(*(c.denominator for c in quantum.values()))
+    scaled = [(e, c.numerator * (scale // c.denominator))
+              for e, c in quantum.items()]
+    sigma = [sum(e) for e in quantum]
+    lo, hi = min(sigma, default=0), max(sigma, default=0)
+    window = [j for j in range(m + 1) if j * lo <= j - m <= j * hi]
 
     lin_scale = math.lcm(*(b.denominator for b in pot.linear.terms.values()))
     b_scaled = [b.numerator * (lin_scale // b.denominator)
                 for b in map(pot.linear.terms.get, units)]
-    sums: dict = {}
-    for r, layer in enumerate(layers):
-        for acc, weight in layer.items():
-            v = tuple(map(neg, acc[:nvar]))
-            if min(v, default=0) < 0 or sum(v) != r:
+    products = 0
+    power = {(0,) * nvar: 1}             # Q^j times B^j
+    total = Fraction(0)
+    for j in range(max(window, default=-1) + 1):
+        if j:
+            products += len(power) * len(scaled)
+            if products > budget:
+                raise BudgetExceeded(
+                    f"constant-term route needs more than its budget "
+                    f"of {budget} term products"
+                )
+            following = {}
+            for e, c in power.items():
+                for f, c_t in scaled:
+                    key = tuple(map(add, e, f))
+                    following[key] = following.get(key, 0) + c * c_t
+            power = following
+        if j not in window:
+            continue
+        r = m - j
+        s = 0
+        for e, c in power.items():
+            if max(e, default=0) > 0 or sum(e) != -r:
                 continue
-            sums[r] = sums.get(r, 0) + weight * math.prod(
-                map(pow, b_scaled, v)) * (math.factorial(r) // math.prod(
-                    map(math.factorial, v)))
-    # a state at r carries B^(m - r), and its linear factors lin_scale^r
-    return sum((Fraction(s, scale ** (m - r) * lin_scale ** r)
-                for r, s in sums.items()), Fraction(0))
+            v = tuple(map(neg, e))
+            s += c * math.prod(map(pow, b_scaled, v)) * (
+                math.factorial(r) // math.prod(map(math.factorial, v)))
+        # Q^j carries B^j, and the linear factors lin_scale^r
+        total += Fraction(math.comb(m, j) * s, scale ** j * lin_scale ** r)
+    return total
 
 
 def gw_from_constant_term(pot: Potential, d: int,

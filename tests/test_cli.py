@@ -162,7 +162,7 @@ def test_gw_golden_gr37_degree_two(capsys):
 
 
 def test_gw_budget_exceeded(capsys):
-    code, out, err = run(capsys, "gw", "2", "5", "1", "--budget", "10")
+    code, out, err = run(capsys, "gw", "2", "5", "1", "--budget", "2")
     assert code == 1
     assert out == ""
     assert "budget" in err
@@ -406,7 +406,7 @@ def test_gw_refuses_a_negative_degree_by_name(capsys, monkeypatch):
 
 
 def test_budget_of_one_is_a_budget(capsys):
-    # the smallest admitted budget reaches the walk and is exceeded there
+    # the smallest admitted budget reaches the route and is exceeded there
     code, out, err = run(capsys, "gw", "2", "5", "1", "--budget", "1")
     assert code == 1 and out == ""
     assert "budget" in err and "below 1" not in err
@@ -948,6 +948,23 @@ def _shifted_by_one(build):
     return mutated
 
 
+def _first_linear_dropped(build):
+    def mutated(*args):
+        pot = build(*args)
+        terms = dict(pot.linear.terms)
+        del terms[max(terms)]
+        return dataclasses.replace(pot, linear=LaurentPoly(pot.variables,
+                                                           terms))
+    return mutated
+
+
+def _quantum_doubled(build):
+    def mutated(*args):
+        pot = build(*args)
+        return dataclasses.replace(pot, quantum=2 * pot.quantum)
+    return mutated
+
+
 @pytest.mark.parametrize("name,mutate,cases,killed", [
     # the Chevalley side: the first quantum cell's q-term doubled
     ("fw_matrix", _first_quantum_doubled, 58, {
@@ -959,7 +976,12 @@ def _shifted_by_one(build):
      {"mirror": 55, "equivariant": 55}),
     # Poincare duality off by one index
     ("pd", _shifted_by_one, 55, {"poincare": 55}),
-], ids=["chevalley", "rep", "poincare"])
+    # the crystal side: the linear term of a1 dropped, which the constant
+    # term refuses, and the quantum part doubled, which scales c_d by 2^d
+    ("minuscule_potential", _first_linear_dropped, 25, {"constant_term": 25}),
+    ("minuscule_potential", _quantum_doubled, 25, {"constant_term": 25}),
+], ids=["chevalley", "rep", "poincare", "potential-linear",
+        "potential-quantum"])
 def test_verify_all_kills_each_mutation(capsys, monkeypatch, name, mutate,
                                         cases, killed):
     # one wrong term or index in one layer fails exactly these checks,
