@@ -9,7 +9,9 @@ where u = x_{i_1}(a_1) ... x_{i_l}(a_l) runs over a reduced word of the
 longest minimal coset representative w^P, and the matrix coefficients are
 taken in the minuscule representation at the dual node, in integers
 (:func:`unipotent_vector`).  The type-A Grassmannian potentials are the
-case A_{n-1}.
+case A_{n-1}.  A potential is held as two terms dicts with int
+coefficients, the linear part and the quantum part, and is rendered
+through the qchev.LaurentPoly view.
 
 Constant terms of powers of the potential then compute genus-zero
 Gromov-Witten invariants, CT(W^{hd}) / (hd)! = c_d
@@ -53,16 +55,24 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class Potential:
-    """Superpotential ``f_q = linear + q * quantum`` with deg q = coxeter."""
+    """Superpotential ``f_q = linear + q * quantum`` with deg q = coxeter.
+
+    linear and quantum are terms dicts over ``variables``, {exponent
+    tuple: nonzero coefficient}: ints on a minuscule potential, any
+    rationals on a potential given by hand."""
 
     variables: Tuple[str, ...]
-    linear: LaurentPoly
-    quantum: LaurentPoly
+    linear: dict
+    quantum: dict
     coxeter: int
 
     def f_one(self) -> LaurentPoly:
-        """The potential with q specialized to 1."""
-        return self.linear + self.quantum
+        """The potential with q specialized to 1, as a view for output."""
+        terms = dict(self.linear)
+        for e, c in self.quantum.items():
+            terms[e] = terms.get(e, 0) + c
+        return LaurentPoly(self.variables,
+                           {e: c for e, c in terms.items() if c})
 
 
 def top_coset_word(d: RootDatum, node: int) -> Tuple[tuple, tuple]:
@@ -105,8 +115,9 @@ def minuscule_potential(d: RootDatum, node: int) -> Potential:
     The quantum part is <v_top, x_theta u v_low> / <v_top, u v_low> in the
     representation at the dual node node*, whose lowest weight is
     -varpi_node and highest varpi_{node*}; the denominator must be a
-    monomial and every quantum coefficient positive.  The result must be
-    homogeneous of degree one under a_m -> z a_m, q -> z^c q (c the
+    monomial whose coefficient divides every numerator coefficient with
+    a positive quotient, so every coefficient is an int.  The result must
+    be homogeneous of degree one under a_m -> z a_m, q -> z^c q (c the
     Coxeter number): each a_m has degree one, so every quantum exponent
     e needs sum(e) + c = 1.
     """
@@ -131,7 +142,10 @@ def minuscule_potential(d: RootDatum, node: int) -> Potential:
     (den_mask, den_coeff), = den.items()
     quantum = {}
     for mask, coeff in vec.get(source, {}).items():
-        value = Fraction(coeff, den_coeff)
+        value, rest = divmod(coeff, den_coeff)
+        if rest:
+            raise ArithmeticError("quantum part has a coefficient that "
+                                  "is not an integer")
         if value <= 0:
             raise ArithmeticError("quantum part has a non-positive "
                                   "coefficient")
@@ -143,11 +157,8 @@ def minuscule_potential(d: RootDatum, node: int) -> Potential:
         quantum[exps] = value
 
     variables = tuple(f"a{m + 1}" for m in range(ell))
-    linear = {tuple(int(j == m) for j in range(ell)): Fraction(1)
-              for m in range(ell)}
-    return Potential(variables, LaurentPoly._clean(variables, linear),
-                     LaurentPoly._clean(variables, quantum),
-                     d.coxeter_number)
+    linear = {tuple(int(j == m) for j in range(ell)): 1 for m in range(ell)}
+    return Potential(variables, linear, quantum, d.coxeter_number)
 
 
 def refuse_large_grassmannian(k: int, n: int) -> None:
@@ -197,11 +208,13 @@ def constant_term_power(pot: Potential, m: int,
     if m < 0:
         raise ValueError("power must be nonnegative")
     nvar = len(pot.variables)
-    units = [tuple(int(j == i) for j in range(nvar)) for i in range(nvar)]
-    if set(pot.linear.terms) != set(units):
+    # b_i by the position of the 1 in each unit key
+    b = {e.index(1): c for e, c in pot.linear.items()
+         if len(e) == nvar and e.count(0) == nvar - 1 and 1 in e}
+    if len(b) != nvar or len(pot.linear) != nvar:
         raise ValueError("the linear part must be one unit monomial per "
                          "variable")
-    quantum = pot.quantum.terms
+    quantum = pot.quantum
     scale = math.lcm(*(c.denominator for c in quantum.values()))
     scaled = [(e, c.numerator * (scale // c.denominator))
               for e, c in quantum.items()]
@@ -209,9 +222,9 @@ def constant_term_power(pot: Potential, m: int,
     lo, hi = min(sigma, default=0), max(sigma, default=0)
     window = [j for j in range(m + 1) if j * lo <= j - m <= j * hi]
 
-    lin_scale = math.lcm(*(b.denominator for b in pot.linear.terms.values()))
-    b_scaled = [b.numerator * (lin_scale // b.denominator)
-                for b in map(pot.linear.terms.get, units)]
+    lin_scale = math.lcm(*(c.denominator for c in b.values()))
+    b_scaled = [c.numerator * (lin_scale // c.denominator)
+                for c in map(b.get, range(nvar))]
     products = 0
     power = {(0,) * nvar: 1}             # Q^j times B^j
     total = Fraction(0)
@@ -258,6 +271,6 @@ def potential_to_json(pot: Potential) -> dict:
     return {
         "variables": list(pot.variables),
         "coxeter": pot.coxeter,
-        "linear": pot.linear.termlist(),
-        "quantum": pot.quantum.termlist(),
+        "linear": LaurentPoly(pot.variables, pot.linear).termlist(),
+        "quantum": LaurentPoly(pot.variables, pot.quantum).termlist(),
     }

@@ -1,4 +1,4 @@
-"""Quantum Chevalley connection matrices, exact over Laurent polynomials.
+"""Quantum Chevalley connection matrices, exact, as Laurent terms dicts.
 
 The operator "multiply by the degree-one Schubert class" acting on the
 cohomology of G/P is assembled by one rule, the quantum Chevalley formula
@@ -23,8 +23,10 @@ Matrices use the column convention: column w holds the expansion of the
 operator applied to the basis class sigma_w.  A ConnMatrix is held as its
 nonzero cells only, about (rank + 1) per column, each the plain terms dict
 of its entry; every consumer (equality, the invariants, products) walks
-those dicts.  LaurentPoly serves the potentials, the relation that
-matrix_relation evaluates and the dense table, a view for output.
+those dicts, and so does matrix_relation, which takes its polynomial
+in (X, q) as a terms dict too.  LaurentPoly is no ring: it views a terms
+dict over named variables for output (the dense table, the rendered
+potentials) and has no arithmetic.
 """
 
 from __future__ import annotations
@@ -51,119 +53,30 @@ __all__ = [
 
 
 class LaurentPoly:
-    """Multivariate Laurent polynomial with exact rational coefficients.
+    """A terms dict over named variables, viewed for output.
 
     terms maps integer exponent tuples (one slot per variable, negatives
-    allowed) to nonzero Fractions, or to nonzero ints where _clean wraps
-    a connection-matrix cell as it is.
+    allowed) to nonzero int or Fraction coefficients and is kept as
+    given: the library computes on terms dicts themselves, and this view
+    only renders and compares them.
     """
 
     __slots__ = ("variables", "terms")
 
     def __init__(self, variables, terms=None):
         self.variables = tuple(variables)
-        clean = {}
-        for exps, coeff in (terms or {}).items():
-            c = Fraction(coeff)
-            if c != 0:
-                key = tuple(int(e) for e in exps)
-                if len(key) != len(self.variables):
-                    raise ValueError("exponent arity mismatch")
-                clean[key] = clean.get(key, Fraction(0)) + c
-        self.terms = {k: v for k, v in clean.items() if v != 0}
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def _clean(cls, variables: tuple, terms: dict) -> "LaurentPoly":
-        """Wrap ``terms`` as they are: the caller guarantees int-tuple
-        exponents of the arity of ``variables`` (a tuple) and nonzero
-        int or Fraction coefficients, so nothing is normalised or copied."""
-        poly = cls.__new__(cls)
-        poly.variables = variables
-        poly.terms = terms
-        return poly
-
-    @classmethod
-    def const(cls, variables, value):
-        return cls(variables, {(0,) * len(tuple(variables)): value})
-
-    @classmethod
-    def var(cls, variables, name, power=1, coeff=1):
-        variables = tuple(variables)
-        exps = [0] * len(variables)
-        exps[variables.index(name)] = power
-        return cls(variables, {tuple(exps): Fraction(coeff)})
-
-    # -- ring structure ------------------------------------------------
-
-    def _check(self, other):
-        if self.variables != other.variables:
-            raise ValueError("variable mismatch")
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentPoly):
-            other = LaurentPoly.const(self.variables, other)
-        self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return LaurentPoly(self.variables, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly(self.variables, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentPoly):
-            other = LaurentPoly.const(self.variables, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, LaurentPoly):
-            c = Fraction(other)
-            return LaurentPoly(
-                self.variables, {k: v * c for k, v in self.terms.items()}
-            )
-        self._check(other)
-        out = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                out[k] = out.get(k, Fraction(0)) + v1 * v2
-        return LaurentPoly(self.variables, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power: invert explicitly")
-        result = LaurentPoly.const(self.variables, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        self.terms = {} if terms is None else terms
 
     def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return self.terms == LaurentPoly.const(self.variables, other).terms
-        return self.variables == other.variables and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        return (isinstance(other, LaurentPoly)
+                and self.variables == other.variables
+                and self.terms == other.terms)
 
     def is_zero(self):
+        """True for the zero polynomial.  The benchmark tracer
+        (perfbench/tracing.py) counts the nonzero entries of the dense
+        table by it."""
         return not self.terms
-
-    # -- output ----------------------------------------------------------
 
     def render(self):
         """Canonical human/CSV form, terms in lexicographic exponent order."""
@@ -207,7 +120,7 @@ class ConnMatrix:
         """The dense n x n table of LaurentPoly, for output only."""
         zero = LaurentPoly(self.variables)
         n = self.size
-        cells = {rc: LaurentPoly._clean(self.variables, terms)
+        cells = {rc: LaurentPoly(self.variables, terms)
                  for rc, terms in self.cells.items()}
         return tuple(tuple(cells.get((r, c), zero) for c in range(n))
                      for r in range(n))
@@ -348,13 +261,10 @@ def mihalcea_equivariant(d: RootDatum, M: ConnMatrix,
     return lift_equivariant(M, rows, den)
 
 
-def matrix_relation(M: ConnMatrix, relation: LaurentPoly) -> bool:
-    """Evaluate a polynomial in (X, q) at X = M, q = the scalar variable,
-    and report exact vanishing."""
-    if set(relation.variables) - {"X", "q"}:
-        raise ValueError("relation must involve only X and q")
-    xi = relation.variables.index("X") if "X" in relation.variables else None
-    qi = relation.variables.index("q") if "q" in relation.variables else None
+def matrix_relation(M: ConnMatrix, relation: dict) -> bool:
+    """Evaluate a polynomial in (X, q), given as terms {(a, b): coeff}
+    for coeff X^a q^b, at X = M, q = the scalar variable, and report
+    exact vanishing."""
     qm = M.variables.index("q")
     powers = {0: ConnMatrix(M.basis, M.variables, M.size,
                             {(i, i): {(0,) * len(M.variables): 1}
@@ -366,9 +276,7 @@ def matrix_relation(M: ConnMatrix, relation: LaurentPoly) -> bool:
         return powers[k]
 
     acc = {}   # (row, col, exponent) -> coefficient
-    for exps, coeff in relation.terms.items():
-        a = exps[xi] if xi is not None else 0
-        b = exps[qi] if qi is not None else 0
+    for (a, b), coeff in relation.items():
         if a < 0 or b < 0:
             raise ValueError("relation must be polynomial")
         for (r, c), terms in mat_power(a).cells.items():

@@ -35,8 +35,11 @@ and x_theta as dense matrices, from the weights alone; ``space_dim`` is
 the dimension of G/P; ``zeta_rescaling_consistent`` checks the
 homogeneity of a connection form.
 
-For Laurent polynomials: ``subs`` evaluates one at rationals and
-``weighted_degree`` reads its common weighted degree.
+For Laurent polynomials: ``LaurentPoly`` is the ring over the library's
+output view of a terms dict, with exact Fraction coefficients normalised
+on construction, the oracle that the terms-dict arithmetic is checked
+against; ``subs`` evaluates one at rationals and ``weighted_degree``
+reads its common weighted degree.
 
 For the crystal-potential builder: ``reference_unipotent_vector`` is the
 generic ``LaurentPoly`` walk that the integer builder is checked against;
@@ -63,6 +66,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from operator import mul
 
+from mmirror import qchev
 from mmirror.crystal_potential import Potential
 from mmirror.minrep import root_step
 from mmirror.period_gw import (
@@ -75,7 +79,6 @@ from mmirror.period_gw import (
 )
 from mmirror.qchev import (
     ConnMatrix,
-    LaurentPoly,
     fw_matrix,
     matrix_relation,
     mihalcea_equivariant,
@@ -566,6 +569,85 @@ def zeta_rescaling_consistent(rep, M: ConnMatrix) -> bool:
 
 # ------------------------------------------------------ Laurent polynomials
 
+class LaurentPoly(qchev.LaurentPoly):
+    """Multivariate Laurent polynomial with exact rational coefficients:
+    terms maps integer exponent tuples to nonzero Fractions.  Any
+    qchev.LaurentPoly view is an operand."""
+
+    __slots__ = ()
+
+    def __init__(self, variables, terms=None):
+        super().__init__(variables)
+        clean = {}
+        for exps, coeff in (terms or {}).items():
+            key = tuple(int(e) for e in exps)
+            if len(key) != len(self.variables):
+                raise ValueError("exponent arity mismatch")
+            clean[key] = clean.get(key, Fraction(0)) + Fraction(coeff)
+        self.terms = {k: v for k, v in clean.items() if v != 0}
+
+    @classmethod
+    def const(cls, variables, value):
+        return cls(variables, {(0,) * len(tuple(variables)): value})
+
+    @classmethod
+    def var(cls, variables, name, power=1, coeff=1):
+        variables = tuple(variables)
+        exps = [0] * len(variables)
+        exps[variables.index(name)] = power
+        return cls(variables, {tuple(exps): coeff})
+
+    def _operand(self, other):
+        """other as a LaurentPoly over self.variables: a constant, or a
+        terms dict viewed over the same variables."""
+        if not isinstance(other, qchev.LaurentPoly):
+            return LaurentPoly.const(self.variables, other)
+        if self.variables != other.variables:
+            raise ValueError("variable mismatch")
+        return LaurentPoly(other.variables, other.terms)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, v in self._operand(other).terms.items():
+            out[k] = out.get(k, 0) + v
+        return LaurentPoly(self.variables, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return LaurentPoly(self.variables,
+                           {k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._operand(other))
+
+    def __mul__(self, other):
+        other = self._operand(other)
+        out = {}
+        for k1, v1 in self.terms.items():
+            for k2, v2 in other.terms.items():
+                k = tuple(a + b for a, b in zip(k1, k2))
+                out[k] = out.get(k, 0) + v1 * v2
+        return LaurentPoly(self.variables, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        """Square and multiply: one square per bit after the leading
+        one and one product per set bit."""
+        if n < 0:
+            raise ValueError("negative power: invert explicitly")
+        result = LaurentPoly.const(self.variables, 1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+
 def subs(p: LaurentPoly, assignments) -> Fraction:
     """Full evaluation of p; every variable must receive a value."""
     total = Fraction(0)
@@ -616,9 +698,9 @@ def potential_full(pot: Potential) -> LaurentPoly:
     """f_q as a Laurent polynomial over ("q",) + variables."""
     ext = ("q",) + pot.variables
     terms = {}
-    for exps, coeff in pot.linear.terms.items():
+    for exps, coeff in pot.linear.items():
         terms[(0,) + exps] = coeff
-    for exps, coeff in pot.quantum.terms.items():
+    for exps, coeff in pot.quantum.items():
         key = (1,) + exps
         terms[key] = terms.get(key, Fraction(0)) + coeff
     return LaurentPoly(ext, terms)
@@ -643,12 +725,8 @@ def potential_projective(n: int) -> Potential:
     if n < 1:
         raise ValueError("n must be positive")
     variables = tuple(f"x{m + 1}" for m in range(n))
-    linear = LaurentPoly(variables, {
-        tuple(int(j == m) for j in range(n)): Fraction(1) for m in range(n)
-    })
-    quantum = LaurentPoly(variables, {tuple(-1 for _ in range(n)):
-                                      Fraction(1)})
-    return Potential(variables, linear, quantum, n + 1)
+    linear = {tuple(int(j == m) for j in range(n)): 1 for m in range(n)}
+    return Potential(variables, linear, {(-1,) * n: 1}, n + 1)
 
 
 # ------------------------------------------------------ period layer
@@ -838,10 +916,7 @@ def jacobian_pn_check(n: int) -> bool:
         return False
 
     # (iii) non-equivariant matrix relation X^{n+1} = q
-    Vq = ("X", "q")
-    rel = (LaurentPoly(Vq, {(n + 1, 0): Fraction(1)})
-           - LaurentPoly.var(Vq, "q"))
-    return matrix_relation(Mq, rel)
+    return matrix_relation(Mq, {(n + 1, 0): 1, (0, 1): -1})
 
 
 # Dense polynomials in q: coefficient tuples, low degree first, trimmed

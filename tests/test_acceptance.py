@@ -12,6 +12,8 @@ import math
 import time
 from fractions import Fraction
 
+import pytest
+
 from mmirror.crystal_potential import (
     Potential,
     constant_term_power,
@@ -29,7 +31,6 @@ from mmirror.period_gw import (
     quantum_period,
 )
 from mmirror.qchev import (
-    LaurentPoly,
     check_homogeneous,
     fw_matrix,
     matrix_relation,
@@ -47,6 +48,7 @@ from mmirror.rootsys import (
 )
 from mmirror.weyl import minuscule_coset_reps, w_gamma_set
 from reference import (
+    LaurentPoly,
     act_root,
     act_weight,
     bessel_operator_from_matrix,
@@ -234,8 +236,10 @@ def test_criterion_05_odd_quadrics():
     # B3: the matrix satisfies X^6 - 4qX = 0
     d = datum("B3")
     m = fw_matrix(d, minuscule_coset_reps(d, 1), 1)
-    rel = LaurentPoly(("X", "q"), {(6, 0): Fraction(1), (1, 1): Fraction(-4)})
-    assert matrix_relation(m, rel)
+    assert matrix_relation(m, {(6, 0): 1, (1, 1): -4})
+    assert not matrix_relation(m, {(6, 0): 1, (1, 1): -3})
+    with pytest.raises(ValueError, match="relation must be polynomial"):
+        matrix_relation(m, {(6, 0): 1, (1, -1): -4})
 
 
 @criterion(6, "quantum periods: projective closed form and Grassmannian "
@@ -285,19 +289,19 @@ def test_criterion_08_superpotentials():
         (0, 0, -1, -1, -1, -1): Fraction(1),
         (0, -1, -1, -1, -1, 0): Fraction(1),
         (-1, -1, -1, -1, 0, 0): Fraction(1),
-    })
+    }).terms
     assert pot.linear == LaurentPoly(V, {
         tuple(int(i == j) for i in range(6)): Fraction(1) for j in range(6)
-    })
+    }).terms
     assert pot.coxeter == 5
 
     # every constructible case: the constructor itself rejects a
     # non-monomial denominator minor or a non-positive coefficient
     for k, n in GRASSMANNIANS:
         p = potential_typeA(k, n)
-        assert all(c > 0 for c in p.quantum.terms.values()), (k, n)
-        assert all(c == 1 for c in p.linear.terms.values()), (k, n)
-        assert len(p.linear.terms) == k * (n - k), (k, n)
+        assert all(c > 0 for c in p.quantum.values()), (k, n)
+        assert all(c == 1 for c in p.linear.values()), (k, n)
+        assert len(p.linear) == k * (n - k), (k, n)
         assert homogeneous_degree_one(p), (k, n)
 
 

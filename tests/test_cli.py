@@ -13,10 +13,10 @@ import pytest
 import mmirror.cli as cli
 from mmirror import crystal_potential, minrep, period_gw, qchev, rootsys, weyl
 from mmirror.cli import _load_case_list, main
-from mmirror.qchev import ConnMatrix, LaurentPoly
+from mmirror.qchev import ConnMatrix
 from mmirror.rootsys import CartanType, minuscule_nodes
 
-from reference import battery, rep_elements
+from reference import LaurentPoly, battery, rep_elements
 
 
 def run(capsys, *argv):
@@ -951,17 +951,17 @@ def _shifted_by_one(build):
 def _first_linear_dropped(build):
     def mutated(*args):
         pot = build(*args)
-        terms = dict(pot.linear.terms)
+        terms = dict(pot.linear)
         del terms[max(terms)]
-        return dataclasses.replace(pot, linear=LaurentPoly(pot.variables,
-                                                           terms))
+        return dataclasses.replace(pot, linear=terms)
     return mutated
 
 
 def _quantum_doubled(build):
     def mutated(*args):
         pot = build(*args)
-        return dataclasses.replace(pot, quantum=2 * pot.quantum)
+        return dataclasses.replace(
+            pot, quantum={e: 2 * c for e, c in pot.quantum.items()})
     return mutated
 
 

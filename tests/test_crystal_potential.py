@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmirror.period_gw import quantum_period
-from mmirror.qchev import LaurentPoly, fw_matrix
+from mmirror.qchev import fw_matrix
 from mmirror import crystal_potential
 from mmirror.rootsys import (
     CartanType,
@@ -31,6 +31,7 @@ from mmirror.crystal_potential import (
     unipotent_vector,
 )
 from reference import (
+    LaurentPoly,
     act_weight,
     homogeneous_degree_one,
     longest_element,
@@ -43,7 +44,8 @@ from reference import (
 def ct_bruteforce(pot: Potential, m: int) -> Fraction:
     """Independent oracle: expand f_1^m as a Laurent polynomial and read
     off the constant term."""
-    f = pot.f_one()
+    f = (LaurentPoly(pot.variables, pot.linear)
+         + LaurentPoly(pot.variables, pot.quantum))
     return (f ** m).terms.get((0,) * len(f.variables), Fraction(0))
 
 
@@ -183,8 +185,8 @@ def test_minor_ratio_golden_gr25():
 def test_projective_p1():
     pot = potential_projective(1)
     assert pot.coxeter == 2
-    assert pot.linear == poly(("x1",), {(1,): 1})
-    assert pot.quantum == poly(("x1",), {(-1,): 1})
+    assert pot.linear == poly(("x1",), {(1,): 1}).terms
+    assert pot.quantum == poly(("x1",), {(-1,): 1}).terms
 
 
 def test_projective_rejects_zero():
@@ -199,14 +201,14 @@ def test_typeA_gr25_golden():
         (0, 0, -1, -1, -1, -1): 1,
         (0, -1, -1, -1, -1, 0): 1,
         (-1, -1, -1, -1, 0, 0): 1,
-    })
+    }).terms
 
 
 def test_typeA_positivity_and_monomial_denominator():
     for k, n in [(1, 2), (1, 3), (2, 3), (2, 4), (2, 5), (2, 6), (3, 6)]:
         pot = potential_typeA(k, n)
-        assert all(c > 0 for c in pot.quantum.terms.values())
-        assert all(c == 1 for c in pot.linear.terms.values())
+        assert all(c > 0 for c in pot.quantum.values())
+        assert all(c == 1 for c in pot.linear.values())
 
 
 @pytest.mark.parametrize("make", [
@@ -305,16 +307,21 @@ def test_integer_walk_matches_laurent_reference(family, rank, node):
     assert homogeneous_degree_one(minuscule_potential(d, node))
 
 
-@pytest.mark.parametrize("edit,error", [
-    (lambda top, source: top.update({0: 1}), ArithmeticError),
+@pytest.mark.parametrize("edit,error,match", [
+    (lambda top, source: top.update({0: 1}), ArithmeticError, "monomial"),
+    (lambda top, source: top.update({m: 2 * c for m, c in top.items()}),
+     ArithmeticError, "not an integer"),
     (lambda top, source: source.update({m: -c for m, c in source.items()}),
-     ArithmeticError),
-    (lambda top, source: source.update({0: 1}), AssertionError),
-], ids=["two-term-denominator", "negative-coefficient", "wrong-degree"])
-def test_minuscule_potential_refuses_bad_vector(monkeypatch, edit, error):
-    # Gr(2,4): a second denominator monomial, negated quantum
-    # coefficients, and a quantum term 1/(a1 a2 a3 a4) of degree -4 = 1 - 5
-    # instead of 1 - 4
+     ArithmeticError, "non-positive"),
+    (lambda top, source: source.update({0: 1}), AssertionError,
+     "homogeneous"),
+], ids=["two-term-denominator", "denominator-two", "negative-coefficient",
+        "wrong-degree"])
+def test_minuscule_potential_refuses_bad_vector(monkeypatch, edit, error,
+                                                match):
+    # Gr(2,4): a second denominator monomial, a denominator coefficient 2
+    # over numerator coefficients 1, negated quantum coefficients, and a
+    # quantum term 1/(a1 a2 a3 a4) of degree -4 = 1 - 5 instead of 1 - 4
     d = datum("A", 3)
     word, lowest = top_coset_word(d, 2)
     top = tuple(-x for x in lowest)
@@ -325,8 +332,26 @@ def test_minuscule_potential_refuses_bad_vector(monkeypatch, edit, error):
     edit(vec[top], vec[source])
     monkeypatch.setattr(crystal_potential, "unipotent_vector",
                         lambda *args: vec)
-    with pytest.raises(error):
+    with pytest.raises(error, match=match):
         minuscule_potential(d, 2)
+
+
+def test_minuscule_potentials_have_int_unit_coefficients():
+    # every coefficient of the 54 minuscule potentials of A1-A8, D4-D8,
+    # E6 and E7 is the int 1, in the linear and the quantum part, and f_1
+    # is their sum as a view
+    cases = [(family, rank, node)
+             for family, ranks in (("A", range(1, 9)), ("D", range(4, 9)),
+                                   ("E", (6, 7)))
+             for rank in ranks
+             for node in minuscule_nodes(CartanType(family, rank))]
+    assert len(cases) == 54
+    for family, rank, node in cases:
+        pot = minuscule_potential(datum(family, rank), node)
+        for part in (pot.linear, pot.quantum):
+            assert all(type(c) is int and c == 1 for c in part.values()), \
+                (family, rank, node)
+        assert pot.f_one().terms == {**pot.linear, **pot.quantum}
 
 
 def test_potential_independent_of_chevalley_side(monkeypatch):
@@ -453,8 +478,8 @@ def random_potentials(draw):
         heads = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * (nvar - 1)),
                               min_size=1, max_size=3))
         extra = {(*e, 1 - h - sum(e)): draw(positive) for e in heads}
-    return Potential(variables, LaurentPoly(variables, linear),
-                     LaurentPoly(variables, extra), h)
+    return Potential(variables, LaurentPoly(variables, linear).terms,
+                     LaurentPoly(variables, extra).terms, h)
 
 
 @settings(max_examples=60, deadline=None)
@@ -473,7 +498,7 @@ def products_reference(pot: Potential, m: int) -> int:
     which j - m lies between the least and greatest exponent sum of Q^j
     is the last power formed, and each power before it is multiplied by
     Q term by term."""
-    Q = pot.quantum
+    Q = LaurentPoly(pot.variables, pot.quantum)
     powers = [LaurentPoly.const(pot.variables, 1)]
     for _ in range(m):
         powers.append(powers[-1] * Q)
@@ -499,8 +524,8 @@ def test_ct_budget_matches_per_candidate_reference():
         V = tuple(f"x{i + 1}" for i in range(nvar))
         quantum = {tuple(rng.randint(-3, 2) for _ in V): 1
                    for _ in range(rng.randint(1, 4))}
-        pot = Potential(V, poly(V, {u: 1 for u in units(nvar)}),
-                        poly(V, quantum), 1)
+        pot = Potential(V, poly(V, {u: 1 for u in units(nvar)}).terms,
+                        poly(V, quantum).terms, 1)
         m = rng.randint(1, 8)
         need = products_reference(pot, m)
         constant_term_power(pot, m, budget=need)
@@ -524,7 +549,8 @@ def test_ct_vanishes_off_multiples_of_coxeter():
 ])
 def test_ct_refuses_nonlinear_linear_part(linear):
     V = ("x1", "x2")
-    pot = Potential(V, poly(V, linear), poly(V, {(-1, -1): 1}), 3)
+    pot = Potential(V, poly(V, linear).terms, poly(V, {(-1, -1): 1}).terms,
+                    3)
     with pytest.raises(ValueError):
         constant_term_power(pot, 3)
 
@@ -571,7 +597,8 @@ def two_variable_potential(quantum):
     that the route scales the powers of Q by B = 6 and its linear part is
     not all ones."""
     V = ("x1", "x2")
-    return Potential(V, poly(V, {(1, 0): 1, (0, 1): 2}), poly(V, quantum), 1)
+    return Potential(V, poly(V, {(1, 0): 1, (0, 1): 2}).terms,
+                     poly(V, quantum).terms, 1)
 
 
 def test_ct_scaled_integer_walk_matches_bruteforce():

@@ -9,7 +9,6 @@ from mmirror.rootsys import (
 )
 from mmirror.qchev import (
     ConnMatrix,
-    LaurentPoly,
     fw_matrix,
     mihalcea_diagonal,
     mihalcea_equivariant,
@@ -26,6 +25,7 @@ from mmirror.weyl import (
     w_gamma_set,
 )
 from reference import (
+    LaurentPoly,
     act_coweight,
     fundamental_coweight,
     generator_matrices,

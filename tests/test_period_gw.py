@@ -11,7 +11,6 @@ from mmirror.rootsys import CartanType, build_root_datum
 from mmirror.weyl import minuscule_coset_reps
 from mmirror.qchev import (
     ConnMatrix,
-    LaurentPoly,
     mihalcea_equivariant,
     quantum_chevalley_minuscule,
 )
@@ -38,6 +37,7 @@ from mmirror.period_gw import (
     series_to_json,
 )
 from reference import (
+    LaurentPoly,
     _pdivmod,
     _pmul,
     basis_trace,

@@ -9,7 +9,6 @@ from mmirror import qchev, weyl
 from mmirror.rootsys import CartanType, build_root_datum, reflection_length
 from mmirror.qchev import (
     ConnMatrix,
-    LaurentPoly,
     check_homogeneous,
     fw_matrix,
     lift_equivariant,
@@ -30,6 +29,7 @@ from mmirror.weyl import (
     w_gamma_set,
 )
 from reference import (
+    LaurentPoly,
     index_of,
     multiply,
     pi_P,
@@ -527,30 +527,33 @@ def test_relation_projective():
     for n in (1, 2, 3, 4):
         d, reps = case(f"A{n}", 1)
         m = quantum_chevalley_minuscule(d, reps, 1)
-        rel = LaurentPoly.var(("X", "q"), "X", n + 1) - LaurentPoly.var(
-            ("X", "q"), "q"
-        )
-        assert matrix_relation(m, rel)
+        assert matrix_relation(m, {(n + 1, 0): 1, (0, 1): -1})
         # and a wrong relation fails
-        bad = LaurentPoly.var(("X", "q"), "X", n + 1) + LaurentPoly.var(
-            ("X", "q"), "q"
-        )
-        assert not matrix_relation(m, bad)
+        assert not matrix_relation(m, {(n + 1, 0): 1, (0, 1): 1})
+    # a negative power of X or q is refused by name
+    for rel in ({(-1, 0): 1}, {(1, 0): 1, (0, -1): 1}):
+        with pytest.raises(ValueError, match="relation must be polynomial"):
+            matrix_relation(m, rel)
 
 
 def test_relation_odd_quadric_b3():
     d = D("B3")
     reps = minuscule_coset_reps(d, 1)
     m = fw_matrix(d, reps, 1)
+    assert matrix_relation(m, {(6, 0): 1, (1, 1): -4})
+    # the coefficient of q X is pinned: with -3 the left side is q M, not 0
+    assert not matrix_relation(m, {(6, 0): 1, (1, 1): -3})
+    # the dict is the relation the ring builds
     X = LaurentPoly.var(("X", "q"), "X")
     q = LaurentPoly.var(("X", "q"), "q")
-    assert matrix_relation(m, X ** 6 - 4 * q * X)
+    assert matrix_relation(m, (X ** 6 - 4 * q * X).terms)
 
 
 def test_relation_zero_matrix():
     d, reps = case("A1", 1)
     zero = ConnMatrix(reps, ("q",), len(reps), {})
-    assert matrix_relation(zero, LaurentPoly.var(("X", "q"), "X"))
+    assert matrix_relation(zero, {(1, 0): 1})
+    assert not matrix_relation(zero, {(0, 0): 1})
 
 
 # -------------------------------------------------------------- equivariant
