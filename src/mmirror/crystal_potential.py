@@ -19,7 +19,11 @@ Gromov-Witten invariants, CT(W^{hd}) / (hd)! = c_d
 connection-matrix recursion in :mod:`mmirror.period_gw`.  The constant
 term is read off the powers Q^j of the quantum part for the j in a
 degree window (:func:`constant_term_power`); on a minuscule potential
-the window is the single power j = d.
+the window is the single power j = d.  The potential's dicts stay keyed
+by exponent tuples; inside the route each monomial of Q^j is keyed by
+one int of fixed-width fields, so a term product is one int add, and
+only the keys of the window powers are decoded.  The budget counts term
+products.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, neg
+from itertools import chain, repeat
+from operator import add, mul
 from typing import Tuple
 
 from .qchev import LaurentPoly
@@ -140,6 +145,7 @@ def minuscule_potential(d: RootDatum, node: int) -> Potential:
         raise ArithmeticError("denominator <v_top, u v_low> is not a "
                               "monomial")
     (den_mask, den_coeff), = den.items()
+    den_exps = [-(den_mask >> m & 1) for m in range(ell)]
     quantum = {}
     for mask, coeff in vec.get(source, {}).items():
         value, rest = divmod(coeff, den_coeff)
@@ -149,15 +155,19 @@ def minuscule_potential(d: RootDatum, node: int) -> Potential:
         if value <= 0:
             raise ArithmeticError("quantum part has a non-positive "
                                   "coefficient")
-        exps = tuple((mask >> m & 1) - (den_mask >> m & 1)
-                     for m in range(ell))
+        exps = den_exps.copy()
+        while mask:
+            low = mask & -mask
+            exps[low.bit_length() - 1] += 1
+            mask ^= low
         if sum(exps) + d.coxeter_number != 1:
             raise AssertionError("potential is not homogeneous of degree "
                                  "one")
-        quantum[exps] = value
+        quantum[tuple(exps)] = value
 
     variables = tuple(f"a{m + 1}" for m in range(ell))
-    linear = {tuple(int(j == m) for j in range(ell)): 1 for m in range(ell)}
+    zero = (0,) * ell
+    linear = {zero[:m] + (1,) + zero[m + 1:]: 1 for m in range(ell)}
     return Potential(variables, linear, quantum, d.coxeter_number)
 
 
@@ -199,7 +209,17 @@ def constant_term_power(pot: Potential, m: int,
     sigma_t is 1 - h, and J = {m / h}, empty unless h divides m.
 
     Q^j = Q^(j-1) Q is a merged dict with integer coefficients: Q is
-    scaled by B, the lcm of its denominators, and Q^j carries B^j.
+    scaled by B, the lcm of its denominators, and Q^j carries B^j.  A
+    monomial e of Q^j is keyed by one int of fixed-width fields, field i
+    holding e_i + j o, o >= 0 the largest negated exponent of Q, so a
+    term product is one int add.  Every field of every power formed lies
+    in [0, (max J)(o + p)], p >= 0 the largest exponent of Q, and a
+    field is the fewest whole bytes that hold that bound below a spare
+    top bit.  Only the keys of the powers in J are decoded: subtracting
+    the key from fields of 2^(w-1) + j o (w the field's bits) leaves
+    2^(w-1) + v_i in field i, v_i = j o - field_i = -e_i, with no borrow
+    between fields, so e <= 0 exactly when every top bit stays set; then
+    v is read off the key's bytes and must have sum(v) = m - j.
     Forming Q^j charges |Q^(j-1)| |Q| units of ``budget``, one per term
     product, before it is built; no power past max J is formed.
     Raises ValueError if the linear part is not one unit monomial per
@@ -215,20 +235,31 @@ def constant_term_power(pot: Potential, m: int,
         raise ValueError("the linear part must be one unit monomial per "
                          "variable")
     quantum = pot.quantum
-    scale = math.lcm(*(c.denominator for c in quantum.values()))
-    scaled = [(e, c.numerator * (scale // c.denominator))
-              for e, c in quantum.items()]
     sigma = [sum(e) for e in quantum]
     lo, hi = min(sigma, default=0), max(sigma, default=0)
     window = [j for j in range(m + 1) if j * lo <= j - m <= j * hi]
+    top = max(window, default=0)
+
+    o = max(0, -min(chain.from_iterable(quantum), default=0))
+    p = max(0, max(chain.from_iterable(quantum), default=0))
+    size = ((top * (o + p)).bit_length() + 8) // 8     # bytes per field
+    width = 8 * size
+    units = [1 << t for t in range(0, width * nvar, width)]
+    ones = sum(units)
+    guards = ones << (width - 1)
+    scale = math.lcm(*(c.denominator for c in quantum.values()))
+    offset = o * ones
+    scaled = [(sum(map(mul, e, units), offset),
+               c.numerator * (scale // c.denominator))
+              for e, c in quantum.items()]
 
     lin_scale = math.lcm(*(c.denominator for c in b.values()))
     b_scaled = [c.numerator * (lin_scale // c.denominator)
                 for c in map(b.get, range(nvar))]
     products = 0
-    power = {(0,) * nvar: 1}             # Q^j times B^j
+    power = {0: 1}                       # Q^j times B^j
     total = Fraction(0)
-    for j in range(max(window, default=-1) + 1):
+    for j in range(top + 1):
         if j:
             products += len(power) * len(scaled)
             if products > budget:
@@ -237,24 +268,39 @@ def constant_term_power(pot: Potential, m: int,
                     f"of {budget} term products"
                 )
             following = {}
+            get = following.get
             for e, c in power.items():
                 for f, c_t in scaled:
-                    key = tuple(map(add, e, f))
-                    following[key] = following.get(key, 0) + c * c_t
+                    key = e + f
+                    following[key] = get(key, 0) + c * c_t
             power = following
         if j not in window:
             continue
         r = m - j
+        base = j * o * ones + guards         # fields 2^(w-1) + j o
+        r_fact = math.factorial(r)
         s = 0
-        for e, c in power.items():
-            if max(e, default=0) > 0 or sum(e) != -r:
+        for key, c in power.items():
+            v = base - key
+            if v & guards != guards:          # some v_i < 0
                 continue
-            v = tuple(map(neg, e))
+            v = _fields((v ^ guards).to_bytes(nvar * size, "little"), size)
+            if sum(v) != r:
+                continue
             s += c * math.prod(map(pow, b_scaled, v)) * (
-                math.factorial(r) // math.prod(map(math.factorial, v)))
+                r_fact // math.prod(map(math.factorial, v)))
         # Q^j carries B^j, and the linear factors lin_scale^r
         total += Fraction(math.comb(m, j) * s, scale ** j * lin_scale ** r)
     return total
+
+
+def _fields(raw: bytes, size: int):
+    """The little-endian fields of ``size`` bytes each in raw."""
+    fields = raw[::size]
+    for k in range(1, size):
+        fields = list(map(add, fields, map(mul, raw[k::size],
+                                           repeat(1 << 8 * k))))
+    return fields
 
 
 def gw_from_constant_term(pot: Potential, d: int,

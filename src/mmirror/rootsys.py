@@ -12,8 +12,9 @@ Conventions
   choices the pairing of a weight against a coroot is a plain dot
   product, since <varpi_i, alpha_j-vee> = delta_ij.
 * Root lengths are normalised so long roots have squared length 2.  The
-  coroot of beta is 2*beta/(beta,beta); its coordinates are integers and are
-  validated as such during construction.
+  coroot of beta is 2*beta/(beta,beta); its coordinates are integers by
+  construction, and the one case that divides (a long root of B or C) is
+  validated during construction.
 * positive_roots are ordered by height, then lexicographically on the
   simple-root coordinates, so all downstream matrix layouts are reproducible.
 * Every Weyl length and word is read off one descent of a weight to the
@@ -155,6 +156,12 @@ def _simple_norms(ct: CartanType):
     return (2,) * n
 
 
+def _nonzero_rows(cartan):
+    """Each row of a Cartan matrix as its nonzero (k, a_ik) pairs."""
+    return tuple(tuple((k, a) for k, a in enumerate(row) if a)
+                 for row in cartan)
+
+
 @dataclass(frozen=True, eq=False)
 class RootDatum:
     """Root data for one simple type.
@@ -191,8 +198,7 @@ class RootDatum:
     def cartan_rows(self):
         """Row i of the Cartan matrix as its nonzero (k, a_ik) pairs: the
         coordinates a simple reflection s_i changes on fw coordinates."""
-        return tuple(tuple((k, a) for k, a in enumerate(row) if a)
-                     for row in self.cartan)
+        return _nonzero_rows(self.cartan)
 
     @cached_property
     def inverse_cartan(self):
@@ -223,11 +229,19 @@ def build_root_datum(ct: CartanType) -> RootDatum:
 
     The closure step uses simple reflections: for beta > 0 with fw_i =
     <beta, alpha_i-vee> < 0, s_i.beta = beta - fw_i alpha_i is a higher
-    positive root, and every non-simple positive root is reached so.
+    positive root, and every non-simple positive root is reached so; the
+    step changes fw only at the nonzero entries of row i of the Cartan
+    matrix.  The coroot 2 beta / (beta, beta) has coordinates c_i
+    (alpha_i, alpha_i) / (beta, beta): c_i (alpha_i, alpha_i) for a short
+    root, c_i for every root when all simple roots are long (A, D, E),
+    and only a long root of B or C is tested for an odd c_i (alpha_i,
+    alpha_i).
     """
     n = ct.rank
     cartan = _cartan_matrix(ct)
+    rows = _nonzero_rows(cartan)
     norms = _simple_norms(ct)
+    all_long = 1 not in norms
 
     # fw(s_i.beta) = fw(beta) - fw_i * (row i of cartan)
     allpos = {tuple(int(j == i) for j in range(n)): cartan[i] for i in range(n)}
@@ -238,30 +252,34 @@ def build_root_datum(ct: CartanType) -> RootDatum:
             if f < 0:
                 up = beta[:i] + (beta[i] - f,) + beta[i + 1:]
                 if up not in allpos:
-                    allpos[up] = t = tuple(x - f * y
-                                           for x, y in zip(fw, cartan[i]))
+                    t = list(fw)
+                    for k, a in rows[i]:
+                        t[k] -= f * a
+                    allpos[up] = t = tuple(t)
                     stack.append((up, t))
 
     ordered = sorted(allpos, key=lambda c: (sum(c), c))
 
     def make_root(coeffs, fw):
-        # (beta, beta) = sum_i c_i (alpha_i, alpha_i) fw_i / 2, and the
-        # coroot coordinates are c_i (alpha_i, alpha_i) / (beta, beta)
-        twice = sum(c * e * f for c, e, f in zip(coeffs, norms, fw))
+        # (beta, beta) = sum_i c_i (alpha_i, alpha_i) fw_i / 2
+        weighted = tuple(map(mul, coeffs, norms))
+        twice = sum(map(mul, weighted, fw))
         if twice not in (2, 4):
             raise AssertionError(
                 f"unexpected root length {Fraction(twice, 2)} for {coeffs}")
-        cvec = []
-        for c, e in zip(coeffs, norms):
-            val, rem = divmod(2 * c * e, twice)
-            if rem:
+        if twice == 2:
+            coroot = weighted
+        elif all_long:
+            coroot = coeffs
+        else:
+            if any(x & 1 for x in weighted):
                 raise AssertionError(f"non-integral coroot for {coeffs}")
-            cvec.append(val)
+            coroot = tuple(x >> 1 for x in weighted)
         return Root(
             coeffs=coeffs,
             height=sum(coeffs),
             fw=fw,
-            coroot=tuple(cvec),
+            coroot=coroot,
             norm2=twice // 2,
         )
 

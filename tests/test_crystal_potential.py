@@ -620,6 +620,32 @@ def test_ct_empty_count_interval_adds_nothing(m):
     assert ct_bruteforce(pot, m) == 0
 
 
+def spike_potential(nvar, depth):
+    """x_1 + ... + x_nvar + q (x_1 ... x_nvar)^-depth, homogeneous of
+    degree one with deg q = nvar depth + 1."""
+    V = tuple(f"x{i + 1}" for i in range(nvar))
+    return Potential(V, {u: 1 for u in units(nvar)},
+                     {(-depth,) * nvar: 1}, nvar * depth + 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_ct_fields_past_one_byte(k):
+    # x^a (x^-300)^b is constant for a = 300 b, so CT((x + x^-300)^(301k))
+    # = C(301k, k); the exponent fields of Q^k reach 300k, past one byte
+    pot = spike_potential(1, 300)
+    assert constant_term_power(pot, 301 * k) == math.comb(301 * k, k)
+    if k == 1:
+        assert ct_bruteforce(pot, 301) == 301
+
+
+def test_ct_fields_of_three_bytes_and_two_variables():
+    # fields up to 40000 take three bytes; with two variables of two-byte
+    # fields, CT((x + y + (xy)^-300)^601) is the multinomial 601! / 300!^2
+    assert constant_term_power(spike_potential(1, 40000), 40001) == 40001
+    assert constant_term_power(spike_potential(2, 300), 601) == (
+        math.factorial(601) // math.factorial(300) ** 2)
+
+
 def test_json_form():
     data = potential_to_json(potential_projective(1))
     assert data["variables"] == ["x1"]

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from mmirror import rootsys
 from mmirror.rootsys import (
     CartanType,
     _simple_norms,
@@ -356,6 +357,25 @@ def test_root_lengths_and_coroots_match_fraction_formula():
             assert r.norm2 == norm2 and type(r.norm2) is int, (ct, r)
             assert r.coroot == tuple(
                 2 * c * s / norm2 for c, s in zip(r.coeffs, dsym)), (ct, r)
+
+
+@pytest.mark.parametrize("name,norms,message", [
+    ("B3", "C", "unexpected root length 1/2 for (0, 1, 1)"),
+    ("B4", "C", "unexpected root length 1/2 for (0, 0, 1, 1)"),
+    ("B3", "long", "unexpected root length 4 for (0, 1, 2)"),
+])
+def test_datum_refuses_wrong_root_lengths(monkeypatch, name, norms,
+                                          message):
+    # the coroot rule trusts the length check: with C's simple norms on
+    # B, or every simple root long, some root gets a length outside
+    # {1, 2}, and the build names it
+    ct = CartanType.parse(name)
+    wrong = (_simple_norms(CartanType("C", ct.rank)) if norms == "C"
+             else (2,) * ct.rank)
+    monkeypatch.setattr(rootsys, "_simple_norms", lambda _: wrong)
+    with pytest.raises(AssertionError) as err:
+        build_root_datum(ct)
+    assert str(err.value) == message
 
 
 def test_closure_fw_matches_cartan_product():
