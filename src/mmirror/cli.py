@@ -25,6 +25,7 @@ from math import factorial
 from types import MappingProxyType
 
 from .crystal_potential import (
+    DEFAULT_BUDGET,
     MAX_POTENTIAL_VARS,
     BudgetExceeded,
     constant_term_power,
@@ -34,7 +35,7 @@ from .crystal_potential import (
     potential_typeA,
     refuse_large_grassmannian,
 )
-from .minrep import build_rep, coweight_diagonal, fg_connection
+from .minrep import coweight_diagonal, fg_connection
 from .period_gw import (
     RatFunc,
     bessel_numeric_checks,
@@ -218,12 +219,8 @@ class Case:
         return fw_matrix(self.d, self.reps, self.node)
 
     @_once
-    def rep(self):
-        return build_rep(self.d, self.reps)
-
-    @_once
     def fg(self):
-        return fg_connection(self.rep)
+        return fg_connection(self.d, self.reps)
 
     @_once
     def d4(self):
@@ -305,8 +302,8 @@ def _check_mirror(case, budget):
 def _check_equivariant(case, budget):
     """The lifts agree when the q-matrices and the integer diagonals, over
     their two denominators, do; only a failure builds the lifts."""
-    dm, mrows = mihalcea_diagonal(case.d, case.reps, case.node)
-    df, frows = coweight_diagonal(case.rep)
+    dm, mrows = mihalcea_diagonal(case.d, case.reps)
+    df, frows = coweight_diagonal(case.d, case.reps)
     if case.matrix != case.fg or any(
             a * df != b * dm for u, v in zip(mrows, frows)
             for a, b in zip(u, v)):
@@ -318,7 +315,7 @@ def _check_equivariant(case, budget):
 
 
 def _check_homogeneous(case, budget):
-    if not check_homogeneous(case.d, case.matrix, case.node):
+    if not check_homogeneous(case.matrix):
         raise CheckFailure("matrix entries are not degree-homogeneous")
     return "degree-homogeneous"
 
@@ -573,7 +570,7 @@ def cmd_chevalley(args) -> int:
         if args.format == "csv":
             raise ValueError("csv output is limited to the single-variable "
                              "matrix; use json for the equivariant one")
-        M = mihalcea_equivariant(case.d, case.matrix, case.node)
+        M = mihalcea_equivariant(case.d, case.matrix)
     else:
         M = case.matrix
     if args.format == "csv":
@@ -751,7 +748,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int,
                    help="override the per-case series depth (at most "
                         f"{MAX_PERIOD_DEGREE})")
-    p.add_argument("--budget", type=int, default=10_000_000,
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="constant-term budget: the most term products "
                         "the powers of the quantum part may form")
     add_output(p)
@@ -774,7 +771,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
     p.add_argument("d", type=int)
-    p.add_argument("--budget", type=int, default=10_000_000,
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="the most term products the powers of the "
                         "quantum part may form")
     add_output(p)

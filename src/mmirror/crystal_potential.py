@@ -48,6 +48,9 @@ from .rootsys import (
 # may have.
 MAX_POTENTIAL_VARS = 12
 
+# Most term products a constant term may form unless told otherwise.
+DEFAULT_BUDGET = 10_000_000
+
 
 class BudgetExceeded(RuntimeError):
     """Raised when forming the powers of the quantum part for a constant
@@ -194,7 +197,7 @@ def potential_typeA(k: int, n: int) -> Potential:
 # --------------------------------------------------------------------------
 
 def constant_term_power(pot: Potential, m: int,
-                        budget: int = 10_000_000) -> Fraction:
+                        budget: int = DEFAULT_BUDGET) -> Fraction:
     """Constant term of ``f_1^m`` over powers of the quantum part.
 
     With f_1 = L + Q, L = sum b_i x_i the linear part, the binomial
@@ -304,7 +307,7 @@ def _fields(raw: bytes, size: int):
 
 
 def gw_from_constant_term(pot: Potential, d: int,
-                          budget: int = 10_000_000) -> Fraction:
+                          budget: int = DEFAULT_BUDGET) -> Fraction:
     """Degree-d quantum-period coefficient: CT(f_1^{cd}) / (cd)!."""
     if d < 0:
         raise ValueError("degree must be nonnegative")

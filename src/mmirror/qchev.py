@@ -17,7 +17,9 @@ built.  The rule serves minuscule nodes and odd quadrics alike; the
 classical (q^0) part and the torus-equivariant matrix, with a linear
 form in h_1..h_r on the diagonal as in Mihalcea's formula, are derived
 from it; that diagonal is integer rows over one denominator
-(mihalcea_diagonal) until a lifted matrix is built.
+(mihalcea_diagonal) until a lifted matrix is built.  The node is read
+off the coset table (reps.parabolic), on which minrep.fg_connection
+builds the mirror side too; fw_matrix alone takes it, and checks it.
 
 Matrices use the column convention: column w holds the expansion of the
 operator applied to the basis class sigma_w.  A ConnMatrix is held as its
@@ -222,14 +224,10 @@ def fw_matrix(d: RootDatum, reps: CosetReps, node: int) -> ConnMatrix:
 quantum_chevalley_minuscule = fw_matrix
 
 
-def mihalcea_diagonal(d: RootDatum, reps: CosetReps, node: int):
+def mihalcea_diagonal(d: RootDatum, reps: CosetReps):
     """(den, rows): rows[c] / den is w . varpi_node-vee in simple-coroot
     coordinates, for w the rep at c: the coweights that the coset walk
     carries up from column node of den * A^-1."""
-    if node != reps.parabolic.node:
-        raise ValueError(f"node {node} is not the node "
-                         f"{reps.parabolic.node} of the coset "
-                         "representatives")
     return d.inverse_cartan[0], reps.coweights
 
 
@@ -252,12 +250,11 @@ def lift_equivariant(M: ConnMatrix, rows, den=1) -> ConnMatrix:
     return ConnMatrix(M.basis, variables, M.size, cells)
 
 
-def mihalcea_equivariant(d: RootDatum, M: ConnMatrix,
-                         node: int) -> ConnMatrix:
+def mihalcea_equivariant(d: RootDatum, M: ConnMatrix) -> ConnMatrix:
     """Equivariant first-Chern-class action: the Chevalley matrix M (from
     fw_matrix) plus the diagonal linear form -<w . varpi_node-vee, h> in
     column w, over the variables ("q", "h1", .., "hr")."""
-    den, rows = mihalcea_diagonal(d, M.basis, node)
+    den, rows = mihalcea_diagonal(d, M.basis)
     return lift_equivariant(M, rows, den)
 
 
@@ -290,13 +287,13 @@ def matrix_relation(M: ConnMatrix, relation: dict) -> bool:
 # Shared invariants
 # --------------------------------------------------------------------------
 
-def check_homogeneous(d: RootDatum, M: ConnMatrix, node: int) -> bool:
+def check_homogeneous(M: ConnMatrix) -> bool:
     """Degree homogeneity: with deg sigma_w = 2 ell(w), deg q =
     <4(rho - rho_P), alpha_node-vee> and deg h_j = 2, every nonzero entry
     at (row u, col w) has degree 2 ell(w) + 2 - 2 ell(u)."""
     p = M.basis.parabolic
     # alpha_node-vee is a unit vector in simple-coroot coordinates
-    qdeg = int(4 * (1 - p.rho_P[node - 1]))
+    qdeg = int(4 * (1 - p.rho_P[p.node - 1]))
     weights = []
     for v in M.variables:
         if v == "q":

@@ -31,9 +31,9 @@ that reads it off the case parameters.
 
 For the minuscule representation: ``generator_matrices`` and
 ``xtheta_matrix`` build the Chevalley generators, the principal triple
-and x_theta as dense matrices, from the weights alone; ``space_dim`` is
-the dimension of G/P; ``zeta_rescaling_consistent`` checks the
-homogeneity of a connection form.
+and x_theta as dense matrices on a coset table, from its weights alone;
+``space_dim`` is the dimension of G/P; ``zeta_rescaling_consistent``
+checks the homogeneity of a connection form.
 
 For Laurent polynomials: ``LaurentPoly`` is the ring over the library's
 output view of a terms dict, with exact Fraction coefficients normalised
@@ -490,10 +490,9 @@ class RepOperator:
         ]
 
 
-def _root_operator(rep, label: str, root, sign: int) -> RepOperator:
+def _root_operator(reps, label: str, root, sign: int) -> RepOperator:
     """The matrix of the root vector for beta = sign * root (root_step)."""
-    reps = rep.reps
-    n = rep.dim
+    n = len(reps)
     m = [[0] * n for _ in range(n)]
     for c, mu in enumerate(reps.weights):
         target = root_step(mu, root, sign)
@@ -502,17 +501,16 @@ def _root_operator(rep, label: str, root, sign: int) -> RepOperator:
     return RepOperator(label=label, matrix=tuple(tuple(row) for row in m))
 
 
-def generator_matrices(rep) -> dict:
-    """All Chevalley generator matrices plus the principal triple:
-    keys 'x1'..'xr', 'y1'..'yr', 'e', 'f', 'h'."""
-    d = rep.datum
+def generator_matrices(d, reps) -> dict:
+    """All Chevalley generator matrices plus the principal triple on the
+    coset basis reps: keys 'x1'..'xr', 'y1'..'yr', 'e', 'f', 'h'."""
     out = {}
     for j in range(1, d.rank + 1):
         alpha = simple_root(d, j)
-        out[f"x{j}"] = _root_operator(rep, f"x{j}", alpha, 1)
-        out[f"y{j}"] = _root_operator(rep, f"y{j}", alpha, -1)
+        out[f"x{j}"] = _root_operator(reps, f"x{j}", alpha, 1)
+        out[f"y{j}"] = _root_operator(reps, f"y{j}", alpha, -1)
 
-    n = rep.dim
+    n = len(reps)
     c = d.two_rho_covec
     e = [[0] * n for _ in range(n)]
     f = [[0] * n for _ in range(n)]
@@ -524,7 +522,7 @@ def generator_matrices(rep) -> dict:
             for col, v in enumerate(row):
                 f[r][col] += v
     h = [[0] * n for _ in range(n)]
-    for i, mu in enumerate(rep.reps.weights):
+    for i, mu in enumerate(reps.weights):
         h[i][i] = pairing(tuple(mu), d.two_rho_covec)
     out["e"] = RepOperator("e", tuple(tuple(r) for r in e))
     out["f"] = RepOperator("f", tuple(tuple(r) for r in f))
@@ -532,23 +530,22 @@ def generator_matrices(rep) -> dict:
     return out
 
 
-def space_dim(rep) -> int:
+def space_dim(reps) -> int:
     """Complex dimension of G/P, the top coset length."""
-    return rep.reps.lengths[-1]
+    return reps.lengths[-1]
 
 
-def xtheta_matrix(rep) -> RepOperator:
+def xtheta_matrix(d, reps) -> RepOperator:
     """Highest-root raising operator: v_mu maps to v_{mu + theta} precisely
     when <mu, theta-vee> = -1, with coefficient +1."""
-    return _root_operator(rep, "xtheta", rep.datum.highest_root, 1)
+    return _root_operator(reps, "xtheta", d.highest_root, 1)
 
 
-def zeta_rescaling_consistent(rep, M: ConnMatrix) -> bool:
+def zeta_rescaling_consistent(d, reps, M: ConnMatrix) -> bool:
     """Homogeneity of the connection form: conjugating by diag(z^{l(w)})
     and substituting q -> z^c q multiplies every entry by z."""
-    d = rep.datum
     c = d.coxeter_number
-    lengths = rep.reps.lengths
+    lengths = reps.lengths
     variables = ("q", "z")
     z = LaurentPoly.var(variables, "z")
     for (r, col), entry in M.cells.items():
@@ -850,8 +847,7 @@ def bessel_operator_from_matrix(h) -> ScalarOperator:
     rational value of the equivariant parameter: theta^2 - (q + h^2)."""
     h = Fraction(h)
     d = build_root_datum(CartanType("A", 1))
-    M = mihalcea_equivariant(d, fw_matrix(d, minuscule_coset_reps(d, 1), 1),
-                             1)
+    M = mihalcea_equivariant(d, fw_matrix(d, minuscule_coset_reps(d, 1), 1))
     cells = {rc: _substitute_h(e, 2 * h) for rc, e in M.cells.items()}
     m2 = ConnMatrix(None, ("q",), 2, {rc: e for rc, e in cells.items() if e})
     return cyclic_scalar_operator(m2, 1)
@@ -895,7 +891,7 @@ def jacobian_pn_check(n: int) -> bool:
     # (ii) equivariant matrix: product of (M - diag Id) equals q Id
     d = build_root_datum(CartanType("A", n))
     Mq = fw_matrix(d, minuscule_coset_reps(d, 1), 1)
-    M = mihalcea_equivariant(d, Mq, 1)
+    M = mihalcea_equivariant(d, Mq)
     Vm = M.variables
     size = M.size
     diag_sum = LaurentPoly(Vm)

@@ -20,7 +20,7 @@ from mmirror.crystal_potential import (
     gw_from_constant_term,
     potential_typeA,
 )
-from mmirror.minrep import build_rep, equivariant_fg, fg_connection
+from mmirror.minrep import coweight_diagonal, fg_connection
 from mmirror.period_gw import (
     RatFunc,
     bessel_numeric_checks,
@@ -33,6 +33,7 @@ from mmirror.period_gw import (
 from mmirror.qchev import (
     check_homogeneous,
     fw_matrix,
+    lift_equivariant,
     matrix_relation,
     mihalcea_equivariant,
     quantum_chevalley_minuscule,
@@ -110,13 +111,8 @@ def qc_matrix(ct, node):
 
 
 @functools.lru_cache(maxsize=None)
-def rep(ct, node):
-    return build_rep(datum(ct), coset(ct, node))
-
-
-@functools.lru_cache(maxsize=None)
 def fg_matrix(ct, node):
-    return fg_connection(rep(ct, node))
+    return fg_connection(datum(ct), coset(ct, node))
 
 
 def criterion(num, label):
@@ -153,8 +149,9 @@ def test_criterion_01_mirror_identity():
 @criterion(2, "equivariant mirror identity over Q[q, h_1..h_r]")
 def test_criterion_02_equivariant_identity():
     for ct, node in EQUIVARIANT_CASES:
-        M = mihalcea_equivariant(datum(ct), qc_matrix(ct, node), node)
-        F = equivariant_fg(rep(ct, node))
+        M = mihalcea_equivariant(datum(ct), qc_matrix(ct, node))
+        scale, rows = coweight_diagonal(datum(ct), coset(ct, node))
+        F = lift_equivariant(fg_matrix(ct, node), rows, scale)
         assert M == F, (ct, node)
         assert len(M.variables) == datum(ct).rank + 1  # q plus all h_j
 
@@ -437,7 +434,7 @@ def test_criterion_10_sl2_and_grading():
                 == {rc: scale * x for rc, x in C.items()})
 
     for ct, node in ALL_MINUSCULE:
-        g = generator_matrices(rep(ct, node))
+        g = generator_matrices(datum(ct), coset(ct, node))
         e, f, h = (nonzero(g[k].matrix) for k in "efh")
         assert commutator_is(e, f, 1, h), (ct, node)
         assert commutator_is(h, e, 2, e), (ct, node)
@@ -446,17 +443,16 @@ def test_criterion_10_sl2_and_grading():
 
     # degree homogeneity of every connection matrix the suite builds
     for ct, node in MIRROR_CASES:
-        d = datum(ct)
-        assert check_homogeneous(d, qc_matrix(ct, node), node), (ct, node)
-        assert zeta_rescaling_consistent(rep(ct, node), fg_matrix(ct, node))
+        assert check_homogeneous(qc_matrix(ct, node)), (ct, node)
+        assert zeta_rescaling_consistent(datum(ct), coset(ct, node),
+                                         fg_matrix(ct, node))
     for ct, node in EQUIVARIANT_CASES:
-        d = datum(ct)
-        M = mihalcea_equivariant(d, qc_matrix(ct, node), node)
-        assert check_homogeneous(d, M, node), (ct, node)
+        M = mihalcea_equivariant(datum(ct), qc_matrix(ct, node))
+        assert check_homogeneous(M), (ct, node)
     for n in (2, 3, 4):
         d = datum(f"B{n}")
         m = fw_matrix(d, minuscule_coset_reps(d, 1), 1)
-        assert check_homogeneous(d, m, 1), n
+        assert check_homogeneous(m), n
 
     # the period recursion commutes with q -> q / hbar^c, c = deg q
     for ct, node in [("A2", 1), ("A3", 2), ("B3", 3), ("C3", 1), ("D4", 1)]:

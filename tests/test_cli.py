@@ -421,8 +421,8 @@ def _mirror_check(report):
 def test_mirror_failure_names_first_difference(monkeypatch):
     original = cli.fg_connection
 
-    def corrupted(rep):
-        F = original(rep)
+    def corrupted(d, reps):
+        F = original(d, reps)
         cells = dict(F.cells)
         cells[2, 0] = (LaurentPoly(F.variables, F.entry(2, 0)) + 5).terms
         return ConnMatrix(F.basis, F.variables, F.size, cells)
@@ -439,8 +439,8 @@ def test_mirror_failure_names_missing_cell(monkeypatch):
     # a cell the Chevalley side has and f + q x_theta lacks is named too
     original = cli.fg_connection
 
-    def dropped(rep):
-        F = original(rep)
+    def dropped(d, reps):
+        F = original(d, reps)
         cells = dict(F.cells)
         del cells[1, 0]
         return ConnMatrix(F.basis, F.variables, F.size, cells)
@@ -700,9 +700,9 @@ def test_verify_builds_fg_connection_once(capsys, monkeypatch, cartan, node):
     calls = []
     original = minrep.fg_connection
 
-    def counted(rep):
-        calls.append(rep)
-        return original(rep)
+    def counted(d, reps):
+        calls.append(reps)
+        return original(d, reps)
 
     for module in (cli, minrep):
         monkeypatch.setattr(module, "fg_connection", counted)

@@ -491,7 +491,7 @@ def test_scalar_operator_refuses_bad_covector(start, message):
 def test_scalar_operator_refuses_an_equivariant_matrix():
     d, reps, m = setup_case("A2", 1)
     with pytest.raises(ValueError, match="single variable q"):
-        cyclic_scalar_operator(mihalcea_equivariant(d, m, 1), 0)
+        cyclic_scalar_operator(mihalcea_equivariant(d, m), 0)
 
 
 @pytest.mark.parametrize("cov", [

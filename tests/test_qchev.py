@@ -13,13 +13,12 @@ from mmirror.qchev import (
     fw_matrix,
     lift_equivariant,
     matrix_relation,
-    mihalcea_diagonal,
     mihalcea_equivariant,
     poincare_self_adjoint,
     quantum_chevalley_minuscule,
 )
 from mmirror.cli import _load_case_list, _wgamma_positions
-from mmirror.minrep import build_rep, equivariant_fg, fg_connection
+from mmirror.minrep import coweight_diagonal, fg_connection
 from mmirror.period_gw import d4_split
 from mmirror.weyl import (
     bruhat_covers_up,
@@ -285,8 +284,6 @@ def test_fw_rejects_bad_input():
     reps = minuscule_coset_reps(d, 2)
     with pytest.raises(ValueError):
         fw_matrix(d, reps, 3)  # node 3 lies in the Levi of node 2
-    with pytest.raises(ValueError, match="node 3 is not the node 2"):
-        mihalcea_diagonal(d, reps, 3)
 
 
 # ------------------------------------- weights against Weyl products
@@ -462,10 +459,11 @@ def test_fw_matrix_entries_are_clean(ct, node):
 def test_cell_invariant_of_every_builder(ct, node):
     d, reps = case(ct, node)
     m = fw_matrix(d, reps, node)
-    rep = build_rep(d, reps)
-    fg = fg_connection(rep)
-    for built in (m, mihalcea_equivariant(d, m, node), fg,
-                  equivariant_fg(rep, fg), m.mat_mul(m), fg.mat_mul(m)):
+    fg = fg_connection(d, reps)
+    scale, rows = coweight_diagonal(d, reps)
+    for built in (m, mihalcea_equivariant(d, m), fg,
+                  lift_equivariant(fg, rows, scale), m.mat_mul(m),
+                  fg.mat_mul(m)):
         _assert_cells(built)
 
 
@@ -560,7 +558,7 @@ def test_relation_zero_matrix():
 
 def test_mihalcea_p1():
     d, reps = case("A1", 1)
-    m = mihalcea_equivariant(d, fw_matrix(d, reps, 1), 1)
+    m = mihalcea_equivariant(d, fw_matrix(d, reps, 1))
     V = ("q", "h1")
     h = LaurentPoly.var(V, "h1")
     q = LaurentPoly.var(V, "q")
@@ -585,7 +583,7 @@ def test_mihalcea_specializes_to_quantum():
     for ct, node in [("A2", 1), ("A3", 2), ("B3", 3), ("D4", 1)]:
         d, reps = case(ct, node)
         mq = quantum_chevalley_minuscule(d, reps, node)
-        me = mihalcea_equivariant(d, mq, node)
+        me = mihalcea_equivariant(d, mq)
         hzero = {v: Fraction(0) for v in me.variables if v != "q"}
         for r in range(me.size):
             for c in range(me.size):
@@ -626,13 +624,13 @@ def test_lift_equivariant_adds_only_diagonal_terms(ct, node):
                                                   coeff=coeff)
                 assert lifted.entry(r, c) == want.terms, c
     _assert_cells(lifted)
-    _assert_cells(mihalcea_equivariant(d, m, node))
+    _assert_cells(mihalcea_equivariant(d, m))
 
 
 def test_mihalcea_trace_zero():
     for ct, node in [("A3", 2), ("B3", 3), ("C3", 1), ("D4", 1)]:
         d, reps = case(ct, node)
-        m = mihalcea_equivariant(d, fw_matrix(d, reps, node), node)
+        m = mihalcea_equivariant(d, fw_matrix(d, reps, node))
         tr = LaurentPoly(m.variables)
         for i in range(m.size):
             tr = tr + LaurentPoly(m.variables, m.entry(i, i))
@@ -647,14 +645,14 @@ def test_mihalcea_trace_zero():
 def test_homogeneity(ct, node):
     d, reps = case(ct, node)
     m = quantum_chevalley_minuscule(d, reps, node)
-    assert check_homogeneous(d, m, node)
-    assert check_homogeneous(d, mihalcea_equivariant(d, m, node), node)
+    assert check_homogeneous(m)
+    assert check_homogeneous(mihalcea_equivariant(d, m))
 
 
 def test_homogeneity_odd_quadric():
     d = D("B3")
     reps = minuscule_coset_reps(d, 1)
-    assert check_homogeneous(d, fw_matrix(d, reps, 1), 1)
+    assert check_homogeneous(fw_matrix(d, reps, 1))
 
 
 @pytest.mark.parametrize("ct,node", [("A3", 2), ("B3", 3), ("D4", 1)])

@@ -4,7 +4,7 @@ from operator import mul
 import pytest
 
 from mmirror import minrep, weyl
-from mmirror.minrep import build_rep, fg_connection
+from mmirror.minrep import fg_connection
 from mmirror.period_gw import bruhat_path_count
 from mmirror.qchev import fw_matrix
 from mmirror.rootsys import (
@@ -275,19 +275,21 @@ def test_length_is_not_depth_at_the_quadric_node(monkeypatch):
 
 @pytest.mark.parametrize("ct", TABLE_TYPES)
 def test_descent_length_is_descent_word_length(ct):
-    # every w s_beta . rho = w.rho - <rho, beta-vee> w.beta, which is what
-    # reflect_length descends, descends to rho in reflect_length letters
+    # every w s_beta . rho = w.rho - <rho, beta-vee> w.beta is the vector
+    # reflect_rho reads off the table, and it descends to rho: so
+    # reflect_length, the letter count of that descent, is a word length
+    # (checked against element lengths in
+    # test_reflect_coset_matches_product_route)
     d, cases = _table_cases(ct)
     rho = (1,) * d.rank
     for reps in cases:
         for c, img in enumerate(reps.images):
             for beta in reps.roots:
                 h = sum(beta.coroot)
-                v = [r - h * b for r, b in zip(img[0], img[reps.slot(beta)])]
-                word, end = descent(d, v)
-                assert end == rho, (c, beta)
-                assert len(word) == reflect_length(d, reps, c, beta), \
-                    (c, beta)
+                v = tuple(r - h * b
+                          for r, b in zip(img[0], img[reps.slot(beta)]))
+                assert reflect_rho(reps, c, beta) == v, (c, beta)
+                assert descent(d, v)[1] == rho, (c, beta)
 
 
 def _frozen_step(d, j, cw):
@@ -351,7 +353,7 @@ def test_chevalley_route_does_not_use_root_step(monkeypatch):
     assert len(fw_matrix(d, reps, 7).cells) > 0
     assert bruhat_path_count(d, reps, 7) > 0
     with pytest.raises(AssertionError, match="root_step"):
-        fg_connection(build_rep(d, reps))
+        fg_connection(d, reps)
 
 
 # ------------------------------------------- words against a reference
