@@ -290,7 +290,7 @@ def _check_wgamma_positions(case) -> None:
             )
 
 
-def _check_mirror(case, budget):
+def _check_mirror(case):
     F = case.fg
     if case.matrix != F:
         raise CheckFailure("quantum Chevalley matrix != canonical-basis "
@@ -299,7 +299,7 @@ def _check_mirror(case, budget):
     return f"{case.matrix.size}x{case.matrix.size} matrices equal"
 
 
-def _check_equivariant(case, budget):
+def _check_equivariant(case):
     """The lifts agree when the q-matrices and the integer diagonals, over
     their two denominators, do; only a failure builds the lifts."""
     dm, mrows = mihalcea_diagonal(case.d, case.reps)
@@ -314,20 +314,20 @@ def _check_equivariant(case, budget):
     return f"equal over {case.d.rank + 1} variables"
 
 
-def _check_homogeneous(case, budget):
+def _check_homogeneous(case):
     if not check_homogeneous(case.matrix):
         raise CheckFailure("matrix entries are not degree-homogeneous")
     return "degree-homogeneous"
 
 
-def _check_poincare(case, budget):
+def _check_poincare(case):
     if not poincare_self_adjoint(case.matrix, pd(case.d, case.reps)):
         raise CheckFailure("matrix is not self-adjoint for the Poincare "
                            "pairing")
     return "self-adjoint"
 
 
-def _check_period(case, budget):
+def _check_period(case):
     D = case.params["max_degree"]
     c1 = case.period(D).coefficients[1]
     paths = bruhat_path_count(case.d, case.reps, case.node)
@@ -338,7 +338,7 @@ def _check_period(case, budget):
     return f"c1 = {c1} = chain count; c_0..c_{D} nonnegative"
 
 
-def _check_period_positive(case, budget):
+def _check_period_positive(case):
     D = case.params["max_degree"]
     c1 = case.period(D).coefficients[1]
     if c1 != 2:
@@ -346,7 +346,7 @@ def _check_period_positive(case, budget):
     return f"c1 = 2; c_0..c_{D} nonnegative"
 
 
-def _check_projective_period(case, budget):
+def _check_projective_period(case):
     D = case.params["max_degree"]
     size = case.params["projective_dim"] + 1
     for d, c in enumerate(case.period(D).coefficients):
@@ -356,7 +356,7 @@ def _check_projective_period(case, budget):
     return f"c_d = 1/(d!)^{size} up to degree {D}"
 
 
-def _check_constant_term(case, budget):
+def _check_constant_term(case):
     k, n = case.node, case.ct.rank + 1
     depth = case.params["ct_degree"]
     refuse_large_grassmannian(k, n)
@@ -364,7 +364,7 @@ def _check_constant_term(case, budget):
     series = case.period(depth)
     values = []
     for d in range(1, depth + 1):
-        got = gw_from_constant_term(pot, d, budget)
+        got = gw_from_constant_term(pot, d, case.params["budget"])
         want = series.coefficients[d]
         if got != want:
             raise CheckFailure(
@@ -374,7 +374,7 @@ def _check_constant_term(case, budget):
     return f"Gr({k},{n}) degrees 1..{depth}: " + ", ".join(values)
 
 
-def _check_wgamma(case, budget):
+def _check_wgamma(case):
     want = case.params["wgamma"]
     got = len(w_gamma_set(case.d, case.reps))
     if got != want:
@@ -382,7 +382,7 @@ def _check_wgamma(case, budget):
     return f"|W(gamma)| = {want}"
 
 
-def _check_gr24_products(case, budget):
+def _check_gr24_products(case):
     m = case.matrix
     one, q = {(0,): 1}, {(1,): 1}
     golden = {
@@ -398,7 +398,7 @@ def _check_gr24_products(case, budget):
     return "five golden columns match"
 
 
-def _check_d4_kernel(case, budget):
+def _check_d4_kernel(case):
     split = case.d4
     full = case.period(3)
     restricted = quantum_period(split.restricted, 3)
@@ -408,7 +408,7 @@ def _check_d4_kernel(case, budget):
     return "one-line kernel; rank-7 block carries the period"
 
 
-def _check_d4_scalar(case, budget):
+def _check_d4_scalar(case):
     split = case.d4
     op = cyclic_scalar_operator(split.restricted, 6)
     want = (RatFunc.make((0, -2)), RatFunc.make((0, -4)))
@@ -420,7 +420,7 @@ def _check_d4_scalar(case, budget):
     return "theta^7 - 4q*theta - 2q; annihilates the period to degree 8"
 
 
-def _check_fw_products(case, budget):
+def _check_fw_products(case):
     m = case.matrix
     n = case.ct.rank
     one, q = {(0,): 1}, {(1,): 1}
@@ -433,7 +433,7 @@ def _check_fw_products(case, budget):
     return "doubling, +q, and wrap products match"
 
 
-def _check_x6_relation(case, budget):
+def _check_x6_relation(case):
     if not matrix_relation(case.matrix, {(6, 0): 1, (1, 1): -4}):
         raise CheckFailure("X^6 - 4qX does not annihilate the matrix")
     return "X^6 - 4qX = 0"
@@ -475,10 +475,11 @@ def _run_case(entry, max_degree, budget):
         for key in ("max_degree", "ct_degree"):
             if key in case.params:
                 case.params[key] = max_degree
+    case.params["budget"] = budget
     checks = []
     for name in case.check_names():
         try:
-            detail = _CHECKS[name](case, budget)
+            detail = _CHECKS[name](case)
             checks.append({"name": name, "pass": True, "detail": detail})
         except CheckFailure as exc:
             checks.append({"name": name, "pass": False, "detail": str(exc)})

@@ -178,7 +178,7 @@ def bruhat_path_count(d: RootDatum, reps: CosetReps, node: int) -> int:
         amount = counts.get(i, 0)
         if amount == 0:
             continue
-        for _beta, j in bruhat_covers_up(d, reps, i):
+        for _beta, j in bruhat_covers_up(reps, i):
             counts[j] = counts.get(j, 0) + amount
     return counts.get(top, 0)
 

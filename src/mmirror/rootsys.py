@@ -20,6 +20,8 @@ Conventions
 * Every Weyl length and word is read off one descent of a weight to the
   dominant chamber (descent): the word of w from w.rho, ell(s_beta) from
   s_beta.rho (reflection_length).
+* The only parabolic is the maximal one at a node (levi_data), with the
+  closed-form |W^P|; its Levi roots are those with node coordinate 0.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-import json
 from math import gcd, lcm
 from operator import mul
 import re
@@ -38,12 +39,10 @@ __all__ = [
     "RootDatum",
     "ParabolicData",
     "build_root_datum",
-    "quantum_roots",
     "gamma_root",
     "levi_data",
     "minuscule_nodes",
     "minuscule_dimension",
-    "is_cominuscule",
     "simple_root",
     "descent",
     "reflection_length",
@@ -183,12 +182,6 @@ class RootDatum:
     @property
     def rank(self) -> int:
         return self.cartan_type.rank
-
-    def __eq__(self, other):
-        return isinstance(other, RootDatum) and self.cartan_type == other.cartan_type
-
-    def __hash__(self):
-        return hash(self.cartan_type)
 
     def root_from_coeffs(self, coeffs):
         """Positive Root with the given simple-root coordinates, or None."""
@@ -360,12 +353,6 @@ def reflection_length(d: RootDatum, beta: Root) -> int:
     return len(descent(d, [1 - h * b for b in beta.fw])[0])
 
 
-def quantum_roots(d: RootDatum):
-    """Positive roots beta with ell(s_beta) = <2*rho, beta-vee> - 1."""
-    return [beta for beta in d.positive_roots
-            if reflection_length(d, beta) == 2 * sum(beta.coroot) - 1]
-
-
 def minuscule_nodes(ct: CartanType):
     """Nodes whose fundamental representation has a single Weyl orbit of
     weights, per type: A_n all, B_n {n}, C_n {1}, D_n {1, n-1, n},
@@ -373,12 +360,6 @@ def minuscule_nodes(ct: CartanType):
     n = ct.rank
     return {"A": tuple(range(1, n + 1)), "B": (n,), "C": (1,),
             "D": (1, n - 1, n), "E": (1, 6) if n == 6 else (7,)}[ct.family]
-
-
-def is_cominuscule(d: RootDatum, node: int) -> bool:
-    """True when alpha_node appears with coefficient 1 in the highest root
-    (equivalently, with coefficient <= 1 in every positive root)."""
-    return d.highest_root.coeffs[node - 1] == 1
 
 
 def minuscule_dimension(ct: CartanType, node: int) -> int:
@@ -436,10 +417,10 @@ def gamma_root(d: RootDatum, node: int) -> Root:
 
 @dataclass(frozen=True)
 class ParabolicData:
-    """Levi data for a parabolic subgroup.
+    """Levi data for the maximal parabolic at node (I_P = I minus {node}).
 
-    node is set for maximal parabolics (I_P = I minus {node}); gamma and I_Q
-    are populated only in the maximal minuscule case.  coset_size = |W^P|.
+    gamma and I_Q are populated only at a minuscule node, and are None
+    elsewhere.  coset_size = |W^P|.
     """
 
     node: int
@@ -451,11 +432,11 @@ class ParabolicData:
     coset_size: int
 
 
-def levi_data(d: RootDatum, node: int = None, subset=None) -> ParabolicData:
-    """ParabolicData for the maximal parabolic at `node`, or for a general
-    I_P given as `subset` (1-based indices).
+def levi_data(d: RootDatum, node: int) -> ParabolicData:
+    """ParabolicData for the maximal parabolic at `node`: R+_P holds the
+    positive roots whose node coordinate is 0.
 
-    In the maximal minuscule case this also computes gamma and
+    At a minuscule node this also computes gamma and
     I_Q = {j in I_P : <alpha_j, gamma-vee> = 0} and asserts the
     Coxeter-number identity <2(rho - rho_P), alpha_node-vee> = c.
 
@@ -464,28 +445,15 @@ def levi_data(d: RootDatum, node: int = None, subset=None) -> ParabolicData:
     Coxeter group", 1972), so no orbit is enumerated.
     """
     n = d.rank
-    if (node is None) == (subset is None):
-        raise ValueError("pass exactly one of node / subset")
-    if node is not None:
-        if not 1 <= node <= n:
-            raise ValueError(f"node {node} out of range for {d.cartan_type}")
-        I_P = tuple(j for j in range(1, n + 1) if j != node)
-    else:
-        I_P = tuple(sorted(subset))
-        if any(j < 1 or j > n for j in I_P):
-            raise ValueError("subset indices out of range")
-    outside = [j for j in range(1, n + 1) if j not in I_P]
-
-    levi = tuple(
-        r for r in d.positive_roots
-        if all(r.coeffs[j - 1] == 0 for j in outside)
-    )
-    levi_coeffs = {r.coeffs for r in levi}
+    if not 1 <= node <= n:
+        raise ValueError(f"node {node} out of range for {d.cartan_type}")
+    I_P = tuple(j for j in range(1, n + 1) if j != node)
+    levi = tuple(r for r in d.positive_roots if r.coeffs[node - 1] == 0)
     rho_P = tuple(Fraction(sum(r.fw[k] for r in levi), 2) for k in range(n))
 
     gamma = None
     I_Q = None
-    if node is not None and node in minuscule_nodes(d.cartan_type):
+    if node in minuscule_nodes(d.cartan_type):
         gamma = gamma_root(d, node)
         I_Q = tuple(
             j for j in I_P
@@ -500,7 +468,7 @@ def levi_data(d: RootDatum, node: int = None, subset=None) -> ParabolicData:
 
     num = den = 1
     for r in d.positive_roots:
-        if r.coeffs not in levi_coeffs:
+        if r.coeffs[node - 1]:
             num *= r.height + 1
             den *= r.height
     size, rem = divmod(num, den)

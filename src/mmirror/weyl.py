@@ -146,10 +146,9 @@ def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
     weight with its coweight to <varpi_node, varpi_node-vee>, which W
     preserves, at a minuscule node have length ht(varpi_node - mu), and
     the count must be the closed-form |W^P| of levi_data."""
-    p = levi_data(d, node=node)
+    p = levi_data(d, node)
     minuscule = node in minuscule_nodes(d.cartan_type)
-    levi = {r.coeffs for r in p.levi_positive_roots}
-    roots = tuple(r for r in d.positive_roots if r.coeffs not in levi)
+    roots = tuple(r for r in d.positive_roots if r.coeffs[node - 1])
     start = tuple(int(j == node - 1) for j in range(d.rank))
     cov = tuple(row[node - 1] for row in d.inverse_cartan[1])
     words = {start: ()}
@@ -225,13 +224,13 @@ def reflect_length(d: RootDatum, reps: CosetReps, c: int, beta: Root) -> int:
     return len(descent(d, reflect_rho(reps, c, beta))[0])
 
 
-def bruhat_covers_up(d: RootDatum, reps: CosetReps, c: int):
-    """Covers of the rep w at c in W^P: w s_beta with beta in R+ \\ R+_P,
-    ell(w s_beta) = ell(w) + 1 and w s_beta the minimal rep of its coset,
-    i.e. its coset r has length ell(w) + 1 and w s_beta . rho is the rho
-    image of r's rep (reflect_rho).  Returned as (beta, index) pairs in
-    positive-root order.  r has length ell(w) + ht(w.beta) at a
-    minuscule node, so only ht(w.beta) = 1 is looked up there."""
+def bruhat_covers_up(reps: CosetReps, c: int):
+    """Covers of the rep w at c in W^P, read off the table alone: w s_beta
+    for beta in R+ \\ R+_P whose coset r has length ell(w) + 1 and whose
+    rho image w s_beta . rho is that of r's rep (reflect_rho), so it is
+    r's minimal rep.  Returned as (beta, index) pairs in positive-root
+    order.  r has length ell(w) + ht(w.beta) at a minuscule node, so only
+    ht(w.beta) = 1 is looked up there."""
     up = reps.lengths[c] + 1
     hts = reps.heights[c] if reps.heights else None
     out = []

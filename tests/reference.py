@@ -16,8 +16,9 @@ fw coordinates and its inverse; ``from_word`` builds one from a word,
 shorter row its word drops the first letter to, and
 ``index_of`` finds the row whose rep is a given element;
 ``multiply``, ``inverse``, ``reflection``, ``pi_P``, ``longest_element``
-(of any standard parabolic; ``pd_oracle`` reads Poincare duality off
-w0) and ``special_elements`` work on rank x rank action matrices;
+(of any standard parabolic, whose positive roots ``levi_roots`` lists;
+``pd_oracle`` reads Poincare duality off w0) and ``special_elements``
+work on rank x rank action matrices;
 ``root_image`` is w.beta as the product of w's action with beta's fw
 coordinates, and ``act_coweight`` is the Fraction action on coweights
 that the integer equivariant diagonals are checked against.
@@ -89,8 +90,6 @@ from mmirror.rootsys import (
     _cartan_matrix,
     build_root_datum,
     descent,
-    is_cominuscule,
-    levi_data,
     minuscule_nodes,
     simple_root,
 )
@@ -323,14 +322,23 @@ def root_image(w: WeylElt, beta) -> tuple:
     return _matvec(w.action, beta.fw)
 
 
+def levi_roots(d, J) -> tuple:
+    """R+_J: the positive roots whose simple-root support lies in J
+    (1-based nodes), in positive-root order."""
+    return tuple(r for r in d.positive_roots
+                 if all(c == 0 for j, c in enumerate(r.coeffs, 1)
+                        if j not in J))
+
+
 def longest_element(d, J=None) -> WeylElt:
     """Longest element of the standard parabolic W_J (J = all nodes when
     omitted): the descent word of w0_J.rho = rho - 2 rho_J, which is -rho
     for w0."""
     if J is None:
         return from_word(d, descent(d, [-1] * d.rank)[0])
-    rho_J = levi_data(d, subset=J).rho_P
-    return from_word(d, descent(d, [int(1 - 2 * x) for x in rho_J])[0])
+    levi = levi_roots(d, J)
+    mu = [1 - sum(r.fw[k] for r in levi) for k in range(d.rank)]
+    return from_word(d, descent(d, mu)[0])
 
 
 def pd_oracle(d, reps) -> tuple:
@@ -367,7 +375,7 @@ def unpruned_fw_matrix(d, reps, node) -> ConnMatrix:
     return ConnMatrix(reps, ("q",), len(reps), cells)
 
 
-def unpruned_covers_up(d, reps, c) -> list:
+def unpruned_covers_up(reps, c) -> list:
     """bruhat_covers_up with every root looked up."""
     up = reps.lengths[c] + 1
     out = []
@@ -448,7 +456,7 @@ def special_elements(d, p: ParabolicData) -> SpecialElements:
         -1 + 2 * x for x in p.rho_P
     ):
         raise AssertionError("w_P(rho) != -rho + 2 rho_P")
-    if p.node is not None and is_cominuscule(d, p.node):
+    if d.highest_root.coeffs[p.node - 1] == 1:
         sign, img = act_root(d, inverse(d, wP), simple_root(d, p.node))
         if sign != -1 or img.coeffs != d.highest_root.coeffs:
             raise AssertionError("w_P^{-1}(alpha_node) != -theta")
@@ -461,10 +469,7 @@ def special_elements(d, p: ParabolicData) -> SpecialElements:
         sgamma = reflection(d, p.gamma)
         levi_minus_q = {
             r.coeffs for r in p.levi_positive_roots
-        } - {
-            r.coeffs
-            for r in levi_data(d, subset=p.I_Q).levi_positive_roots
-        }
+        } - {r.coeffs for r in levi_roots(d, p.I_Q)}
         inv = {
             a.coeffs for a in d.positive_roots
             if act_root(d, wPQ, a)[0] < 0

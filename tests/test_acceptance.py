@@ -41,10 +41,8 @@ from mmirror.qchev import (
 from mmirror.rootsys import (
     CartanType,
     build_root_datum,
-    is_cominuscule,
-    levi_data,
     minuscule_dimension,
-    quantum_roots,
+    reflection_length,
     simple_root,
 )
 from mmirror.weyl import minuscule_coset_reps, w_gamma_set
@@ -58,6 +56,7 @@ from reference import (
     hbar_rescale_consistent,
     homogeneous_degree_one,
     inverse,
+    levi_roots,
     multiply,
     pairing,
     pi_P,
@@ -318,7 +317,8 @@ def test_criterion_09_combinatorics():
 
         # gamma is the unique root outside the Levi that is quantum with
         # Levi pairings in {-1, 0} ...
-        quantum = {b.coeffs for b in quantum_roots(d)}
+        quantum = {b.coeffs for b in d.positive_roots
+                   if reflection_length(d, b) == 2 * sum(b.coroot) - 1}
         char_pairing = {
             b.coeffs
             for b in outside
@@ -359,10 +359,7 @@ def test_criterion_09_combinatorics():
                 assert not (drop_s and drop_sp), (ct, node, w.word)
 
         # inversion set of the longest minimal P/Q representative
-        q_levi = {
-            r.coeffs
-            for r in levi_data(d, subset=p.I_Q).levi_positive_roots
-        }
+        q_levi = {r.coeffs for r in levi_roots(d, p.I_Q)}
         inv = {
             a.coeffs
             for a in d.positive_roots
@@ -381,7 +378,7 @@ def test_criterion_09_combinatorics():
         assert tuple(Fraction(x) for x in got) == want, (ct, node)
 
         # at a cominuscule node, w_P^{-1} carries the node root to -theta
-        if is_cominuscule(d, node):
+        if d.highest_root.coeffs[node - 1] == 1:
             cominuscule_seen += 1
             sign, img = act_root(
                 d, inverse(d, se.wP), simple_root(d, node)

@@ -52,6 +52,12 @@ def test_roots_dump(capsys):
      "796ee06cdcecca58421131da0ef2e10064399c6d2a87e5b4c953951aaa7ffa34"),
     (("C5",),
      "cc66b436c792d0c2d97ea32f3f5448c2cb1078881cf3749ddccc48fb29bc238b"),
+    # a minuscule node with a nonempty I_Q
+    (("E6", "--node", "1"),
+     "a9e6fe470f42fc125b437e6901687b572dd0b8cecf7dc941b62c86c7276a6c52"),
+    # an interior node: gamma and I_Q null, |W^P| = 80
+    (("D5", "--node", "3"),
+     "fbede698975e7e325a5f9dba2ed6de2dbf055683c55fc8d0a1db527ce80f5b6b"),
 ])
 def test_roots_golden(capsys, argv, digest):
     code, out, err = run(capsys, "roots", *argv)
@@ -412,6 +418,19 @@ def test_budget_of_one_is_a_budget(capsys):
     assert "budget" in err and "below 1" not in err
 
 
+def test_verify_budget_exhaustion_fails_constant_term_alone(capsys):
+    # the run's budget reaches the constant-term check and only it fails
+    code, doc = run_json(capsys, "verify", "A3", "--node", "2",
+                         "--budget", "1")
+    assert code == 1
+    assert doc["counts"] == {"cases": 1, "checks": 7, "failed": 1}
+    failed = [ch for ch in doc["cases"][0]["checks"] if not ch["pass"]]
+    assert failed == [{
+        "name": "constant_term", "pass": False,
+        "detail": "enumeration budget exceeded: constant-term route needs "
+                  "more than its budget of 1 term products"}]
+
+
 # ------------------------------------------------------- failure details
 
 def _mirror_check(report):
@@ -526,7 +545,7 @@ def test_equivariant_fails_on_q_cell_alone():
     cells[0, 2] = {k: 2 * v for k, v in F.entry(0, 2).items()}
     case.fg = ConnMatrix(F.basis, F.variables, F.size, cells)
     with pytest.raises(cli.CheckFailure) as failure:
-        cli._CHECKS["equivariant"](case, None)
+        cli._CHECKS["equivariant"](case)
     assert str(failure.value) == ("equivariant matrices differ at (0, 2): "
                                   "q vs 2*q")
 

@@ -270,7 +270,7 @@ def test_fw_matches_minuscule_columnwise():
         for c, w in enumerate(rep_elements(d, reps)):
             got = _column(m, c)
             want = {}
-            for beta, r in bruhat_covers_up(d, reps, c):
+            for beta, r in bruhat_covers_up(reps, c):
                 key = (0, r)
                 want[key] = want.get(key, 0) + beta.coroot[node - 1]
             if c in wg:
@@ -338,7 +338,7 @@ def test_weight_route_matches_product_route(ct, node):
             if (beta.coeffs not in levi and elt.length == w.length + 1
                     and pi_P(d, p.I_P, elt) == elt):
                 covers.append((beta, index_of(d, reps, elt)))
-        assert bruhat_covers_up(d, reps, c) == covers, c
+        assert bruhat_covers_up(reps, c) == covers, c
     assert pd(d, reps) == tuple(
         index_of(d, reps, pi_P(d, p.I_P, multiply(d, multiply(d, se.w0, w),
                                                   se.w0P)))
@@ -400,7 +400,7 @@ def test_lengths_asked_only_where_a_term_is_possible(monkeypatch):
     lookups.clear()
     descents.clear()
     for c in range(len(reps)):
-        bruhat_covers_up(d, reps, c)
+        bruhat_covers_up(reps, c)
     assert len(lookups) == covers == 84
     assert descents == []
 
@@ -414,8 +414,8 @@ def test_pruned_rule_and_covers_match_unpruned_reference(cartan, node):
     d, reps = case(cartan, node)
     assert fw_matrix(d, reps, node) == unpruned_fw_matrix(d, reps, node)
     for c in range(len(reps)):
-        assert (bruhat_covers_up(d, reps, c)
-                == unpruned_covers_up(d, reps, c)), c
+        assert (bruhat_covers_up(reps, c)
+                == unpruned_covers_up(reps, c)), c
 
 
 def _assert_cells(m):

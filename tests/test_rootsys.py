@@ -11,7 +11,6 @@ from mmirror.rootsys import (
     levi_data,
     minuscule_dimension,
     minuscule_nodes,
-    quantum_roots,
     reflection_length,
     simple_root,
 )
@@ -133,13 +132,15 @@ def test_pairing_rank_mismatch():
 def test_quantum_roots_simply_laced_all():
     for ct in [CartanType("A", 3), CartanType("D", 4)]:
         d = build_root_datum(ct)
-        assert quantum_roots(d) == list(d.positive_roots)
+        assert all(reflection_length(d, b) == 2 * sum(b.coroot) - 1
+                   for b in d.positive_roots)
 
 
 def test_quantum_roots_b3():
     # longs plus the short simple alpha_n
     d = build_root_datum(CartanType("B", 3))
-    q = {r.coeffs for r in quantum_roots(d)}
+    q = {b.coeffs for b in d.positive_roots
+         if reflection_length(d, b) == 2 * sum(b.coroot) - 1}
     longs = {r.coeffs for r in d.positive_roots if r.norm2 == 2}
     assert q == longs | {(0, 0, 1)}
     assert len(q) == 7
@@ -147,7 +148,8 @@ def test_quantum_roots_b3():
 
 def test_quantum_roots_c3():
     d = build_root_datum(CartanType("C", 3))
-    q = {r.coeffs for r in quantum_roots(d)}
+    q = {b.coeffs for b in d.positive_roots
+         if reflection_length(d, b) == 2 * sum(b.coroot) - 1}
     assert q == {
         (1, 0, 0), (0, 1, 0), (1, 1, 0),
         (0, 0, 1), (0, 2, 1), (2, 2, 1),
@@ -252,14 +254,6 @@ def test_levi_e7():
     assert len(p.levi_positive_roots) == 36  # E6 inside E7
 
 
-def test_levi_general_subset():
-    d = build_root_datum(CartanType("A", 3))
-    p = levi_data(d, subset=[1])
-    assert p.I_P == (1,)
-    assert p.coset_size == 12  # |W| / |W_{A1}| = 24/2
-    assert p.gamma is None
-
-
 def test_levi_coxeter_chern_all_minuscule():
     # <2(rho - rho_P), alpha_node-vee> = coxeter number, for every
     # minuscule node in the supported range (checked inside levi_data).
@@ -293,12 +287,6 @@ def test_coset_size_equals_orbit_walk(ct):
 
 def test_levi_argument_validation():
     d = build_root_datum(CartanType("A", 3))
-    with pytest.raises(ValueError):
-        levi_data(d)
-    with pytest.raises(ValueError):
-        levi_data(d, node=2, subset=[1])
-    with pytest.raises(ValueError):
-        levi_data(d, subset=[0, 5])
     for node in (0, 4, -2):
         with pytest.raises(ValueError, match="out of range"):
             levi_data(d, node=node)

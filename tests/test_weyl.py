@@ -440,15 +440,15 @@ def test_covers_p2_chain():
     d = D("A2")
     reps = minuscule_coset_reps(d, 1)
     for i in range(2):
-        cov = bruhat_covers_up(d, reps, i)
+        cov = bruhat_covers_up(reps, i)
         assert [c for _, c in cov] == [i + 1]
-    assert bruhat_covers_up(d, reps, 2) == []
+    assert bruhat_covers_up(reps, 2) == []
 
 
 def test_covers_gr24_diamond():
     d = D("A3")
     reps = minuscule_coset_reps(d, 2)
-    counts = [len(bruhat_covers_up(d, reps, i)) for i in range(len(reps))]
+    counts = [len(bruhat_covers_up(reps, i)) for i in range(len(reps))]
     # 2x2 box poset: bottom 1, rank1 2, two middles 1 each, rank3 1, top 0
     assert counts == [1, 2, 1, 1, 1, 0]
     assert sum(counts) == 6
@@ -458,7 +458,7 @@ def test_covers_land_in_reps():
     d = D("B3")
     reps = minuscule_coset_reps(d, 3)
     for i, ell in enumerate(reps.lengths):
-        for beta, c in bruhat_covers_up(d, reps, i):
+        for beta, c in bruhat_covers_up(reps, i):
             assert reps.lengths[c] == ell + 1
             assert 0 <= c < len(reps)
             assert beta.coeffs[2] != 0  # outside the Levi
