@@ -29,11 +29,10 @@ products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add, mul
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .qchev import LaurentPoly
 from .rootsys import (
@@ -61,8 +60,7 @@ class BudgetExceeded(RuntimeError):
 # potentials
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(NamedTuple):
     """Superpotential ``f_q = linear + q * quantum`` with deg q = coxeter.
 
     linear and quantum are terms dicts over ``variables``, {exponent

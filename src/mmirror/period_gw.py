@@ -38,10 +38,9 @@ polynomials and rational-function arithmetic) live in the test suite's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, repeat
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .qchev import ConnMatrix
 from .rootsys import RootDatum
@@ -52,8 +51,7 @@ from .weyl import CosetReps, bruhat_covers_up, reflect_coset
 # the period recursion
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PeriodSeries:
+class PeriodSeries(NamedTuple):
     """Coefficients c_0..c_D of the quantum period, plus (optionally) the
     full flat-section vectors degree by degree, each kept as the integers
     (X, Q) of S_d = X / Q."""
@@ -368,8 +366,7 @@ def _pgcd(a: dict, b: dict) -> tuple:
             xi = xi * 73794 // 27011
 
 
-@dataclass(frozen=True)
-class RatFunc:
+class RatFunc(NamedTuple):
     """Rational function of q, the output form of the operators:
     coprime numerator/denominator coefficient tuples of Fractions (low
     degree first), denominator monic."""
@@ -398,8 +395,7 @@ class RatFunc:
         return RatFunc.make((Fraction(v),))
 
 
-@dataclass(frozen=True)
-class ScalarOperator:
+class ScalarOperator(NamedTuple):
     """Monic operator sum p_k theta^k with rational-function
     coefficients; order = the theta-degree."""
 
@@ -558,8 +554,7 @@ def operator_annihilates(op: ScalarOperator, series: PeriodSeries,
 # the six-dimensional quadric
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class D4Split:
+class D4Split(NamedTuple):
     """Kernel line and invariant complement of the 8x8 quadric matrix."""
 
     kernel: Tuple[int, ...]

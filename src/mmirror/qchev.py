@@ -33,7 +33,7 @@ potentials) and has no arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import add, mul
 
@@ -101,18 +101,15 @@ class LaurentPoly:
         return f"LaurentPoly({self.render()})"
 
 
-@dataclass(frozen=True, eq=False)
-class ConnMatrix:
+class ConnMatrix(namedtuple("ConnMatrix", "basis variables size cells")):
     """Square matrix of Laurent polynomials indexed by a CosetReps basis
     (None for a matrix on another basis); column w is the operator
     applied to sigma_w.  cells maps (row, col) to the entry's terms,
     {exponent tuple: nonzero int or Fraction}, and is the only store:
-    every other entry is zero."""
+    every other entry is zero.  Two matrices are equal when their
+    variables, sizes and cells are."""
 
-    basis: CosetReps
-    variables: tuple
-    size: int
-    cells: dict
+    __slots__ = ()
 
     def entry(self, r, c):
         return self.cells.get((r, c), {})
@@ -134,6 +131,8 @@ class ConnMatrix:
             and self.size == other.size
             and self.cells == other.cells
         )
+
+    __ne__ = object.__ne__
 
     def column(self, c):
         """The nonzero entries of column c as {row: terms}, by row."""

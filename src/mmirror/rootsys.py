@@ -26,12 +26,13 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 import re
+from typing import NamedTuple
 
 __all__ = [
     "CartanType",
@@ -52,28 +53,25 @@ __all__ = [
 _FAMILY_PATTERN = re.compile(r"^([A-Ea-e])\s*(\d+)$")
 
 
-@dataclass(frozen=True, order=True)
-class CartanType:
-    """A simple Lie type, e.g. CartanType('A', 3).
+class CartanType(namedtuple("CartanType", "family rank")):
+    """A simple Lie type, e.g. CartanType('A', 3); sorts by (family, rank).
 
     Rank bounds: A n>=1, B n>=2, C n>=2, D n>=4, E n in {6, 7}.
     """
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        fam = self.family
-        n = self.rank
+    def __new__(cls, family, rank):
         ok = (
-            (fam == "A" and n >= 1)
-            or (fam == "B" and n >= 2)
-            or (fam == "C" and n >= 2)
-            or (fam == "D" and n >= 4)
-            or (fam == "E" and n in (6, 7))
+            (family == "A" and rank >= 1)
+            or (family == "B" and rank >= 2)
+            or (family == "C" and rank >= 2)
+            or (family == "D" and rank >= 4)
+            or (family == "E" and rank in (6, 7))
         )
         if not ok:
-            raise ValueError(f"unsupported Cartan type {fam}{n}")
+            raise ValueError(f"unsupported Cartan type {family}{rank}")
+        return super().__new__(cls, family, rank)
 
     @staticmethod
     def parse(text: str) -> "CartanType":
@@ -87,8 +85,7 @@ class CartanType:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     """A root in simple-root coordinates, with cached derived data.
 
     coeffs : integer coordinates on alpha_1..alpha_r (all >= 0 here: the
@@ -161,23 +158,18 @@ def _nonzero_rows(cartan):
                  for row in cartan)
 
 
-@dataclass(frozen=True, eq=False)
-class RootDatum:
-    """Root data for one simple type.
+class RootDatum(namedtuple("RootDatum", "cartan_type cartan positive_roots "
+                           "highest_root two_rho_covec coxeter_number "
+                           "exponents by_coeffs")):
+    """Root data for one simple type, equal only to itself.
 
     Fields follow the obvious meanings; `positive_roots` is ordered by
     (height, lexicographic coeffs), and rho = (1, .., 1) is not stored.
-    A private table maps simple-root coordinates back to positive roots.
+    by_coeffs maps simple-root coordinates back to positive roots.  No
+    __slots__: the cached properties live in the instance __dict__.
     """
 
-    cartan_type: CartanType
-    cartan: tuple
-    positive_roots: tuple
-    highest_root: Root
-    two_rho_covec: tuple
-    coxeter_number: int
-    exponents: tuple
-    _by_coeffs: dict = field(repr=False)
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
     def rank(self) -> int:
@@ -185,7 +177,7 @@ class RootDatum:
 
     def root_from_coeffs(self, coeffs):
         """Positive Root with the given simple-root coordinates, or None."""
-        return self._by_coeffs.get(tuple(coeffs))
+        return self.by_coeffs.get(tuple(coeffs))
 
     @cached_property
     def cartan_rows(self):
@@ -309,7 +301,7 @@ def build_root_datum(ct: CartanType) -> RootDatum:
         two_rho_covec=two_rho,
         coxeter_number=cox,
         exponents=exps,
-        _by_coeffs=by_coeffs,
+        by_coeffs=by_coeffs,
     )
 
 
@@ -415,8 +407,7 @@ def gamma_root(d: RootDatum, node: int) -> Root:
     return gamma
 
 
-@dataclass(frozen=True)
-class ParabolicData:
+class ParabolicData(NamedTuple):
     """Levi data for the maximal parabolic at node (I_P = I minus {node}).
 
     gamma and I_Q are populated only at a minuscule node, and are None

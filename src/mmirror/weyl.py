@@ -41,11 +41,10 @@ read off the dominant end -w0.(1, 2, .., r) of the descent of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import mul, sub
 
 from .rootsys import (
-    ParabolicData,
     Root,
     RootDatum,
     descent,
@@ -93,8 +92,8 @@ def _reflect_coweight(d: RootDatum, j: int, cw) -> tuple:
     return tuple(cw)
 
 
-@dataclass(frozen=True)
-class CosetReps:
+class CosetReps(namedtuple("CosetReps", "parabolic weights lengths words "
+                           "coweights images heights roots by_weight slots")):
     """W^P for a maximal parabolic as parallel tuples, one row per coset,
     ordered by (length, canonical word) of its minimal representative w:
     weights[i] = w . varpi_node, which keys the row; lengths[i] = ell(w)
@@ -108,29 +107,23 @@ class CosetReps:
     ht(w.rho - rho)); as ell(w) = ht(varpi_node - mu) there, the coset
     of w s_beta, of weight mu - w.beta, has length ell(w) + ht(w.beta).
     At the B_n quadric node a step may lower mu by 2 alpha_n, lengths
-    are not heights, and heights is None: no move is pruned."""
+    are not heights, and heights is None: no move is pruned.  by_weight
+    maps each weight to its row and slots each root's coeffs to its slot.
+    A table equals only itself, and its len is the number of cosets."""
 
-    parabolic: ParabolicData
-    weights: tuple
-    lengths: tuple
-    words: tuple
-    coweights: tuple
-    images: tuple
-    heights: tuple
-    roots: tuple
-    _by_weight: dict = field(repr=False)
-    _slot: dict = field(repr=False)
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     def __len__(self):
         return len(self.weights)
 
     def index_of_weight(self, mu) -> int:
-        return self._by_weight[tuple(mu)]
+        return self.by_weight[tuple(mu)]
 
     def slot(self, beta: Root) -> int:
         """Position of w.beta in each images tuple; a Levi root has none."""
         try:
-            return self._slot[beta.coeffs]
+            return self.slots[beta.coeffs]
         except KeyError:
             raise ValueError(f"{beta} lies in the Levi of node "
                              f"{self.parabolic.node}: no coset move") from None
@@ -189,8 +182,8 @@ def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
         images=tuple(images[mu] for mu in order),
         heights=tuple(heights[mu] for mu in order) if minuscule else None,
         roots=roots,
-        _by_weight={mu: i for i, mu in enumerate(order)},
-        _slot={r.coeffs: s for s, r in enumerate(roots, 1)},
+        by_weight={mu: i for i, mu in enumerate(order)},
+        slots={r.coeffs: s for s, r in enumerate(roots, 1)},
     )
 
 
@@ -205,7 +198,7 @@ def reflect_coset(reps: CosetReps, c: int, beta: Root) -> int:
     k = beta.coroot[reps.parabolic.node - 1]
     if k != 1:                        # only at the B_n quadric node
         w_beta = [k * b for b in w_beta]
-    return reps._by_weight[tuple(map(sub, reps.weights[c], w_beta))]
+    return reps.by_weight[tuple(map(sub, reps.weights[c], w_beta))]
 
 
 def reflect_rho(reps: CosetReps, c: int, beta: Root) -> tuple:

@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 
 from mmirror.crystal_potential import (
-    Potential,
     constant_term_power,
     gw_from_constant_term,
     potential_typeA,

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import hashlib
 import inspect
 import json
@@ -905,17 +904,15 @@ def _coroots_are_coefficients(ct):
     # a shared-datum bug that hits B and C only: every coroot read as the
     # root's own simple-root coefficients
     d = rootsys.build_root_datum(ct)
-    roots = tuple(dataclasses.replace(r, coroot=r.coeffs)
-                  for r in d.positive_roots)
-    return dataclasses.replace(d, positive_roots=roots,
-                               highest_root=roots[-1],
-                               _by_coeffs={r.coeffs: r for r in roots})
+    roots = tuple(r._replace(coroot=r.coeffs) for r in d.positive_roots)
+    return d._replace(positive_roots=roots, highest_root=roots[-1],
+                      by_coeffs={r.coeffs: r for r in roots})
 
 
 def _theta_highest_short(ct):
     d = rootsys.build_root_datum(ct)
     short = [r for r in d.positive_roots if r.norm2 == 1]
-    return dataclasses.replace(d, highest_root=short[-1]) if short else d
+    return d._replace(highest_root=short[-1]) if short else d
 
 
 @pytest.mark.parametrize("mutation,error", [
@@ -972,15 +969,15 @@ def _first_linear_dropped(build):
         pot = build(*args)
         terms = dict(pot.linear)
         del terms[max(terms)]
-        return dataclasses.replace(pot, linear=terms)
+        return pot._replace(linear=terms)
     return mutated
 
 
 def _quantum_doubled(build):
     def mutated(*args):
         pot = build(*args)
-        return dataclasses.replace(
-            pot, quantum={e: 2 * c for e, c in pot.quantum.items()})
+        return pot._replace(
+            quantum={e: 2 * c for e, c in pot.quantum.items()})
     return mutated
 
 
