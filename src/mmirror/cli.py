@@ -1,11 +1,11 @@
 """Command line for the package: matrix dumps, series, potentials, and a
 one-shot verification runner.
 
-Every command prints JSON carrying a top-level ``"schema": "mm/1"`` key;
-rationals are rendered canonically as ``num/den`` strings (integers drop
-the denominator).  Output is deterministic: identical invocations produce
-byte-identical bytes.  ``verify`` exits nonzero when any check fails, so
-it can gate a release.
+Every command prints JSON carrying a top-level ``"schema": "mm/1"`` key,
+stamped by ``_emit_json`` alone; rationals are rendered canonically as
+``num/den`` strings (integers drop the denominator).  Output is
+deterministic: identical invocations produce byte-identical bytes.
+``verify`` exits nonzero when any check fails, so it can gate a release.
 
 Cases are named by Cartan type plus marked node, e.g. ``A3 --node 2``.
 Supported cases are the minuscule (type, node) pairs and the odd quadrics
@@ -512,7 +512,6 @@ def _load_case_list():
 
 def _matrix_payload(case: Case, M) -> dict:
     return {
-        "schema": "mm/1",
         "case": case.cartan,
         "node": case.node,
         "size": M.size,
@@ -536,14 +535,19 @@ def _ratfunc_payload(rf: RatFunc) -> dict:
 
 def _emit(text: str, output) -> None:
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(
+                f"cannot write {output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
 
 def _emit_json(payload, output) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", output)
+    _emit(json.dumps({**payload, "schema": "mm/1"}, indent=2,
+                     sort_keys=True) + "\n", output)
 
 
 # --------------------------------------------------------------------------
@@ -608,7 +612,6 @@ def cmd_verify(args) -> int:
     total = sum(len(r["checks"]) for r in reports)
     failed = sum(1 for r in reports for c in r["checks"] if not c["pass"])
     payload = {
-        "schema": "mm/1",
         "command": "verify",
         "cases": reports,
         "counts": {"cases": len(reports), "checks": total, "failed": failed},
@@ -621,7 +624,6 @@ def cmd_verify(args) -> int:
 def cmd_potential(args) -> int:
     pot = potential_typeA(args.k, args.n)
     payload = potential_to_json(pot)
-    payload["schema"] = "mm/1"
     payload["k"] = args.k
     payload["n"] = args.n
     _emit_json(payload, args.output)
@@ -642,7 +644,6 @@ def cmd_period(args) -> int:
             "digits, the most Python prints; lower --max-degree"
         ) from None
     payload = {
-        "schema": "mm/1",
         "case": case.cartan,
         "node": case.node,
         "max_degree": D,
@@ -660,7 +661,6 @@ def cmd_gw(args) -> int:
     m = pot.coxeter * args.d
     ct = constant_term_power(pot, m, args.budget)
     payload = {
-        "schema": "mm/1",
         "k": args.k,
         "n": args.n,
         "degree": args.d,
@@ -685,7 +685,6 @@ def cmd_scalar_ode(args) -> int:
         block = "rank-7 invariant complement"
     op = cyclic_scalar_operator(M, M.size - 1)
     payload = {
-        "schema": "mm/1",
         "case": case.cartan,
         "node": case.node,
         "block": block,
@@ -701,7 +700,6 @@ def cmd_bessel(args) -> int:
     report = bessel_numeric_checks(args.y, args.nu)
     ok = report["wronskian_error"] < WRONSKIAN_TOL
     payload = {
-        "schema": "mm/1",
         "y": args.y,
         "nu": args.nu,
         "tolerance": WRONSKIAN_TOL,

@@ -18,8 +18,9 @@ operators:
   of the annihilation check all run on it; ``RatFunc`` is only the
   output form of a coefficient.  A row of the elimination is one
   polynomial in q with integer-vector coefficients (exponent -> one int
-  per column, nonzero vectors only), so a Bareiss step, with its exact
-  division, treats all columns of an exponent at once;
+  per column, nonzero vectors only), so a Bareiss step treats all
+  columns of an exponent at once; a divisor that is not a monomial
+  divides each column through the one long division, ``_sdiv``;
 * one integer view of a connection matrix, s q^m M split by powers of
   q into rows of (column, int) pairs (``_integer_parts``), read by the
   period, the cyclic reduction and the quadric's kernel check alike;
@@ -189,9 +190,10 @@ def bruhat_path_count(d: RootDatum, reps: CosetReps, node: int) -> int:
 # the nonzero terms are stored and walked, so a pivot with a large power
 # of q as a factor, or a polynomial in q^h, costs its terms alone.  Rows
 # of the cyclic reduction are the same with a vector of ints, one per
-# column, in place of each int.  Rows and scalars keep separate exact
-# divisions: on one-element vectors the row division would slow every
-# scalar one, and RatFunc's gcd leans on those.
+# column, in place of each int.  A row divides by a non-monomial column
+# by column through _sdiv, the one long division (_rdiv): 6 of the 771
+# Bareiss steps on series_ode (all B5 n5), 210 of 1,080 on A7 n3 and 15
+# of 1,148 on E7 n7.  Every other step divides by a monomial in _rstep.
 
 def _dense(p: dict, low: int) -> tuple:
     """Coefficients of q^low, q^(low+1), ..., up to the degree of p."""
@@ -216,10 +218,6 @@ def _smul(a: dict, b: dict, plus: Optional[dict] = None) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def _sneg(a: dict) -> dict:
-    return {e: -c for e, c in a.items()}
-
-
 def _rstep(p: dict, w: dict, f: dict, b: dict, d: dict) -> dict:
     """The Bareiss step (p w - f b) / d for rows w, b and sparse
     polynomials p, f, d, where d must divide exactly; a row is a
@@ -228,7 +226,7 @@ def _rstep(p: dict, w: dict, f: dict, b: dict, d: dict) -> dict:
     shifts each product down by low as it is formed; c then divides p
     and f when it divides all their coefficients, and otherwise each
     finished slot, one divmod per entry.  Any other d divides the
-    combined row by long division (_rdiv)."""
+    combined row column by column (_rdiv)."""
     c = low = 0
     if len(d) == 1:
         (low, c), = d.items()
@@ -267,26 +265,15 @@ def _rstep(p: dict, w: dict, f: dict, b: dict, d: dict) -> dict:
 
 def _rdiv(a: dict, b: dict) -> dict:
     """Quotient of a row by a sparse polynomial b that must divide it
-    exactly, all columns at once: long division from the top, visiting
-    each quotient exponent once, each slot one divmod of a vector by the
-    leading coefficient; zero slots of a are skipped."""
+    exactly: each column's polynomial divides through _sdiv, and the
+    quotients go back together as a row without zero slots."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    top = max(b)
-    lead, rest = b[top], [(e - top, c) for e, c in b.items() if e != top]
-    rem, quot = dict(a), {}
-    for k in range(max(a, default=top), top - 1, -1):
-        v = rem.pop(k, None)
-        if v is not None and any(v):
-            f, r = zip(*map(divmod, v, repeat(lead)))
-            if any(r):
-                raise ArithmeticError("inexact polynomial division")
-            quot[k - top] = f
-            for e, c in rest:
-                rem[k + e] = [z - c * y if y else z
-                              for z, y in zip(rem.get(k + e) or repeat(0), f)]
-    if any(map(any, rem.values())):
-        raise ArithmeticError("inexact polynomial division")
+    n = len(next(iter(a.values()), ()))
+    quot = {}
+    for j in range(n):
+        for e, x in _sdiv({e: v[j] for e, v in a.items() if v[j]}, b).items():
+            quot.setdefault(e, [0] * n)[j] = x
     return quot
 
 
@@ -485,7 +472,7 @@ def cyclic_scalar_operator(M: ConnMatrix, start) -> ScalarOperator:
     acc = {i: _smul(top, h) for i, h in mults}
     coeffs = [RatFunc.const(1)]
     for i in reversed(range(K)):
-        x = _sneg(_sdiv(acc.pop(i, {}), values[i + 1]))
+        x = {e: -c for e, c in _sdiv(acc.pop(i, {}), values[i + 1]).items()}
         for k, h in basis[i][2]:
             acc[k] = _smul(x, h, acc.get(k))
         # theta^i pairs with r_i = r'_i / (s^i q^{mi}); q^low cancels first

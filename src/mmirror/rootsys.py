@@ -480,7 +480,6 @@ def levi_data(d: RootDatum, node: int) -> ParabolicData:
 def datum_to_json(d: RootDatum, parabolic: ParabolicData = None) -> dict:
     """JSON-ready summary of the datum (and optionally one parabolic)."""
     out = {
-        "schema": "mm/1",
         "type": str(d.cartan_type),
         "rank": d.rank,
         "cartan": [list(row) for row in d.cartan],

@@ -117,6 +117,15 @@ class CosetReps(namedtuple("CosetReps", "parabolic weights lengths words "
     def __len__(self):
         return len(self.weights)
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, counts the fields
+        # with len(), and len counts the cosets
+        table = tuple.__new__(cls, iterable)
+        if (got := tuple.__len__(table)) != (n := len(cls._fields)):
+            raise TypeError(f"Expected {n} arguments, got {got}")
+        return table
+
     def index_of_weight(self, mu) -> int:
         return self.by_weight[tuple(mu)]
 

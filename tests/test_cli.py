@@ -891,6 +891,17 @@ def test_output_flag_writes_same_bytes(capsys, tmp_path):
     assert target.read_text() == out
 
 
+@pytest.mark.parametrize("argv", [("roots", "A1"),
+                                  ("verify", "A3", "--node", "2")])
+def test_unwritable_output_is_refused(capsys, tmp_path, argv):
+    # the work is done first; the write fails with one error line
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert code == 1 and out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
 def test_verify_all_golden(tmp_path):
     # the whole verdict, byte for byte
     target = tmp_path / "verify.json"

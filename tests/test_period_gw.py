@@ -39,6 +39,7 @@ from mmirror.period_gw import (
 from reference import (
     LaurentPoly,
     _pdivmod,
+    _pexact_div,
     _pmul,
     basis_trace,
     bessel_operator_from_matrix,
@@ -648,6 +649,13 @@ def test_row_inexact_division_raises(row, b):
         _rdiv(row, b)
 
 
+@pytest.mark.parametrize("row", [{}, {0: [0, 0]}])
+def test_row_division_by_zero(row):
+    # refused even when no column holds a term to divide
+    with pytest.raises(ZeroDivisionError):
+        _rdiv(row, {})
+
+
 row_slots = st.lists(st.integers(-10**30, 10**30), min_size=3, max_size=3)
 
 
@@ -660,10 +668,12 @@ def test_row_multiply_then_divide_round_trips(row, b, shift):
     product = _rstep(b, row, {}, {}, {0: 1})
     assert as_lists(_rdiv(product, b)) == row
     assert as_lists(_rstep({0: 1}, product, {}, {}, b)) == row
-    # each column of the quotient is the scalar quotient of that column
+    # each column of the quotient is the dense quotient of that column
+    def dense(p):
+        return tuple(p.get(e, 0) for e in range(max(p, default=-1) + 1))
     for j in range(3):
-        column = {e: v[j] for e, v in product.items() if v[j]}
-        assert _sdiv(column, b) == {e: v[j] for e, v in row.items() if v[j]}
+        assert _pexact_div(dense(column(product, j)), dense(b)) == \
+            dense(column(row, j))
 
 
 def column(row, j):

@@ -15,7 +15,7 @@ import mmirror
 from mmirror.period_gw import PeriodSeries, RatFunc
 from mmirror.qchev import ConnMatrix, fw_matrix
 from mmirror.rootsys import CartanType, build_root_datum
-from mmirror.weyl import minuscule_coset_reps
+from mmirror.weyl import CosetReps, minuscule_coset_reps
 
 
 def test_no_module_defines_a_dataclass():
@@ -48,6 +48,21 @@ def test_datum_and_coset_table_equal_only_themselves():
         assert a != b and not a == b
         assert hash(a) == hash(a)
         assert len({a, b}) == 2
+
+
+def test_coset_table_replace_and_make_keep_its_fields():
+    # len counts the cosets (6 on A3 n2), not the table's 10 fields
+    reps = minuscule_coset_reps(build_root_datum(CartanType("A", 3)), 2)
+    quadric = reps._replace(heights=None)
+    assert type(quadric) is CosetReps and len(quadric) == len(reps) == 6
+    assert quadric.heights is None and quadric.weights is reps.weights
+    again = CosetReps._make(reps._asdict().values())
+    assert again != reps and len(again) == 6
+    assert all(x is y for x, y in zip(again, reps))
+    with pytest.raises(TypeError, match="Expected 10 arguments, got 6"):
+        CosetReps._make(reps.weights)
+    with pytest.raises(ValueError, match="unexpected field names"):
+        reps._replace(cosets=6)
 
 
 def test_conn_matrices_with_equal_cells_are_equal():
