@@ -360,7 +360,7 @@ def _check_constant_term(case):
     k, n = case.node, case.ct.rank + 1
     depth = case.params["ct_degree"]
     refuse_large_grassmannian(k, n)
-    pot = minuscule_potential(case.d, case.node)
+    pot = minuscule_potential(case.ct, case.node)
     series = case.period(depth)
     values = []
     for d in range(1, depth + 1):
@@ -660,13 +660,21 @@ def cmd_gw(args) -> int:
     pot = potential_typeA(args.k, args.n)
     m = pot.coxeter * args.d
     ct = constant_term_power(pot, m, args.budget)
+    try:
+        constant_term, value = str(ct), str(ct / factorial(m))
+    except ValueError:
+        raise ValueError(
+            f"Gr({args.k},{args.n}) degree {args.d} has a constant term or "
+            f"value of more than {sys.get_int_max_str_digits()} digits, the "
+            "most Python prints; lower the degree"
+        ) from None
     payload = {
         "k": args.k,
         "n": args.n,
         "degree": args.d,
         "power": m,
-        "constant_term": str(ct),
-        "value": str(ct / factorial(m)),
+        "constant_term": constant_term,
+        "value": value,
     }
     _emit_json(payload, args.output)
     return 0

@@ -8,10 +8,13 @@ Berenstein-Kazhdan geometric-crystal potential
 where u = x_{i_1}(a_1) ... x_{i_l}(a_l) runs over a reduced word of the
 longest minimal coset representative w^P, and the matrix coefficients are
 taken in the minuscule representation at the dual node, in integers
-(:func:`unipotent_vector`).  The type-A Grassmannian potentials are the
-case A_{n-1}.  A potential is held as two terms dicts with int
-coefficients, the linear part and the quantum part, and is rendered
-through the qchev.LaurentPoly view.
+(:func:`unipotent_vector`).  All of it is read off the Cartan matrix
+(rootsys.cartan_data): the word, the weights, and theta and the Coxeter
+number by one descent of alpha_1.  No root is enumerated, so the crystal
+side shares only the Cartan matrix with the Chevalley side.  The type-A
+Grassmannian potentials are the case A_{n-1}.  A potential is held as
+two terms dicts with int coefficients, the linear part and the quantum
+part, and is rendered through the qchev.LaurentPoly view.
 
 Constant terms of powers of the potential then compute genus-zero
 Gromov-Witten invariants, CT(W^{hd}) / (hd)! = c_d
@@ -35,13 +38,7 @@ from operator import add, mul
 from typing import NamedTuple, Tuple
 
 from .qchev import LaurentPoly
-from .rootsys import (
-    CartanType,
-    RootDatum,
-    build_root_datum,
-    descent,
-    minuscule_nodes,
-)
+from .rootsys import CartanType, cartan_data, descent, minuscule_nodes
 
 # Most variables (letters of the word of w^P) a Grassmannian potential
 # may have.
@@ -81,31 +78,32 @@ class Potential(NamedTuple):
                            {e: c for e, c in terms.items() if c})
 
 
-def top_coset_word(d: RootDatum, node: int) -> Tuple[tuple, tuple]:
+def top_coset_word(rows, node: int) -> Tuple[tuple, tuple]:
     """(word, lowest): the lowest weight of W . varpi_node, which is
     -varpi_{node*}, and its descent word, which spells w^P, the longest
-    minimal coset representative.  W . varpi_node is the negative of
+    minimal coset representative; rows are the nonzero Cartan rows
+    (rootsys.cartan_data).  W . varpi_node is the negative of
     W . (-varpi_node), so the lowest weight is the negated dominant
     weight that -varpi_node descends to."""
-    top = descent(d, [-int(j == node - 1) for j in range(d.rank)])[1]
+    top = descent(rows, [-int(j == node - 1) for j in range(len(rows))])[1]
     lowest = tuple(-x for x in top)
-    return descent(d, lowest)[0], lowest
+    return descent(rows, lowest)[0], lowest
 
 
-def unipotent_vector(d: RootDatum, word, low) -> dict:
+def unipotent_vector(cartan, word, low) -> dict:
     """u v_low for u = x_{i_1}(a_1) ... x_{i_l}(a_l), as a map weight ->
     coordinate, in the minuscule representation with lowest weight
     ``low``.  Since E_j^2 = 0 there, x_j(a) = I + a E_j, and each letter,
     rightmost first, moves the coordinates at the weights E_j does not
     kill (no target of E_j is also a source); alpha_j is row j of the
-    Cartan matrix in fw coordinates.  Each a_m enters once, so a
-    coordinate is a map bitmask -> int over square-free monomials, bit m
-    standing for a_{m+1}.  The terms letter m adds all have bit m, which
+    Cartan matrix ``cartan`` in fw coordinates.  Each a_m enters once, so
+    a coordinate is a map bitmask -> int over square-free monomials, bit
+    m standing for a_{m+1}.  The terms letter m adds all have bit m, which
     no term already at the target has, so no two terms ever merge."""
     vec = {tuple(low): {0: 1}}
     for m in reversed(range(len(word))):
         j = word[m] - 1
-        alpha = d.cartan[j]
+        alpha = cartan[j]
         bit = 1 << m
         for mu, coord in list(vec.items()):
             if mu[j] == -1:
@@ -114,33 +112,40 @@ def unipotent_vector(d: RootDatum, word, low) -> dict:
     return vec
 
 
-def minuscule_potential(d: RootDatum, node: int) -> Potential:
+def minuscule_potential(ct: CartanType, node: int) -> Potential:
     """Geometric-crystal potential of G/P for a minuscule node of a
-    simply-laced datum, with variables a1..al in word order.
+    simply-laced type, with variables a1..al in word order, read off the
+    Cartan matrix alone.
 
     The quantum part is <v_top, x_theta u v_low> / <v_top, u v_low> in the
     representation at the dual node node*, whose lowest weight is
     -varpi_node and highest varpi_{node*}; the denominator must be a
     monomial whose coefficient divides every numerator coefficient with
-    a positive quotient, so every coefficient is an int.  The result must
-    be homogeneous of degree one under a_m -> z a_m, q -> z^c q (c the
-    Coxeter number): each a_m has degree one, so every quantum exponent
-    e needs sum(e) + c = 1.
+    a positive quotient, so every coefficient is an int.
+
+    All roots have one length, so theta is the dominant root that alpha_1
+    climbs to by descent, each step raising the height by one, and the
+    Coxeter number is c = ht(theta) + 1 = steps + 2.  The result must be
+    homogeneous of degree one under a_m -> z a_m, q -> z^c q: each a_m
+    has degree one, so every quantum exponent e needs sum(e) + c = 1,
+    which checks c against the representation.
     """
-    ct = d.cartan_type
     if ct.family not in "ADE":
         raise ValueError(f"{ct} is not simply laced: its potential needs "
                          "the highest short root")
     if node not in minuscule_nodes(ct):
         raise ValueError(f"node {node} is not minuscule for {ct}")
-    word, lowest = top_coset_word(d, node)
+    cartan, rows = cartan_data(ct)
+    climb, theta = descent(rows, cartan[0])
+    coxeter = len(climb) + 2
+    word, lowest = top_coset_word(rows, node)
     ell = len(word)
-    low = tuple(-int(j == node - 1) for j in range(d.rank))
-    vec = unipotent_vector(d, word, low)
+    low = tuple(-int(j == node - 1) for j in range(ct.rank))
+    vec = unipotent_vector(cartan, word, low)
 
     # x_theta sends v_{top - theta} to v_top: <top, theta-vee> = 1
     top = tuple(-x for x in lowest)
-    source = tuple(x - a for x, a in zip(top, d.highest_root.fw))
+    source = tuple(x - a for x, a in zip(top, theta))
     den = vec.get(top, {})
     if len(den) != 1:
         raise ArithmeticError("denominator <v_top, u v_low> is not a "
@@ -161,7 +166,7 @@ def minuscule_potential(d: RootDatum, node: int) -> Potential:
             low = mask & -mask
             exps[low.bit_length() - 1] += 1
             mask ^= low
-        if sum(exps) + d.coxeter_number != 1:
+        if sum(exps) + coxeter != 1:
             raise AssertionError("potential is not homogeneous of degree "
                                  "one")
         quantum[tuple(exps)] = value
@@ -169,7 +174,7 @@ def minuscule_potential(d: RootDatum, node: int) -> Potential:
     variables = tuple(f"a{m + 1}" for m in range(ell))
     zero = (0,) * ell
     linear = {zero[:m] + (1,) + zero[m + 1:]: 1 for m in range(ell)}
-    return Potential(variables, linear, quantum, d.coxeter_number)
+    return Potential(variables, linear, quantum, coxeter)
 
 
 def refuse_large_grassmannian(k: int, n: int) -> None:
@@ -185,9 +190,10 @@ def refuse_large_grassmannian(k: int, n: int) -> None:
 
 def potential_typeA(k: int, n: int) -> Potential:
     """Potential for Gr(k, n): the minuscule potential of A_{n-1} at node
-    k, refused when its k(n-k) variables exceed MAX_POTENTIAL_VARS."""
+    k, from the Cartan matrix of A_{n-1} with no root enumerated; refused
+    when its k(n-k) variables exceed MAX_POTENTIAL_VARS."""
     refuse_large_grassmannian(k, n)
-    return minuscule_potential(build_root_datum(CartanType("A", n - 1)), k)
+    return minuscule_potential(CartanType("A", n - 1), k)
 
 
 # --------------------------------------------------------------------------

@@ -40,6 +40,7 @@ __all__ = [
     "RootDatum",
     "ParabolicData",
     "build_root_datum",
+    "cartan_data",
     "gamma_root",
     "levi_data",
     "minuscule_nodes",
@@ -107,8 +108,16 @@ class Root(NamedTuple):
         return f"Root{self.coeffs}"
 
 
-def _cartan_matrix(ct: CartanType):
-    """Bourbaki Cartan matrix a_ij = <alpha_i, alpha_j-vee>."""
+def _nonzero_rows(cartan):
+    """Each row of a Cartan matrix as its nonzero (k, a_ik) pairs."""
+    return tuple(tuple((k, a) for k, a in enumerate(row) if a)
+                 for row in cartan)
+
+
+def cartan_data(ct: CartanType):
+    """(cartan, rows): the Bourbaki Cartan matrix a_ij = <alpha_i,
+    alpha_j-vee> of the type, and each of its rows as the nonzero (k,
+    a_ik) pairs that descent reads; no root is enumerated."""
     n = ct.rank
     a = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -138,7 +147,8 @@ def _cartan_matrix(ct: CartanType):
             edges.append((6, 7))
         for i, j in edges:
             bond(i, j)
-    return tuple(tuple(row) for row in a)
+    cartan = tuple(tuple(row) for row in a)
+    return cartan, _nonzero_rows(cartan)
 
 
 def _simple_norms(ct: CartanType):
@@ -150,12 +160,6 @@ def _simple_norms(ct: CartanType):
     if ct.family == "C":
         return (1,) * (n - 1) + (2,)
     return (2,) * n
-
-
-def _nonzero_rows(cartan):
-    """Each row of a Cartan matrix as its nonzero (k, a_ik) pairs."""
-    return tuple(tuple((k, a) for k, a in enumerate(row) if a)
-                 for row in cartan)
 
 
 class RootDatum(namedtuple("RootDatum", "cartan_type cartan positive_roots "
@@ -223,8 +227,7 @@ def build_root_datum(ct: CartanType) -> RootDatum:
     alpha_i).
     """
     n = ct.rank
-    cartan = _cartan_matrix(ct)
-    rows = _nonzero_rows(cartan)
+    cartan, rows = cartan_data(ct)
     norms = _simple_norms(ct)
     all_long = 1 not in norms
 
@@ -311,18 +314,17 @@ def simple_root(d: RootDatum, i: int) -> Root:
     return d.root_from_coeffs(coeffs)
 
 
-def descent(d: RootDatum, mu):
+def descent(rows, mu):
     """(word, dominant): the descent of the weight mu (fw coordinates) to
     the dominant chamber, repeatedly applying the smallest s_j with mu_j
-    < 0 and recording j, and the dominant weight where it ends.  s_j with
-    mu_j < 0 permutes the positive roots other than alpha_j, so each step
-    lowers #{beta > 0 : <mu, beta-vee> < 0} by one: that count is the
-    length of the word, which is the canonical reduced word of w when mu
-    = w.rho.  A step changes only the nonzero entries of row j of the
-    Cartan matrix, so the scan for the next letter resumes at the first
-    of them."""
-    rows = d.cartan_rows
-    n = d.rank
+    < 0 and recording j, and the dominant weight where it ends.  rows are
+    the nonzero Cartan rows (cartan_data, RootDatum.cartan_rows).  s_j
+    with mu_j < 0 permutes the positive roots other than alpha_j, so each
+    step lowers #{beta > 0 : <mu, beta-vee> < 0} by one: that count is
+    the length of the word, which is the canonical reduced word of w when
+    mu = w.rho.  A step changes only the nonzero entries of row j, so the
+    scan for the next letter resumes at the first of them."""
+    n = len(rows)
     cur = list(mu)
     word = []
     j = 0
@@ -342,7 +344,7 @@ def reflection_length(d: RootDatum, beta: Root) -> int:
     """ell(s_beta): the descent length of s_beta.rho = rho - <rho,
     beta-vee> beta, in fw coordinates 1 - <rho, beta-vee> beta.fw_k."""
     h = sum(beta.coroot)
-    return len(descent(d, [1 - h * b for b in beta.fw])[0])
+    return len(descent(d.cartan_rows, [1 - h * b for b in beta.fw])[0])
 
 
 def minuscule_nodes(ct: CartanType):

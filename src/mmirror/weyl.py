@@ -157,6 +157,7 @@ def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
     coweights = {start: cov}
     images = {start: ((1,) * d.rank,) + tuple(r.fw for r in roots)}
     heights = {start: (0,) + tuple(r.height for r in roots)}
+    rows = d.cartan_rows
     pool = {}
     order = [start]
     for mu in order:                  # the walk appends to order
@@ -170,7 +171,7 @@ def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
             if sum(map(mul, nu, cw)) != cov[node - 1]:
                 raise AssertionError("walk coweight does not pair with its "
                                      "weight to <varpi, varpi-vee>")
-            words[nu] = descent(d, nu)[0]
+            words[nu] = descent(rows, nu)[0]
             if minuscule and len(words[nu]) != len(words[mu]) + mu[j - 1]:
                 raise AssertionError("walk length is not the depth "
                                      "ht(varpi - mu) at a minuscule node")
@@ -223,7 +224,7 @@ def reflect_rho(reps: CosetReps, c: int, beta: Root) -> tuple:
 def reflect_length(d: RootDatum, reps: CosetReps, c: int, beta: Root) -> int:
     """ell(w s_beta) for w the rep at c and beta in R+ \\ R+_P: the
     descent length of w s_beta . rho (reflect_rho)."""
-    return len(descent(d, reflect_rho(reps, c, beta))[0])
+    return len(descent(d.cartan_rows, reflect_rho(reps, c, beta))[0])
 
 
 def bruhat_covers_up(reps: CosetReps, c: int):
@@ -258,7 +259,7 @@ def _diagram_involution(d: RootDatum) -> tuple:
     """sigma with -w0 . varpi_i = varpi_sigma(i), 0-based: the coordinate
     i + 1 of -w0.(1, 2, .., r) lies at sigma(i)."""
     n = d.rank
-    top = descent(d, [-i for i in range(1, n + 1)])[1]
+    top = descent(d.cartan_rows, [-i for i in range(1, n + 1)])[1]
     if sorted(top) != list(range(1, n + 1)):
         raise AssertionError("-w0 does not permute the fundamental weights")
     sigma = [0] * n

@@ -87,8 +87,8 @@ from mmirror.qchev import (
 from mmirror.rootsys import (
     CartanType,
     ParabolicData,
-    _cartan_matrix,
     build_root_datum,
+    cartan_data,
     descent,
     minuscule_nodes,
     simple_root,
@@ -141,7 +141,7 @@ def root_string_closure(ct) -> dict:
     <beta, alpha_i-vee> >= 1, p the largest k with beta - k alpha_i a
     root."""
     n = ct.rank
-    cartan = _cartan_matrix(ct)
+    cartan = cartan_data(ct)[0]
     level = {tuple(int(j == i) for j in range(n)): cartan[i]
              for i in range(n)}
     allpos = dict(level)
@@ -231,7 +231,7 @@ def fundamental_coweight(d, i: int) -> tuple:
 def _make_elt(d, action, inv_action) -> WeylElt:
     """The canonical (greedy left-descent) word of w is the descent word
     of w.rho, which in fw coordinates is the row sums of the action."""
-    word = descent(d, [sum(row) for row in action])[0]
+    word = descent(d.cartan_rows, [sum(row) for row in action])[0]
     return WeylElt(action=action, inv_action=inv_action, length=len(word),
                    word=word)
 
@@ -335,10 +335,10 @@ def longest_element(d, J=None) -> WeylElt:
     omitted): the descent word of w0_J.rho = rho - 2 rho_J, which is -rho
     for w0."""
     if J is None:
-        return from_word(d, descent(d, [-1] * d.rank)[0])
+        return from_word(d, descent(d.cartan_rows, [-1] * d.rank)[0])
     levi = levi_roots(d, J)
     mu = [1 - sum(r.fw[k] for r in levi) for k in range(d.rank)]
-    return from_word(d, descent(d, mu)[0])
+    return from_word(d, descent(d.cartan_rows, mu)[0])
 
 
 def pd_oracle(d, reps) -> tuple:
@@ -430,7 +430,7 @@ def pi_P(d, I_P, w: WeylElt) -> WeylElt:
     spelled by the descent word of w . lam, where lam = sum of varpi_j over
     j outside I_P has stabiliser W_P."""
     lam = [0 if j + 1 in I_P else 1 for j in range(d.rank)]
-    return from_word(d, descent(d, act_weight(w, lam))[0])
+    return from_word(d, descent(d.cartan_rows, act_weight(w, lam))[0])
 
 
 @dataclass(frozen=True)

@@ -675,6 +675,25 @@ def test_unprintable_period_names_case(capsys):
     assert len(json.loads(out)["coefficients"]) == 101
 
 
+def test_unprintable_gw_names_case(capsys):
+    # CT(W^400) of P^1 is C(400, 200), 120 digits, and 400! has 869:
+    # the value is above a lowered print limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "gw", "1", "2", "200")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Gr(1,2) degree 200" in err
+    assert "640 digits" in err
+    code, out, _ = run(capsys, "gw", "1", "2", "200")
+    assert code == 0
+    assert json.loads(out)["power"] == 400
+
+
 def test_roots_coset_size_without_orbit_walk(capsys, monkeypatch):
     # a non-minuscule node has no orbit guard; its |W^P| is closed-form
     for module in (cli, weyl):

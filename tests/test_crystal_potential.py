@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from mmirror.period_gw import quantum_period
 from mmirror.qchev import fw_matrix
-from mmirror import crystal_potential
+from mmirror import crystal_potential, rootsys
 from mmirror.rootsys import (
     CartanType,
     build_root_datum,
+    cartan_data,
+    descent,
     minuscule_nodes,
 )
 from mmirror.weyl import minuscule_coset_reps
@@ -59,7 +61,7 @@ def datum(family, rank):
 
 
 def word_of(k, n):
-    return top_coset_word(datum("A", n - 1), k)[0]
+    return top_coset_word(cartan_data(CartanType("A", n - 1))[1], k)[0]
 
 
 # ------------------------------------------------------------------ words
@@ -100,10 +102,10 @@ def gr25_vector():
     """u v_low for Gr(2,5) in the rep at the dual node 3 (wedge^3 C^5),
     keyed by the 3-subset S of the basis vector e_S carrying each weight:
     mu_j = [j in S] - [j+1 in S]."""
-    d = datum("A", 4)
-    word, lowest = top_coset_word(d, 2)
+    cartan, rows = cartan_data(CartanType("A", 4))
+    word, lowest = top_coset_word(rows, 2)
     V = tuple(f"a{m + 1}" for m in range(len(word)))
-    vec = unipotent_vector(d, word, (0, -1, 0, 0))
+    vec = unipotent_vector(cartan, word, (0, -1, 0, 0))
     subsets = {}
     for S in combinations(range(1, 6), 3):
         mu = tuple(int(j in S) - int(j + 1 in S) for j in range(1, 5))
@@ -160,7 +162,8 @@ def test_lusztig_matrix_golden_sl5():
 
 
 def test_lusztig_empty_word_is_identity():
-    vec = unipotent_vector(datum("A", 3), (), (0, -1, 0))
+    vec = unipotent_vector(cartan_data(CartanType("A", 3))[0], (),
+                           (0, -1, 0))
     assert {mu: mask_poly((), coord) for mu, coord in vec.items()} == \
         {(0, -1, 0): LaurentPoly.const((), 1)}
 
@@ -247,11 +250,11 @@ def test_minuscule_json_golden_de():
     # SHA-256 of the potential_to_json output of the 15 minuscule nodes
     # of D4-D7, E6 and E7, in (family, rank, node) order
     blob = "\n".join(
-        json.dumps(potential_to_json(minuscule_potential(d, node)),
+        json.dumps(potential_to_json(minuscule_potential(ct, node)),
                    sort_keys=True)
         for family, ranks in (("D", (4, 5, 6, 7)), ("E", (6, 7)))
-        for d in (datum(family, rank) for rank in ranks)
-        for node in sorted(minuscule_nodes(d.cartan_type))
+        for ct in (CartanType(family, rank) for rank in ranks)
+        for node in sorted(minuscule_nodes(ct))
     )
     assert blob.count("\n") == 14
     assert hashlib.sha256(blob.encode()).hexdigest() == \
@@ -266,7 +269,7 @@ def test_minuscule_json_golden_de():
 def test_minuscule_potential_matches_period(family, rank, node, depth):
     # CT(W^{cd}) / (cd)! against the Chevalley-side quantum period
     d = datum(family, rank)
-    pot = minuscule_potential(d, node)
+    pot = minuscule_potential(d.cartan_type, node)
     assert pot.coxeter == d.coxeter_number
     reps = minuscule_coset_reps(d, node)
     assert len(pot.variables) == reps.lengths[-1]
@@ -281,7 +284,7 @@ def test_minuscule_potential_matches_period(family, rank, node, depth):
 def test_minuscule_potential_refusals(family, rank, node):
     # B/C need the highest short root; D4 n2 and E6 n2 are not minuscule
     with pytest.raises(ValueError):
-        minuscule_potential(datum(family, rank), node)
+        minuscule_potential(CartanType(family, rank), node)
 
 
 MINUSCULE = [(family, rank, node)
@@ -296,15 +299,15 @@ def test_integer_walk_matches_laurent_reference(family, rank, node):
     # every coordinate of the bitmask walk equals the generic LaurentPoly
     # walk, and the potential built from it is homogeneous of degree one
     d = datum(family, rank)
-    word, lowest = top_coset_word(d, node)
+    word, lowest = top_coset_word(d.cartan_rows, node)
     assert lowest == act_weight(longest_element(d),
                                 [int(j == node - 1) for j in range(rank)])
     V = tuple(f"a{m + 1}" for m in range(len(word)))
     low = tuple(-int(j == node - 1) for j in range(rank))
-    vec = unipotent_vector(d, word, low)
+    vec = unipotent_vector(d.cartan, word, low)
     want = reference_unipotent_vector(d, word, V, low)
     assert {mu: mask_poly(V, coord) for mu, coord in vec.items()} == want
-    assert homogeneous_degree_one(minuscule_potential(d, node))
+    assert homogeneous_degree_one(minuscule_potential(d.cartan_type, node))
 
 
 @pytest.mark.parametrize("edit,error,match", [
@@ -323,17 +326,17 @@ def test_minuscule_potential_refuses_bad_vector(monkeypatch, edit, error,
     # over numerator coefficients 1, negated quantum coefficients, and a
     # quantum term 1/(a1 a2 a3 a4) of degree -4 = 1 - 5 instead of 1 - 4
     d = datum("A", 3)
-    word, lowest = top_coset_word(d, 2)
+    word, lowest = top_coset_word(d.cartan_rows, 2)
     top = tuple(-x for x in lowest)
     source = tuple(x - a for x, a in zip(top, d.highest_root.fw))
-    vec = unipotent_vector(d, word, (0, -1, 0))
+    vec = unipotent_vector(d.cartan, word, (0, -1, 0))
     assert 0 not in vec[top] and 0 not in vec[source]
-    minuscule_potential(d, 2)
+    minuscule_potential(d.cartan_type, 2)
     edit(vec[top], vec[source])
     monkeypatch.setattr(crystal_potential, "unipotent_vector",
                         lambda *args: vec)
     with pytest.raises(error, match=match):
-        minuscule_potential(d, 2)
+        minuscule_potential(d.cartan_type, 2)
 
 
 def test_minuscule_potentials_have_int_unit_coefficients():
@@ -347,7 +350,7 @@ def test_minuscule_potentials_have_int_unit_coefficients():
              for node in minuscule_nodes(CartanType(family, rank))]
     assert len(cases) == 54
     for family, rank, node in cases:
-        pot = minuscule_potential(datum(family, rank), node)
+        pot = minuscule_potential(CartanType(family, rank), node)
         for part in (pot.linear, pot.quantum):
             assert all(type(c) is int and c == 1 for c in part.values()), \
                 (family, rank, node)
@@ -371,12 +374,13 @@ def test_potential_independent_of_chevalley_side(monkeypatch):
 
 
 def test_crystal_route_runs_without_weyl(monkeypatch):
-    # the potential shares only the root datum with the Chevalley side:
+    # the potential shares only the Cartan matrix with the Chevalley side:
     # with every callable of mmirror.weyl refused, wherever a module of
     # the package binds it, the potentials and their degree-one numbers
     # are unchanged
     cases = [("A", 4, 2), ("D", 5, 5), ("E", 6, 1)]
-    pots = [minuscule_potential(datum(f, r), node) for f, r, node in cases]
+    pots = [minuscule_potential(CartanType(f, r), node)
+            for f, r, node in cases]
     gws = [gw_from_constant_term(pot, 1) for pot in pots]
 
     def refused(*args, **kwargs):
@@ -390,9 +394,53 @@ def test_crystal_route_runs_without_weyl(monkeypatch):
                         module is weyl
                         or getattr(value, "__module__", None) == weyl.__name__):
                     monkeypatch.setattr(module, attr, refused)
-    assert [minuscule_potential(datum(f, r), node)
+    assert [minuscule_potential(CartanType(f, r), node)
             for f, r, node in cases] == pots
     assert [gw_from_constant_term(pot, 1) for pot in pots] == gws
+
+
+def test_crystal_route_builds_no_root_datum(monkeypatch):
+    # theta and the Coxeter number come from the Cartan matrix: with
+    # build_root_datum and levi_data refused, wherever a module of the
+    # package binds them, the potentials and their gw numbers are
+    # unchanged
+    cases = [("A", 4, 2), ("D", 5, 5), ("E", 6, 1)]
+
+    def build():
+        pots = [minuscule_potential(CartanType(f, r), node)
+                for f, r, node in cases] + [potential_typeA(3, 7)]
+        return pots, [gw_from_constant_term(pot, 1) for pot in pots]
+
+    want = build()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("crystal route built a root datum")
+
+    banned = (rootsys.build_root_datum, rootsys.levi_data)
+    for name, module in list(sys.modules.items()):
+        if name == "mmirror" or name.startswith("mmirror."):
+            for attr, value in list(vars(module).items()):
+                if any(value is b for b in banned):
+                    monkeypatch.setattr(module, attr, refused)
+    assert build() == want
+    assert want[1][-1] == 10
+
+
+# every simply-laced type of the pinned case list
+SIMPLY_LACED = ([CartanType("A", r) for r in range(1, 8)]
+                + [CartanType("D", r) for r in range(4, 8)]
+                + [CartanType("E", 6), CartanType("E", 7)])
+
+
+@pytest.mark.parametrize("ct", SIMPLY_LACED, ids=str)
+def test_theta_and_coxeter_from_cartan_matrix(ct):
+    # alpha_1 climbs one height per descent step to the highest root, so
+    # the descent and the root enumeration give the same theta and h
+    cartan, rows = cartan_data(ct)
+    climb, theta = descent(rows, cartan[0])
+    d = build_root_datum(ct)
+    assert theta == d.highest_root.fw
+    assert len(climb) + 2 == d.coxeter_number
 
 
 # ----------------------------------------------------------- constant terms
@@ -583,8 +631,8 @@ def test_budget_minimum_pinned(k, n, m, need, value):
 ])
 def test_budget_minimum_pinned_beyond_type_a(family, rank, node, m, need,
                                              value):
-    # the least budget and the value of CT(W^m) on the case's own datum
-    pot = minuscule_potential(datum(family, rank), node)
+    # the least budget and the value of CT(W^m) on the case's own type
+    pot = minuscule_potential(CartanType(family, rank), node)
     assert constant_term_power(pot, m, budget=need) == value
     with pytest.raises(BudgetExceeded) as err:
         constant_term_power(pot, m, budget=need - 1)

@@ -289,7 +289,7 @@ def test_descent_length_is_descent_word_length(ct):
                 v = tuple(r - h * b
                           for r, b in zip(img[0], img[reps.slot(beta)]))
                 assert reflect_rho(reps, c, beta) == v, (c, beta)
-                assert descent(d, v)[1] == rho, (c, beta)
+                assert descent(d.cartan_rows, v)[1] == rho, (c, beta)
 
 
 def _frozen_step(d, j, cw):
@@ -322,12 +322,12 @@ def test_descent_length_of_any_weight():
     d = D("E6")
     for mu in [(0,) * 6, (-1, 0, 0, 0, 0, 0), (0, -1, 0, 2, -3, 0),
                (-1,) * 6, (2, -1, 0, -1, 1, -2)]:
-        word, end = descent(d, mu)
+        word, end = descent(d.cartan_rows, mu)
         assert min(end) >= 0, mu
         assert len(word) == sum(sum(map(mul, mu, beta.coroot)) < 0
                                 for beta in d.positive_roots), mu
-    assert len(descent(d, (-1,) * 6)[0]) == 36
-    assert descent(d, (0,) * 6) == ((), (0,) * 6)
+    assert len(descent(d.cartan_rows, (-1,) * 6)[0]) == 36
+    assert descent(d.cartan_rows, (0,) * 6) == ((), (0,) * 6)
 
 
 def test_levi_root_has_no_coset_move():
