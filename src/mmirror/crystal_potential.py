@@ -19,22 +19,22 @@ part, and is rendered through the qchev.LaurentPoly view.
 Constant terms of powers of the potential then compute genus-zero
 Gromov-Witten invariants, CT(W^{hd}) / (hd)! = c_d
 (:func:`gw_from_constant_term`), which is the bridge tested against the
-connection-matrix recursion in :mod:`mmirror.period_gw`.  The constant
-term is read off the powers Q^j of the quantum part for the j in a
-degree window (:func:`constant_term_power`); on a minuscule potential
-the window is the single power j = d.  The potential's dicts stay keyed
-by exponent tuples; inside the route each monomial of Q^j is keyed by
-one int of fixed-width fields, so a term product is one int add, and
-only the keys of the window powers are decoded.  The budget counts term
-products.
+connection-matrix recursion in :mod:`mmirror.period_gw`.  The denominator
+<v_top, u v_low> is a_1 ... a_l, so every quantum exponent is -1 or 0
+and every quantum term has degree 1 - h; on that shape, which
+:func:`constant_term_power` checks, the constant term of W^{hd} reads off
+the single power Q^d of the quantum part.  The potential's dicts stay
+keyed by exponent tuples; inside the route each monomial of Q^d is keyed
+by one int of fixed-width fields, so a term product is one int add.  The
+budget counts term products.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import add, mul
+from itertools import chain
+from operator import add
 from typing import NamedTuple, Tuple
 
 from .qchev import LaurentPoly
@@ -61,8 +61,9 @@ class Potential(NamedTuple):
     """Superpotential ``f_q = linear + q * quantum`` with deg q = coxeter.
 
     linear and quantum are terms dicts over ``variables``, {exponent
-    tuple: nonzero coefficient}: ints on a minuscule potential, any
-    rationals on a potential given by hand."""
+    tuple: nonzero int coefficient}: the unit monomials with coefficient
+    1, and quantum terms of degree 1 - coxeter with exponents -1 or 0
+    on a minuscule potential."""
 
     variables: Tuple[str, ...]
     linear: dict
@@ -120,8 +121,10 @@ def minuscule_potential(ct: CartanType, node: int) -> Potential:
     The quantum part is <v_top, x_theta u v_low> / <v_top, u v_low> in the
     representation at the dual node node*, whose lowest weight is
     -varpi_node and highest varpi_{node*}; the denominator must be a
-    monomial whose coefficient divides every numerator coefficient with
-    a positive quotient, so every coefficient is an int.
+    monomial that uses every letter (only the whole word lifts v_low to
+    v_top) and whose coefficient divides every numerator coefficient with
+    a positive quotient, so every coefficient is an int and every quantum
+    exponent is -1 or 0.
 
     All roots have one length, so theta is the dominant root that alpha_1
     climbs to by descent, each step raising the height by one, and the
@@ -151,7 +154,9 @@ def minuscule_potential(ct: CartanType, node: int) -> Potential:
         raise ArithmeticError("denominator <v_top, u v_low> is not a "
                               "monomial")
     (den_mask, den_coeff), = den.items()
-    den_exps = [-(den_mask >> m & 1) for m in range(ell)]
+    if den_mask != (1 << ell) - 1:
+        raise ArithmeticError("denominator <v_top, u v_low> does not use "
+                              "every letter")
     quantum = {}
     for mask, coeff in vec.get(source, {}).items():
         value, rest = divmod(coeff, den_coeff)
@@ -161,15 +166,11 @@ def minuscule_potential(ct: CartanType, node: int) -> Potential:
         if value <= 0:
             raise ArithmeticError("quantum part has a non-positive "
                                   "coefficient")
-        exps = den_exps.copy()
-        while mask:
-            low = mask & -mask
-            exps[low.bit_length() - 1] += 1
-            mask ^= low
+        exps = tuple((mask >> m & 1) - 1 for m in range(ell))
         if sum(exps) + coxeter != 1:
             raise AssertionError("potential is not homogeneous of degree "
                                  "one")
-        quantum[tuple(exps)] = value
+        quantum[exps] = value
 
     variables = tuple(f"a{m + 1}" for m in range(ell))
     zero = (0,) * ell
@@ -202,112 +203,79 @@ def potential_typeA(k: int, n: int) -> Potential:
 
 def constant_term_power(pot: Potential, m: int,
                         budget: int = DEFAULT_BUDGET) -> Fraction:
-    """Constant term of ``f_1^m`` over powers of the quantum part.
+    """Constant term of ``f_1^m`` for a potential of the shape that
+    :func:`minuscule_potential` builds.
 
-    With f_1 = L + Q, L = sum b_i x_i the linear part, the binomial
-    theorem gives CT(f_1^m) = sum_j C(m, j) CT(Q^j L^(m-j)), and
-    L^(m-j) holds x^v with coefficient (m-j)! / prod v_i! * prod b_i^v_i
-    for v >= 0, |v| = m - j.  So an exponent e of Q^j adds
-    ``[Q^j]_e (m-j)! prod b_i^(-e_i) / (-e_i)!`` when e <= 0 and
-    sum(e) = j - m.  The exponent sums of Q^j lie between j min sigma
-    and j max sigma, sigma_t the exponent sum of quantum term t, so only
-    the degree window J = {j : j min sigma <= j - m <= j max sigma} can
-    add.  For a potential homogeneous of degree one with deg q = h every
-    sigma_t is 1 - h, and J = {m / h}, empty unless h divides m.
+    The shape is f_1 = L + Q with L = x_1 + ... + x_l, every coefficient
+    of Q an int, and every exponent e of Q at most 0 with sum(e) = 1 - h,
+    h = ``coxeter``; anything else raises ValueError naming the broken
+    condition.  The binomial theorem gives CT(f_1^m) = sum_j C(m, j)
+    CT(Q^j L^(m-j)), and every exponent of Q^j sums to j (1 - h), so only
+    j = m / h adds, none unless h divides m.  L^(m-j) holds x^v with
+    coefficient (m-j)! / prod v_i! for v >= 0, so the monomial e of Q^j
+    adds ``[Q^j]_e (m-j)! / prod v_i!`` with v = -e.
 
-    Q^j = Q^(j-1) Q is a merged dict with integer coefficients: Q is
-    scaled by B, the lcm of its denominators, and Q^j carries B^j.  A
-    monomial e of Q^j is keyed by one int of fixed-width fields, field i
-    holding e_i + j o, o >= 0 the largest negated exponent of Q, so a
-    term product is one int add.  Every field of every power formed lies
-    in [0, (max J)(o + p)], p >= 0 the largest exponent of Q, and a
-    field is the fewest whole bytes that hold that bound below a spare
-    top bit.  Only the keys of the powers in J are decoded: subtracting
-    the key from fields of 2^(w-1) + j o (w the field's bits) leaves
-    2^(w-1) + v_i in field i, v_i = j o - field_i = -e_i, with no borrow
-    between fields, so e <= 0 exactly when every top bit stays set; then
-    v is read off the key's bytes and must have sum(v) = m - j.
-    Forming Q^j charges |Q^(j-1)| |Q| units of ``budget``, one per term
-    product, before it is built; no power past max J is formed.
-    Raises ValueError if the linear part is not one unit monomial per
-    variable.
+    Q^i = Q^(i-1) Q is a merged dict of int coefficients, a monomial
+    keyed by v in one int of fixed-width fields, so a term product is one
+    int add; a field is the fewest whole bytes that hold j o, o the
+    largest negated exponent of Q, and v is read off the key's bytes.
+    Forming Q^i charges |Q^(i-1)| |Q| units of ``budget``, one per term
+    product, before it is built.
     """
     if m < 0:
         raise ValueError("power must be nonnegative")
     nvar = len(pot.variables)
-    # b_i by the position of the 1 in each unit key
-    b = {e.index(1): c for e, c in pot.linear.items()
-         if len(e) == nvar and e.count(0) == nvar - 1 and 1 in e}
-    if len(b) != nvar or len(pot.linear) != nvar:
+    zero = (0,) * nvar
+    if pot.linear.keys() != {zero[:t] + (1,) + zero[t + 1:]
+                             for t in range(nvar)}:
         raise ValueError("the linear part must be one unit monomial per "
                          "variable")
-    quantum = pot.quantum
-    sigma = [sum(e) for e in quantum]
-    lo, hi = min(sigma, default=0), max(sigma, default=0)
-    window = [j for j in range(m + 1) if j * lo <= j - m <= j * hi]
-    top = max(window, default=0)
+    if any(c != 1 for c in pot.linear.values()):
+        raise ValueError("every linear coefficient must be 1")
+    degree = 1 - pot.coxeter
+    for e, c in pot.quantum.items():
+        if not isinstance(c, int):
+            raise ValueError(f"quantum coefficient {c} is not an int")
+        if max(e, default=0) > 0:
+            raise ValueError(f"quantum exponent {e} has an entry above 0")
+        if sum(e) != degree:
+            raise ValueError(f"quantum exponent {e} does not sum to "
+                             f"1 - coxeter = {degree}")
+    j, rest = divmod(m, pot.coxeter)
+    if rest:
+        return Fraction(0)
 
-    o = max(0, -min(chain.from_iterable(quantum), default=0))
-    p = max(0, max(chain.from_iterable(quantum), default=0))
-    size = ((top * (o + p)).bit_length() + 8) // 8     # bytes per field
-    width = 8 * size
-    units = [1 << t for t in range(0, width * nvar, width)]
-    ones = sum(units)
-    guards = ones << (width - 1)
-    scale = math.lcm(*(c.denominator for c in quantum.values()))
-    offset = o * ones
-    scaled = [(sum(map(mul, e, units), offset),
-               c.numerator * (scale // c.denominator))
-              for e, c in quantum.items()]
-
-    lin_scale = math.lcm(*(c.denominator for c in b.values()))
-    b_scaled = [c.numerator * (lin_scale // c.denominator)
-                for c in map(b.get, range(nvar))]
+    o = -min(chain.from_iterable(pot.quantum), default=0)
+    size = max(1, ((j * o).bit_length() + 7) // 8)      # bytes per field
+    shifts = range(0, 8 * size * nvar, 8 * size)
+    terms = [(sum(-x << t for x, t in zip(e, shifts)), c)
+             for e, c in pot.quantum.items()]
     products = 0
-    power = {0: 1}                       # Q^j times B^j
-    total = Fraction(0)
-    for j in range(top + 1):
-        if j:
-            products += len(power) * len(scaled)
-            if products > budget:
-                raise BudgetExceeded(
-                    f"constant-term route needs more than its budget "
-                    f"of {budget} term products"
-                )
-            following = {}
-            get = following.get
-            for e, c in power.items():
-                for f, c_t in scaled:
-                    key = e + f
-                    following[key] = get(key, 0) + c * c_t
-            power = following
-        if j not in window:
-            continue
-        r = m - j
-        base = j * o * ones + guards         # fields 2^(w-1) + j o
-        r_fact = math.factorial(r)
-        s = 0
-        for key, c in power.items():
-            v = base - key
-            if v & guards != guards:          # some v_i < 0
-                continue
-            v = _fields((v ^ guards).to_bytes(nvar * size, "little"), size)
-            if sum(v) != r:
-                continue
-            s += c * math.prod(map(pow, b_scaled, v)) * (
-                r_fact // math.prod(map(math.factorial, v)))
-        # Q^j carries B^j, and the linear factors lin_scale^r
-        total += Fraction(math.comb(m, j) * s, scale ** j * lin_scale ** r)
-    return total
-
-
-def _fields(raw: bytes, size: int):
-    """The little-endian fields of ``size`` bytes each in raw."""
-    fields = raw[::size]
-    for k in range(1, size):
-        fields = list(map(add, fields, map(mul, raw[k::size],
-                                           repeat(1 << 8 * k))))
-    return fields
+    power = {0: 1}                       # Q^i, keyed by v = -e
+    for _ in range(j):
+        products += len(power) * len(terms)
+        if products > budget:
+            raise BudgetExceeded(
+                f"constant-term route needs more than its budget "
+                f"of {budget} term products"
+            )
+        following = {}
+        get = following.get
+        for v, c in power.items():
+            for f, c_t in terms:
+                key = v + f
+                following[key] = get(key, 0) + c * c_t
+        power = following
+    r = m - j
+    r_fact = math.factorial(r)
+    s = 0
+    for key, c in power.items():
+        raw = key.to_bytes(nvar * size, "little")
+        if size > 1:
+            raw = [int.from_bytes(raw[t:t + size], "little")
+                   for t in range(0, len(raw), size)]
+        s += c * (r_fact // math.prod(map(math.factorial, raw)))
+    return Fraction(math.comb(m, j) * s)
 
 
 def gw_from_constant_term(pot: Potential, d: int,

@@ -264,7 +264,7 @@ def test_minuscule_json_golden_de():
 @pytest.mark.parametrize("family,rank,node,depth", [
     ("D", 4, 1, 3), ("D", 5, 1, 2), ("D", 5, 5, 2), ("E", 6, 1, 2),
     ("D", 6, 6, 3), ("E", 6, 1, 3), ("D", 7, 7, 2), ("E", 7, 7, 1),
-    ("E", 7, 7, 2),
+    ("E", 7, 7, 2), ("D", 7, 7, 3), ("E", 7, 7, 3),
 ])
 def test_minuscule_potential_matches_period(family, rank, node, depth):
     # CT(W^{cd}) / (cd)! against the Chevalley-side quantum period
@@ -318,13 +318,16 @@ def test_integer_walk_matches_laurent_reference(family, rank, node):
      ArithmeticError, "non-positive"),
     (lambda top, source: source.update({0: 1}), AssertionError,
      "homogeneous"),
+    (lambda top, source: top.update({m ^ 1: top.pop(m) for m in list(top)}),
+     ArithmeticError, "every letter"),
 ], ids=["two-term-denominator", "denominator-two", "negative-coefficient",
-        "wrong-degree"])
+        "wrong-degree", "denominator-misses-a-letter"])
 def test_minuscule_potential_refuses_bad_vector(monkeypatch, edit, error,
                                                 match):
     # Gr(2,4): a second denominator monomial, a denominator coefficient 2
     # over numerator coefficients 1, negated quantum coefficients, and a
-    # quantum term 1/(a1 a2 a3 a4) of degree -4 = 1 - 5 instead of 1 - 4
+    # quantum term 1/(a1 a2 a3 a4) of degree -4 = 1 - 5 instead of 1 - 4,
+    # and a denominator a2 a3 a4 that misses a1
     d = datum("A", 3)
     word, lowest = top_coset_word(d.cartan_rows, 2)
     top = tuple(-x for x in lowest)
@@ -341,8 +344,9 @@ def test_minuscule_potential_refuses_bad_vector(monkeypatch, edit, error,
 
 def test_minuscule_potentials_have_int_unit_coefficients():
     # every coefficient of the 54 minuscule potentials of A1-A8, D4-D8,
-    # E6 and E7 is the int 1, in the linear and the quantum part, and f_1
-    # is their sum as a view
+    # E6 and E7 is the int 1, in the linear and the quantum part, the
+    # linear part is the unit monomials, every quantum exponent is -1 or
+    # 0, and f_1 is their sum as a view
     cases = [(family, rank, node)
              for family, ranks in (("A", range(1, 9)), ("D", range(4, 9)),
                                    ("E", (6, 7)))
@@ -354,6 +358,9 @@ def test_minuscule_potentials_have_int_unit_coefficients():
         for part in (pot.linear, pot.quantum):
             assert all(type(c) is int and c == 1 for c in part.values()), \
                 (family, rank, node)
+        assert sorted(pot.linear) == sorted(units(len(pot.variables)))
+        assert {x for e in pot.quantum for x in e} <= {-1, 0}, \
+            (family, rank, node)
         assert pot.f_one().terms == {**pot.linear, **pot.quantum}
 
 
@@ -506,38 +513,31 @@ def test_gr1n_reduces_to_projective():
                 constant_term_power(proj, m)
 
 
-positive = st.builds(Fraction, st.integers(1, 5), st.integers(1, 4))
+def units(nvar):
+    return [tuple(int(j == i) for j in range(nvar)) for i in range(nvar)]
 
 
 @st.composite
 def random_potentials(draw):
-    """sum b_i x_i plus up to three terms: either exponents in [-2, 1],
-    or a potential homogeneous of degree one with deg q = h in {2, 3},
-    each term of degree 1 - h with exponents of mixed sign."""
-    nvar = draw(st.integers(1, 3))
+    """x_1 + ... + x_nvar plus one to three quantum terms with int
+    coefficients 1-5, each with exponents <= 0 summing to 1 - h, h in
+    2-5: the shape of a minuscule potential."""
+    nvar = draw(st.integers(1, 4))
     variables = tuple(f"x{i + 1}" for i in range(nvar))
-    linear = {tuple(int(j == i) for j in range(nvar)): draw(positive)
-              for i in range(nvar)}
-    h = draw(st.sampled_from([1, 2, 3]))
-    if h == 1:
-        extra = draw(st.dictionaries(
-            st.tuples(*[st.integers(-2, 1)] * nvar), positive, max_size=3))
-    else:
-        heads = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * (nvar - 1)),
-                              min_size=1, max_size=3))
-        extra = {(*e, 1 - h - sum(e)): draw(positive) for e in heads}
-    return Potential(variables, LaurentPoly(variables, linear).terms,
-                     LaurentPoly(variables, extra).terms, h)
+    h = draw(st.integers(2, 5))
+    quantum = {}
+    for _ in range(draw(st.integers(1, 3))):
+        spots = draw(st.lists(st.integers(0, nvar - 1), min_size=h - 1,
+                              max_size=h - 1))
+        quantum[tuple(-spots.count(i) for i in range(nvar))] = \
+            draw(st.integers(1, 5))
+    return Potential(variables, {u: 1 for u in units(nvar)}, quantum, h)
 
 
 @settings(max_examples=60, deadline=None)
-@given(random_potentials(), st.integers(0, 6))
-def test_ct_walk_matches_bruteforce_on_random_potentials(pot, m):
+@given(random_potentials(), st.integers(0, 10))
+def test_ct_matches_bruteforce_on_random_potentials(pot, m):
     assert constant_term_power(pot, m) == ct_bruteforce(pot, m)
-
-
-def units(nvar):
-    return [tuple(int(j == i) for j in range(nvar)) for i in range(nvar)]
 
 
 def products_reference(pot: Potential, m: int) -> int:
@@ -562,18 +562,20 @@ def products_reference(pot: Potential, m: int) -> int:
 
 
 def test_ct_budget_matches_per_candidate_reference():
-    # the route forms exactly the products of Q^(j-1) Q up to the top of
-    # the degree window, so the least budget that succeeds is the
-    # reference's count; 300 seeded potentials with 1-4 terms, exponents
-    # in [-3, 2], m <= 8
+    # the route forms exactly the products of Q^(j-1) Q up to j = m / h,
+    # and none unless h divides m, so the least budget that succeeds is
+    # the reference's count; 300 seeded potentials with 1-4 terms of
+    # degree 1 - h, h in 2-5, exponents <= 0, m <= 8
     rng = random.Random(12)
     for _ in range(300):
         nvar = rng.randint(1, 3)
         V = tuple(f"x{i + 1}" for i in range(nvar))
-        quantum = {tuple(rng.randint(-3, 2) for _ in V): 1
-                   for _ in range(rng.randint(1, 4))}
-        pot = Potential(V, poly(V, {u: 1 for u in units(nvar)}).terms,
-                        poly(V, quantum).terms, 1)
+        h = rng.randint(2, 5)
+        quantum = {}
+        for _ in range(rng.randint(1, 4)):
+            spots = [rng.randrange(nvar) for _ in range(h - 1)]
+            quantum[tuple(-spots.count(i) for i in range(nvar))] = 1
+        pot = Potential(V, {u: 1 for u in units(nvar)}, quantum, h)
         m = rng.randint(1, 8)
         need = products_reference(pot, m)
         constant_term_power(pot, m, budget=need)
@@ -587,6 +589,7 @@ def test_ct_vanishes_off_multiples_of_coxeter():
     pot = potential_typeA(3, 7)
     for m in (1, 6, 8, 13):
         assert constant_term_power(pot, m) == 0
+        assert constant_term_power(pot, m, budget=0) == 0
     assert constant_term_power(pot, 7) == math.factorial(7) * 10
 
 
@@ -628,6 +631,8 @@ def test_budget_minimum_pinned(k, n, m, need, value):
     ("D", 5, 5, 24, 105, 533781495594547200000),
     ("D", 6, 6, 30, 1568, 975325425371104374927360000000),
     ("E", 7, 7, 18, 78, 499385149046784000),
+    ("E", 7, 7, 54, 206310,
+     1675386470600118781122677714464772342130364784245211136000000000000),
 ])
 def test_budget_minimum_pinned_beyond_type_a(family, rank, node, m, need,
                                              value):
@@ -640,32 +645,21 @@ def test_budget_minimum_pinned_beyond_type_a(family, rank, node, m, need,
                               f"budget of {need - 1} term products")
 
 
-def two_variable_potential(quantum):
-    """x1 + 2 x2 plus quantum terms with coefficients 3/2 and 1/3, so
-    that the route scales the powers of Q by B = 6 and its linear part is
-    not all ones."""
+@pytest.mark.parametrize("linear,quantum,coxeter,match", [
+    ({(1, 0): 1, (0, 1): 1}, {(-1, -1): Fraction(3, 2)}, 3, "not an int"),
+    ({(1, 0): 1, (0, 1): 2}, {(-1, -1): 1}, 3, "linear coefficient"),
+    ({(1, 0): 1, (0, 1): 1}, {(-3, 1): 1}, 3, "above 0"),
+    ({(1, 0): 1, (0, 1): 1}, {(-1, -1): 1}, 4, "1 - coxeter"),
+], ids=["fraction-coefficient", "linear-coefficient-two",
+        "positive-exponent", "wrong-degree"])
+def test_ct_refuses_other_shapes(linear, quantum, coxeter, match):
+    # only the shape of a minuscule potential is supported: unit linear
+    # terms with coefficient 1, and int quantum terms with exponents <= 0
+    # of degree 1 - coxeter; anything else is refused by name
     V = ("x1", "x2")
-    return Potential(V, poly(V, {(1, 0): 1, (0, 1): 2}).terms,
-                     poly(V, quantum).terms, 1)
-
-
-def test_ct_scaled_integer_walk_matches_bruteforce():
-    pot = two_variable_potential({(-1, -1): Fraction(3, 2),
-                                  (-1, 0): Fraction(1, 3)})
-    values = [constant_term_power(pot, m) for m in range(7)]
-    assert values == [ct_bruteforce(pot, m) for m in range(7)]
-    assert values[2] == Fraction(2, 3) and values[6] == Fraction(21890, 27)
-
-
-@pytest.mark.parametrize("m", range(1, 7))
-def test_ct_empty_count_interval_adds_nothing(m):
-    # The quantum terms 3/2 x1^-1 x2^2 and 1/3 x1^2 have exponent sums 1
-    # and 2, so every exponent of Q^j sums to at least j > j - m: the
-    # degree window is empty, and the value 0 needs no term product.
-    pot = two_variable_potential({(-1, 2): Fraction(3, 2),
-                                  (2, 0): Fraction(1, 3)})
-    assert constant_term_power(pot, m, budget=0) == 0
-    assert ct_bruteforce(pot, m) == 0
+    with pytest.raises(ValueError, match=match):
+        constant_term_power(Potential(V, linear, quantum, coxeter),
+                            coxeter)
 
 
 def spike_potential(nvar, depth):
