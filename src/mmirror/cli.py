@@ -44,7 +44,6 @@ from .period_gw import (
     d4_split,
     operator_annihilates,
     quantum_period,
-    series_to_json,
 )
 from .qchev import (
     LaurentPoly,
@@ -636,7 +635,7 @@ def cmd_period(args) -> int:
     case = Case(args.case, args.node)
     series = case.period(D)
     try:
-        coefficients = series_to_json(series)
+        coefficients = [str(c) for c in series.coefficients]
     except ValueError:
         raise ValueError(
             f"period of {case.cartan} node {case.node} to depth {D} has a "

@@ -44,6 +44,12 @@ from .rootsys import CartanType, cartan_data, descent, minuscule_nodes
 # may have.
 MAX_POTENTIAL_VARS = 12
 
+# Most letters the word of w^P may have for minuscule_potential.  The
+# coordinates of u v_low outgrow memory quickly past it: a build takes
+# at most 30 MB at 36 letters (Gr(6,12), D9 n9), 97 MB at 42 (Gr(6,13)),
+# 450 MB at 48 (Gr(6,14)) and 710 MB at 49 (Gr(7,14)).
+MAX_POTENTIAL_WORD = 36
+
 # Most term products a constant term may form unless told otherwise.
 DEFAULT_BUDGET = 10_000_000
 
@@ -124,7 +130,8 @@ def minuscule_potential(ct: CartanType, node: int) -> Potential:
     monomial that uses every letter (only the whole word lifts v_low to
     v_top) and whose coefficient divides every numerator coefficient with
     a positive quotient, so every coefficient is an int and every quantum
-    exponent is -1 or 0.
+    exponent is -1 or 0.  A word of more than MAX_POTENTIAL_WORD letters
+    is refused before the representation is walked.
 
     All roots have one length, so theta is the dominant root that alpha_1
     climbs to by descent, each step raising the height by one, and the
@@ -143,6 +150,9 @@ def minuscule_potential(ct: CartanType, node: int) -> Potential:
     coxeter = len(climb) + 2
     word, lowest = top_coset_word(rows, node)
     ell = len(word)
+    if ell > MAX_POTENTIAL_WORD:
+        raise ValueError(f"{ct} node {node}: the word of w^P has {ell} "
+                         f"letters, above the bound {MAX_POTENTIAL_WORD}")
     low = tuple(-int(j == node - 1) for j in range(ct.rank))
     vec = unipotent_vector(cartan, word, low)
 

@@ -9,7 +9,7 @@ operators:
   classical part, and the exact integer check that an operator kills
   the period;
 * reduction of a connection matrix to a scalar operator in theta =
-  q d/dq via a cyclic covector, by fraction-free elimination over Z[q]
+  q d/dq from a basis covector, by fraction-free elimination over Z[q]
   (one exact division per step);
 * one polynomial layer for all of it: sparse integer polynomials in q
   (exponent -> nonzero int), so a large power of q or a graded
@@ -21,11 +21,12 @@ operators:
   per column, nonzero vectors only), so a Bareiss step treats all
   columns of an exponent at once; a divisor that is not a monomial
   divides each column through the one long division, ``_sdiv``;
-* one integer view of a connection matrix, s q^m M split by powers of
-  q into rows of (column, int) pairs (``_integer_parts``), read by the
-  period, the cyclic reduction and the quadric's kernel check alike;
-* the kernel/complement splitting of the six-dimensional quadric's
-  8x8 connection;
+* one integer view of a connection matrix, a polynomial in q: s M split
+  by powers of q into rows of (column, int) pairs (``_integer_parts``),
+  read by the period, the cyclic reduction and the quadric's kernel
+  check alike; a negative power of q is refused;
+* the restriction of the six-dimensional quadric's 8x8 connection to
+  the invariant complement of its kernel line;
 * floating-point Bessel Wronskian diagnostics -- the only non-exact
   computation in the package: I_nu by its power series, K_nu by the
   trapezoid rule on its integral representation.
@@ -68,20 +69,23 @@ class PeriodSeries(NamedTuple):
 
 
 def _integer_parts(M: ConnMatrix):
-    """The integer view (s, m, parts) of a matrix over q: s > 0 and
-    m >= 0 are the least with s q^m M integral, and parts[e] holds the
-    q^e part of s q^m M as rows of nonzero (column, int) pairs."""
+    """The integer view (s, parts) of a matrix polynomial in q: s > 0 is
+    the least with s M integral, and parts[e] holds the q^e part of s M
+    as rows of nonzero (column, int) pairs.  A negative power of q is
+    refused by its entry."""
     if M.variables != ("q",):
         raise ValueError("expected a matrix over the single variable q")
     terms = [(e, r, c, x) for (r, c), p in sorted(M.cells.items())
              for (e,), x in p.items()]
+    for e, r, c, _ in terms:
+        if e < 0:
+            raise ValueError(f"entry ({r}, {c}) has the negative power "
+                             f"q^{e}; expected a polynomial in q")
     s = math.lcm(*(x.denominator for *_, x in terms))
-    m = max([0] + [-e for e, *_ in terms])
-    parts = {e: [[] for _ in range(M.size)]
-             for e in {t[0] + m for t in terms}}
+    parts = {e: [[] for _ in range(M.size)] for e, *_ in terms}
     for e, r, c, x in terms:
-        parts[e + m][r].append((c, x.numerator * (s // x.denominator)))
-    return s, m, parts
+        parts[e][r].append((c, x.numerator * (s // x.denominator)))
+    return s, parts
 
 
 def _check_nilpotent(d1) -> list:
@@ -128,8 +132,8 @@ def quantum_period(M: ConnMatrix, D: int) -> PeriodSeries:
     """
     if D < 0:
         raise ValueError("degree bound must be nonnegative")
-    s, m, parts = _integer_parts(M)
-    if m or parts.keys() - {0, 1}:
+    s, parts = _integer_parts(M)
+    if parts.keys() - {0, 1}:
         raise ValueError("matrix entry is not linear in q")
     empty = [[] for _ in range(M.size)]
     a1, a2 = parts.get(0, empty), parts.get(1, empty)
@@ -393,15 +397,15 @@ class ScalarOperator(NamedTuple):
         return len(self.coefficients) - 1
 
 
-def cyclic_scalar_operator(M: ConnMatrix, start) -> ScalarOperator:
+def cyclic_scalar_operator(M: ConnMatrix, start: int) -> ScalarOperator:
     """Minimal monic operator in theta annihilating the pairing of the
-    flat sections with the covector ``start`` (an index or a vector).
+    flat sections with the basis covector e_start.
 
-    Rows r_0 = start, r_{k+1} = theta(r_k) + r_k M are reduced against
+    Rows r_0 = e_start, r_{k+1} = theta(r_k) + r_k M are reduced against
     the earlier ones until the first linear dependency, whose
     coefficients are the operator's.  The elimination is fraction-free
-    (Bareiss) over Z[q]: with M' = s q^m M integral, the rows
-    r'_k = s^k q^{mk} r_k obey r'_{k+1} = s q^m (theta - mk) r'_k + r'_k M'.
+    (Bareiss) over Z[q]: with M' = s M integral, the rows r'_k = s^k r_k
+    obey r'_{k+1} = s theta(r'_k) + r'_k M'.
     Every reduced entry is a minor of the r'_k, so each step ends in one
     exact division; the dependency is unwound by one fraction-free back
     substitution, and each coefficient is reduced once, at the end.
@@ -410,24 +414,20 @@ def cyclic_scalar_operator(M: ConnMatrix, start) -> ScalarOperator:
     with integer-vector coefficients, {exponent: [int per column]}, so a
     Bareiss step w <- (p w - f b) / d (_rstep) forms each exponent's
     vector once and, for the monomial d of almost every step, divides it
-    as it stands or divides the scalars p and f instead; the scalars -- pivots p, entries f = w[pivot] and multipliers h --
-    are sparse {exponent: int} polynomials.  theta - mk scales whole
-    vectors, and r'_k M' is one sparse mat-vec per pair of exponents.
+    as it stands or divides the scalars p and f instead; the scalars --
+    pivots p, entries f = w[pivot] and multipliers h -- are sparse
+    {exponent: int} polynomials.  theta scales whole vectors, and
+    r'_k M' is one sparse mat-vec per pair of exponents.
     """
     n = M.size
-    s, m, mats = _integer_parts(M)
-    if isinstance(start, int):
-        if not 0 <= start < n:
-            raise ValueError(f"covector index {start} out of range for a "
-                             f"matrix of size {n}")
-        start = [int(i == start) for i in range(n)]
-    if len(start) != n:
-        raise ValueError("covector length mismatch")
-    start = [Fraction(x) for x in start]
-    if not any(start):
-        raise ValueError(f"zero covector for a matrix of size {n}")
-    t = math.lcm(*(x.denominator for x in start))
-    row = {0: [x.numerator * (t // x.denominator) for x in start]}
+    if not isinstance(start, int):
+        raise ValueError(f"covector must be a basis index, not a "
+                         f"{type(start).__name__}")
+    if not 0 <= start < n:
+        raise ValueError(f"covector index {start} out of range for a "
+                         f"matrix of size {n}")
+    s, mats = _integer_parts(M)
+    row = {0: [int(i == start) for i in range(n)]}
 
     # basis[k] = (pivot column, the row b_k, the nonzero multipliers
     # h_{k,i}: the entry at pivot i when b_i was reduced out);
@@ -453,10 +453,9 @@ def cyclic_scalar_operator(M: ConnMatrix, start) -> ScalarOperator:
         pivot = min(next(j for j, x in enumerate(v) if x) for v in w.values())
         basis.append((pivot, w, mults))
         values.append({e: v[pivot] for e, v in w.items() if v[pivot]})
-        # theta - mk sends q^e to (e - mk) q^e, and the factor q^m shifts;
-        # then r'_k M' is one sparse mat-vec per exponent pair
-        shifted = {e + m: [s * (e - m * k) * x for x in v]
-                   for e, v in row.items() if e != m * k}
+        # theta sends q^e to e q^e; then r'_k M' is one sparse mat-vec
+        # per exponent pair
+        shifted = {e: [s * e * x for x in v] for e, v in row.items() if e}
         for e, v in row.items():
             for h, a in mats.items():
                 out = shifted.setdefault(e + h, [0] * n)
@@ -475,8 +474,8 @@ def cyclic_scalar_operator(M: ConnMatrix, start) -> ScalarOperator:
         x = {e: -c for e, c in _sdiv(acc.pop(i, {}), values[i + 1]).items()}
         for k, h in basis[i][2]:
             acc[k] = _smul(x, h, acc.get(k))
-        # theta^i pairs with r_i = r'_i / (s^i q^{mi}); q^low cancels first
-        den = {e + m * (K - i): c * s ** (K - i) for e, c in top.items()}
+        # theta^i pairs with r_i = r'_i / s^i; q^low cancels first
+        den = {e: c * s ** (K - i) for e, c in top.items()}
         low = min(x.keys() | den.keys())
         coeffs.append(RatFunc.make(_dense(x, low), _dense(den, low)))
     return ScalarOperator(tuple(reversed(coeffs)))
@@ -542,10 +541,9 @@ def operator_annihilates(op: ScalarOperator, series: PeriodSeries,
 # --------------------------------------------------------------------------
 
 class D4Split(NamedTuple):
-    """Kernel line and invariant complement of the 8x8 quadric matrix."""
+    """The 8x8 quadric matrix restricted to the invariant complement of
+    its kernel line."""
 
-    kernel: Tuple[int, ...]
-    basis: Tuple[Tuple[int, ...], ...]
     restricted: ConnMatrix
 
 
@@ -556,13 +554,12 @@ def d4_split(M: ConnMatrix) -> D4Split:
         raise ValueError("expected the 8-dimensional quadric matrix")
     if M.column(3) != M.column(4):
         raise ArithmeticError("middle columns disagree; no kernel line")
-    kernel = (0, 0, 0, 1, -1, 0, 0, 0)
 
     # constant vectors killed identically in q: the joint kernel of the
-    # q-parts, which must be exactly this one line; its rank by integer
-    # elimination on the rows of the parts
+    # q-parts, which must be exactly the line of e_3 - e_4; its rank by
+    # integer elimination on the rows of the parts
     rows = [[dict(row).get(c, 0) for c in range(8)]
-            for part in _integer_parts(M)[2].values() for row in part]
+            for part in _integer_parts(M)[1].values() for row in part]
     rank = 0
     for col in range(8):
         i = next((i for i, r in enumerate(rows) if r[col]), None)
@@ -579,8 +576,6 @@ def d4_split(M: ConnMatrix) -> D4Split:
     # the basis e_0, e_1, e_2, e_3 + e_4, e_5, e_6, e_7; the image of
     # e_3 + e_4 is twice column 3, as columns 3 and 4 agree
     cols = (0, 1, 2, 3, 5, 6, 7)
-    basis = tuple(tuple(int(i == c or (c, i) == (3, 4)) for i in range(8))
-                  for c in cols)
     cells = {}
     for k, c in enumerate(cols):
         # rows 3 and 4 both express the coefficient of the summed middle
@@ -592,7 +587,7 @@ def d4_split(M: ConnMatrix) -> D4Split:
                 cells[r - (r > 4), k] = ({e: 2 * v for e, v in terms.items()}
                                          if c == 3 else terms)
     restricted = ConnMatrix(None, M.variables, 7, cells)
-    return D4Split(kernel, basis, restricted)
+    return D4Split(restricted)
 
 
 # --------------------------------------------------------------------------
@@ -670,8 +665,3 @@ def bessel_numeric_checks(y: float, nu: float) -> dict:
         "wronskian": wronskian,
         "wronskian_error": abs(y * wronskian - 1.0),
     }
-
-
-def series_to_json(series: PeriodSeries) -> list:
-    """Period coefficients as exact num/den strings."""
-    return [str(c) for c in series.coefficients]

@@ -150,6 +150,13 @@ def test_period_projective(capsys):
     assert doc["coefficients"] == ["1", "1", "1/8", "1/216"]
 
 
+def test_series_json(capsys):
+    code, doc = run_json(capsys, "period", "A1", "--node", "1",
+                         "--max-degree", "2")
+    assert code == 0
+    assert doc["coefficients"] == ["1", "1", "1/4"]
+
+
 def test_gw_golden(capsys):
     code, doc = run_json(capsys, "gw", "2", "4", "1")
     assert code == 0

@@ -287,6 +287,20 @@ def test_minuscule_potential_refusals(family, rank, node):
         minuscule_potential(CartanType(family, rank), node)
 
 
+def test_minuscule_potential_refuses_a_long_word(monkeypatch):
+    # A15 n8, Gr(8,16), has a word of 64 letters, which would not fit in
+    # memory; it is refused before the representation is walked, while
+    # the longest words the tests build, D8 n7/n8 at 28 letters, are
+    # admitted
+    def never(*args):
+        raise AssertionError("walked the representation")
+
+    assert crystal_potential.MAX_POTENTIAL_WORD >= 28
+    monkeypatch.setattr(crystal_potential, "unipotent_vector", never)
+    with pytest.raises(ValueError, match="has 64 letters, above the bound"):
+        minuscule_potential(CartanType("A", 15), 8)
+
+
 MINUSCULE = [(family, rank, node)
              for family, ranks in (("A", range(1, 8)), ("D", range(4, 8)),
                                    ("E", (6, 7)))
@@ -681,9 +695,10 @@ def test_ct_fields_past_one_byte(k):
 
 
 def test_ct_fields_of_three_bytes_and_two_variables():
-    # fields up to 40000 take three bytes; with two variables of two-byte
-    # fields, CT((x + y + (xy)^-300)^601) is the multinomial 601! / 300!^2
-    assert constant_term_power(spike_potential(1, 40000), 40001) == 40001
+    # a field holds j o, here 1 * 65536, the least that takes three bytes;
+    # with two variables of two-byte fields, CT((x + y + (xy)^-300)^601)
+    # is the multinomial 601! / 300!^2
+    assert constant_term_power(spike_potential(1, 65536), 65537) == 65537
     assert constant_term_power(spike_potential(2, 300), 601) == (
         math.factorial(601) // math.factorial(300) ** 2)
 
