@@ -601,8 +601,8 @@ def cmd_verify(args) -> int:
             raise ValueError("single-case verify needs --node")
         # the pinned entry of the case, else a bare one
         bare = {"cartan": str(CartanType.parse(args.case)), "node": args.node}
-        entries = [e for e in _load_case_list()
-                   if bare.items() <= e.items()] or [bare]
+        entries = [e for e in _load_case_list() if (e["cartan"], e["node"])
+                   == (bare["cartan"], args.node)] or [bare]
     else:
         raise ValueError("verify needs a case or --all")
 

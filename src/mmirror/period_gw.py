@@ -82,7 +82,8 @@ def _integer_parts(M: ConnMatrix):
             raise ValueError(f"entry ({r}, {c}) has the negative power "
                              f"q^{e}; expected a polynomial in q")
     s = math.lcm(*(x.denominator for *_, x in terms))
-    parts = {e: [[] for _ in range(M.size)] for e, *_ in terms}
+    parts = {e: [[] for _ in range(M.size)]
+             for e in dict.fromkeys(e for e, *_ in terms)}
     for e, r, c, x in terms:
         parts[e][r].append((c, x.numerator * (s // x.denominator)))
     return s, parts

@@ -181,7 +181,7 @@ def fw_matrix(d: RootDatum, reps: CosetReps, node: int) -> ConnMatrix:
     if node != p.node:
         raise ValueError(f"node {node} is not the node {p.node} of the "
                          "coset representatives")
-    two_rho_diff = [int(2 - 2 * x) for x in p.rho_P]
+    two_rho_diff = [2 - x for x in p.two_rho_P]
     # (slot, beta, k, <2(rho - rho_P), beta-vee>)
     roots = [(s, beta, beta.coroot[node - 1],
               sum(map(mul, two_rho_diff, beta.coroot)))
@@ -292,7 +292,7 @@ def check_homogeneous(M: ConnMatrix) -> bool:
     at (row u, col w) has degree 2 ell(w) + 2 - 2 ell(u)."""
     p = M.basis.parabolic
     # alpha_node-vee is a unit vector in simple-coroot coordinates
-    qdeg = int(4 * (1 - p.rho_P[p.node - 1]))
+    qdeg = 2 * (2 - p.two_rho_P[p.node - 1])
     weights = []
     for v in M.variables:
         if v == "q":

@@ -164,12 +164,12 @@ def _simple_norms(ct: CartanType):
 
 class RootDatum(namedtuple("RootDatum", "cartan_type cartan positive_roots "
                            "highest_root two_rho_covec coxeter_number "
-                           "exponents by_coeffs")):
+                           "exponents")):
     """Root data for one simple type, equal only to itself.
 
     Fields follow the obvious meanings; `positive_roots` is ordered by
-    (height, lexicographic coeffs), and rho = (1, .., 1) is not stored.
-    by_coeffs maps simple-root coordinates back to positive roots.  No
+    (height, lexicographic coeffs), so the simple roots come first, as
+    alpha_n .. alpha_1, and rho = (1, .., 1) is not stored.  No
     __slots__: the cached properties live in the instance __dict__.
     """
 
@@ -178,10 +178,6 @@ class RootDatum(namedtuple("RootDatum", "cartan_type cartan positive_roots "
     @property
     def rank(self) -> int:
         return self.cartan_type.rank
-
-    def root_from_coeffs(self, coeffs):
-        """Positive Root with the given simple-root coordinates, or None."""
-        return self.by_coeffs.get(tuple(coeffs))
 
     @cached_property
     def cartan_rows(self):
@@ -222,14 +218,14 @@ def build_root_datum(ct: CartanType) -> RootDatum:
     step changes fw only at the nonzero entries of row i of the Cartan
     matrix.  The coroot 2 beta / (beta, beta) has coordinates c_i
     (alpha_i, alpha_i) / (beta, beta): c_i (alpha_i, alpha_i) for a short
-    root, c_i for every root when all simple roots are long (A, D, E),
-    and only a long root of B or C is tested for an odd c_i (alpha_i,
-    alpha_i).
+    root and half that for a long one, tested for an odd c_i (alpha_i,
+    alpha_i).  The simply-laced types A, D, E form no length product:
+    every root there is long and is its own coroot.
     """
     n = ct.rank
     cartan, rows = cartan_data(ct)
     norms = _simple_norms(ct)
-    all_long = 1 not in norms
+    simply_laced = ct.family in "ADE"
 
     # fw(s_i.beta) = fw(beta) - fw_i * (row i of cartan)
     allpos = {tuple(int(j == i) for j in range(n)): cartan[i] for i in range(n)}
@@ -246,33 +242,26 @@ def build_root_datum(ct: CartanType) -> RootDatum:
                     allpos[up] = t = tuple(t)
                     stack.append((up, t))
 
-    ordered = sorted(allpos, key=lambda c: (sum(c), c))
-
-    def make_root(coeffs, fw):
+    roots = []
+    for height, coeffs in sorted((sum(c), c) for c in allpos):
+        fw = allpos[coeffs]
+        if simply_laced:
+            roots.append(Root(coeffs, height, fw, coeffs, 2))
+            continue
         # (beta, beta) = sum_i c_i (alpha_i, alpha_i) fw_i / 2
         weighted = tuple(map(mul, coeffs, norms))
         twice = sum(map(mul, weighted, fw))
-        if twice not in (2, 4):
-            raise AssertionError(
-                f"unexpected root length {Fraction(twice, 2)} for {coeffs}")
         if twice == 2:
             coroot = weighted
-        elif all_long:
-            coroot = coeffs
+        elif twice != 4:
+            raise AssertionError(
+                f"unexpected root length {Fraction(twice, 2)} for {coeffs}")
+        elif any(x & 1 for x in weighted):
+            raise AssertionError(f"non-integral coroot for {coeffs}")
         else:
-            if any(x & 1 for x in weighted):
-                raise AssertionError(f"non-integral coroot for {coeffs}")
             coroot = tuple(x >> 1 for x in weighted)
-        return Root(
-            coeffs=coeffs,
-            height=sum(coeffs),
-            fw=fw,
-            coroot=coroot,
-            norm2=twice // 2,
-        )
-
-    roots = tuple(make_root(c, allpos[c]) for c in ordered)
-    by_coeffs = {r.coeffs: r for r in roots}
+        roots.append(Root(coeffs, height, fw, coroot, twice // 2))
+    roots = tuple(roots)
 
     theta = roots[-1]
     if any(x < 0 for x in theta.fw):
@@ -304,14 +293,15 @@ def build_root_datum(ct: CartanType) -> RootDatum:
         two_rho_covec=two_rho,
         coxeter_number=cox,
         exponents=exps,
-        by_coeffs=by_coeffs,
     )
 
 
 def simple_root(d: RootDatum, i: int) -> Root:
-    """alpha_i (1-based Bourbaki index)."""
-    coeffs = tuple(1 if j == i - 1 else 0 for j in range(d.rank))
-    return d.root_from_coeffs(coeffs)
+    """alpha_i (1-based Bourbaki index): the height-1 roots sort first,
+    as alpha_n .. alpha_1."""
+    if not 1 <= i <= d.rank:
+        raise ValueError(f"node {i} out of range for {d.cartan_type}")
+    return d.positive_roots[d.rank - i]
 
 
 def descent(rows, mu):
@@ -378,8 +368,9 @@ def minuscule_dimension(ct: CartanType, node: int) -> int:
 
 def gamma_root(d: RootDatum, node: int) -> Root:
     """The distinguished long quantum root attached to a minuscule node:
-    alpha_node for simply-laced types, alpha_{n-1} + 2 alpha_n for B_n
-    (node n), and the highest root for C_n (node 1).
+    the lowest long root with a nonzero node coordinate (alpha_node for
+    simply-laced types, alpha_{n-1} + 2 alpha_n for B_n at node n, and
+    the highest root for C_n at node 1).
 
     Self-checks the characterization: gamma is a quantum root and
     <alpha, gamma-vee> in {-1, 0} for every alpha in R+_P.
@@ -387,16 +378,11 @@ def gamma_root(d: RootDatum, node: int) -> Root:
     ct = d.cartan_type
     if node not in minuscule_nodes(ct):
         raise ValueError(f"node {node} is not minuscule for {ct}")
-    n = ct.rank
-    if ct.family == "B":
-        coeffs = [0] * n
-        coeffs[n - 2] = 1
-        coeffs[n - 1] = 2
-        gamma = d.root_from_coeffs(coeffs)
-    elif ct.family == "C":
-        gamma = d.highest_root
-    else:
-        gamma = simple_root(d, node)
+    gamma = next((r for r in d.positive_roots
+                  if r.norm2 == 2 and r.coeffs[node - 1]), None)
+    if gamma is None:
+        raise AssertionError(f"gamma: no long root outside the Levi of "
+                             f"{ct} node {node}")
 
     # characterization self-check
     target = 2 * sum(gamma.coroot) - 1
@@ -412,14 +398,15 @@ def gamma_root(d: RootDatum, node: int) -> Root:
 class ParabolicData(NamedTuple):
     """Levi data for the maximal parabolic at node (I_P = I minus {node}).
 
-    gamma and I_Q are populated only at a minuscule node, and are None
-    elsewhere.  coset_size = |W^P|.
+    two_rho_P = 2 rho_P in fw coordinates, integers.  gamma and I_Q are
+    populated only at a minuscule node, and are None elsewhere.
+    coset_size = |W^P|.
     """
 
     node: int
     I_P: tuple
     levi_positive_roots: tuple
-    rho_P: tuple
+    two_rho_P: tuple
     gamma: Root
     I_Q: tuple
     coset_size: int
@@ -442,19 +429,18 @@ def levi_data(d: RootDatum, node: int) -> ParabolicData:
         raise ValueError(f"node {node} out of range for {d.cartan_type}")
     I_P = tuple(j for j in range(1, n + 1) if j != node)
     levi = tuple(r for r in d.positive_roots if r.coeffs[node - 1] == 0)
-    rho_P = tuple(Fraction(sum(r.fw[k] for r in levi), 2) for k in range(n))
+    # column sums, with a zero row for the empty Levi of A1
+    two_rho_P = tuple(map(sum, zip((0,) * n, *(r.fw for r in levi))))
 
     gamma = None
     I_Q = None
     if node in minuscule_nodes(d.cartan_type):
         gamma = gamma_root(d, node)
-        I_Q = tuple(
-            j for j in I_P
-            if sum(map(mul, simple_root(d, j).fw, gamma.coroot)) == 0
-        )
+        I_Q = tuple(j for j in I_P
+                    if sum(map(mul, d.cartan[j - 1], gamma.coroot)) == 0)
         # <2(rho-rho_P), alpha_node-vee>: alpha_node-vee is a unit vector in
         # simple-coroot coordinates, so this is just the node coordinate.
-        if 2 * (1 - rho_P[node - 1]) != d.coxeter_number:
+        if 2 - two_rho_P[node - 1] != d.coxeter_number:
             raise AssertionError(
                 f"Coxeter-number identity failed for {d.cartan_type} node {node}"
             )
@@ -472,7 +458,7 @@ def levi_data(d: RootDatum, node: int) -> ParabolicData:
         node=node,
         I_P=I_P,
         levi_positive_roots=levi,
-        rho_P=rho_P,
+        two_rho_P=two_rho_P,
         gamma=gamma,
         I_Q=I_Q,
         coset_size=size,
@@ -496,7 +482,7 @@ def datum_to_json(d: RootDatum, parabolic: ParabolicData = None) -> dict:
             "node": parabolic.node,
             "I_P": list(parabolic.I_P),
             "levi_positive_roots": [list(r.coeffs) for r in parabolic.levi_positive_roots],
-            "rho_P": [str(x) for x in parabolic.rho_P],
+            "rho_P": [str(Fraction(x, 2)) for x in parabolic.two_rho_P],
             "gamma": list(parabolic.gamma.coeffs) if parabolic.gamma else None,
             "I_Q": list(parabolic.I_Q) if parabolic.I_Q is not None else None,
             "coset_size": parabolic.coset_size,

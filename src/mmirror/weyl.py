@@ -12,7 +12,8 @@ rootsys.descent: s_j w < w exactly when <w.rho, alpha_j-vee> < 0, so
 repeatedly applying the smallest such s_j to w.rho spells the canonical
 reduced word of w, and the length is the number of letters.  Applied to
 w.lam, with lam dominant and stabiliser W_P, the same descent spells the
-minimal representative of w W_P.
+minimal representative of w W_P.  The coset walk runs no descent: it
+spells each word from that of a rep one step shorter.
 
 W^P is grown once, up the left weak order from the identity
 (minuscule_coset_reps).  The walk carries, for each rep w, the fw
@@ -141,10 +142,11 @@ class CosetReps(namedtuple("CosetReps", "parabolic weights lengths words "
 def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
     """W^P by one walk up the left weak order from the identity.  For a
     rep w of weight mu = w.varpi_node and each j with mu_j > 0, s_j w is a
-    rep one step longer (Deodhar's lemma) of weight s_j.mu: its word is
-    the descent word of s_j.mu, its coweight that of w moved in
-    coordinate j, and each of its images s_j.v for an image v of w (v
-    itself when v_j = 0) with its height.  Each new row must pair its
+    rep one step longer (Deodhar's lemma) of weight nu = s_j.mu: its word
+    is i, the first letter of the descent of nu (the least i with nu_i <
+    0), then the word of the shorter rep s_i.nu, its coweight that of w
+    moved in coordinate j, and each of its images s_j.v for an image v of
+    w (v itself when v_j = 0) with its height.  Each new row must pair its
     weight with its coweight to <varpi_node, varpi_node-vee>, which W
     preserves, at a minuscule node have length ht(varpi_node - mu), and
     the count must be the closed-form |W^P| of levi_data."""
@@ -157,22 +159,27 @@ def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
     coweights = {start: cov}
     images = {start: ((1,) * d.rank,) + tuple(r.fw for r in roots)}
     heights = {start: (0,) + tuple(r.height for r in roots)}
-    rows = d.cartan_rows
     pool = {}
     order = [start]
     for mu in order:                  # the walk appends to order
         for j, a in enumerate(d.cartan, 1):
-            if mu[j - 1] <= 0:
+            c = mu[j - 1]
+            if c <= 0:
                 continue
-            nu = tuple(x - mu[j - 1] * y for x, y in zip(mu, a))
+            nu = tuple(x - c * y for x, y in zip(mu, a))
             if nu in words:
                 continue
             cw = _reflect_coweight(d, j, coweights[mu])
             if sum(map(mul, nu, cw)) != cov[node - 1]:
                 raise AssertionError("walk coweight does not pair with its "
                                      "weight to <varpi, varpi-vee>")
-            words[nu] = descent(rows, nu)[0]
-            if minuscule and len(words[nu]) != len(words[mu]) + mu[j - 1]:
+            # s_i.nu is one step shorter, so the walk, which goes by
+            # length, has reached it; it is mu when i = j
+            i = next(k for k, x in enumerate(nu, 1) if x < 0)
+            up = mu if i == j else tuple(
+                x - nu[i - 1] * y for x, y in zip(nu, d.cartan[i - 1]))
+            words[nu] = (i,) + words[up]
+            if minuscule and len(words[nu]) != len(words[mu]) + c:
                 raise AssertionError("walk length is not the depth "
                                      "ht(varpi - mu) at a minuscule node")
             coweights[nu] = cw

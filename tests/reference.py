@@ -352,7 +352,7 @@ def unpruned_fw_matrix(d, reps, node) -> ConnMatrix:
     """fw_matrix with every (column, root) pair looked up and ell(s_beta)
     found for every root: the Fulton-Woodward rule with no height
     pruning."""
-    two_rho_diff = [int(2 - 2 * x) for x in reps.parabolic.rho_P]
+    two_rho_diff = [2 - x for x in reps.parabolic.two_rho_P]
     roots = [(beta, beta.coroot[node - 1], reflect_length(d, reps, 0, beta),
               sum(map(mul, two_rho_diff, beta.coroot)))
              for beta in reps.roots]
@@ -452,9 +452,7 @@ def special_elements(d, p: ParabolicData) -> SpecialElements:
     wP = multiply(d, w0P, w0)
 
     got = act_weight(wP, (1,) * d.rank)
-    if tuple(Fraction(x) for x in got) != tuple(
-        -1 + 2 * x for x in p.rho_P
-    ):
+    if tuple(got) != tuple(x - 1 for x in p.two_rho_P):
         raise AssertionError("w_P(rho) != -rho + 2 rho_P")
     if d.highest_root.coeffs[p.node - 1] == 1:
         sign, img = act_root(d, inverse(d, wP), simple_root(d, p.node))
@@ -1046,38 +1044,31 @@ def _pexact_div(a, b):
     return _ptrim(quot)
 
 
-def reference_cyclic_scalar_operator(M: ConnMatrix, start) -> ScalarOperator:
+def reference_cyclic_scalar_operator(M: ConnMatrix,
+                                     start: int) -> ScalarOperator:
     """The dense route to ``cyclic_scalar_operator``: the same
     fraction-free elimination on coefficient tuples, low degree first,
     walking every coefficient, zero or not.
 
-    Rows r_0 = start, r_{k+1} = theta(r_k) + r_k M are reduced against
-    the earlier ones until the first linear dependency, whose
-    coefficients are the operator's.  The elimination is fraction-free
-    (Bareiss) over Z[q]: with M' = s q^m M integral, the rows
-    r'_k = s^k q^{mk} r_k obey r'_{k+1} = s q^m (theta - mk) r'_k + r'_k M'.
-    Every reduced entry is a minor of the r'_k, so each step ends in one
-    exact division; the dependency is unwound by one fraction-free back
-    substitution, and each coefficient is reduced once, at the end.
+    Rows r_0 = e_start, r_{k+1} = theta(r_k) + r_k M for a matrix
+    polynomial M in q are reduced against the earlier ones until the
+    first linear dependency, whose coefficients are the operator's.  The
+    elimination is fraction-free (Bareiss) over Z[q]: with M' = s M
+    integral, the rows r'_k = s^k r_k obey r'_{k+1} = s theta(r'_k) +
+    r'_k M'.  Every reduced entry is a minor of the r'_k, so each step
+    ends in one exact division; the dependency is unwound by one
+    fraction-free back substitution, and each coefficient is reduced
+    once, at the end.
     """
     n = M.size
-    if isinstance(start, int):
-        if not 0 <= start < n:
-            raise ValueError(f"covector index {start} out of range for a "
-                             f"matrix of size {n}")
-        start = [int(i == start) for i in range(n)]
-    if len(start) != n:
-        raise ValueError("covector length mismatch")
-    start = [Fraction(x) for x in start]
-    if not any(start):
-        raise ValueError(f"zero covector for a matrix of size {n}")
-    t = math.lcm(*(x.denominator for x in start))
-    row = {j: (int(x * t),) for j, x in enumerate(start) if x}
-    terms = [(e, c) for p in M.cells.values() for (e,), c in p.items()]
-    m = max([0] + [-e for e, _ in terms])
-    s = math.lcm(*(c.denominator for _, c in terms))
-    cells = [(i, j, tuple(int(p.get((e - m,), 0) * s)
-                          for e in range(m + max(p)[0] + 1)))
+    if not 0 <= start < n:
+        raise ValueError(f"covector index {start} out of range for a "
+                         f"matrix of size {n}")
+    row = {start: (1,)}
+    s = math.lcm(*(c.denominator
+                   for p in M.cells.values() for c in p.values()))
+    cells = [(i, j, tuple(int(p.get((e,), 0) * s)
+                          for e in range(max(p)[0] + 1)))
              for (i, j), p in sorted(M.cells.items())]
 
     # basis[k] = (pivot column, b_k as {column: polynomial}, the nonzero
@@ -1106,8 +1097,7 @@ def reference_cyclic_scalar_operator(M: ConnMatrix, start) -> ScalarOperator:
                  for j, x in w.items()}
         basis.append((min(w), w, mults))
         values.append(w[min(w)])
-        shifted = {j: _ptrim((0,) * m + tuple(s * (e - m * k) * c
-                                              for e, c in enumerate(x)))
+        shifted = {j: _ptrim(tuple(s * e * c for e, c in enumerate(x)))
                    for j, x in row.items()}
         for i, j, a in cells:
             if i in row:
@@ -1123,8 +1113,8 @@ def reference_cyclic_scalar_operator(M: ConnMatrix, start) -> ScalarOperator:
         x = _pexact_div(acc.pop(i, ()), values[i + 1])
         for k, h in basis[i][2]:
             acc[k] = _padd(acc.get(k, ()), _pneg(_pmul(x, h)))
-        # theta^i pairs with r_i = r'_i / (s^i q^{mi}); q^low cancels first
-        den = (0,) * (m * (K - i)) + tuple(c * s ** (K - i) for c in top)
+        # theta^i pairs with r_i = r'_i / s^i; q^low cancels first
+        den = tuple(c * s ** (K - i) for c in top)
         low = min(j for p in (x, den) for j, c in enumerate(p) if c)
         coeffs.append(RatFunc.make(_pneg(x[low:]), den[low:]))
     return ScalarOperator(tuple(reversed(coeffs)))

@@ -368,14 +368,14 @@ def test_criterion_09_combinatorics():
         assert inv == levi - q_levi, (ct, node)
 
         # length of w_{P/Q} s_gamma against the pairing formula
-        two_rho_out = tuple(2 - 2 * x for x in p.rho_P)
+        two_rho_out = tuple(2 - x for x in p.two_rho_P)
         val = sum(a * b for a, b in zip(two_rho_out, gamma.coroot))
         assert multiply(d, se.wPQ, sg).length == val - 1, (ct, node)
 
         # w_P sends rho to -rho + 2 rho_P
         got = act_weight(se.wP, (1,) * d.rank)
-        want = tuple(-1 + 2 * x for x in p.rho_P)
-        assert tuple(Fraction(x) for x in got) == want, (ct, node)
+        want = tuple(x - 1 for x in p.two_rho_P)
+        assert tuple(got) == want, (ct, node)
 
         # at a cominuscule node, w_P^{-1} carries the node root to -theta
         if d.highest_root.coeffs[node - 1] == 1:

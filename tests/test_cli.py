@@ -942,8 +942,7 @@ def _coroots_are_coefficients(ct):
     # root's own simple-root coefficients
     d = rootsys.build_root_datum(ct)
     roots = tuple(r._replace(coroot=r.coeffs) for r in d.positive_roots)
-    return d._replace(positive_roots=roots, highest_root=roots[-1],
-                      by_coeffs={r.coeffs: r for r in roots})
+    return d._replace(positive_roots=roots, highest_root=roots[-1])
 
 
 def _theta_highest_short(ct):
@@ -952,9 +951,20 @@ def _theta_highest_short(ct):
     return d._replace(highest_root=short[-1]) if short else d
 
 
+def _lengths_swapped(ct):
+    # long roots read as short and short as long, on B and C data only
+    d = rootsys.build_root_datum(ct)
+    if ct.family not in "BC":
+        return d
+    roots = tuple(r._replace(norm2=3 - r.norm2) for r in d.positive_roots)
+    return d._replace(positive_roots=roots, highest_root=roots[-1])
+
+
 @pytest.mark.parametrize("mutation,error", [
     (_coroots_are_coefficients, "KeyError: "),
-    (_theta_highest_short, "AssertionError: "),
+    (_theta_highest_short,
+     "quantum Chevalley matrix != canonical-basis connection"),
+    (_lengths_swapped, "AssertionError: gamma "),
 ])
 def test_verify_all_names_a_defect_instead_of_crashing(capsys, monkeypatch,
                                                         mutation, error):

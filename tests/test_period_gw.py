@@ -420,8 +420,9 @@ def combo_scalar_operator(M, start):
     row, its combination of the original rows r_k."""
     n = M.size
     row = [RatFunc.const(int(i == start)) for i in range(n)]
+    top = max(e for p in M.cells.values() for (e,) in p)
     mrf = [[RatFunc.make(tuple(M.entry(r, c).get((e,), 0)
-                               for e in range(2)))
+                               for e in range(top + 1)))
             for c in range(n)] for r in range(n)]
     basis = []
     while True:
@@ -455,6 +456,20 @@ def combo_scalar_operator(M, start):
 def test_scalar_operator_matches_combination_reference(ct, node):
     # every basis covector, the early dependencies among them included
     m = series_matrix(ct, node)
+    for start in range(m.size):
+        want = combo_scalar_operator(m, start)
+        assert cyclic_scalar_operator(m, start) == want
+        assert reference_cyclic_scalar_operator(m, start) == want
+
+
+def test_scalar_operator_matches_combination_reference_past_q1():
+    # A3 n2 with q read as q^2, plus a q^2 term beside a q^0 one
+    base = series_matrix("A3", 2)
+    cells = {rc: {(2 * e,): x for (e,), x in p.items()}
+             for rc, p in base.cells.items()}
+    cells[0, 0] = {(2,): Fraction(1, 3)}
+    cells[1, 0] = {**cells[1, 0], (2,): -1}
+    m = ConnMatrix(None, base.variables, base.size, cells)
     for start in range(m.size):
         want = combo_scalar_operator(m, start)
         assert cyclic_scalar_operator(m, start) == want

@@ -366,7 +366,7 @@ def test_lengths_asked_only_where_a_term_is_possible(monkeypatch):
     d, reps = case("E7", 7)
     roots = reps.roots
     assert len(reps) * len(roots) == 1512
-    two_rho_diff = [2 - 2 * x for x in reps.parabolic.rho_P]
+    two_rho_diff = [2 - x for x in reps.parabolic.two_rho_P]
     pairs = covers = quantum = 0
     quantum_roots = set()
     for beta in roots:

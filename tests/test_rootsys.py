@@ -69,7 +69,8 @@ def test_b2():
     expect = [(0, 1), (1, 0), (1, 1), (1, 2)]
     assert [r.coeffs for r in d.positive_roots] == expect
     # alpha_2 short, theta = alpha_1 + 2 alpha_2 long
-    assert d.root_from_coeffs((0, 1)).norm2 == 1
+    assert simple_root(d, 2).coeffs == (0, 1)
+    assert simple_root(d, 2).norm2 == 1
     assert d.highest_root.norm2 == 2
     assert d.highest_root.coroot == (1, 1)
     assert d.coxeter_number == 4
@@ -200,6 +201,43 @@ def test_gamma_rejects_non_minuscule():
         gamma_root(d, 1)
 
 
+def test_simple_roots_and_gamma_match_closed_forms():
+    # simple_root reads alpha_i by position; gamma, the lowest long root
+    # off the Levi, is alpha_node (ADE), alpha_{n-1} + 2 alpha_n (B_n) or
+    # theta (C_n), at each of the 109 minuscule nodes of rank <= 11
+    pairs = 0
+    for ct in ([CartanType("A", n) for n in range(1, 12)]
+               + [CartanType(f, n) for f in "BC" for n in range(2, 10)]
+               + [CartanType("D", n) for n in range(4, 12)]
+               + [CartanType("E", 6), CartanType("E", 7)]):
+        d = build_root_datum(ct)
+        n = d.rank
+        for i in range(1, n + 1):
+            assert simple_root(d, i).coeffs == tuple(
+                int(j == i) for j in range(1, n + 1)), (ct, i)
+        for i in (0, n + 1):
+            with pytest.raises(ValueError, match=f"^node {i} out of range "
+                               f"for {ct}$"):
+                simple_root(d, i)
+        for node in minuscule_nodes(ct):
+            want = {"B": (0,) * (n - 2) + (1, 2),
+                    "C": d.highest_root.coeffs}.get(
+                        ct.family, simple_root(d, node).coeffs)
+            assert gamma_root(d, node).coeffs == want, (ct, node)
+            pairs += 1
+    assert pairs == 109
+
+
+@pytest.mark.parametrize("name,node", [("A3", 2), ("C3", 1)])
+def test_gamma_refuses_a_datum_with_no_long_root_off_the_levi(name, node):
+    # every root read as short: the rule finds no gamma and says so
+    d = build_root_datum(CartanType.parse(name))
+    short = tuple(r._replace(norm2=1) for r in d.positive_roots)
+    with pytest.raises(AssertionError, match=(
+            f"^gamma: no long root outside the Levi of {name} node {node}$")):
+        gamma_root(d._replace(positive_roots=short), node)
+
+
 # --------------------------------------------------------------- parabolics
 
 def test_levi_a3_node2():
@@ -207,7 +245,8 @@ def test_levi_a3_node2():
     p = levi_data(d, node=2)
     assert p.I_P == (1, 3)
     assert {r.coeffs for r in p.levi_positive_roots} == {(1, 0, 0), (0, 0, 1)}
-    assert p.rho_P == (Fraction(1), Fraction(-1), Fraction(1))
+    assert p.two_rho_P == (2, -2, 2)
+    assert all(type(x) is int for x in p.two_rho_P)
     assert p.coset_size == 6  # Gr(2,4)
     assert p.gamma.coeffs == (0, 1, 0)
     assert p.I_Q == ()

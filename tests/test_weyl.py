@@ -524,8 +524,7 @@ def test_wP_rho():
         p = levi_data(d, node=node)
         se = special_elements(d, p)
         got = act_weight(se.wP, (1,) * d.rank)
-        want = tuple(-1 + 2 * x for x in p.rho_P)
-        assert tuple(Fraction(g) for g in got) == want
+        assert tuple(got) == tuple(x - 1 for x in p.two_rho_P)
 
 
 def test_wPQ_sgamma_length_identity():
@@ -535,10 +534,7 @@ def test_wPQ_sgamma_length_identity():
         p = levi_data(d, node=node)
         se = special_elements(d, p)
         prod = multiply(d, se.wPQ, se.sgamma)
-        val = sum(
-            (2 - 2 * rp) * gc
-            for rp, gc in zip(p.rho_P, p.gamma.coroot)
-        )
+        val = sum((2 - x) * gc for x, gc in zip(p.two_rho_P, p.gamma.coroot))
         assert prod.length == val - 1
 
 
@@ -556,7 +552,7 @@ def test_reflect_coset_matches_product_route(ct, node):
     reps = minuscule_coset_reps(d, node)
     p = reps.parabolic
     levi = {r.coeffs for r in p.levi_positive_roots}
-    two_rho_diff = [2 - 2 * x for x in p.rho_P]
+    two_rho_diff = [2 - x for x in p.two_rho_P]
     admitted = 0
     for c, w in enumerate(rep_elements(d, reps)):
         for beta in d.positive_roots:
