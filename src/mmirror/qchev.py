@@ -4,19 +4,15 @@ The operator "multiply by the degree-one Schubert class" acting on the
 cohomology of G/P is assembled by one rule, the quantum Chevalley formula
 of Fulton-Woodward, column by column over the minimal coset
 representatives (fw_matrix).  Each candidate w s_beta is read off the
-table of images that the coset walk carries (w.rho and w.beta for every
-beta outside the Levi): as a coset index (weyl.reflect_coset, a lookup)
-and, only when that coset's length admits a term, either as the test
-that w s_beta is the coset's minimal rep (its rho image is the rep's,
-weyl.reflect_rho) or, for a quantum term whose w s_beta is not minimal,
-as a length (weyl.reflect_length, the number of letters in the descent
-of its rho image; ell(s_beta) likewise, rootsys.reflection_length).
-No Weyl product or matrix is formed, each root's drop <2(rho - rho_P),
-beta-vee> is an integer found once, and only the nonzero cells are
-built.  The rule serves minuscule nodes and odd quadrics alike; the
-classical (q^0) part and the torus-equivariant matrix, with a linear
-form in h_1..h_r on the diagonal as in Mihalcea's formula, are derived
-from it; that diagonal is integer rows over one denominator
+table of root images w.beta that the coset walk carries, as a coset
+index (weyl.reflect_coset, a lookup), and the length of that coset
+alone decides whether it takes a term.  No Weyl product, length or
+matrix is formed, each root's drop <2(rho - rho_P), beta-vee> is an
+integer found once, and only the nonzero cells are built.  The rule
+serves any maximal parabolic, minuscule nodes and odd quadrics alike;
+the classical (q^0) part and the torus-equivariant matrix, with a
+linear form in h_1..h_r on the diagonal as in Mihalcea's formula, are
+derived from it; that diagonal is integer rows over one denominator
 (mihalcea_diagonal) until a lifted matrix is built.  The node is read
 off the coset table (reps.parabolic), on which minrep.fg_connection
 builds the mirror side too; fw_matrix alone takes it, and checks it.
@@ -37,8 +33,8 @@ from collections import namedtuple
 from fractions import Fraction
 from operator import add, mul
 
-from .rootsys import RootDatum, reflection_length
-from .weyl import CosetReps, reflect_coset, reflect_length, reflect_rho
+from .rootsys import RootDatum
+from .weyl import CosetReps, reflect_coset
 
 __all__ = [
     "LaurentPoly",
@@ -170,12 +166,15 @@ def fw_matrix(d: RootDatum, reps: CosetReps, node: int) -> ConnMatrix:
     one node lies outside the Levi.
 
     Each positive root beta outside the Levi, with k the node coordinate
-    of beta-vee, adds k to column w at the coset of w s_beta when
-    ell(w s_beta) = ell(w) + 1 = the length of that coset (classical), and
-    k q^k there when ell(w s_beta) = ell(w) - ell(s_beta) and the coset has
-    length ell(w) + 1 - <2(rho - rho_P), beta-vee> (quantum).
-    At a minuscule node that coset has length ell(w) + ht(w.beta)
-    (CosetReps), so only ht(w.beta) = 1 or 1 - drop is looked up there.
+    of beta-vee, adds k to column w at the coset of w s_beta when that
+    coset has length ell(w) + 1 (classical), and k q^k there when it has
+    length ell(w) + 1 - <2(rho - rho_P), beta-vee> (quantum).  The coset
+    length forces the Weyl length the rule asks for (Fulton-Woodward):
+    ell(w s_beta) = ell(w) + 1, w s_beta being the coset's minimal rep,
+    in the classical case and ell(w) - ell(s_beta) in the quantum one, so
+    no Weyl length is read.  At a minuscule node that coset has length
+    ell(w) + ht(w.beta) (CosetReps), so only ht(w.beta) = 1 or 1 - drop
+    is looked up there.  d is part of the call form and is not read.
     """
     p = reps.parabolic
     if node != p.node:
@@ -185,16 +184,9 @@ def fw_matrix(d: RootDatum, reps: CosetReps, node: int) -> ConnMatrix:
     # (slot, beta, k, <2(rho - rho_P), beta-vee>)
     roots = [(s, beta, beta.coroot[node - 1],
               sum(map(mul, two_rho_diff, beta.coroot)))
-             for s, beta in enumerate(reps.roots, 1)]
+             for s, beta in enumerate(reps.roots)]
 
-    # The coset of w s_beta has length at most ell(w s_beta), so a term is
-    # possible only where that length is ell(w) + 1 (classical) or
-    # ell(w) + 1 - drop (quantum, drop >= 2).  Where the wanted length is
-    # the coset's, w s_beta must be its minimal rep, which the rho images
-    # decide; only the other quantum candidates compute ell(w s_beta), and
-    # ell(s_beta) (reflection_length) at a root's first quantum candidate.
-    lengths, images, heights = reps.lengths, reps.images, reps.heights
-    ell_s = {}   # slot -> ell(s_beta)
+    lengths, heights = reps.lengths, reps.heights
     cells = {}   # (row, col) -> {(q exp,): coeff}
     for c, ell in enumerate(lengths):
         hts = heights[c] if heights else None
@@ -203,18 +195,13 @@ def fw_matrix(d: RootDatum, reps: CosetReps, node: int) -> ConnMatrix:
                 continue
             r = reflect_coset(reps, c, beta)
             if lengths[r] == ell + 1:
-                key, want = (0,), ell + 1
+                key = (0,)
             elif lengths[r] == ell + 1 - drop:
-                if s not in ell_s:
-                    ell_s[s] = reflection_length(d, beta)
-                key, want = (k,), ell - ell_s[s]
+                key = (k,)
             else:
                 continue
-            if (reflect_rho(reps, c, beta) == images[r][0]
-                    if want == lengths[r] else
-                    reflect_length(d, reps, c, beta) == want):
-                entry = cells.setdefault((r, c), {})
-                entry[key] = entry.get(key, 0) + k
+            entry = cells.setdefault((r, c), {})
+            entry[key] = entry.get(key, 0) + k
     return ConnMatrix(reps, ("q",), len(reps), cells)
 
 

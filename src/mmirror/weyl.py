@@ -4,8 +4,8 @@ A coset w W_P of a maximal parabolic is named by its weight mu =
 w.varpi_node in fundamental-weight (fw) coordinates, and W^P is one table
 keyed by that weight (CosetReps).  Its rows hold, for the minimal rep w
 of each coset, the length and canonical reduced word of w, the coweight
-w.varpi_node-vee, and the images of w that coset moves read.  No Weyl
-element and no matrix is built.
+w.varpi_node-vee, and the root images w.beta that coset moves read.  No
+Weyl element and no matrix is built.
 
 Words and lengths are read off weights by the one descent of
 rootsys.descent: s_j w < w exactly when <w.rho, alpha_j-vee> < 0, so
@@ -17,27 +17,23 @@ spells each word from that of a rep one step shorter.
 
 W^P is grown once, up the left weak order from the identity
 (minuscule_coset_reps).  The walk carries, for each rep w, the fw
-coordinates of w.rho and of w.beta for every beta in R+ \\ R+_P, in
-positive-root order, with their heights, and w.varpi_node-vee in
-simple-coroot coordinates.  The child s_j w moves an image v to s_j.v =
-v - v_j (row j of the Cartan matrix) and its height to ht(v) - v_j,
-keeping the parent's v where v_j = 0, and the coweight cw in coordinate
-j alone: cw_j - sum_k a_jk cw_k.  A minuscule step lowers the weight by
-one simple root (Proctor, "Bruhat lattices, plane partition generating
+coordinates of w.beta for every beta in R+ \\ R+_P, in positive-root
+order, with their heights, and w.varpi_node-vee in simple-coroot
+coordinates.  The child s_j w moves an image v to s_j.v = v - v_j (row
+j of the Cartan matrix) and its height to ht(v) - v_j, keeping the
+parent's v where v_j = 0, and the coweight cw in coordinate j alone:
+cw_j - sum_k a_jk cw_k.  A minuscule step lowers the weight by one
+simple root (Proctor, "Bruhat lattices, plane partition generating
 functions, and minuscule representations"): lengths are heights there
 (CosetReps).  At a minuscule node (or the B_n quadric node) the library
 moves between cosets on that table only: w s_beta lies in the coset of
-mu - <varpi_node, beta-vee> w.beta (reflect_coset, a dict lookup), maps
-rho to w.rho - <rho, beta-vee> w.beta (reflect_rho), and is the minimal
-rep of that coset exactly when this image is the rep's own rho image,
-as rho is regular.  That test gives the Bruhat covers and most terms of
-the Chevalley rule with no descent; a term whose w s_beta is not
-minimal needs its length, the descent of its rho image (reflect_length,
-asked only when the coset's length can match).  w lies in W(gamma) when
-its gamma image is -theta; the Poincare dual of mu is w0.mu, whose
-coordinate at sigma(i) is -mu_i for the diagram involution sigma = -w0,
-read off the dominant end -w0.(1, 2, .., r) of the descent of
--(1, 2, .., r).
+mu - <varpi_node, beta-vee> w.beta (reflect_coset, a dict lookup), and
+that coset's length alone decides a Bruhat cover (bruhat_covers_up) or
+a term of the Chevalley rule (qchev.fw_matrix), with no descent and no
+Weyl length.  w lies in W(gamma) when its gamma image is -theta; the
+Poincare dual of mu is w0.mu, whose coordinate at sigma(i) is -mu_i for
+the diagram involution sigma = -w0, read off the dominant end -w0.(1,
+2, .., r) of the descent of -(1, 2, .., r).
 """
 
 from __future__ import annotations
@@ -57,8 +53,6 @@ __all__ = [
     "CosetReps",
     "minuscule_coset_reps",
     "reflect_coset",
-    "reflect_rho",
-    "reflect_length",
     "bruhat_covers_up",
     "w_gamma_set",
     "pd",
@@ -102,11 +96,11 @@ class CosetReps(namedtuple("CosetReps", "parabolic weights lengths words "
     varpi_node-vee in simple-coroot coordinates, integers over
     d.inverse_cartan[0].
 
-    images[i][0] is w . rho and images[i][slot(beta)] is w . beta for
-    beta in R+ \\ R+_P (roots, in slot order), all in fw coordinates.  At
-    a minuscule node heights[i][s] is the height of images[i][s] (slot 0:
-    ht(w.rho - rho)); as ell(w) = ht(varpi_node - mu) there, the coset
-    of w s_beta, of weight mu - w.beta, has length ell(w) + ht(w.beta).
+    images[i][slot(beta)] is w . beta in fw coordinates, for beta in R+
+    \\ R+_P (roots, in slot order, from 0).  At a minuscule node
+    heights[i][s] is the height of images[i][s]; as ell(w) =
+    ht(varpi_node - mu) there, the coset of w s_beta, of weight mu -
+    w.beta, has length ell(w) + ht(w.beta).
     At the B_n quadric node a step may lower mu by 2 alpha_n, lengths
     are not heights, and heights is None: no move is pruned.  by_weight
     maps each weight to its row and slots each root's coeffs to its slot.
@@ -157,8 +151,8 @@ def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
     cov = tuple(row[node - 1] for row in d.inverse_cartan[1])
     words = {start: ()}
     coweights = {start: cov}
-    images = {start: ((1,) * d.rank,) + tuple(r.fw for r in roots)}
-    heights = {start: (0,) + tuple(r.height for r in roots)}
+    images = {start: tuple(r.fw for r in roots)}
+    heights = {start: tuple(r.height for r in roots)}
     pool = {}
     order = [start]
     for mu in order:                  # the walk appends to order
@@ -200,17 +194,14 @@ def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
         heights=tuple(heights[mu] for mu in order) if minuscule else None,
         roots=roots,
         by_weight={mu: i for i, mu in enumerate(order)},
-        slots={r.coeffs: s for s, r in enumerate(roots, 1)},
+        slots={r.coeffs: s for s, r in enumerate(roots)},
     )
 
 
 def reflect_coset(reps: CosetReps, c: int, beta: Root) -> int:
     """Index of the coset of w s_beta for w the rep at c and beta in
     R+ \\ R+_P: its weight w s_beta . varpi = mu - <varpi, beta-vee>
-    w.beta, found by a dict lookup.  Since ell(w s_beta) is at least the
-    length of that coset, a caller that needs w s_beta to have a given
-    length compares the coset's length first and asks reflect_length only
-    when it can match."""
+    w.beta, found by a dict lookup."""
     w_beta = reps.images[c][reps.slot(beta)]
     k = beta.coroot[reps.parabolic.node - 1]
     if k != 1:                        # only at the B_n quadric node
@@ -218,38 +209,21 @@ def reflect_coset(reps: CosetReps, c: int, beta: Root) -> int:
     return reps.by_weight[tuple(map(sub, reps.weights[c], w_beta))]
 
 
-def reflect_rho(reps: CosetReps, c: int, beta: Root) -> tuple:
-    """w s_beta . rho = w.rho - <rho, beta-vee> w.beta in fw coordinates,
-    for w the rep at c and beta in R+ \\ R+_P.  As rho is regular, w s_beta
-    is the minimal rep of its coset r exactly when this equals
-    reps.images[r][0], the rep's own rho image; no descent is needed."""
-    img = reps.images[c]
-    h = sum(beta.coroot)
-    return tuple(r - h * b for r, b in zip(img[0], img[reps.slot(beta)]))
-
-
-def reflect_length(d: RootDatum, reps: CosetReps, c: int, beta: Root) -> int:
-    """ell(w s_beta) for w the rep at c and beta in R+ \\ R+_P: the
-    descent length of w s_beta . rho (reflect_rho)."""
-    return len(descent(d.cartan_rows, reflect_rho(reps, c, beta))[0])
-
-
 def bruhat_covers_up(reps: CosetReps, c: int):
     """Covers of the rep w at c in W^P, read off the table alone: w s_beta
-    for beta in R+ \\ R+_P whose coset r has length ell(w) + 1 and whose
-    rho image w s_beta . rho is that of r's rep (reflect_rho), so it is
-    r's minimal rep.  Returned as (beta, index) pairs in positive-root
-    order.  r has length ell(w) + ht(w.beta) at a minuscule node, so only
-    ht(w.beta) = 1 is looked up there."""
+    for beta in R+ \\ R+_P whose coset r has length ell(w) + 1, which
+    makes w s_beta r's minimal rep (Fulton-Woodward).  Returned as (beta,
+    index) pairs in positive-root order.  r has length ell(w) +
+    ht(w.beta) at a minuscule node, so only ht(w.beta) = 1 is looked up
+    there."""
     up = reps.lengths[c] + 1
     hts = reps.heights[c] if reps.heights else None
     out = []
-    for s, beta in enumerate(reps.roots, 1):
+    for s, beta in enumerate(reps.roots):
         if hts and hts[s] != 1:
             continue
         r = reflect_coset(reps, c, beta)
-        if (reps.lengths[r] == up
-                and reflect_rho(reps, c, beta) == reps.images[r][0]):
+        if reps.lengths[r] == up:
             out.append((beta, r))
     return out
 

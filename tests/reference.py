@@ -23,8 +23,11 @@ work on rank x rank action matrices;
 coordinates, and ``act_coweight`` is the Fraction action on coweights
 that the integer equivariant diagonals are checked against.
 ``parabolic_cases`` lists the (type, node) pairs these oracles run over.
-``unpruned_fw_matrix`` and ``unpruned_covers_up`` look up every (column,
-root) pair, the oracles for the height-pruned Chevalley rule and covers.
+``unpruned_fw_matrix`` and ``unpruned_covers_up`` run the
+Fulton-Woodward rule and the Bruhat covers on these elements, every
+(column, root) pair as the product w s_beta with its length, the
+oracles for the height-pruned rule and covers that read coset lengths
+alone.
 
 For the command line: ``battery`` is the check list of a ``verify`` case
 as the branches on (type, node) once decided it, the oracle for the rule
@@ -93,12 +96,7 @@ from mmirror.rootsys import (
     minuscule_nodes,
     simple_root,
 )
-from mmirror.weyl import (
-    minuscule_coset_reps,
-    reflect_coset,
-    reflect_length,
-    reflect_rho,
-)
+from mmirror.weyl import minuscule_coset_reps
 
 
 def pairing(w, c):
@@ -348,42 +346,53 @@ def pd_oracle(d, reps) -> tuple:
     return tuple(reps.index_of_weight(_matvec(w0, mu)) for mu in reps.weights)
 
 
+@lru_cache(maxsize=1)
+def _coset_moves(d, reps) -> tuple:
+    """(c, w, beta, w s_beta, r) for every (column, root) pair, with w the
+    rep at c as an element and r the row of the coset of w s_beta, read
+    by its weight w s_beta . varpi_node.  Kept for the last table only,
+    so the matrix and the covers of one table build its elements once."""
+    node = [int(j == reps.parabolic.node - 1) for j in range(d.rank)]
+    out = []
+    for c, w in enumerate(rep_elements(d, reps)):
+        for beta in reps.roots:
+            elt = multiply(d, w, reflection(d, beta))
+            out.append((c, w, beta, elt,
+                        reps.index_of_weight(act_weight(elt, node))))
+    return tuple(out)
+
+
 def unpruned_fw_matrix(d, reps, node) -> ConnMatrix:
-    """fw_matrix with every (column, root) pair looked up and ell(s_beta)
-    found for every root: the Fulton-Woodward rule with no height
-    pruning."""
+    """The Fulton-Woodward rule on Weyl elements, every (column, root)
+    pair looked up: k at the coset of w s_beta when ell(w s_beta) =
+    ell(w) + 1 is that coset's length, and k q^k there when ell(w s_beta)
+    = ell(w) - ell(s_beta) and the coset has length ell(w) + 1 -
+    <2(rho - rho_P), beta-vee>, each length read off the element."""
     two_rho_diff = [2 - x for x in reps.parabolic.two_rho_P]
-    roots = [(beta, beta.coroot[node - 1], reflect_length(d, reps, 0, beta),
-              sum(map(mul, two_rho_diff, beta.coroot)))
-             for beta in reps.roots]
-    lengths, images = reps.lengths, reps.images
+    lengths = reps.lengths
     cells = {}
-    for c, ell in enumerate(lengths):
-        for beta, k, ell_s, drop in roots:
-            r = reflect_coset(reps, c, beta)
-            if lengths[r] == ell + 1:
-                key, want = (0,), ell + 1
-            elif lengths[r] == ell + 1 - drop:
-                key, want = (k,), ell - ell_s
-            else:
-                continue
-            if (reflect_rho(reps, c, beta) == images[r][0]
-                    if want == lengths[r] else
-                    reflect_length(d, reps, c, beta) == want):
-                entry = cells.setdefault((r, c), {})
-                entry[key] = entry.get(key, 0) + k
+    for c, w, beta, elt, r in _coset_moves(d, reps):
+        k = beta.coroot[node - 1]
+        drop = sum(map(mul, two_rho_diff, beta.coroot))
+        if elt.length == w.length + 1 == lengths[r]:
+            key = (0,)
+        elif (elt.length == w.length - reflection(d, beta).length
+              and lengths[r] == w.length + 1 - drop):
+            key = (k,)
+        else:
+            continue
+        entry = cells.setdefault((r, c), {})
+        entry[key] = entry.get(key, 0) + k
     return ConnMatrix(reps, ("q",), len(reps), cells)
 
 
-def unpruned_covers_up(reps, c) -> list:
-    """bruhat_covers_up with every root looked up."""
-    up = reps.lengths[c] + 1
-    out = []
-    for beta in reps.roots:
-        r = reflect_coset(reps, c, beta)
-        if (reps.lengths[r] == up
-                and reflect_rho(reps, c, beta) == reps.images[r][0]):
-            out.append((beta, r))
+def unpruned_covers_up(d, reps) -> list:
+    """bruhat_covers_up of every column, on Weyl elements with every root
+    looked up: w s_beta of length ell(w) + 1 that is its coset's rep."""
+    out = [[] for _ in reps.lengths]
+    for c, w, beta, elt, r in _coset_moves(d, reps):
+        if elt.length == w.length + 1 == reps.lengths[r]:
+            out[c].append((beta, r))
     return out
 
 

@@ -961,10 +961,13 @@ def _lengths_swapped(ct):
 
 
 @pytest.mark.parametrize("mutation,error", [
-    (_coroots_are_coefficients, "KeyError: "),
-    (_theta_highest_short,
-     "quantum Chevalley matrix != canonical-basis connection"),
-    (_lengths_swapped, "AssertionError: gamma "),
+    pytest.param(_coroots_are_coefficients, "KeyError: ",
+                 id="coroots_are_coefficients"),
+    pytest.param(_theta_highest_short,
+                 "quantum Chevalley matrix != canonical-basis connection",
+                 id="theta_highest_short"),
+    pytest.param(_lengths_swapped, "AssertionError: gamma ",
+                 id="lengths_swapped"),
 ])
 def test_verify_all_names_a_defect_instead_of_crashing(capsys, monkeypatch,
                                                         mutation, error):
