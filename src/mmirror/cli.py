@@ -721,79 +721,77 @@ def cmd_bessel(args) -> int:
 # argument parsing
 # --------------------------------------------------------------------------
 
+_CASE, _NODE = ("case", {}), ("--node", {"type": int, "required": True})
+_BUDGET_HELP = "the most term products the powers of the quantum part may form"
+
+# command -> (help, arguments as (name, add_argument keywords)); every
+# command also takes --output
+_COMMANDS = {
+    "roots": ("dump the root datum and parabolic",
+              (_CASE, ("--node", {"type": int}))),
+    "chevalley": ("dump a connection matrix", (
+        _CASE, _NODE, ("--equivariant", {"action": "store_true"}),
+        ("--format", {"choices": ("json", "csv"), "default": "json"}))),
+    "verify": ("run the verification suite", (
+        ("case", {"nargs": "?"}), ("--node", {"type": int}),
+        ("--all", {"action": "store_true", "help": "run every pinned case"}),
+        ("--max-degree", {"type": int, "help": "override the per-case "
+                          f"series depth (at most {MAX_PERIOD_DEGREE})"}),
+        ("--budget", {"type": int, "default": DEFAULT_BUDGET,
+                      "help": "constant-term budget: " + _BUDGET_HELP}))),
+    "potential": ("dump a Grassmannian potential",
+                  (("k", {"type": int}), ("n", {"type": int}))),
+    "period": ("quantum period coefficients", (
+        _CASE, _NODE,
+        ("--max-degree", {"type": int, "help": "series depth, default 6, "
+                          f"at most {MAX_PERIOD_DEGREE}"}))),
+    "gw": ("Gromov-Witten number from the constant-term formula", (
+        ("k", {"type": int}), ("n", {"type": int}), ("d", {"type": int}),
+        ("--budget", {"type": int, "default": DEFAULT_BUDGET,
+                      "help": _BUDGET_HELP}))),
+    "scalar-ode": ("cyclic-vector scalar operator", (_CASE, _NODE)),
+    "bessel": ("Wronskian check for the rank-one equivariant periods",
+               (("y", {"type": float}), ("nu", {"type": float}))),
+}
+
+
+def _add_arguments(p, command: str) -> argparse.ArgumentParser:
+    for name, keywords in _COMMANDS[command][1]:
+        p.add_argument(name, **keywords)
+    p.add_argument("--output", metavar="FILE",
+                   help="write the payload to FILE instead of stdout")
+    return p
+
+
 @cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of one command, named as its sub-parser would be; with
+    no command, the full parser, which answers -h and a missing or
+    unknown command."""
+    if command is not None:
+        return _add_arguments(
+            argparse.ArgumentParser(prog=f"mmirror {command}"), command)
     parser = argparse.ArgumentParser(
         prog="mmirror",
         description="Exact mirror-identity computations for minuscule "
                     "flag varieties.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_output(p):
-        p.add_argument("--output", metavar="FILE",
-                       help="write the payload to FILE instead of stdout")
-
-    p = sub.add_parser("roots", help="dump the root datum and parabolic")
-    p.add_argument("case")
-    p.add_argument("--node", type=int)
-    add_output(p)
-
-    p = sub.add_parser("chevalley", help="dump a connection matrix")
-    p.add_argument("case")
-    p.add_argument("--node", type=int, required=True)
-    p.add_argument("--equivariant", action="store_true")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    add_output(p)
-
-    p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument("case", nargs="?")
-    p.add_argument("--node", type=int)
-    p.add_argument("--all", action="store_true",
-                   help="run every pinned case")
-    p.add_argument("--max-degree", type=int,
-                   help="override the per-case series depth (at most "
-                        f"{MAX_PERIOD_DEGREE})")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="constant-term budget: the most term products "
-                        "the powers of the quantum part may form")
-    add_output(p)
-
-    p = sub.add_parser("potential", help="dump a Grassmannian potential")
-    p.add_argument("k", type=int)
-    p.add_argument("n", type=int)
-    add_output(p)
-
-    p = sub.add_parser("period", help="quantum period coefficients")
-    p.add_argument("case")
-    p.add_argument("--node", type=int, required=True)
-    p.add_argument("--max-degree", type=int,
-                   help="series depth, default 6, at most "
-                        f"{MAX_PERIOD_DEGREE}")
-    add_output(p)
-
-    p = sub.add_parser("gw", help="Gromov-Witten number from the "
-                                  "constant-term formula")
-    p.add_argument("k", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("d", type=int)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="the most term products the powers of the "
-                        "quantum part may form")
-    add_output(p)
-
-    p = sub.add_parser("scalar-ode", help="cyclic-vector scalar operator")
-    p.add_argument("case")
-    p.add_argument("--node", type=int, required=True)
-    add_output(p)
-
-    p = sub.add_parser("bessel", help="Wronskian check for the rank-one "
-                                      "equivariant periods")
-    p.add_argument("y", type=float)
-    p.add_argument("nu", type=float)
-    add_output(p)
-
+    for name, (text, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=text), name)
     return parser
+
+
+def _parse(argv: list):
+    """(command, args).  A known command in argv[0] is parsed by its own
+    parser; anything else, or arguments that parser does not know, by
+    the full parser, so every usage and error reads as it would there."""
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _build_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return argv[0], args
+    args = _build_parser().parse_args(argv)
+    return args.command, args
 
 
 def _bessel_numbers(argv: list) -> list:
@@ -816,13 +814,14 @@ def _bessel_numbers(argv: list) -> list:
 
 def main(argv=None) -> int:
     """Run one command, return its exit code.  Repeated calls in one
-    process build the parser and pinned list once, each case afresh; the
-    command's cmd_* function is looked up by name at call time."""
+    process build each command's parser and the pinned list once, each
+    case afresh; the command's cmd_* function is looked up by name at
+    call time."""
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv[:1] == ["bessel"]:
         argv = _bessel_numbers(argv)
-    args = _build_parser().parse_args(argv)
-    command = globals()["cmd_" + args.command.replace("-", "_")]
+    name, args = _parse(argv)
+    command = globals()["cmd_" + name.replace("-", "_")]
     try:
         return command(args)
     except (ValueError, ArithmeticError, BudgetExceeded) as exc:

@@ -50,8 +50,13 @@ MAX_POTENTIAL_VARS = 12
 # 450 MB at 48 (Gr(6,14)) and 710 MB at 49 (Gr(7,14)).
 MAX_POTENTIAL_WORD = 36
 
-# Most term products a constant term may form unless told otherwise.
-DEFAULT_BUDGET = 10_000_000
+# Most term products a constant term may form unless told otherwise.  The
+# largest route the tests form at this default is CT(W^54) of E7 node 7
+# (206,310 products, about 0.1 s); the pinned `gw 3 7 6` forms 19,020 and
+# a pinned verify case at most 12.  A route stops within about 0.15 s of
+# products at 5 * 10^5, so `verify A5 --node 3 --max-degree 100` exits 1
+# in about a second where 10^7 let it run 35 s.
+DEFAULT_BUDGET = 500_000
 
 
 class BudgetExceeded(RuntimeError):

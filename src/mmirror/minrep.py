@@ -5,7 +5,9 @@ spaces are lines indexed by W^P: the coset table (weyl.CosetReps) is the
 basis, v_w = sigma_w, and every operator is read off its weights alone:
 the root vector for beta sends v_mu to v_{mu + beta} exactly when <mu,
 beta-vee> = -1, with coefficient 1.  That gives x_j (beta = alpha_j), y_j
-(beta = -alpha_j) and x_theta (beta = theta).  Out of these the connection
+(beta = -alpha_j) and x_theta (beta = theta).  In fw coordinates <mu,
+alpha_j-vee> is the coordinate mu_j and alpha_j is row j of the Cartan
+matrix, so y_j is read off mu_j alone.  Out of these the connection
 f + q x_theta is assembled; its equivariant version adds the diagonal
 -<mu-vee, h>, mu-vee the coweight dual to mu (integer rows over one
 scale, lifted by qchev.lift_equivariant).  The mirror statement is that
@@ -14,7 +16,8 @@ these coincide, index for index, with the quantum Chevalley matrices.
 
 from __future__ import annotations
 
-from operator import mul
+from itertools import chain
+from operator import mul, sub
 
 from .rootsys import (
     RootDatum,
@@ -58,22 +61,23 @@ def coweight_diagonal(d: RootDatum, reps: CosetReps):
 def fg_connection(d: RootDatum, reps: CosetReps) -> ConnMatrix:
     """Connection-form matrix f + q x_theta on the coset basis `reps` of
     a minuscule node; under v_w = sigma_w this is the mirror counterpart
-    of the quantum Chevalley matrix.  f = sum_j y_j and x_theta are
-    walked from each column's weight with root_step, rank + 1 steps per
-    column, and only the cells they reach are built."""
+    of the quantum Chevalley matrix.  f = sum_j y_j steps each column's
+    weight mu to mu - alpha_j (row j of the Cartan matrix) exactly where
+    mu_j = 1; x_theta is walked with root_step.  Only the cells these
+    steps reach are built."""
     node = reps.parabolic.node
     if node not in minuscule_nodes(d.cartan_type):
         raise ValueError(f"node {node} is not minuscule for {d.cartan_type}")
-    if any(x not in (-1, 0, 1) for mu in reps.weights for x in mu):
+    if not set(chain.from_iterable(reps.weights)) <= {-1, 0, 1}:
         raise AssertionError(
             "weight pairing outside {-1,0,1}: not minuscule data")
-    steps = [(simple_root(d, j), -1, (0,)) for j in range(1, d.rank + 1)]
-    steps.append((d.highest_root, 1, (1,)))
+    row_of, theta = reps.by_weight, d.highest_root
     cells = {}   # (row, col) -> {(q exp,): 1}
     for c, mu in enumerate(reps.weights):
-        for root, sign, exp in steps:
-            target = root_step(mu, root, sign)
-            if target is not None:
-                r = reps.index_of_weight(target)
-                cells.setdefault((r, c), {})[exp] = 1
+        for x, alpha in zip(mu, d.cartan):
+            if x == 1:
+                cells[row_of[tuple(map(sub, mu, alpha))], c] = {(0,): 1}
+        target = root_step(mu, theta)
+        if target is not None:
+            cells.setdefault((row_of[target], c), {})[(1,)] = 1
     return ConnMatrix(reps, ("q",), len(reps), cells)

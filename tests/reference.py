@@ -36,8 +36,10 @@ that reads it off the case parameters.
 For the minuscule representation: ``generator_matrices`` and
 ``xtheta_matrix`` build the Chevalley generators, the principal triple
 and x_theta as dense matrices on a coset table, from its weights alone;
-``space_dim`` is the dimension of G/P; ``zeta_rescaling_consistent``
-checks the homogeneity of a connection form.
+``pinned_minuscule_cases`` lists the minuscule (type, node) pairs of the
+pinned ``verify`` list; ``space_dim`` is the dimension of G/P;
+``zeta_rescaling_consistent`` checks the homogeneity of a connection
+form.
 
 For Laurent polynomials: ``LaurentPoly`` is the ring over the library's
 output view of a terms dict, with exact Fraction coefficients normalised
@@ -71,6 +73,7 @@ from itertools import zip_longest
 from operator import mul
 
 from mmirror import qchev
+from mmirror.cli import _load_case_list
 from mmirror.crystal_potential import Potential
 from mmirror.minrep import root_step
 from mmirror.period_gw import (
@@ -540,6 +543,12 @@ def generator_matrices(d, reps) -> dict:
     out["f"] = RepOperator("f", tuple(tuple(r) for r in f))
     out["h"] = RepOperator("h", tuple(tuple(r) for r in h))
     return out
+
+
+def pinned_minuscule_cases() -> list:
+    """(type, node) for every minuscule case of the pinned verify list."""
+    return [(e["cartan"], e["node"]) for e in _load_case_list()
+            if e["node"] in minuscule_nodes(CartanType.parse(e["cartan"]))]
 
 
 def space_dim(reps) -> int:

@@ -4,6 +4,7 @@ import inspect
 import json
 import subprocess
 import sys
+import time
 from collections import Counter
 from math import comb
 
@@ -12,6 +13,7 @@ import pytest
 import mmirror.cli as cli
 from mmirror import crystal_potential, minrep, period_gw, qchev, rootsys, weyl
 from mmirror.cli import _load_case_list, main
+from mmirror.crystal_potential import DEFAULT_BUDGET
 from mmirror.qchev import ConnMatrix
 from mmirror.rootsys import CartanType, minuscule_nodes
 
@@ -437,6 +439,23 @@ def test_verify_budget_exhaustion_fails_constant_term_alone(capsys):
                   "more than its budget of 1 term products"}]
 
 
+def test_default_budget_stops_a_deep_constant_term_fast(capsys):
+    # --max-degree 100 deepens the constant term of Gr(3,6) too; the
+    # default budget, set from the largest route the tests and pinned
+    # commands form, fails it by name within a second or so (10^7 term
+    # products ran 35 s)
+    start = time.monotonic()
+    code, doc = run_json(capsys, "verify", "A5", "--node", "3",
+                         "--max-degree", "100")
+    assert time.monotonic() - start < 10
+    assert code == 1 and doc["counts"]["failed"] == 1
+    failed = [ch for ch in doc["cases"][0]["checks"] if not ch["pass"]]
+    assert failed == [{
+        "name": "constant_term", "pass": False,
+        "detail": "enumeration budget exceeded: constant-term route needs "
+                  f"more than its budget of {DEFAULT_BUDGET} term products"}]
+
+
 # ------------------------------------------------------- failure details
 
 def _mirror_check(report):
@@ -507,6 +526,39 @@ def test_wgamma_position_failure_detail(cartan, node, cell, change, detail):
     with pytest.raises(cli.CheckFailure) as failure:
         cli._check_wgamma_positions(case)
     assert str(failure.value) == detail
+
+
+def _q_moved(build, cell, row):
+    """build, with the q term of ``cell`` moved to ``row`` of its column."""
+    def mutated(*args):
+        M = build(*args)
+        cells = {rc: dict(terms) for rc, terms in M.cells.items()}
+        del cells[cell][(1,)]
+        if not cells[cell]:
+            del cells[cell]
+        cells.setdefault((row, cell[1]), {})[(1,)] = 1
+        return ConnMatrix(M.basis, M.variables, M.size, cells)
+    return mutated
+
+
+@pytest.mark.parametrize("cell,row,detail", [
+    # moved down: the emptied W(gamma) position is the first bad cell
+    ((2, 23), 4, "q-part at (2, 23) is 0 but W(gamma) gives q "
+                 "(column w = W[2.3.1.4.3.5.4.2.6.5.4.3.1])"),
+    # moved up: the q off W(gamma) comes first
+    ((3, 24), 0, "q-part at (0, 24) is q but W(gamma) gives 0 "
+                 "(column w = W[4.2.3.1.4.3.5.4.2.6.5.4.3.1])"),
+], ids=["moved-down", "moved-up"])
+def test_moved_q_cell_named_in_mirror_detail(monkeypatch, cell, row, detail):
+    # both sides moved alike, so the matrices agree and the q-part check
+    # alone fails the mirror check of the pinned E6 n1 case
+    for name in ("fw_matrix", "fg_connection"):
+        monkeypatch.setattr(cli, name, _q_moved(getattr(cli, name), cell,
+                                                row))
+    entry, = [e for e in _load_case_list()
+              if (e["cartan"], e["node"]) == ("E6", 1)]
+    check = _mirror_check(cli._run_case(entry, None, 10_000))
+    assert check == {"name": "mirror", "pass": False, "detail": detail}
 
 
 def _equivariant_check(report):
@@ -1140,6 +1192,50 @@ def test_parser_built_once(capsys, monkeypatch):
         counts.append(len(built))
     assert counts[0] > 0
     assert counts == [counts[0]] * 5
+
+
+def _parse_outcome(capsys, parse):
+    """(exit code, stdout, stderr, namespace) of one parse."""
+    try:
+        args = vars(parse())
+        code = None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, args
+
+
+@pytest.mark.parametrize("argv", [
+    *([name, "-h"] for name in cli._COMMANDS),
+    *([name] for name in cli._COMMANDS),
+    ["verify", "A3", "--node", "x"],
+    ["verify", "A3", "--node", "2", "--budget", "7"],
+    ["chevalley", "A3", "--node", "2", "--format", "xml"],
+    ["roots", "A1", "--bogus"],
+    ["gw", "1", "2", "3", "4"],
+    ["bessel", "1", " -2", "--output", "-"],
+], ids=" ".join)
+def test_command_parser_reads_as_the_full_parser(capsys, argv):
+    # the command's own parser gives the bytes, exit code and arguments
+    # of the full parser's sub-parser, on this Python's argparse
+    def own():
+        command, args = cli._parse(argv)
+        return argparse.Namespace(command=command, **vars(args))
+
+    full = _parse_outcome(capsys, lambda: cli._build_parser().parse_args(argv))
+    assert _parse_outcome(capsys, own) == full
+
+
+def test_one_command_builds_one_parser(capsys):
+    cli._build_parser.cache_clear()
+    assert run(capsys, "roots", "A2")[0] == 0
+    assert run(capsys, "gw", "1", "2", "1")[0] == 0
+    # the two commands' parsers; the full one only for -h or a bad command
+    assert cli._build_parser.cache_info().currsize == 2
+    with pytest.raises(SystemExit):
+        main(["bogus"])
+    assert cli._build_parser.cache_info().currsize == 3
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_equivariant_flag_does_not_carry_over(capsys):

@@ -33,6 +33,7 @@ from reference import (
     parabolic_cases,
     multiply,
     pi_P,
+    pinned_minuscule_cases,
     reflection,
     rep_elements,
     simple_reflection,
@@ -313,14 +314,11 @@ def dense_fg(d, reps):
     return ConnMatrix(reps, ("q",), n, cells)
 
 
-@pytest.mark.parametrize("ct,node", [
-    ("A1", 1), ("A4", 2), ("B4", 4), ("C4", 1), ("D5", 1), ("D5", 4),
-    ("D5", 5), ("E6", 1), ("E6", 6), ("E7", 7),
-])
+@pytest.mark.parametrize("ct,node", pinned_minuscule_cases())
 def test_fg_connection_equals_dense_reference(ct, node):
-    # the root_step walk builds only the reached cells: they are the
-    # nonzero cells of the dense sum, and every coefficient is a nonzero
-    # int
+    # the Cartan-row steps and the x_theta walk build only the reached
+    # cells: they are the nonzero cells of the dense sum of root_step
+    # operators, and every coefficient is a nonzero int
     d, reps = R(ct, node)
     m = fg_connection(d, reps)
     assert m == dense_fg(d, reps)
