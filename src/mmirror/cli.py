@@ -24,6 +24,7 @@ from importlib import resources
 from math import factorial
 from types import MappingProxyType
 
+from . import json_text
 from .crystal_potential import (
     DEFAULT_BUDGET,
     MAX_POTENTIAL_VARS,
@@ -545,8 +546,7 @@ def _emit(text: str, output) -> None:
 
 
 def _emit_json(payload, output) -> None:
-    _emit(json.dumps({**payload, "schema": "mm/1"}, indent=2,
-                     sort_keys=True) + "\n", output)
+    _emit(json_text({**payload, "schema": "mm/1"}) + "\n", output)
 
 
 # --------------------------------------------------------------------------

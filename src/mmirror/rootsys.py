@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
 import re
 from typing import NamedTuple
@@ -187,26 +187,38 @@ class RootDatum(namedtuple("RootDatum", "cartan_type cartan positive_roots "
 
     @cached_property
     def inverse_cartan(self):
-        """(den, rows): the inverse of the Cartan matrix as integer rows
-        over one common denominator, solved once per datum by
-        fraction-free Gauss-Jordan elimination on [A | I]."""
-        n = self.rank
-        a = [list(row) + [int(i == j) for j in range(n)]
-             for i, row in enumerate(self.cartan)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if a[r][col] != 0)
-            a[col], a[piv] = a[piv], a[col]
-            p = a[col]
-            for r in range(n):
-                f = a[r][col]
-                if r != col and f != 0:
-                    row = [p[col] * x - f * y for x, y in zip(a[r], p)]
-                    g = gcd(*row)
-                    a[r] = [x // g for x in row]
-        # row r now reads a[r][r] * e_r | a[r][r] * (row r of A^-1)
-        den = lcm(*(abs(a[r][r]) for r in range(n)))
-        return den, tuple(
-            tuple(x * (den // a[r][r]) for x in a[r][n:]) for r in range(n))
+        """(den, rows): A^-1 as integer rows over their least common
+        denominator, solved once per datum in one pass over the Dynkin
+        tree: each leaf row l of [A | I] is eliminated into the row p of
+        its one remaining neighbour, row_p <- a_ll row_p - a_pl row_l,
+        which scales row p and moves only its diagonal and right-hand
+        side; back-substitution from the last vertex then leaves each row
+        over its own reduced denominator."""
+        a, n = self.cartan, self.rank
+        order, up = [0], [None] * n       # the tree outwards from node 1
+        for v in order:
+            for k, _ in self.cartan_rows[v]:
+                if k != v and k != up[v]:
+                    up[k] = v
+                    order.append(k)
+        piv, scale = [2] * n, [1] * n     # row p reads scale[p] a_pk at k
+        rhs = [[int(i == j) for j in range(n)] for i in range(n)]
+        for v in reversed(order[1:]):     # v is a leaf of the rows left
+            p = up[v]
+            f, g = scale[p] * a[p][v], scale[v] * a[v][p]
+            rhs[p] = [piv[v] * x - f * y for x, y in zip(rhs[p], rhs[v])]
+            piv[p] = piv[v] * piv[p] - f * g
+            scale[p] *= piv[v]
+        for v in order:                   # rhs[v] / piv[v]: row v of A^-1
+            if (p := up[v]) is not None:
+                g = scale[v] * a[v][p]
+                rhs[v] = [piv[p] * x - g * y for x, y in zip(rhs[v], rhs[p])]
+                piv[v] *= piv[p]
+            g = gcd(piv[v], *rhs[v])
+            rhs[v], piv[v] = [x // g for x in rhs[v]], piv[v] // g
+        den = lcm(*piv)
+        return den, tuple(tuple(x * (den // e) for x in row)
+                          for row, e in zip(rhs, piv))
 
 
 def build_root_datum(ct: CartanType) -> RootDatum:
@@ -234,7 +246,9 @@ def build_root_datum(ct: CartanType) -> RootDatum:
         beta, fw = stack.pop()
         for i, f in enumerate(fw):
             if f < 0:
-                up = beta[:i] + (beta[i] - f,) + beta[i + 1:]
+                up = list(beta)
+                up[i] -= f
+                up = tuple(up)
                 if up not in allpos:
                     t = list(fw)
                     for k, a in rows[i]:
@@ -246,7 +260,7 @@ def build_root_datum(ct: CartanType) -> RootDatum:
     for height, coeffs in sorted((sum(c), c) for c in allpos):
         fw = allpos[coeffs]
         if simply_laced:
-            roots.append(Root(coeffs, height, fw, coeffs, 2))
+            roots.append(Root._make((coeffs, height, fw, coeffs, 2)))
             continue
         # (beta, beta) = sum_i c_i (alpha_i, alpha_i) fw_i / 2
         weighted = tuple(map(mul, coeffs, norms))
@@ -260,7 +274,7 @@ def build_root_datum(ct: CartanType) -> RootDatum:
             raise AssertionError(f"non-integral coroot for {coeffs}")
         else:
             coroot = tuple(x >> 1 for x in weighted)
-        roots.append(Root(coeffs, height, fw, coroot, twice // 2))
+        roots.append(Root._make((coeffs, height, fw, coroot, twice // 2)))
     roots = tuple(roots)
 
     theta = roots[-1]
@@ -348,8 +362,6 @@ def minuscule_nodes(ct: CartanType):
 
 def minuscule_dimension(ct: CartanType, node: int) -> int:
     """dim of the minuscule representation attached to the node."""
-    from math import comb
-
     n = ct.rank
     if ct.family == "A":
         return comb(n + 1, node)

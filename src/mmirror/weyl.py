@@ -7,22 +7,14 @@ of each coset, the length and canonical reduced word of w, the coweight
 w.varpi_node-vee, and the root images w.beta that coset moves read.  No
 Weyl element and no matrix is built.
 
-Words and lengths are read off weights by the one descent of
-rootsys.descent: s_j w < w exactly when <w.rho, alpha_j-vee> < 0, so
-repeatedly applying the smallest such s_j to w.rho spells the canonical
-reduced word of w, and the length is the number of letters.  Applied to
-w.lam, with lam dominant and stabiliser W_P, the same descent spells the
-minimal representative of w W_P.  The coset walk runs no descent: it
-spells each word from that of a rep one step shorter.
-
+Each word is the canonical reduced word that rootsys.descent spells
+from w.rho (s_j w < w exactly when <w.rho, alpha_j-vee> < 0), and from
+w.varpi_node, whose stabiliser is W_P, for the minimal rep of w W_P.
 W^P is grown once, up the left weak order from the identity
-(minuscule_coset_reps).  The walk carries, for each rep w, the fw
-coordinates of w.beta for every beta in R+ \\ R+_P, in positive-root
-order, with their heights, and w.varpi_node-vee in simple-coroot
-coordinates.  The child s_j w moves an image v to s_j.v = v - v_j (row
-j of the Cartan matrix) and its height to ht(v) - v_j, keeping the
-parent's v where v_j = 0, and the coweight cw in coordinate j alone:
-cw_j - sum_k a_jk cw_k.  A minuscule step lowers the weight by one
+(minuscule_coset_reps), with no descent: each rep is grown once, from
+its canonical parent, whose word it extends by one letter, with its
+coweight w.varpi_node-vee and its root images w.beta, beta in R+ \\
+R+_P, and their heights.  A minuscule step lowers the weight by one
 simple root (Proctor, "Bruhat lattices, plane partition generating
 functions, and minuscule representations"): lengths are heights there
 (CosetReps).  At a minuscule node (or the B_n quadric node) the library
@@ -59,21 +51,25 @@ __all__ = [
 ]
 
 
-def _reflect_images(d: RootDatum, i: int, images, heights, pool) -> tuple:
+def _reflect_images(d: RootDatum, i: int, images, heights, memo) -> tuple:
     """s_i.v = v - v_i (row i of the Cartan matrix) of height ht(v) - v_i
     for each v of images, changed only along that row's nonzero entries;
-    v itself when v_i = 0.  A new image is stored once in pool: the
-    images of roots are roots, so the reps share them."""
-    row = d.cartan_rows[i - 1]
-    out, hts = list(images), list(heights)
+    v itself when v_i = 0.  memo[v][i - 1] keeps s_i.v once formed: the
+    images of roots are roots, so one that comes back costs a lookup."""
+    col, out, hts = i - 1, list(images), list(heights)
     for s, v in enumerate(images):
-        c = v[i - 1]
+        c = v[col]
         if c:
-            v = list(v)
-            for k, a in row:
-                v[k] -= c * a
-            v = tuple(v)
-            out[s] = pool.setdefault(v, v)
+            m = memo.get(v)
+            if m is None:
+                memo[v] = m = [None] * len(v)
+            w = m[col]
+            if w is None:
+                w = list(v)
+                for k, a in d.cartan_rows[col]:
+                    w[k] -= c * a
+                m[col] = w = tuple(w)
+            out[s] = w
             hts[s] -= c
     return tuple(out), tuple(hts)
 
@@ -135,15 +131,16 @@ class CosetReps(namedtuple("CosetReps", "parabolic weights lengths words "
 
 def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
     """W^P by one walk up the left weak order from the identity.  For a
-    rep w of weight mu = w.varpi_node and each j with mu_j > 0, s_j w is a
-    rep one step longer (Deodhar's lemma) of weight nu = s_j.mu: its word
-    is i, the first letter of the descent of nu (the least i with nu_i <
-    0), then the word of the shorter rep s_i.nu, its coweight that of w
-    moved in coordinate j, and each of its images s_j.v for an image v of
-    w (v itself when v_j = 0) with its height.  Each new row must pair its
-    weight with its coweight to <varpi_node, varpi_node-vee>, which W
-    preserves, at a minuscule node have length ht(varpi_node - mu), and
-    the count must be the closed-form |W^P| of levi_data."""
+    rep w of weight mu = w.varpi_node and each j with c = mu_j > 0, s_j w
+    is a rep one step longer (Deodhar's lemma) of weight nu = mu - c
+    alpha_j.  nu is grown from its canonical parent w alone, when j is its
+    first descent (nu_k >= 0 for k < j): its word is j then the word of
+    w, its coweight that of w moved in coordinate j, and each of its
+    images s_j.v for an image v of w (v itself when v_j = 0) with its
+    height.  Each new row must pair its weight with its coweight to
+    <varpi_node, varpi_node-vee>, which W preserves, at a minuscule node
+    have length ht(varpi_node - mu), and the count, which a rep grown
+    twice or missed fails, must be the closed-form |W^P| of levi_data."""
     p = levi_data(d, node)
     minuscule = node in minuscule_nodes(d.cartan_type)
     roots = tuple(r for r in d.positive_roots if r.coeffs[node - 1])
@@ -153,32 +150,29 @@ def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
     coweights = {start: cov}
     images = {start: tuple(r.fw for r in roots)}
     heights = {start: tuple(r.height for r in roots)}
-    pool = {}
-    order = [start]
+    memo = {}
+    order, rows = [start], d.cartan_rows
     for mu in order:                  # the walk appends to order
-        for j, a in enumerate(d.cartan, 1):
-            c = mu[j - 1]
+        for j, c in enumerate(mu, 1):
             if c <= 0:
                 continue
-            nu = tuple(x - c * y for x, y in zip(mu, a))
-            if nu in words:
-                continue
+            nu = list(mu)
+            for k, a in rows[j - 1]:
+                nu[k] -= c * a
+            if min(nu[:j - 1], default=0) < 0:
+                continue              # grown from its canonical parent
+            nu = tuple(nu)
             cw = _reflect_coweight(d, j, coweights[mu])
             if sum(map(mul, nu, cw)) != cov[node - 1]:
                 raise AssertionError("walk coweight does not pair with its "
                                      "weight to <varpi, varpi-vee>")
-            # s_i.nu is one step shorter, so the walk, which goes by
-            # length, has reached it; it is mu when i = j
-            i = next(k for k, x in enumerate(nu, 1) if x < 0)
-            up = mu if i == j else tuple(
-                x - nu[i - 1] * y for x, y in zip(nu, d.cartan[i - 1]))
-            words[nu] = (i,) + words[up]
+            words[nu] = (j,) + words[mu]
             if minuscule and len(words[nu]) != len(words[mu]) + c:
                 raise AssertionError("walk length is not the depth "
                                      "ht(varpi - mu) at a minuscule node")
             coweights[nu] = cw
             images[nu], heights[nu] = _reflect_images(
-                d, j, images[mu], heights[mu], pool)
+                d, j, images[mu], heights[mu], memo)
             order.append(nu)
     if len(order) != p.coset_size:
         raise AssertionError("walk does not reach |W^P| cosets")

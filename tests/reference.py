@@ -6,6 +6,8 @@ fundamental-weight coordinates; ``root_fw`` is the rank-squared product
 of a root's simple-root coordinates with the Cartan matrix, the oracle
 for the fundamental-weight coordinates that the closure carries up;
 ``fundamental_coweight`` is varpi_i-vee as Fractions;
+``gauss_jordan_inverse_cartan`` is the dense elimination that the
+inverse Cartan matrix is checked against;
 ``root_string_closure`` enumerates the positive roots by root strings,
 the oracle for the closure by simple reflections.
 
@@ -165,6 +167,30 @@ def root_string_closure(ct) -> dict:
         level = nxt
         allpos |= nxt
     return allpos
+
+
+def gauss_jordan_inverse_cartan(cartan) -> tuple:
+    """(den, rows): the inverse of a Cartan matrix as integer rows over
+    one common denominator, by fraction-free Gauss-Jordan elimination on
+    [A | I], each row reduced by its gcd; the dense oracle for the
+    one-pass elimination over the Dynkin tree."""
+    n = len(cartan)
+    a = [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(cartan)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        p = a[col]
+        for r in range(n):
+            f = a[r][col]
+            if r != col and f != 0:
+                row = [p[col] * x - f * y for x, y in zip(a[r], p)]
+                g = math.gcd(*row)
+                a[r] = [x // g for x in row]
+    # row r now reads a[r][r] * e_r | a[r][r] * (row r of A^-1)
+    den = math.lcm(*(abs(a[r][r]) for r in range(n)))
+    return den, tuple(
+        tuple(x * (den // a[r][r]) for x in a[r][n:]) for r in range(n))
 
 
 def root_fw(coeffs, cartan) -> tuple:

@@ -11,7 +11,8 @@ from math import comb
 import pytest
 
 import mmirror.cli as cli
-from mmirror import crystal_potential, minrep, period_gw, qchev, rootsys, weyl
+from mmirror import (crystal_potential, json_text, minrep, period_gw, qchev,
+                     rootsys, weyl)
 from mmirror.cli import _load_case_list, main
 from mmirror.crystal_potential import DEFAULT_BUDGET
 from mmirror.qchev import ConnMatrix
@@ -1318,3 +1319,43 @@ def test_case_list_is_read_only():
     values = [v for c in cases for v in c.values()]
     assert not any(isinstance(v, (list, dict)) for v in values)
     assert ("d4_kernel", "d4_scalar") in values
+
+
+# ----------------------------------------------------------- report writer
+
+@pytest.mark.parametrize("argv", [
+    ("roots", "E7"),
+    ("roots", "B4", "--node", "1"),
+    ("chevalley", "B3", "--node", "3"),
+    ("chevalley", "C3", "--node", "1", "--equivariant"),
+    ("verify", "D4", "--node", "1"),
+    ("verify", "--all"),
+    ("potential", "2", "5"),
+    ("period", "E6", "--node", "1", "--max-degree", "4"),
+    ("gw", "3", "7", "2"),
+    ("scalar-ode", "B4", "--node", "1"),
+    ("bessel", "1e-8", "0"),
+    ("bessel", "50", "300"),
+], ids=" ".join)
+def test_report_writer_is_json_dumps(capsys, monkeypatch, argv):
+    # every report reads byte for byte as json.dumps(indent=2,
+    # sort_keys=True) spells its payload
+    payloads = []
+    emit = cli._emit_json
+    monkeypatch.setattr(cli, "_emit_json",
+                        lambda p, out: (payloads.append(p), emit(p, out)))
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    payload, = payloads
+    assert out == json.dumps({**payload, "schema": "mm/1"}, indent=2,
+                             sort_keys=True) + "\n"
+
+
+def test_report_writer_edge_values():
+    nan, inf = float("nan"), float("inf")
+    for v in [{}, [], (), "", 0, {"": {}, "a": [], "b": ()},
+              {"t": (1, (2, ()), [3.5])}, ["é", "€\n\t\"\\", "\U0001f600"],
+              {"é": None, "z": True, "y": False, "x": -3, "w": 2 ** 70},
+              [nan, inf, -inf, -0.0, 1e-300, 0.1], {"k": [[[]], [{}]]},
+              [True, 1, False, 0, None], "a\x00b"]:
+        assert json_text(v) == json.dumps(v, indent=2, sort_keys=True), v

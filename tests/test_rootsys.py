@@ -17,6 +17,7 @@ from mmirror.rootsys import (
 from mmirror.weyl import minuscule_coset_reps
 from reference import (
     fundamental_coweight,
+    gauss_jordan_inverse_cartan,
     pairing,
     root_fw,
     root_string_closure,
@@ -368,6 +369,19 @@ def test_inverse_cartan_is_exact():
             assert fundamental_coweight(d, node) == tuple(
                 Fraction(rows[k][node - 1], den) for k in range(n))
         assert d.inverse_cartan is d.inverse_cartan   # solved once
+
+
+def test_inverse_cartan_matches_gauss_jordan():
+    # the one pass over the Dynkin tree gives the dense elimination's
+    # rows over its least denominator, on every type up to rank 24
+    types = ([CartanType("A", n) for n in range(1, 25)]
+             + [CartanType(f, n) for f in "BC" for n in range(2, 20)]
+             + [CartanType("D", n) for n in range(4, 20)]
+             + [CartanType("E", 6), CartanType("E", 7)])
+    assert len(types) == 78
+    for ct in types:
+        d = build_root_datum(ct)
+        assert d.inverse_cartan == gauss_jordan_inverse_cartan(d.cartan), ct
 
 
 def test_root_lengths_and_coroots_match_fraction_formula():

@@ -291,6 +291,22 @@ def test_walk_refuses_a_coweight_off_its_weight(monkeypatch, ct, node, step):
         minuscule_coset_reps(D(ct), node)
 
 
+@pytest.mark.parametrize("ct,node", [("A4", 2), ("D4", 1), ("D5", 5),
+                                     ("E6", 1)])
+@pytest.mark.parametrize("low", [0, -1], ids=["every_parent", "no_parent"])
+def test_walk_count_refuses_a_class_grown_twice_or_missed(
+        monkeypatch, ct, node, low):
+    # the walk grows a child only from its canonical parent, when no
+    # coordinate below j is negative; a filter that passes every parent
+    # grows some class twice, one that passes none misses them, and the
+    # closed-form count refuses both
+    reps = minuscule_coset_reps(D(ct), node)
+    assert len(set(reps.weights)) == len(reps) == reps.parabolic.coset_size
+    monkeypatch.setattr(weyl, "min", lambda *a, **k: low, raising=False)
+    with pytest.raises(AssertionError, match="walk does not reach"):
+        minuscule_coset_reps(D(ct), node)
+
+
 def test_descent_length_of_any_weight():
     # the descent ends dominant in #{beta > 0 : <mu, beta-vee> < 0}
     # letters, whatever the weight: also on a wall, and none for zero
