@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from functools import cache, cached_property
 from importlib import resources
-from math import factorial
+from math import factorial, lgamma, log, log10
 from types import MappingProxyType
 
 from . import json_text
@@ -75,6 +75,11 @@ WRONSKIAN_TOL = 1e-8
 # output is n x n (~2.6e5 cells at this size).  Larger orbits are refused
 # before anything is enumerated.
 MAX_ORBIT_SIZE = 512
+
+# Most digits of an orbit size the refusal prints in full; a larger one
+# is given as a power of ten, as forming C(n+1, k) for a huge A_n takes
+# seconds and printing it can pass Python's integer-to-string limit.
+MAX_PRINTED_SIZE_DIGITS = 100
 
 # Largest root datum (number of positive roots) a case may build; refused
 # from the closed-form count before build_root_datum runs.
@@ -134,16 +139,37 @@ def _orbit_size(ct: CartanType, node: int):
     return 2 * ct.rank if ct.family == "B" and node == 1 else None
 
 
+def _orbit_log10(ct: CartanType, node: int):
+    """log10 of _orbit_size(ct, node), found in floating point without
+    forming the size: log C(n+1, node) by lgamma in type A, n log 2 at
+    the spin nodes; None where _orbit_size is None."""
+    n = ct.rank
+    if node not in minuscule_nodes(ct):
+        return log10(2 * n) if ct.family == "B" and node == 1 else None
+    if ct.family == "A":
+        return (lgamma(n + 2) - lgamma(node + 1)
+                - lgamma(n + 2 - node)) / log(10)
+    if ct.family in "BD" and node > 1:        # 2^n and 2^(n-1)
+        return (n - (ct.family == "D")) * log10(2)
+    return log10(minuscule_dimension(ct, node))
+
+
 def _refuse_large_orbit(ct: CartanType, node: int) -> None:
     """Raise ValueError when the coset orbit of a minuscule node or of the
     B_n node-1 quadric exceeds MAX_ORBIT_SIZE, using its closed-form size,
-    so that nothing is enumerated."""
-    size = _orbit_size(ct, node)
-    if size is not None and size > MAX_ORBIT_SIZE:
-        raise ValueError(
-            f"{ct} node {node} has {size} Schubert classes, more than the "
-            f"limit of {MAX_ORBIT_SIZE}"
-        )
+    so that nothing is enumerated.  A size past 10^MAX_PRINTED_SIZE_DIGITS
+    is neither formed nor printed: the message gives its power of ten."""
+    log_size = _orbit_log10(ct, node)
+    if log_size is None:
+        return
+    if log_size > MAX_PRINTED_SIZE_DIGITS:
+        size = f"about 10^{log_size:.0f}"
+    elif (size := _orbit_size(ct, node)) <= MAX_ORBIT_SIZE:
+        return
+    raise ValueError(
+        f"{ct} node {node} has {size} Schubert classes, more than the "
+        f"limit of {MAX_ORBIT_SIZE}"
+    )
 
 
 def _refuse_large_datum(ct: CartanType) -> None:

@@ -17,9 +17,12 @@ Conventions
   validated during construction.
 * positive_roots are ordered by height, then lexicographically on the
   simple-root coordinates, so all downstream matrix layouts are reproducible.
-* Every Weyl length and word is read off one descent of a weight to the
-  dominant chamber (descent): the word of w from w.rho, ell(s_beta) from
-  s_beta.rho (reflection_length).
+* A Weyl length or word off the coset table is read off one descent of
+  a weight to the dominant chamber (descent): ell(s_beta) from
+  s_beta.rho (reflection_length), the word of w^P (crystal_potential)
+  and the diagram involution (weyl).  The coset walk
+  (weyl.minuscule_coset_reps) runs no descent: each rep's word is its
+  canonical parent's with one letter in front.
 * The only parabolic is the maximal one at a node (levi_data), with the
   closed-form |W^P|; its Levi roots are those with node coordinate 0.
 """

@@ -14,18 +14,19 @@ W^P is grown once, up the left weak order from the identity
 (minuscule_coset_reps), with no descent: each rep is grown once, from
 its canonical parent, whose word it extends by one letter, with its
 coweight w.varpi_node-vee and its root images w.beta, beta in R+ \\
-R+_P, and their heights.  A minuscule step lowers the weight by one
-simple root (Proctor, "Bruhat lattices, plane partition generating
-functions, and minuscule representations"): lengths are heights there
-(CosetReps).  At a minuscule node (or the B_n quadric node) the library
-moves between cosets on that table only: w s_beta lies in the coset of
-mu - <varpi_node, beta-vee> w.beta (reflect_coset, a dict lookup), and
-that coset's length alone decides a Bruhat cover (bruhat_covers_up) or
-a term of the Chevalley rule (qchev.fw_matrix), with no descent and no
-Weyl length.  w lies in W(gamma) when its gamma image is -theta; the
-Poincare dual of mu is w0.mu, whose coordinate at sigma(i) is -mu_i for
-the diagram involution sigma = -w0, read off the dominant end -w0.(1,
-2, .., r) of the descent of -(1, 2, .., r).
+R+_P, and their heights; the rows arrive one length at a time,
+letter-major, in (length, word) order, with no sort.  A minuscule step
+lowers the weight by one simple root (Proctor, "Bruhat lattices, plane
+partition generating functions, and minuscule representations"): lengths
+are heights there (CosetReps).  At a minuscule node (or the B_n quadric
+node) the library moves between cosets on that table only: w s_beta lies
+in the coset of mu - <varpi_node, beta-vee> w.beta (reflect_coset, a
+dict lookup), and that coset's length alone decides a Bruhat cover
+(bruhat_covers_up) or a term of the Chevalley rule (qchev.fw_matrix),
+with no descent and no Weyl length.  w lies in W(gamma) when its gamma
+image is -theta; the Poincare dual of mu is w0.mu, whose coordinate at
+sigma(i) is -mu_i for the diagram involution sigma = -w0, read off the
+dominant end -w0.(1, 2, .., r) of the descent of -(1, 2, .., r).
 """
 
 from __future__ import annotations
@@ -137,57 +138,56 @@ def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
     first descent (nu_k >= 0 for k < j): its word is j then the word of
     w, its coweight that of w moved in coordinate j, and each of its
     images s_j.v for an image v of w (v itself when v_j = 0) with its
-    height.  Each new row must pair its weight with its coweight to
-    <varpi_node, varpi_node-vee>, which W preserves, at a minuscule node
-    have length ht(varpi_node - mu), and the count, which a rep grown
-    twice or missed fails, must be the closed-form |W^P| of levi_data."""
+    height.  Length l + 1 is grown letter-major, j = 1..r each over the
+    rows of length l in their (length, word) order, so the words j +
+    word(w) arrive in that order too, appended where they are returned.
+    Each new row must pair its weight with its coweight to <varpi_node,
+    varpi_node-vee>, which W preserves, at a minuscule node have length
+    ht(varpi_node - mu) (c = 1), and the count, which a rep grown twice
+    or missed fails, must be the closed-form |W^P| of levi_data."""
     p = levi_data(d, node)
     minuscule = node in minuscule_nodes(d.cartan_type)
     roots = tuple(r for r in d.positive_roots if r.coeffs[node - 1])
     start = tuple(int(j == node - 1) for j in range(d.rank))
     cov = tuple(row[node - 1] for row in d.inverse_cartan[1])
-    words = {start: ()}
-    coweights = {start: cov}
-    images = {start: tuple(r.fw for r in roots)}
-    heights = {start: tuple(r.height for r in roots)}
-    memo = {}
-    order, rows = [start], d.cartan_rows
-    for mu in order:                  # the walk appends to order
-        for j, c in enumerate(mu, 1):
-            if c <= 0:
-                continue
-            nu = list(mu)
-            for k, a in rows[j - 1]:
-                nu[k] -= c * a
-            if min(nu[:j - 1], default=0) < 0:
-                continue              # grown from its canonical parent
-            nu = tuple(nu)
-            cw = _reflect_coweight(d, j, coweights[mu])
-            if sum(map(mul, nu, cw)) != cov[node - 1]:
-                raise AssertionError("walk coweight does not pair with its "
-                                     "weight to <varpi, varpi-vee>")
-            words[nu] = (j,) + words[mu]
-            if minuscule and len(words[nu]) != len(words[mu]) + c:
-                raise AssertionError("walk length is not the depth "
-                                     "ht(varpi - mu) at a minuscule node")
-            coweights[nu] = cw
-            images[nu], heights[nu] = _reflect_images(
-                d, j, images[mu], heights[mu], memo)
-            order.append(nu)
-    if len(order) != p.coset_size:
+    table = [(start, (), cov, tuple(r.fw for r in roots),
+              tuple(r.height for r in roots))]
+    memo, lo = {}, 0
+    while lo < len(table):            # the rows of one length, in order
+        level, lo = table[lo:], len(table)
+        for j, row in enumerate(d.cartan_rows, 1):
+            for mu, word, cw_mu, imgs, hts in level:
+                c = mu[j - 1]
+                if c <= 0:
+                    continue
+                nu = list(mu)
+                for k, a in row:
+                    nu[k] -= c * a
+                if min(nu[:j - 1], default=0) < 0:
+                    continue          # grown from its canonical parent
+                cw = _reflect_coweight(d, j, cw_mu)
+                if sum(map(mul, nu, cw)) != cov[node - 1]:
+                    raise AssertionError("walk coweight does not pair with "
+                                         "its weight to <varpi, varpi-vee>")
+                if minuscule and c != 1:
+                    raise AssertionError("walk length is not the depth "
+                                         "ht(varpi - mu) at a minuscule node")
+                table.append((tuple(nu), (j,) + word, cw,
+                              *_reflect_images(d, j, imgs, hts, memo)))
+    if len(table) != p.coset_size:
         raise AssertionError("walk does not reach |W^P| cosets")
 
-    order.sort(key=lambda mu: (len(words[mu]), words[mu]))
+    weights, words, coweights, images, heights = map(tuple, zip(*table))
     return CosetReps(
         parabolic=p,
-        weights=tuple(order),
-        lengths=tuple(len(words[mu]) for mu in order),
-        words=tuple(words[mu] for mu in order),
-        coweights=tuple(coweights[mu] for mu in order),
-        images=tuple(images[mu] for mu in order),
-        heights=tuple(heights[mu] for mu in order) if minuscule else None,
+        weights=weights,
+        lengths=tuple(map(len, words)),
+        words=words,
+        coweights=coweights,
+        images=images,
+        heights=heights if minuscule else None,
         roots=roots,
-        by_weight={mu: i for i, mu in enumerate(order)},
+        by_weight={mu: i for i, mu in enumerate(weights)},
         slots={r.coeffs: s for s, r in enumerate(roots)},
     )
 

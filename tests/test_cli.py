@@ -2,11 +2,14 @@ import argparse
 import hashlib
 import inspect
 import json
+import re
+import shlex
 import subprocess
 import sys
 import time
 from collections import Counter
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -634,6 +637,48 @@ def _never(*args, **kwargs):
 
 
 @pytest.mark.parametrize("argv", [
+    ("chevalley", "A20000", "--node", "10000"),
+    ("period", "A20000", "--node", "10000"),
+    ("scalar-ode", "D20000", "--node", "20000"),
+    ("roots", "A1000000", "--node", "500000"),
+])
+def test_huge_orbit_refused_by_its_power_of_ten(capsys, monkeypatch, argv):
+    # a size of thousands of digits is neither formed nor printed: one
+    # error line names the case and the limit, not Python's print limit
+    monkeypatch.setattr(cli, "_orbit_size", _never)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"{argv[1]} node {argv[3]} has about 10^" in err
+    assert str(cli.MAX_ORBIT_SIZE) in err
+    assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("cartan,node,power", [
+    ("D20000", "20000", 6020), ("A100000", "50000", 30101),
+])
+def test_huge_orbit_names_its_case_in_verify(capsys, monkeypatch, cartan,
+                                             node, power):
+    monkeypatch.setattr(cli, "_orbit_size", _never)
+    code, doc = run_json(capsys, "verify", cartan, "--node", node)
+    assert code == 1
+    assert doc["cases"][0]["checks"] == [{
+        "name": "setup", "pass": False,
+        "detail": f"{cartan} node {node} has about 10^{power} Schubert "
+                  f"classes, more than the limit of {cli.MAX_ORBIT_SIZE}",
+    }]
+
+
+def test_orbit_size_printed_in_full_up_to_its_digit_limit(capsys):
+    # 2^332 has 100 digits, 2^333 has 101
+    assert cli.MAX_PRINTED_SIZE_DIGITS == 100
+    code, out, err = run(capsys, "roots", "B332", "--node", "332")
+    assert code == 1 and f" {2 ** 332} Schubert classes" in err
+    code, out, err = run(capsys, "roots", "B333", "--node", "333")
+    assert code == 1 and " about 10^100 Schubert classes" in err
+
+
+@pytest.mark.parametrize("argv", [
     ("roots", "A400"),
     ("chevalley", "A400", "--node", "1"),
 ])
@@ -988,6 +1033,32 @@ def test_verify_all_golden(tmp_path):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == (
         "a3f814c0cc9481e43fa98b65b7147d6f5ddd6b635422d713fdd7f3446b71925b"
     )
+
+
+_CI_RUN = re.compile(r'^\s*mmirror (.+) --output "\$RUNNER_TEMP/([^"]+)"$')
+_CI_PIN = re.compile(r'^\s*echo "([0-9a-f]{64})  \$RUNNER_TEMP/([^"]+)" '
+                     r'\| sha256sum --check$')
+
+
+def test_ci_byte_pins(tmp_path):
+    # every output the CI workflow pins by SHA-256, made in process: each
+    # `mmirror ... --output` line paired with the check of its file
+    workflow = Path(__file__).parents[1] / ".github/workflows/tests.yml"
+    runs, pins = {}, {}
+    for line in workflow.read_text().splitlines():
+        if m := _CI_RUN.match(line):
+            runs[m[2]] = shlex.split(m[1])
+        elif m := _CI_PIN.match(line):
+            pins[m[2]] = m[1]
+    assert runs.keys() == pins.keys()
+    assert len(pins) == 34
+    wrong = []
+    for name, argv in runs.items():
+        target = tmp_path / name
+        assert main([*argv, "--output", str(target)]) == 0, argv
+        if hashlib.sha256(target.read_bytes()).hexdigest() != pins[name]:
+            wrong.append(" ".join(argv))
+    assert wrong == []
 
 
 def _coroots_are_coefficients(ct):

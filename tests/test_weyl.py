@@ -307,6 +307,39 @@ def test_walk_count_refuses_a_class_grown_twice_or_missed(
         minuscule_coset_reps(D(ct), node)
 
 
+ORDER_TYPES = ([f"A{n}" for n in range(1, 9)]
+               + [f"B{n}" for n in range(2, 7)]
+               + [f"C{n}" for n in range(2, 7)]
+               + [f"D{n}" for n in range(4, 7)] + ["E6", "E7"])
+
+
+@pytest.mark.parametrize("ct", ORDER_TYPES)
+def test_walk_emits_rows_in_length_word_order(ct):
+    # every node with |W^P| <= 2000, minuscule or not: the walk grows one
+    # length at a time, letter-major, each class from its canonical
+    # parent, so its rows come out in (length, word) order with no sort;
+    # a word is j, the first negative coordinate of its weight, then the
+    # word of an earlier row of weight s_j.mu
+    d = D(ct)
+    for node in range(1, d.rank + 1):
+        if levi_data(d, node).coset_size > 2000:
+            continue
+        reps = minuscule_coset_reps(d, node)
+        keys = [(len(w), w) for w in reps.words]
+        assert all(a < b for a, b in zip(keys, keys[1:])), node
+        assert list(reps.lengths) == list(map(len, reps.words)), node
+        row_of = {w: i for i, w in enumerate(reps.words)}
+        assert row_of[()] == 0 and min(reps.weights[0]) >= 0
+        for i in range(1, len(reps)):
+            mu, word = reps.weights[i], reps.words[i]
+            j = word[0]
+            assert next(k for k, x in enumerate(mu, 1) if x < 0) == j
+            parent = row_of[word[1:]]
+            assert parent < i
+            up = tuple(x - mu[j - 1] * a for x, a in zip(mu, d.cartan[j - 1]))
+            assert reps.weights[parent] == up, (node, word)
+
+
 def test_descent_length_of_any_weight():
     # the descent ends dominant in #{beta > 0 : <mu, beta-vee> < 0}
     # letters, whatever the weight: also on a wall, and none for zero
