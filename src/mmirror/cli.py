@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from functools import cache, cached_property
 from importlib import resources
-from math import factorial, lgamma, log, log10
+from math import factorial
 from types import MappingProxyType
 
 from . import json_text
@@ -76,13 +76,11 @@ WRONSKIAN_TOL = 1e-8
 # before anything is enumerated.
 MAX_ORBIT_SIZE = 512
 
-# Most digits of an orbit size the refusal prints in full; a larger one
-# is given as a power of ten, as forming C(n+1, k) for a huge A_n takes
-# seconds and printing it can pass Python's integer-to-string limit.
-MAX_PRINTED_SIZE_DIGITS = 100
-
 # Largest root datum (number of positive roots) a case may build; refused
-# from the closed-form count before build_root_datum runs.
+# from the closed-form count before build_root_datum runs and before any
+# other guard, so that a case past it never forms a tuple of its nodes and
+# the orbit guard only ever forms sizes up to rank 44 (A), 31 (B, C) or
+# 32 (D): at most C(45, 22), 13 digits, always cheap to form and print.
 MAX_POSITIVE_ROOTS = 1000
 
 # Largest orbit `scalar-ode` reduces; its cost grows far faster than the
@@ -139,37 +137,16 @@ def _orbit_size(ct: CartanType, node: int):
     return 2 * ct.rank if ct.family == "B" and node == 1 else None
 
 
-def _orbit_log10(ct: CartanType, node: int):
-    """log10 of _orbit_size(ct, node), found in floating point without
-    forming the size: log C(n+1, node) by lgamma in type A, n log 2 at
-    the spin nodes; None where _orbit_size is None."""
-    n = ct.rank
-    if node not in minuscule_nodes(ct):
-        return log10(2 * n) if ct.family == "B" and node == 1 else None
-    if ct.family == "A":
-        return (lgamma(n + 2) - lgamma(node + 1)
-                - lgamma(n + 2 - node)) / log(10)
-    if ct.family in "BD" and node > 1:        # 2^n and 2^(n-1)
-        return (n - (ct.family == "D")) * log10(2)
-    return log10(minuscule_dimension(ct, node))
-
-
 def _refuse_large_orbit(ct: CartanType, node: int) -> None:
     """Raise ValueError when the coset orbit of a minuscule node or of the
     B_n node-1 quadric exceeds MAX_ORBIT_SIZE, using its closed-form size,
-    so that nothing is enumerated.  A size past 10^MAX_PRINTED_SIZE_DIGITS
-    is neither formed nor printed: the message gives its power of ten."""
-    log_size = _orbit_log10(ct, node)
-    if log_size is None:
-        return
-    if log_size > MAX_PRINTED_SIZE_DIGITS:
-        size = f"about 10^{log_size:.0f}"
-    elif (size := _orbit_size(ct, node)) <= MAX_ORBIT_SIZE:
-        return
-    raise ValueError(
-        f"{ct} node {node} has {size} Schubert classes, more than the "
-        f"limit of {MAX_ORBIT_SIZE}"
-    )
+    so that nothing is enumerated; run after _refuse_large_datum."""
+    size = _orbit_size(ct, node)
+    if size is not None and size > MAX_ORBIT_SIZE:
+        raise ValueError(
+            f"{ct} node {node} has {size} Schubert classes, more than the "
+            f"limit of {MAX_ORBIT_SIZE}"
+        )
 
 
 def _refuse_large_datum(ct: CartanType) -> None:
@@ -221,6 +198,7 @@ class Case:
         self.ct = CartanType.parse(cartan)
         self.cartan = str(self.ct)
         self.node = int(node)
+        _refuse_large_datum(self.ct)
         if not 1 <= self.node <= self.ct.rank:
             raise ValueError(f"node {node} out of range for {self.cartan}")
         self.minuscule = self.node in minuscule_nodes(self.ct)
@@ -230,7 +208,6 @@ class Case:
                 "need a minuscule node or an odd quadric B_n node 1"
             )
         _refuse_large_orbit(self.ct, self.node)
-        _refuse_large_datum(self.ct)
         self.params = _default_params(self.ct, self.node)
         self.params.update(params or {})
         self.d = build_root_datum(self.ct)
@@ -581,9 +558,9 @@ def _emit_json(payload, output) -> None:
 
 def cmd_roots(args) -> int:
     ct = CartanType.parse(args.case)
+    _refuse_large_datum(ct)
     if args.node is not None:
         _refuse_large_orbit(ct, args.node)
-    _refuse_large_datum(ct)
     d = build_root_datum(ct)
     parabolic = None if args.node is None else levi_data(d, node=args.node)
     payload = datum_to_json(d, parabolic)

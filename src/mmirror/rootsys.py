@@ -364,7 +364,9 @@ def minuscule_nodes(ct: CartanType):
 
 
 def minuscule_dimension(ct: CartanType, node: int) -> int:
-    """dim of the minuscule representation attached to the node."""
+    """dim of the minuscule representation attached to a minuscule node."""
+    if node not in minuscule_nodes(ct):
+        raise ValueError(f"no minuscule data for {ct} node {node}")
     n = ct.rank
     if ct.family == "A":
         return comb(n + 1, node)
@@ -374,11 +376,7 @@ def minuscule_dimension(ct: CartanType, node: int) -> int:
         return 2 * n
     if ct.family == "D":
         return 2 * n if node == 1 else 2 ** (n - 1)
-    if ct.family == "E" and n == 6:
-        return 27
-    if ct.family == "E" and n == 7:
-        return 56
-    raise ValueError(f"no minuscule data for {ct} node {node}")
+    return 27 if n == 6 else 56
 
 
 def gamma_root(d: RootDatum, node: int) -> Root:

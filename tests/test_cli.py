@@ -615,9 +615,8 @@ def test_equivariant_fails_on_q_cell_alone():
 # ------------------------------------------------------------ size guards
 
 @pytest.mark.parametrize("argv,size", [
-    (("chevalley", "A50", "--node", "25"), comb(51, 25)),
-    (("roots", "A50", "--node", "25"), comb(51, 25)),
-    (("chevalley", "B300", "--node", "1"), 600),
+    (("chevalley", "A20", "--node", "10"), comb(21, 10)),
+    (("roots", "A20", "--node", "10"), comb(21, 10)),
 ])
 def test_oversized_orbit_refused(capsys, monkeypatch, argv, size):
     def never(*args, **kwargs):
@@ -641,41 +640,70 @@ def _never(*args, **kwargs):
     ("period", "A20000", "--node", "10000"),
     ("scalar-ode", "D20000", "--node", "20000"),
     ("roots", "A1000000", "--node", "500000"),
+    ("roots", "A4000000", "--node", "2"),
+    ("verify", "D20000", "--node", "20000"),
+    ("verify", "A100000", "--node", "50000"),
 ])
-def test_huge_orbit_refused_by_its_power_of_ten(capsys, monkeypatch, argv):
-    # a size of thousands of digits is neither formed nor printed: one
-    # error line names the case and the limit, not Python's print limit
-    monkeypatch.setattr(cli, "_orbit_size", _never)
+def test_huge_case_refused_by_its_root_count(capsys, monkeypatch, argv):
+    # the root guard runs first: nothing of size rank is formed, neither
+    # the node tuple, nor the orbit size, nor the datum, and one line
+    # names the case and the root limit
+    for name in ("minuscule_nodes", "_orbit_size", "build_root_datum"):
+        monkeypatch.setattr(cli, name, _never)
     code, out, err = run(capsys, *argv)
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert f"{argv[1]} node {argv[3]} has about 10^" in err
-    assert str(cli.MAX_ORBIT_SIZE) in err
-    assert "set_int_max_str_digits" not in err
-
-
-@pytest.mark.parametrize("cartan,node,power", [
-    ("D20000", "20000", 6020), ("A100000", "50000", 30101),
-])
-def test_huge_orbit_names_its_case_in_verify(capsys, monkeypatch, cartan,
-                                             node, power):
-    monkeypatch.setattr(cli, "_orbit_size", _never)
-    code, doc = run_json(capsys, "verify", cartan, "--node", node)
     assert code == 1
-    assert doc["cases"][0]["checks"] == [{
-        "name": "setup", "pass": False,
-        "detail": f"{cartan} node {node} has about 10^{power} Schubert "
-                  f"classes, more than the limit of {cli.MAX_ORBIT_SIZE}",
-    }]
+    if argv[0] == "verify":
+        assert err == ""
+        check, = json.loads(out)["cases"][0]["checks"]
+        assert check["name"] == "setup" and not check["pass"]
+        message = check["detail"]
+    else:
+        assert out == "" and err.startswith("error: ")
+        assert err.count("\n") == 1
+        message = err
+    assert f"{argv[1]} has " in message
+    assert f"limit of {cli.MAX_POSITIVE_ROOTS}" in message
+    assert cli.MAX_POSITIVE_ROOTS == 1000
+    assert "set_int_max_str_digits" not in message
 
 
-def test_orbit_size_printed_in_full_up_to_its_digit_limit(capsys):
-    # 2^332 has 100 digits, 2^333 has 101
-    assert cli.MAX_PRINTED_SIZE_DIGITS == 100
-    code, out, err = run(capsys, "roots", "B332", "--node", "332")
-    assert code == 1 and f" {2 ** 332} Schubert classes" in err
-    code, out, err = run(capsys, "roots", "B333", "--node", "333")
-    assert code == 1 and " about 10^100 Schubert classes" in err
+def test_every_orbit_size_within_the_root_limit_prints_in_full(capsys,
+                                                               monkeypatch):
+    # past the root guard the rank is bounded, so at each family's largest
+    # admitted rank every minuscule node's exact size is formed, and a
+    # refusal prints it whole (A44 n22, B31 n31, D32 n32 among them)
+    monkeypatch.setattr(cli, "build_root_datum", _never)
+    limit = cli.MAX_POSITIVE_ROOTS
+    roots = {"A": lambda n: n * (n + 1) // 2, "B": lambda n: n * n,
+             "C": lambda n: n * n, "D": lambda n: n * (n - 1)}
+    sizes = {"A": lambda n, k: comb(n + 1, k), "B": lambda n, k: 2 ** n,
+             "C": lambda n, k: 2 * n,
+             "D": lambda n, k: 2 * n if k == 1 else 2 ** (n - 1)}
+    cases = [(CartanType("E", 6), {1: 27, 6: 27}),
+             (CartanType("E", 7), {7: 56})]
+    for family, count in roots.items():
+        rank = max(n for n in range(1, limit + 1) if count(n) <= limit)
+        code, out, err = run(capsys, "roots", f"{family}{rank + 1}")
+        assert code == 1 and " positive roots, more than " in err
+        ct = CartanType(family, rank)
+        cases.append((ct, {k: sizes[family](rank, k)
+                           for k in minuscule_nodes(ct)}))
+    assert {str(ct) for ct, _ in cases} >= {"A44", "B31", "C31", "D32"}
+    refused = set()
+    for ct, node_sizes in cases:
+        for node, size in node_sizes.items():
+            assert cli._orbit_size(ct, node) == size
+            if size <= cli.MAX_ORBIT_SIZE:
+                assert cli._refuse_large_orbit(ct, node) is None
+                continue
+            code, out, err = run(capsys, "roots", str(ct), "--node",
+                                 str(node))
+            assert (code, out) == (1, "")
+            assert err == (f"error: {ct} node {node} has {size} Schubert "
+                           f"classes, more than the limit of "
+                           f"{cli.MAX_ORBIT_SIZE}\n")
+            refused.add((str(ct), node))
+    assert {("A44", 22), ("B31", 31), ("D32", 32)} <= refused
 
 
 @pytest.mark.parametrize("argv", [

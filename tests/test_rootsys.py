@@ -183,6 +183,16 @@ def test_minuscule_tables():
     assert minuscule_dimension(CartanType("E", 7), 7) == 56
 
 
+@pytest.mark.parametrize("family,rank,node", [
+    ("B", 3, 1), ("C", 3, 3), ("D", 5, 2), ("E", 6, 2), ("E", 7, 1),
+])
+def test_minuscule_dimension_refuses_other_nodes(family, rank, node):
+    ct = CartanType(family, rank)
+    with pytest.raises(ValueError, match=f"no minuscule data for {ct} "
+                                         f"node {node}"):
+        minuscule_dimension(ct, node)
+
+
 def test_gamma_simply_laced():
     d = build_root_datum(CartanType("A", 4))
     for i in (1, 2, 3, 4):
