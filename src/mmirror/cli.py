@@ -109,15 +109,15 @@ class CheckFailure(Exception):
 # case plumbing
 # --------------------------------------------------------------------------
 
-def _default_params(ct: CartanType, node: int) -> dict:
-    """The parameters every (type, node) gets, pinned or ad hoc: period
-    depth 3; the dimension N when G/P is the projective space P^N; the
-    constant-term depth of a type-A potential, graded by its number of
-    variables k(n-k), up to MAX_POTENTIAL_VARS."""
+def _default_params(ct: CartanType, node: int, size: int) -> dict:
+    """The parameters every (type, node) of orbit size ``size`` gets,
+    pinned or ad hoc: period depth 3; the dimension N when G/P is the
+    projective space P^N; the constant-term depth of a type-A potential,
+    graded by its number of variables k(n-k), up to MAX_POTENTIAL_VARS."""
     family, rank = ct.family, ct.rank
     params = {"max_degree": 3}
     if (family, node) in (("A", 1), ("A", rank), ("C", 1)):
-        params["projective_dim"] = _orbit_size(ct, node) - 1
+        params["projective_dim"] = size - 1
     if family == "A":
         v = node * (rank + 1 - node)
         if v <= 4:
@@ -127,26 +127,6 @@ def _default_params(ct: CartanType, node: int) -> dict:
         elif v <= MAX_POTENTIAL_VARS:
             params["ct_degree"] = 1
     return params
-
-
-def _orbit_size(ct: CartanType, node: int):
-    """Closed-form orbit size of a minuscule node or of the B_n node-1
-    quadric; None for any other node."""
-    if node in minuscule_nodes(ct):
-        return minuscule_dimension(ct, node)
-    return 2 * ct.rank if ct.family == "B" and node == 1 else None
-
-
-def _refuse_large_orbit(ct: CartanType, node: int) -> None:
-    """Raise ValueError when the coset orbit of a minuscule node or of the
-    B_n node-1 quadric exceeds MAX_ORBIT_SIZE, using its closed-form size,
-    so that nothing is enumerated; run after _refuse_large_datum."""
-    size = _orbit_size(ct, node)
-    if size is not None and size > MAX_ORBIT_SIZE:
-        raise ValueError(
-            f"{ct} node {node} has {size} Schubert classes, more than the "
-            f"limit of {MAX_ORBIT_SIZE}"
-        )
 
 
 def _refuse_large_datum(ct: CartanType) -> None:
@@ -192,7 +172,10 @@ class _once(cached_property):
 
 class Case:
     """One (cartan, node) context with the shared objects the checks
-    need, built lazily and at most once."""
+    need, built lazily and at most once.  ``size``, its number of
+    Schubert classes, is read off a closed form once (2n at the B_n
+    quadric node); a size past MAX_ORBIT_SIZE is refused before anything
+    is enumerated."""
 
     def __init__(self, cartan: str, node: int, params=None):
         self.ct = CartanType.parse(cartan)
@@ -202,13 +185,21 @@ class Case:
         if not 1 <= self.node <= self.ct.rank:
             raise ValueError(f"node {node} out of range for {self.cartan}")
         self.minuscule = self.node in minuscule_nodes(self.ct)
-        if not (self.minuscule or self.ct.family == "B" and self.node == 1):
+        if self.minuscule:
+            self.size = minuscule_dimension(self.ct, self.node)
+        elif self.ct.family == "B" and self.node == 1:
+            self.size = 2 * self.ct.rank
+        else:
             raise ValueError(
                 f"unsupported case {self.cartan} node {self.node}: "
                 "need a minuscule node or an odd quadric B_n node 1"
             )
-        _refuse_large_orbit(self.ct, self.node)
-        self.params = _default_params(self.ct, self.node)
+        if self.size > MAX_ORBIT_SIZE:
+            raise ValueError(
+                f"{self.cartan} node {self.node} has {self.size} Schubert "
+                f"classes, more than the limit of {MAX_ORBIT_SIZE}"
+            )
+        self.params = _default_params(self.ct, self.node, self.size)
         self.params.update(params or {})
         self.d = build_root_datum(self.ct)
         self._period = None
@@ -273,7 +264,7 @@ def _wgamma_positions(d, reps) -> set:
     out = set()
     for c in w_gamma_set(d, reps):
         target = [m + k * t for m, t in zip(reps.weights[c], theta)]
-        out.add((reps.index_of_weight(target), c))
+        out.add((reps.by_weight[tuple(target)], c))
     return out
 
 
@@ -559,8 +550,6 @@ def _emit_json(payload, output) -> None:
 def cmd_roots(args) -> int:
     ct = CartanType.parse(args.case)
     _refuse_large_datum(ct)
-    if args.node is not None:
-        _refuse_large_orbit(ct, args.node)
     d = build_root_datum(ct)
     parabolic = None if args.node is None else levi_data(d, node=args.node)
     payload = datum_to_json(d, parabolic)
@@ -684,10 +673,10 @@ def cmd_gw(args) -> int:
 
 def cmd_scalar_ode(args) -> int:
     case = Case(args.case, args.node)
-    if (size := _orbit_size(case.ct, case.node)) > MAX_SCALAR_ODE_SIZE:
-        raise ValueError(f"{case.cartan} node {case.node} has {size} Schubert "
-                         f"classes, more than the scalar-ode limit of "
-                         f"{MAX_SCALAR_ODE_SIZE}")
+    if case.size > MAX_SCALAR_ODE_SIZE:
+        raise ValueError(f"{case.cartan} node {case.node} has {case.size} "
+                         "Schubert classes, more than the scalar-ode limit "
+                         f"of {MAX_SCALAR_ODE_SIZE}")
     M = case.matrix
     block = "full matrix"
     if (case.cartan, case.node) == ("D4", 1):

@@ -46,7 +46,7 @@ from typing import NamedTuple, Optional, Tuple
 
 from .qchev import ConnMatrix
 from .rootsys import RootDatum
-from .weyl import CosetReps, bruhat_covers_up, reflect_coset
+from .weyl import CosetReps, _gamma_slot, bruhat_covers_up, reflect_coset
 
 
 # --------------------------------------------------------------------------
@@ -174,9 +174,10 @@ def quantum_period(M: ConnMatrix, D: int) -> PeriodSeries:
 def bruhat_path_count(d: RootDatum, reps: CosetReps, node: int) -> int:
     """Number of saturated Bruhat chains in W^P from the coset of
     w_top s_gamma, the weight mu_top - <varpi_node, gamma-vee> w_top.gamma,
-    up to w_top: an independent route to the first period coefficient."""
+    up to w_top: an independent route to the first period coefficient.
+    A table with no gamma (a node that is not minuscule) is refused."""
     top = len(reps) - 1
-    start = reflect_coset(reps, top, reps.parabolic.gamma)
+    start = reflect_coset(reps, top, _gamma_slot(d, reps))
     counts = {start: 1}
     for i in range(len(reps)):
         amount = counts.get(i, 0)

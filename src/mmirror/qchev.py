@@ -4,9 +4,9 @@ The operator "multiply by the degree-one Schubert class" acting on the
 cohomology of G/P is assembled by one rule, the quantum Chevalley formula
 of Fulton-Woodward, column by column over the minimal coset
 representatives (fw_matrix).  Each candidate w s_beta is read off the
-table of root images w.beta that the coset walk carries, as a coset
-index (weyl.reflect_coset, a lookup), and the length of that coset
-alone decides whether it takes a term.  No Weyl product, length or
+table of root images w.beta that the coset walk carries, by beta's slot,
+as a coset index (weyl.reflect_coset, a lookup), and the length of that
+coset alone decides whether it takes a term.  No Weyl product, length or
 matrix is formed, each root's drop <2(rho - rho_P), beta-vee> is an
 integer found once, and only the nonzero cells are built.  The rule
 serves any maximal parabolic, minuscule nodes and odd quadrics alike;
@@ -181,8 +181,8 @@ def fw_matrix(d: RootDatum, reps: CosetReps, node: int) -> ConnMatrix:
         raise ValueError(f"node {node} is not the node {p.node} of the "
                          "coset representatives")
     two_rho_diff = [2 - x for x in p.two_rho_P]
-    # (slot, beta, k, <2(rho - rho_P), beta-vee>)
-    roots = [(s, beta, beta.coroot[node - 1],
+    # (slot, k, <2(rho - rho_P), beta-vee>)
+    roots = [(s, beta.coroot[node - 1],
               sum(map(mul, two_rho_diff, beta.coroot)))
              for s, beta in enumerate(reps.roots)]
 
@@ -190,10 +190,10 @@ def fw_matrix(d: RootDatum, reps: CosetReps, node: int) -> ConnMatrix:
     cells = {}   # (row, col) -> {(q exp,): coeff}
     for c, ell in enumerate(lengths):
         hts = heights[c] if heights else None
-        for s, beta, k, drop in roots:
+        for s, k, drop in roots:
             if hts and hts[s] != 1 and hts[s] != 1 - drop:
                 continue
-            r = reflect_coset(reps, c, beta)
+            r = reflect_coset(reps, c, s)
             if lengths[r] == ell + 1:
                 key = (0,)
             elif lengths[r] == ell + 1 - drop:
@@ -217,7 +217,7 @@ def mihalcea_diagonal(d: RootDatum, reps: CosetReps):
     return d.inverse_cartan[0], reps.coweights
 
 
-def lift_equivariant(M: ConnMatrix, rows, den=1) -> ConnMatrix:
+def lift_equivariant(M: ConnMatrix, rows, den) -> ConnMatrix:
     """M over ("q",) lifted to ("q", "h1", .., "hr") with -<rows[c] / den,
     h> added in column c, where rows[c] is a coweight in simple-coroot
     coordinates and h_j is the equivariant parameter on alpha_j-vee.

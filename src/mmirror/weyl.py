@@ -19,14 +19,17 @@ letter-major, in (length, word) order, with no sort.  A minuscule step
 lowers the weight by one simple root (Proctor, "Bruhat lattices, plane
 partition generating functions, and minuscule representations"): lengths
 are heights there (CosetReps).  At a minuscule node (or the B_n quadric
-node) the library moves between cosets on that table only: w s_beta lies
-in the coset of mu - <varpi_node, beta-vee> w.beta (reflect_coset, a
-dict lookup), and that coset's length alone decides a Bruhat cover
+node) the library moves between cosets on that table only, reading a
+root beta by its slot s (its column in images, its index in roots) and
+a coset by its weight (by_weight, the one index): w s_beta lies in the
+coset of mu - <varpi_node, beta-vee> w.beta (reflect_coset, a dict
+lookup), and that coset's length alone decides a Bruhat cover
 (bruhat_covers_up) or a term of the Chevalley rule (qchev.fw_matrix),
-with no descent and no Weyl length.  w lies in W(gamma) when its gamma
-image is -theta; the Poincare dual of mu is w0.mu, whose coordinate at
-sigma(i) is -mu_i for the diagram involution sigma = -w0, read off the
-dominant end -w0.(1, 2, .., r) of the descent of -(1, 2, .., r).
+with no descent and no Weyl length.  w lies in W(gamma) when its image
+at gamma's slot is -theta (a node with no gamma is refused); the
+Poincare dual of mu is w0.mu, whose coordinate at sigma(i) is -mu_i for
+the diagram involution sigma = -w0, read off the dominant end -w0.(1,
+2, .., r) of the descent of -(1, 2, .., r).
 """
 
 from __future__ import annotations
@@ -34,13 +37,7 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import mul, sub
 
-from .rootsys import (
-    Root,
-    RootDatum,
-    descent,
-    levi_data,
-    minuscule_nodes,
-)
+from .rootsys import RootDatum, descent, levi_data, minuscule_nodes
 
 __all__ = [
     "CosetReps",
@@ -85,7 +82,7 @@ def _reflect_coweight(d: RootDatum, j: int, cw) -> tuple:
 
 
 class CosetReps(namedtuple("CosetReps", "parabolic weights lengths words "
-                           "coweights images heights roots by_weight slots")):
+                           "coweights images heights roots by_weight")):
     """W^P for a maximal parabolic as parallel tuples, one row per coset,
     ordered by (length, canonical word) of its minimal representative w:
     weights[i] = w . varpi_node, which keys the row; lengths[i] = ell(w)
@@ -93,15 +90,15 @@ class CosetReps(namedtuple("CosetReps", "parabolic weights lengths words "
     varpi_node-vee in simple-coroot coordinates, integers over
     d.inverse_cartan[0].
 
-    images[i][slot(beta)] is w . beta in fw coordinates, for beta in R+
-    \\ R+_P (roots, in slot order, from 0).  At a minuscule node
-    heights[i][s] is the height of images[i][s]; as ell(w) =
-    ht(varpi_node - mu) there, the coset of w s_beta, of weight mu -
+    images[i][s] is w . beta in fw coordinates for beta = roots[s], the
+    roots R+ \\ R+_P in positive-root order; s is beta's slot.  At a
+    minuscule node heights[i][s] is the height of images[i][s]; as ell(w)
+    = ht(varpi_node - mu) there, the coset of w s_beta, of weight mu -
     w.beta, has length ell(w) + ht(w.beta).
     At the B_n quadric node a step may lower mu by 2 alpha_n, lengths
     are not heights, and heights is None: no move is pruned.  by_weight
-    maps each weight to its row and slots each root's coeffs to its slot.
-    A table equals only itself, and its len is the number of cosets."""
+    maps each weight to its row.  A table equals only itself, and its
+    len is the number of cosets."""
 
     __slots__ = ()
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
@@ -117,17 +114,6 @@ class CosetReps(namedtuple("CosetReps", "parabolic weights lengths words "
         if (got := tuple.__len__(table)) != (n := len(cls._fields)):
             raise TypeError(f"Expected {n} arguments, got {got}")
         return table
-
-    def index_of_weight(self, mu) -> int:
-        return self.by_weight[tuple(mu)]
-
-    def slot(self, beta: Root) -> int:
-        """Position of w.beta in each images tuple; a Levi root has none."""
-        try:
-            return self.slots[beta.coeffs]
-        except KeyError:
-            raise ValueError(f"{beta} lies in the Levi of node "
-                             f"{self.parabolic.node}: no coset move") from None
 
 
 def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
@@ -188,16 +174,15 @@ def minuscule_coset_reps(d: RootDatum, node: int) -> CosetReps:
         heights=heights if minuscule else None,
         roots=roots,
         by_weight={mu: i for i, mu in enumerate(weights)},
-        slots={r.coeffs: s for s, r in enumerate(roots)},
     )
 
 
-def reflect_coset(reps: CosetReps, c: int, beta: Root) -> int:
-    """Index of the coset of w s_beta for w the rep at c and beta in
-    R+ \\ R+_P: its weight w s_beta . varpi = mu - <varpi, beta-vee>
-    w.beta, found by a dict lookup."""
-    w_beta = reps.images[c][reps.slot(beta)]
-    k = beta.coroot[reps.parabolic.node - 1]
+def reflect_coset(reps: CosetReps, c: int, s: int) -> int:
+    """Index of the coset of w s_beta for w the rep at c and beta =
+    reps.roots[s]: its weight w s_beta . varpi = mu - <varpi, beta-vee>
+    w.beta, with w.beta = reps.images[c][s], found by a dict lookup."""
+    w_beta = reps.images[c][s]
+    k = reps.roots[s].coroot[reps.parabolic.node - 1]
     if k != 1:                        # only at the B_n quadric node
         w_beta = [k * b for b in w_beta]
     return reps.by_weight[tuple(map(sub, reps.weights[c], w_beta))]
@@ -216,15 +201,25 @@ def bruhat_covers_up(reps: CosetReps, c: int):
     for s, beta in enumerate(reps.roots):
         if hts and hts[s] != 1:
             continue
-        r = reflect_coset(reps, c, beta)
+        r = reflect_coset(reps, c, s)
         if reps.lengths[r] == up:
             out.append((beta, r))
     return out
 
 
+def _gamma_slot(d: RootDatum, reps: CosetReps) -> int:
+    """The slot of gamma in reps.roots; a table with no gamma (a node that
+    is not minuscule) is refused by name."""
+    p = reps.parabolic
+    if p.gamma is None:
+        raise ValueError(f"{d.cartan_type} node {p.node} has no gamma: "
+                         "W(gamma) needs a minuscule node")
+    return reps.roots.index(p.gamma)
+
+
 def w_gamma_set(d: RootDatum, reps: CosetReps):
     """The indices of {w in W^P : w(gamma) = -theta}, in rep order."""
-    slot = reps.slot(reps.parabolic.gamma)
+    slot = _gamma_slot(d, reps)
     minus_theta = tuple(-x for x in d.highest_root.fw)
     return [i for i, img in enumerate(reps.images)
             if img[slot] == minus_theta]
@@ -247,5 +242,5 @@ def pd(d: RootDatum, reps: CosetReps) -> tuple:
     """Poincare duality on W^P as indices: PD(w) = pi_P(w0 w w0P), whose
     weight is w0 . mu because w0P fixes varpi_node: -mu_sigma(k) at k."""
     sigma = _diagram_involution(d)
-    return tuple(reps.index_of_weight(tuple(-mu[s] for s in sigma))
+    return tuple(reps.by_weight[tuple(-mu[s] for s in sigma)]
                  for mu in reps.weights)

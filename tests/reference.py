@@ -303,8 +303,8 @@ def index_of(d, reps, w: WeylElt) -> int:
     w . varpi_node, then the rep rebuilt from that row's word must equal
     w, not only lie in its coset (KeyError otherwise)."""
     node = reps.parabolic.node
-    i = reps.index_of_weight(
-        act_weight(w, [int(j == node - 1) for j in range(d.rank)]))
+    i = reps.by_weight[tuple(
+        act_weight(w, [int(j == node - 1) for j in range(d.rank)]))]
     if from_word(d, reps.words[i]) != w:
         raise KeyError(f"{w!r} is not the minimal rep of its coset")
     return i
@@ -372,7 +372,8 @@ def pd_oracle(d, reps) -> tuple:
     """Poincare duality on W^P as indices, by w0 built from its word: the
     dual of the coset of weight mu has weight w0 . mu."""
     w0 = longest_element(d).action
-    return tuple(reps.index_of_weight(_matvec(w0, mu)) for mu in reps.weights)
+    return tuple(reps.by_weight[tuple(_matvec(w0, mu))]
+                 for mu in reps.weights)
 
 
 @lru_cache(maxsize=1)
@@ -387,7 +388,7 @@ def _coset_moves(d, reps) -> tuple:
         for beta in reps.roots:
             elt = multiply(d, w, reflection(d, beta))
             out.append((c, w, beta, elt,
-                        reps.index_of_weight(act_weight(elt, node))))
+                        reps.by_weight[tuple(act_weight(elt, node))]))
     return tuple(out)
 
 
@@ -538,7 +539,7 @@ def _root_operator(reps, label: str, root, sign: int) -> RepOperator:
     for c, mu in enumerate(reps.weights):
         target = root_step(mu, root, sign)
         if target is not None:
-            m[reps.index_of_weight(target)][c] = 1
+            m[reps.by_weight[tuple(target)]][c] = 1
     return RepOperator(label=label, matrix=tuple(tuple(row) for row in m))
 
 

@@ -19,7 +19,7 @@ from mmirror import (crystal_potential, json_text, minrep, period_gw, qchev,
 from mmirror.cli import _load_case_list, main
 from mmirror.crystal_potential import DEFAULT_BUDGET
 from mmirror.qchev import ConnMatrix
-from mmirror.rootsys import CartanType, minuscule_nodes
+from mmirror.rootsys import CartanType, minuscule_dimension, minuscule_nodes
 
 from reference import LaurentPoly, battery, rep_elements
 
@@ -616,7 +616,6 @@ def test_equivariant_fails_on_q_cell_alone():
 
 @pytest.mark.parametrize("argv,size", [
     (("chevalley", "A20", "--node", "10"), comb(21, 10)),
-    (("roots", "A20", "--node", "10"), comb(21, 10)),
 ])
 def test_oversized_orbit_refused(capsys, monkeypatch, argv, size):
     def never(*args, **kwargs):
@@ -648,7 +647,8 @@ def test_huge_case_refused_by_its_root_count(capsys, monkeypatch, argv):
     # the root guard runs first: nothing of size rank is formed, neither
     # the node tuple, nor the orbit size, nor the datum, and one line
     # names the case and the root limit
-    for name in ("minuscule_nodes", "_orbit_size", "build_root_datum"):
+    for name in ("minuscule_nodes", "minuscule_dimension",
+                 "build_root_datum"):
         monkeypatch.setattr(cli, name, _never)
     code, out, err = run(capsys, *argv)
     assert code == 1
@@ -671,7 +671,8 @@ def test_every_orbit_size_within_the_root_limit_prints_in_full(capsys,
                                                                monkeypatch):
     # past the root guard the rank is bounded, so at each family's largest
     # admitted rank every minuscule node's exact size is formed, and a
-    # refusal prints it whole (A44 n22, B31 n31, D32 n32 among them)
+    # refusal prints it whole (A44 n22, B31 n31, D32 n32 among them); an
+    # admitted case passes the orbit guard and reaches build_root_datum
     monkeypatch.setattr(cli, "build_root_datum", _never)
     limit = cli.MAX_POSITIVE_ROOTS
     roots = {"A": lambda n: n * (n + 1) // 2, "B": lambda n: n * n,
@@ -692,12 +693,13 @@ def test_every_orbit_size_within_the_root_limit_prints_in_full(capsys,
     refused = set()
     for ct, node_sizes in cases:
         for node, size in node_sizes.items():
-            assert cli._orbit_size(ct, node) == size
+            assert minuscule_dimension(ct, node) == size
+            argv = ("chevalley", str(ct), "--node", str(node))
             if size <= cli.MAX_ORBIT_SIZE:
-                assert cli._refuse_large_orbit(ct, node) is None
+                with pytest.raises(AssertionError, match="must not run"):
+                    main(list(argv))
                 continue
-            code, out, err = run(capsys, "roots", str(ct), "--node",
-                                 str(node))
+            code, out, err = run(capsys, *argv)
             assert (code, out) == (1, "")
             assert err == (f"error: {ct} node {node} has {size} Schubert "
                            f"classes, more than the limit of "
@@ -828,13 +830,19 @@ def test_unprintable_gw_names_case(capsys):
 
 
 def test_roots_coset_size_without_orbit_walk(capsys, monkeypatch):
-    # a non-minuscule node has no orbit guard; its |W^P| is closed-form
+    # roots has no orbit guard, as it walks no orbit: its |W^P| is the
+    # closed-form height product at any node, minuscule ones past the
+    # orbit limit of the other commands included
     for module in (cli, weyl):
         monkeypatch.setattr(module, "minuscule_coset_reps", _never)
-    code, doc = run_json(capsys, "roots", "B20", "--node", "10")
-    assert code == 0
-    assert doc["parabolic"]["coset_size"] == 2 ** 10 * comb(20, 10)
-    assert doc["parabolic"]["coset_size"] == 189190144
+    for cartan, node, size in (("B20", 10, 2 ** 10 * comb(20, 10)),
+                               ("A20", 10, comb(21, 10)),
+                               ("A44", 22, 4116715363800)):
+        assert size > cli.MAX_ORBIT_SIZE
+        code, doc = run_json(capsys, "roots", cartan, "--node", str(node))
+        assert code == 0
+        assert doc["parabolic"]["coset_size"] == size
+    assert 2 ** 10 * comb(20, 10) == 189190144
 
 
 @pytest.mark.parametrize("cartan,node", [("A3", 2), ("D4", 1)])
@@ -984,8 +992,8 @@ def test_pinned_case_list():
     }
     # ct_degree is pinned where, and as, the per-(type, node) default has it
     for c in cases:
-        default = cli._default_params(CartanType.parse(c["cartan"]),
-                                      c["node"])
+        case = cli.Case(c["cartan"], c["node"])
+        default = cli._default_params(case.ct, case.node, case.size)
         assert c.get("ct_degree") == default.get("ct_degree"), c
     assert sum("ct_degree" in c for c in cases) == 25
 
@@ -999,9 +1007,12 @@ def _adhoc_cases():
                               ("D", 4, 10), ("E", 6, 7)):
         for n in range(low, high + 1):
             ct = CartanType(family, n)
-            nodes = minuscule_nodes(ct) + ((1,) if family == "B" else ())
-            out += [(str(ct), node) for node in nodes
-                    if cli._orbit_size(ct, node) <= cli.MAX_ORBIT_SIZE]
+            sizes = {node: minuscule_dimension(ct, node)
+                     for node in minuscule_nodes(ct)}
+            if family == "B":
+                sizes[1] = 2 * n
+            out += [(str(ct), node) for node, size in sizes.items()
+                    if size <= cli.MAX_ORBIT_SIZE]
     return out
 
 

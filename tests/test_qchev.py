@@ -364,10 +364,10 @@ def test_lengths_asked_only_where_a_term_is_possible(monkeypatch):
     assert len(reps) * len(roots) == 1512
     two_rho_diff = [2 - x for x in reps.parabolic.two_rho_P]
     pairs = covers = 0
-    for beta in roots:
+    for s, beta in enumerate(roots):
         drop = sum(map(mul, two_rho_diff, beta.coroot))
         for c, ell in enumerate(reps.lengths):
-            up = reps.lengths[reflect_coset(reps, c, beta)]
+            up = reps.lengths[reflect_coset(reps, c, s)]
             pairs += up in (ell + 1, ell + 1 - drop)
             covers += up == ell + 1
     lookups, descents = [], []
@@ -600,7 +600,7 @@ def test_lift_equivariant_adds_only_diagonal_terms(ct, node):
     rank = d.rank
     diagonal = [tuple(Fraction(c + 1, j + 2) * (-1) ** j for j in range(rank))
                 for c in range(len(reps))]
-    lifted = lift_equivariant(m, diagonal)
+    lifted = lift_equivariant(m, diagonal, 1)
     V = lifted.variables
     assert V == ("q",) + tuple(f"h{j}" for j in range(1, rank + 1))
     pad = (0,) * rank

@@ -51,7 +51,7 @@ def test_datum_and_coset_table_equal_only_themselves():
 
 
 def test_coset_table_replace_and_make_keep_its_fields():
-    # len counts the cosets (6 on A3 n2), not the table's 10 fields
+    # len counts the cosets (6 on A3 n2), not the table's 9 fields
     reps = minuscule_coset_reps(build_root_datum(CartanType("A", 3)), 2)
     quadric = reps._replace(heights=None)
     assert type(quadric) is CosetReps and len(quadric) == len(reps) == 6
@@ -59,9 +59,11 @@ def test_coset_table_replace_and_make_keep_its_fields():
     again = CosetReps._make(reps._asdict().values())
     assert again != reps and len(again) == 6
     assert all(x is y for x, y in zip(again, reps))
-    with pytest.raises(TypeError, match="Expected 10 arguments, got 6"):
+    with pytest.raises(TypeError, match="Expected 9 arguments, got 6"):
         CosetReps._make(reps.weights)
-    with pytest.raises(ValueError, match="unexpected field names"):
+    # namedtuple's _replace raises TypeError from Python 3.13 on
+    unexpected = TypeError if sys.version_info >= (3, 13) else ValueError
+    with pytest.raises(unexpected, match="unexpected field names"):
         reps._replace(cosets=6)
 
 
