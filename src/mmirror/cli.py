@@ -27,14 +27,12 @@ from types import MappingProxyType
 from . import json_text
 from .crystal_potential import (
     DEFAULT_BUDGET,
-    MAX_POTENTIAL_VARS,
     BudgetExceeded,
     constant_term_power,
     gw_from_constant_term,
     minuscule_potential,
     potential_to_json,
     potential_typeA,
-    refuse_large_grassmannian,
 )
 from .minrep import coweight_diagonal, fg_connection
 from .period_gw import (
@@ -113,7 +111,8 @@ def _default_params(ct: CartanType, node: int, size: int) -> dict:
     """The parameters every (type, node) of orbit size ``size`` gets,
     pinned or ad hoc: period depth 3; the dimension N when G/P is the
     projective space P^N; the constant-term depth of a type-A potential,
-    graded by its number of variables k(n-k), up to MAX_POTENTIAL_VARS."""
+    graded by its number of variables k(n-k): 3 up to 4, 2 up to 6, 1
+    up to 12 (the battery's rule, not the potential's bound)."""
     family, rank = ct.family, ct.rank
     params = {"max_degree": 3}
     if (family, node) in (("A", 1), ("A", rank), ("C", 1)):
@@ -124,7 +123,7 @@ def _default_params(ct: CartanType, node: int, size: int) -> dict:
             params["ct_degree"] = 3
         elif v <= 6:
             params["ct_degree"] = 2
-        elif v <= MAX_POTENTIAL_VARS:
+        elif v <= 12:
             params["ct_degree"] = 1
     return params
 
@@ -156,26 +155,14 @@ def _refuse_deep_period(depth) -> None:
         )
 
 
-class _once(cached_property):
-    """A cached_property whose failed build re-raises, not rebuilds."""
-
-    def __get__(self, case, owner=None):
-        failed = getattr(case, "_failed", {})
-        if self.attrname in failed:
-            raise failed[self.attrname]
-        try:
-            return super().__get__(case, owner)
-        except Exception as exc:
-            case.__dict__.setdefault("_failed", {})[self.attrname] = exc
-            raise
-
-
 class Case:
     """One (cartan, node) context with the shared objects the checks
-    need, built lazily and at most once.  ``size``, its number of
-    Schubert classes, is read off a closed form once (2n at the B_n
-    quadric node); a size past MAX_ORBIT_SIZE is refused before anything
-    is enumerated."""
+    need.  ``__init__`` runs the guards and sets the parameters, and
+    builds nothing: the datum, cosets and matrices are built when first
+    read, then kept, so every refusal comes before any build.  A failed
+    build fails again, alike, in each check that reads it.  ``size``,
+    the number of Schubert classes, is read off a closed form (2n at the
+    B_n quadric node) and refused past MAX_ORBIT_SIZE."""
 
     def __init__(self, cartan: str, node: int, params=None):
         self.ct = CartanType.parse(cartan)
@@ -201,22 +188,25 @@ class Case:
             )
         self.params = _default_params(self.ct, self.node, self.size)
         self.params.update(params or {})
-        self.d = build_root_datum(self.ct)
         self._period = None
 
-    @_once
+    @cached_property
+    def d(self):
+        return build_root_datum(self.ct)
+
+    @cached_property
     def reps(self):
         return minuscule_coset_reps(self.d, self.node)
 
-    @_once
+    @cached_property
     def matrix(self):
         return fw_matrix(self.d, self.reps, self.node)
 
-    @_once
+    @cached_property
     def fg(self):
         return fg_connection(self.d, self.reps)
 
-    @_once
+    @cached_property
     def d4(self):
         return d4_split(self.matrix)
 
@@ -353,7 +343,6 @@ def _check_projective_period(case):
 def _check_constant_term(case):
     k, n = case.node, case.ct.rank + 1
     depth = case.params["ct_degree"]
-    refuse_large_grassmannian(k, n)
     pot = minuscule_potential(case.ct, case.node)
     series = case.period(depth)
     values = []
@@ -624,6 +613,8 @@ def cmd_potential(args) -> int:
 def cmd_period(args) -> int:
     D = 6 if args.max_degree is None else args.max_degree
     _refuse_deep_period(D)
+    if D < 0:
+        raise ValueError(f"period depth {D} is below 0")
     case = Case(args.case, args.node)
     series = case.period(D)
     try:

@@ -12,9 +12,10 @@ taken in the minuscule representation at the dual node, in integers
 (rootsys.cartan_data): the word, the weights, and theta and the Coxeter
 number by one descent of alpha_1.  No root is enumerated, so the crystal
 side shares only the Cartan matrix with the Chevalley side.  The type-A
-Grassmannian potentials are the case A_{n-1}.  A potential is held as
-two terms dicts with int coefficients, the linear part and the quantum
-part, and is rendered through the qchev.LaurentPoly view.
+Grassmannian potentials are the case A_{n-1}.  One bound limits every
+potential: its word has at most MAX_POTENTIAL_WORD letters.  A potential
+is held as two terms dicts with int coefficients, the linear part and the
+quantum part, and is rendered through the qchev.LaurentPoly view.
 
 Constant terms of powers of the potential then compute genus-zero
 Gromov-Witten invariants, CT(W^{hd}) / (hd)! = c_d
@@ -40,11 +41,7 @@ from typing import NamedTuple, Tuple
 from .qchev import LaurentPoly
 from .rootsys import CartanType, cartan_data, descent, minuscule_nodes
 
-# Most variables (letters of the word of w^P) a Grassmannian potential
-# may have.
-MAX_POTENTIAL_VARS = 12
-
-# Most letters the word of w^P may have for minuscule_potential.  The
+# Most letters (variables) the word of w^P may have for a potential.  The
 # coordinates of u v_low outgrow memory quickly past it: a build takes
 # at most 30 MB at 36 letters (Gr(6,12), D9 n9), 97 MB at 42 (Gr(6,13)),
 # 450 MB at 48 (Gr(6,14)) and 710 MB at 49 (Gr(7,14)).
@@ -155,9 +152,7 @@ def minuscule_potential(ct: CartanType, node: int) -> Potential:
     coxeter = len(climb) + 2
     word, lowest = top_coset_word(rows, node)
     ell = len(word)
-    if ell > MAX_POTENTIAL_WORD:
-        raise ValueError(f"{ct} node {node}: the word of w^P has {ell} "
-                         f"letters, above the bound {MAX_POTENTIAL_WORD}")
+    _refuse_long_word(ct, node, ell)
     low = tuple(-int(j == node - 1) for j in range(ct.rank))
     vec = unipotent_vector(cartan, word, low)
 
@@ -193,23 +188,24 @@ def minuscule_potential(ct: CartanType, node: int) -> Potential:
     return Potential(variables, linear, quantum, coxeter)
 
 
-def refuse_large_grassmannian(k: int, n: int) -> None:
-    """Raise ValueError unless 1 <= k <= n-1 and the k(n-k) variables of
-    the Gr(k, n) potential are at most MAX_POTENTIAL_VARS."""
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    ell = k * (n - k)
-    if ell > MAX_POTENTIAL_VARS:
-        raise ValueError(f"Gr({k},{n}) needs {ell} variables, above the "
-                         f"bound {MAX_POTENTIAL_VARS}")
+def _refuse_long_word(ct: CartanType, node: int, ell: int) -> None:
+    """Raise ValueError when the word of w^P, of ell letters, is longer
+    than MAX_POTENTIAL_WORD."""
+    if ell > MAX_POTENTIAL_WORD:
+        raise ValueError(f"{ct} node {node}: the word of w^P has {ell} "
+                         f"letters, above the bound {MAX_POTENTIAL_WORD}")
 
 
 def potential_typeA(k: int, n: int) -> Potential:
     """Potential for Gr(k, n): the minuscule potential of A_{n-1} at node
-    k, from the Cartan matrix of A_{n-1} with no root enumerated; refused
-    when its k(n-k) variables exceed MAX_POTENTIAL_VARS."""
-    refuse_large_grassmannian(k, n)
-    return minuscule_potential(CartanType("A", n - 1), k)
+    k, from the Cartan matrix of A_{n-1} with no root enumerated.  A word
+    of k(n-k) letters past MAX_POTENTIAL_WORD is refused before that
+    matrix, of n^2 cells, is formed."""
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
+    ct = CartanType("A", n - 1)
+    _refuse_long_word(ct, k, k * (n - k))
+    return minuscule_potential(ct, k)
 
 
 # --------------------------------------------------------------------------

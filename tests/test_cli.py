@@ -187,9 +187,12 @@ def test_gw_budget_exceeded(capsys):
 
 
 def test_gw_too_many_variables(capsys):
-    code, out, err = run(capsys, "gw", "3", "8", "1")
-    assert code == 1
-    assert err.startswith("error:")
+    # one bound on the word of w^P: Gr(7,14) has 49 letters, Gr(3,8) 15
+    assert run(capsys, "gw", "7", "14", "1") == (
+        1, "", "error: A13 node 7: the word of w^P has 49 letters, above "
+               "the bound 36\n")
+    code, doc = run_json(capsys, "gw", "3", "8", "1")
+    assert code == 0 and doc["value"] == "15"
 
 
 def test_potential_gr25(capsys):
@@ -708,17 +711,30 @@ def test_every_orbit_size_within_the_root_limit_prints_in_full(capsys,
     assert {("A44", 22), ("B31", 31), ("D32", 32)} <= refused
 
 
-@pytest.mark.parametrize("argv", [
-    ("roots", "A400"),
-    ("chevalley", "A400", "--node", "1"),
-])
-def test_oversized_datum_refused(capsys, monkeypatch, argv):
+_REFUSED_UNBUILT = {
+    ("roots", "A400"):
+        "A400 has 80200 positive roots, more than the limit of 1000",
+    ("chevalley", "A400", "--node", "1"):
+        "A400 has 80200 positive roots, more than the limit of 1000",
+    ("scalar-ode", "A30", "--node", "2"):
+        "A30 node 2 has 465 Schubert classes, more than the scalar-ode "
+        "limit of 72",
+    ("chevalley", "B3", "--node", "1", "--equivariant"):
+        "equivariant matrix needs a minuscule node",
+    ("chevalley", "A3", "--node", "2", "--equivariant", "--format", "csv"):
+        "csv output is limited to the single-variable matrix; use json for "
+        "the equivariant one",
+    ("period", "A3", "--node", "2", "--max-degree", "-1"):
+        "period depth -1 is below 0",
+}
+
+
+@pytest.mark.parametrize("argv", _REFUSED_UNBUILT, ids=" ".join)
+def test_refused_before_any_datum_is_built(capsys, monkeypatch, argv):
+    # a case builds nothing until it is read, so each refusal, of the
+    # case or of its command, is one line and no datum is built
     monkeypatch.setattr(cli, "build_root_datum", _never)
-    code, out, err = run(capsys, *argv)
-    assert code == 1
-    assert out == ""
-    assert "80200 positive roots" in err
-    assert str(cli.MAX_POSITIVE_ROOTS) in err
+    assert run(capsys, *argv) == (1, "", f"error: {_REFUSED_UNBUILT[argv]}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -1090,7 +1106,7 @@ def test_ci_byte_pins(tmp_path):
         elif m := _CI_PIN.match(line):
             pins[m[2]] = m[1]
     assert runs.keys() == pins.keys()
-    assert len(pins) == 34
+    assert len(pins) == 35
     wrong = []
     for name, argv in runs.items():
         target = tmp_path / name
@@ -1226,23 +1242,20 @@ def test_verify_all_kills_each_mutation(capsys, monkeypatch, name, mutate,
     assert doc["counts"]["failed"] == sum(killed.values())
 
 
-def test_failed_lazy_build_runs_once_per_case(capsys, monkeypatch):
-    # the quadrics B_n n1 get past set-up and fail in fw_matrix; the
-    # case's later checks re-raise that failure instead of rebuilding,
-    # and the failed checks are the same 22
-    built = Counter()
-    fw_matrix = cli.fw_matrix
-
-    def counting(d, reps, node):
-        built[str(d.cartan_type), node] += 1
-        return fw_matrix(d, reps, node)
-
+def test_failed_lazy_build_fails_each_check_alike(capsys, monkeypatch):
+    # the quadrics B_n n1 get past set-up and fail in fw_matrix; each of
+    # the case's checks that reads the matrix builds it again and fails
+    # with the same detail, and the failed checks are the same 22
     monkeypatch.setattr(cli, "build_root_datum", _coroots_are_coefficients)
-    monkeypatch.setattr(cli, "fw_matrix", counting)
     code, doc = run_json(capsys, "verify", "--all")
     assert code == 1 and doc["counts"]["failed"] == 22
-    assert {key: n for key, n in built.items() if key[0][0] in "BC"} == {
-        ("B2", 1): 1, ("B3", 1): 1, ("B4", 1): 1}
+    quadrics = [c for c in doc["cases"]
+                if c["cartan"][0] == "B" and c["node"] == 1]
+    assert len(quadrics) == 3
+    for case in quadrics:
+        details = {ch["detail"] for ch in case["checks"] if not ch["pass"]}
+        zero = tuple([0] * int(case["cartan"][1:]))
+        assert details == {f"KeyError: {zero}"}
 
 
 @pytest.mark.parametrize("where", ["setup", "check"])

@@ -225,9 +225,18 @@ def test_homogeneity(make):
     assert homogeneous_degree_one(make())
 
 
-def test_typeA_bound():
-    with pytest.raises(ValueError):
-        potential_typeA(3, 8)
+def test_typeA_bound(monkeypatch):
+    with pytest.raises(ValueError, match="49 letters, above the bound 36"):
+        potential_typeA(7, 14)
+    # the count k(n-k) refuses a long word before the Cartan matrix of
+    # A_{n-1}, of n^2 cells, is formed
+    def never(ct):
+        raise AssertionError("the Cartan matrix must not be formed")
+
+    monkeypatch.setattr(crystal_potential, "cartan_data", never)
+    with pytest.raises(ValueError, match=r"A99999 node 1: the word of "
+                                         r"w\^P has 99999 letters"):
+        potential_typeA(1, 100000)
 
 
 GRASSMANNIANS = [(k, n) for n in range(2, 14) for k in range(1, n)

@@ -216,7 +216,9 @@ def test_cross_oracle_constant_terms():
             assert series.coefficients[d] == gw_from_constant_term(pot, d)
     for (ct, node, k, n, D) in [("A3", 2, 2, 4, 2), ("A4", 2, 2, 5, 2),
                                 ("A5", 2, 2, 6, 3), ("A5", 3, 3, 6, 2),
-                                ("A6", 3, 3, 7, 2)]:
+                                ("A6", 3, 3, 7, 2), ("A7", 3, 3, 8, 3),
+                                ("A7", 4, 4, 8, 2), ("A9", 4, 4, 10, 2),
+                                ("A9", 5, 5, 10, 2), ("A11", 6, 6, 12, 2)]:
         series = quantum_period_case(ct, node, D)
         pot = potential_typeA(k, n)
         for d in range(D + 1):
