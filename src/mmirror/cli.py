@@ -25,6 +25,7 @@ from math import factorial
 from types import MappingProxyType
 
 from . import json_text
+from .bessel import bessel_numeric_checks
 from .crystal_potential import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -37,7 +38,6 @@ from .crystal_potential import (
 from .minrep import coweight_diagonal, fg_connection
 from .period_gw import (
     RatFunc,
-    bessel_numeric_checks,
     bruhat_path_count,
     cyclic_scalar_operator,
     d4_split,

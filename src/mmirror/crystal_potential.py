@@ -132,8 +132,11 @@ def minuscule_potential(ct: CartanType, node: int) -> Potential:
     monomial that uses every letter (only the whole word lifts v_low to
     v_top) and whose coefficient divides every numerator coefficient with
     a positive quotient, so every coefficient is an int and every quantum
-    exponent is -1 or 0.  A word of more than MAX_POTENTIAL_WORD letters
-    is refused before the representation is walked.
+    exponent is -1 or 0.  The word's length is dim G/P, read in closed
+    form (A_n node k: k(n+1-k); D_n node 1: 2n-2; the D_n spin nodes:
+    n(n-1)/2; E6: 16; E7: 27), so a word of more than MAX_POTENTIAL_WORD
+    letters is refused in O(1), before the Cartan matrix is formed; the
+    descended word must have that length.
 
     All roots have one length, so theta is the dominant root that alpha_1
     climbs to by descent, each step raising the height by one, and the
@@ -145,15 +148,27 @@ def minuscule_potential(ct: CartanType, node: int) -> Potential:
     if ct.family not in "ADE":
         raise ValueError(f"{ct} is not simply laced: its potential needs "
                          "the highest short root")
+    # ell(w^P) = dim G/P, in closed form before any Cartan data is formed;
+    # a node that is not minuscule reads at most 0 (A, D) or 27 (E), under
+    # the bound, and is refused next
+    n = ct.rank
+    ell = (node * (n + 1 - node) if ct.family == "A" else
+           {1: 2 * n - 2, n - 1: n * (n - 1) // 2,
+            n: n * (n - 1) // 2}.get(node, 0) if ct.family == "D" else
+           16 if n == 6 else 27)
+    if ell > MAX_POTENTIAL_WORD:
+        raise ValueError(f"{ct} node {node}: the word of w^P has {ell} "
+                         f"letters, above the bound {MAX_POTENTIAL_WORD}")
     if node not in minuscule_nodes(ct):
         raise ValueError(f"node {node} is not minuscule for {ct}")
     cartan, rows = cartan_data(ct)
     climb, theta = descent(rows, cartan[0])
     coxeter = len(climb) + 2
     word, lowest = top_coset_word(rows, node)
-    ell = len(word)
-    _refuse_long_word(ct, node, ell)
-    low = tuple(-int(j == node - 1) for j in range(ct.rank))
+    if len(word) != ell:
+        raise AssertionError(f"the word of w^P has {len(word)} letters, "
+                             f"not dim G/P = {ell}")
+    low = tuple(-int(j == node - 1) for j in range(n))
     vec = unipotent_vector(cartan, word, low)
 
     # x_theta sends v_{top - theta} to v_top: <top, theta-vee> = 1
@@ -188,24 +203,12 @@ def minuscule_potential(ct: CartanType, node: int) -> Potential:
     return Potential(variables, linear, quantum, coxeter)
 
 
-def _refuse_long_word(ct: CartanType, node: int, ell: int) -> None:
-    """Raise ValueError when the word of w^P, of ell letters, is longer
-    than MAX_POTENTIAL_WORD."""
-    if ell > MAX_POTENTIAL_WORD:
-        raise ValueError(f"{ct} node {node}: the word of w^P has {ell} "
-                         f"letters, above the bound {MAX_POTENTIAL_WORD}")
-
-
 def potential_typeA(k: int, n: int) -> Potential:
     """Potential for Gr(k, n): the minuscule potential of A_{n-1} at node
-    k, from the Cartan matrix of A_{n-1} with no root enumerated.  A word
-    of k(n-k) letters past MAX_POTENTIAL_WORD is refused before that
-    matrix, of n^2 cells, is formed."""
+    k, from the Cartan matrix of A_{n-1} with no root enumerated."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    ct = CartanType("A", n - 1)
-    _refuse_long_word(ct, k, k * (n - k))
-    return minuscule_potential(ct, k)
+    return minuscule_potential(CartanType("A", n - 1), k)
 
 
 # --------------------------------------------------------------------------

@@ -10,26 +10,34 @@ operators:
   the period;
 * reduction of a connection matrix to a scalar operator in theta =
   q d/dq from a basis covector, by fraction-free elimination over Z[q]
-  (one exact division per step);
+  (one exact division per step).  The operator is integer-first: the
+  elimination hands over its integer polynomials P_0..P_K, with
+  p_k = P_k / P_K, and each p_k is reduced to a ``RatFunc`` only when
+  the coefficients are first read.  ``ScalarOperator`` is a small
+  slotted value class, no longer a named tuple; equality and hash go by
+  the coefficients.  The annihilation check runs on the P_k first, whose
+  verdict True stands by a q-order argument (``operator_annihilates``),
+  and decides a rejection again on the cleared coefficients, so every
+  verdict is the one the cleared form alone gives;
 * one polynomial layer for all of it: sparse integer polynomials in q
   (exponent -> nonzero int), so a large power of q or a graded
   polynomial costs only its nonzero terms.  The elimination, the gcd
-  that reduces each operator coefficient and the denominator clearing
-  of the annihilation check all run on it; ``RatFunc`` is only the
-  output form of a coefficient.  A row of the elimination is one
-  polynomial in q with integer-vector coefficients (exponent -> one int
-  per column, nonzero vectors only), so a Bareiss step treats all
-  columns of an exponent at once; a divisor that is not a monomial
-  divides each column through the one long division, ``_sdiv``;
+  that reduces each operator coefficient and the annihilation check all
+  run on it; ``RatFunc`` is only the output form of a coefficient.  A
+  row of the elimination is one polynomial in q with integer-vector
+  coefficients (exponent -> one int per column, nonzero vectors only),
+  so a Bareiss step treats all columns of an exponent at once; a divisor
+  that is not a monomial divides each column through the one long
+  division, ``_sdiv``;
 * one integer view of a connection matrix, a polynomial in q: s M split
   by powers of q into rows of (column, int) pairs (``_integer_parts``),
   read by the period, the cyclic reduction and the quadric's kernel
   check alike; a negative power of q is refused;
 * the restriction of the six-dimensional quadric's 8x8 connection to
-  the invariant complement of its kernel line;
-* floating-point Bessel Wronskian diagnostics -- the only non-exact
-  computation in the package: I_nu by its power series, K_nu by the
-  trapezoid rule on its integral representation.
+  the invariant complement of its kernel line.
+
+The floating-point Bessel diagnostics of the rank-one periods live in
+``mmirror.bessel``.
 
 The test-only routes (the hbar re-run, the rank-one Bessel series and
 operator, the Jacobian-ring check, the dense elimination, dense
@@ -41,7 +49,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import count, repeat
+from itertools import repeat
 from typing import NamedTuple, Optional, Tuple
 
 from .qchev import ConnMatrix
@@ -383,20 +391,36 @@ class RatFunc(NamedTuple):
         return RatFunc(tuple(Fraction(x * t, lead * s) for x in _dense(a, 0)),
                        tuple(Fraction(x, lead) for x in _dense(b, 0)))
 
-    @staticmethod
-    def const(v) -> "RatFunc":
-        return RatFunc.make((Fraction(v),))
 
-
-class ScalarOperator(NamedTuple):
+class ScalarOperator:
     """Monic operator sum p_k theta^k with rational-function
-    coefficients; order = the theta-degree."""
+    coefficients; order = the theta-degree.  A hand-built operator gives
+    its RatFunc ``coefficients``; the cyclic reduction gives integer
+    polynomials ``polys`` P_0..P_K with no common factor q and
+    p_k = P_k / P_K, and each p_k is reduced on first read.  Equality
+    and hash go by the coefficients."""
 
-    coefficients: Tuple[RatFunc, ...]
+    __slots__ = ("_coefficients", "polys", "order")
+
+    def __init__(self, coefficients=None, polys=None):
+        self._coefficients, self.polys = coefficients, polys
+        self.order = len(polys or coefficients) - 1
 
     @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
+    def coefficients(self):
+        if self._coefficients is None:
+            # RatFunc.make's gcd also takes out a common power of q
+            top = _dense(self.polys[-1], 0)
+            self._coefficients = tuple(RatFunc.make(_dense(p, 0), top)
+                                       for p in self.polys)
+        return self._coefficients
+
+    def __eq__(self, other):
+        return (isinstance(other, ScalarOperator)
+                and self.coefficients == other.coefficients)
+
+    def __hash__(self):
+        return hash(self.coefficients)
 
 
 def cyclic_scalar_operator(M: ConnMatrix, start: int) -> ScalarOperator:
@@ -471,16 +495,17 @@ def cyclic_scalar_operator(M: ConnMatrix, start: int) -> ScalarOperator:
     # is a minor and solves x_i p_i = p_{K-1} h_{K,i} - sum_{k>i} x_k h_{k,i}
     K, top = len(basis), values[-1]
     acc = {i: _smul(top, h) for i, h in mults}
-    coeffs = [RatFunc.const(1)]
+    polys = [top]
     for i in reversed(range(K)):
         x = {e: -c for e, c in _sdiv(acc.pop(i, {}), values[i + 1]).items()}
         for k, h in basis[i][2]:
             acc[k] = _smul(x, h, acc.get(k))
-        # theta^i pairs with r_i = r'_i / s^i; q^low cancels first
-        den = {e: c * s ** (K - i) for e, c in top.items()}
-        low = min(x.keys() | den.keys())
-        coeffs.append(RatFunc.make(_dense(x, low), _dense(den, low)))
-    return ScalarOperator(tuple(reversed(coeffs)))
+        polys.append(x)
+    # theta^i pairs with r_i = r'_i / s^i, so p_i = x_i s^i / (top s^K);
+    # the common power q^low of top and the x_i is divided out
+    low = min(map(min, filter(None, polys)))
+    return ScalarOperator(polys=tuple(_smul({-low: s ** i}, p)
+                                      for i, p in enumerate(polys[::-1])))
 
 
 def operator_annihilates(op: ScalarOperator, series: PeriodSeries,
@@ -493,10 +518,24 @@ def operator_annihilates(op: ScalarOperator, series: PeriodSeries,
     enters as sum_k p_{k,j} u^k b^(K-k), K the order.  Each q-power the
     known coefficients determine must vanish.  A float shift would round,
     so only an int or a Fraction is taken.
+
+    An operator from the cyclic reduction is first tried on its own
+    integer polynomials P_k, which share no factor q.  A reduced
+    denominator d_k = P_K / gcd(P_k, P_K) has q-order ord P_K -
+    min(ord P_k, ord P_K), which is ord P_K where ord P_k = 0, so the
+    common multiple C of the d_k below has q-order >= ord P_K, and the
+    cleared form L C p_k = (L C / P_K) P_k is the P_k form times a power
+    series in q.  So the P_k killing the series decides True, and a
+    rejection is decided again on the cleared form.
     """
     if not isinstance(shift, (int, Fraction)):
         raise TypeError(f"shift must be an int or a Fraction, not "
                         f"{type(shift).__name__}")
+    den = math.lcm(*(c.denominator for c in series.coefficients))
+    coeffs = [c.numerator * (den // c.denominator)
+              for c in series.coefficients]
+    if op.polys and _kills(op.polys, coeffs, shift):
+        return True
     # the common multiple takes in each cleared denominator that does not
     # yet divide it; a cleared monic denominator is primitive, so exact
     # division in Z[q] decides divisibility over Q[q]
@@ -511,19 +550,22 @@ def operator_annihilates(op: ScalarOperator, series: PeriodSeries,
     # with p_k = (n / s) / (d / t) and the integer L = lcm of the s,
     # L common p_k = n (common / d) t (L / s)
     scale = math.lcm(*(s for _, s in nums))
-    cleared = [{j: x * t * (scale // s)
-                for j, x in _smul(n, _sdiv(common, d)).items()}
-               for (n, s), (d, t) in zip(nums, dens)]
-    # by_power[j][K - k] = p_{k,j} b^(K-k), p_{k,j} the q^j coefficient
+    return _kills([{j: x * t * (scale // s)
+                    for j, x in _smul(n, _sdiv(common, d)).items()}
+                   for (n, s), (d, t) in zip(nums, dens)], coeffs, shift)
+
+
+def _kills(polys, coeffs, shift) -> bool:
+    """Whether sum_k P_k theta^k, for integer polynomials P_k, kills the
+    series with integer coefficients ``coeffs`` through each q-power they
+    determine."""
+    # by_power[j][K - k] = P_{k,j} b^(K-k), P_{k,j} the q^j coefficient
     a, b = shift.numerator, shift.denominator
-    K = len(cleared) - 1
-    width = 1 + max((j for poly in cleared for j in poly), default=-1)
-    by_power = [[cleared[k].get(j, 0) * b ** (K - k)
+    K = len(polys) - 1
+    width = 1 + max((j for poly in polys for j in poly), default=-1)
+    by_power = [[polys[k].get(j, 0) * b ** (K - k)
                  for k in range(K, -1, -1)]
                 for j in range(width)]
-    den = math.lcm(*(c.denominator for c in series.coefficients))
-    coeffs = [c.numerator * (den // c.denominator)
-              for c in series.coefficients]
     for m in range(len(coeffs)):
         total = 0
         for j in range(min(m + 1, width)):
@@ -590,80 +632,3 @@ def d4_split(M: ConnMatrix) -> D4Split:
                                          if c == 3 else terms)
     restricted = ConnMatrix(None, M.variables, 7, cells)
     return D4Split(restricted)
-
-
-# --------------------------------------------------------------------------
-# Bessel numerics (the only floating-point corner)
-# --------------------------------------------------------------------------
-
-def _bessel_i_series(y: float, nu: float) -> float:
-    """I_nu(y) by its power series; past k ~ y the terms fall at least
-    geometrically, so the tail is negligible once a term drops to 1e-17
-    of the running sum (or an underflowed sum stops at zero).  Where
-    Gamma(nu + 1) overflows (nu past about 170.6) the first term starts
-    from its logarithm."""
-    half = y / 2.0
-    try:
-        term = half ** nu / math.gamma(nu + 1.0)
-    except OverflowError:
-        term = math.exp(nu * math.log(half) - math.lgamma(nu + 1.0))
-    total = term
-    k = 0
-    while True:
-        k += 1
-        term *= (half * half) / (k * (k + nu))
-        total += term
-        if k > y and term <= 1e-17 * total:
-            return total
-        if k > 500:
-            raise RuntimeError("Bessel-I series failed to converge")
-
-
-def _bessel_k_integral(y: float, nu: float) -> float:
-    """K_nu(y) = integral_0^inf g(t) dt, g(t) = exp(-y cosh t) cosh(nu t),
-    by the trapezoid rule h (g(0)/2 + sum_k g(kh)).  g is even, entire
-    and falls double-exponentially, so the error is of order
-    exp(-pi^2 / h) (Trefethen and Weideman, "The exponentially convergent
-    trapezoidal rule") once h resolves g's peak, whose width falls like
-    1/sqrt(nu): h = min(0.1, 0.5 / sqrt(nu + 1)).  g rises to a single
-    peak and then falls, as -y sinh t + nu tanh(nu t) changes sign at
-    most once, so the sum stops once a term drops below 1e-22 of the
-    running sum.  A term where cosh(nu t) overflows is taken as
-    exp(nu t - y cosh t) (1 + exp(-2 nu t)) / 2: K may still be finite."""
-    h, total = min(0.1, 0.5 / math.sqrt(nu + 1.0)), 0.5 * math.exp(-y)
-    for k in count(1):
-        try:
-            term = math.exp(-y * math.cosh(k * h)) * math.cosh(nu * k * h)
-        except OverflowError:
-            t = k * h
-            term = (math.exp(nu * t - y * math.cosh(t))
-                    * (1.0 + math.exp(-2.0 * nu * t)) / 2.0)
-        total += term
-        if term < 1e-22 * total:
-            return h * total
-
-
-def bessel_numeric_checks(y: float, nu: float) -> dict:
-    """Wronskian diagnostic I_nu K_{nu+1} + I_{nu+1} K_nu = 1/y, its error
-    relative to 1/y; nu must be finite and > -1 (positive I-series terms)."""
-    if not 0 < y <= 50:
-        raise ValueError("y must lie in (0, 50]")
-    if not -1 < nu < math.inf:
-        raise ValueError(f"nu = {nu} must be finite and > -1")
-    try:
-        i0 = _bessel_i_series(y, nu)
-        i1 = _bessel_i_series(y, nu + 1.0)
-        k0 = _bessel_k_integral(y, nu)
-        k1 = _bessel_k_integral(y, nu + 1.0)
-    except OverflowError:
-        raise ValueError(f"I_nu or K_nu at y = {y}, nu = {nu} is beyond "
-                         "float range") from None
-    wronskian = i0 * k1 + i1 * k0
-    return {
-        "i_nu": i0,
-        "i_nu_plus_1": i1,
-        "k_nu": k0,
-        "k_nu_plus_1": k1,
-        "wronskian": wronskian,
-        "wronskian_error": abs(y * wronskian - 1.0),
-    }

@@ -1153,7 +1153,7 @@ def reference_cyclic_scalar_operator(M: ConnMatrix,
     # is a minor and solves x_i p_i = p_{K-1} h_{K,i} - sum_{k>i} x_k h_{k,i}
     K, top = len(basis), values[-1]
     acc = {i: _pmul(top, h) for i, h in mults}
-    coeffs = [RatFunc.const(1)]
+    coeffs = [RatFunc.make((1,))]
     for i in reversed(range(K)):
         x = _pexact_div(acc.pop(i, ()), values[i + 1])
         for k, h in basis[i][2]:

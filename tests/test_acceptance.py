@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from mmirror.bessel import bessel_numeric_checks
 from mmirror.crystal_potential import (
     constant_term_power,
     gw_from_constant_term,
@@ -22,7 +23,6 @@ from mmirror.crystal_potential import (
 from mmirror.minrep import coweight_diagonal, fg_connection
 from mmirror.period_gw import (
     RatFunc,
-    bessel_numeric_checks,
     bruhat_path_count,
     cyclic_scalar_operator,
     d4_split,

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -228,8 +229,8 @@ def test_homogeneity(make):
 def test_typeA_bound(monkeypatch):
     with pytest.raises(ValueError, match="49 letters, above the bound 36"):
         potential_typeA(7, 14)
-    # the count k(n-k) refuses a long word before the Cartan matrix of
-    # A_{n-1}, of n^2 cells, is formed
+    # the closed form k(n-k) refuses a long word before the Cartan matrix
+    # of A_{n-1}, of n^2 cells, is formed
     def never(ct):
         raise AssertionError("the Cartan matrix must not be formed")
 
@@ -308,6 +309,42 @@ def test_minuscule_potential_refuses_a_long_word(monkeypatch):
     monkeypatch.setattr(crystal_potential, "unipotent_vector", never)
     with pytest.raises(ValueError, match="has 64 letters, above the bound"):
         minuscule_potential(CartanType("A", 15), 8)
+
+
+@pytest.mark.parametrize("family,letters", [("A", 2000), ("D", 3998)])
+def test_minuscule_potential_refuses_a_long_word_in_constant_space(
+        monkeypatch, family, letters):
+    # dim G/P in closed form: the refusal of A2000 n1 and D2000 n1 forms
+    # no Cartan matrix and lists no node (it took 0.22 s and 76 MB on
+    # A2000 when the word was descended first)
+    def never(*args):
+        raise AssertionError("refused after a rank-sized build")
+
+    monkeypatch.setattr(crystal_potential, "cartan_data", never)
+    monkeypatch.setattr(crystal_potential, "minuscule_nodes", never)
+    ct = CartanType(family, 2000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            minuscule_potential(ct, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == (f"{family}2000 node 1: the word of w^P has "
+                               f"{letters} letters, above the bound 36")
+    assert peak < 64_000
+
+
+@pytest.mark.parametrize("family,rank,node", [
+    ("D", 10, 2), ("D", 30, 15), ("A", 40, 41), ("E", 7, 1),
+])
+def test_minuscule_potential_names_a_node_that_is_not_minuscule(
+        family, rank, node):
+    # the closed form reads no length past the bound off such a node,
+    # which is then refused as not minuscule, however many roots G has
+    with pytest.raises(ValueError, match=f"^node {node} is not minuscule "
+                                         f"for {family}{rank}$"):
+        minuscule_potential(CartanType(family, rank), node)
 
 
 MINUSCULE = [(family, rank, node)

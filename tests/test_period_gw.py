@@ -16,19 +16,21 @@ from mmirror.qchev import (
 )
 from mmirror.crystal_potential import gw_from_constant_term, potential_typeA
 from mmirror import period_gw
+from mmirror.bessel import (
+    _bessel_i_series,
+    _bessel_k_integral,
+    bessel_numeric_checks,
+)
 from mmirror.period_gw import (
     PeriodSeries,
     RatFunc,
     ScalarOperator,
     _integer_parts,
     _pgcd,
-    _bessel_i_series,
-    _bessel_k_integral,
     _rdiv,
     _rstep,
     _sdiv,
     _smul,
-    bessel_numeric_checks,
     bruhat_path_count,
     cyclic_scalar_operator,
     d4_split,
@@ -421,7 +423,7 @@ def combo_scalar_operator(M, start):
     """Reference: Gaussian elimination that carries, for every reduced
     row, its combination of the original rows r_k."""
     n = M.size
-    row = [RatFunc.const(int(i == start)) for i in range(n)]
+    row = [RatFunc.make((int(i == start),)) for i in range(n)]
     top = max(e for p in M.cells.values() for (e,) in p)
     mrf = [[RatFunc.make(tuple(M.entry(r, c).get((e,), 0)
                                for e in range(top + 1)))
@@ -429,7 +431,7 @@ def combo_scalar_operator(M, start):
     basis = []
     while True:
         k = len(basis)
-        combo = {k: RatFunc.const(1)}
+        combo = {k: RatFunc.make((1,))}
         work = list(row)
         for pivot, brow, bcombo in basis:
             f = work[pivot]
@@ -437,18 +439,18 @@ def combo_scalar_operator(M, start):
                 continue
             work = [rf_sub(w, rf_mul(f, b)) for w, b in zip(work, brow)]
             for i, c in bcombo.items():
-                combo[i] = rf_sub(combo.get(i, RatFunc.const(0)),
+                combo[i] = rf_sub(combo.get(i, RatFunc.make((0,))),
                                   rf_mul(f, c))
         pivot = next((j for j in range(n) if work[j].num), None)
         if pivot is None:
-            return ScalarOperator(tuple(combo.get(i, RatFunc.const(0))
+            return ScalarOperator(tuple(combo.get(i, RatFunc.make((0,)))
                                         for i in range(k + 1)))
         inv = work[pivot]
         basis.append((pivot, [rf_div(w, inv) for w in work],
                       {i: rf_div(c, inv) for i, c in combo.items()}))
         row = [rf_add(rf_theta(row[j]),
                       reduce(rf_add, (rf_mul(row[i], mrf[i][j])
-                                      for i in range(n)), RatFunc.const(0)))
+                                      for i in range(n)), RatFunc.make((0,))))
                for j in range(n)]
 
 
@@ -930,6 +932,85 @@ def test_operator_annihilates_detects_failure():
     series = quantum_period_case("A1", 1, 4)
     bad = ScalarOperator((RatFunc.make((1,)), RatFunc.make((1,))))
     assert not operator_annihilates(bad, series)
+
+
+def q_swap_matrix():
+    # theta S = M S with M = [[0, q], [1, 0]]: from e_0 the elimination's
+    # polynomials share the factor q, which the operator sheds
+    return ConnMatrix(None, ("q",), 2, {(0, 1): {(1,): Fraction(1)},
+                                        (1, 0): {(0,): Fraction(1)}})
+
+
+@pytest.mark.parametrize("ct,node", SERIES_ODE_CASES + [
+    ("E7", 7), ("A3", 2), (None, None)])
+def test_integer_first_verdicts_match_cleared_route(ct, node):
+    # the cyclic operator tries its own integer polynomials first; its
+    # verdicts must be those of the same coefficients built by hand,
+    # which take the cleared route alone: on the series each covector
+    # pairs with, to depths 1, size and 2 size and cut near the cleared
+    # form's lowest q-power, at three shifts; and, at shift 0 (the shift
+    # at which the unperturbed series is killed), with each of its first
+    # size + 1 coefficients perturbed, cut after the perturbed one (every
+    # seventh on E7 n7, where a rejection re-clears 57 coefficients by
+    # hand in about 10 ms)
+    m = q_swap_matrix() if ct is None else series_matrix(ct, node)
+    trace = basis_trace(quantum_period(m, 2 * m.size))
+    for start in sorted({0, m.size // 2, m.size - 1}):
+        op = cyclic_scalar_operator(m, start)
+        hand = ScalarOperator(op.coefficients)
+        assert op == hand and hash(op) == hash(hand)
+        assert op.order == hand.order
+        paired = [s[start] for s in trace]
+        j0 = min(j for poly in power_loop_cleared(hand)
+                 for j, x in enumerate(poly) if x)
+        cuts = [paired[:n] for n in sorted(
+            {2, m.size + 1, 2 * m.size + 1} |
+            {max(1, j0 + d) for d in range(-2, 4)})]
+        perturbed = [paired[:i] + [paired[i] + Fraction(1, 7)]
+                     for i in range(0, m.size + 1, 1 if m.size < 56 else 7)]
+        for coeffs, shifts in [(c, (0, Fraction(1, 3), 2)) for c in cuts] + \
+                [(c, (0,)) for c in perturbed]:
+            series = PeriodSeries(tuple(coeffs))
+            for shift in shifts:
+                assert operator_annihilates(op, series, shift) == \
+                    operator_annihilates(hand, series, shift)
+        assert operator_annihilates(op, PeriodSeries(tuple(paired)))
+
+
+def test_integer_form_rejection_is_decided_on_the_cleared_form():
+    # p_0 = 1/q and p_1 = 1/(q (1 + q)): the cleared form takes in q, then
+    # q (1 + q), which q does not divide, so it is q^2 (1 + q) times the
+    # operator, q times the integer form P = (1 + q, 1, q + q^2).  On c_0
+    # alone P leaves 1 at q^0 and is refused; the cleared form, with no
+    # q^0 term, accepts, as the hand-built operator does
+    op = ScalarOperator(polys=({0: 1, 1: 1}, {0: 1}, {1: 1, 2: 1}))
+    assert op.coefficients == (RatFunc.make((1,), (0, 1)),
+                               RatFunc.make((1,), (0, 1, 1)),
+                               RatFunc.make((1,)))
+    series = PeriodSeries((Fraction(1),))
+    assert not period_gw._kills(op.polys, [1], 0)
+    assert operator_annihilates(op, series)
+    assert operator_annihilates(ScalarOperator(op.coefficients), series)
+    assert not operator_annihilates(op, PeriodSeries((1, 0)))
+
+
+@pytest.mark.parametrize("ct,node", SERIES_ODE_CASES)
+def test_cyclic_operator_reduces_coefficients_only_when_read(
+        monkeypatch, ct, node):
+    # the elimination, the order and the check on the true period run on
+    # the integer polynomials, with no RatFunc formed
+    m = series_matrix(ct, node)
+    want = reference_cyclic_scalar_operator(m, m.size - 1).coefficients
+
+    def never(*args):
+        raise AssertionError("a coefficient was reduced")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RatFunc, "make", staticmethod(never))
+        op = cyclic_scalar_operator(m, m.size - 1)
+        assert op.order == len(want) - 1
+        assert operator_annihilates(op, quantum_period(m, 2 * m.size))
+    assert op.coefficients == want
 
 
 # ------------------------------------------------------------- D4 quadric
