@@ -4,9 +4,9 @@ trapezoid rule on its integral representation.  The exact rank-one
 series and operator they accompany are in the test suite's
 ``reference`` module.
 
-Kept apart from ``mmirror.period_gw``: without a bytecode cache every
-``mmirror`` process compiles the package, and the source size of
-``period_gw`` sets the peak memory of that import.
+Kept apart from ``mmirror.period_gw`` and imported by ``mmirror bessel``
+alone: without a bytecode cache every ``mmirror`` process compiles what
+it imports, and this module is then compiled only where it runs.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from math import factorial
 from types import MappingProxyType
 
 from . import json_text
-from .bessel import bessel_numeric_checks
 from .crystal_potential import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -687,6 +686,8 @@ def cmd_scalar_ode(args) -> int:
 
 
 def cmd_bessel(args) -> int:
+    # the one floating-point command, so its module is read here alone
+    from .bessel import bessel_numeric_checks
     report = bessel_numeric_checks(args.y, args.nu)
     ok = report["wronskian_error"] < WRONSKIAN_TOL
     payload = {

@@ -39,7 +39,7 @@ from operator import add
 from typing import NamedTuple, Tuple
 
 from .qchev import LaurentPoly
-from .rootsys import CartanType, cartan_data, descent, minuscule_nodes
+from .rootsys import CartanType, cartan_data, descent, minuscule_length
 
 # Most letters (variables) the word of w^P may have for a potential.  The
 # coordinates of u v_low outgrow memory quickly past it: a build takes
@@ -133,10 +133,10 @@ def minuscule_potential(ct: CartanType, node: int) -> Potential:
     v_top) and whose coefficient divides every numerator coefficient with
     a positive quotient, so every coefficient is an int and every quantum
     exponent is -1 or 0.  The word's length is dim G/P, read in closed
-    form (A_n node k: k(n+1-k); D_n node 1: 2n-2; the D_n spin nodes:
-    n(n-1)/2; E6: 16; E7: 27), so a word of more than MAX_POTENTIAL_WORD
-    letters is refused in O(1), before the Cartan matrix is formed; the
-    descended word must have that length.
+    form (rootsys.minuscule_length), so a node that is not minuscule and
+    a word of more than MAX_POTENTIAL_WORD letters are refused in O(1),
+    before the Cartan matrix is formed; the descended word must have
+    that length.
 
     All roots have one length, so theta is the dominant root that alpha_1
     climbs to by descent, each step raising the height by one, and the
@@ -148,19 +148,10 @@ def minuscule_potential(ct: CartanType, node: int) -> Potential:
     if ct.family not in "ADE":
         raise ValueError(f"{ct} is not simply laced: its potential needs "
                          "the highest short root")
-    # ell(w^P) = dim G/P, in closed form before any Cartan data is formed;
-    # a node that is not minuscule reads at most 0 (A, D) or 27 (E), under
-    # the bound, and is refused next
-    n = ct.rank
-    ell = (node * (n + 1 - node) if ct.family == "A" else
-           {1: 2 * n - 2, n - 1: n * (n - 1) // 2,
-            n: n * (n - 1) // 2}.get(node, 0) if ct.family == "D" else
-           16 if n == 6 else 27)
+    ell = minuscule_length(ct, node)
     if ell > MAX_POTENTIAL_WORD:
         raise ValueError(f"{ct} node {node}: the word of w^P has {ell} "
                          f"letters, above the bound {MAX_POTENTIAL_WORD}")
-    if node not in minuscule_nodes(ct):
-        raise ValueError(f"node {node} is not minuscule for {ct}")
     cartan, rows = cartan_data(ct)
     climb, theta = descent(rows, cartan[0])
     coxeter = len(climb) + 2
@@ -168,7 +159,7 @@ def minuscule_potential(ct: CartanType, node: int) -> Potential:
     if len(word) != ell:
         raise AssertionError(f"the word of w^P has {len(word)} letters, "
                              f"not dim G/P = {ell}")
-    low = tuple(-int(j == node - 1) for j in range(n))
+    low = tuple(-int(j == node - 1) for j in range(ct.rank))
     vec = unipotent_vector(cartan, word, low)
 
     # x_theta sends v_{top - theta} to v_top: <top, theta-vee> = 1

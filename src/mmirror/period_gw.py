@@ -10,15 +10,15 @@ operators:
   the period;
 * reduction of a connection matrix to a scalar operator in theta =
   q d/dq from a basis covector, by fraction-free elimination over Z[q]
-  (one exact division per step).  The operator is integer-first: the
-  elimination hands over its integer polynomials P_0..P_K, with
-  p_k = P_k / P_K, and each p_k is reduced to a ``RatFunc`` only when
-  the coefficients are first read.  ``ScalarOperator`` is a small
-  slotted value class, no longer a named tuple; equality and hash go by
-  the coefficients.  The annihilation check runs on the P_k first, whose
-  verdict True stands by a q-order argument (``operator_annihilates``),
-  and decides a rejection again on the cleared coefficients, so every
-  verdict is the one the cleared form alone gives;
+  (one exact division per step).  The operator is integer-first: it
+  keeps the elimination's integer polynomials P_0..P_K, with
+  p_k = P_k / P_K, next to its reduced ``RatFunc`` coefficients.
+  ``ScalarOperator`` is a small slotted value class, no longer a named
+  tuple; equality and hash go by the coefficients.  The annihilation
+  check runs on the P_k first, whose verdict True stands by a q-order
+  argument (``operator_annihilates``), and decides a rejection again on
+  the cleared coefficients, so every verdict is the one the cleared form
+  alone gives;
 * one polynomial layer for all of it: sparse integer polynomials in q
   (exponent -> nonzero int), so a large power of q or a graded
   polynomial costs only its nonzero terms.  The elimination, the gcd
@@ -380,40 +380,44 @@ class RatFunc(NamedTuple):
         """num / den for tuples of ints or Fractions, reduced in integers:
         num / den = (a / s) / (b / t) = (a t) / (b s)."""
         (a, s), (b, t) = _cleared(num), _cleared(den)
-        if not b:
-            raise ZeroDivisionError("zero denominator")
-        if not a:
-            return RatFunc((), (Fraction(1),))
-        # degree, not term count: c q^e with e > 0 still shares q with a
-        if max(b) > 0:
-            a, b = _pgcd(a, b)
-        lead = b[max(b)]
-        return RatFunc(tuple(Fraction(x * t, lead * s) for x in _dense(a, 0)),
-                       tuple(Fraction(x, lead) for x in _dense(b, 0)))
+        return _reduced(a, b, t, s)
+
+
+def _reduced(a: dict, b: dict, t: int = 1, s: int = 1) -> RatFunc:
+    """(a t) / (b s) for sparse integer polynomials a, b and ints s, t > 0,
+    reduced: the primitive gcd of a and b divided out, the denominator
+    made monic."""
+    if not b:
+        raise ZeroDivisionError("zero denominator")
+    if not a:
+        return RatFunc((), (Fraction(1),))
+    # degree, not term count: c q^e with e > 0 still shares q with a
+    if max(b) > 0:
+        a, b = _pgcd(a, b)
+    lead = b[max(b)]
+    return RatFunc(tuple(Fraction(x * t, lead * s) for x in _dense(a, 0)),
+                   tuple(Fraction(x, lead) for x in _dense(b, 0)))
 
 
 class ScalarOperator:
     """Monic operator sum p_k theta^k with rational-function
-    coefficients; order = the theta-degree.  A hand-built operator gives
-    its RatFunc ``coefficients``; the cyclic reduction gives integer
-    polynomials ``polys`` P_0..P_K with no common factor q and
-    p_k = P_k / P_K, and each p_k is reduced on first read.  Equality
-    and hash go by the coefficients."""
+    coefficients; order = the theta-degree.  Equality and hash go by the
+    coefficients.  The cyclic reduction also keeps its integer
+    polynomials P_0..P_K as ``_polys``: p_k = P_k / P_K, and some P_k
+    has a nonzero constant term (operator_annihilates relies on both).
+    A hand-built operator has none."""
 
-    __slots__ = ("_coefficients", "polys", "order")
+    __slots__ = ("coefficients", "_polys")
 
-    def __init__(self, coefficients=None, polys=None):
-        self._coefficients, self.polys = coefficients, polys
-        self.order = len(polys or coefficients) - 1
+    def __init__(self, coefficients: Tuple[RatFunc, ...]):
+        self.coefficients, self._polys = coefficients, None
 
     @property
-    def coefficients(self):
-        if self._coefficients is None:
-            # RatFunc.make's gcd also takes out a common power of q
-            top = _dense(self.polys[-1], 0)
-            self._coefficients = tuple(RatFunc.make(_dense(p, 0), top)
-                                       for p in self.polys)
-        return self._coefficients
+    def order(self) -> int:
+        return len(self.coefficients) - 1
+
+    def __repr__(self):
+        return f"ScalarOperator({self.coefficients!r})"
 
     def __eq__(self, other):
         return (isinstance(other, ScalarOperator)
@@ -501,11 +505,16 @@ def cyclic_scalar_operator(M: ConnMatrix, start: int) -> ScalarOperator:
         for k, h in basis[i][2]:
             acc[k] = _smul(x, h, acc.get(k))
         polys.append(x)
-    # theta^i pairs with r_i = r'_i / s^i, so p_i = x_i s^i / (top s^K);
-    # the common power q^low of top and the x_i is divided out
+    # theta^i pairs with r_i = r'_i / s^i, so p_i = P_i / P_K with
+    # P_i = x_i s^i and P_K = top s^K; their common power q^low and
+    # integer content g are divided out before each p_i is reduced
     low = min(map(min, filter(None, polys)))
-    return ScalarOperator(polys=tuple(_smul({-low: s ** i}, p)
-                                      for i, p in enumerate(polys[::-1])))
+    polys = [_smul({-low: s ** i}, p) for i, p in enumerate(polys[::-1])]
+    g = math.gcd(*(c for p in polys for c in p.values()))
+    polys = tuple({e: c // g for e, c in p.items()} for p in polys)
+    op = ScalarOperator(tuple(_reduced(p, polys[-1]) for p in polys))
+    op._polys = polys
+    return op
 
 
 def operator_annihilates(op: ScalarOperator, series: PeriodSeries,
@@ -534,7 +543,7 @@ def operator_annihilates(op: ScalarOperator, series: PeriodSeries,
     den = math.lcm(*(c.denominator for c in series.coefficients))
     coeffs = [c.numerator * (den // c.denominator)
               for c in series.coefficients]
-    if op.polys and _kills(op.polys, coeffs, shift):
+    if op._polys and _kills(op._polys, coeffs, shift):
         return True
     # the common multiple takes in each cleared denominator that does not
     # yet divide it; a cleared monic denominator is primitive, so exact
@@ -559,22 +568,30 @@ def _kills(polys, coeffs, shift) -> bool:
     """Whether sum_k P_k theta^k, for integer polynomials P_k, kills the
     series with integer coefficients ``coeffs`` through each q-power they
     determine."""
-    # by_power[j][K - k] = P_{k,j} b^(K-k), P_{k,j} the q^j coefficient
+    # the q^j coefficient P_{k,j} can be nonzero only for k from low[j]
+    # to high[j]; rows holds j, low[j] and P_{k,j} b^(K-k) for k from
+    # high[j] down to low[j], so Horner's rule there leaves u^low[j] out
     a, b = shift.numerator, shift.denominator
     K = len(polys) - 1
-    width = 1 + max((j for poly in polys for j in poly), default=-1)
-    by_power = [[polys[k].get(j, 0) * b ** (K - k)
-                 for k in range(K, -1, -1)]
-                for j in range(width)]
+    low, high = {}, {}
+    for k, poly in enumerate(polys):
+        for j in poly:
+            low.setdefault(j, k)
+            high[j] = k
+    rows = [(j, low[j], [polys[k].get(j, 0) * b ** (K - k)
+                         for k in range(high[j], low[j] - 1, -1)])
+            for j in sorted(high)]
     for m in range(len(coeffs)):
         total = 0
-        for j in range(min(m + 1, width)):
+        for j, k, row in rows:
+            if j > m:
+                break
             # homogeneous Horner's rule at u = a + (m - j) b
             u = a + (m - j) * b
             value = 0
-            for pkj in by_power[j]:
+            for pkj in row:
                 value = value * u + pkj
-            total += value * coeffs[m - j]
+            total += value * u ** k * coeffs[m - j]
         if total:
             return False
     return True

@@ -48,6 +48,7 @@ __all__ = [
     "levi_data",
     "minuscule_nodes",
     "minuscule_dimension",
+    "minuscule_length",
     "simple_root",
     "descent",
     "reflection_length",
@@ -377,6 +378,24 @@ def minuscule_dimension(ct: CartanType, node: int) -> int:
     if ct.family == "D":
         return 2 * n if node == 1 else 2 ** (n - 1)
     return 27 if n == 6 else 56
+
+
+def minuscule_length(ct: CartanType, node: int) -> int:
+    """The length of w^P, dim G/P = |R+| - |R+_L|, at a minuscule node, in
+    closed form: no root or Cartan matrix is formed, so a large rank
+    costs nothing."""
+    n, family = ct.rank, ct.family
+    if family == "A" and 1 <= node <= n:
+        return node * (n + 1 - node)
+    if family == "B" and node == n:
+        return n * (n + 1) // 2
+    if family == "C" and node == 1:
+        return 2 * n - 1
+    if family == "D" and node in (1, n - 1, n):
+        return 2 * n - 2 if node == 1 else n * (n - 1) // 2
+    if family == "E" and node in ((1, 6) if n == 6 else (7,)):
+        return 16 if n == 6 else 27
+    raise ValueError(f"node {node} is not minuscule for {ct}")
 
 
 def gamma_root(d: RootDatum, node: int) -> Root:

@@ -321,7 +321,6 @@ def test_minuscule_potential_refuses_a_long_word_in_constant_space(
         raise AssertionError("refused after a rank-sized build")
 
     monkeypatch.setattr(crystal_potential, "cartan_data", never)
-    monkeypatch.setattr(crystal_potential, "minuscule_nodes", never)
     ct = CartanType(family, 2000)
     tracemalloc.start()
     try:

@@ -10,6 +10,7 @@ from mmirror.rootsys import (
     gamma_root,
     levi_data,
     minuscule_dimension,
+    minuscule_length,
     minuscule_nodes,
     reflection_length,
     simple_root,
@@ -191,6 +192,26 @@ def test_minuscule_dimension_refuses_other_nodes(family, rank, node):
     with pytest.raises(ValueError, match=f"no minuscule data for {ct} "
                                          f"node {node}"):
         minuscule_dimension(ct, node)
+
+
+@pytest.mark.parametrize("family,ranks", [
+    ("A", range(1, 8)), ("B", range(2, 7)), ("C", range(2, 7)),
+    ("D", range(4, 8)), ("E", (6, 7)),
+])
+def test_minuscule_length_counts_the_roots_off_the_levi(family, ranks):
+    # dim G/P = |R+| - |R+_L|: the positive roots with a nonzero
+    # coordinate at the node; every other node is refused
+    for rank in ranks:
+        ct = CartanType(family, rank)
+        d = build_root_datum(ct)
+        for node in range(1, rank + 1):
+            if node in minuscule_nodes(ct):
+                assert minuscule_length(ct, node) == sum(
+                    1 for r in d.positive_roots if r.coeffs[node - 1])
+            else:
+                with pytest.raises(ValueError, match=f"^node {node} is not "
+                                                     f"minuscule for {ct}$"):
+                    minuscule_length(ct, node)
 
 
 def test_gamma_simply_laced():
