@@ -10,8 +10,10 @@ __version__ = "0.1.0"
 
 
 def json_text(v, pad="\n"):
-    """json.dumps(v, indent=2, sort_keys=True) without the pure-Python
-    encoder that indent selects; dict keys are str."""
+    """json.dumps(v, indent=2, sort_keys=True, allow_nan=False) without
+    the pure-Python encoder that indent selects; dict keys are str.  A
+    float that is not finite is refused with ValueError, so no report
+    carries a bare Infinity or NaN."""
     spell = _SPELL.get(type(v))
     if spell:
         return spell(v)
@@ -22,9 +24,11 @@ def json_text(v, pad="\n"):
     elif isinstance(v, (list, tuple)) and v:
         items, o, c = [json_text(x, inner) for x in v], "[", "]"
     else:
-        return json.dumps(v)          # a float, None, or an empty one
+        return _strict(v)             # a float, None, or an empty one
     return o + inner + ("," + inner).join(items) + pad + c
 
 
-# str, int and bool as json spells them
+# str, int and bool as json spells them; the rest through one encoder
+# that refuses a float that is not finite
 _SPELL = {str: _str, int: int.__repr__, bool: ("false", "true").__getitem__}
+_strict = json.JSONEncoder(allow_nan=False).encode

@@ -69,16 +69,17 @@ def bessel_numeric_checks(y: float, nu: float) -> dict:
         raise ValueError("y must lie in (0, 50]")
     if not -1 < nu < math.inf:
         raise ValueError(f"nu = {nu} must be finite and > -1")
+    beyond = ValueError(f"I_nu or K_nu at y = {y}, nu = {nu} is beyond "
+                        "float range")
     try:
         i0 = _bessel_i_series(y, nu)
         i1 = _bessel_i_series(y, nu + 1.0)
         k0 = _bessel_k_integral(y, nu)
         k1 = _bessel_k_integral(y, nu + 1.0)
     except OverflowError:
-        raise ValueError(f"I_nu or K_nu at y = {y}, nu = {nu} is beyond "
-                         "float range") from None
+        raise beyond from None
     wronskian = i0 * k1 + i1 * k0
-    return {
+    report = {
         "i_nu": i0,
         "i_nu_plus_1": i1,
         "k_nu": k0,
@@ -86,3 +87,8 @@ def bessel_numeric_checks(y: float, nu: float) -> dict:
         "wronskian": wronskian,
         "wronskian_error": abs(y * wronskian - 1.0),
     }
+    # a sum can pass float range without an OverflowError: K's trapezoid
+    # sum at a tiny y reaches inf, and inf * 0 is nan
+    if not all(map(math.isfinite, report.values())):
+        raise beyond
+    return report

@@ -81,7 +81,7 @@ MAX_ORBIT_SIZE = 512
 MAX_POSITIVE_ROOTS = 1000
 
 # Largest orbit `scalar-ode` reduces; its cost grows far faster than the
-# orbit (A11 n2, 66 classes: 4.2 s; A12 n2, 78: 27 s; see the README).
+# orbit (A11 n2, 66 classes: 2.1 s; A12 n2, 78: 13 s; see the README).
 MAX_SCALAR_ODE_SIZE = 72
 
 # Deepest period `period` and `verify` may compute; at this depth every

@@ -10,25 +10,18 @@ operators:
   the period;
 * reduction of a connection matrix to a scalar operator in theta =
   q d/dq from a basis covector, by fraction-free elimination over Z[q]
-  (one exact division per step).  The operator is integer-first: it
-  keeps the elimination's integer polynomials P_0..P_K, with
-  p_k = P_k / P_K, next to its reduced ``RatFunc`` coefficients.
-  ``ScalarOperator`` is a small slotted value class, no longer a named
-  tuple; equality and hash go by the coefficients.  The annihilation
-  check runs on the P_k first, whose verdict True stands by a q-order
-  argument (``operator_annihilates``), and decides a rejection again on
-  the cleared coefficients, so every verdict is the one the cleared form
-  alone gives;
+  (one exact division per step).  The operator keeps the elimination's
+  integer polynomials P_0..P_K, with p_k = P_k / P_K, next to its
+  reduced ``RatFunc`` coefficients.  The annihilation check runs on the
+  P_k first, whose verdict True stands by a q-order argument, and
+  decides a rejection again on the cleared coefficients, kept on the
+  operator once built;
 * one polynomial layer for all of it: sparse integer polynomials in q
   (exponent -> nonzero int), so a large power of q or a graded
-  polynomial costs only its nonzero terms.  The elimination, the gcd
-  that reduces each operator coefficient and the annihilation check all
-  run on it; ``RatFunc`` is only the output form of a coefficient.  A
-  row of the elimination is one polynomial in q with integer-vector
-  coefficients (exponent -> one int per column, nonzero vectors only),
-  so a Bareiss step treats all columns of an exponent at once; a divisor
-  that is not a monomial divides each column through the one long
-  division, ``_sdiv``;
+  polynomial costs only its nonzero terms; ``RatFunc`` is only the
+  output form of a coefficient.  A row of the elimination is kept by its
+  support, exponent -> {column: nonzero int}; a divisor that is not a
+  monomial divides it column by column through ``_sdiv``;
 * one integer view of a connection matrix, a polynomial in q: s M split
   by powers of q into rows of (column, int) pairs (``_integer_parts``),
   read by the period, the cyclic reduction and the quadric's kernel
@@ -49,7 +42,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
 from typing import NamedTuple, Optional, Tuple
 
 from .qchev import ConnMatrix
@@ -83,17 +75,17 @@ def _integer_parts(M: ConnMatrix):
     refused by its entry."""
     if M.variables != ("q",):
         raise ValueError("expected a matrix over the single variable q")
-    terms = [(e, r, c, x) for (r, c), p in sorted(M.cells.items())
-             for (e,), x in p.items()]
-    for e, r, c, _ in terms:
-        if e < 0:
-            raise ValueError(f"entry ({r}, {c}) has the negative power "
-                             f"q^{e}; expected a polynomial in q")
-    s = math.lcm(*(x.denominator for *_, x in terms))
-    parts = {e: [[] for _ in range(M.size)]
-             for e in dict.fromkeys(e for e, *_ in terms)}
-    for e, r, c, x in terms:
-        parts[e][r].append((c, x.numerator * (s // x.denominator)))
+    cells = M.cells
+    s = math.lcm(*(x.denominator for p in cells.values() for x in p.values()))
+    parts = {}
+    for r, c in sorted(cells):
+        for (e,), x in cells[r, c].items():
+            if e < 0:
+                raise ValueError(f"entry ({r}, {c}) has the negative power "
+                                 f"q^{e}; expected a polynomial in q")
+            if e not in parts:
+                parts[e] = [[] for _ in range(M.size)]
+            parts[e][r].append((c, x.numerator * (s // x.denominator)))
     return s, parts
 
 
@@ -163,7 +155,7 @@ def quantum_period(M: ConnMatrix, D: int) -> PeriodSeries:
         for r, row in steps:
             y = Y[r]
             for c, a in row:
-                y += a * Y[c]
+                y += Y[c] if a == 1 else a * Y[c]
             Y[r], rem = divmod(y, T)
             if rem:
                 raise ArithmeticError("inexact integer division")
@@ -200,30 +192,24 @@ def bruhat_path_count(d: RootDatum, reps: CosetReps, node: int) -> int:
 # sparse Z[q] polynomials, rational functions and the cyclic reduction
 # --------------------------------------------------------------------------
 
-# Sparse integer polynomials in q: dicts exponent -> nonzero int.  Only
-# the nonzero terms are stored and walked, so a pivot with a large power
-# of q as a factor, or a polynomial in q^h, costs its terms alone.  Rows
-# of the cyclic reduction are the same with a vector of ints, one per
-# column, in place of each int.  A row divides by a non-monomial column
-# by column through _sdiv, the one long division (_rdiv): 6 of the 771
-# Bareiss steps on series_ode (all B5 n5), 210 of 1,080 on A7 n3 and 15
-# of 1,148 on E7 n7.  Every other step divides by a monomial in _rstep.
+# Sparse integer polynomials in q: dicts exponent -> nonzero int, so a
+# pivot with a large power of q as a factor costs its terms alone.  A row
+# of the cyclic reduction holds a dict column -> nonzero int in place of
+# each int.
 
 def _dense(p: dict, low: int) -> tuple:
     """Coefficients of q^low, q^(low+1), ..., up to the degree of p."""
     return tuple(p.get(e, 0) for e in range(low, max(p, default=low - 1) + 1))
 
 
-def _smul(a: dict, b: dict, plus: Optional[dict] = None) -> dict:
-    """a * b, plus the polynomial ``plus`` if one is given."""
+def _smul(a: dict, b: dict) -> dict:
+    """The product a * b."""
     if len(a) > len(b):
         a, b = b, a
-    if not a:
-        return plus or {}
-    if plus is None and len(a) == 1:
+    if len(a) == 1:
         (i, x), = a.items()
         return {i + j: x * y for j, y in b.items()}
-    out = dict(plus or ())
+    out = {}
     get = out.get
     for i, x in a.items():
         for j, y in b.items():
@@ -234,60 +220,61 @@ def _smul(a: dict, b: dict, plus: Optional[dict] = None) -> dict:
 
 def _rstep(p: dict, w: dict, f: dict, b: dict, d: dict) -> dict:
     """The Bareiss step (p w - f b) / d for rows w, b and sparse
-    polynomials p, f, d, where d must divide exactly; a row is a
-    polynomial in q with integer-vector coefficients, exponent -> one int
-    per column, and zero slots are dropped.  A monomial d = c q^low
-    shifts each product down by low as it is formed; c then divides p
-    and f when it divides all their coefficients, and otherwise each
-    finished slot, one divmod per entry.  Any other d divides the
-    combined row column by column (_rdiv)."""
+    polynomials p, f, d, where d must divide exactly.  A row is kept by
+    its support, exponent -> {column: nonzero int}, so each product walks
+    the nonzero entries alone.  A monomial d = c q^low shifts each
+    product down by low as it is formed, and its gcd with the
+    coefficients of p and f divides those scalars; what is left of c
+    divides each finished entry.  Any other d divides the combined row
+    column by column (_rdiv)."""
     c = low = 0
+    g = 1
     if len(d) == 1:
         (low, c), = d.items()
-        if c != 1 and not any(x % c for x in (*p.values(), *f.values())):
-            p = {i: x // c for i, x in p.items()}
-            f = {i: x // c for i, x in f.items()}
-            c = 1
-    out = {}
-    get = out.get
+        g = math.gcd(c, *p.values(), *f.values())
+        if c < 0:
+            g = -g
+        c //= g
+    out, terms = {}, []
     for i, x in p.items():
-        i -= low
-        for e, v in w.items():
-            u = get(i + e)
-            out[i + e] = ((v if x == 1 else [x * y for y in v]) if u is None
-                          else [z + x * y if y else z for z, y in zip(u, v)])
+        terms.append((x // g, i, w))
     for i, x in f.items():
+        terms.append((-x // g, i, b))
+    for x, i, row in terms:
         i -= low
-        for e, v in b.items():
-            u = get(i + e)
-            out[i + e] = ([-x * y for y in v] if u is None else
-                          [z - x * y if y else z for z, y in zip(u, v)])
+        for e, v in row.items():
+            u = out.get(i + e)
+            if u is None:
+                out[i + e] = {j: x * y for j, y in v.items()}
+                continue
+            get = u.get
+            for j, y in v.items():
+                z = get(j, 0) + x * y
+                if z:
+                    u[j] = z
+                else:
+                    del u[j]
     if not c:
         return _rdiv(out, d)
     quot = {}
     for k, v in out.items():
-        if any(v):
-            if k < 0:
+        if v:
+            if k < 0 or c != 1 and any([y % c for y in v.values()]):
                 raise ArithmeticError("inexact polynomial division")
-            if c != 1:
-                v, r = zip(*map(divmod, v, repeat(c)))
-                if any(r):
-                    raise ArithmeticError("inexact polynomial division")
-            quot[k] = v
+            quot[k] = v if c == 1 else {j: y // c for j, y in v.items()}
     return quot
 
 
 def _rdiv(a: dict, b: dict) -> dict:
     """Quotient of a row by a sparse polynomial b that must divide it
-    exactly: each column's polynomial divides through _sdiv, and the
-    quotients go back together as a row without zero slots."""
+    exactly, column by column through _sdiv."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    n = len(next(iter(a.values()), ()))
     quot = {}
-    for j in range(n):
-        for e, x in _sdiv({e: v[j] for e, v in a.items() if v[j]}, b).items():
-            quot.setdefault(e, [0] * n)[j] = x
+    for j in {j for v in a.values() for j in v}:
+        for e, x in _sdiv({e: v[j] for e, v in a.items() if j in v},
+                          b).items():
+            quot.setdefault(e, {})[j] = x
     return quot
 
 
@@ -402,15 +389,17 @@ def _reduced(a: dict, b: dict, t: int = 1, s: int = 1) -> RatFunc:
 class ScalarOperator:
     """Monic operator sum p_k theta^k with rational-function
     coefficients; order = the theta-degree.  Equality and hash go by the
-    coefficients.  The cyclic reduction also keeps its integer
-    polynomials P_0..P_K as ``_polys``: p_k = P_k / P_K, and some P_k
-    has a nonzero constant term (operator_annihilates relies on both).
-    A hand-built operator has none."""
+    coefficients.  The cyclic reduction keeps its integer polynomials
+    P_0..P_K as ``_polys``: p_k = P_k / P_K, and some P_k has a nonzero
+    constant term (operator_annihilates relies on both); a hand-built
+    operator has none.  ``_plain``, the cleared form, is built by
+    operator_annihilates on first use."""
 
-    __slots__ = ("coefficients", "_polys")
+    __slots__ = ("coefficients", "_polys", "_plain")
 
     def __init__(self, coefficients: Tuple[RatFunc, ...]):
-        self.coefficients, self._polys = coefficients, None
+        self.coefficients = coefficients
+        self._polys = self._plain = None
 
     @property
     def order(self) -> int:
@@ -440,14 +429,11 @@ def cyclic_scalar_operator(M: ConnMatrix, start: int) -> ScalarOperator:
     exact division; the dependency is unwound by one fraction-free back
     substitution, and each coefficient is reduced once, at the end.
 
-    Each r'_k and each reduced row b_k is stored as one polynomial in q
-    with integer-vector coefficients, {exponent: [int per column]}, so a
-    Bareiss step w <- (p w - f b) / d (_rstep) forms each exponent's
-    vector once and, for the monomial d of almost every step, divides it
-    as it stands or divides the scalars p and f instead; the scalars --
-    pivots p, entries f = w[pivot] and multipliers h -- are sparse
-    {exponent: int} polynomials.  theta scales whole vectors, and
-    r'_k M' is one sparse mat-vec per pair of exponents.
+    Each r'_k and each reduced row b_k is stored once, by its support
+    {exponent: {column: nonzero int}}: a Bareiss step (_rstep) walks only
+    nonzero entries, and a basis row whose pivot w lacks is passed over.
+    The scalars -- pivots p, entries f = w[pivot] and multipliers h --
+    are sparse polynomials.
     """
     n = M.size
     if not isinstance(start, int):
@@ -457,7 +443,7 @@ def cyclic_scalar_operator(M: ConnMatrix, start: int) -> ScalarOperator:
         raise ValueError(f"covector index {start} out of range for a "
                          f"matrix of size {n}")
     s, mats = _integer_parts(M)
-    row = {0: [int(i == start) for i in range(n)]}
+    row = {0: {start: 1}}
 
     # basis[k] = (pivot column, the row b_k, the nonzero multipliers
     # h_{k,i}: the entry at pivot i when b_i was reduced out);
@@ -469,7 +455,7 @@ def cyclic_scalar_operator(M: ConnMatrix, start: int) -> ScalarOperator:
         # w[pivot_i] = 0 only rescales w, so it waits for the next real one
         w, mults, last = row, [], 0
         for i, (pivot, b, _) in enumerate(basis):
-            f = {e: v[pivot] for e, v in w.items() if v[pivot]}
+            f = {e: v[pivot] for e, v in w.items() if pivot in v}
             if f:
                 p, d = values[i + 1], values[last]
                 mults.append((i, f if last == i else
@@ -480,36 +466,43 @@ def cyclic_scalar_operator(M: ConnMatrix, start: int) -> ScalarOperator:
             break
         if last != k:
             w = _rstep(values[-1], w, {}, {}, values[last])
-        pivot = min(next(j for j, x in enumerate(v) if x) for v in w.values())
+        pivot = min(map(min, w.values()))
         basis.append((pivot, w, mults))
-        values.append({e: v[pivot] for e, v in w.items() if v[pivot]})
+        values.append({e: v[pivot] for e, v in w.items() if pivot in v})
         # theta sends q^e to e q^e; then r'_k M' is one sparse mat-vec
         # per exponent pair
-        shifted = {e: [s * e * x for x in v] for e, v in row.items() if e}
+        shifted = {e: {j: s * e * x for j, x in v.items()}
+                   for e, v in row.items() if e}
         for e, v in row.items():
             for h, a in mats.items():
-                out = shifted.setdefault(e + h, [0] * n)
-                for i, x in enumerate(v):
-                    if x:
-                        for j, c in a[i]:
-                            out[j] += x * c
-        row = {e: v for e, v in shifted.items() if any(v)}
+                out = shifted.setdefault(e + h, {})
+                get = out.get
+                for i, x in v.items():
+                    for j, c in a[i]:
+                        out[j] = get(j, 0) + x * c
+        row = {e: u for e, v in shifted.items()
+               if (u := {j: x for j, x in v.items() if x})}
 
-    # r'_K = sum_i h_{K,i} e_i; x_i = p_{K-1} a_i in r'_K = sum_i a_i r'_i
-    # is a minor and solves x_i p_i = p_{K-1} h_{K,i} - sum_{k>i} x_k h_{k,i}
-    K, top = len(basis), values[-1]
-    acc = {i: _smul(top, h) for i, h in mults}
-    polys = [top]
+    # r'_K = sum_i h_{K,i} e_i; x_i = -p_{K-1} a_i in r'_K = sum_i a_i r'_i
+    # is a minor, and with x_K = p_{K-1} it solves x_i p_i = -sum_{k>i}
+    # x_k h_{k,i}: each x_k, once known, is added into acc[i] for each i
+    K, x, hs = len(basis), values[-1], mults
+    acc, xs = [{} for _ in basis], [x]
     for i in reversed(range(K)):
-        x = {e: -c for e, c in _sdiv(acc.pop(i, {}), values[i + 1]).items()}
-        for k, h in basis[i][2]:
-            acc[k] = _smul(x, h, acc.get(k))
-        polys.append(x)
+        for k, h in hs:
+            t = acc[k]
+            for e, z in h.items():
+                for a, y in x.items():
+                    t[a + e] = t.get(a + e, 0) - y * z
+        x = _sdiv({e: c for e, c in acc[i].items() if c}, values[i + 1])
+        hs = basis[i][2]
+        xs.append(x)
+    xs.reverse()
     # theta^i pairs with r_i = r'_i / s^i, so p_i = P_i / P_K with
-    # P_i = x_i s^i and P_K = top s^K; their common power q^low and
+    # P_i = x_i s^i and P_K = x_K s^K; their common power q^low and
     # integer content g are divided out before each p_i is reduced
-    low = min(map(min, filter(None, polys)))
-    polys = [_smul({-low: s ** i}, p) for i, p in enumerate(polys[::-1])]
+    low = min(map(min, filter(None, xs)))
+    polys = [_smul({-low: s ** i}, p) for i, p in enumerate(xs)]
     g = math.gcd(*(c for p in polys for c in p.values()))
     polys = tuple({e: c // g for e, c in p.items()} for p in polys)
     op = ScalarOperator(tuple(_reduced(p, polys[-1]) for p in polys))
@@ -535,7 +528,8 @@ def operator_annihilates(op: ScalarOperator, series: PeriodSeries,
     common multiple C of the d_k below has q-order >= ord P_K, and the
     cleared form L C p_k = (L C / P_K) P_k is the P_k form times a power
     series in q.  So the P_k killing the series decides True, and a
-    rejection is decided again on the cleared form.
+    rejection is decided again on the cleared form, which the operator
+    keeps.
     """
     if not isinstance(shift, (int, Fraction)):
         raise TypeError(f"shift must be an int or a Fraction, not "
@@ -545,23 +539,26 @@ def operator_annihilates(op: ScalarOperator, series: PeriodSeries,
               for c in series.coefficients]
     if op._polys and _kills(op._polys, coeffs, shift):
         return True
-    # the common multiple takes in each cleared denominator that does not
-    # yet divide it; a cleared monic denominator is primitive, so exact
-    # division in Z[q] decides divisibility over Q[q]
-    nums = [_cleared(c.num) for c in op.coefficients]
-    dens = [_cleared(c.den) for c in op.coefficients]
-    common = {0: 1}
-    for d, _ in dens:
-        try:
-            _sdiv(common, d)
-        except ArithmeticError:
-            common = _smul(common, d)
-    # with p_k = (n / s) / (d / t) and the integer L = lcm of the s,
-    # L common p_k = n (common / d) t (L / s)
-    scale = math.lcm(*(s for _, s in nums))
-    return _kills([{j: x * t * (scale // s)
-                    for j, x in _smul(n, _sdiv(common, d)).items()}
-                   for (n, s), (d, t) in zip(nums, dens)], coeffs, shift)
+    if op._plain is None:
+        # the cleared form: the common multiple takes in each cleared
+        # denominator that does not yet divide it; a cleared monic
+        # denominator is primitive, so exact division in Z[q] decides
+        # divisibility over Q[q]
+        nums = [_cleared(c.num) for c in op.coefficients]
+        dens = [_cleared(c.den) for c in op.coefficients]
+        common = {0: 1}
+        for d, _ in dens:
+            try:
+                _sdiv(common, d)
+            except ArithmeticError:
+                common = _smul(common, d)
+        # with p_k = (n / s) / (d / t) and the integer L = lcm of the s,
+        # L common p_k = n (common / d) t (L / s)
+        scale = math.lcm(*(s for _, s in nums))
+        op._plain = [{j: x * t * (scale // s)
+                      for j, x in _smul(n, _sdiv(common, d)).items()}
+                     for (n, s), (d, t) in zip(nums, dens)]
+    return _kills(op._plain, coeffs, shift)
 
 
 def _kills(polys, coeffs, shift) -> bool:

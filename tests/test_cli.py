@@ -311,6 +311,10 @@ def test_bessel_report_large_nu(capsys, y, nu):
     ("2", "-inf", ("nu = -inf must be finite and > -1\n",)),
     # K_300(0.1) itself is beyond float range
     ("0.1", "300", ("y = 0.1", "nu = 300.0", "beyond float range")),
+    # K_2 at a tiny y: the trapezoid sum reaches inf without raising,
+    # which once printed a bare Infinity with "pass": false
+    ("1e-154", "1", ("y = 1e-154", "nu = 1.0", "beyond float range")),
+    ("1e-300", "1", ("y = 1e-300", "nu = 1.0", "beyond float range")),
 ])
 def test_bessel_refusals_name_nu(capsys, y, nu, names):
     code, out, err = run(capsys, "bessel", y, nu)
@@ -1475,10 +1479,21 @@ def test_report_writer_is_json_dumps(capsys, monkeypatch, argv):
 
 
 def test_report_writer_edge_values():
-    nan, inf = float("nan"), float("inf")
     for v in [{}, [], (), "", 0, {"": {}, "a": [], "b": ()},
               {"t": (1, (2, ()), [3.5])}, ["é", "€\n\t\"\\", "\U0001f600"],
               {"é": None, "z": True, "y": False, "x": -3, "w": 2 ** 70},
-              [nan, inf, -inf, -0.0, 1e-300, 0.1], {"k": [[[]], [{}]]},
-              [True, 1, False, 0, None], "a\x00b"]:
+              [-0.0, 1e-300, 0.1, 1.7976931348623157e308],
+              {"k": [[[]], [{}]]}, [True, 1, False, 0, None], "a\x00b"]:
         assert json_text(v) == json.dumps(v, indent=2, sort_keys=True), v
+
+
+def test_report_writer_refuses_non_finite_floats():
+    # as json.dumps(allow_nan=False) does: no report can carry a bare
+    # Infinity or NaN, which strict JSON parsers reject
+    nan, inf = float("nan"), float("inf")
+    for v in [nan, inf, -inf, [0.5, inf], {"wronskian": inf},
+              {"a": [{"b": nan}]}]:
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            json_text(v)
+        with pytest.raises(ValueError):
+            json.dumps(v, allow_nan=False)

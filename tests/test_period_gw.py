@@ -7,10 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmirror.rootsys import CartanType, build_root_datum
+from mmirror.rootsys import (
+    CartanType,
+    build_root_datum,
+    minuscule_dimension,
+    minuscule_nodes,
+)
 from mmirror.weyl import minuscule_coset_reps
 from mmirror.qchev import (
     ConnMatrix,
+    fw_matrix,
     mihalcea_equivariant,
     quantum_chevalley_minuscule,
 )
@@ -580,6 +586,10 @@ def test_sparse_product_matches_dense(a, b):
     assert max(got, default=-1) < len(want)
 
 
+def test_sparse_product_with_zero():
+    assert _smul({}, {0: 1, 3: 2}) == {} == _smul({2: 3}, {}) == _smul({}, {})
+
+
 @settings(max_examples=100, deadline=None)
 @given(sparse_polys, sparse_polys, sparse_polys)
 def test_sparse_inexact_division_raises(a, b, r):
@@ -588,7 +598,7 @@ def test_sparse_inexact_division_raises(a, b, r):
     b = {e + 1: c for e, c in b.items()}
     r = {e % max(b): c for e, c in r.items()}
     with pytest.raises(ArithmeticError, match="inexact"):
-        _sdiv(_smul(a, b, r), b)
+        _sdiv(padd(_smul(a, b), r), b)
 
 
 @pytest.mark.parametrize("a,b", [
@@ -611,6 +621,14 @@ def test_sparse_division_by_zero():
         _sdiv({}, {})
 
 
+def padd(a, b):
+    """The sum a + b of sparse polynomials, zero terms dropped."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
 small_polys = st.dictionaries(st.integers(0, 8),
                               st.integers(-99, 99).filter(bool),
                               min_size=1, max_size=4)
@@ -630,14 +648,33 @@ def test_pgcd_returns_coprime_cofactors(g, a, b, content):
     assert len(reference_ratfunc(dense(u), dense(v)).den) == len(dense(v))
 
 
-# ----------------------------------- rows: polynomials with vector coefficients
+# ------------------------------------- rows: polynomials kept by support
 
-def as_lists(row):
-    return {e: list(v) for e, v in row.items()}
+# A row is a polynomial in q whose coefficients are sparse integer
+# vectors, {exponent: {column: nonzero int}}.  The examples write each
+# vector as its dense list of slots, which ``support`` drops to the
+# nonzero entries, and ``as_lists`` reads a result back as slot lists.
+
+def support(row):
+    out = {e: {j: x for j, x in enumerate(v) if x} for e, v in row.items()}
+    return {e: v for e, v in out.items() if v}
+
+
+def as_lists(row, n):
+    return {e: [v.get(j, 0) for j in range(n)] for e, v in row.items()}
+
+
+def column(row, j):
+    return {e: v[j] for e, v in row.items() if j in v}
+
+
+def is_support(row):
+    # no empty vector and no zero entry
+    return all(v and all(v.values()) for v in row.values())
 
 
 @pytest.mark.parametrize("row,b,want", [
-    # monomial divisor: every slot at once, exponents shifted down by 2
+    # monomial divisor: every entry at once, exponents shifted down by 2
     ({3: [6, -4, 0], 5: [2, 8, 10]}, {2: 2},
      {1: [3, -2, 0], 3: [1, 4, 5]}),
     ({0: [0, 7]}, {0: -7}, {0: [0, -1]}),
@@ -648,7 +685,9 @@ def as_lists(row):
      {2: 1, 5: -3}, {0: [1, 0, 2], 1: [0, 4, 0]}),
 ])
 def test_row_division_examples(row, b, want):
-    assert as_lists(_rdiv(row, b)) == want
+    n = len(next(iter(row.values())))
+    got = _rdiv(support(row), b)
+    assert is_support(got) and as_lists(got, n) == want
 
 
 @pytest.mark.parametrize("row,b", [
@@ -661,10 +700,10 @@ def test_row_division_examples(row, b, want):
 ])
 def test_row_inexact_division_raises(row, b):
     with pytest.raises(ArithmeticError, match="inexact"):
-        _rdiv(row, b)
+        _rdiv(support(row), b)
 
 
-@pytest.mark.parametrize("row", [{}, {0: [0, 0]}])
+@pytest.mark.parametrize("row", [{}, {0: {}}])
 def test_row_division_by_zero(row):
     # refused even when no column holds a term to divide
     with pytest.raises(ZeroDivisionError):
@@ -680,9 +719,10 @@ row_slots = st.lists(st.integers(-10**30, 10**30), min_size=3, max_size=3)
        sparse_polys, st.integers(0, 20))
 def test_row_multiply_then_divide_round_trips(row, b, shift):
     b = {e + shift: c for e, c in b.items()}
+    row = support(row)
     product = _rstep(b, row, {}, {}, {0: 1})
-    assert as_lists(_rdiv(product, b)) == row
-    assert as_lists(_rstep({0: 1}, product, {}, {}, b)) == row
+    assert _rdiv(product, b) == row
+    assert _rstep({0: 1}, product, {}, {}, b) == row
     # each column of the quotient is the dense quotient of that column
     def dense(p):
         return tuple(p.get(e, 0) for e in range(max(p, default=-1) + 1))
@@ -691,46 +731,53 @@ def test_row_multiply_then_divide_round_trips(row, b, shift):
             dense(column(row, j))
 
 
-def column(row, j):
-    return {e: v[j] for e, v in row.items() if v[j]}
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.dictionaries(st.integers(0, 20), row_slots, max_size=4),
        st.dictionaries(st.integers(0, 20), row_slots, max_size=4),
        sparse_polys, st.dictionaries(st.integers(0, 20),
                                      st.integers(-9, 9).filter(bool),
                                      max_size=3),
-       sparse_polys, st.integers(0, 3), st.booleans(), st.booleans())
+       sparse_polys, st.integers(0, 4), st.booleans(), st.booleans(),
+       st.booleans())
 def test_row_step_matches_column_by_column(w, b, p, f, d, shape, exact,
-                                           scale):
+                                           scale, unit):
     # (p w - f b) / d against the scalar product and long division of
-    # each column: d a unit, a monomial or a general polynomial; w and b
-    # multiplied by d when ``exact``; p and f multiplied by d's lead when
-    # ``scale``, so that a monomial d can divide the scalars instead
+    # each column: d a unit, q^low, c q^low, as drawn, or times 1 + q (so
+    # surely not a monomial); w and b multiplied by d when ``exact``; p
+    # and f multiplied by d's lead when ``scale``, so that a monomial d
+    # can divide the scalars instead, and p made d's coefficient times a
+    # power of q when ``unit``, so that p is 1 once the scalars divide.
+    # w and b may be empty or miss exponents the other has, and a drawn
+    # all-zero vector leaves its exponent out; an inexact case must raise
     low = min(d)
-    d = ({0: 1}, {low: 1}, {low: d[low]}, d)[shape]
+    d = ({0: 1}, {low: 1}, {low: d[low]}, d, _smul(d, {0: 1, 1: 1}))[shape]
+    w, b = support(w), support(b)
     if exact:
         w, b = (_rstep(d, r, {}, {}, {0: 1}) for r in (w, b))
+    if unit:
+        p = {max(p): d[min(d)]}
     if scale:
         lead = d[max(d)]
         p, f = ({e: c * lead for e, c in a.items()} for a in (p, f))
-    want = []
+    before = repr((p, w, f, b, d))
+    want = {}
     try:
         for j in range(3):
             minus_fb = {e: -c for e, c in _smul(f, column(b, j)).items()}
-            want.append(_sdiv(_smul(p, column(w, j), minus_fb), d))
+            want[j] = _sdiv(padd(_smul(p, column(w, j)), minus_fb), d)
     except ArithmeticError:
         with pytest.raises(ArithmeticError, match="inexact"):
             _rstep(p, w, f, b, d)
         return
     got = _rstep(p, w, f, b, d)
-    assert all(map(any, got.values()))
-    assert [column(got, j) for j in range(3)] == want
+    assert is_support(got)
+    assert {j: column(got, j) for j in range(3)} == want
+    # a step never writes to its inputs
+    assert repr((p, w, f, b, d)) == before
 
 
 @pytest.mark.parametrize("p,w,f,b,d", [
-    # a remainder in one slot after the combination: (2 w - b) / 3
+    # a remainder in one entry after the combination: (2 w - b) / 3
     ({0: 2}, {0: [3, 1]}, {0: 1}, {0: [3, 0]}, {0: 3}),
     # the combination keeps q^0, which q^1 cannot divide
     ({0: 1}, {0: [1, 0], 1: [2, 2]}, {1: 1}, {0: [2, 2]}, {1: 1}),
@@ -738,25 +785,51 @@ def test_row_step_matches_column_by_column(w, b, p, f, d, shape, exact,
     ({0: 3}, {0: [1, 1]}, {0: 3}, {1: [1, 1]}, {1: 3}),
     # a general divisor: the combination q - 1 over q + 1
     ({1: 1}, {0: [1, 0]}, {0: 1}, {0: [1, 0]}, {0: 1, 1: 1}),
+    # the gcd 2 of c = 6 with p and f divides the scalars, and the 3
+    # left of c meets the remainder 2 of 2 w - 4 b = (2, 8)
+    ({0: 2}, {0: [1, 4]}, {0: 4}, {0: [0, 0], 1: [1, 0]}, {0: 6}),
+    # p = c = 5 shares w's vectors, and f b leaves q^-1, which d's q^1
+    # cannot give: (5 q w - 5 b) / 5 q
+    ({1: 5}, {0: [1, 2]}, {0: 5}, {0: [3, 0]}, {1: 5}),
+    # the combination cancels q^0 and leaves 2 q^2, which q^2 + 3 cannot
+    # divide
+    ({0: 1}, {0: [0, 2], 2: [0, 2]}, {0: 1}, {0: [0, 2]}, {0: 3, 2: 1}),
 ])
 def test_row_step_inexact_raises(p, w, f, b, d):
+    w, b = support(w), support(b)
     with pytest.raises(ArithmeticError, match="inexact"):
         _rstep(p, w, f, b, d)
 
 
 def test_row_step_examples():
+    def step(p, w, f, b, d, n=2):
+        return as_lists(_rstep(p, support(w), f, support(b), d), n)
     # (3q w - 3q b) / 3q: c = 3 divides both scalars
-    assert as_lists(_rstep({1: 3}, {0: [1, 2]}, {1: 3}, {0: [1, 0]},
-                           {1: 3})) == {0: [0, 2]}
-    # (2 w - b) / 3: the finished slot [6, 3] divides, [0, 0] drops
-    assert as_lists(_rstep({0: 2}, {0: [3, 0], 1: [1, 1]}, {0: 1},
-                           {0: [0, -3], 1: [2, 2]}, {0: 3})) == {0: [2, 1]}
+    assert step({1: 3}, {0: [1, 2]}, {1: 3}, {0: [1, 0]},
+                {1: 3}) == {0: [0, 2]}
+    # (2 w - b) / 3: the finished entries (6, 3) divide, q^0 cancels
+    assert step({0: 2}, {0: [3, 0], 1: [1, 1]}, {0: 1},
+                {0: [0, -3], 1: [2, 2]}, {0: 3}) == {0: [2, 1]}
     # (q w + b) / (1 + q) by long division
-    assert as_lists(_rstep({1: 1}, {0: [1, 2]}, {0: -1}, {0: [1, 2]},
-                           {0: 1, 1: 1})) == {0: [1, 2]}
+    assert step({1: 1}, {0: [1, 2]}, {0: -1}, {0: [1, 2]},
+                {0: 1, 1: 1}) == {0: [1, 2]}
+    # (4 w - 6 b) / 6: the gcd 2 comes off the scalars, 3 off each entry
+    assert step({0: 4}, {0: [3, 6]}, {0: 6}, {0: [1, 2], 1: [0, 1]},
+                {0: 6}) == {0: [1, 2], 1: [0, -1]}
+    # a negative d: (-2 w - 2 b) / -2 = w + b
+    assert step({0: -2}, {0: [1, 0]}, {0: 2}, {0: [0, 1]},
+                {0: -2}) == {0: [1, 1]}
     # w = 1 * w / 1 is the row itself, and an empty f adds nothing
-    w = {2: [0, 5]}
+    w = {2: {1: 5}}
     assert _rstep({0: 1}, w, {}, {}, {0: 1}) == w
+    # (w - q b) / 1 cancels an entry of w's vector and leaves w as it was
+    w, b = {1: {0: 1, 1: 2}}, {0: {1: 2}}
+    assert _rstep({0: 1}, w, {1: 1}, b, {0: 1}) == {1: {0: 1}}
+    assert w == {1: {0: 1, 1: 2}}
+    # an empty basis row, and f b into an exponent w does not have
+    assert _rstep({0: 1}, w, {0: 1}, {}, {0: 1}) == w
+    assert _rstep({0: 1}, w, {3: 2}, b, {0: 1}) == {1: {0: 1, 1: 2},
+                                                     3: {1: -4}}
 
 
 def test_b5_top_covector_reaches_general_row_division(monkeypatch):
@@ -803,6 +876,36 @@ def test_scalar_operator_matches_dense_reference(ct, node):
     m = series_matrix(ct, node)
     assert cyclic_scalar_operator(m, m.size - 1) == \
         reference_cyclic_scalar_operator(m, m.size - 1)
+
+
+def operator_pin_cases():
+    """Every minuscule (type, node) of at most 32 Schubert classes, then
+    the odd quadrics B2-B6 node 1."""
+    out = []
+    for family, low, high in (("A", 1, 31), ("B", 2, 5), ("C", 2, 16),
+                              ("D", 4, 16), ("E", 6, 7)):
+        for n in range(low, high + 1):
+            ct = CartanType(family, n)
+            out += [(str(ct), k) for k in minuscule_nodes(ct)
+                    if minuscule_dimension(ct, k) <= 32]
+    return out + [(f"B{n}", 1) for n in range(2, 7)]
+
+
+def test_cyclic_operators_match_their_pin():
+    # the coefficients and the integer polynomials P_k of the operator
+    # from the top covector, on 116 cases, hashed as the elimination on
+    # dense integer-vector rows gave them
+    digest = hashlib.sha256()
+    cases = operator_pin_cases()
+    for ct, node in cases:
+        d = build_root_datum(CartanType.parse(ct))
+        m = fw_matrix(d, minuscule_coset_reps(d, node), node)
+        op = cyclic_scalar_operator(m, m.size - 1)
+        digest.update(repr((ct, node, op.coefficients,
+                            [sorted(p.items()) for p in op._polys])).encode())
+    assert len(cases) == 116
+    assert digest.hexdigest() == \
+        "4fae54ed358c461b03308b6b32875c8a74723af83d8ec847b3749d9dbaaec666"
 
 
 def power_loop_cleared(op):
@@ -993,6 +1096,31 @@ def test_integer_form_rejection_is_decided_on_the_cleared_form():
     assert operator_annihilates(op, series)
     assert operator_annihilates(ScalarOperator(op.coefficients), series)
     assert not operator_annihilates(op, PeriodSeries((1, 0)))
+
+
+def test_cleared_form_is_built_once_per_operator(monkeypatch):
+    # a hand-built operator clears its 2 (order + 1) coefficient tuples on
+    # its first check and keeps the cleared form for every later one; a
+    # cyclic-built one clears only at its first rejection
+    m = series_matrix("E6", 1)
+    op = cyclic_scalar_operator(m, m.size - 1)
+    hand = ScalarOperator(op.coefficients)
+    series = quantum_period(m, 2 * m.size)
+    bad = PeriodSeries(series.coefficients[:-1] +
+                       (series.coefficients[-1] + 1,))
+    calls = []
+    original = period_gw._cleared
+    monkeypatch.setattr(period_gw, "_cleared",
+                        lambda p: (calls.append(p), original(p))[1])
+    assert operator_annihilates(hand, series)
+    assert not operator_annihilates(hand, bad)
+    assert len(calls) == 2 * (hand.order + 1)
+    assert operator_annihilates(op, series)
+    assert len(calls) == 2 * (op.order + 1)
+    assert not operator_annihilates(op, bad)
+    assert not operator_annihilates(op, bad)
+    assert len(calls) == 4 * (op.order + 1)
+    assert hand == op and hash(hand) == hash(op)
 
 
 @pytest.mark.parametrize("ct,node", SERIES_ODE_CASES)
@@ -1309,7 +1437,10 @@ def test_bessel_accepts_nu_above_minus_one():
 
 
 @pytest.mark.parametrize("y,nu", [(0.01, 200.0), (1.0, 200.0),
-                                  (1e-12, 30.0)])
+                                  (1e-12, 30.0),
+                                  # K_2 ~ 2 / y^2: the trapezoid sum
+                                  # reaches inf with no OverflowError
+                                  (1e-154, 1.0), (1e-300, 1.0)])
 def test_bessel_overflow_names_y_and_nu(y, nu):
     with pytest.raises(ValueError, match=f"y = {y}, nu = {nu} is beyond "
                                          "float range"):
