@@ -12,10 +12,9 @@ operators:
   q d/dq from a basis covector, by fraction-free elimination over Z[q]
   (one exact division per step).  The operator keeps the elimination's
   integer polynomials P_0..P_K, with p_k = P_k / P_K, next to its
-  reduced ``RatFunc`` coefficients.  The annihilation check runs on the
-  P_k first, whose verdict True stands by a q-order argument, and
-  decides a rejection again on the cleared coefficients, kept on the
-  operator once built;
+  reduced ``RatFunc`` coefficients: the operator's one integer form,
+  on which the annihilation check runs.  A hand-built operator gets
+  its form from the least common denominator of its coefficients;
 * one polynomial layer for all of it: sparse integer polynomials in q
   (exponent -> nonzero int), so a large power of q or a graded
   polynomial costs only its nonzero terms; ``RatFunc`` is only the
@@ -175,7 +174,10 @@ def bruhat_path_count(d: RootDatum, reps: CosetReps, node: int) -> int:
     """Number of saturated Bruhat chains in W^P from the coset of
     w_top s_gamma, the weight mu_top - <varpi_node, gamma-vee> w_top.gamma,
     up to w_top: an independent route to the first period coefficient.
-    A table with no gamma (a node that is not minuscule) is refused."""
+    A table with no gamma (a node that is not minuscule) is refused.
+    The table alone is read: d only names the type in that refusal and
+    node is not read; both are kept for the positional call form of
+    perfbench's workloads."""
     top = len(reps) - 1
     start = reflect_coset(reps, top, _gamma_slot(d, reps))
     counts = {start: 1}
@@ -389,17 +391,20 @@ def _reduced(a: dict, b: dict, t: int = 1, s: int = 1) -> RatFunc:
 class ScalarOperator:
     """Monic operator sum p_k theta^k with rational-function
     coefficients; order = the theta-degree.  Equality and hash go by the
-    coefficients.  The cyclic reduction keeps its integer polynomials
-    P_0..P_K as ``_polys``: p_k = P_k / P_K, and some P_k has a nonzero
-    constant term (operator_annihilates relies on both); a hand-built
-    operator has none.  ``_plain``, the cleared form, is built by
-    operator_annihilates on first use."""
+    coefficients.  ``_polys`` is its one integer form, integer
+    polynomials P_k = F p_k for one rational function F, defined up to a
+    factor with a nonzero constant term, which keeps or breaks the
+    vanishing of each q-power a truncated series determines.  The cyclic
+    reduction sets the P_k of its elimination (F = P_K), some with a
+    nonzero constant term; for a hand-built operator operator_annihilates
+    clears the p_k by their least common denominator on first use and
+    keeps the result."""
 
-    __slots__ = ("coefficients", "_polys", "_plain")
+    __slots__ = ("coefficients", "_polys")
 
     def __init__(self, coefficients: Tuple[RatFunc, ...]):
         self.coefficients = coefficients
-        self._polys = self._plain = None
+        self._polys = None
 
     @property
     def order(self) -> int:
@@ -515,21 +520,11 @@ def operator_annihilates(op: ScalarOperator, series: PeriodSeries,
     """Exact check that sum p_k theta^k kills the truncated series,
     with theta acting on q^{shift+m} by (shift+m).
 
-    It runs in integers: the p_k are cleared to integer polynomials, the
-    series is put over one denominator, and t = shift + m - j = u/b
-    enters as sum_k p_{k,j} u^k b^(K-k), K the order.  Each q-power the
-    known coefficients determine must vanish.  A float shift would round,
-    so only an int or a Fraction is taken.
-
-    An operator from the cyclic reduction is first tried on its own
-    integer polynomials P_k, which share no factor q.  A reduced
-    denominator d_k = P_K / gcd(P_k, P_K) has q-order ord P_K -
-    min(ord P_k, ord P_K), which is ord P_K where ord P_k = 0, so the
-    common multiple C of the d_k below has q-order >= ord P_K, and the
-    cleared form L C p_k = (L C / P_K) P_k is the P_k form times a power
-    series in q.  So the P_k killing the series decides True, and a
-    rejection is decided again on the cleared form, which the operator
-    keeps.
+    It runs in integers on the operator's integer form P_k (see
+    ScalarOperator), the series put over one denominator: t = shift + m -
+    j = u/b enters as sum_k P_{k,j} u^k b^(K-k), K the order.  Each
+    q-power the known coefficients determine must vanish.  A float shift
+    would round, so only an int or a Fraction is taken.
     """
     if not isinstance(shift, (int, Fraction)):
         raise TypeError(f"shift must be an int or a Fraction, not "
@@ -537,28 +532,20 @@ def operator_annihilates(op: ScalarOperator, series: PeriodSeries,
     den = math.lcm(*(c.denominator for c in series.coefficients))
     coeffs = [c.numerator * (den // c.denominator)
               for c in series.coefficients]
-    if op._polys and _kills(op._polys, coeffs, shift):
-        return True
-    if op._plain is None:
-        # the cleared form: the common multiple takes in each cleared
-        # denominator that does not yet divide it; a cleared monic
-        # denominator is primitive, so exact division in Z[q] decides
-        # divisibility over Q[q]
+    if op._polys is None:
+        # a hand-built operator: with p_k = (n / s) / (d / t), C the least
+        # common multiple of the d and the integer L = lcm of the s,
+        # L C p_k = n (C / d) t (L / s)
         nums = [_cleared(c.num) for c in op.coefficients]
         dens = [_cleared(c.den) for c in op.coefficients]
         common = {0: 1}
         for d, _ in dens:
-            try:
-                _sdiv(common, d)
-            except ArithmeticError:
-                common = _smul(common, d)
-        # with p_k = (n / s) / (d / t) and the integer L = lcm of the s,
-        # L common p_k = n (common / d) t (L / s)
+            common = _smul(common, _pgcd(d, common)[0])
         scale = math.lcm(*(s for _, s in nums))
-        op._plain = [{j: x * t * (scale // s)
+        op._polys = [{j: x * t * (scale // s)
                       for j, x in _smul(n, _sdiv(common, d)).items()}
                      for (n, s), (d, t) in zip(nums, dens)]
-    return _kills(op._plain, coeffs, shift)
+    return _kills(op._polys, coeffs, shift)
 
 
 def _kills(polys, coeffs, shift) -> bool:

@@ -1014,6 +1014,14 @@ def _pdivmod(a, b):
     return _ptrim(quot), _ptrim(rem)
 
 
+def _pgcd_q(a, b):
+    """A gcd over Q[q] of dense tuples of Fractions, by Euclid's
+    algorithm; not made monic."""
+    while b:
+        a, b = b, _pdivmod(a, b)[1]
+    return a
+
+
 def reference_ratfunc(num, den=(1,)) -> RatFunc:
     """num / den in the canonical form of ``RatFunc.make``, reduced by
     Euclid's algorithm over Q[q] on dense tuples instead of a heuristic
@@ -1022,9 +1030,7 @@ def reference_ratfunc(num, den=(1,)) -> RatFunc:
     den = _ptrim(tuple(map(Fraction, den)))
     if not den:
         raise ZeroDivisionError("zero denominator")
-    g, r = num, den
-    while r:
-        g, r = r, _pdivmod(g, r)[1]
+    g = _pgcd_q(num, den)
     num, den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
     return RatFunc(tuple(x / den[-1] for x in num),
                    tuple(x / den[-1] for x in den))

@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmirror.rootsys import (
@@ -47,6 +47,7 @@ from reference import (
     LaurentPoly,
     _pdivmod,
     _pexact_div,
+    _pgcd_q,
     _pmul,
     basis_trace,
     bessel_operator_from_matrix,
@@ -909,12 +910,11 @@ def test_cyclic_operators_match_their_pin():
 
 
 def power_loop_cleared(op):
-    """The p_k times the common multiple of their denominators that takes
-    in each denominator not yet dividing it, as dense tuples over Q."""
+    """The p_k times the least common multiple of their denominators, by
+    Euclid's algorithm over Q, as dense tuples over Q."""
     common = (Fraction(1),)
     for c in op.coefficients:
-        if _pdivmod(common, c.den)[1]:
-            common = _pmul(common, c.den)
+        common = _pmul(common, _pdivmod(c.den, _pgcd_q(common, c.den))[0])
     return [_pmul(c.num, _pdivmod(common, c.den)[0])
             for c in op.coefficients]
 
@@ -967,11 +967,13 @@ def test_operator_annihilates_matches_power_loop_on_periods(ct, node):
     assert verdicts == [True] + [False] * 15
 
 
-# q, q^2 (1 + q), ... share factors, so the common multiple of the
-# reference (take in each denominator that does not divide it yet) is
-# neither their lcm nor their product for some orders of the p_k
+# q, q^2 (1 + q), ... share factors, so their least common multiple is
+# not their product, and a common multiple that takes in each
+# denominator not yet dividing it holds more powers of q than the
+# operator has poles for some orders of the p_k
 SHARED_DENOMINATORS = ((1,), (0, 1), (0, 0, 1), (1, 1), (0, 1, 1),
                        (0, 0, 1, 1), (1, 0, 1))
+SHARED_SHIFTS = (0, 1, Fraction(1, 2), Fraction(-2, 3))
 
 
 @st.composite
@@ -1000,13 +1002,13 @@ def solved_series(cleared, shift, length):
 
 
 @settings(max_examples=200, deadline=None)
-@given(shared_denominator_operators(),
-       st.sampled_from((0, 1, Fraction(1, 2), Fraction(-2, 3))), st.data())
+@given(shared_denominator_operators(), st.sampled_from(SHARED_SHIFTS),
+       st.data())
 def test_operator_annihilates_matches_power_loop_on_shared_denominators(
         op, shift, data):
-    # the verdict moves with the power of q in the common multiple when
-    # the series ends near the operator's lowest q-power j0: a series
-    # killed past its first term, cut there and perhaps perturbed
+    # the verdict would move with the power of q in the common multiple
+    # when the series ends near the operator's lowest q-power j0: a
+    # series killed past its first term, cut there and perhaps perturbed
     cleared = power_loop_cleared(op)
     if not any(cleared):
         return
@@ -1019,6 +1021,71 @@ def test_operator_annihilates_matches_power_loop_on_shared_denominators(
     series = PeriodSeries(tuple(coeffs))
     assert operator_annihilates(op, series, shift) == \
         power_loop_annihilates(op, series, shift)
+
+
+def laurent_expansions(op, size):
+    """The largest pole order o of the p_k, and each p_k = num / (q^o r),
+    r(0) != 0, as {j: its q^j coefficient} for j from -o to size - 1 -
+    o, with 1/r by its power-series recursion: nothing is cleared."""
+    top, expansions = 0, []
+    for c in op.coefficients:
+        o = next(i for i, x in enumerate(c.den) if x)
+        r = c.den[o:]
+        inv = [1 / r[0]]
+        for i in range(1, size):
+            inv.append(-sum(r[t] * inv[i - t]
+                            for t in range(1, min(i, len(r) - 1) + 1)) / r[0])
+        expansions.append({i - o: sum(x * inv[i - t]
+                                      for t, x in enumerate(c.num) if t <= i)
+                           for i in range(size)})
+        top = max(top, o)
+    return top, expansions
+
+
+def laurent_coefficient(expansions, coeffs, shift, n):
+    """L(S)_n, the coefficient of q^(shift + n) in sum_k p_k theta^k S for
+    S = sum_m c_m q^(shift + m), from the known c_m."""
+    return sum(a * (shift + n - j) ** k * coeffs[n - j]
+               for k, expansion in enumerate(expansions)
+               for j, a in expansion.items() if 0 <= n - j < len(coeffs))
+
+
+def laurent_annihilates(op, series, shift):
+    """Reference that clears nothing: L(S)_n = 0 for each n from -o to
+    len(S) - 1 - o, o the largest pole order, the q-powers that the known
+    coefficients determine."""
+    coeffs = series.coefficients
+    top, expansions = laurent_expansions(op, len(coeffs))
+    return not any(laurent_coefficient(expansions, coeffs, shift, n)
+                   for n in range(-top, len(coeffs) - top))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_denominator_operators(), st.sampled_from(SHARED_SHIFTS),
+       st.integers(1, 6), st.integers(-1, 5))
+@example(ScalarOperator((RatFunc.make((1,)), RatFunc.make((1,), (0, 1)),
+                         RatFunc.make((1,), (0, 1, 1)), RatFunc.make((1,)))),
+         0, 2, 1)
+def test_operator_annihilates_matches_laurent_expansion(op, shift, length,
+                                                        spot):
+    # a series whose first L(S)_n vanish wherever the indicial polynomial
+    # allows (c_0 = 1, each later c_i solved from L(S)_{i - o}), then
+    # perhaps perturbed at c_spot; in the example, a common multiple
+    # q^2 (1 + q) of the denominators 1, q, q (1 + q) would leave the
+    # perturbed L(S)_0 unchecked
+    top, expansions = laurent_expansions(op, length)
+    coeffs = [Fraction(1)]
+    for i in range(1, length):
+        coeffs.append(Fraction(0))
+        rest = laurent_coefficient(expansions, coeffs, shift, i - top)
+        lead = sum(expansion.get(-top, 0) * (shift + i) ** k
+                   for k, expansion in enumerate(expansions))
+        coeffs[i] = -rest / lead if lead else Fraction(1)
+    if 0 <= spot < length:
+        coeffs[spot] += Fraction(1, 7)
+    series = PeriodSeries(tuple(coeffs))
+    assert operator_annihilates(op, series, shift) == \
+        laurent_annihilates(op, series, shift)
 
 
 def test_operator_annihilates_refuses_float_shift():
@@ -1047,15 +1114,15 @@ def q_swap_matrix():
 @pytest.mark.parametrize("ct,node", SERIES_ODE_CASES + [
     ("E7", 7), ("A3", 2), (None, None)])
 def test_integer_first_verdicts_match_cleared_route(ct, node):
-    # the cyclic operator tries its own integer polynomials first; its
-    # verdicts must be those of the same coefficients built by hand,
-    # which take the cleared route alone: on the series each covector
-    # pairs with, to depths 1, size and 2 size and cut near the cleared
-    # form's lowest q-power, at three shifts; and, at shift 0 (the shift
-    # at which the unperturbed series is killed), with each of its first
-    # size + 1 coefficients perturbed, cut after the perturbed one (every
-    # seventh on E7 n7, where a rejection re-clears 57 coefficients by
-    # hand in about 10 ms)
+    # the cyclic operator runs on the elimination's integer polynomials;
+    # its verdicts must be those of the same coefficients built by hand,
+    # cleared by their least common denominator: on the series each
+    # covector pairs with, to depths 1, size and 2 size and cut near the
+    # cleared form's lowest q-power, at three shifts; and, at shift 0
+    # (the shift at which the unperturbed series is killed), with each of
+    # its first size + 1 coefficients perturbed, cut after the perturbed
+    # one (every seventh on E7 n7, of 57 coefficients, to bound the
+    # test's time)
     m = q_swap_matrix() if ct is None else series_matrix(ct, node)
     trace = basis_trace(quantum_period(m, 2 * m.size))
     for start in sorted({0, m.size // 2, m.size - 1}):
@@ -1080,28 +1147,32 @@ def test_integer_first_verdicts_match_cleared_route(ct, node):
         assert operator_annihilates(op, PeriodSeries(tuple(paired)))
 
 
-def test_integer_form_rejection_is_decided_on_the_cleared_form():
-    # p_0 = 1/q and p_1 = 1/(q (1 + q)): the cleared form takes in q, then
-    # q (1 + q), which q does not divide, so it is q^2 (1 + q) times the
-    # operator, q times the integer form P = (1 + q, 1, q + q^2).  On c_0
-    # alone P leaves 1 at q^0 and is refused; the cleared form, with no
-    # q^0 term, accepts, as the hand-built operator does.  No operator of
-    # the suite's matrices rejects on its integer form and then accepts,
-    # so the integer form is given here as the cyclic reduction would
+def test_hand_built_operator_rejects_at_its_lowest_pole():
+    # p_0 = 1/q and p_1 = 1/(q (1 + q)): their least common denominator
+    # q (1 + q) clears the operator to the integer form P = (1 + q, 1,
+    # q + q^2) the cyclic reduction would give.  On c_0 = 1 alone, at
+    # shift 0, the operator leaves 1 at q^-1, a power c_0 determines, and
+    # both the integer form and the hand-built operator reject; a common
+    # multiple q^2 (1 + q) would leave that power unchecked and accept.
+    # At shift -1 the indicial polynomial 1 + t vanishes, and both accept
     op = ScalarOperator((RatFunc.make((1,), (0, 1)),
                          RatFunc.make((1,), (0, 1, 1)), RatFunc.make((1,))))
     op._polys = ({0: 1, 1: 1}, {0: 1}, {1: 1, 2: 1})
+    hand = ScalarOperator(op.coefficients)
     series = PeriodSeries((Fraction(1),))
-    assert not period_gw._kills(op._polys, [1], 0)
-    assert operator_annihilates(op, series)
-    assert operator_annihilates(ScalarOperator(op.coefficients), series)
+    assert not operator_annihilates(op, series)
+    assert not operator_annihilates(hand, series)
+    assert tuple(hand._polys) == op._polys
+    assert operator_annihilates(op, series, -1)
+    assert operator_annihilates(hand, series, -1)
     assert not operator_annihilates(op, PeriodSeries((1, 0)))
 
 
 def test_cleared_form_is_built_once_per_operator(monkeypatch):
     # a hand-built operator clears its 2 (order + 1) coefficient tuples on
-    # its first check and keeps the cleared form for every later one; a
-    # cyclic-built one clears only at its first rejection
+    # its first check and keeps its integer form for every later one; a
+    # cyclic-built one has its form from the elimination and clears none,
+    # even on a rejection
     m = series_matrix("E6", 1)
     op = cyclic_scalar_operator(m, m.size - 1)
     hand = ScalarOperator(op.coefficients)
@@ -1116,10 +1187,9 @@ def test_cleared_form_is_built_once_per_operator(monkeypatch):
     assert not operator_annihilates(hand, bad)
     assert len(calls) == 2 * (hand.order + 1)
     assert operator_annihilates(op, series)
+    assert not operator_annihilates(op, bad)
+    assert not operator_annihilates(op, bad)
     assert len(calls) == 2 * (op.order + 1)
-    assert not operator_annihilates(op, bad)
-    assert not operator_annihilates(op, bad)
-    assert len(calls) == 4 * (op.order + 1)
     assert hand == op and hash(hand) == hash(op)
 
 
