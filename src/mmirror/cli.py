@@ -89,14 +89,6 @@ MAX_SCALAR_ODE_SIZE = 72
 # 4300-digit limit on integer-to-string conversion.
 MAX_PERIOD_DEGREE = 100
 
-# The checks every case of a kind runs, then the pinned checks in order,
-# each with the case parameter it reads; a case's "golden" list runs last.
-_MINUSCULE_BATTERY = ("mirror", "equivariant", "homogeneous", "poincare",
-                      "period")
-_QUADRIC_BATTERY = ("fw_products", "homogeneous", "period_positive")
-_PINNED_INPUTS = (("projective_period", "projective_dim"),
-                  ("constant_term", "ct_degree"), ("wgamma", "wgamma"))
-
 
 class CheckFailure(Exception):
     """A verification check found a wrong value."""
@@ -106,24 +98,15 @@ class CheckFailure(Exception):
 # case plumbing
 # --------------------------------------------------------------------------
 
-def _default_params(ct: CartanType, node: int, size: int) -> dict:
-    """The parameters every (type, node) of orbit size ``size`` gets,
-    pinned or ad hoc: period depth 3; the dimension N when G/P is the
-    projective space P^N; the constant-term depth of a type-A potential,
-    graded by its number of variables k(n-k): 3 up to 4, 2 up to 6, 1
-    up to 12 (the battery's rule, not the potential's bound)."""
-    family, rank = ct.family, ct.rank
+def _default_params(ct: CartanType, node: int) -> dict:
+    """The parameters every (type, node) gets, pinned or ad hoc: period
+    depth 3; the constant-term depth of a type-A potential, graded by its
+    number of variables k(n-k): 3 up to 4, 2 up to 6, 1 up to 12 (the
+    battery's rule, not the potential's bound)."""
     params = {"max_degree": 3}
-    if (family, node) in (("A", 1), ("A", rank), ("C", 1)):
-        params["projective_dim"] = size - 1
-    if family == "A":
-        v = node * (rank + 1 - node)
-        if v <= 4:
-            params["ct_degree"] = 3
-        elif v <= 6:
-            params["ct_degree"] = 2
-        elif v <= 12:
-            params["ct_degree"] = 1
+    v = node * (ct.rank + 1 - node)
+    if ct.family == "A" and v <= 12:
+        params["ct_degree"] = 3 if v <= 4 else 2 if v <= 6 else 1
     return params
 
 
@@ -185,7 +168,7 @@ class Case:
                 f"{self.cartan} node {self.node} has {self.size} Schubert "
                 f"classes, more than the limit of {MAX_ORBIT_SIZE}"
             )
-        self.params = _default_params(self.ct, self.node, self.size)
+        self.params = _default_params(self.ct, self.node)
         self.params.update(params or {})
         self._period = None
 
@@ -218,11 +201,15 @@ class Case:
         return self._period.upto(depth)
 
     def check_names(self):
-        """The battery of the case's kind, then each pinned check whose
-        input is in ``params``, then the golden checks."""
-        base = _MINUSCULE_BATTERY if self.minuscule else _QUADRIC_BATTERY
-        pinned = [name for name, key in _PINNED_INPUTS if key in self.params]
-        return [*base, *pinned, *self.params.get("golden", ())]
+        """The rows of _CHECKS whose tag the case carries, in table order;
+        then each golden name no row gave, so one the table lacks fails."""
+        ct, golden = self.ct, self.params.get("golden", ())
+        tags = {"every", "minuscule" if self.minuscule else "quadric",
+                *self.params, *golden}
+        if (ct.family, self.node) in (("A", 1), ("A", ct.rank), ("C", 1)):
+            tags.add("projective")  # G/P = P^N
+        names = [name for name, (_, tag) in _CHECKS.items() if tag in tags]
+        return names + [name for name in golden if name not in names]
 
 
 # --------------------------------------------------------------------------
@@ -331,12 +318,10 @@ def _check_period_positive(case):
 
 def _check_projective_period(case):
     D = case.params["max_degree"]
-    size = case.params["projective_dim"] + 1
     for d, c in enumerate(case.period(D).coefficients):
-        want = Fraction(1, factorial(d) ** size)
-        if c != want:
-            raise CheckFailure(f"c_{d} = {c}, expected 1/(d!)^{size}")
-    return f"c_d = 1/(d!)^{size} up to degree {D}"
+        if c != Fraction(1, factorial(d) ** case.size):
+            raise CheckFailure(f"c_{d} = {c}, expected 1/(d!)^{case.size}")
+    return f"c_d = 1/(d!)^{case.size} up to degree {D}"
 
 
 def _check_constant_term(case):
@@ -421,21 +406,25 @@ def _check_x6_relation(case):
     return "X^6 - 4qX = 0"
 
 
+# The one check table, in run order: name -> (check, the tag that selects
+# it).  A tag is a case kind ("every", "minuscule", "quadric", or
+# "projective" for G/P = P^N), the pinned input the check reads, or, for
+# a golden check, its own name; see Case.check_names.
 _CHECKS = {
-    "mirror": _check_mirror,
-    "equivariant": _check_equivariant,
-    "homogeneous": _check_homogeneous,
-    "poincare": _check_poincare,
-    "period": _check_period,
-    "period_positive": _check_period_positive,
-    "projective_period": _check_projective_period,
-    "constant_term": _check_constant_term,
-    "wgamma": _check_wgamma,
-    "gr24_products": _check_gr24_products,
-    "d4_kernel": _check_d4_kernel,
-    "d4_scalar": _check_d4_scalar,
-    "fw_products": _check_fw_products,
-    "x6_relation": _check_x6_relation,
+    "mirror": (_check_mirror, "minuscule"),
+    "equivariant": (_check_equivariant, "minuscule"),
+    "fw_products": (_check_fw_products, "quadric"),
+    "homogeneous": (_check_homogeneous, "every"),
+    "poincare": (_check_poincare, "minuscule"),
+    "period": (_check_period, "minuscule"),
+    "period_positive": (_check_period_positive, "quadric"),
+    "projective_period": (_check_projective_period, "projective"),
+    "constant_term": (_check_constant_term, "ct_degree"),
+    "wgamma": (_check_wgamma, "wgamma"),
+    "gr24_products": (_check_gr24_products, "gr24_products"),
+    "d4_kernel": (_check_d4_kernel, "d4_kernel"),
+    "d4_scalar": (_check_d4_scalar, "d4_scalar"),
+    "x6_relation": (_check_x6_relation, "x6_relation"),
 }
 
 
@@ -461,16 +450,14 @@ def _run_case(entry, max_degree, budget):
     checks = []
     for name in case.check_names():
         try:
-            detail = _CHECKS[name](case)
-            checks.append({"name": name, "pass": True, "detail": detail})
+            detail, ok = _CHECKS[name][0](case), True
         except CheckFailure as exc:
-            checks.append({"name": name, "pass": False, "detail": str(exc)})
+            detail, ok = str(exc), False
         except BudgetExceeded as exc:
-            checks.append({"name": name, "pass": False,
-                           "detail": f"enumeration budget exceeded: {exc}"})
+            detail, ok = f"enumeration budget exceeded: {exc}", False
         except Exception as exc:
-            checks.append({"name": name, "pass": False,
-                           "detail": f"{type(exc).__name__}: {exc}"})
+            detail, ok = f"{type(exc).__name__}: {exc}", False
+        checks.append({"name": name, "pass": ok, "detail": detail})
     return {
         "cartan": case.cartan,
         "node": case.node,
@@ -513,6 +500,17 @@ def _matrix_csv(M) -> str:
 
 def _ratfunc_payload(rf: RatFunc) -> dict:
     return {"num": [str(c) for c in rf.num], "den": [str(c) for c in rf.den]}
+
+
+def _printed(numbers, what: str, remedy: str) -> list:
+    """The numbers as strings, or a ValueError saying that ``what`` has
+    more digits than Python prints, and ``remedy``."""
+    try:
+        return list(map(str, numbers))
+    except ValueError:
+        raise ValueError(
+            f"{what} of more than {sys.get_int_max_str_digits()} digits, "
+            f"the most Python prints; {remedy}") from None
 
 
 def _emit(text: str, output) -> None:
@@ -615,15 +613,9 @@ def cmd_period(args) -> int:
     if D < 0:
         raise ValueError(f"period depth {D} is below 0")
     case = Case(args.case, args.node)
-    series = case.period(D)
-    try:
-        coefficients = [str(c) for c in series.coefficients]
-    except ValueError:
-        raise ValueError(
-            f"period of {case.cartan} node {case.node} to depth {D} has a "
-            f"coefficient of more than {sys.get_int_max_str_digits()} "
-            "digits, the most Python prints; lower --max-degree"
-        ) from None
+    coefficients = _printed(
+        case.period(D).coefficients, f"period of {case.cartan} node "
+        f"{case.node} to depth {D} has a coefficient", "lower --max-degree")
     payload = {
         "case": case.cartan,
         "node": case.node,
@@ -641,14 +633,9 @@ def cmd_gw(args) -> int:
     pot = potential_typeA(args.k, args.n)
     m = pot.coxeter * args.d
     ct = constant_term_power(pot, m, args.budget)
-    try:
-        constant_term, value = str(ct), str(ct / factorial(m))
-    except ValueError:
-        raise ValueError(
-            f"Gr({args.k},{args.n}) degree {args.d} has a constant term or "
-            f"value of more than {sys.get_int_max_str_digits()} digits, the "
-            "most Python prints; lower the degree"
-        ) from None
+    constant_term, value = _printed(
+        (ct, ct / factorial(m)), f"Gr({args.k},{args.n}) degree {args.d} "
+        "has a constant term or value", "lower the degree")
     payload = {
         "k": args.k,
         "n": args.n,

@@ -614,7 +614,7 @@ def test_equivariant_fails_on_q_cell_alone():
     cells[0, 2] = {k: 2 * v for k, v in F.entry(0, 2).items()}
     case.fg = ConnMatrix(F.basis, F.variables, F.size, cells)
     with pytest.raises(cli.CheckFailure) as failure:
-        cli._CHECKS["equivariant"](case)
+        cli._CHECKS["equivariant"][0](case)
     assert str(failure.value) == ("equivariant matrices differ at (0, 2): "
                                   "q vs 2*q")
 
@@ -1013,18 +1013,23 @@ def test_pinned_case_list():
     # ct_degree is pinned where, and as, the per-(type, node) default has it
     for c in cases:
         case = cli.Case(c["cartan"], c["node"])
-        default = cli._default_params(case.ct, case.node, case.size)
+        default = cli._default_params(case.ct, case.node)
         assert c.get("ct_degree") == default.get("ct_degree"), c
     assert sum("ct_degree" in c for c in cases) == 25
 
 
-def _adhoc_cases():
+# (family, lowest rank, highest rank) of every case the root limit admits
+_ALL_RANKS = (("A", 1, 44), ("B", 2, 31), ("C", 2, 31), ("D", 4, 32),
+              ("E", 6, 7))
+
+
+def _adhoc_cases(ranks=(("A", 1, 12), ("B", 2, 10), ("C", 2, 10),
+                        ("D", 4, 10), ("E", 6, 7))):
     """Every (type, node) an ad-hoc ``verify`` admits among the minuscule
-    nodes of A1-A12, B2-B10, C2-C10, D4-D10, E6 and E7 and the odd
-    quadrics B2-B10 node 1."""
+    nodes and the odd quadrics (B_n node 1) of the ``ranks``; by default
+    A1-A12, B2-B10, C2-C10, D4-D10, E6 and E7."""
     out = []
-    for family, low, high in (("A", 1, 12), ("B", 2, 10), ("C", 2, 10),
-                              ("D", 4, 10), ("E", 6, 7)):
+    for family, low, high in ranks:
         for n in range(low, high + 1):
             ct = CartanType(family, n)
             sizes = {node: minuscule_dimension(ct, node)
@@ -1061,6 +1066,54 @@ def test_adhoc_battery_sweep_size():
     assert len(cases) == len(set(cases)) == 119
     assert {("B10", 1), ("D10", 10), ("A12", 3)} <= set(cases)
     assert ("A12", 4) not in cases and ("B10", 10) not in cases
+
+
+def _refuse_builds(monkeypatch):
+    for name in ("build_root_datum", "minuscule_coset_reps", "fw_matrix"):
+        monkeypatch.setattr(cli, name, _never)
+
+
+@pytest.mark.parametrize("cartan,node", _adhoc_cases(_ALL_RANKS))
+def test_battery_matches_oracle_on_every_admissible_case(monkeypatch, cartan,
+                                                         node):
+    # selection reads the check table and the case's kind alone: it builds
+    # no datum, coset table or matrix
+    _refuse_builds(monkeypatch)
+    pinned = {(e["cartan"], e["node"]): e for e in _load_case_list()}
+    entry = pinned.get((cartan, node), {})
+    case = cli.Case(cartan, node, _case_params(entry))
+    assert case.check_names() == battery(cartan, node, entry)
+
+
+def test_admissible_sweep_is_every_admitted_case(monkeypatch):
+    cases = _adhoc_cases(_ALL_RANKS)
+    assert len(cases) == len(set(cases)) == 289
+    assert {("A44", 1), ("A44", 44), ("B31", 1), ("B9", 9), ("C31", 1),
+            ("D32", 1), ("D10", 10), ("E7", 7)} <= set(cases)
+    # one step past each edge, Case refuses before it builds anything
+    _refuse_builds(monkeypatch)
+    for cartan, node in (("A45", 1), ("A44", 2), ("B32", 1), ("B10", 10),
+                         ("C32", 1), ("D33", 1), ("D11", 11), ("E7", 1),
+                         ("E8", 1)):
+        with pytest.raises(ValueError):
+            cli.Case(cartan, node)
+
+
+def test_unknown_golden_name_fails_by_name():
+    # a golden name the check table lacks still runs, last, and fails
+    report = cli._run_case({"cartan": "A3", "node": 2, "golden": ["nope"]},
+                           None, DEFAULT_BUDGET)
+    assert not report["pass"]
+    assert report["checks"][-1] == {"name": "nope", "pass": False,
+                                    "detail": "KeyError: 'nope'"}
+    assert all(ch["pass"] for ch in report["checks"][:-1])
+
+
+def test_pinned_golden_lists_in_table_order():
+    # the golden rows run in table order, so each pinned list must follow it
+    for entry in _load_case_list():
+        golden = list(entry.get("golden", ()))
+        assert golden == [name for name in cli._CHECKS if name in golden]
 
 
 def test_output_flag_writes_same_bytes(capsys, tmp_path):
@@ -1272,7 +1325,7 @@ def test_verify_exception_fails_its_check_by_name(capsys, monkeypatch,
         monkeypatch.setattr(cli, "minuscule_coset_reps", broken)
     else:
         monkeypatch.setattr(cli, "_CHECKS",
-                            {**cli._CHECKS, "homogeneous": broken})
+                            {**cli._CHECKS, "homogeneous": (broken, "every")})
     code, doc = run_json(capsys, "verify", "A3", "--node", "2")
     assert code == 1 and doc["counts"]["failed"] == 1
     failed = [ch for ch in doc["cases"][0]["checks"] if not ch["pass"]]
