@@ -104,9 +104,14 @@ def _default_params(ct: CartanType, node: int) -> dict:
     number of variables k(n-k): 3 up to 4, 2 up to 6, 1 up to 12 (the
     battery's rule, not the potential's bound)."""
     params = {"max_degree": 3}
-    v = node * (ct.rank + 1 - node)
-    if ct.family == "A" and v <= 12:
-        params["ct_degree"] = 3 if v <= 4 else 2 if v <= 6 else 1
+    if ct.family == "A":
+        v = node * (ct.rank + 1 - node)
+        if v <= 4:
+            params["ct_degree"] = 3
+        elif v <= 6:
+            params["ct_degree"] = 2
+        elif v <= 12:
+            params["ct_degree"] = 1
     return params
 
 
@@ -201,15 +206,15 @@ class Case:
         return self._period.upto(depth)
 
     def check_names(self):
-        """The rows of _CHECKS whose tag the case carries, in table order;
-        then each golden name no row gave, so one the table lacks fails."""
-        ct, golden = self.ct, self.params.get("golden", ())
+        """The rows of _CHECKS whose tag the case carries, in table order,
+        then the checks its golden list names, in list order."""
+        ct = self.ct
         tags = {"every", "minuscule" if self.minuscule else "quadric",
-                *self.params, *golden}
+                *self.params}
         if (ct.family, self.node) in (("A", 1), ("A", ct.rank), ("C", 1)):
             tags.add("projective")  # G/P = P^N
         names = [name for name, (_, tag) in _CHECKS.items() if tag in tags]
-        return names + [name for name in golden if name not in names]
+        return names + list(self.params.get("golden", ()))
 
 
 # --------------------------------------------------------------------------
@@ -408,8 +413,9 @@ def _check_x6_relation(case):
 
 # The one check table, in run order: name -> (check, the tag that selects
 # it).  A tag is a case kind ("every", "minuscule", "quadric", or
-# "projective" for G/P = P^N), the pinned input the check reads, or, for
-# a golden check, its own name; see Case.check_names.
+# "projective" for G/P = P^N) or the pinned input the check reads; a
+# golden check has none and runs when the case's golden list names it
+# (see Case.check_names).
 _CHECKS = {
     "mirror": (_check_mirror, "minuscule"),
     "equivariant": (_check_equivariant, "minuscule"),
@@ -421,10 +427,10 @@ _CHECKS = {
     "projective_period": (_check_projective_period, "projective"),
     "constant_term": (_check_constant_term, "ct_degree"),
     "wgamma": (_check_wgamma, "wgamma"),
-    "gr24_products": (_check_gr24_products, "gr24_products"),
-    "d4_kernel": (_check_d4_kernel, "d4_kernel"),
-    "d4_scalar": (_check_d4_scalar, "d4_scalar"),
-    "x6_relation": (_check_x6_relation, "x6_relation"),
+    "gr24_products": (_check_gr24_products, None),
+    "d4_kernel": (_check_d4_kernel, None),
+    "d4_scalar": (_check_d4_scalar, None),
+    "x6_relation": (_check_x6_relation, None),
 }
 
 

@@ -1052,9 +1052,17 @@ def test_battery_matches_oracle_on_pinned_cases():
         assert case.check_names() == battery(cartan, node, entry), entry
 
 
-@pytest.mark.parametrize("cartan,node", _adhoc_cases())
-def test_battery_matches_oracle_on_adhoc_cases(cartan, node):
-    # verify runs the pinned entry of a pinned case, else a bare one
+def _refuse_builds(monkeypatch):
+    for name in ("build_root_datum", "minuscule_coset_reps", "fw_matrix"):
+        monkeypatch.setattr(cli, name, _never)
+
+
+@pytest.mark.parametrize("cartan,node", _adhoc_cases(_ALL_RANKS))
+def test_battery_matches_oracle_on_adhoc_cases(monkeypatch, cartan, node):
+    # verify runs the pinned entry of a pinned case, else a bare one;
+    # selection reads the check table and the case's kind alone, so it
+    # builds no datum, coset table or matrix
+    _refuse_builds(monkeypatch)
     pinned = {(e["cartan"], e["node"]): e for e in _load_case_list()}
     entry = pinned.get((cartan, node), {})
     case = cli.Case(cartan, node, _case_params(entry))
@@ -1066,23 +1074,6 @@ def test_adhoc_battery_sweep_size():
     assert len(cases) == len(set(cases)) == 119
     assert {("B10", 1), ("D10", 10), ("A12", 3)} <= set(cases)
     assert ("A12", 4) not in cases and ("B10", 10) not in cases
-
-
-def _refuse_builds(monkeypatch):
-    for name in ("build_root_datum", "minuscule_coset_reps", "fw_matrix"):
-        monkeypatch.setattr(cli, name, _never)
-
-
-@pytest.mark.parametrize("cartan,node", _adhoc_cases(_ALL_RANKS))
-def test_battery_matches_oracle_on_every_admissible_case(monkeypatch, cartan,
-                                                         node):
-    # selection reads the check table and the case's kind alone: it builds
-    # no datum, coset table or matrix
-    _refuse_builds(monkeypatch)
-    pinned = {(e["cartan"], e["node"]): e for e in _load_case_list()}
-    entry = pinned.get((cartan, node), {})
-    case = cli.Case(cartan, node, _case_params(entry))
-    assert case.check_names() == battery(cartan, node, entry)
 
 
 def test_admissible_sweep_is_every_admitted_case(monkeypatch):
@@ -1107,13 +1098,6 @@ def test_unknown_golden_name_fails_by_name():
     assert report["checks"][-1] == {"name": "nope", "pass": False,
                                     "detail": "KeyError: 'nope'"}
     assert all(ch["pass"] for ch in report["checks"][:-1])
-
-
-def test_pinned_golden_lists_in_table_order():
-    # the golden rows run in table order, so each pinned list must follow it
-    for entry in _load_case_list():
-        golden = list(entry.get("golden", ()))
-        assert golden == [name for name in cli._CHECKS if name in golden]
 
 
 def test_output_flag_writes_same_bytes(capsys, tmp_path):
